@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_on
-from .coding import _classical_blocks, _product_check  # shared validation
+from .channels import KrausChannel
+from .coding import check_uniform, get_scenario, product_marginals
 from .divergences import dh_eps, dmax
-from .linalg import DensityOp, Ket, SystemLayout, partial_trace, tensor
+from .linalg import DensityOp, Ket, SystemLayout, partial_trace
 
 __all__ = [
     "RateBound",
@@ -27,9 +27,12 @@ __all__ = [
     "identity_channel_corollary",
     "corollary_relaxations",
     "optimize_input_state",
+    "EXTRA_SCENARIOS",
 ]
 
-UNIFORM_TOL = 1e-9
+# Scenario names outside the coding table: the sum-rate MAC converse of
+# ``converse_value`` and the two relaxations of ``corollary_relaxations``.
+EXTRA_SCENARIOS = ("mac_ea_hdw", "gp", "broadcast")
 
 
 @dataclass(frozen=True)
@@ -141,23 +144,6 @@ def _make_bound(scenario, kind, per_sender, *, sum_rate=None, ceiling=None,
     )
 
 
-def _check_uniform(state: DensityOp, label: str):
-    d = state.layout.dim_of(label)
-    marg = partial_trace(state, [label])
-    if float(np.max(np.abs(marg.matrix - np.eye(d) / d))) > UNIFORM_TOL:
-        raise ValueError(f"converse requires a uniform classical register {label!r}")
-
-
-def _mac_joints(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp):
-    from .coding import _split_sender_state
-
-    a_label, b_label = ch.in_layout.labels
-    res_a, side_a = _split_sender_state(psi_a, a_label)
-    res_b, side_b = _split_sender_state(psi_b, b_label)
-    omega = apply_on(ch, tensor(psi_a, psi_b), [a_label, b_label])
-    return omega, res_a, res_b, [s for s in (side_a, side_b) if s is not None]
-
-
 def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
                    eps, sigma_candidates=None, optimize: bool = False, *,
                    psi_b: DensityOp | None = None, tau: DensityOp | None = None,
@@ -170,147 +156,55 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
     additionally report the dimension ceiling log|B| / (1 - eps) and require
     uniform classical registers, matching the converse statements.
     """
-    if scenario == "p2p_ea":
-        (a_label,) = ch.in_layout.labels
-        res = [l for l in psi.layout.labels if l != a_label][0]
-        joint = apply_on(ch, psi, [a_label])
-        val, desc, trace = _min_over_sigma(joint, [res], eps, sigma_candidates,
-                                           optimize, restarts, seed)
-        return _make_bound(scenario, "converse", [val],
-                           evaluated_at=f"psi on {psi.layout.labels}, sigma = {desc}",
-                           trace=trace)
-
-    if scenario == "gp_ea":
-        a_label, s_label = ch.in_layout.labels
-        res = [l for l in psi.layout.labels if l not in (a_label, s_label)][0]
-        _product_check(psi, [[s_label], [res]])
-        if tau is not None:
-            s_marg = partial_trace(psi, [s_label])
-            if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
-                raise ValueError("state's S marginal does not match the channel state")
-        joint = apply_on(ch, psi, [a_label, s_label])
-        val, desc, trace = _min_over_sigma(joint, [res], eps, sigma_candidates,
-                                           optimize, restarts, seed)
-        return _make_bound(scenario, "converse", [val],
-                           evaluated_at=f"psi on {psi.layout.labels}, sigma = {desc}",
-                           trace=trace)
-
-    if scenario == "broadcast_ea":
-        (a_label,) = ch.in_layout.labels
-        out_b, out_c = ch.out_layout.labels
-        res_b, res_c = [l for l in psi.layout.labels if l != a_label]
-        _product_check(psi, [[res_b], [res_c]])
-        eps1, eps2 = eps
-        full = apply_on(ch, psi, [a_label])
-        v1, d1, t1 = _min_over_sigma(partial_trace(full, [out_b, res_b]),
-                                     [res_b], eps1, sigma_candidates,
-                                     optimize, restarts, seed)
-        v2, d2, t2 = _min_over_sigma(partial_trace(full, [out_c, res_c]),
-                                     [res_c], eps2, sigma_candidates,
-                                     optimize, restarts, seed)
-        return _make_bound(scenario, "converse", [v1, v2],
-                           evaluated_at=f"sigma_B = {d1}, tau_C = {d2}",
-                           trace=tuple(t1) + tuple(t2))
-
-    if scenario == "mac_ea":
-        # Conditioned variant: alternatives fixed by the state's own marginals.
-        eps1, eps2 = eps
-        omega, res_a, res_b, sides = _mac_joints(ch, psi, psi_b)
-        outs = list(ch.out_layout.labels)
-        base = outs + sides
-        vals = []
-        for res, e in ((res_a, eps1), (res_b, eps2)):
-            joint = partial_trace(omega, base + [res]).permuted(base + [res])
-            alt = tensor(partial_trace(omega, base).permuted(base),
-                         partial_trace(omega, [res]))
-            vals.append(_dh_value(joint, alt.permuted(list(joint.layout.labels)).matrix, e))
-        return _make_bound(scenario, "converse", vals,
-                           evaluated_at="alternatives = state marginals",
-                           trace=(("rho_{out,sides} x rho_res", tuple(vals)),))
-
     if scenario == "mac_ea_hdw":
-        # Sum-rate variant for pure two-register sender states.
-        eps1, eps2 = eps
-        for st in (psi, psi_b):
-            purity = float(np.real(np.trace(st.matrix @ st.matrix)))
-            if purity < 1 - 1e-9:
-                raise ValueError("this converse variant needs pure sender states")
-        omega, res_a, res_b, _ = _mac_joints(ch, psi, psi_b)
-        outs = list(ch.out_layout.labels)
-        rho = omega.permuted(outs + [res_a, res_b])
-        rho_c = partial_trace(rho, outs).permuted(outs)
-        rho_a = partial_trace(rho, [res_a])
-        rho_b = partial_trace(rho, [res_b])
-        rho_cb = partial_trace(rho, outs + [res_b]).permuted(outs + [res_b])
-        rho_ca = partial_trace(rho, outs + [res_a]).permuted(outs + [res_a])
-        v1 = _dh_value(rho.permuted(outs + [res_b, res_a]),
-                       np.kron(rho_cb.matrix, rho_a.matrix), eps1)
-        v2 = _dh_value(rho, np.kron(rho_ca.matrix, rho_b.matrix), eps2)
-        vsum = _dh_value(rho, np.kron(np.kron(rho_c.matrix, rho_a.matrix),
-                                      rho_b.matrix), eps1 + eps2)
-        return _make_bound(scenario, "converse", [v1, v2], sum_rate=vsum,
-                           evaluated_at="alternatives = state marginals",
-                           trace=(("per-sender and sum-rate", (v1, v2, vsum)),))
+        return _mac_hdw_converse(ch, psi, psi_b, eps)
+    spec = get_scenario(scenario)
+    eps = spec.per_stream(eps, "eps")
+    receivers = spec.build(ch, psi, psi_b, tau, eps)
+    if spec.marginal_converse:
+        # Conditioned variant: alternatives fixed by the state's own marginals.
+        vals = [_dh_value(r.joint, r.alt.matrix, r.eps) for r in receivers]
+        return _make_bound(scenario, "converse", vals,
+                           evaluated_at=spec.converse_note,
+                           trace=(("rho_{out,sides} x rho_res", tuple(vals)),))
+    ceiling = None
+    if not spec.assisted:
+        for r in receivers:
+            check_uniform(r.marginal, r.resource)
+        budget = 1
+        for e in eps:
+            budget -= e
+        ceiling = math.log2(ch.out_dim) / budget
+    runs = [_min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates,
+                            optimize, restarts, seed) for r in receivers]
+    return _make_bound(
+        scenario, "converse", [val for val, _, _ in runs], ceiling=ceiling,
+        evaluated_at=spec.converse_note.format(*(desc for _, desc, _ in runs),
+                                               labels=psi.layout.labels),
+        trace=tuple(t for _, _, trace in runs for t in trace))
 
-    if scenario in ("p2p_ua", "gp_ua"):
-        in_labels = list(ch.in_layout.labels)
-        u_label = [l for l in psi.layout.labels if l not in in_labels][0]
-        _classical_blocks(psi, u_label)
-        _check_uniform(psi, u_label)
-        if scenario == "gp_ua":
-            s_label = in_labels[1]
-            _product_check(psi, [[s_label], [u_label]])
-        joint = apply_on(ch, psi, in_labels)
-        val, desc, trace = _min_over_sigma(joint, [u_label], eps,
-                                           sigma_candidates, optimize,
-                                           restarts, seed)
-        ceiling = math.log2(ch.out_dim) / (1 - eps)
-        return _make_bound(scenario, "converse", [val], ceiling=ceiling,
-                           evaluated_at=f"sigma = {desc}", trace=trace)
 
-    if scenario == "broadcast_ua":
-        eps1, eps2 = eps
-        (a_label,) = ch.in_layout.labels
-        out_b, out_c = ch.out_layout.labels
-        u_label, v_label = [l for l in psi.layout.labels if l != a_label]
-        for l in (u_label, v_label):
-            _classical_blocks(psi, l)
-            _check_uniform(psi, l)
-        _product_check(psi, [[u_label], [v_label]])
-        full = apply_on(ch, psi, [a_label])
-        v1, d1, t1 = _min_over_sigma(partial_trace(full, [out_b, u_label]),
-                                     [u_label], eps1, sigma_candidates,
-                                     optimize, restarts, seed)
-        v2, d2, t2 = _min_over_sigma(partial_trace(full, [out_c, v_label]),
-                                     [v_label], eps2, sigma_candidates,
-                                     optimize, restarts, seed)
-        ceiling = math.log2(ch.out_dim) / (1 - eps1 - eps2)
-        return _make_bound(scenario, "converse", [v1, v2], ceiling=ceiling,
-                           evaluated_at=f"sigma_B = {d1}, tau_C = {d2}",
-                           trace=tuple(t1) + tuple(t2))
-
-    if scenario == "mac_ua":
-        eps1, eps2 = eps
-        a_label, b_label = ch.in_layout.labels
-        u_label = [l for l in psi.layout.labels if l != a_label][0]
-        v_label = [l for l in psi_b.layout.labels if l != b_label][0]
-        for st, l in ((psi, u_label), (psi_b, v_label)):
-            _classical_blocks(st, l)
-            _check_uniform(st, l)
-        omega = apply_on(ch, tensor(psi, psi_b), [a_label, b_label])
-        outs = list(ch.out_layout.labels)
-        v1, d1, t1 = _min_over_sigma(partial_trace(omega, outs + [u_label]),
-                                     [u_label], eps1, sigma_candidates,
-                                     optimize, restarts, seed)
-        v2, d2, t2 = _min_over_sigma(partial_trace(omega, outs + [v_label]),
-                                     [v_label], eps2, sigma_candidates,
-                                     optimize, restarts, seed)
-        ceiling = math.log2(ch.out_dim) / (1 - eps1 - eps2)
-        return _make_bound(scenario, "converse", [v1, v2], ceiling=ceiling,
-                           evaluated_at=f"sigma = {d1}, tau = {d2}",
-                           trace=tuple(t1) + tuple(t2))
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
+                      eps) -> RateBound:
+    """Sum-rate variant of the MAC converse for pure two-register sender states."""
+    for st in (psi_a, psi_b):
+        purity = float(np.real(np.trace(st.matrix @ st.matrix)))
+        if purity < 1 - 1e-9:
+            raise ValueError("this converse variant needs pure sender states")
+    spec = get_scenario("mac_ea")
+    rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.per_stream(eps, "eps"))
+    outs = list(ch.out_layout.labels)
+    res_a, res_b = rec_a.resource, rec_b.resource
+    rho = rec_a.state.permuted(outs + [res_a, res_b])
+    rho_c = partial_trace(rho, outs).permuted(outs)
+    v1 = _dh_value(rho.permuted(outs + [res_b, res_a]),
+                   np.kron(rec_b.joint.matrix, rec_a.marginal.matrix), rec_a.eps)
+    v2 = _dh_value(rho, np.kron(rec_a.joint.matrix, rec_b.marginal.matrix), rec_b.eps)
+    vsum = _dh_value(rho, np.kron(np.kron(rho_c.matrix, rec_a.marginal.matrix),
+                                  rec_b.marginal.matrix), rec_a.eps + rec_b.eps)
+    return _make_bound("mac_ea_hdw", "converse", [v1, v2], sum_rate=vsum,
+                       evaluated_at="alternatives = state marginals",
+                       trace=(("per-sender and sum-rate", (v1, v2, vsum)),))
 
 
 def achievable_rate(scenario: str, ch: KrausChannel, psi: DensityOp, eps,
@@ -320,83 +214,13 @@ def achievable_rate(scenario: str, ch: KrausChannel, psi: DensityOp, eps,
     """The rate guaranteed achievable at this input state: D_H minus the
     penalty of the matching coding theorem.  Negative values mean the
     delta-penalty exceeds the divergence at these parameters (infeasible)."""
-
-    def pen_quad(e: float) -> float:
-        # log(4 eps / delta^2) penalty; at eps = 0 the tighter log(1/delta)
-        # variant applies (the c -> 1 fallback of the proofs).
-        return math.log2(4 * e / delta ** 2) if e > 0 else math.log2(1 / delta)
-
-    if scenario == "p2p_ea":
-        (a_label,) = ch.in_layout.labels
-        res = [l for l in psi.layout.labels if l != a_label][0]
-        joint = apply_on(ch, psi, [a_label])
-        alt = tensor(apply_on(ch, partial_trace(psi, [a_label]), [a_label]),
-                     partial_trace(psi, [res]))
-        joint = joint.permuted(list(alt.layout.labels))
-        val = _dh_value(joint, alt.matrix, eps + delta) - math.log2(1 / delta)
-        return _make_bound(scenario, "achievable", [val],
-                           evaluated_at="D_H at eps+delta minus log2(1/delta)")
-
-    if scenario == "gp_ea":
-        a_label, s_label = ch.in_layout.labels
-        res = [l for l in psi.layout.labels if l not in (a_label, s_label)][0]
-        _product_check(psi, [[s_label], [res]])
-        joint = apply_on(ch, psi, [a_label, s_label])
-        alt = tensor(apply_on(ch, partial_trace(psi, [a_label, s_label]),
-                              [a_label, s_label]),
-                     partial_trace(psi, [res]))
-        joint = joint.permuted(list(alt.layout.labels))
-        val = _dh_value(joint, alt.matrix, eps) - pen_quad(eps)
-        return _make_bound(scenario, "achievable", [val],
-                           evaluated_at="D_H at eps minus log2(4 eps/delta^2)")
-
-    if scenario in ("broadcast_ea", "broadcast_ua"):
-        eps1, eps2 = eps
-        (a_label,) = ch.in_layout.labels
-        out_b, out_c = ch.out_layout.labels
-        res_b, res_c = [l for l in psi.layout.labels if l != a_label]
-        _product_check(psi, [[res_b], [res_c]])
-        full = apply_on(ch, psi, [a_label])
-        out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
-        vals = []
-        for out, res, e in ((out_b, res_b, eps1), (out_c, res_c, eps2)):
-            joint = partial_trace(full, [out, res]).permuted([out, res])
-            alt = tensor(partial_trace(out_marg, [out]),
-                         partial_trace(psi, [res]))
-            vals.append(_dh_value(joint, alt.matrix, e) - pen_quad(e))
-        return _make_bound(scenario, "achievable", vals,
-                           evaluated_at="per-receiver D_H minus log2(4 eps/delta^2)")
-
-    if scenario in ("mac_ea", "mac_ua"):
-        eps1, eps2 = eps
-        omega, res_a, res_b, sides = _mac_joints(ch, psi, psi_b)
-        outs = list(ch.out_layout.labels)
-        base = outs + sides
-        pen = (math.log2(1 / delta) if strategy == "sequential"
-               else None)
-        vals = []
-        for res, e in ((res_a, eps1), (res_b, eps2)):
-            joint = partial_trace(omega, base + [res]).permuted(base + [res])
-            alt = tensor(partial_trace(omega, base).permuted(base),
-                         partial_trace(omega, [res]))
-            v = _dh_value(joint, alt.permuted(list(joint.layout.labels)).matrix, e)
-            vals.append(v - (pen if pen is not None else pen_quad(e)))
-        return _make_bound(scenario, "achievable", vals,
-                           evaluated_at=f"strategy {strategy}")
-
-    if scenario in ("p2p_ua", "gp_ua"):
-        in_labels = list(ch.in_layout.labels)
-        u_label = [l for l in psi.layout.labels if l not in in_labels][0]
-        _classical_blocks(psi, u_label)
-        joint = apply_on(ch, psi, in_labels)
-        alt = tensor(apply_on(ch, partial_trace(psi, in_labels), in_labels),
-                     partial_trace(psi, [u_label]))
-        joint = joint.permuted(list(alt.layout.labels))
-        val = _dh_value(joint, alt.matrix, eps) - pen_quad(eps)
-        return _make_bound(scenario, "achievable", [val],
-                           evaluated_at="D_H at eps minus log2(4 eps/delta^2)")
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+    spec = get_scenario(scenario)
+    eps = spec.per_stream(eps, "eps")
+    receivers = spec.build(ch, psi, psi_b, tau, [spec.smoothing(e, delta) for e in eps])
+    vals = [_dh_value(r.joint, r.alt.matrix, r.eps) - spec.penalty(e, delta, strategy)
+            for r, e in zip(receivers, eps)]
+    return _make_bound(scenario, "achievable", vals,
+                       evaluated_at=spec.achievable_note.format(strategy=strategy))
 
 
 def identity_channel_corollary(dimA: int, eps: float):
@@ -443,40 +267,21 @@ def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
     relevant marginal is product the penalty vanishes and the value agrees
     with :func:`converse_value`.
     """
-    if scenario == "gp":
-        a_label, s_label = ch.in_layout.labels
-        res = [l for l in psi.layout.labels if l not in (a_label, s_label)][0]
-        marg = partial_trace(psi, [s_label, res]).permuted([s_label, res])
-        prod = tensor(partial_trace(psi, [s_label]), partial_trace(psi, [res]))
-        penalty = max(dmax(marg, prod.matrix), 0.0)
-        joint = apply_on(ch, psi, [a_label, s_label])
-        val, desc, trace = _min_over_sigma(joint, [res], eps, sigma_candidates,
-                                           optimize, restarts, seed)
-        return _make_bound("gp_relaxed", "converse", [val - penalty],
-                           evaluated_at=f"sigma = {desc}, dmax penalty = {penalty:.6f}",
-                           trace=trace)
-
-    if scenario == "broadcast":
-        eps1, eps2 = eps
-        (a_label,) = ch.in_layout.labels
-        out_b, out_c = ch.out_layout.labels
-        res_b, res_c = [l for l in psi.layout.labels if l != a_label]
-        marg = partial_trace(psi, [res_b, res_c]).permuted([res_b, res_c])
-        prod = tensor(partial_trace(psi, [res_b]), partial_trace(psi, [res_c]))
-        penalty = max(dmax(marg, prod.matrix), 0.0)
-        full = apply_on(ch, psi, [a_label])
-        v1, d1, t1 = _min_over_sigma(partial_trace(full, [out_b, res_b]),
-                                     [res_b], eps1, sigma_candidates,
-                                     optimize, restarts, seed)
-        v2, d2, t2 = _min_over_sigma(partial_trace(full, [out_c, res_c]),
-                                     [res_c], eps2, sigma_candidates,
-                                     optimize, restarts, seed)
-        return _make_bound("broadcast_relaxed", "converse",
-                           [v1 - penalty, v2 - penalty],
-                           evaluated_at=f"dmax penalty = {penalty:.6f}",
-                           trace=tuple(t1) + tuple(t2))
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario not in ("gp", "broadcast"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    spec = get_scenario(f"{scenario}_ea")
+    receivers, ((state, parts),) = spec.receivers(
+        True, ch, psi, None, None, spec.per_stream(eps, "eps"))
+    marg, prod = product_marginals(state, parts)
+    penalty = max(dmax(marg, prod.matrix), 0.0)
+    runs = [_min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates,
+                            optimize, restarts, seed) for r in receivers]
+    note = f"dmax penalty = {penalty:.6f}"
+    if len(runs) == 1:
+        note = f"sigma = {runs[0][1]}, {note}"
+    return _make_bound(f"{scenario}_relaxed", "converse",
+                       [val - penalty for val, _, _ in runs], evaluated_at=note,
+                       trace=tuple(t for _, _, trace in runs for t in trace))
 
 
 def optimize_input_state(objective: Callable[[Ket], float], dims,

@@ -10,11 +10,9 @@ import numpy as np
 from .linalg import (
     DensityOp,
     HermOp,
-    Ket,
     LayoutError,
     SystemLayout,
-    _as_layout,
-    _permute_matrix,
+    as_layout,
     herm_eig,
     max_entangled_ket,
 )
@@ -51,8 +49,8 @@ class KrausChannel:
     out_layout: SystemLayout
 
     def __init__(self, kraus, in_layout, out_layout):
-        in_layout = _as_layout(in_layout)
-        out_layout = _as_layout(out_layout)
+        in_layout = as_layout(in_layout)
+        out_layout = as_layout(out_layout)
         ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -196,8 +194,8 @@ def validate(kraus: Sequence[np.ndarray], in_dim: int, out_dim: int) -> ChannelR
 
 def channel_from_choi(choi_mat: np.ndarray, in_layout, out_layout) -> KrausChannel:
     """Kraus operators from an (unnormalized, trace = d_in) Choi matrix."""
-    in_layout = _as_layout(in_layout)
-    out_layout = _as_layout(out_layout)
+    in_layout = as_layout(in_layout)
+    out_layout = as_layout(out_layout)
     d_in, d_out = in_layout.dim, out_layout.dim
     w, v = np.linalg.eigh((choi_mat + choi_mat.conj().T) / 2)
     kraus = []

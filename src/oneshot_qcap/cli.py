@@ -3,7 +3,8 @@ JSON/CSV reports for divergences, rate bounds, protocol simulations, and the
 randomized inequality-verification suite.
 
 Exit codes: 0 = all asserted inequalities hold, 1 = input or validation
-error, 2 = an inequality was violated beyond tolerance.
+error (usage errors included), 2 = an inequality was violated beyond
+tolerance.
 """
 
 from __future__ import annotations
@@ -178,13 +179,13 @@ def _parse_state(doc: dict) -> DensityOp:
         raise SpecError("state", "needs one of 'name', 'ket', 'matrix'")
     for grp in doc.get("product", []):
         try:
-            coding_mod._product_check(state, [[l] for l in grp] if all(
+            coding_mod.product_check(state, [[l] for l in grp] if all(
                 isinstance(l, str) for l in grp) else grp)
         except ValueError as exc:
             raise SpecError("product", str(exc)) from exc
     for label in doc.get("classical", []):
         try:
-            coding_mod._classical_blocks(state, label)
+            coding_mod.classical_blocks(state, label)
         except ValueError as exc:
             raise SpecError("classical", str(exc)) from exc
     return state
@@ -238,18 +239,10 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, SystemLayout):
-        return [[l, d] for l, d in obj.registers]
-    if isinstance(obj, DensityOp):
-        return {"dims": _jsonable(obj.layout), "matrix": _jsonable(obj.matrix)}
-    if isinstance(obj, Ket):
-        return {"dims": _jsonable(obj.layout),
-                "ket": _jsonable(obj.amplitudes)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # Fields kept out of repr hold internals, not results.
         return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if hasattr(obj, "matrix"):
-        return _jsonable(np.asarray(obj.matrix))
+                for f in dataclasses.fields(obj) if f.repr}
     return repr(obj)
 
 
@@ -270,21 +263,6 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in str(text).split(",")]
 
 
-def _one_or_pair(values: list, name: str, want_pair: bool):
-    if want_pair:
-        if len(values) == 1:
-            return (values[0], values[0])
-        if len(values) == 2:
-            return (values[0], values[1])
-        raise SpecError(name, f"expected one or two values, got {values}")
-    if len(values) != 1:
-        raise SpecError(name, f"expected a single value, got {values}")
-    return values[0]
-
-
-_TWO_STREAM = {"broadcast_ea", "broadcast_ua", "mac_ea", "mac_ua"}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -300,10 +278,8 @@ def _cmd_divergence(args) -> int:
                               "type2": res.witness.type2}}
     elif args.kind == "dmax":
         result = {"value": div_mod.dmax(rho, sigma)}
-    elif args.kind == "relative-entropy":
+    else:  # relative-entropy
         result = {"value": div_mod.relative_entropy(rho, sigma)}
-    else:
-        raise SpecError("kind", f"unknown divergence {args.kind!r}")
     _emit({"command": "divergence", "kind": args.kind, "eps": args.eps,
            "inputs": {"rho": args.rho, "sigma": args.sigma},
            "result": result}, args.output)
@@ -311,62 +287,40 @@ def _cmd_divergence(args) -> int:
 
 
 def _simulate_report(args):
-    scenario = args.scenario
+    spec = coding_mod.SCENARIOS[args.scenario]
+    paths = {"state": args.state, "state_b": args.state_b, "tau": args.tau}
+    for key in spec.inputs:
+        if paths[key] is None:
+            flag = key.replace("_", "-")
+            raise SpecError(flag, f"{spec.name} needs the spec --{flag}")
     ch = _load_spec(args.channel)
-    psi = _load_spec(args.state)
-    psi_b = _load_spec(args.state_b) if args.state_b else None
-    tau = _load_spec(args.tau) if args.tau else None
-    pair = scenario in _TWO_STREAM
-    rates = _one_or_pair(_ints(args.R), "R", pair)
-    eps = _one_or_pair(_floats(args.eps), "eps", pair)
-    args = argparse.Namespace(**{**vars(args), "delta": float(args.delta)})
-    if scenario == "p2p_ea":
-        rep = coding_mod.simulate_p2p_ea(ch, psi, rates, eps, args.delta, args.c)
-    elif scenario == "gp_ea":
-        if tau is None:
-            raise SpecError("tau", "gp_ea needs the channel-state spec --tau")
-        rep = coding_mod.simulate_gp_ea(ch, tau, psi, rates, eps, args.delta,
-                                        args.c)
-    elif scenario == "broadcast_ea":
-        rep = coding_mod.simulate_broadcast_ea(ch, psi, rates, eps, args.delta)
-    elif scenario == "mac_ea":
-        if psi_b is None:
-            raise SpecError("state-b", "mac_ea needs the second sender state")
-        rep = coding_mod.simulate_mac_ea(ch, psi, psi_b, rates, eps, args.delta,
-                                         strategy=args.strategy, c=args.c)
-    elif scenario in ("p2p_ua", "gp_ua", "broadcast_ua", "mac_ua"):
-        short = scenario[:-3]
-        rep = coding_mod.simulate_unassisted(short, ch, psi, rates, eps,
-                                             args.delta, psi_b=psi_b, tau=tau,
-                                             c=args.c)
+    specs = {key: _load_spec(path) if path else None for key, path in paths.items()}
+    # One value serves every message stream; see Scenario.per_stream.
+    rates, eps, delta = _ints(args.R), _floats(args.eps), float(args.delta)
+    if spec.assisted:
+        # Each assisted simulator is simulate_<scenario>, taking the
+        # scenario's spec inputs in table order after the channel.
+        simulate = getattr(coding_mod, f"simulate_{spec.name}")
+        options = {"strategy": args.strategy} if spec.strategies else {}
+        rep = simulate(ch, *(specs[key] for key in spec.inputs), rates, eps,
+                       delta, c=args.c, **options)
     else:
-        raise SpecError("scenario", f"unknown scenario {scenario!r}")
+        rep = coding_mod.simulate_unassisted(
+            spec.name.removesuffix("_ua"), ch, specs["state"], rates, eps, delta,
+            psi_b=specs["state_b"], tau=specs["tau"], c=args.c)
     floors = coding_mod.report_floors(rep, sigmas=args.floor_sigmas,
                                       seed=args.seed)
-    return rep, floors
-
-
-def _report_dict(rep, floors) -> dict:
-    body = _jsonable(rep)
-    # The raw setup/code objects are reproducible from the inputs; drop the
-    # bulkiest internals but keep every number the bounds depend on.
-    details = body.get("details", {})
-    for key in ("setup", "sequential", "code", "bob", "charlie"):
-        details.pop(key, None)
-    body["details"] = details
-    body["floors"] = _jsonable(floors)
-    return body
+    return rep, floors, rep.bound_satisfied and all(f["holds"] for f in floors)
 
 
 def _cmd_simulate(args) -> int:
-    rep, floors = _simulate_report(args)
-    ok = rep.bound_satisfied and all(f["holds"] for f in floors)
+    rep, floors, ok = _simulate_report(args)
     _emit({"command": "simulate", "scenario": args.scenario, "seed": args.seed,
            "inputs": {"channel": args.channel, "state": args.state,
                       "state_b": args.state_b, "tau": args.tau,
                       "R": args.R, "eps": args.eps, "delta": args.delta,
                       "strategy": args.strategy},
-           "report": _report_dict(rep, floors),
+           "report": {**_jsonable(rep), "floors": _jsonable(floors)},
            "holds": bool(ok)}, args.output)
     return 0 if ok else 2
 
@@ -374,20 +328,21 @@ def _cmd_simulate(args) -> int:
 def _cmd_bound(args) -> int:
     if args.kind == "identity-corollary":
         ceiling, (lam, avec) = bounds_mod.identity_channel_corollary(
-            args.dimA, _one_or_pair(_floats(args.eps), "eps", False))
+            args.dimA, float(args.eps))
         _emit({"command": "bound", "kind": args.kind, "dimA": args.dimA,
                "eps": args.eps,
                "result": {"ceiling": ceiling, "witness_lambda": lam,
                           "witness_a": avec}}, args.output)
         return 0
+    for flag in ("channel", "state"):
+        if getattr(args, flag) is None:
+            raise SpecError(flag, f"bound {args.kind} needs the spec --{flag}")
     ch = _load_spec(args.channel)
     psi = _load_spec(args.state)
     psi_b = _load_spec(args.state_b) if args.state_b else None
     tau = _load_spec(args.tau) if args.tau else None
     sigmas = [_load_spec(p) for p in (args.sigma or [])]
-    pair = (args.scenario in _TWO_STREAM
-            or args.scenario in ("mac_ea_hdw", "broadcast"))
-    eps = _one_or_pair(_floats(args.eps), "eps", pair)
+    eps = _floats(args.eps)
     if args.kind == "converse":
         rb = bounds_mod.converse_value(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
@@ -397,12 +352,10 @@ def _cmd_bound(args) -> int:
         rb = bounds_mod.achievable_rate(
             args.scenario, ch, psi, eps, args.delta, psi_b=psi_b, tau=tau,
             strategy=args.strategy)
-    elif args.kind == "relaxation":
+    else:  # relaxation
         rb = bounds_mod.corollary_relaxations(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
             optimize=args.optimize, restarts=args.restarts, seed=args.seed)
-    else:
-        raise SpecError("kind", f"unknown bound kind {args.kind!r}")
     _emit({"command": "bound", "kind": args.kind, "scenario": args.scenario,
            "seed": args.seed, "result": _jsonable(rb)}, args.output)
     return 0
@@ -411,13 +364,8 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.facts == "all" else [s.strip()
                                               for s in args.facts.split(",")]
-    try:
-        suite = verify_mod.run_suite(names, trials=args.trials,
-                                     dims=tuple(_ints(args.dims)),
-                                     seed=args.seed)
-    except KeyError as exc:
-        raise SpecError("facts", f"unknown check {exc.args[0]!r}; "
-                        f"available: {sorted(verify_mod.CHECKS)}") from exc
+    suite = verify_mod.run_suite(names, trials=args.trials,
+                                 dims=tuple(_ints(args.dims)), seed=args.seed)
     _emit({"command": "verify", "facts": args.facts, "trials": args.trials,
            "dims": args.dims, "seed": args.seed,
            "result": _jsonable(suite)}, args.output)
@@ -436,8 +384,7 @@ def _cmd_sweep(args) -> int:
                                                       grid_delta)):
         sub = argparse.Namespace(**vars(args))
         sub.R, sub.eps, sub.delta = r, e, d
-        rep, floors = _simulate_report(sub)
-        ok = rep.bound_satisfied and all(f["holds"] for f in floors)
+        rep, floors, ok = _simulate_report(sub)
         worst_ok = worst_ok and ok
         rows.append({
             "index": idx,
@@ -484,7 +431,7 @@ def _add_common_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--delta", required=True,
                    help="smoothing slack; ';'-separated values when sweeping")
     p.add_argument("--strategy", default="sequential",
-                   choices=["sequential", "pgm_a_first", "pgm_b_first"])
+                   choices=coding_mod.MAC_STRATEGIES)
     p.add_argument("--c", type=float, default=None,
                    help="override the operator-inequality constant")
     p.add_argument("--seed", type=int, default=0)
@@ -492,12 +439,16 @@ def _add_common_sim_args(p: argparse.ArgumentParser):
     p.add_argument("--output", help="write the JSON report here")
 
 
-_SCENARIOS = ["p2p_ea", "gp_ea", "broadcast_ea", "mac_ea",
-              "p2p_ua", "gp_ua", "broadcast_ua", "mac_ua"]
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as input errors: exit code 1, like a bad spec."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="oneshot-qcap",
         description="One-shot classical-communication bounds and exact "
                     "protocol simulation for small quantum channels.")
@@ -515,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["converse", "achievable", "relaxation",
                                     "identity-corollary"])
     p.add_argument("--scenario", default="p2p_ea",
-                   choices=_SCENARIOS + ["mac_ea_hdw", "gp", "broadcast"])
+                   choices=[*coding_mod.SCENARIOS, *bounds_mod.EXTRA_SCENARIOS])
     p.add_argument("--channel")
     p.add_argument("--state")
     p.add_argument("--state-b", dest="state_b")
@@ -527,13 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimA", dest="dimA", type=int, default=2)
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--strategy", default="sequential")
+    p.add_argument("--strategy", default="sequential",
+                   choices=coding_mod.MAC_STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("simulate", help="run one coding protocol exactly")
-    p.add_argument("scenario", choices=_SCENARIOS)
+    p.add_argument("scenario", choices=list(coding_mod.SCENARIOS))
     _add_common_sim_args(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -547,16 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="grid of simulations, CSV output")
-    p.add_argument("scenario", choices=_SCENARIOS)
+    p.add_argument("scenario", choices=list(coding_mod.SCENARIOS))
     _add_common_sim_args(p)
     p.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

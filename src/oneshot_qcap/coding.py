@@ -6,14 +6,20 @@ is an exact trace -- no Monte Carlo anywhere.  Each simulator returns a
 :class:`ProtocolReport` carrying the exact per-message statistics next to the
 error bound its construction guarantees, so the operator inequalities behind
 the bounds can be checked numerically on every run.
+
+The eight scenarios (point-to-point, channel with state, broadcast and
+multiple access, each entanglement-assisted or unassisted) are defined once,
+in :data:`SCENARIOS`; the simulators here and the rate bounds in
+:mod:`oneshot_qcap.bounds` all read that table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,17 +28,28 @@ from .divergences import DivergenceResult, dh_eps
 from .linalg import (
     DensityOp,
     HermOp,
-    Ket,
     SystemLayout,
     embed,
     fidelity,
     partial_trace,
+    purified_distance,
+    sample,
     tensor,
 )
 
 __all__ = [
     "PositionCode",
     "ProtocolReport",
+    "Receiver",
+    "Scenario",
+    "SCENARIOS",
+    "MAC_STRATEGIES",
+    "get_scenario",
+    "product_marginals",
+    "product_check",
+    "classical_blocks",
+    "check_uniform",
+    "split_sender_state",
     "build_position_povm",
     "hn_check",
     "seq_check",
@@ -52,6 +69,12 @@ __all__ = [
 PINV_TOL = 1e-12
 COMPLETION_TOL = 1e-9
 BOUND_SLACK = 1e-8
+PRODUCT_TOL = 1e-9
+CLASSICAL_TOL = 1e-9
+UNIFORM_TOL = 1e-9
+SUPPORT_FLOOR = 1e-12
+
+MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +84,7 @@ def _relabel(op, mapping: dict):
     new = SystemLayout([(mapping.get(l, l), d) for l, d in op.layout.registers])
     if isinstance(op, DensityOp):
         return DensityOp(op.matrix, new, normalized=op.normalized)
-    if isinstance(op, HermOp):
-        return HermOp(op.matrix, new)
-    if isinstance(op, Ket):
-        return Ket(op.amplitudes, new)
-    raise TypeError(type(op).__name__)
+    return HermOp(op.matrix, new)
 
 
 def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -80,22 +99,88 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def _clip_psd(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(mat)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
 def _trace_with(op: np.ndarray, rho: DensityOp) -> float:
     return float(np.real(np.einsum("ij,ji->", op, rho.matrix)))
 
 
-def _product_check(joint: DensityOp, parts: Sequence[Iterable[str]], tol: float = 1e-9):
-    """Require the marginal on the union of ``parts`` to factorize."""
+# ---------------------------------------------------------------------------
+# input validation, shared by the simulators, the bounds and spec parsing
+
+def product_marginals(state: DensityOp, parts: Sequence[Iterable[str]]):
+    """The marginal of ``state`` on the union of ``parts`` and the product of
+    its marginals on each part, both in the order the parts list them."""
     labels = [l for grp in parts for l in grp]
-    marg = partial_trace(joint, labels).permuted(labels)
-    prod = None
-    for grp in parts:
-        factor = partial_trace(joint, list(grp)).permuted(list(grp))
-        prod = factor if prod is None else tensor(prod, factor)
-    dev = float(np.max(np.abs(marg.matrix - prod.permuted(labels).matrix)))
-    if dev > tol:
+    marg = partial_trace(state, labels).permuted(labels)
+    prod = reduce(tensor, [partial_trace(state, list(grp)).permuted(list(grp))
+                           for grp in parts])
+    return marg, prod.permuted(labels)
+
+
+def product_check(joint: DensityOp, parts: Sequence[Iterable[str]]):
+    """Require the marginal on the union of ``parts`` to factorize."""
+    marg, prod = product_marginals(joint, parts)
+    dev = float(np.max(np.abs(marg.matrix - prod.matrix)))
+    if dev > PRODUCT_TOL:
         raise ValueError(
             f"resource state does not factorize across {parts} (deviation {dev:.3e})")
+
+
+def classical_blocks(state: DensityOp, label: str):
+    """Diagonal blocks of a state along a classical register.
+
+    Returns (probabilities, conditional states on the remaining registers);
+    raises if any off-diagonal block is non-negligible.
+    """
+    rest = [l for l in state.layout.labels if l != label]
+    perm = state.permuted([label] + rest)
+    d_u = state.layout.dim_of(label)
+    d_rest = state.layout.dim // d_u
+    view = perm.matrix.reshape(d_u, d_rest, d_u, d_rest)
+    for u in range(d_u):
+        for up in range(d_u):
+            if u != up and float(np.max(np.abs(view[u, :, up, :]))) > CLASSICAL_TOL:
+                raise ValueError(
+                    f"register {label!r} is not classical (off-diagonal block "
+                    f"({u},{up}) has weight {np.max(np.abs(view[u, :, up, :])):.3e})")
+    rest_layout = SystemLayout([(l, state.layout.dim_of(l)) for l in rest])
+    probs, conds = [], []
+    for u in range(d_u):
+        block = view[u, :, u, :]
+        p = float(np.real(np.trace(block)))
+        probs.append(max(p, 0.0))
+        conds.append(DensityOp(block / p, rest_layout) if p > SUPPORT_FLOOR else None)
+    return np.asarray(probs), conds
+
+
+def check_uniform(state: DensityOp, label: str):
+    """Require the marginal on ``label`` to be maximally mixed."""
+    d = state.layout.dim_of(label)
+    marg = partial_trace(state, [label])
+    if float(np.max(np.abs(marg.matrix - np.eye(d) / d))) > UNIFORM_TOL:
+        raise ValueError(f"converse requires a uniform classical register {label!r}")
+
+
+def split_sender_state(psi: DensityOp, channel_label: str):
+    """Register roles for one sender: (channel input, resource, optional side).
+
+    Layout convention: first register feeds the channel, second carries the
+    position resource, an optional third is a side register the receiver
+    holds one copy of.
+    """
+    labels = list(psi.layout.labels)
+    if labels[0] != channel_label:
+        raise ValueError(
+            f"sender state must lead with channel input {channel_label!r}")
+    if len(labels) == 2:
+        return labels[1], None
+    if len(labels) == 3:
+        return labels[1], labels[2]
+    raise ValueError("sender state needs registers [input, resource(, side)]")
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +206,36 @@ def _copy_label(resource_label: str, m: int) -> str:
     return f"{resource_label}#{m + 1}"
 
 
-def _full_layout(test: HermOp, resource_label: str, copies: int) -> SystemLayout:
-    regs = [(l, d) for l, d in test.layout.registers if l != resource_label]
-    res_dim = test.layout.dim_of(resource_label)
-    regs += [(_copy_label(resource_label, m), res_dim) for m in range(copies)]
+def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> SystemLayout:
+    """``layout`` with each (resource, n) register replaced by n numbered copies."""
+    resources = {label for label, _ in copies}
+    regs = [(l, d) for l, d in layout.registers if l not in resources]
+    for label, n in copies:
+        regs += [(_copy_label(label, m), layout.dim_of(label)) for m in range(n)]
     return SystemLayout(regs)
+
+
+def _position_tests(test: HermOp, resource_label: str, copies: int,
+                    layout: SystemLayout) -> list[HermOp]:
+    """``test`` on copy m of its resource register and identity elsewhere."""
+    return [embed(_relabel(test, {resource_label: _copy_label(resource_label, m)}),
+                  layout) for m in range(copies)]
+
+
+def _pgm(tests: Sequence[np.ndarray]):
+    """Square-root measurement S^{-1/2} T_m S^{-1/2}, S = sum_m T_m, and the
+    completion element that makes it a POVM."""
+    total = np.sum(tests, axis=0)
+    root = _pinv_sqrt(total)
+    povm = [root @ t @ root for t in tests]
+    povm = [(p + p.conj().T) / 2 for p in povm]
+    comp = np.eye(tests[0].shape[0]) - np.sum(povm, axis=0)
+    comp = (comp + comp.conj().T) / 2
+    min_eig = float(np.linalg.eigvalsh(comp)[0])
+    if min_eig < -COMPLETION_TOL:
+        raise ValueError(
+            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
+    return povm, comp
 
 
 def build_position_povm(test: HermOp, copies: int, resource_label: str) -> PositionCode:
@@ -138,21 +248,9 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     evals = np.linalg.eigvalsh(test.matrix)
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
-    layout = _full_layout(test, resource_label, copies)
-    lambdas = []
-    for m in range(copies):
-        pos = _relabel(test, {resource_label: _copy_label(resource_label, m)})
-        lambdas.append(embed(pos, layout))
-    total = np.sum([l.matrix for l in lambdas], axis=0)
-    root = _pinv_sqrt(total)
-    povm = [root @ l.matrix @ root for m, l in enumerate(lambdas)]
-    povm = [(p + p.conj().T) / 2 for p in povm]
-    comp = np.eye(layout.dim) - np.sum(povm, axis=0)
-    comp = (comp + comp.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(comp)[0])
-    if min_eig < -COMPLETION_TOL:
-        raise ValueError(
-            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
+    layout = _copies_layout(test.layout, [(resource_label, copies)])
+    lambdas = _position_tests(test, resource_label, copies, layout)
+    povm, comp = _pgm([l.matrix for l in lambdas])
     return PositionCode(
         test=test,
         copies=copies,
@@ -219,8 +317,6 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
     """
     if mode == "sqrt_overlap":
         pi = operator.matrix if isinstance(operator, HermOp) else np.asarray(operator)
-        from .linalg import purified_distance
-
         lhs = abs(math.sqrt(max(_trace_with(pi, other), 0.0))
                   - math.sqrt(max(_trace_with(pi, state), 0.0)))
         rhs = purified_distance(state, other)
@@ -253,6 +349,217 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
 
 
 # ---------------------------------------------------------------------------
+# the scenario table
+
+@dataclass(frozen=True)
+class Receiver:
+    """One position test: ``joint`` against the product alternative ``alt``.
+
+    ``joint`` holds the decoder's registers and one copy of ``resource``;
+    ``marginal`` is the resource's own state, which every other copy is in.
+    ``state`` holds the decoder's registers with one copy of each resource
+    the decoder reads: ``joint`` itself, except for the multiple-access
+    receiver, which reads both senders' resources.
+    """
+
+    joint: DensityOp
+    alt: DensityOp
+    resource: str
+    marginal: DensityOp
+    eps: float
+    state: DensityOp
+
+
+def _position_receiver(assisted: bool, ch: KrausChannel, psi: DensityOp,
+                       in_labels: Sequence[str], eps: float) -> Receiver:
+    in_labels = list(in_labels)
+    res = [l for l in psi.layout.labels if l not in in_labels]
+    if len(res) != 1 or not all(psi.layout.has(l) for l in in_labels):
+        raise ValueError(
+            f"state must live on [{', '.join(in_labels)}, one resource register]")
+    (res,) = res
+    if not assisted:
+        classical_blocks(psi, res)
+    joint = apply_on(ch, psi, in_labels)
+    alt = tensor(apply_on(ch, partial_trace(psi, in_labels), in_labels),
+                 partial_trace(psi, [res]))
+    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint)
+
+
+def _p2p_receivers(assisted, ch, psi, psi_b, tau, eps):
+    """psi on [A, R]: A feeds the channel; the receiver holds B and R."""
+    (a_label,) = ch.in_layout.labels
+    return [_position_receiver(assisted, ch, psi, [a_label], eps[0])], []
+
+
+def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
+    """psi on [A, S, R]: A and the channel state S = tau feed the channel;
+    S must be independent of the resource R."""
+    labels = ch.in_layout.labels
+    if len(labels) != 2:
+        raise ValueError("channel-with-state needs a two-register input (A, S)")
+    rec = _position_receiver(assisted, ch, psi, labels, eps[0])
+    s_label = labels[1]
+    if tau is not None:
+        s_marg = partial_trace(psi, [s_label])
+        if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
+            raise ValueError("state's S marginal does not match the channel state")
+    return [rec], [(psi, [[s_label], [rec.resource]])]
+
+
+def _broadcast_receivers(assisted, ch, psi, psi_b, tau, eps):
+    """psi on [A, R_B, R_C]: Bob gets the first channel output and R_B,
+    Charlie the second output and R_C; R_B and R_C must be independent."""
+    (a_label,) = ch.in_layout.labels
+    out_b, out_c = ch.out_layout.labels
+    res = [l for l in psi.layout.labels if l != a_label]
+    if len(res) != 2:
+        raise ValueError("state must live on [A, Bob resource, Charlie resource]")
+    if not assisted:
+        for r in res:
+            classical_blocks(psi, r)
+    full = apply_on(ch, psi, [a_label])
+    out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
+    receivers = []
+    for out, r, e in zip((out_b, out_c), res, eps):
+        joint = partial_trace(full, [out, r])
+        alt = tensor(partial_trace(out_marg, [out]), partial_trace(psi, [r]))
+        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
+    return receivers, [(psi, [[res[0]], [res[1]]])]
+
+
+def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
+    """Sender states [A, R_A(, side)] and [B, R_B(, side)] (see
+    :func:`split_sender_state`): A and B feed the channel; the receiver holds
+    its output, the side registers and the copies of R_A and R_B."""
+    if psi_b is None:
+        raise ValueError("mac scenario needs both sender ensembles")
+    a_label, b_label = ch.in_layout.labels
+    res_a, side_a = split_sender_state(psi, a_label)
+    res_b, side_b = split_sender_state(psi_b, b_label)
+    if not assisted:
+        classical_blocks(psi, res_a)
+        classical_blocks(psi_b, res_b)
+    omega = apply_on(ch, tensor(psi, psi_b), [a_label, b_label])
+    base = list(ch.out_layout.labels) + [s for s in (side_a, side_b) if s is not None]
+    marg = partial_trace(omega, base).permuted(base)
+    receivers = []
+    for res, e in ((res_a, eps[0]), (res_b, eps[1])):
+        joint = partial_trace(omega, base + [res]).permuted(base + [res])
+        res_marg = partial_trace(omega, [res])
+        receivers.append(Receiver(joint, tensor(marg, res_marg), res, res_marg, e,
+                                  omega))
+    return receivers, [(st, [[res], [side]]) for st, res, side in (
+        (psi, res_a, side_a), (psi_b, res_b, side_b)) if side is not None]
+
+
+def _log_inv_delta(eps: float, delta: float, strategy: str) -> float:
+    return math.log2(1 / delta)
+
+
+def _log_quad(eps: float, delta: float, strategy: str) -> float:
+    # log(4 eps / delta^2) penalty; at eps = 0 the tighter log(1/delta)
+    # variant applies (the c -> 1 fallback of the proofs).
+    return math.log2(4 * eps / delta ** 2) if eps > 0 else math.log2(1 / delta)
+
+
+def _mac_penalty(eps: float, delta: float, strategy: str) -> float:
+    if strategy not in MAC_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "sequential":
+        return _log_inv_delta(eps, delta, strategy)
+    return _log_quad(eps, delta, strategy)
+
+
+def _p2p_ea_bound(eps, delta, *, c, rates, dhs, **_) -> tuple[float, ...]:
+    # The Hayashi-Nagaoka chain with the achieving test's errors replaced by
+    # their guarantees: type I at most eps + delta, type II 2^-D_H.
+    (e,), (cv,), (rate,), (dh,) = eps, c, rates, dhs
+    return ((1 + cv) * (e + delta) + (2 + cv + 1 / cv) * (
+        0.0 if math.isinf(dh) else 2.0 ** (rate - dh)),)
+
+
+def _slack_bound(k: int):
+    """Per-receiver bound eps_i + k delta."""
+    def bound(eps, delta, **_) -> tuple[float, ...]:
+        return tuple(e + k * delta for e in eps)
+    return bound
+
+
+def _mac_bound(eps, delta, *, strategy, **_) -> tuple[float, ...]:
+    # Sequential: one bound on the joint error.  Two-stage square-root
+    # decoding: one bound per stage, the second paying for the disturbance
+    # of the first.
+    if strategy == "sequential":
+        return (4.0 * (eps[0] + eps[1] + 2 * delta),)
+    eps_first, eps_second = eps if strategy == "pgm_a_first" else eps[::-1]
+    first = eps_first + 2 * delta
+    return (first, eps_second + 2 * delta + 3 * math.sqrt(first))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One communication scenario, defined once for bounds, simulators and CLI.
+
+    ``receivers(assisted, ch, psi, psi_b, tau, eps)`` checks the register
+    roles of the inputs and builds one :class:`Receiver` per message stream,
+    each tested at the given smoothing; it also returns the independence
+    constraints, (state, parts) pairs whose parts must be in a product state
+    (:meth:`build` checks them).  ``smoothing(eps, delta)`` is the
+    eps of that test in the coding theorem, ``penalty(eps, delta, strategy)``
+    what the theorem subtracts from D_H (bits), and ``bound(eps, delta, *, c,
+    rates, dhs, strategy)`` the analytic error bound(s).  Entanglement-assisted
+    scenarios report worst-case error, unassisted ones (classical shared
+    randomness as the resource) average error.  ``inputs`` names the spec
+    inputs the simulator needs, in the order an assisted simulator takes them.
+    """
+
+    name: str
+    assisted: bool
+    streams: int
+    inputs: tuple[str, ...]
+    receivers: Callable[..., list[Receiver]]
+    smoothing: Callable[[float, float], float]
+    penalty: Callable[[float, float, str], float]
+    bound: Callable[..., tuple[float, ...]]
+    decode: Callable[..., "ProtocolReport"]
+    converse_note: str
+    achievable_note: str
+    # Decoding strategies the simulator offers; empty when there is one.
+    strategies: tuple[str, ...] = ()
+    # Converse at the state's own marginals instead of a minimum over sigma.
+    marginal_converse: bool = False
+    headline: Callable[[float, float], float] | None = None
+
+    def build(self, ch: KrausChannel, psi: DensityOp, psi_b: DensityOp | None,
+              tau: DensityOp | None, eps) -> list[Receiver]:
+        """The receivers at smoothings ``eps``, for inputs that meet the
+        independence constraints."""
+        receivers, independent = self.receivers(self.assisted, ch, psi, psi_b,
+                                                tau, eps)
+        for state, parts in independent:
+            product_check(state, parts)
+        return receivers
+
+    def per_stream(self, value, what: str) -> tuple:
+        """``value`` as one entry per message stream; a single value serves
+        every stream."""
+        values = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+        if len(values) == 1:
+            values *= self.streams
+        if len(values) != self.streams:
+            raise ValueError(
+                f"{self.name} needs {self.streams} value(s) of {what}, got {values}")
+        return values
+
+
+def get_scenario(name: str) -> Scenario:
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIOS[name]
+
+
+# ---------------------------------------------------------------------------
 # protocol reports
 
 @dataclass(frozen=True)
@@ -264,7 +571,9 @@ class ProtocolReport:
     premise-free value of the underlying operator-inequality chain evaluated
     on this very instance, which must dominate the exact error always.
     ``reported_error`` is worst-case for entanglement-assisted scenarios and
-    average-case for the unassisted ones.
+    average-case for the unassisted ones.  ``floor_inputs`` holds one
+    (outcome distribution, rate, correct columns) triple per converse floor
+    for :func:`report_floors`; it is left out of repr and of CLI reports.
     """
 
     scenario: str
@@ -279,30 +588,41 @@ class ProtocolReport:
     bound_satisfied: bool
     dh_values: tuple[float, ...]
     details: dict = field(default_factory=dict)
+    floor_inputs: tuple = field(default=(), repr=False)
 
 
-def _finish_report(scenario, rates, successes, analytic, hn, feasible, dhs,
-                   details, *, use_average: bool) -> ProtocolReport:
-    succ = np.asarray(successes, dtype=float)
-    worst = float(np.max(1.0 - succ))
-    avg = float(np.mean(1.0 - succ))
-    err = avg if use_average else worst
-    ok = err <= min(1.0, hn) + BOUND_SLACK
-    if feasible:
-        ok = ok and err <= min(1.0, analytic) + BOUND_SLACK
+def _error(successes, average: bool) -> float:
+    lost = 1.0 - np.asarray(successes, dtype=float)
+    return float(np.mean(lost) if average else np.max(lost))
+
+
+def _holds(errors, hns, bounds, feasible: bool) -> bool:
+    """Each error is within its premise-free bound and, when the rate is
+    feasible, within its analytic bound."""
+    return all(e <= min(1.0, h) + BOUND_SLACK
+               and (not feasible or e <= min(1.0, b) + BOUND_SLACK)
+               for e, h, b in zip(errors, hns, bounds))
+
+
+def _report(spec: Scenario, rates, successes, errors, *, analytic, hn, ok,
+            feasible, dh_values, details, floors) -> ProtocolReport:
+    """``successes`` are the joint per-message successes; ``errors`` the
+    errors of the independently decoded streams (one for a joint decoder)."""
+    lost = 1.0 - np.asarray(successes, dtype=float)
     return ProtocolReport(
-        scenario=scenario,
+        scenario=spec.name,
         rates=tuple(float(r) for r in rates),
-        per_message_success=tuple(float(s) for s in succ),
-        worst_error=worst,
-        avg_error=avg,
-        reported_error=err,
+        per_message_success=tuple(float(s) for s in successes),
+        worst_error=max(errors) if spec.assisted else float(np.max(lost)),
+        avg_error=float(np.mean(lost)),
+        reported_error=max(errors),
         analytic_bound=float(analytic),
         hn_bound=float(hn),
         rate_feasible=bool(feasible),
         bound_satisfied=bool(ok),
-        dh_values=tuple(float(v) for v in dhs),
+        dh_values=tuple(float(v) for v in dh_values),
         details=details,
+        floor_inputs=tuple(floors),
     )
 
 
@@ -314,354 +634,224 @@ def _hn_constant(eps: float, delta: float, c: float | None) -> float:
     return delta / eps if eps > 1e-12 else 1.0
 
 
-# ---------------------------------------------------------------------------
-# single-receiver position-code run (shared by p2p / gp / broadcast / UA)
-
-@dataclass(frozen=True)
-class _ReceiverRun:
-    code: PositionCode
-    dh: DivergenceResult
-    type1: float
-    type2: float
-    states: tuple[DensityOp, ...]
-    successes: tuple[float, ...]
-    outcome_dist: np.ndarray  # shape (n, n+1); last column = abort outcome
-
-
-def _run_receiver(joint: DensityOp, sigma: DensityOp, resource_label: str,
-                  rate: int, eps_test: float) -> _ReceiverRun:
-    """Build the position code from the optimal test and decode every message.
-
-    ``joint`` is the channel output correlated with one resource copy;
-    ``sigma`` is the product alternative the test distinguishes against.
-    """
-    joint = joint.permuted([l for l in joint.layout.labels if l != resource_label]
-                           + [resource_label])
-    sigma = sigma.permuted(list(joint.layout.labels))
-    n = 2 ** rate
-    dh = dh_eps(joint, sigma, eps_test)
-    test = HermOp(dh.witness.operator, joint.layout)
-    code = build_position_povm(test, n, resource_label)
-    res_marg = partial_trace(joint, [resource_label])
-    states = []
-    successes = []
-    dist = np.zeros((n, n + 1))
-    for m in range(n):
-        state = _relabel(joint, {resource_label: _copy_label(resource_label, m)})
-        for k in range(n):
-            if k != m:
-                state = tensor(state, _relabel(
-                    res_marg, {resource_label: _copy_label(resource_label, k)}))
-        state = state.permuted(list(code.layout.labels))
-        states.append(state)
-        for mp in range(n):
-            dist[m, mp] = max(_trace_with(code.povm[mp], state), 0.0)
-        dist[m, n] = max(_trace_with(code.completion, state), 0.0)
-        successes.append(dist[m, m])
-    return _ReceiverRun(
-        code=code,
-        dh=dh,
-        type1=1.0 - dh.witness.type1,
-        type2=dh.witness.type2,
-        states=tuple(states),
-        successes=tuple(successes),
-        outcome_dist=dist,
-    )
-
-
-def _receiver_hn_bound(run: _ReceiverRun, rate: int, c: float) -> float:
-    # Exact Hayashi-Nagaoka chain on this instance: type-I and type-II error
-    # of the achieving test, with the union bound over 2^R - 1 wrong positions.
-    return (1 + c) * run.type1 + (2 + c + 1 / c) * (2 ** rate) * run.type2
-
-
 def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
     if math.isinf(dh_value):
         return True
     return rate <= dh_value - penalty_bits + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# entanglement-assisted point-to-point (Kraus channel N: A -> B)
+def _message_state(state: DensityOp, senders, messages, layout: SystemLayout) -> DensityOp:
+    """``state`` with each sender's resource moved to copy m of its message m,
+    and independent copies of the resource in every other position.
 
-def simulate_p2p_ea(ch: KrausChannel, psi: DensityOp, rate: int, eps: float,
-                    delta: float, c: float | None = None) -> ProtocolReport:
-    """Entanglement-assisted point-to-point code at rate R over one channel use.
-
-    ``psi`` lives on [channel input register, resource register]; 2^R copies
-    of its resource half are pre-shared and the decoder tests positions with
-    the optimal hypothesis test at smoothing eps + delta.
+    ``senders`` lists (resource label, resource marginal, number of copies).
     """
-    (in_label,) = ch.in_layout.labels
-    res_label = [l for l in psi.layout.labels if l != in_label]
-    if len(res_label) != 1 or not psi.layout.has(in_label):
-        raise ValueError("state must live on [channel input, one resource register]")
-    res_label = res_label[0]
-    joint = apply_on(ch, psi, [in_label])
-    out_marg = apply_on(ch, partial_trace(psi, [in_label]), [in_label])
-    sigma = tensor(out_marg, partial_trace(psi, [res_label]))
-    cval = _hn_constant(eps + delta, delta, c)
-    run = _run_receiver(joint, sigma, res_label, rate, eps + delta)
-    hn = _receiver_hn_bound(run, rate, cval)
-    dh_val = run.dh.value
-    analytic = (1 + cval) * (eps + delta) + (2 + cval + 1 / cval) * (
-        0.0 if math.isinf(dh_val) else 2.0 ** (rate - dh_val))
-    feasible = _rate_feasible(rate, dh_val, math.log2(1 / delta))
-    details = {
-        "headline_bound": 2 * eps + delta,
-        "c": cval,
-        "type1": run.type1,
-        "type2": run.type2,
-        "outcome_dist": run.outcome_dist,
-        "code": run.code,
-        "dh": run.dh,
-    }
-    return _finish_report("p2p_ea", [rate], run.successes, analytic, hn,
-                          feasible, [dh_val], details, use_average=False)
+    st = _relabel(state, {res: _copy_label(res, m)
+                          for (res, _, _), m in zip(senders, messages)})
+    for (res, marg, n), m in zip(senders, messages):
+        for k in range(n):
+            if k != m:
+                st = tensor(st, _relabel(marg, {res: _copy_label(res, k)}))
+    return st.permuted(list(layout.labels))
 
 
 # ---------------------------------------------------------------------------
-# entanglement-assisted channel with state (N: A S -> B, channel state tau_S)
-
-def simulate_gp_ea(ch: KrausChannel, tau: DensityOp, psi: DensityOp, rate: int,
-                   eps: float, delta: float, c: float | None = None) -> ProtocolReport:
-    """Gel'fand-Pinsker-style code: the channel's state register is entangled
-    with the encoder, the resource half must be independent of it."""
-    labels = list(ch.in_layout.labels)
-    if len(labels) != 2:
-        raise ValueError("channel-with-state needs a two-register input (A, S)")
-    a_label, s_label = labels
-    res_label = [l for l in psi.layout.labels if l not in (a_label, s_label)]
-    if len(res_label) != 1:
-        raise ValueError("state must live on [A, S, one resource register]")
-    res_label = res_label[0]
-    _product_check(psi, [[s_label], [res_label]])
-    s_marg = partial_trace(psi, [s_label])
-    if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
-        raise ValueError("state's S marginal does not match the channel state")
-    joint = apply_on(ch, psi, [a_label, s_label])
-    out_marg = apply_on(ch, partial_trace(psi, [a_label, s_label]),
-                        [a_label, s_label])
-    sigma = tensor(out_marg, partial_trace(psi, [res_label]))
-    cval = _hn_constant(eps, delta, c)
-    run = _run_receiver(joint, sigma, res_label, rate, eps)
-    hn = _receiver_hn_bound(run, rate, cval)
-    dh_val = run.dh.value
-    feasible = _rate_feasible(
-        rate, dh_val, math.log2(4 * eps / delta ** 2) if eps > 0 else math.log2(1 / delta))
-    details = {
-        "c": cval,
-        "type1": run.type1,
-        "type2": run.type2,
-        "outcome_dist": run.outcome_dist,
-        "code": run.code,
-        "dh": run.dh,
-    }
-    return _finish_report("gp_ea", [rate], run.successes, eps + 2 * delta, hn,
-                          feasible, [dh_val], details, use_average=False)
-
-
-# ---------------------------------------------------------------------------
-# entanglement-assisted broadcast (N: A -> B C)
-
-def simulate_broadcast_ea(ch: KrausChannel, psi: DensityOp, rates: tuple[int, int],
-                          epsilons: tuple[float, float], delta: float,
-                          c: tuple[float, float] | None = None) -> ProtocolReport:
-    """One sender, two receivers, independent position codes per receiver.
-
-    ``psi`` lives on [A, B-resource, C-resource]; the two resource halves must
-    be in a product state.  Channel output registers: first = Bob, second =
-    Charlie.
-    """
-    (a_label,) = ch.in_layout.labels
-    out_b, out_c = ch.out_layout.labels
-    res = [l for l in psi.layout.labels if l != a_label]
-    if len(res) != 2:
-        raise ValueError("state must live on [A, Bob resource, Charlie resource]")
-    res_b, res_c = res
-    _product_check(psi, [[res_b], [res_c]])
-    full_out = apply_on(ch, psi, [a_label])
-    out_state_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
-    eps1, eps2 = epsilons
-    r1, r2 = rates
-    c1 = _hn_constant(eps1, delta, c[0] if c else None)
-    c2 = _hn_constant(eps2, delta, c[1] if c else None)
-
-    joint_b = partial_trace(full_out, [out_b, res_b])
-    sigma_b = tensor(partial_trace(out_state_marg, [out_b]),
-                     partial_trace(psi, [res_b]))
-    run_b = _run_receiver(joint_b, sigma_b, res_b, r1, eps1)
-
-    joint_c = partial_trace(full_out, [out_c, res_c])
-    sigma_c = tensor(partial_trace(out_state_marg, [out_c]),
-                     partial_trace(psi, [res_c]))
-    run_c = _run_receiver(joint_c, sigma_c, res_c, r2, eps2)
-
-    hn = max(_receiver_hn_bound(run_b, r1, c1), _receiver_hn_bound(run_c, r2, c2))
-    analytic = max(eps1 + 2 * delta, eps2 + 2 * delta)
-    feasible = (_rate_feasible(r1, run_b.dh.value,
-                               math.log2(4 * eps1 / delta ** 2) if eps1 > 0
-                               else math.log2(1 / delta))
-                and _rate_feasible(r2, run_c.dh.value,
-                                   math.log2(4 * eps2 / delta ** 2) if eps2 > 0
-                                   else math.log2(1 / delta)))
-    # Per-message success of the pair factorizes over the two independent
-    # receivers acting on disjoint registers; report the binding (worst) side
-    # per receiver and the pairwise products.
-    succ_pairs = [sb * sc for sb in run_b.successes for sc in run_c.successes]
-    details = {
-        "bob": run_b,
-        "charlie": run_c,
-        "per_receiver_worst_error": (
-            float(np.max(1 - np.asarray(run_b.successes))),
-            float(np.max(1 - np.asarray(run_c.successes))),
-        ),
-        "per_receiver_bounds": (eps1 + 2 * delta, eps2 + 2 * delta),
-    }
-    # Bound check is per receiver, matching the per-receiver error definition.
-    worst_b = float(np.max(1 - np.asarray(run_b.successes)))
-    worst_c = float(np.max(1 - np.asarray(run_c.successes)))
-    ok = (worst_b <= min(1.0, _receiver_hn_bound(run_b, r1, c1)) + BOUND_SLACK
-          and worst_c <= min(1.0, _receiver_hn_bound(run_c, r2, c2)) + BOUND_SLACK)
-    if feasible:
-        ok = ok and worst_b <= min(1.0, eps1 + 2 * delta) + BOUND_SLACK
-        ok = ok and worst_c <= min(1.0, eps2 + 2 * delta) + BOUND_SLACK
-    report = _finish_report("broadcast_ea", [r1, r2], succ_pairs, analytic, hn,
-                            feasible, [run_b.dh.value, run_c.dh.value], details,
-                            use_average=False)
-    return replace(report, bound_satisfied=bool(ok),
-                   worst_error=max(worst_b, worst_c),
-                   reported_error=max(worst_b, worst_c))
-
-
-# ---------------------------------------------------------------------------
-# multiple-access channel (N: A B -> C), one receiver decoding two messages
-
-def _split_sender_state(psi: DensityOp, channel_label: str):
-    """Register roles for one sender: (channel input, resource, optional side).
-
-    Layout convention: first register feeds the channel, second carries the
-    position resource, an optional third is a side register the receiver
-    holds one copy of.
-    """
-    labels = list(psi.layout.labels)
-    if labels[0] != channel_label:
-        raise ValueError(
-            f"sender state must lead with channel input {channel_label!r}")
-    if len(labels) == 2:
-        return labels[1], None
-    if len(labels) == 3:
-        return labels[1], labels[2]
-    raise ValueError("sender state needs registers [input, resource(, side)]")
-
+# independent position decoders (point-to-point, channel with state, broadcast)
 
 @dataclass(frozen=True)
-class _MacSetup:
+class _PositionRun:
+    code: PositionCode
+    dh: DivergenceResult
+    type1: float
+    type2: float
+    successes: tuple[float, ...]
+    outcome_dist: np.ndarray  # shape (n, n+1); last column = abort outcome
+
+
+def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
+    """Build the position code from the optimal test and decode every message."""
+    n = 2 ** rate
+    dh = dh_eps(rec.joint, rec.alt, rec.eps)
+    test = HermOp(dh.witness.operator, rec.joint.layout)
+    code = build_position_povm(test, n, rec.resource)
+    senders = [(rec.resource, rec.marginal, n)]
+    dist = np.zeros((n, n + 1))
+    for m in range(n):
+        state = _message_state(rec.state, senders, (m,), code.layout)
+        for mp in range(n):
+            dist[m, mp] = max(_trace_with(code.povm[mp], state), 0.0)
+        dist[m, n] = max(_trace_with(code.completion, state), 0.0)
+    return _PositionRun(
+        code=code,
+        dh=dh,
+        type1=1.0 - dh.witness.type1,
+        type2=dh.witness.type2,
+        successes=tuple(dist[m, m] for m in range(n)),
+        outcome_dist=dist,
+    )
+
+
+def _hn_chain(type1: float, type2: float, copies: int, c: float) -> float:
+    # Exact Hayashi-Nagaoka chain on this instance: type-I and type-II error
+    # of the achieving test, with the union bound over the wrong positions.
+    return (1 + c) * type1 + (2 + c + 1 / c) * copies * type2
+
+
+def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
+                     c) -> ProtocolReport:
+    """One square-root decoder per receiver, each on its own registers."""
+    cs = c if isinstance(c, (tuple, list)) else (c,) * len(receivers)
+    consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, cs)]
+    runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
+    dh_values = [run.dh.value for run in runs]
+    hns = [_hn_chain(run.type1, run.type2, 2 ** rate, cv)
+           for run, rate, cv in zip(runs, rates, consts)]
+    bounds = spec.bound(eps, delta, c=consts, rates=rates, dhs=dh_values,
+                        strategy=strategy)
+    feasible = all(_rate_feasible(rate, dh, spec.penalty(e, delta, strategy))
+                   for rate, dh, e in zip(rates, dh_values, eps))
+    errors = [_error(run.successes, not spec.assisted) for run in runs]
+    if len(runs) == 1:
+        (run,) = runs
+        details = {"c": consts[0], "type1": run.type1, "type2": run.type2,
+                   "outcome_dist": run.outcome_dist, "dh": run.dh}
+        if spec.headline is not None:
+            details["headline_bound"] = spec.headline(eps[0], delta)
+    else:
+        # The receivers act on disjoint registers, so the success of a
+        # message tuple factorizes; errors and bounds are per receiver.
+        kind = "worst" if spec.assisted else "avg"
+        details = {f"per_receiver_{kind}_error": tuple(errors),
+                   "per_receiver_bounds": bounds}
+    successes = [math.prod(s) for s in
+                 itertools.product(*(run.successes for run in runs))]
+    return _report(spec, rates, successes, errors, analytic=max(bounds),
+                   hn=max(hns), ok=_holds(errors, hns, bounds, feasible),
+                   feasible=feasible, dh_values=dh_values, details=details,
+                   floors=[(run.outcome_dist, float(rate), None)
+                           for run, rate in zip(runs, rates)])
+
+
+# ---------------------------------------------------------------------------
+# multiple-access decoders: one receiver decoding both senders' messages
+
+@dataclass(frozen=True)
+class _MacCode:
     layout: SystemLayout           # receiver layout: outs+sides+copies
     states: dict                   # (m1, m2) -> DensityOp on layout
-    run_a: dict                    # test data for sender A
-    run_b: dict
+    dhs: tuple[DivergenceResult, DivergenceResult]
+    tests: tuple[list, list]       # per sender, its position tests on layout
     n1: int
     n2: int
+    type1: tuple[float, float]     # per sender, type-I error of its test
+    type2: tuple[float, float]
 
 
-def _mac_setup(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
-               rates, epsilons) -> _MacSetup:
-    a_label, b_label = ch.in_layout.labels
-    res_a, side_a = _split_sender_state(psi_a, a_label)
-    res_b, side_b = _split_sender_state(psi_b, b_label)
-    for psi, res, side in ((psi_a, res_a, side_a), (psi_b, res_b, side_b)):
-        if side is not None:
-            _product_check(psi, [[res], [side]])
+def _mac_code(receivers, rates) -> _MacCode:
+    omega = receivers[0].state
     n1, n2 = 2 ** rates[0], 2 ** rates[1]
-    eps1, eps2 = epsilons
-
-    full_in = tensor(psi_a, psi_b)
-    omega = apply_on(ch, full_in, [a_label, b_label])
-    outs = list(ch.out_layout.labels)
-    sides = [s for s in (side_a, side_b) if s is not None]
-    base = outs + sides
-
-    def sender_test(res_label: str, eps: float):
-        joint = partial_trace(omega, base + [res_label]).permuted(base + [res_label])
-        marg = partial_trace(omega, base).permuted(base)
-        res_marg = partial_trace(omega, [res_label])
-        sigma = tensor(marg, res_marg)
-        dh = dh_eps(joint, sigma, eps)
-        return {
-            "dh": dh,
-            "test": HermOp(dh.witness.operator, joint.layout),
-            "type1": 1.0 - dh.witness.type1,
-            "type2": dh.witness.type2,
-            "res": res_label,
-            "marginal": res_marg,
-        }
-
-    run_a = sender_test(res_a, eps1)
-    run_b = sender_test(res_b, eps2)
-
-    regs = [(l, omega.layout.dim_of(l)) for l in base]
-    regs += [(_copy_label(res_a, m), psi_a.layout.dim_of(res_a)) for m in range(n1)]
-    regs += [(_copy_label(res_b, m), psi_b.layout.dim_of(res_b)) for m in range(n2)]
-    layout = SystemLayout(regs)
-
-    states = {}
-    for m1 in range(n1):
-        for m2 in range(n2):
-            st = _relabel(omega, {res_a: _copy_label(res_a, m1),
-                                  res_b: _copy_label(res_b, m2)})
-            for k in range(n1):
-                if k != m1:
-                    st = tensor(st, _relabel(
-                        run_a["marginal"], {res_a: _copy_label(res_a, k)}))
-            for j in range(n2):
-                if j != m2:
-                    st = tensor(st, _relabel(
-                        run_b["marginal"], {res_b: _copy_label(res_b, j)}))
-            states[(m1, m2)] = st.permuted(list(layout.labels))
-    return _MacSetup(layout=layout, states=states, run_a=run_a, run_b=run_b,
-                     n1=n1, n2=n2)
+    senders = [(r.resource, r.marginal, n) for r, n in zip(receivers, (n1, n2))]
+    layout = _copies_layout(omega.layout, [(res, n) for res, _, n in senders])
+    states = {msgs: _message_state(omega, senders, msgs, layout)
+              for msgs in itertools.product(range(n1), range(n2))}
+    dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
+    tests = tuple([t.matrix for t in _position_tests(
+        HermOp(dh.witness.operator, r.joint.layout), r.resource, n, layout)]
+        for dh, r, (_, _, n) in zip(dhs, receivers, senders))
+    return _MacCode(layout, states, dhs, tests, n1, n2,
+                    tuple(1.0 - dh.witness.type1 for dh in dhs),
+                    tuple(dh.witness.type2 for dh in dhs))
 
 
-def _embedded_position_tests(run: dict, copies: int, layout: SystemLayout):
-    return [embed(_relabel(run["test"], {run["res"]: _copy_label(run["res"], m)}),
-                  layout).matrix for m in range(copies)]
+def _with_pointer(mat: np.ndarray) -> np.ndarray:
+    """``mat`` tensored with the pointer qubit's |0><0|."""
+    d = mat.shape[0]
+    init = np.zeros((2 * d, 2 * d), dtype=complex)
+    init.reshape(d, 2, d, 2)[:, 0, :, 0] = mat
+    return init
 
 
-def _pgm_from_tests(tests: Sequence[np.ndarray]):
-    total = np.sum(tests, axis=0)
-    root = _pinv_sqrt(total)
-    povm = [(root @ t @ root) for t in tests]
-    povm = [(p + p.conj().T) / 2 for p in povm]
-    comp = np.eye(tests[0].shape[0]) - np.sum(povm, axis=0)
-    comp = (comp + comp.conj().T) / 2
-    if float(np.linalg.eigvalsh(comp)[0]) < -COMPLETION_TOL:
-        raise ValueError("POVM completion element fails PSD")
-    return povm, comp
+def _chain_success(projectors, rho0: np.ndarray, messages) -> float:
+    """Exact success of the stated chain: "no" outcomes everywhere except a
+    "yes" at the true position, first across A copies then B copies."""
+    eye = np.eye(rho0.shape[0])
+    cur = rho0
+    for proj, m in zip(projectors, messages):
+        for k, p in enumerate(proj):
+            op = p if k == m else eye - p
+            cur = op @ cur @ op
+    return float(np.real(np.trace(cur)))
 
 
-def _mac_pgm(setup: _MacSetup, epsilons, delta, c, a_first: bool):
-    eps1, eps2 = epsilons
-    c1 = _hn_constant(eps1, delta, c)
-    c2 = _hn_constant(eps2, delta, c)
-    first, second = (setup.run_a, setup.run_b) if a_first else (setup.run_b, setup.run_a)
-    n_first, n_second = (setup.n1, setup.n2) if a_first else (setup.n2, setup.n1)
-    c_first, c_second = (c1, c2) if a_first else (c2, c1)
-    eps_first, eps_second = (eps1, eps2) if a_first else (eps2, eps1)
+def _first_yes(projectors, eye: np.ndarray, state: np.ndarray) -> list:
+    """Branches of ``state`` by the first test answering "yes" (last branch:
+    none did), with every test performed; decided branches continue
+    non-selectively."""
+    pending, branches = state, []
+    for p in projectors:
+        pbar = eye - p
+        branches = [p @ b @ p + pbar @ b @ pbar for b in branches]
+        branches.append(p @ pending @ p)
+        pending = pbar @ pending @ pbar
+    return branches + [pending]
 
-    tests_first = _embedded_position_tests(first, n_first, setup.layout)
-    tests_second = _embedded_position_tests(second, n_second, setup.layout)
-    povm_first, comp_first = _pgm_from_tests(tests_first)
-    povm_second, comp_second = _pgm_from_tests(tests_second)
+
+def _mac_sequential(code: _MacCode):
+    """Sequential binary tests, dilated to projectors with a shared J qubit.
+
+    Returns the chain successes, the Hayashi-Nagaoka-type bound, the report
+    details and the projectors (A's, then B's)."""
+    proj = [[binary_test_projector(t) for t in tests] for tests in code.tests]
+    eye = np.eye(2 * code.layout.dim)
+    n1, n2 = code.n1, code.n2
+    chain_succ = np.zeros((n1, n2))
+    seq_rhs = np.zeros((n1, n2))
+    dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
+    for (m1, m2), st in code.states.items():
+        rho0 = _with_pointer(st.matrix)
+        chain_succ[m1, m2] = _chain_success(proj, rho0, (m1, m2))
+        total_bad = 0.0
+        for tests, m in zip(proj, (m1, m2)):
+            for k, p in enumerate(tests):
+                bad = p if k != m else eye - p
+                total_bad += float(np.real(np.einsum("ij,ji->", bad, rho0)))
+        seq_rhs[m1, m2] = 1.0 - 4.0 * total_bad
+        # Output distribution of the full decoder: first "yes" wins, A's
+        # tests first, then B's.
+        for oa, branch_a in enumerate(_first_yes(proj[0], eye, rho0)):
+            for ob, branch in enumerate(_first_yes(proj[1], eye, branch_a)):
+                dist[m1 * n2 + m2, oa * (n2 + 1) + ob] = max(
+                    float(np.real(np.trace(branch))), 0.0)
+
+    hn = 4.0 * (code.type1[0] + code.type1[1]
+                + (n1 - 1) * code.type2[0]
+                + (n2 - 1) * code.type2[1])
+    return (chain_succ.reshape(-1), hn,
+            {"outcome_dist": dist, "seq_rhs": seq_rhs}, proj)
+
+
+def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
+    """Two square-root measurements, the first sender's then the second's.
+
+    Returns the joint successes, the sum of the two stages'
+    Hayashi-Nagaoka-type bounds and the report details."""
+    order = (0, 1) if a_first else (1, 0)
+    i_first, i_second = order
+    n = (code.n1, code.n2)
+    n_first, n_second = n[i_first], n[i_second]
+    c_first, c_second = (_hn_constant(epsilons[i], delta, c) for i in order)
+
+    povm_first, comp_first = _pgm(code.tests[i_first])
+    povm_second, _ = _pgm(code.tests[i_second])
     kraus_first = [_psd_sqrt(p) for p in povm_first] + [_psd_sqrt(_clip_psd(comp_first))]
 
-    n1, n2 = setup.n1, setup.n2
+    n1, n2 = code.n1, code.n2
     joint_succ = np.zeros((n1, n2))
     stage1_err = np.zeros((n1, n2))
     stage2_err = np.zeros((n1, n2))
     disturbance = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for (m1, m2), st in setup.states.items():
+    for (m1, m2), st in code.states.items():
         mf, ms = (m1, m2) if a_first else (m2, m1)
         post = np.zeros_like(st.matrix)
         row = np.zeros((n_first + 1, n_second + 1))
@@ -676,7 +866,7 @@ def _mac_pgm(setup: _MacSetup, epsilons, delta, c, a_first: bool):
             np.real(np.einsum("ij,ji->", povm_second[ms], post)))
         joint_succ[m1, m2] = row[mf, ms]
         post_state = DensityOp((post + post.conj().T) / 2, st.layout)
-        disturbance[m1, m2] = _purified(st, post_state)
+        disturbance[m1, m2] = purified_distance(st, post_state)
         # Flatten outcomes back to (A-outcome, B-outcome) order for the
         # distribution regardless of decode order.
         for i in range(n_first + 1):
@@ -684,107 +874,130 @@ def _mac_pgm(setup: _MacSetup, epsilons, delta, c, a_first: bool):
                 oa, ob = (i, j) if a_first else (j, i)
                 dist[m1 * n2 + m2, oa * (n2 + 1) + ob] = row[i, j]
 
-    hn_first = (1 + c_first) * first["type1"] + (
-        2 + c_first + 1 / c_first) * n_first * first["type2"]
-    hn_second_pre = (1 + c_second) * second["type1"] + (
-        2 + c_second + 1 / c_second) * n_second * second["type2"]
-    hn_second = (math.sqrt(hn_second_pre) + math.sqrt(2 * hn_first)) ** 2
-    bound_first = eps_first + 2 * delta
-    bound_second = eps_second + 2 * delta + 3 * math.sqrt(eps_first + 2 * delta)
-    return {
-        "joint_succ": joint_succ,
-        "stage1_err": stage1_err,
-        "stage2_err": stage2_err,
-        "disturbance": disturbance,
-        "dist": dist,
-        "hn_first": hn_first,
-        "hn_second": hn_second,
-        "bound_first": bound_first,
-        "bound_second": bound_second,
-        "tests_first": tests_first,
-        "tests_second": tests_second,
-    }
+    hn_first = _hn_chain(code.type1[i_first], code.type2[i_first], n_first, c_first)
+    hn_second = (math.sqrt(_hn_chain(code.type1[i_second], code.type2[i_second],
+                                     n_second, c_second))
+                 + math.sqrt(2 * hn_first)) ** 2
+    return joint_succ.reshape(-1), hn_first + hn_second, {
+        "outcome_dist": dist, "stage1_err": stage1_err, "stage2_err": stage2_err,
+        "disturbance": disturbance, "stage_hn": (hn_first, hn_second)}
 
 
-def _clip_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
+                c) -> ProtocolReport:
+    """Strategies: projective ``sequential`` tests via a shared pointer qubit,
+    or two square-root measurements in either order (``pgm_a_first``,
+    ``pgm_b_first``).  Per-message successes are joint (both messages
+    correct)."""
+    # The penalty rejects an unknown strategy before any decoding work.
+    penalties = [spec.penalty(e, delta, strategy) for e in eps]
+    code = _mac_code(receivers, rates)
+    dh_values = [dh.value for dh in code.dhs]
+    feasible = all(_rate_feasible(rate, dh, pen)
+                   for rate, dh, pen in zip(rates, dh_values, penalties))
+    bounds = spec.bound(eps, delta, strategy=strategy)
+    cols = [m1 * (code.n2 + 1) + m2 for m1 in range(code.n1) for m2 in range(code.n2)]
+    if strategy == "sequential":
+        successes, hn, details, _ = _mac_sequential(code)
+        analytic = bounds[0]
+    else:
+        successes, hn, details = _mac_pgm(code, eps, delta, c,
+                                          strategy == "pgm_a_first")
+        analytic = sum(bounds)
+        details["stage_bounds"] = bounds
+    details["strategy"] = strategy
+    errors = [_error(successes, not spec.assisted)]
+    checks = [(errors[0], hn, analytic)]
+    if strategy != "sequential":
+        # The theorems bound the two stages separately; require those too.
+        checks += [(float(np.max(details[f"stage{i + 1}_err"])),
+                    details["stage_hn"][i], bounds[i]) for i in (0, 1)]
+    return _report(spec, rates, successes, errors, analytic=analytic, hn=hn,
+                   ok=_holds(*zip(*checks), feasible), feasible=feasible,
+                   dh_values=dh_values, details=details,
+                   floors=[(details["outcome_dist"],
+                            float(rates[0]) + float(rates[1]), cols)])
 
 
-def _purified(a: DensityOp, b: DensityOp) -> float:
-    from .linalg import purified_distance
-
-    return purified_distance(a, b)
+def _plain(eps: float, delta: float) -> float:
+    return eps
 
 
-def _mac_sequential(setup: _MacSetup, delta):
-    """Sequential binary tests, dilated to projectors with a shared J qubit."""
-    tests_a = _embedded_position_tests(setup.run_a, setup.n1, setup.layout)
-    tests_b = _embedded_position_tests(setup.run_b, setup.n2, setup.layout)
-    proj_a = [binary_test_projector(t) for t in tests_a]
-    proj_b = [binary_test_projector(t) for t in tests_b]
-    d = setup.layout.dim
-    eye = np.eye(2 * d)
-    n1, n2 = setup.n1, setup.n2
+_SINGLE = "psi on {labels}, sigma = {0}"
+_QUAD = "D_H at eps minus log2(4 eps/delta^2)"
 
-    def with_pointer(state: DensityOp) -> np.ndarray:
-        init = np.zeros((2 * d, 2 * d), dtype=complex)
-        init.reshape(d, 2, d, 2)[:, 0, :, 0] = state.matrix
-        return init
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario("p2p_ea", True, 1, ("state",), _p2p_receivers,
+             lambda eps, delta: eps + delta, _log_inv_delta, _p2p_ea_bound,
+             _decode_position, _SINGLE, "D_H at eps+delta minus log2(1/delta)",
+             headline=lambda eps, delta: 2 * eps + delta),
+    Scenario("gp_ea", True, 1, ("tau", "state"), _gp_receivers, _plain,
+             _log_quad, _slack_bound(2), _decode_position, _SINGLE, _QUAD),
+    Scenario("broadcast_ea", True, 2, ("state",), _broadcast_receivers, _plain,
+             _log_quad, _slack_bound(2), _decode_position,
+             "sigma_B = {0}, tau_C = {1}",
+             "per-receiver D_H minus log2(4 eps/delta^2)"),
+    Scenario("mac_ea", True, 2, ("state", "state_b"), _mac_receivers, _plain,
+             _mac_penalty, _mac_bound, _decode_mac,
+             "alternatives = state marginals", "strategy {strategy}",
+             strategies=MAC_STRATEGIES, marginal_converse=True),
+    Scenario("p2p_ua", False, 1, ("state",), _p2p_receivers, _plain,
+             _log_quad, _slack_bound(1), _decode_position, "sigma = {0}", _QUAD),
+    Scenario("gp_ua", False, 1, ("state",), _gp_receivers, _plain,
+             _log_quad, _slack_bound(2), _decode_position, "sigma = {0}", _QUAD),
+    Scenario("broadcast_ua", False, 2, ("state",), _broadcast_receivers, _plain,
+             _log_quad, _slack_bound(2), _decode_position,
+             "sigma_B = {0}, tau_C = {1}",
+             "per-receiver D_H minus log2(4 eps/delta^2)"),
+    Scenario("mac_ua", False, 2, ("state", "state_b"), _mac_receivers, _plain,
+             _mac_penalty, _mac_bound, _decode_mac, "sigma = {0}, tau = {1}",
+             "strategy {strategy}"),
+)}
 
-    chain_succ = np.zeros((n1, n2))
-    seq_rhs = np.zeros((n1, n2))
-    dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for (m1, m2), st in setup.states.items():
-        rho0 = with_pointer(st)
-        # Exact success of the stated chain: "no" outcomes everywhere except
-        # a "yes" at the true position, first across A copies then B copies.
-        cur = rho0.copy()
-        total_bad = 0.0
-        for k in range(n1):
-            op = proj_a[k] if k == m1 else eye - proj_a[k]
-            bad = proj_a[k] if k != m1 else eye - proj_a[k]
-            total_bad += float(np.real(np.einsum("ij,ji->", bad, rho0)))
-            cur = op @ cur @ op
-        for j in range(n2):
-            op = proj_b[j] if j == m2 else eye - proj_b[j]
-            bad = proj_b[j] if j != m2 else eye - proj_b[j]
-            total_bad += float(np.real(np.einsum("ij,ji->", bad, rho0)))
-            cur = op @ cur @ op
-        chain_succ[m1, m2] = float(np.real(np.trace(cur)))
-        seq_rhs[m1, m2] = 1.0 - 4.0 * total_bad
 
-        # Output distribution of the full decoder (first "yes" wins, every
-        # test is performed): evolve one pending branch plus per-outcome
-        # buckets; decided buckets continue non-selectively.
-        pending = rho0.copy()
-        buckets_a = []
-        for k in range(n1):
-            p = proj_a[k]
-            pbar = eye - p
-            buckets_a = [p @ bkt @ p + pbar @ bkt @ pbar for bkt in buckets_a]
-            buckets_a.append(p @ pending @ p)
-            pending = pbar @ pending @ pbar
-        buckets_a.append(pending)  # no yes at any A position
-        for oa, bkt_a in enumerate(buckets_a):
-            pending_b = bkt_a
-            buckets_b = []
-            for j in range(n2):
-                p = proj_b[j]
-                pbar = eye - p
-                buckets_b = [p @ b @ p + pbar @ b @ pbar for b in buckets_b]
-                buckets_b.append(p @ pending_b @ p)
-                pending_b = pbar @ pending_b @ pbar
-            buckets_b.append(pending_b)
-            for ob, bkt in enumerate(buckets_b):
-                dist[m1 * n2 + m2, oa * (n2 + 1) + ob] = max(
-                    float(np.real(np.trace(bkt))), 0.0)
+# ---------------------------------------------------------------------------
+# simulators
 
-    hn = 4.0 * (setup.run_a["type1"] + setup.run_b["type1"]
-                + (n1 - 1) * setup.run_a["type2"]
-                + (n2 - 1) * setup.run_b["type2"])
-    return {"chain_succ": chain_succ, "seq_rhs": seq_rhs, "dist": dist, "hn": hn,
-            "projectors_a": proj_a, "projectors_b": proj_b}
+def _simulate(name: str, ch: KrausChannel, psi: DensityOp, rates, epsilons,
+              delta: float, *, psi_b: DensityOp | None = None,
+              tau: DensityOp | None = None, strategy: str = "sequential",
+              c=None) -> ProtocolReport:
+    spec = SCENARIOS[name]
+    rates = spec.per_stream(rates, "rates")
+    eps = spec.per_stream(epsilons, "eps")
+    receivers = spec.build(ch, psi, psi_b, tau, [spec.smoothing(e, delta) for e in eps])
+    return spec.decode(spec, receivers, rates, eps, delta, strategy, c)
+
+
+def simulate_p2p_ea(ch: KrausChannel, psi: DensityOp, rate: int, eps: float,
+                    delta: float, c: float | None = None) -> ProtocolReport:
+    """Entanglement-assisted point-to-point code at rate R over one channel use.
+
+    ``psi`` lives on [channel input register, resource register]; 2^R copies
+    of its resource half are pre-shared and the decoder tests positions with
+    the optimal hypothesis test at smoothing eps + delta.
+    """
+    return _simulate("p2p_ea", ch, psi, rate, eps, delta, c=c)
+
+
+def simulate_gp_ea(ch: KrausChannel, tau: DensityOp, psi: DensityOp, rate: int,
+                   eps: float, delta: float, c: float | None = None) -> ProtocolReport:
+    """Gel'fand-Pinsker-style code: the channel's state register is entangled
+    with the encoder, the resource half must be independent of it."""
+    return _simulate("gp_ea", ch, psi, rate, eps, delta, tau=tau, c=c)
+
+
+def simulate_broadcast_ea(ch: KrausChannel, psi: DensityOp, rates: tuple[int, int],
+                          epsilons: tuple[float, float], delta: float,
+                          c: float | tuple[float, float] | None = None) -> ProtocolReport:
+    """One sender, two receivers, independent position codes per receiver.
+
+    ``psi`` lives on [A, B-resource, C-resource]; the two resource halves must
+    be in a product state.  Channel output registers: first = Bob, second =
+    Charlie.  ``c`` is one operator-inequality constant for both receivers
+    or one per receiver.
+    """
+    return _simulate("broadcast_ea", ch, psi, rates, epsilons, delta, c=c)
 
 
 def simulate_mac_ea(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
@@ -793,130 +1006,13 @@ def simulate_mac_ea(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
                     c: float | None = None) -> ProtocolReport:
     """Two senders, one receiver; position codes decoded jointly.
 
-    Sender states follow the register convention of :func:`_split_sender_state`.
+    Sender states follow the register convention of :func:`split_sender_state`.
     Strategies: two square-root measurements in either order (``pgm_a_first``,
     ``pgm_b_first``) or projective ``sequential`` tests via a shared pointer
     qubit.  Per-message successes are joint (both messages correct).
     """
-    if strategy not in ("pgm_a_first", "pgm_b_first", "sequential"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    eps1, eps2 = epsilons
-    r1, r2 = rates
-    setup = _mac_setup(ch, psi_a, psi_b, rates, epsilons)
-    dh1, dh2 = setup.run_a["dh"].value, setup.run_b["dh"].value
-
-    if strategy == "sequential":
-        seq = _mac_sequential(setup, delta)
-        feasible = (_rate_feasible(r1, dh1, math.log2(1 / delta))
-                    and _rate_feasible(r2, dh2, math.log2(1 / delta)))
-        analytic = 4.0 * (eps1 + eps2 + 2 * delta)
-        details = {
-            "strategy": strategy,
-            "outcome_dist": seq["dist"],
-            "seq_rhs": seq["seq_rhs"],
-            "setup": setup,
-            "sequential": seq,
-        }
-        return _finish_report(
-            "mac_ea", rates, seq["chain_succ"].reshape(-1), analytic,
-            seq["hn"], feasible, [dh1, dh2], details, use_average=False)
-
-    a_first = strategy == "pgm_a_first"
-    pgm = _mac_pgm(setup, epsilons, delta, c, a_first)
-    feasible = (_rate_feasible(
-        r1, dh1, math.log2(4 * eps1 / delta ** 2) if eps1 > 0 else math.log2(1 / delta))
-        and _rate_feasible(
-            r2, dh2, math.log2(4 * eps2 / delta ** 2) if eps2 > 0 else math.log2(1 / delta)))
-    analytic = pgm["bound_first"] + pgm["bound_second"]
-    hn = pgm["hn_first"] + pgm["hn_second"]
-    details = {
-        "strategy": strategy,
-        "outcome_dist": pgm["dist"],
-        "stage1_err": pgm["stage1_err"],
-        "stage2_err": pgm["stage2_err"],
-        "disturbance": pgm["disturbance"],
-        "stage_bounds": (pgm["bound_first"], pgm["bound_second"]),
-        "stage_hn": (pgm["hn_first"], pgm["hn_second"]),
-        "setup": setup,
-    }
-    report = _finish_report(
-        "mac_ea", rates, pgm["joint_succ"].reshape(-1), analytic, hn, feasible,
-        [dh1, dh2], details, use_average=False)
-    # The theorems bound the two stages separately; require those too.
-    ok = report.bound_satisfied
-    ok = ok and float(np.max(pgm["stage1_err"])) <= min(1.0, pgm["hn_first"]) + BOUND_SLACK
-    ok = ok and float(np.max(pgm["stage2_err"])) <= min(1.0, pgm["hn_second"]) + BOUND_SLACK
-    if feasible:
-        ok = ok and float(np.max(pgm["stage1_err"])) <= min(1.0, pgm["bound_first"]) + BOUND_SLACK
-        ok = ok and float(np.max(pgm["stage2_err"])) <= min(1.0, pgm["bound_second"]) + BOUND_SLACK
-    return replace(report, bound_satisfied=bool(ok))
-
-
-# ---------------------------------------------------------------------------
-# unassisted (shared-randomness) protocols on classical-quantum inputs
-
-CLASSICAL_TOL = 1e-9
-SUPPORT_FLOOR = 1e-12
-
-
-def _classical_blocks(state: DensityOp, label: str):
-    """Diagonal blocks of a state along a classical register.
-
-    Returns (probabilities, conditional states on the remaining registers);
-    raises if any off-diagonal block is non-negligible.
-    """
-    rest = [l for l in state.layout.labels if l != label]
-    perm = state.permuted([label] + rest)
-    d_u = state.layout.dim_of(label)
-    d_rest = state.layout.dim // d_u
-    view = perm.matrix.reshape(d_u, d_rest, d_u, d_rest)
-    for u in range(d_u):
-        for up in range(d_u):
-            if u != up and float(np.max(np.abs(view[u, :, up, :]))) > CLASSICAL_TOL:
-                raise ValueError(
-                    f"register {label!r} is not classical (off-diagonal block "
-                    f"({u},{up}) has weight {np.max(np.abs(view[u, :, up, :])):.3e})")
-    rest_layout = SystemLayout([(l, state.layout.dim_of(l)) for l in rest])
-    probs, conds = [], []
-    for u in range(d_u):
-        block = view[u, :, u, :]
-        p = float(np.real(np.trace(block)))
-        probs.append(max(p, 0.0))
-        conds.append(DensityOp(block / p, rest_layout) if p > SUPPORT_FLOOR else None)
-    return np.asarray(probs), conds
-
-
-def _basis_density(index: int, label: str, dim: int) -> DensityOp:
-    mat = np.zeros((dim, dim))
-    mat[index, index] = 1.0
-    return DensityOp(mat, SystemLayout([(label, dim)]))
-
-
-def _ua_single(scenario: str, ch: KrausChannel, psi: DensityOp,
-               tau: DensityOp | None):
-    """Shared plumbing for the single-receiver unassisted scenarios."""
-    in_labels = list(ch.in_layout.labels)
-    u_label = [l for l in psi.layout.labels if l not in in_labels]
-    if len(u_label) != 1:
-        raise ValueError("state must carry exactly one classical register")
-    u_label = u_label[0]
-    probs, conds = _classical_blocks(psi, u_label)  # classicality check
-    if scenario == "gp":
-        if len(in_labels) != 2:
-            raise ValueError("channel-with-state needs input registers (A, S)")
-        s_label = in_labels[1]
-        _product_check(psi, [[s_label], [u_label]])
-        if tau is not None:
-            s_marg = partial_trace(psi, [s_label])
-            if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > CLASSICAL_TOL:
-                raise ValueError("state's S marginal does not match the channel state")
-    joint = apply_on(ch, psi, in_labels)
-    out_marg = apply_on(ch, partial_trace(psi, in_labels), in_labels)
-    sigma = tensor(out_marg, partial_trace(psi, [u_label]))
-    cond_outs = [apply_on(ch, cnd, in_labels) if cnd is not None else None
-                 for cnd in conds]
-    return {"u_label": u_label, "joint": joint, "sigma": sigma,
-            "probs": probs, "cond_outs": cond_outs}
+    return _simulate("mac_ea", ch, psi_a, rates, epsilons, delta, psi_b=psi_b,
+                     strategy=strategy, c=c)
 
 
 def simulate_unassisted(scenario: str, ch: KrausChannel, psi: DensityOp,
@@ -931,92 +1027,9 @@ def simulate_unassisted(scenario: str, ch: KrausChannel, psi: DensityOp,
     2^R perfectly correlated copies and decode by position.  Errors are
     averaged over messages (the unassisted definitions are average-case).
     """
-    if scenario == "p2p" or scenario == "gp":
-        rate = rates if isinstance(rates, int) else rates[0]
-        eps = epsilons if isinstance(epsilons, (int, float)) else epsilons[0]
-        ua = _ua_single(scenario, ch, psi, tau)
-        run = _run_receiver(ua["joint"], ua["sigma"], ua["u_label"], rate, eps)
-        cval = _hn_constant(eps, delta, c)
-        hn = _receiver_hn_bound(run, rate, cval)
-        analytic = eps + delta if scenario == "p2p" else eps + 2 * delta
-        feasible = _rate_feasible(
-            rate, run.dh.value,
-            math.log2(4 * eps / delta ** 2) if eps > 0 else math.log2(1 / delta))
-        details = {"outcome_dist": run.outcome_dist, "code": run.code,
-                   "dh": run.dh, "c": cval, "type1": run.type1,
-                   "type2": run.type2}
-        return _finish_report(f"{scenario}_ua", [rate], run.successes, analytic,
-                              hn, feasible, [run.dh.value], details,
-                              use_average=True)
-
-    if scenario == "broadcast":
-        r1, r2 = rates
-        eps1, eps2 = epsilons
-        (a_label,) = ch.in_layout.labels
-        out_b, out_c = ch.out_layout.labels
-        u_label, v_label = [l for l in psi.layout.labels if l != a_label]
-        _classical_blocks(psi, u_label)
-        _classical_blocks(psi, v_label)
-        _product_check(psi, [[u_label], [v_label]])
-        full_out = apply_on(ch, psi, [a_label])
-        out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
-        joint_b = partial_trace(full_out, [out_b, u_label])
-        sigma_b = tensor(partial_trace(out_marg, [out_b]),
-                         partial_trace(psi, [u_label]))
-        run_b = _run_receiver(joint_b, sigma_b, u_label, r1, eps1)
-        joint_c = partial_trace(full_out, [out_c, v_label])
-        sigma_c = tensor(partial_trace(out_marg, [out_c]),
-                         partial_trace(psi, [v_label]))
-        run_c = _run_receiver(joint_c, sigma_c, v_label, r2, eps2)
-        c1 = _hn_constant(eps1, delta, c)
-        c2 = _hn_constant(eps2, delta, c)
-        hn_b = _receiver_hn_bound(run_b, r1, c1)
-        hn_c = _receiver_hn_bound(run_c, r2, c2)
-        feasible = (_rate_feasible(r1, run_b.dh.value,
-                                   math.log2(4 * eps1 / delta ** 2) if eps1 > 0
-                                   else math.log2(1 / delta))
-                    and _rate_feasible(r2, run_c.dh.value,
-                                       math.log2(4 * eps2 / delta ** 2) if eps2 > 0
-                                       else math.log2(1 / delta)))
-        succ_pairs = [sb * sc for sb in run_b.successes for sc in run_c.successes]
-        avg_b = float(np.mean(1 - np.asarray(run_b.successes)))
-        avg_c = float(np.mean(1 - np.asarray(run_c.successes)))
-        ok = (avg_b <= min(1.0, hn_b) + BOUND_SLACK
-              and avg_c <= min(1.0, hn_c) + BOUND_SLACK)
-        if feasible:
-            ok = (ok and avg_b <= min(1.0, eps1 + 2 * delta) + BOUND_SLACK
-                  and avg_c <= min(1.0, eps2 + 2 * delta) + BOUND_SLACK)
-        details = {"bob": run_b, "charlie": run_c,
-                   "per_receiver_avg_error": (avg_b, avg_c),
-                   "per_receiver_bounds": (eps1 + 2 * delta, eps2 + 2 * delta)}
-        report = _finish_report(
-            "broadcast_ua", [r1, r2], succ_pairs,
-            max(eps1 + 2 * delta, eps2 + 2 * delta), max(hn_b, hn_c), feasible,
-            [run_b.dh.value, run_c.dh.value], details, use_average=True)
-        return replace(report, bound_satisfied=bool(ok),
-                       reported_error=max(avg_b, avg_c))
-
-    if scenario == "mac":
-        if psi_b is None:
-            raise ValueError("mac scenario needs both sender ensembles")
-        r1, r2 = rates
-        eps1, eps2 = epsilons
-        a_label, b_label = ch.in_layout.labels
-        _classical_blocks(psi, [l for l in psi.layout.labels if l != a_label][0])
-        _classical_blocks(psi_b, [l for l in psi_b.layout.labels if l != b_label][0])
-        setup = _mac_setup(ch, psi, psi_b, (r1, r2), (eps1, eps2))
-        seq = _mac_sequential(setup, delta)
-        dh1, dh2 = setup.run_a["dh"].value, setup.run_b["dh"].value
-        feasible = (_rate_feasible(r1, dh1, math.log2(1 / delta))
-                    and _rate_feasible(r2, dh2, math.log2(1 / delta)))
-        analytic = 4.0 * (eps1 + eps2 + 2 * delta)
-        details = {"strategy": "sequential", "outcome_dist": seq["dist"],
-                   "seq_rhs": seq["seq_rhs"], "setup": setup, "sequential": seq}
-        return _finish_report(
-            "mac_ua", [r1, r2], seq["chain_succ"].reshape(-1), analytic,
-            seq["hn"], feasible, [dh1, dh2], details, use_average=True)
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+    spec = get_scenario(f"{scenario}_ua")
+    return _simulate(spec.name, ch, psi, rates, epsilons, delta, psi_b=psi_b,
+                     tau=tau, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,23 +1046,6 @@ class DerandomizedCode:
     exhaustive: bool
 
 
-def _string_space(support: Sequence[int], length: int, cap: int, sample: bool,
-                  probs: np.ndarray, rng: np.random.Generator,
-                  num_samples: int):
-    total = len(support) ** length
-    if total <= cap:
-        return list(itertools.product(support, repeat=length)), True
-    if not sample:
-        raise ValueError(
-            f"{total} candidate strings exceed the enumeration cap {cap}; "
-            "pass sample=True to draw candidates instead")
-    p = probs[list(support)]
-    p = p / p.sum()
-    draws = [tuple(rng.choice(support, size=length, p=p))
-             for _ in range(num_samples)]
-    return draws, False
-
-
 def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 epsilons, delta: float, *, psi_b: DensityOp | None = None,
                 tau: DensityOp | None = None, seed: int = 0, cap: int = 4096,
@@ -1058,121 +1054,91 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
 
     With exhaustive enumeration the minimum over strings is at most the
     randomized protocol's average error, by the averaging argument.  For the
-    two-receiver/two-sender scenarios the figure minimized is the sum of the
-    per-party average errors (its expectation equals the randomized sum).
+    two-sender scenario the strings are chosen jointly and the figure
+    minimized is the average error of the joint decoder.  The two-receiver
+    broadcast scenario is not supported.
     """
+    spec = get_scenario(f"{scenario}_ua")
+    if spec.streams > 1 and spec.decode is not _decode_mac:
+        raise ValueError(f"derandomization not implemented for scenario {scenario!r}")
     rng = np.random.default_rng(seed)
+    rates = spec.per_stream(rates, "rates")
+    eps = spec.per_stream(epsilons, "eps")
+    receivers = spec.build(ch, psi, psi_b, tau, eps)
 
-    if scenario in ("p2p", "gp"):
-        rate = rates if isinstance(rates, int) else rates[0]
-        eps = epsilons if isinstance(epsilons, (int, float)) else epsilons[0]
-        ua = _ua_single(scenario, ch, psi, tau)
-        run = _run_receiver(ua["joint"], ua["sigma"], ua["u_label"], rate, eps)
-        code = run.code
-        n = 2 ** rate
-        u_label = ua["u_label"]
-        d_u = psi.layout.dim_of(u_label)
-        support = [u for u in range(d_u) if ua["probs"][u] > SUPPORT_FLOOR]
-        strings, exhaustive = _string_space(support, n, cap, sample,
-                                            ua["probs"], rng, num_samples)
-        best_err, best_string = math.inf, None
-        for string in strings:
-            total = 0.0
-            for m in range(n):
-                state = ua["cond_outs"][string[m]]
-                for k in range(n):
-                    state = tensor_(state, _basis_density(
-                        string[k], _copy_label(u_label, k), d_u))
-                state = state.permuted(list(code.layout.labels))
-                total += code.success(m, state)
-            err = max(1.0 - total / n, 0.0)
-            if err < best_err - 1e-15:
-                best_err, best_string = err, tuple(string)
-        randomized = 1.0 - float(np.mean(run.successes))
-        return DerandomizedCode(best_string, None, best_err, randomized,
-                                exhaustive)
+    # The decoder of the randomized protocol, evaluated on fixed strings.
+    if spec.decode is _decode_mac:
+        code = _mac_code(receivers, rates)
+        randomized, _, _, projectors = _mac_sequential(code)
+        layout = code.layout
 
-    if scenario == "mac":
-        if psi_b is None:
-            raise ValueError("mac scenario needs both sender ensembles")
-        r1, r2 = rates
-        a_label, b_label = ch.in_layout.labels
-        u_label = [l for l in psi.layout.labels if l != a_label][0]
-        v_label = [l for l in psi_b.layout.labels if l != b_label][0]
-        probs_u, conds_u = _classical_blocks(psi, u_label)
-        probs_v, conds_v = _classical_blocks(psi_b, v_label)
-        setup = _mac_setup(ch, psi, psi_b, (r1, r2), epsilons)
-        seq = _mac_sequential(setup, delta)
-        n1, n2 = setup.n1, setup.n2
-        d_u, d_v = psi.layout.dim_of(u_label), psi_b.layout.dim_of(v_label)
-        sup_u = [u for u in range(d_u) if probs_u[u] > SUPPORT_FLOOR]
-        sup_v = [v for v in range(d_v) if probs_v[v] > SUPPORT_FLOOR]
-        total_candidates = len(sup_u) ** n1 * len(sup_v) ** n2
-        if total_candidates > cap and not sample:
-            raise ValueError(
-                f"{total_candidates} candidate string pairs exceed the cap {cap}; "
-                "pass sample=True to draw candidates instead")
-        # Conditional channel outputs per (u, v) letter pair.
-        cond_out = {}
-        for u in sup_u:
-            for v in sup_v:
-                cond_out[(u, v)] = apply_on(
-                    ch, tensor(conds_u[u], conds_v[v]), [a_label, b_label])
-        proj_a, proj_b = seq["projectors_a"], seq["projectors_b"]
-        d = setup.layout.dim
-        eye = np.eye(2 * d)
+        def success(messages, state: DensityOp) -> float:
+            return _chain_success(projectors, _with_pointer(state.matrix), messages)
+    else:
+        run = _run_position_code(receivers[0], rates[0])
+        randomized, layout = run.successes, run.code.layout
 
-        def chain_success(state: DensityOp, m1: int, m2: int) -> float:
-            init = np.zeros((2 * d, 2 * d), dtype=complex)
-            init.reshape(d, 2, d, 2)[:, 0, :, 0] = state.matrix
-            cur = init
-            for k in range(n1):
-                op = proj_a[k] if k == m1 else eye - proj_a[k]
-                cur = op @ cur @ op
-            for j in range(n2):
-                op = proj_b[j] if j == m2 else eye - proj_b[j]
-                cur = op @ cur @ op
-            return float(np.real(np.trace(cur)))
+        def success(messages, state: DensityOp) -> float:
+            return run.code.success(messages[0], state)
 
-        if total_candidates <= cap:
-            pairs = [(su, sv)
-                     for su in itertools.product(sup_u, repeat=n1)
-                     for sv in itertools.product(sup_v, repeat=n2)]
-            exhaustive = True
-        else:
-            pu = probs_u[sup_u] / probs_u[sup_u].sum()
-            pv = probs_v[sup_v] / probs_v[sup_v].sum()
-            pairs = [(tuple(rng.choice(sup_u, size=n1, p=pu)),
-                      tuple(rng.choice(sup_v, size=n2, p=pv)))
-                     for _ in range(num_samples)]
-            exhaustive = False
-        best_err, best = math.inf, None
-        for su, sv in pairs:
-            total = 0.0
-            for m1 in range(n1):
-                for m2 in range(n2):
-                    state = cond_out[(su[m1], sv[m2])]
-                    for k in range(n1):
-                        state = tensor_(state, _basis_density(
-                            su[k], _copy_label(u_label, k), d_u))
-                    for j in range(n2):
-                        state = tensor_(state, _basis_density(
-                            sv[j], _copy_label(v_label, j), d_v))
-                    state = state.permuted(list(setup.layout.labels))
-                    total += chain_success(state, m1, m2)
-            err = max(1.0 - total / (n1 * n2), 0.0)
-            if err < best_err - 1e-15:
-                best_err, best = err, (tuple(su), tuple(sv))
-        randomized = 1.0 - float(np.mean(seq["chain_succ"]))
-        return DerandomizedCode(best[0], best[1], best_err, randomized,
-                                exhaustive)
+    senders = []
+    for rec, st, rate in zip(receivers, (psi, psi_b), rates):
+        probs, conds = classical_blocks(st, rec.resource)
+        support = [u for u in range(len(probs)) if probs[u] > SUPPORT_FLOOR]
+        senders.append(_Sender(rec.resource, 2 ** rate, support, probs, conds))
+    # Channel outputs conditioned on each tuple of the senders' letters.
+    cond_out = {letters: apply_on(ch, reduce(tensor, [
+        s.conds[u] for s, u in zip(senders, letters)]), list(ch.in_layout.labels))
+        for letters in itertools.product(*(s.support for s in senders))}
 
-    raise ValueError(f"derandomization not implemented for scenario {scenario!r}")
+    total = math.prod(len(s.support) ** s.copies for s in senders)
+    if total <= cap:
+        candidates = list(itertools.product(*(
+            itertools.product(s.support, repeat=s.copies) for s in senders)))
+        exhaustive = True
+    elif not sample:
+        raise ValueError(
+            f"{total} candidate strings exceed the enumeration cap {cap}; "
+            "pass sample=True to draw candidates instead")
+    else:
+        weights = [s.probs[s.support] / s.probs[s.support].sum() for s in senders]
+        candidates = [tuple(tuple(rng.choice(s.support, size=s.copies, p=p))
+                            for s, p in zip(senders, weights))
+                      for _ in range(num_samples)]
+        exhaustive = False
+
+    messages = list(itertools.product(*(range(s.copies) for s in senders)))
+    best_err, best = math.inf, None
+    for strings in candidates:
+        total_success = 0.0
+        for msgs in messages:
+            state = cond_out[tuple(string[m] for string, m in zip(strings, msgs))]
+            for s, string in zip(senders, strings):
+                for k in range(s.copies):
+                    state = tensor(state, _basis_density(
+                        string[k], _copy_label(s.label, k), len(s.probs)))
+            total_success += success(msgs, state.permuted(list(layout.labels)))
+        err = max(1.0 - total_success / len(messages), 0.0)
+        if err < best_err - 1e-15:
+            best_err, best = err, tuple(tuple(string) for string in strings)
+    return DerandomizedCode(best[0], best[1] if len(best) > 1 else None,
+                            best_err, 1.0 - float(np.mean(randomized)), exhaustive)
 
 
-def tensor_(a, b):
-    """tensor() that tolerates a None accumulator."""
-    return b if a is None else tensor(a, b)
+class _Sender(NamedTuple):
+    """One classical position register of a shared-randomness protocol."""
+
+    label: str
+    copies: int
+    support: list            # letters of positive probability
+    probs: np.ndarray
+    conds: list              # state of the other registers given each letter
+
+
+def _basis_density(index: int, label: str, dim: int) -> DensityOp:
+    mat = np.zeros((dim, dim))
+    mat[index, index] = 1.0
+    return DensityOp(mat, SystemLayout([(label, dim)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1189,8 +1155,6 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     <= 2^-R for any sigma, so the floor is a theorem; this makes it a
     numerical cross-check of the whole pipeline.
     """
-    from .linalg import sample
-
     dist = np.asarray(dist, dtype=float)
     n, n_out = dist.shape
     if correct_cols is None:
@@ -1232,26 +1196,13 @@ def report_floors(report: ProtocolReport, *, sigmas: int = 5,
                   seed: int = 0) -> list[dict]:
     """Converse floors for every receiver of a simulated code.
 
-    Extracts the exact outcome distribution(s) recorded in the report and
-    runs :func:`converse_floor` on each; a failed floor means a bug in the
-    decoder pipeline, never in the parameters.
+    Runs :func:`converse_floor` on each outcome distribution recorded in the
+    report (one per receiver; one joint distribution for multiple access); a
+    failed floor means a bug in the decoder pipeline, never in the
+    parameters.
     """
-    sc = report.scenario
-    if sc in ("p2p_ea", "gp_ea", "p2p_ua", "gp_ua"):
-        return [converse_floor(report.details["outcome_dist"], report.rates[0],
-                               sigmas=sigmas, seed=seed)]
-    if sc in ("broadcast_ea", "broadcast_ua"):
-        return [
-            converse_floor(report.details["bob"].outcome_dist, report.rates[0],
-                           sigmas=sigmas, seed=seed),
-            converse_floor(report.details["charlie"].outcome_dist,
-                           report.rates[1], sigmas=sigmas, seed=seed + 1),
-        ]
-    if sc in ("mac_ea", "mac_ua"):
-        n1 = 2 ** int(round(report.rates[0]))
-        n2 = 2 ** int(round(report.rates[1]))
-        cols = [m1 * (n2 + 1) + m2 for m1 in range(n1) for m2 in range(n2)]
-        return [converse_floor(report.details["outcome_dist"],
-                               report.rates[0] + report.rates[1],
-                               correct_cols=cols, sigmas=sigmas, seed=seed)]
-    raise ValueError(f"no floor extraction for scenario {sc!r}")
+    if not report.floor_inputs:
+        raise ValueError(f"no floor extraction for scenario {report.scenario!r}")
+    return [converse_floor(dist, rate, correct_cols=cols, sigmas=sigmas,
+                           seed=seed + i)
+            for i, (dist, rate, cols) in enumerate(report.floor_inputs)]

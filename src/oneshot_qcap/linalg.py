@@ -19,6 +19,7 @@ __all__ = [
     "DimensionCapError",
     "LayoutError",
     "SystemLayout",
+    "as_layout",
     "Ket",
     "DensityOp",
     "HermOp",
@@ -30,7 +31,6 @@ __all__ = [
     "purify",
     "schmidt_decompose",
     "embed",
-    "permute_registers",
     "sample",
     "basis_ket",
     "bell_ket",
@@ -129,10 +129,19 @@ class SystemLayout:
         return f"SystemLayout[{inner}]"
 
 
-def _as_layout(layout) -> SystemLayout:
+def as_layout(layout) -> SystemLayout:
+    """``layout`` itself, or a SystemLayout built from (label, dim) pairs."""
     if isinstance(layout, SystemLayout):
         return layout
     return SystemLayout(layout)
+
+
+def _reordered(layout: SystemLayout, order: Sequence[str]):
+    """Axis permutation and reordered layout that list registers in ``order``."""
+    if sorted(order) != sorted(layout.labels):
+        raise LayoutError("permutation must use exactly the layout's labels")
+    perm = [layout.index_of(l) for l in order]
+    return perm, SystemLayout([layout.registers[p] for p in perm])
 
 
 def _permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -155,7 +164,7 @@ class Ket:
     layout: SystemLayout
 
     def __init__(self, amplitudes, layout):
-        layout = _as_layout(layout)
+        layout = as_layout(layout)
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.shape[0] != layout.dim:
             raise LayoutError(
@@ -176,11 +185,8 @@ class Ket:
                          normalized=normalized)
 
     def permuted(self, order: Sequence[str]) -> "Ket":
-        perm = [self.layout.index_of(l) for l in order]
-        if sorted(order) != sorted(self.layout.labels):
-            raise LayoutError("permutation must use exactly the layout's labels")
-        amp = _permute_vector(self.amplitudes, self.layout.dims, perm)
-        return Ket(amp, SystemLayout([self.layout.registers[p] for p in perm]))
+        perm, layout = _reordered(self.layout, order)
+        return Ket(_permute_vector(self.amplitudes, self.layout.dims, perm), layout)
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
@@ -199,7 +205,7 @@ class HermOp:
     layout: SystemLayout
 
     def __init__(self, matrix, layout):
-        layout = _as_layout(layout)
+        layout = as_layout(layout)
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (layout.dim, layout.dim):
             raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
@@ -210,11 +216,8 @@ class HermOp:
         object.__setattr__(self, "layout", layout)
 
     def permuted(self, order: Sequence[str]) -> "HermOp":
-        if sorted(order) != sorted(self.layout.labels):
-            raise LayoutError("permutation must use exactly the layout's labels")
-        perm = [self.layout.index_of(l) for l in order]
-        mat = _permute_matrix(self.matrix, self.layout.dims, perm)
-        return HermOp(mat, SystemLayout([self.layout.registers[p] for p in perm]))
+        perm, layout = _reordered(self.layout, order)
+        return HermOp(_permute_matrix(self.matrix, self.layout.dims, perm), layout)
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,7 @@ class DensityOp:
     normalized: bool = True
 
     def __init__(self, matrix, layout, normalized: bool = True):
-        layout = _as_layout(layout)
+        layout = as_layout(layout)
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (layout.dim, layout.dim):
             raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
@@ -258,11 +261,8 @@ class DensityOp:
         return float(np.real(np.trace(self.matrix)))
 
     def permuted(self, order: Sequence[str]) -> "DensityOp":
-        if sorted(order) != sorted(self.layout.labels):
-            raise LayoutError("permutation must use exactly the layout's labels")
-        perm = [self.layout.index_of(l) for l in order]
-        mat = _permute_matrix(self.matrix, self.layout.dims, perm)
-        return DensityOp(mat, SystemLayout([self.layout.registers[p] for p in perm]),
+        perm, layout = _reordered(self.layout, order)
+        return DensityOp(_permute_matrix(self.matrix, self.layout.dims, perm), layout,
                          normalized=self.normalized)
 
 
@@ -370,7 +370,7 @@ def embed(op: HermOp, target: SystemLayout) -> HermOp:
     The result acts like ``op`` on the shared registers (in whatever order the
     target lists them) and as the identity elsewhere.
     """
-    target = _as_layout(target)
+    target = as_layout(target)
     for lbl, d in op.layout.registers:
         if not target.has(lbl):
             raise LayoutError(f"target layout lacks register {lbl!r}")
@@ -387,13 +387,8 @@ def embed(op: HermOp, target: SystemLayout) -> HermOp:
     return HermOp(mat, target)
 
 
-def permute_registers(obj, order: Sequence[str]):
-    """Reorder the registers of a Ket, DensityOp, or HermOp."""
-    return obj.permuted(list(order))
-
-
 def basis_ket(index: int, layout) -> Ket:
-    layout = _as_layout(layout)
+    layout = as_layout(layout)
     amp = np.zeros(layout.dim, dtype=complex)
     amp[index] = 1.0
     return Ket(amp, layout)
@@ -412,7 +407,7 @@ def bell_ket(label_a: str = "A", label_b: str = "B") -> Ket:
 
 
 def maximally_mixed(layout) -> DensityOp:
-    layout = _as_layout(layout)
+    layout = as_layout(layout)
     return DensityOp(np.eye(layout.dim) / layout.dim, layout)
 
 

@@ -15,7 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from oneshot_qcap.bounds import converse_value, identity_channel_corollary
+from oneshot_qcap.bounds import (
+    achievable_rate,
+    converse_value,
+    identity_channel_corollary,
+)
 from oneshot_qcap.channels import (
     amplitude_damping,
     depolarizing,
@@ -32,7 +36,7 @@ from oneshot_qcap.coding import (
     simulate_p2p_ea,
     simulate_unassisted,
 )
-from oneshot_qcap.divergences import dh_classical_oracle, dh_eps
+from oneshot_qcap.divergences import DivergenceResult, dh_classical_oracle, dh_eps
 from oneshot_qcap.linalg import (
     DensityOp,
     SystemLayout,
@@ -213,6 +217,93 @@ def test_converse_floor_holds_for_every_instance(instance_reports):
     for name, rep in instance_reports:
         for floor in report_floors(rep, sigmas=5, seed=0):
             assert floor["holds"], (name, floor)
+
+
+def test_report_details_hold_results_only(instance_reports):
+    allowed = (int, float, str, np.ndarray, tuple, DivergenceResult)
+    for name, rep in instance_reports:
+        for key, value in rep.details.items():
+            assert isinstance(value, allowed), (name, key, type(value))
+
+
+# ---------------------------------------------------------------------------
+# 5b. the scenario table: simulators and achievable rates agree
+
+
+def log_inv_delta(eps, delta):
+    return math.log2(1 / delta)
+
+
+def log_quad(eps, delta):
+    return math.log2(4 * eps / delta ** 2)
+
+
+def table_instances():
+    """(name, report, achievable bound, rates, per-stream penalty) per case;
+    the penalties are the coding theorems' own, written out here."""
+    corr = classically_correlated("A", "U")
+    gp_ua_state = tensor(corr, TAU_S).permuted(["A", "S", "U"])
+    bc_psi = tensor(bell_density("A", "RB"),
+                    maximally_mixed(SystemLayout([("RC", 2)])))
+    bc_ua = tensor(corr, maximally_mixed(SystemLayout([("V", 2)])))
+    mac_a, mac_b = (classically_correlated("A", "RA"),
+                    classically_correlated("B", "RB"))
+    ua_a, ua_b = (classically_correlated("A", "UA"),
+                  classically_correlated("B", "UB"))
+    bc, mac, gp = copy_broadcast_channel(), xor_mac_channel(), gp_discard_channel()
+    return [
+        ("p2p_ea", simulate_p2p_ea(ID2, BELL, 1, 0.1, 0.05),
+         achievable_rate("p2p_ea", ID2, BELL, 0.1, 0.05), (1,),
+         [log_inv_delta(0.1, 0.05)]),
+        ("p2p_ea feasible", simulate_p2p_ea(ID2, BELL, 1, 0.05, 0.45),
+         achievable_rate("p2p_ea", ID2, BELL, 0.05, 0.45), (1,),
+         [log_inv_delta(0.05, 0.45)]),
+        ("gp_ea", simulate_gp_ea(gp, TAU_S, GP_INPUT, 1, 0.15, 0.05),
+         achievable_rate("gp_ea", gp, GP_INPUT, 0.15, 0.05, tau=TAU_S), (1,),
+         [log_quad(0.15, 0.05)]),
+        ("broadcast_ea", simulate_broadcast_ea(bc, bc_psi, (1, 1), (0.1, 0.2), 0.05),
+         achievable_rate("broadcast_ea", bc, bc_psi, (0.1, 0.2), 0.05), (1, 1),
+         [log_quad(0.1, 0.05), log_quad(0.2, 0.05)]),
+        ("mac_ea sequential", simulate_mac_ea(
+            mac, mac_a, mac_b, (1, 1), (0.05, 0.1), 0.02),
+         achievable_rate("mac_ea", mac, mac_a, (0.05, 0.1), 0.02, psi_b=mac_b),
+         (1, 1), [log_inv_delta(0.05, 0.02)] * 2),
+        ("mac_ea pgm_b_first", simulate_mac_ea(
+            mac, mac_a, mac_b, (1, 1), (0.05, 0.1), 0.02, strategy="pgm_b_first"),
+         achievable_rate("mac_ea", mac, mac_a, (0.05, 0.1), 0.02, psi_b=mac_b,
+                         strategy="pgm_b_first"),
+         (1, 1), [log_quad(0.05, 0.02), log_quad(0.1, 0.02)]),
+        ("p2p_ua feasible", simulate_unassisted("p2p", ID2, corr, 1, 0.1, 0.6),
+         achievable_rate("p2p_ua", ID2, corr, 0.1, 0.6), (1,),
+         [log_quad(0.1, 0.6)]),
+        ("gp_ua", simulate_unassisted("gp", gp, gp_ua_state, 1, 0.15, 0.05,
+                                      tau=TAU_S),
+         achievable_rate("gp_ua", gp, gp_ua_state, 0.15, 0.05, tau=TAU_S), (1,),
+         [log_quad(0.15, 0.05)]),
+        ("broadcast_ua", simulate_unassisted("broadcast", bc, bc_ua, (1, 1),
+                                             (0.1, 0.1), 0.05),
+         achievable_rate("broadcast_ua", bc, bc_ua, (0.1, 0.1), 0.05), (1, 1),
+         [log_quad(0.1, 0.05)] * 2),
+        ("mac_ua", simulate_unassisted("mac", mac, ua_a, (1, 1), (0.1, 0.1),
+                                       0.05, psi_b=ua_b),
+         achievable_rate("mac_ua", mac, ua_a, (0.1, 0.1), 0.05, psi_b=ua_b),
+         (1, 1), [log_inv_delta(0.1, 0.05)] * 2),
+    ]
+
+
+def test_simulators_and_achievable_rates_share_one_table():
+    cases = table_instances()
+    assert {rep.scenario for _, rep, _, _, _ in cases} == {
+        "p2p_ea", "gp_ea", "broadcast_ea", "mac_ea",
+        "p2p_ua", "gp_ua", "broadcast_ua", "mac_ua"}
+    feasible = 0
+    for name, rep, ach, rates, penalties in cases:
+        for dh, rate, pen in zip(rep.dh_values, ach.per_sender, penalties):
+            assert dh - rate == pytest.approx(pen, abs=1e-12), name
+        assert rep.rate_feasible == all(
+            r <= a + 1e-9 for r, a in zip(rates, ach.per_sender)), name
+        feasible += rep.rate_feasible
+    assert feasible >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,16 @@ import json
 import pytest
 
 from oneshot_qcap.cli import SpecError, parse_spec, run
+from oneshot_qcap.coding import simulate_broadcast_ea
+from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
+
+from conftest import (
+    bell_density,
+    classically_correlated,
+    copy_broadcast_channel,
+    gp_discard_channel,
+    xor_mac_channel,
+)
 
 
 def write_spec(tmp_path, name, payload):
@@ -170,3 +180,141 @@ def test_cli_output_is_deterministic(tmp_path, capsys):
     assert run(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# usage errors are input errors
+
+
+def test_usage_errors_exit_one(tmp_path, capsys):
+    ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    sim = ["--channel", ch, "--state", st, "--R", "1", "--eps", "0.1",
+           "--delta", "0.05"]
+    assert run(["simulate", "bogus"] + sim) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["bound", "converse", "--eps", "0.1"]) == 1
+    assert "--channel" in capsys.readouterr().err
+    assert run(["bound", "achievable", "--scenario", "mac_ea", "--strategy",
+                "joint", "--channel", ch, "--state", st]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "simulate" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# simulate reports for every scenario
+
+
+def channel_spec(ch):
+    return {"schema": "1", "type": "channel",
+            "kraus": [[[[z.real, z.imag] for z in row] for row in k]
+                      for k in ch.kraus],
+            "in_dims": [list(r) for r in ch.in_layout.registers],
+            "out_dims": [list(r) for r in ch.out_layout.registers]}
+
+
+def state_spec(rho):
+    return {"schema": "1", "type": "state",
+            "matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix],
+            "dims": [list(r) for r in rho.layout.registers]}
+
+
+def scenario_specs(tmp_path):
+    """CLI arguments of one small instance per scenario."""
+    def spec(name, obj, kind):
+        return write_spec(tmp_path, name, kind(obj))
+
+    tau = maximally_mixed(SystemLayout([("S", 2)]))
+    mixed_c = maximally_mixed(SystemLayout([("RC", 2)]))
+    corr = classically_correlated("A", "U")
+    files = {
+        "id": write_spec(tmp_path, "id.json", IDENTITY_CHANNEL),
+        "bell": write_spec(tmp_path, "bell.json", BELL_STATE),
+        "corr": write_spec(tmp_path, "corr.json", CORR_STATE),
+        "gp_ch": spec("gp_ch.json", gp_discard_channel(), channel_spec),
+        "tau": spec("tau.json", tau, state_spec),
+        "gp_ea": spec("gp_ea.json", tensor(bell_density("A", "B'"), tau)
+                      .permuted(["A", "S", "B'"]), state_spec),
+        "gp_ua": spec("gp_ua.json", tensor(corr, tau).permuted(["A", "S", "U"]),
+                      state_spec),
+        "bc_ch": spec("bc_ch.json", copy_broadcast_channel(), channel_spec),
+        "bc_ea": spec("bc_ea.json", tensor(bell_density("A", "RB"), mixed_c),
+                      state_spec),
+        "bc_ua": spec("bc_ua.json", tensor(corr, maximally_mixed(
+            SystemLayout([("V", 2)]))), state_spec),
+        "mac_ch": spec("mac_ch.json", xor_mac_channel(), channel_spec),
+        "ra": spec("ra.json", classically_correlated("A", "RA"), state_spec),
+        "rb": spec("rb.json", classically_correlated("B", "RB"), state_spec),
+    }
+    one = ["--R", "1", "--eps", "0.1", "--delta", "0.05"]
+    two = ["--R", "1,1", "--eps", "0.1,0.1", "--delta", "0.05"]
+    return {
+        "p2p_ea": ["--channel", files["id"], "--state", files["bell"]] + one,
+        "gp_ea": ["--channel", files["gp_ch"], "--state", files["gp_ea"],
+                  "--tau", files["tau"]] + one,
+        "broadcast_ea": ["--channel", files["bc_ch"], "--state",
+                         files["bc_ea"]] + two,
+        "mac_ea": ["--channel", files["mac_ch"], "--state", files["ra"],
+                   "--state-b", files["rb"]] + two,
+        "p2p_ua": ["--channel", files["id"], "--state", files["corr"]] + one,
+        "gp_ua": ["--channel", files["gp_ch"], "--state", files["gp_ua"],
+                  "--tau", files["tau"]] + one,
+        "broadcast_ua": ["--channel", files["bc_ch"], "--state",
+                         files["bc_ua"]] + two,
+        "mac_ua": ["--channel", files["mac_ch"], "--state", files["ra"],
+                   "--state-b", files["rb"]] + two,
+    }
+
+
+SINGLE_DETAILS = {"c", "dh", "outcome_dist", "type1", "type2"}
+SEQUENTIAL_DETAILS = {"outcome_dist", "seq_rhs", "strategy"}
+DETAIL_KEYS = {
+    "p2p_ea": SINGLE_DETAILS | {"headline_bound"},
+    "gp_ea": SINGLE_DETAILS,
+    "broadcast_ea": {"per_receiver_bounds", "per_receiver_worst_error"},
+    "mac_ea": SEQUENTIAL_DETAILS,
+    "p2p_ua": SINGLE_DETAILS,
+    "gp_ua": SINGLE_DETAILS,
+    "broadcast_ua": {"per_receiver_avg_error", "per_receiver_bounds"},
+    "mac_ua": SEQUENTIAL_DETAILS,
+}
+REPORT_KEYS = {"analytic_bound", "avg_error", "bound_satisfied", "details",
+               "dh_values", "floors", "hn_bound", "per_message_success",
+               "rate_feasible", "rates", "reported_error", "scenario",
+               "worst_error"}
+
+
+def test_simulate_report_shape_for_every_scenario(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    cases = [(name, args, DETAIL_KEYS[name]) for name, args in specs.items()]
+    cases.append(("mac_ea", specs["mac_ea"] + ["--strategy", "pgm_a_first"],
+                  {"disturbance", "outcome_dist", "stage1_err", "stage2_err",
+                   "stage_bounds", "stage_hn", "strategy"}))
+    for name, args, details in cases:
+        assert run(["simulate", name, "--floor-sigmas", "2"] + args) == 0, name
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"command", "holds", "inputs", "report", "scenario",
+                            "seed"}, name
+        assert set(out["report"]) == REPORT_KEYS, name
+        assert set(out["report"]["details"]) == details, name
+
+
+def test_simulate_broadcast_ea_uses_c(tmp_path, capsys):
+    args = ["simulate", "broadcast_ea", "--floor-sigmas", "2"] + \
+        scenario_specs(tmp_path)["broadcast_ea"]
+    hn = []
+    for extra in ([], ["--c", "0.3"]):
+        run(args + extra)
+        hn.append(json.loads(capsys.readouterr().out)["report"]["hn_bound"])
+    psi = tensor(bell_density("A", "RB"),
+                 maximally_mixed(SystemLayout([("RC", 2)])))
+    want = simulate_broadcast_ea(copy_broadcast_channel(), psi, (1, 1),
+                                 (0.1, 0.1), 0.05, c=(0.3, 0.3)).hn_bound
+    assert hn[1] != pytest.approx(hn[0], abs=1e-6)
+    assert hn[1] == pytest.approx(want, abs=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_qcap.channels import depolarizing, identity_channel
+from oneshot_qcap.channels import KrausChannel, depolarizing, identity_channel
 from oneshot_qcap.coding import (
     build_position_povm,
     converse_floor,
@@ -297,6 +297,31 @@ def test_derandomize_beats_randomized_average(id2):
     assert code.error <= code.randomized_error + 1e-12
     assert code.error == pytest.approx(0.5, abs=1e-10)
     assert code.randomized_error == pytest.approx(0.53125, abs=1e-10)
+
+
+def test_derandomize_mac_picks_string_pairs():
+    # Two noiseless qubit inputs side by side: the joint decoder of the
+    # randomized protocol errs with probability 0.81724375 on average, a
+    # fixed pair of strings with 0.268975.
+    ch = KrausChannel([np.eye(4)], SystemLayout([("A", 2), ("B", 2)]),
+                      SystemLayout([("CA", 2), ("CB", 2)]))
+    psi_a = classically_correlated("A", "UA")
+    psi_b = classically_correlated("B", "UB")
+    code = derandomize("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3, psi_b=psi_b)
+    assert code.exhaustive
+    assert (code.strings, code.strings_b) == ((0, 1), (0, 1))
+    assert code.error == pytest.approx(0.268975, abs=1e-10)
+    assert code.randomized_error == pytest.approx(0.81724375, abs=1e-10)
+    randomized = simulate_unassisted("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3,
+                                     psi_b=psi_b)
+    assert code.randomized_error == pytest.approx(randomized.avg_error,
+                                                  abs=1e-12)
+
+
+def test_derandomize_rejects_broadcast():
+    with pytest.raises(ValueError):
+        derandomize("broadcast", copy_broadcast_channel(),
+                    classically_correlated("A", "U"), (1, 1), (0.1, 0.1), 0.3)
 
 
 # ---------------------------------------------------------------------------
