@@ -288,6 +288,11 @@ def _cmd_divergence(args) -> int:
 
 def _simulate_report(args):
     spec = coding_mod.SCENARIOS[args.scenario]
+    if args.strategy not in (spec.strategies or ("sequential",)):
+        takers = [name for name, sc in coding_mod.SCENARIOS.items()
+                  if sc.strategies]
+        raise ValueError(f"--strategy {args.strategy} applies only to "
+                         f"{', '.join(takers)}; {spec.name} has one decoder")
     paths = {"state": args.state, "state_b": args.state_b, "tau": args.tau}
     for key in spec.inputs:
         if paths[key] is None:

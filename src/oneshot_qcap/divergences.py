@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOp, HermOp, LayoutError, herm_eig
+from .linalg import DensityOp, HermOp, LayoutError
 
 __all__ = [
     "SupportError",
@@ -30,6 +30,9 @@ SUPPORT_TOL = 1e-10
 BOUNDARY_REL_TOL = 1e-9
 BISECT_ITERS = 200
 TYPE2_FLOOR = 1e-14
+# A witness whose type-I mass falls further than this below 1 - eps is
+# repaired; smaller shortfalls are rounding in the trace.
+TYPE1_SLACK = 1e-12
 
 
 class SupportError(ValueError):
@@ -118,21 +121,25 @@ class DivergenceResult:
             raise ValueError("bounded result requires positive type-II error")
 
 
+def _boundary_tol(scale: float) -> float:
+    return BOUNDARY_REL_TOL * max(scale, 1e-300)
+
+
 def _threshold_split(delta_mat: np.ndarray, scale: float):
     """Eigen-split of rho - t*sigma into strictly-positive and boundary parts.
 
     ``scale`` anchors the boundary tolerance.  It is taken from the operands
     rho and t*sigma rather than from the difference itself, so that near a
     degenerate crossing (rho close to t*sigma) the whole collapsing subspace
-    is still recognized as boundary.
+    is still recognized as boundary.  Also returns the eigenvalues.
     """
     w, v = np.linalg.eigh(delta_mat)
-    tol = BOUNDARY_REL_TOL * max(scale, 1e-300)
+    tol = _boundary_tol(scale)
     pos = v[:, w > tol]
     bnd = v[:, np.abs(w) <= tol]
     p_pos = pos @ pos.conj().T
     p_bnd = bnd @ bnd.conj().T
-    return p_pos, p_bnd
+    return p_pos, p_bnd, w
 
 
 def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
@@ -141,14 +148,24 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     The optimal test has the form P_{>}(t*) + lambda P_{=}(t*) from the
     eigendecomposition of rho - t*sigma; t* is located by bisection (the
     type-I success Tr(P_> rho) is monotone non-increasing in t) and lambda is
-    chosen so Tr(Lambda rho) = 1 - eps exactly.  Weight placement inside the
-    boundary subspace is irrelevant to the optimum since there
-    Tr(L rho) = t* Tr(L sigma) for any 0 <= L <= P_{=}.
+    chosen so Tr(Lambda rho) = 1 - eps exactly (should eigenvector rounding
+    leave it short, the test is mixed with the one at the bracket's lower
+    end).  Weight placement inside the boundary subspace is irrelevant to the
+    optimum since there Tr(L rho) = t* Tr(L sigma) for any 0 <= L <= P_{=}.
+
+    The bisection stops once its midpoint rounds to an endpoint, i.e. once
+    the bracket can no longer shrink in floating point; ``BISECT_ITERS`` is
+    only a cap.  From there on every step would evaluate the deterministic
+    predicate at a float it has already evaluated and give an endpoint its
+    own value, so t* = hi_t is the one the full ``BISECT_ITERS`` steps reach.
+    (Two endpoints are never evaluated: the starting lo_t = 0.0, which the
+    midpoint cannot reach within the cap because hi_t starts above 2^-46,
+    and hi_t when the bracket search gave up, where the skipped step could
+    only have moved lo_t.)
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     r, s = _check_same_space(rho, sigma)
-    d = r.shape[0]
 
     if eps <= 1e-12:
         # Exact-constraint edge case: the minimal feasible test is the
@@ -176,9 +193,14 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     def op_scale(t: float) -> float:
         return max(r_scale, t * s_scale)
 
+    def positive_projector(t: float) -> np.ndarray:
+        # P_> of _threshold_split alone; the bisection reads nothing else.
+        w, v = np.linalg.eigh(r - t * s)
+        pos = v[:, w > _boundary_tol(op_scale(t))]
+        return pos @ pos.conj().T
+
     def type1_above(t: float) -> float:
-        p_pos, _ = _threshold_split(r - t * s, op_scale(t))
-        return float(np.real(np.trace(p_pos @ r)))
+        return float(np.real(np.trace(positive_projector(t) @ r)))
 
     lo_t = 0.0
     hi_t = hi
@@ -190,13 +212,15 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         hi_t *= 2.0
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo_t + hi_t)
+        if mid == lo_t or mid == hi_t:
+            break
         if type1_above(mid) > target:
             lo_t = mid
         else:
             hi_t = mid
     t_star = hi_t
     delta = r - t_star * s
-    p_pos, p_bnd = _threshold_split(delta, op_scale(t_star))
+    p_pos, p_bnd, w_delta = _threshold_split(delta, op_scale(t_star))
     mass_pos = float(np.real(np.trace(p_pos @ r)))
     mass_bnd = float(np.real(np.trace(p_bnd @ r)))
     if mass_bnd > 1e-15:
@@ -206,12 +230,25 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     lam_weight = min(max(lam_weight, 0.0), 1.0)
     lam = p_pos + lam_weight * p_bnd
     t1 = float(np.real(np.trace(lam @ r)))
+    if target - t1 > TYPE1_SLACK:
+        # Where rho is close to t*sigma, the eigenvectors of rho - t*sigma
+        # are ill-conditioned and the test at t* can fall short of 1 - eps.
+        # Randomize it with the test at lo_t, whose type-I mass exceeds the
+        # target, as in the classical Neyman-Pearson lemma.
+        p_lo = positive_projector(lo_t)
+        m_lo = float(np.real(np.trace(p_lo @ r)))
+        if m_lo > t1:
+            mix = min((target - t1) / (m_lo - t1), 1.0)
+            lam = (1.0 - mix) * lam + mix * p_lo
+            t1 = float(np.real(np.trace(lam @ r)))
     t2 = float(np.real(np.trace(lam @ s)))
     witness = HypothesisTest(operator=lam, type1=t1, type2=max(t2, 0.0))
 
     # Weak duality: Tr(L sigma) >= (1 - eps - Tr[(rho - t sigma)_+]) / t for
-    # every feasible L, so -log2 of that ratio upper-bounds the optimum.
-    pos_part = float(np.real(np.trace(p_pos @ delta)))
+    # every feasible L, so -log2 of that ratio upper-bounds the optimum.  The
+    # positive part is the sum of every positive eigenvalue, not only those
+    # above the boundary tolerance: a truncated sum undercuts the bound.
+    pos_part = float(np.sum(w_delta[w_delta > 0]))
     dual_beta = (target - pos_part) / t_star if t_star > 0 else 0.0
     dual = -math.log2(dual_beta) if dual_beta > TYPE2_FLOOR else math.inf
 

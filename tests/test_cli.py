@@ -200,6 +200,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    for command in ("simulate", "sweep"):
+        for strategy in ("pgm_a_first", "pgm_b_first"):
+            assert run([command, "mac_ua", "--strategy", strategy]
+                       + specs["mac_ua"]) == 1
+            assert "applies only to mac_ea" in capsys.readouterr().err
+    assert run(["simulate", "mac_ua", "--floor-sigmas", "2", "--strategy",
+                "sequential"] + specs["mac_ua"]) == 0
+    capsys.readouterr()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oneshot_qcap import divergences
 from oneshot_qcap.divergences import (
     SupportError,
     dh_classical_oracle,
@@ -89,7 +90,110 @@ def test_dh_weak_duality_brackets_the_value():
     rho = sample("density", 5, 4)
     sig = sample("density", 5, 5)
     res = dh_eps(rho, sig, 0.3)
-    assert res.value <= res.dual_bound + 1e-7
+    assert res.value <= res.dual_bound + 1e-8
+
+
+def random_density(rng, d, rank=None):
+    g = rng.standard_normal((d, rank or d)) + 1j * rng.standard_normal(
+        (d, rank or d))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def dual_instance(rng, kind, d):
+    rho = random_density(rng, d)
+    if kind == "equal":
+        return rho, rho
+    if kind == "near_equal":
+        eta = 10.0 ** rng.uniform(-8, -3)
+        return rho, (1 - eta) * rho + eta * random_density(rng, d)
+    if kind == "rank_deficient":
+        return rho, random_density(rng, d, rank=int(rng.integers(1, d)))
+    return rho, random_density(rng, d)
+
+
+def test_dh_witness_and_dual_bound_hold_on_random_instances():
+    rng = np.random.default_rng(2024)
+    kinds = ("random", "equal", "near_equal", "rank_deficient")
+    worst = shortfall = -math.inf
+    for i in range(320):
+        d = int(rng.integers(2, 9))
+        rho, sig = dual_instance(rng, kinds[i % 4], d)
+        eps = float(rng.uniform(0.01, 0.9))
+        res = dh_eps(rho, sig, eps)
+        shortfall = max(shortfall, 1 - eps - res.witness.type1)
+        if not res.unbounded:
+            worst = max(worst, res.value - res.dual_bound)
+    assert worst <= 1e-8
+    assert shortfall <= 1e-12
+
+
+def guard_instance(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_density(rng, d), random_density(rng, d)
+    if kind == "equal":
+        rho = random_density(rng, d)
+        return rho, rho
+    if kind == "rank_deficient":
+        return random_density(rng, d), random_density(rng, d, max(1, d // 2))
+    # commuting: both diagonal in one random basis
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    p, r = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+    return (q * p) @ q.conj().T, (q * r) @ q.conj().T
+
+
+# (kind, d, seed, eps, value, type1, type2), recorded with a bisection that
+# always ran BISECT_ITERS steps.
+DH_GUARDS = [
+    ("random", 2, 100, 0.05, 0.17306633330672164, 0.95, 0.8869555231131958),
+    ("equal", 2, 101, 0.2, 0.32192809488736246, 0.7999999999999999,
+     0.7999999999999999),
+    ("rank_deficient", 2, 102, 0.5, 14.031051020377651, 0.5,
+     5.973553699781687e-05),
+    ("commuting", 2, 103, 0.05, 0.15088367185162377, 0.95, 0.9006986025253627),
+    ("random", 4, 104, 0.2, 1.5436238018757629, 0.8, 0.34302275733028764),
+    ("equal", 4, 105, 0.5, 1.0, 0.5, 0.5),
+    ("rank_deficient", 4, 106, 0.05, 1.2250440346924087, 0.9499999999999997,
+     0.4277844555811944),
+    ("commuting", 4, 107, 0.2, 1.4938105288002383, 0.7999999999999999,
+     0.35507346887952884),
+    ("random", 8, 108, 0.5, 4.177557152136891, 0.49999999999999994,
+     0.05526243137496262),
+    ("equal", 8, 109, 0.05, 0.07400058144377675, 0.9500000000000001,
+     0.9500000000000001),
+    ("rank_deficient", 8, 110, 0.2, 4.365602346115276, 0.8,
+     0.0485090472278097),
+    ("commuting", 8, 111, 0.5, 4.7941553585115875, 0.5, 0.036042543660453195),
+]
+
+
+@pytest.mark.parametrize("kind,d,seed,eps,value,type1,type2", DH_GUARDS)
+def test_dh_values_are_unchanged(kind, d, seed, eps, value, type1, type2):
+    res = dh_eps(*guard_instance(kind, d, seed), eps)
+    assert res.value == pytest.approx(value, abs=1e-12)
+    assert res.witness.type1 == pytest.approx(type1, abs=1e-12)
+    assert res.witness.type2 == pytest.approx(type2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind,d,seed,eps", [g[:4] for g in DH_GUARDS])
+def test_dh_eigendecomposition_count(monkeypatch, kind, d, seed, eps):
+    rho, sig = guard_instance(kind, d, seed)
+    calls = []
+
+    def counted(real):
+        def call(m):
+            calls.append(m.shape)
+            return real(m)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(divergences.np.linalg, name,
+                            counted(getattr(divergences.np.linalg, name)))
+    dh_eps(rho, sig, eps)
+    nested = np.linalg.matrix_rank(sig, tol=1e-10) == d
+    assert len(calls) <= (72 if nested else 130)
 
 
 def test_dh_matches_classical_oracle_small():
