@@ -18,7 +18,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coding import check_uniform, get_scenario, product_marginals
 from .divergences import dh_eps, dmax
-from .linalg import DensityOp, Ket, SystemLayout, partial_trace
+from .linalg import DensityOp, Ket, SystemLayout, partial_trace, psd_sqrt
 
 __all__ = [
     "RateBound",
@@ -113,8 +113,7 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
 
         starts = []
         for desc, mat in cand_mats:
-            w, v = np.linalg.eigh(mat)
-            g = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            g = psd_sqrt(mat)
             starts.append(np.concatenate([np.real(g).ravel(), np.imag(g).ravel()]))
         for _ in range(restarts):
             starts.append(rng.standard_normal(2 * d_out * d_out))

@@ -15,6 +15,7 @@ from .linalg import (
     as_layout,
     herm_eig,
     max_entangled_ket,
+    psd_sqrt,
 )
 
 __all__ = [
@@ -358,9 +359,7 @@ def neumark_dilate(povm: Sequence[HermOp | np.ndarray]) -> NeumarkDilation:
     # Isometry V: |s>|0> -> sum_i sqrt(M_i)|s>|i>, written in the |s>|p> basis.
     v_iso = np.zeros((d * k, d), dtype=complex)
     for i, m in enumerate(mats):
-        w, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-        root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
-        v_iso.reshape(d, k, d)[:, i, :] = root
+        v_iso.reshape(d, k, d)[:, i, :] = psd_sqrt((m + m.conj().T) / 2)
     unitary = _complete_to_unitary(v_iso, pointer_dim=k, system_dim=d)
     return NeumarkDilation(unitary=unitary, system_dim=d, pointer_dim=k)
 

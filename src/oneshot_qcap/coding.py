@@ -29,9 +29,10 @@ from .linalg import (
     DensityOp,
     HermOp,
     SystemLayout,
-    embed,
     fidelity,
     partial_trace,
+    place,
+    psd_sqrt,
     purified_distance,
     sample,
     tensor,
@@ -80,13 +81,6 @@ MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 # ---------------------------------------------------------------------------
 # small operator helpers
 
-def _relabel(op, mapping: dict):
-    new = SystemLayout([(mapping.get(l, l), d) for l, d in op.layout.registers])
-    if isinstance(op, DensityOp):
-        return DensityOp(op.matrix, new, normalized=op.normalized)
-    return HermOp(op.matrix, new)
-
-
 def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
     cutoff = PINV_TOL * max(float(w[-1]), 1e-300)
@@ -94,18 +88,13 @@ def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def _clip_psd(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def _trace_with(op: np.ndarray, rho: DensityOp) -> float:
-    return float(np.real(np.einsum("ij,ji->", op, rho.matrix)))
+def _trace_with(op: np.ndarray, rho: np.ndarray) -> float:
+    return float(np.real(np.einsum("ij,ji->", op, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +179,20 @@ def split_sender_state(psi: DensityOp, channel_label: str):
 class PositionCode:
     """Square-root-measurement decoder across position copies of a resource."""
 
-    test: HermOp
-    copies: int
-    resource_label: str
     layout: SystemLayout
     povm: tuple[np.ndarray, ...]
     completion: np.ndarray
-    position_tests: tuple[HermOp, ...]
-
-    def success(self, m: int, state: DensityOp) -> float:
-        return _trace_with(self.povm[m], state)
 
 
 def _copy_label(resource_label: str, m: int) -> str:
     return f"{resource_label}#{m + 1}"
+
+
+def _on_copies(layout: SystemLayout, copy_of: dict) -> list[tuple[str, int]]:
+    """``layout``'s registers, each resource ``r`` in ``copy_of`` renamed to
+    its copy number ``copy_of[r]``."""
+    return [(_copy_label(l, copy_of[l]) if l in copy_of else l, d)
+            for l, d in layout.registers]
 
 
 def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> SystemLayout:
@@ -215,10 +204,10 @@ def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> S
     return SystemLayout(regs)
 
 
-def _position_tests(test: HermOp, resource_label: str, copies: int,
-                    layout: SystemLayout) -> list[HermOp]:
+def _copy_tests(test: HermOp, resource_label: str, copies: int,
+                    layout: SystemLayout) -> list[np.ndarray]:
     """``test`` on copy m of its resource register and identity elsewhere."""
-    return [embed(_relabel(test, {resource_label: _copy_label(resource_label, m)}),
+    return [place([(_on_copies(test.layout, {resource_label: m}), test.matrix)],
                   layout) for m in range(copies)]
 
 
@@ -249,17 +238,8 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
     layout = _copies_layout(test.layout, [(resource_label, copies)])
-    lambdas = _position_tests(test, resource_label, copies, layout)
-    povm, comp = _pgm([l.matrix for l in lambdas])
-    return PositionCode(
-        test=test,
-        copies=copies,
-        resource_label=resource_label,
-        layout=layout,
-        povm=tuple(povm),
-        completion=comp,
-        position_tests=tuple(lambdas),
-    )
+    povm, comp = _pgm(_copy_tests(test, resource_label, copies, layout))
+    return PositionCode(layout=layout, povm=tuple(povm), completion=comp)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +297,13 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
     """
     if mode == "sqrt_overlap":
         pi = operator.matrix if isinstance(operator, HermOp) else np.asarray(operator)
-        lhs = abs(math.sqrt(max(_trace_with(pi, other), 0.0))
-                  - math.sqrt(max(_trace_with(pi, state), 0.0)))
+        lhs = abs(math.sqrt(max(_trace_with(pi, other.matrix), 0.0))
+                  - math.sqrt(max(_trace_with(pi, state.matrix), 0.0)))
         rhs = purified_distance(state, other)
         return {"mode": mode, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
     if mode == "single_operator":
         a = operator.matrix if isinstance(operator, HermOp) else np.asarray(operator)
-        weight = _trace_with(a @ a, state)
+        weight = _trace_with(a @ a, state.matrix)
         if weight <= 1e-14:
             return {"mode": mode, "degenerate": True, "weight": weight}
         post = DensityOp(a @ state.matrix @ a.conj().T / weight, state.layout)
@@ -337,8 +317,8 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
         tr = float(np.real(np.trace(post_mat)))
         post = DensityOp(post_mat / tr, state.layout)
         fsq = (fidelity(state, post) ** 2) * tr
-        first = float(np.sum([_trace_with(a, state) ** 2 for a in mats]))
-        second = float(np.sum([_trace_with(a @ a, state) ** 2 for a in mats]))
+        first = float(np.sum([_trace_with(a, state.matrix) ** 2 for a in mats]))
+        second = float(np.sum([_trace_with(a @ a, state.matrix) ** 2 for a in mats]))
         purity = float(np.real(np.trace(state.matrix @ state.matrix)))
         return {"mode": mode, "fidelity_sq": fsq, "sum_sq": first,
                 "sum_sq_squared": second,
@@ -571,9 +551,13 @@ class ProtocolReport:
     premise-free value of the underlying operator-inequality chain evaluated
     on this very instance, which must dominate the exact error always.
     ``reported_error`` is worst-case for entanglement-assisted scenarios and
-    average-case for the unassisted ones.  ``floor_inputs`` holds one
-    (outcome distribution, rate, correct columns) triple per converse floor
-    for :func:`report_floors`; it is left out of repr and of CLI reports.
+    average-case for the unassisted ones.  ``worst_error`` has two meanings
+    for broadcast: for ``broadcast_ea`` it is the larger of the receivers'
+    worst errors, for ``broadcast_ua`` the worst over message pairs of
+    1 - s_B * s_C, the error of the pair's joint success.  ``floor_inputs``
+    holds one (outcome distribution, rate, correct columns) triple per
+    converse floor for :func:`report_floors`; it is left out of repr and of
+    CLI reports.
     """
 
     scenario: str
@@ -640,19 +624,19 @@ def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
     return rate <= dh_value - penalty_bits + 1e-9
 
 
-def _message_state(state: DensityOp, senders, messages, layout: SystemLayout) -> DensityOp:
+def _message_state(state: DensityOp, senders, messages,
+                   layout: SystemLayout) -> np.ndarray:
     """``state`` with each sender's resource moved to copy m of its message m,
     and independent copies of the resource in every other position.
 
     ``senders`` lists (resource label, resource marginal, number of copies).
     """
-    st = _relabel(state, {res: _copy_label(res, m)
-                          for (res, _, _), m in zip(senders, messages)})
+    factors = [(_on_copies(state.layout, {res: m for (res, _, _), m
+                                          in zip(senders, messages)}), state.matrix)]
     for (res, marg, n), m in zip(senders, messages):
-        for k in range(n):
-            if k != m:
-                st = tensor(st, _relabel(marg, {res: _copy_label(res, k)}))
-    return st.permuted(list(layout.labels))
+        factors += [(_on_copies(marg.layout, {res: k}), marg.matrix)
+                    for k in range(n) if k != m]
+    return place(factors, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +722,7 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
 @dataclass(frozen=True)
 class _MacCode:
     layout: SystemLayout           # receiver layout: outs+sides+copies
-    states: dict                   # (m1, m2) -> DensityOp on layout
+    states: dict                   # (m1, m2) -> state on layout
     dhs: tuple[DivergenceResult, DivergenceResult]
     tests: tuple[list, list]       # per sender, its position tests on layout
     n1: int
@@ -755,9 +739,9 @@ def _mac_code(receivers, rates) -> _MacCode:
     states = {msgs: _message_state(omega, senders, msgs, layout)
               for msgs in itertools.product(range(n1), range(n2))}
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
-    tests = tuple([t.matrix for t in _position_tests(
-        HermOp(dh.witness.operator, r.joint.layout), r.resource, n, layout)]
-        for dh, r, (_, _, n) in zip(dhs, receivers, senders))
+    tests = tuple(_copy_tests(HermOp(dh.witness.operator, r.joint.layout),
+                                  r.resource, n, layout)
+                  for dh, r, (_, _, n) in zip(dhs, receivers, senders))
     return _MacCode(layout, states, dhs, tests, n1, n2,
                     tuple(1.0 - dh.witness.type1 for dh in dhs),
                     tuple(dh.witness.type2 for dh in dhs))
@@ -808,7 +792,7 @@ def _mac_sequential(code: _MacCode):
     seq_rhs = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
     for (m1, m2), st in code.states.items():
-        rho0 = _with_pointer(st.matrix)
+        rho0 = _with_pointer(st)
         chain_succ[m1, m2] = _chain_success(proj, rho0, (m1, m2))
         total_bad = 0.0
         for tests, m in zip(proj, (m1, m2)):
@@ -843,7 +827,7 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
 
     povm_first, comp_first = _pgm(code.tests[i_first])
     povm_second, _ = _pgm(code.tests[i_second])
-    kraus_first = [_psd_sqrt(p) for p in povm_first] + [_psd_sqrt(_clip_psd(comp_first))]
+    kraus_first = [psd_sqrt(p) for p in povm_first] + [psd_sqrt(_clip_psd(comp_first))]
 
     n1, n2 = code.n1, code.n2
     joint_succ = np.zeros((n1, n2))
@@ -853,10 +837,10 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
     for (m1, m2), st in code.states.items():
         mf, ms = (m1, m2) if a_first else (m2, m1)
-        post = np.zeros_like(st.matrix)
+        post = np.zeros_like(st)
         row = np.zeros((n_first + 1, n_second + 1))
         for i, k in enumerate(kraus_first):
-            branch = k @ st.matrix @ k
+            branch = k @ st @ k
             post += branch
             for j, p2 in enumerate(povm_second):
                 row[i, j] = max(float(np.real(np.einsum("ij,ji->", p2, branch))), 0.0)
@@ -865,8 +849,7 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
         stage2_err[m1, m2] = 1.0 - float(
             np.real(np.einsum("ij,ji->", povm_second[ms], post)))
         joint_succ[m1, m2] = row[mf, ms]
-        post_state = DensityOp((post + post.conj().T) / 2, st.layout)
-        disturbance[m1, m2] = purified_distance(st, post_state)
+        disturbance[m1, m2] = purified_distance(st, (post + post.conj().T) / 2)
         # Flatten outcomes back to (A-outcome, B-outcome) order for the
         # distribution regardless of decode order.
         for i in range(n_first + 1):
@@ -943,7 +926,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
              strategies=MAC_STRATEGIES, marginal_converse=True),
     Scenario("p2p_ua", False, 1, ("state",), _p2p_receivers, _plain,
              _log_quad, _slack_bound(1), _decode_position, "sigma = {0}", _QUAD),
-    Scenario("gp_ua", False, 1, ("state",), _gp_receivers, _plain,
+    Scenario("gp_ua", False, 1, ("tau", "state"), _gp_receivers, _plain,
              _log_quad, _slack_bound(2), _decode_position, "sigma = {0}", _QUAD),
     Scenario("broadcast_ua", False, 2, ("state",), _broadcast_receivers, _plain,
              _log_quad, _slack_bound(2), _decode_position,
@@ -1072,14 +1055,14 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
         randomized, _, _, projectors = _mac_sequential(code)
         layout = code.layout
 
-        def success(messages, state: DensityOp) -> float:
-            return _chain_success(projectors, _with_pointer(state.matrix), messages)
+        def success(messages, state: np.ndarray) -> float:
+            return _chain_success(projectors, _with_pointer(state), messages)
     else:
         run = _run_position_code(receivers[0], rates[0])
         randomized, layout = run.successes, run.code.layout
 
-        def success(messages, state: DensityOp) -> float:
-            return run.code.success(messages[0], state)
+        def success(messages, state: np.ndarray) -> float:
+            return _trace_with(run.code.povm[messages[0]], state)
 
     senders = []
     for rec, st, rate in zip(receivers, (psi, psi_b), rates):
@@ -1112,12 +1095,12 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     for strings in candidates:
         total_success = 0.0
         for msgs in messages:
-            state = cond_out[tuple(string[m] for string, m in zip(strings, msgs))]
-            for s, string in zip(senders, strings):
-                for k in range(s.copies):
-                    state = tensor(state, _basis_density(
-                        string[k], _copy_label(s.label, k), len(s.probs)))
-            total_success += success(msgs, state.permuted(list(layout.labels)))
+            cond = cond_out[tuple(string[m] for string, m in zip(strings, msgs))]
+            factors = [(cond.layout.registers, cond.matrix)] + [
+                ([(_copy_label(s.label, k), len(s.probs))],
+                 _basis_density(string[k], len(s.probs)))
+                for s, string in zip(senders, strings) for k in range(s.copies)]
+            total_success += success(msgs, place(factors, layout))
         err = max(1.0 - total_success / len(messages), 0.0)
         if err < best_err - 1e-15:
             best_err, best = err, tuple(tuple(string) for string in strings)
@@ -1135,10 +1118,10 @@ class _Sender(NamedTuple):
     conds: list              # state of the other registers given each letter
 
 
-def _basis_density(index: int, label: str, dim: int) -> DensityOp:
-    mat = np.zeros((dim, dim))
+def _basis_density(index: int, dim: int) -> np.ndarray:
+    mat = np.zeros((dim, dim), dtype=complex)
     mat[index, index] = 1.0
-    return DensityOp(mat, SystemLayout([(label, dim)]))
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -52,23 +52,25 @@ def _check_same_space(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
-def _support_projection(sigma_mat: np.ndarray):
+def _support_projection(r: np.ndarray, sigma_mat: np.ndarray):
+    """Eigenvalues and eigenvectors of ``sigma_mat`` on its support; raises
+    SupportError if ``r`` has mass outside that support."""
     w, v = np.linalg.eigh(sigma_mat)
     mask = w > SUPPORT_TOL
-    return w[mask], v[:, mask]
-
-
-def relative_entropy(rho, sigma) -> float:
-    """Umegaki relative entropy Tr(rho log rho) - Tr(rho log sigma), in bits."""
-    r, s = _check_same_space(rho, sigma)
-    ws, vs = _support_projection(s)
-    # Support check: rho must have no mass outside supp(sigma).
-    wr, vr = np.linalg.eigh(r)
+    ws, vs = w[mask], v[:, mask]
     outside = float(np.real(np.trace(r))) - float(
         np.real(np.trace(vs.conj().T @ r @ vs)))
     if outside > SUPPORT_TOL:
         raise SupportError(
             f"supp(rho) not within supp(sigma) (outside mass {outside:.3e})")
+    return ws, vs
+
+
+def relative_entropy(rho, sigma) -> float:
+    """Umegaki relative entropy Tr(rho log rho) - Tr(rho log sigma), in bits."""
+    r, s = _check_same_space(rho, sigma)
+    ws, vs = _support_projection(r, s)
+    wr = np.linalg.eigh(r)[0]
     wr_pos = wr[wr > SUPPORT_TOL]
     h_rho = float(np.sum(wr_pos * np.log2(wr_pos)))
     log_sigma = (vs * np.log2(ws)) @ vs.conj().T
@@ -80,12 +82,7 @@ def dmax(rho, sigma) -> float:
     """Max-relative entropy: log2 of the largest eigenvalue of
     sigma^{-1/2} rho sigma^{-1/2} on supp(sigma)."""
     r, s = _check_same_space(rho, sigma)
-    ws, vs = _support_projection(s)
-    outside = float(np.real(np.trace(r))) - float(
-        np.real(np.trace(vs.conj().T @ r @ vs)))
-    if outside > SUPPORT_TOL:
-        raise SupportError(
-            f"supp(rho) not within supp(sigma) (outside mass {outside:.3e})")
+    ws, vs = _support_projection(r, s)
     inv_sqrt = vs * (1.0 / np.sqrt(ws))
     core = inv_sqrt.conj().T @ r @ inv_sqrt
     top = float(np.linalg.eigvalsh((core + core.conj().T) / 2)[-1])
@@ -304,7 +301,7 @@ def dh_rank1_oracle(rho: DensityOp, sigma, eps: float, *, grid: int = 24,
     d = r.shape[0]
     if d > 3:
         raise ValueError("rank-1 oracle supports dimension <= 3")
-    wr = np.linalg.eigvalsh(r)
+    wr = np.linalg.eigh(r)[0]
     if d > 1 and wr[-2] > 1e-9:
         raise ValueError("rank-1 oracle requires a pure first argument")
     psi = np.linalg.eigh(r)[1][:, -1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "purify",
     "schmidt_decompose",
     "embed",
+    "place",
+    "psd_sqrt",
     "sample",
     "basis_ket",
     "bell_ket",
@@ -110,13 +113,6 @@ class SystemLayout:
 
     def has(self, label: str) -> bool:
         return any(lbl == label for lbl, _ in self.registers)
-
-    def restrict(self, keep: Sequence[str]) -> "SystemLayout":
-        keep_set = set(keep)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise LayoutError(f"unknown registers {sorted(unknown)}")
-        return SystemLayout([(l, d) for l, d in self.registers if l in keep_set])
 
     def concat(self, other: "SystemLayout") -> "SystemLayout":
         overlap = set(self.labels) & set(other.labels)
@@ -306,22 +302,27 @@ def herm_eig(H: HermOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian matrix with its negative eigenvalues
+    clipped to zero."""
     w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def fidelity(rho: DensityOp, sigma: DensityOp) -> float:
-    """Uhlmann fidelity, the trace norm of sqrt(rho)*sqrt(sigma)."""
-    if rho.layout.dims != sigma.layout.dims or rho.layout.labels != sigma.layout.labels:
-        raise LayoutError("fidelity requires identical layouts")
-    prod = _sqrt_psd(rho.matrix) @ _sqrt_psd(sigma.matrix)
+def fidelity(rho: DensityOp | np.ndarray, sigma: DensityOp | np.ndarray) -> float:
+    """Uhlmann fidelity, the trace norm of sqrt(rho)*sqrt(sigma), of two
+    states on one layout or of two PSD matrices."""
+    if isinstance(rho, DensityOp) and isinstance(sigma, DensityOp):
+        if rho.layout != sigma.layout:
+            raise LayoutError("fidelity requires identical layouts")
+        rho, sigma = rho.matrix, sigma.matrix
+    prod = psd_sqrt(rho) @ psd_sqrt(sigma)
     val = float(np.sum(np.linalg.svd(prod, compute_uv=False)))
     return min(max(val, 0.0), 1.0)
 
 
-def purified_distance(rho: DensityOp, sigma: DensityOp) -> float:
+def purified_distance(rho: DensityOp | np.ndarray,
+                      sigma: DensityOp | np.ndarray) -> float:
     """sqrt(1 - F^2); a metric on density operators."""
     f = fidelity(rho, sigma)
     return float(np.sqrt(max(0.0, 1.0 - f * f)))
@@ -364,27 +365,45 @@ def schmidt_decompose(psi: Ket, cut: Iterable[str]):
     return s, u, vh.conj().T
 
 
+def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
+          target) -> np.ndarray:
+    """Kronecker product of ``(registers, matrix)`` factors on ``target``.
+
+    ``registers`` lists the (label, dim) pairs a factor's matrix acts on.  The
+    factors are multiplied in the order given, times the identity on the
+    registers of ``target`` that no factor names, and the result's axes are
+    put in ``target``'s register order.  The result is a plain array: it is
+    as Hermitian or positive as its factors, so nothing is checked again.
+    """
+    target = as_layout(target)
+    named = [reg for registers, _ in factors for reg in registers]
+    for lbl, d in named:
+        if not target.has(lbl):
+            raise LayoutError(f"target layout lacks register {lbl!r}")
+        if target.dim_of(lbl) != d:
+            raise LayoutError(
+                f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
+    mats = [np.asarray(mat) for _, mat in factors]
+    for (registers, _), mat in zip(factors, mats):
+        size = int(np.prod([d for _, d in registers], dtype=np.int64))
+        if mat.shape != (size, size):
+            raise LayoutError(f"matrix shape {mat.shape} != ({size}, {size})")
+    rest = [reg for reg in target.registers if reg not in named]
+    if rest:
+        mats.append(np.eye(SystemLayout(rest).dim))
+    # Raises on a register that two factors name.
+    interim = SystemLayout(named + rest)
+    perm, _ = _reordered(interim, target.labels)
+    return _permute_matrix(reduce(np.kron, mats), interim.dims, perm)
+
+
 def embed(op: HermOp, target: SystemLayout) -> HermOp:
     """Extend ``op`` by identity onto the registers of ``target``.
 
     The result acts like ``op`` on the shared registers (in whatever order the
     target lists them) and as the identity elsewhere.
     """
-    target = as_layout(target)
-    for lbl, d in op.layout.registers:
-        if not target.has(lbl):
-            raise LayoutError(f"target layout lacks register {lbl!r}")
-        if target.dim_of(lbl) != d:
-            raise LayoutError(
-                f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
-    missing = [(l, d) for l, d in target.registers if not op.layout.has(l)]
-    d_missing = int(np.prod([d for _, d in missing], dtype=np.int64)) if missing else 1
-    big = np.kron(op.matrix, np.eye(d_missing))
-    interim = list(op.layout.registers) + missing
-    interim_labels = [l for l, _ in interim]
-    perm = [interim_labels.index(l) for l in target.labels]
-    mat = _permute_matrix(big, [d for _, d in interim], perm)
-    return HermOp(mat, target)
+    return HermOp(place([(op.layout.registers, op.matrix)], target), target)
 
 
 def basis_ket(index: int, layout) -> Ket:

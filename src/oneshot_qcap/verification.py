@@ -21,6 +21,7 @@ from .linalg import (
     HermOp,
     SystemLayout,
     fidelity,
+    psd_sqrt,
     purified_distance,
     sample,
 )
@@ -101,11 +102,8 @@ def check_gentle_operator(seed: int, dim: int) -> dict:
 def check_gentle_povm(seed: int, dim: int) -> dict:
     rho = _pure_density(seed, dim)
     povm = sample("povm", dim, seed + 1, outcomes=3)
-    roots = []
-    for el in povm:
-        w, v = np.linalg.eigh(el.matrix)
-        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
-    rep = gentle_checks("povm_ensemble", state=rho, povm=roots)
+    rep = gentle_checks("povm_ensemble", state=rho,
+                        povm=[psd_sqrt(el.matrix) for el in povm])
     rep["margin"] = rep["sum_sq"] - rep["sum_sq_squared"]
     rep["holds"] = bool(rep["holds"]) and (rep["equality_holds"] is not False)
     return rep

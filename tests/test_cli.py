@@ -212,6 +212,15 @@ def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_channel_with_state_needs_tau(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    for name in ("gp_ea", "gp_ua"):
+        argv = specs[name]
+        at = argv.index("--tau")
+        assert run(["simulate", name] + argv[:at] + argv[at + 2:]) == 1
+        assert "--tau" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -325,6 +325,119 @@ def test_derandomize_rejects_broadcast():
 
 
 # ---------------------------------------------------------------------------
+# assembled n-copy operators
+
+
+def test_simulator_builds_no_density_op_per_message(monkeypatch, bell):
+    ch = depolarizing(0.1, 2, "A", "B")
+    counts = []
+    real = DensityOp.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[-1] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityOp, "__init__", counted)
+    for rate in (1, 2):
+        counts.append(0)
+        simulate_p2p_ea(ch, bell, rate=rate, eps=0.1, delta=0.05)
+    assert counts[0] == counts[1]
+
+
+def noisy_xor_mac_channel(p):
+    """The XOR multiple-access channel followed by a bit flip with
+    probability p."""
+    xor = xor_mac_channel()
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kraus = ([math.sqrt(1 - p) * k for k in xor.kraus]
+             + [math.sqrt(p) * flip @ k for k in xor.kraus])
+    return KrausChannel(kraus, xor.in_layout, xor.out_layout)
+
+
+# Recorded before the message states and position tests were assembled as
+# plain arrays (each step of the assembly then built a validated state).
+P2P_SUCCESS = [0.6798675049267736, 0.6798675049267734, 0.6798675049267732,
+               0.6798675049267733]
+P2P_DIST = [
+    [0.6798675049267736, 0.10046083169107485, 0.10046083169107484,
+     0.10046083169107492, 0.01874999999999983],
+    [0.10046083169107482, 0.6798675049267734, 0.10046083169107486,
+     0.10046083169107489, 0.01874999999999994],
+    [0.10046083169107481, 0.10046083169107486, 0.6798675049267732,
+     0.1004608316910749, 0.018749999999999982],
+    [0.10046083169107492, 0.10046083169107488, 0.10046083169107492,
+     0.6798675049267733, 0.01874999999999976],
+]
+MAC_SUCCESS = {
+    "sequential": [0.00047636738519610716, 0.006635959179422609,
+                   0.0006399999999999928, 3.999999999999939e-05],
+    "pgm_a_first": [0.24930555555555525, 0.24930555555555525,
+                    0.24930555555555522, 0.24930555555555522],
+}
+MAC_DIST = {
+    "sequential": [
+        [0.8343736728105113, 0.02312526543789755, 0.09250106175159056,
+         0.004799999999999952, 3.999999999999939e-05, 0.00015999999999999814,
+         0.005420204102886678, 0.007915959179422595, 0.0316638367176905],
+        [0.8462928563989642, 0.018357592002516375, 0.08534955159851874,
+         0.003999999999999962, 0.0003599999999999941, 0.0006399999999999928,
+         0.007101020514433586, 0.007243632614803835, 0.030655346870762358],
+        [0.8060585712797927, 0.028788285744041235, 0.11515314297616537,
+         0.0031999999999999733, 0.00035999999999999417, 0.0014399999999999823,
+         0.01182020410288663, 0.006635959179422609, 0.02654383671769054],
+        [0.8462928563989642, 0.012694571696372694, 0.09101257190466244,
+         0.003999999999999963, 3.999999999999939e-05, 0.0009599999999999877,
+         0.0071010205144335856, 0.008523632614803822, 0.02937534687076237],
+    ],
+    "pgm_a_first": [
+        [0.24930555555555525, 0.25069444444444416, 1.1102230246251565e-16,
+         0.25069444444444416, 0.24930555555555528, 1.1102230246251565e-16,
+         6.800116025829076e-17, 7.077671781985363e-17, 4.930380657631324e-32],
+        [0.25069444444444416, 0.24930555555555525, 1.1102230246251565e-16,
+         0.24930555555555528, 0.25069444444444416, 1.1102230246251565e-16,
+         7.077671781985363e-17, 6.800116025829076e-17, 4.930380657631324e-32],
+        [0.25069444444444416, 0.24930555555555525, 1.1102230246251565e-16,
+         0.24930555555555522, 0.25069444444444416, 1.1102230246251565e-16,
+         6.800116025829076e-17, 7.077671781985363e-17, 4.930380657631324e-32],
+        [0.24930555555555525, 0.25069444444444416, 1.1102230246251565e-16,
+         0.25069444444444416, 0.24930555555555522, 1.6653345369377348e-16,
+         7.077671781985363e-17, 6.800116025829076e-17, 4.930380657631324e-32],
+    ],
+}
+
+
+def test_simulator_values_are_unchanged():
+    rep = simulate_p2p_ea(depolarizing(0.1, 2, "A", "B"), bell_density("A", "R"),
+                          rate=2, eps=0.1, delta=0.05)
+    assert rep.per_message_success == pytest.approx(P2P_SUCCESS, abs=1e-12)
+    assert np.allclose(rep.details["outcome_dist"], P2P_DIST, rtol=0, atol=1e-12)
+    for strategy in ("sequential", "pgm_a_first"):
+        rep = simulate_mac_ea(noisy_xor_mac_channel(0.1), bell_density("A", "RA"),
+                              classically_correlated("B", "RB"), rates=(1, 1),
+                              epsilons=(0.05, 0.1), delta=0.02, strategy=strategy)
+        assert rep.per_message_success == pytest.approx(MAC_SUCCESS[strategy],
+                                                        abs=1e-12)
+        assert np.allclose(rep.details["outcome_dist"], MAC_DIST[strategy],
+                           rtol=0, atol=1e-12)
+
+
+def test_derandomized_values_are_unchanged():
+    code = derandomize("p2p", depolarizing(0.2, 2, "A", "B"),
+                       classically_correlated("A", "U"), 2, 0.1, 0.6)
+    assert (code.strings, code.strings_b, code.exhaustive) == (
+        (0, 0, 0, 1), None, True)
+    assert code.error == pytest.approx(0.5500000000000007, abs=1e-12)
+    assert code.randomized_error == pytest.approx(0.5781250000000008, abs=1e-12)
+    code = derandomize("mac", noisy_xor_mac_channel(0.1),
+                       classically_correlated("A", "UA"), (1, 1), (0.1, 0.1),
+                       0.3, psi_b=classically_correlated("B", "UB"))
+    assert (code.strings, code.strings_b, code.exhaustive) == (
+        (0, 1), (0, 1), True)
+    assert code.error == pytest.approx(0.9768, abs=1e-12)
+    assert code.randomized_error == pytest.approx(0.9966, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # accounting cross-checks
 
 

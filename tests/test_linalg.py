@@ -15,6 +15,7 @@ from oneshot_qcap.linalg import (
     max_entangled_ket,
     maximally_mixed,
     partial_trace,
+    place,
     purified_distance,
     purify,
     sample,
@@ -100,6 +101,9 @@ def test_fidelity_pure_vs_mixed_closed_form():
     sigma = DensityOp(np.diag([0.75, 0.25]), rho.layout)
     # F(|0><0|, sigma) = sqrt(<0|sigma|0>)
     assert fidelity(rho, sigma) == pytest.approx(np.sqrt(0.75), abs=1e-12)
+    assert fidelity(rho.matrix, sigma.matrix) == fidelity(rho, sigma)
+    with pytest.raises(LayoutError):
+        fidelity(rho, DensityOp(sigma.matrix, [("B", 2)]))
 
 
 def test_purify_reduces_back():
@@ -129,6 +133,36 @@ def test_embed_acts_as_identity_elsewhere():
     big = embed(op, lay_big)
     assert np.allclose(big.matrix, np.kron(np.diag([1.0, 0.0]), np.eye(3)),
                        atol=1e-14)
+
+
+def test_place_matches_tensor_and_embed_bit_for_bit():
+    a = sample("density", [2, 3], 1, labels=["A", "B"])
+    b = sample("density", 2, 2, labels=["C"])
+    c = sample("density", 3, 3, labels=["D"])
+    factors = [(x.layout.registers, x.matrix) for x in (a, b, c)]
+    reference = tensor(tensor(a, b), c).permuted(["C", "A", "D", "B"])
+    assert np.array_equal(place(factors, reference.layout), reference.matrix)
+
+    target = SystemLayout([("E", 2), ("B", 3), ("A", 2)])
+    op = HermOp(a.matrix, a.layout)
+    reference = tensor(op, HermOp(np.eye(2), [("E", 2)])).permuted(target.labels)
+    placed = place([(a.layout.registers, a.matrix)], target)
+    assert np.array_equal(placed, reference.matrix)
+    assert np.array_equal(placed, embed(op, target).matrix)
+
+
+def test_place_rejects_what_does_not_fit():
+    target = SystemLayout([("A", 2), ("B", 3)])
+    with pytest.raises(LayoutError, match="lacks register"):
+        place([([("X", 2)], np.eye(2))], target)
+    with pytest.raises(LayoutError, match="target dim"):
+        place([([("B", 2)], np.eye(2))], target)
+    with pytest.raises(LayoutError, match="matrix shape"):
+        place([([("A", 2)], np.eye(3))], target)
+    with pytest.raises(LayoutError, match="duplicate"):
+        place([([("A", 2)], np.eye(2)), ([("A", 2)], np.eye(2))], target)
+    with pytest.raises(LayoutError, match="lacks register"):
+        embed(HermOp(np.eye(2), [("X", 2)]), target)
 
 
 def test_sample_is_seed_deterministic():
