@@ -30,6 +30,8 @@ from .linalg import (
     HermOp,
     SystemLayout,
     fidelity,
+    local_product,
+    local_trace,
     partial_trace,
     place,
     psd_sqrt,
@@ -723,95 +725,139 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
 class _MacCode:
     layout: SystemLayout           # receiver layout: outs+sides+copies
     states: dict                   # (m1, m2) -> state on layout
+    chain_layout: SystemLayout | None  # sequential decoder: layout + pointer
     dhs: tuple[DivergenceResult, DivergenceResult]
-    tests: tuple[list, list]       # per sender, its position tests on layout
+    witnesses: tuple[HermOp, HermOp]  # per sender, its test on one copy
+    resources: tuple[str, str]
     n1: int
     n2: int
     type1: tuple[float, float]     # per sender, type-I error of its test
     type2: tuple[float, float]
 
 
-def _mac_code(receivers, rates) -> _MacCode:
+def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
+    """The receiver's message states and both senders' tests.  The
+    sequential decoder's layout adds its pointer qubit after the receiver's
+    registers; :func:`_with_pointer` puts a message state on it."""
     omega = receivers[0].state
     n1, n2 = 2 ** rates[0], 2 ** rates[1]
     senders = [(r.resource, r.marginal, n) for r, n in zip(receivers, (n1, n2))]
     layout = _copies_layout(omega.layout, [(res, n) for res, _, n in senders])
+    chain_layout = None
+    if sequential:
+        # Longer than every register label, so it clashes with none; the
+        # layout checks the dimension cap before any state is allocated.
+        pointer = "J" + "#" * max(len(l) for l in layout.labels)
+        chain_layout = SystemLayout(layout.registers + ((pointer, 2),))
     states = {msgs: _message_state(omega, senders, msgs, layout)
               for msgs in itertools.product(range(n1), range(n2))}
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
-    tests = tuple(_copy_tests(HermOp(dh.witness.operator, r.joint.layout),
-                                  r.resource, n, layout)
-                  for dh, r, (_, _, n) in zip(dhs, receivers, senders))
-    return _MacCode(layout, states, dhs, tests, n1, n2,
+    return _MacCode(layout, states, chain_layout, dhs,
+                    tuple(HermOp(dh.witness.operator, r.joint.layout)
+                          for dh, r in zip(dhs, receivers)),
+                    tuple(r.resource for r in receivers), n1, n2,
                     tuple(1.0 - dh.witness.type1 for dh in dhs),
                     tuple(dh.witness.type2 for dh in dhs))
 
 
-def _with_pointer(mat: np.ndarray) -> np.ndarray:
-    """``mat`` tensored with the pointer qubit's |0><0|."""
-    d = mat.shape[0]
-    init = np.zeros((2 * d, 2 * d), dtype=complex)
-    init.reshape(d, 2, d, 2)[:, 0, :, 0] = mat
-    return init
+def _with_pointer(state: np.ndarray) -> np.ndarray:
+    """A message state on the sequential decoder's layout: times the pointer
+    qubit's initial state |0><0|, its last register."""
+    return np.kron(state, _basis_density(0, 2))
 
 
-def _chain_success(projectors, rho0: np.ndarray, messages) -> float:
+def _neumark_tests(code: _MacCode) -> tuple[list, list]:
+    """Per sender, one :func:`place` factor per copy of its resource: the
+    Neumark projector of its test, on the decoder registers, that copy and
+    the pointer qubit."""
+    pointer = code.chain_layout.registers[-1]
+    tests = []
+    for w, res, n in zip(code.witnesses, code.resources, (code.n1, code.n2)):
+        proj = binary_test_projector(w)
+        tests.append([(_on_copies(w.layout, {res: k}) + [pointer], proj)
+                      for k in range(n)])
+    return tuple(tests)
+
+
+def _split(layout: SystemLayout, test, b: np.ndarray):
+    """P b P and (I - P) b (I - P) for Hermitian ``b`` and the projector
+    factor ``test``, from two local products: with Pb = P b, P b P =
+    P (Pb)^H and (I - P) b (I - P) = b - Pb - (Pb)^H + P b P."""
+    pb = local_product(test, layout, b)
+    pbp = local_product(test, layout, pb.conj().T)
+    return pbp, b - pb - pb.conj().T + pbp
+
+
+def _yes_mass(layout: SystemLayout, test, b: np.ndarray) -> float:
+    """Tr(P b) for the projector factor ``test``."""
+    return float(np.real(local_trace(test, layout, b)))
+
+
+def _position_chain(layout: SystemLayout, tests, rho0: np.ndarray,
+                    messages) -> float:
     """Exact success of the stated chain: "no" outcomes everywhere except a
     "yes" at the true position, first across A copies then B copies."""
-    eye = np.eye(rho0.shape[0])
     cur = rho0
-    for proj, m in zip(projectors, messages):
-        for k, p in enumerate(proj):
-            op = p if k == m else eye - p
-            cur = op @ cur @ op
+    for sender, m in zip(tests, messages):
+        for k, test in enumerate(sender):
+            yes, no = _split(layout, test, cur)
+            cur = yes if k == m else no
     return float(np.real(np.trace(cur)))
 
 
-def _first_yes(projectors, eye: np.ndarray, state: np.ndarray) -> list:
-    """Branches of ``state`` by the first test answering "yes" (last branch:
-    none did), with every test performed; decided branches continue
-    non-selectively."""
-    pending, branches = state, []
-    for p in projectors:
-        pbar = eye - p
-        branches = [p @ b @ p + pbar @ b @ pbar for b in branches]
-        branches.append(p @ pending @ p)
-        pending = pbar @ pending @ pbar
-    return branches + [pending]
+def _decision_row(layout: SystemLayout, tests, rho0: np.ndarray) -> np.ndarray:
+    """Outcome distribution of the full decoder, (A outcome, B outcome) in
+    row-major order: the first "yes" among a sender's tests wins (last
+    outcome: none did), A's tests first, then B's, with every test
+    performed."""
+    tests_a, tests_b = tests
+    # A's decided branches go on through A's later tests non-selectively:
+    # B's tests, which follow, act on registers those tests touch.
+    pending, branches = rho0, []
+    for test in tests_a:
+        branches = [sum(_split(layout, test, b)) for b in branches]
+        yes, pending = _split(layout, test, pending)
+        branches.append(yes)
+    branches.append(pending)
+    # Nothing acts after B's tests, and they are trace preserving together,
+    # so a decided B branch keeps its mass: it is traced, not evolved.
+    row = np.zeros((len(branches), len(tests_b) + 1))
+    for oa, b in enumerate(branches):
+        for ob, test in enumerate(tests_b[:-1]):
+            yes, b = _split(layout, test, b)
+            row[oa, ob] = np.real(np.trace(yes))
+        row[oa, -2] = _yes_mass(layout, tests_b[-1], b)
+        row[oa, -1] = np.real(np.trace(b)) - row[oa, -2]
+    return np.maximum(row, 0.0).reshape(-1)
 
 
 def _mac_sequential(code: _MacCode):
-    """Sequential binary tests, dilated to projectors with a shared J qubit.
+    """Sequential binary tests, dilated to projectors with a shared J qubit
+    and applied on the registers they act on.
 
-    Returns the chain successes, the Hayashi-Nagaoka-type bound, the report
-    details and the projectors (A's, then B's)."""
-    proj = [[binary_test_projector(t) for t in tests] for tests in code.tests]
-    eye = np.eye(2 * code.layout.dim)
+    Returns the chain successes, the Hayashi-Nagaoka-type bound and the
+    report details."""
+    tests = _neumark_tests(code)
     n1, n2 = code.n1, code.n2
     chain_succ = np.zeros((n1, n2))
     seq_rhs = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for (m1, m2), st in code.states.items():
-        rho0 = _with_pointer(st)
-        chain_succ[m1, m2] = _chain_success(proj, rho0, (m1, m2))
-        total_bad = 0.0
-        for tests, m in zip(proj, (m1, m2)):
-            for k, p in enumerate(tests):
-                bad = p if k != m else eye - p
-                total_bad += float(np.real(np.einsum("ij,ji->", bad, rho0)))
+    layout = code.chain_layout
+    for (m1, m2), state in code.states.items():
+        rho0 = _with_pointer(state)
+        chain_succ[m1, m2] = _position_chain(layout, tests, rho0, (m1, m2))
+        total_bad, norm = 0.0, float(np.real(np.trace(rho0)))
+        for sender, m in zip(tests, (m1, m2)):
+            for k, test in enumerate(sender):
+                yes = _yes_mass(layout, test, rho0)
+                total_bad += yes if k != m else norm - yes
         seq_rhs[m1, m2] = 1.0 - 4.0 * total_bad
-        # Output distribution of the full decoder: first "yes" wins, A's
-        # tests first, then B's.
-        for oa, branch_a in enumerate(_first_yes(proj[0], eye, rho0)):
-            for ob, branch in enumerate(_first_yes(proj[1], eye, branch_a)):
-                dist[m1 * n2 + m2, oa * (n2 + 1) + ob] = max(
-                    float(np.real(np.trace(branch))), 0.0)
+        dist[m1 * n2 + m2] = _decision_row(layout, tests, rho0)
 
     hn = 4.0 * (code.type1[0] + code.type1[1]
                 + (n1 - 1) * code.type2[0]
                 + (n2 - 1) * code.type2[1])
-    return (chain_succ.reshape(-1), hn,
-            {"outcome_dist": dist, "seq_rhs": seq_rhs}, proj)
+    return chain_succ.reshape(-1), hn, {"outcome_dist": dist, "seq_rhs": seq_rhs}
 
 
 def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
@@ -825,8 +871,10 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     n_first, n_second = n[i_first], n[i_second]
     c_first, c_second = (_hn_constant(epsilons[i], delta, c) for i in order)
 
-    povm_first, comp_first = _pgm(code.tests[i_first])
-    povm_second, _ = _pgm(code.tests[i_second])
+    tests = [_copy_tests(w, res, k, code.layout)
+             for w, res, k in zip(code.witnesses, code.resources, n)]
+    povm_first, comp_first = _pgm(tests[i_first])
+    povm_second, _ = _pgm(tests[i_second])
     kraus_first = [psd_sqrt(p) for p in povm_first] + [psd_sqrt(_clip_psd(comp_first))]
 
     n1, n2 = code.n1, code.n2
@@ -874,14 +922,14 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     correct)."""
     # The penalty rejects an unknown strategy before any decoding work.
     penalties = [spec.penalty(e, delta, strategy) for e in eps]
-    code = _mac_code(receivers, rates)
+    code = _mac_code(receivers, rates, strategy == "sequential")
     dh_values = [dh.value for dh in code.dhs]
     feasible = all(_rate_feasible(rate, dh, pen)
                    for rate, dh, pen in zip(rates, dh_values, penalties))
     bounds = spec.bound(eps, delta, strategy=strategy)
     cols = [m1 * (code.n2 + 1) + m2 for m1 in range(code.n1) for m2 in range(code.n2)]
     if strategy == "sequential":
-        successes, hn, details, _ = _mac_sequential(code)
+        successes, hn, details = _mac_sequential(code)
         analytic = bounds[0]
     else:
         successes, hn, details = _mac_pgm(code, eps, delta, c,
@@ -1051,12 +1099,14 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
 
     # The decoder of the randomized protocol, evaluated on fixed strings.
     if spec.decode is _decode_mac:
-        code = _mac_code(receivers, rates)
-        randomized, _, _, projectors = _mac_sequential(code)
+        code = _mac_code(receivers, rates, sequential=True)
+        tests = _neumark_tests(code)
         layout = code.layout
 
         def success(messages, state: np.ndarray) -> float:
-            return _chain_success(projectors, _with_pointer(state), messages)
+            return _position_chain(code.chain_layout, tests,
+                                   _with_pointer(state), messages)
+        randomized = [success(msgs, st) for msgs, st in code.states.items()]
     else:
         run = _run_position_code(receivers[0], rates[0])
         randomized, layout = run.successes, run.code.layout
@@ -1150,11 +1200,14 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     # sits at column i, making the correlation structure literal.
     perm = list(correct_cols) + [j for j in range(n_out) if j not in set(correct_cols)]
     p = dist[:, perm] / n
-    phi = np.diag(p.reshape(-1))
+    # Both operands are direct sums over the message m: phi's block m is
+    # diag(p[m]), that of I/n (x) sigma is sigma/n.
+    phi = np.zeros((n, n_out, n_out))
+    phi[:, range(n_out), range(n_out)] = p
     values = []
     for i in range(sigmas):
         sigma = sample("density", n_out, seed=seed + i)
-        alt = np.kron(np.eye(n) / n, sigma.matrix)
+        alt = np.broadcast_to(sigma.matrix / n, (n, n_out, n_out))
         res = dh_eps(phi, alt, eps)
         values.append(math.inf if res.unbounded else res.value)
     floor = min(values)

@@ -52,18 +52,32 @@ def _check_same_space(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
+def _supports(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per matrix of the (k, d, d) stack ``sigmas``, its eigenvalues and
+    eigenvectors on its support, from one stacked eigendecomposition."""
+    w, v = np.linalg.eigh(sigmas)
+    return [(wb[mask], vb[:, mask]) for wb, vb, mask in zip(w, v, w > SUPPORT_TOL)]
+
+
 def _support_projection(r: np.ndarray, sigma_mat: np.ndarray):
-    """Eigenvalues and eigenvectors of ``sigma_mat`` on its support; raises
-    SupportError if ``r`` has mass outside that support."""
-    w, v = np.linalg.eigh(sigma_mat)
-    mask = w > SUPPORT_TOL
-    ws, vs = w[mask], v[:, mask]
+    """:func:`_supports` of ``sigma_mat``; raises SupportError if ``r`` has
+    mass outside that support."""
+    ((ws, vs),) = _supports(sigma_mat[None])
     outside = float(np.real(np.trace(r))) - float(
         np.real(np.trace(vs.conj().T @ r @ vs)))
     if outside > SUPPORT_TOL:
         raise SupportError(
             f"supp(rho) not within supp(sigma) (outside mass {outside:.3e})")
     return ws, vs
+
+
+def _dmax_on_support(r: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
+    """D_max(Pi r Pi || sigma), Pi the projector onto supp(sigma), from
+    sigma's eigenvalues ``ws`` and eigenvectors ``vs`` on its support."""
+    inv_sqrt = vs * (1.0 / np.sqrt(ws))
+    core = inv_sqrt.conj().T @ r @ inv_sqrt
+    top = float(np.linalg.eigvalsh((core + core.conj().T) / 2)[-1]) if ws.size else 0.0
+    return math.log2(max(top, TYPE2_FLOOR))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -82,18 +96,14 @@ def dmax(rho, sigma) -> float:
     """Max-relative entropy: log2 of the largest eigenvalue of
     sigma^{-1/2} rho sigma^{-1/2} on supp(sigma)."""
     r, s = _check_same_space(rho, sigma)
-    ws, vs = _support_projection(r, s)
-    inv_sqrt = vs * (1.0 / np.sqrt(ws))
-    core = inv_sqrt.conj().T @ r @ inv_sqrt
-    top = float(np.linalg.eigvalsh((core + core.conj().T) / 2)[-1])
-    return math.log2(max(top, TYPE2_FLOOR))
+    return _dmax_on_support(r, *_support_projection(r, s))
 
 
 @dataclass(frozen=True)
 class HypothesisTest:
     """A feasible test operator with its recorded error probabilities."""
 
-    operator: np.ndarray
+    operator: np.ndarray  # for a direct sum, the (k, d, d) stack of its blocks
     type1: float  # Tr(Lambda rho)
     type2: float  # Tr(Lambda sigma)
 
@@ -122,21 +132,40 @@ def _boundary_tol(scale: float) -> float:
     return BOUNDARY_REL_TOL * max(scale, 1e-300)
 
 
-def _threshold_split(delta_mat: np.ndarray, scale: float):
+def _blocks(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two operands of one shape as (k, d, d) stacks of the diagonal blocks
+    of a direct sum; a matrix is the one-block case."""
+    if r.ndim == 2 and r.shape[0] == r.shape[1]:
+        return r[None], s[None]
+    if r.ndim == 3 and r.shape[1] == r.shape[2]:
+        return r, s
+    raise LayoutError(f"expected a square matrix or a stack of them, got {r.shape}")
+
+
+def _mass(ops, mats) -> float:
+    """Sum over blocks of Tr(op mat)."""
+    return sum(float((op @ mat).trace().real) for op, mat in zip(ops, mats))
+
+
+def _projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
+    """Per block, the projector onto the eigenvectors (columns of ``v``)
+    that ``masks`` selects."""
+    cols = [vb[:, mask] for vb, mask in zip(v, masks)]
+    return [c @ c.conj().T for c in cols]
+
+
+def _threshold_split(delta: np.ndarray, scale: float):
     """Eigen-split of rho - t*sigma into strictly-positive and boundary parts.
 
-    ``scale`` anchors the boundary tolerance.  It is taken from the operands
-    rho and t*sigma rather than from the difference itself, so that near a
-    degenerate crossing (rho close to t*sigma) the whole collapsing subspace
-    is still recognized as boundary.  Also returns the eigenvalues.
+    ``delta`` is a stack of blocks; the projectors come per block, the
+    eigenvalues as a stack.  ``scale`` anchors the boundary tolerance.  It is
+    taken from the operands rho and t*sigma rather than from the difference
+    itself, so that near a degenerate crossing (rho close to t*sigma) the
+    whole collapsing subspace is still recognized as boundary.
     """
-    w, v = np.linalg.eigh(delta_mat)
+    w, v = np.linalg.eigh(delta)
     tol = _boundary_tol(scale)
-    pos = v[:, w > tol]
-    bnd = v[:, np.abs(w) <= tol]
-    p_pos = pos @ pos.conj().T
-    p_bnd = bnd @ bnd.conj().T
-    return p_pos, p_bnd, w
+    return _projectors(v, w > tol), _projectors(v, np.abs(w) <= tol), w
 
 
 def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
@@ -150,39 +179,51 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     end).  Weight placement inside the boundary subspace is irrelevant to the
     optimum since there Tr(L rho) = t* Tr(L sigma) for any 0 <= L <= P_{=}.
 
-    The bisection stops once its midpoint rounds to an endpoint, i.e. once
-    the bracket can no longer shrink in floating point; ``BISECT_ITERS`` is
-    only a cap.  From there on every step would evaluate the deterministic
-    predicate at a float it has already evaluated and give an endpoint its
-    own value, so t* = hi_t is the one the full ``BISECT_ITERS`` steps reach.
-    (Two endpoints are never evaluated: the starting lo_t = 0.0, which the
-    midpoint cannot reach within the cap because hi_t starts above 2^-46,
-    and hi_t when the bracket search gave up, where the skipped step could
-    only have moved lo_t.)
+    ``rho`` and ``sigma`` may also be direct sums, given as (k, d, d) stacks
+    of their diagonal blocks.  The blocks share the threshold t and lambda:
+    each bisection step is one stacked eigendecomposition, the masses and
+    the positive part of the dual sum over blocks, and the witness comes back
+    as the stack of its blocks.  A matrix is the one-block case, computed
+    with the same arithmetic.
+
+    The bracket starts at 2^(D_max(Pi rho Pi || sigma) + 1), Pi the
+    projector onto supp(sigma), the largest over blocks; when supp(rho) lies
+    in supp(sigma) that is D_max(rho || sigma) + 1, where the type-I mass
+    above t is already 0.  The bisection stops once its midpoint rounds to
+    an endpoint, i.e. once the bracket can no longer shrink in floating
+    point; ``BISECT_ITERS`` is only a cap.  From there on every step would
+    evaluate the deterministic predicate at a float it has already evaluated
+    and give an endpoint its own value, so t* = hi_t is the one the full
+    ``BISECT_ITERS`` steps reach.  (Two endpoints are never evaluated: the
+    starting lo_t = 0.0, which the midpoint cannot reach within the cap
+    because hi_t starts above 2^-46, and hi_t when the bracket search gave
+    up, where the skipped step could only have moved lo_t.)
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     r, s = _check_same_space(rho, sigma)
+    stacked = r.ndim == 3
+    r, s = _blocks(r, s)
+
+    def result(lam: list[np.ndarray]) -> np.ndarray:
+        return np.stack(lam) if stacked else lam[0]
 
     if eps <= 1e-12:
         # Exact-constraint edge case: the minimal feasible test is the
         # projector onto supp(rho).
         wr, vr = np.linalg.eigh(r)
-        supp = vr[:, wr > SUPPORT_TOL]
-        lam = supp @ supp.conj().T
-        t1 = float(np.real(np.trace(lam @ r)))
-        t2 = float(np.real(np.trace(lam @ s)))
-        witness = HypothesisTest(operator=lam, type1=t1, type2=max(t2, 0.0))
+        lam = _projectors(vr, wr > SUPPORT_TOL)
+        t1 = _mass(lam, r)
+        t2 = _mass(lam, s)
+        witness = HypothesisTest(operator=result(lam), type1=t1, type2=max(t2, 0.0))
         if t2 <= TYPE2_FLOOR:
             return DivergenceResult(math.inf, witness, math.inf, unbounded=True)
         val = -math.log2(t2)
         return DivergenceResult(val, witness, val)
 
     target = 1.0 - eps
-    try:
-        hi = 2.0 ** (dmax(r, s) + 1.0)
-    except SupportError:
-        hi = 2.0 ** 60
+    hi = 2.0 ** (max(_dmax_on_support(rb, ws, vs)
+                     for rb, (ws, vs) in zip(r, _supports(s))) + 1.0)
 
     r_scale = float(np.max(np.abs(r)))
     s_scale = float(np.max(np.abs(s)))
@@ -190,14 +231,13 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     def op_scale(t: float) -> float:
         return max(r_scale, t * s_scale)
 
-    def positive_projector(t: float) -> np.ndarray:
+    def positive_projectors(t: float) -> list[np.ndarray]:
         # P_> of _threshold_split alone; the bisection reads nothing else.
         w, v = np.linalg.eigh(r - t * s)
-        pos = v[:, w > _boundary_tol(op_scale(t))]
-        return pos @ pos.conj().T
+        return _projectors(v, w > _boundary_tol(op_scale(t)))
 
     def type1_above(t: float) -> float:
-        return float(np.real(np.trace(positive_projector(t) @ r)))
+        return _mass(positive_projectors(t), r)
 
     lo_t = 0.0
     hi_t = hi
@@ -216,30 +256,29 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         else:
             hi_t = mid
     t_star = hi_t
-    delta = r - t_star * s
-    p_pos, p_bnd, w_delta = _threshold_split(delta, op_scale(t_star))
-    mass_pos = float(np.real(np.trace(p_pos @ r)))
-    mass_bnd = float(np.real(np.trace(p_bnd @ r)))
+    p_pos, p_bnd, w_delta = _threshold_split(r - t_star * s, op_scale(t_star))
+    mass_pos = _mass(p_pos, r)
+    mass_bnd = _mass(p_bnd, r)
     if mass_bnd > 1e-15:
         lam_weight = (target - mass_pos) / mass_bnd
     else:
         lam_weight = 0.0
     lam_weight = min(max(lam_weight, 0.0), 1.0)
-    lam = p_pos + lam_weight * p_bnd
-    t1 = float(np.real(np.trace(lam @ r)))
+    lam = [pp + lam_weight * pb for pp, pb in zip(p_pos, p_bnd)]
+    t1 = _mass(lam, r)
     if target - t1 > TYPE1_SLACK:
         # Where rho is close to t*sigma, the eigenvectors of rho - t*sigma
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        p_lo = positive_projector(lo_t)
-        m_lo = float(np.real(np.trace(p_lo @ r)))
+        p_lo = positive_projectors(lo_t)
+        m_lo = _mass(p_lo, r)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)
-            lam = (1.0 - mix) * lam + mix * p_lo
-            t1 = float(np.real(np.trace(lam @ r)))
-    t2 = float(np.real(np.trace(lam @ s)))
-    witness = HypothesisTest(operator=lam, type1=t1, type2=max(t2, 0.0))
+            lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]
+            t1 = _mass(lam, r)
+    t2 = _mass(lam, s)
+    witness = HypothesisTest(operator=result(lam), type1=t1, type2=max(t2, 0.0))
 
     # Weak duality: Tr(L sigma) >= (1 - eps - Tr[(rho - t sigma)_+]) / t for
     # every feasible L, so -log2 of that ratio upper-bounds the optimum.  The

@@ -33,6 +33,8 @@ __all__ = [
     "schmidt_decompose",
     "embed",
     "place",
+    "local_product",
+    "local_trace",
     "psd_sqrt",
     "sample",
     "basis_ket",
@@ -365,6 +367,23 @@ def schmidt_decompose(psi: Ket, cut: Iterable[str]):
     return s, u, vh.conj().T
 
 
+def _checked_registers(factors, target: SystemLayout) -> list[tuple[str, int]]:
+    """The registers the factors name, in order, once each of them is known
+    to be a register of ``target`` that the factor's matrix fits."""
+    named = [reg for registers, _ in factors for reg in registers]
+    for lbl, d in named:
+        if not target.has(lbl):
+            raise LayoutError(f"target layout lacks register {lbl!r}")
+        if target.dim_of(lbl) != d:
+            raise LayoutError(
+                f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
+    for registers, mat in factors:
+        size = int(np.prod([d for _, d in registers], dtype=np.int64))
+        if np.shape(mat) != (size, size):
+            raise LayoutError(f"matrix shape {np.shape(mat)} != ({size}, {size})")
+    return named
+
+
 def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
           target) -> np.ndarray:
     """Kronecker product of ``(registers, matrix)`` factors on ``target``.
@@ -376,18 +395,8 @@ def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
     as Hermitian or positive as its factors, so nothing is checked again.
     """
     target = as_layout(target)
-    named = [reg for registers, _ in factors for reg in registers]
-    for lbl, d in named:
-        if not target.has(lbl):
-            raise LayoutError(f"target layout lacks register {lbl!r}")
-        if target.dim_of(lbl) != d:
-            raise LayoutError(
-                f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
+    named = _checked_registers(factors, target)
     mats = [np.asarray(mat) for _, mat in factors]
-    for (registers, _), mat in zip(factors, mats):
-        size = int(np.prod([d for _, d in registers], dtype=np.int64))
-        if mat.shape != (size, size):
-            raise LayoutError(f"matrix shape {mat.shape} != ({size}, {size})")
     rest = [reg for reg in target.registers if reg not in named]
     if rest:
         mats.append(np.eye(SystemLayout(rest).dim))
@@ -395,6 +404,63 @@ def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
     interim = SystemLayout(named + rest)
     perm, _ = _reordered(interim, target.labels)
     return _permute_matrix(reduce(np.kron, mats), interim.dims, perm)
+
+
+def _local_axes(factor, target: SystemLayout, mat: np.ndarray) -> list[int]:
+    """The axes of ``target`` that the factor's registers occupy, in the
+    factor's order, once the factor is known to fit ``target`` and ``mat`` to
+    have ``target.dim`` rows."""
+    named = _checked_registers([factor], target)
+    # Raises on a register named twice.
+    SystemLayout(named)
+    if mat.shape[0] != target.dim:
+        raise LayoutError(f"{mat.shape[0]} rows != target dimension {target.dim}")
+    return [target.index_of(lbl) for lbl, _ in named]
+
+
+def local_product(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
+                  mat: np.ndarray) -> np.ndarray:
+    """``place([factor], target) @ mat`` without building the placed matrix.
+
+    ``factor`` is one ``(registers, matrix)`` pair as for :func:`place`, and
+    ``mat`` has ``target.dim`` rows.  The factor's matrix is contracted with
+    the row axes of its registers only, wherever ``target`` lists them, so
+    the cost is ``mat.size`` times the factor's dimension instead of
+    ``target.dim`` times ``mat.size``.
+    """
+    target = as_layout(target)
+    axes = _local_axes(factor, target, mat)
+    op = factor[1]
+    # Bring the factor's row axes to the front, multiply, and put them back.
+    dims = target.dims + mat.shape[1:]
+    order = axes + [i for i in range(len(dims)) if i not in axes]
+    rows = mat.reshape(dims).transpose(order).reshape(len(op), -1)
+    out = (np.asarray(op) @ rows).reshape([dims[i] for i in order])
+    return out.transpose(np.argsort(order)).reshape(mat.shape)
+
+
+def local_trace(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
+                mat: np.ndarray) -> complex:
+    """``np.trace(place([factor], target) @ mat)`` without the product.
+
+    ``factor`` is as for :func:`local_product` and ``mat`` is square.  The
+    factor's matrix is paired with the partial trace of ``mat`` over the
+    registers the factor does not name, so the cost is ``target.dim`` times
+    the factor's dimension, and no ``target.dim``-sized matrix is made.
+    """
+    target = as_layout(target)
+    axes = _local_axes(factor, target, mat)
+    if mat.shape != (target.dim, target.dim):
+        raise LayoutError(f"matrix shape {mat.shape} is not square")
+    # Row axis i has label i; column axis i shares it, which traces register
+    # i out, unless the factor names register i.
+    n = len(target.dims)
+    cols = [n + i if i in axes else i for i in range(n)]
+    reduced = np.einsum(mat.reshape(target.dims * 2), list(range(n)) + cols,
+                        axes + [n + i for i in axes])
+    d = len(factor[1])
+    return complex(np.einsum("ij,ji->", np.asarray(factor[1]),
+                             reduced.reshape(d, d)))
 
 
 def embed(op: HermOp, target: SystemLayout) -> HermOp:

@@ -1,15 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oneshot_qcap.channels import KrausChannel, depolarizing, identity_channel
+from oneshot_qcap import divergences
+from oneshot_qcap.channels import (
+    KrausChannel,
+    binary_test_projector,
+    depolarizing,
+    identity_channel,
+)
 from oneshot_qcap.coding import (
     build_position_povm,
     converse_floor,
     derandomize,
     dilation_statistics,
     gentle_checks,
+    get_scenario,
     hn_check,
     report_floors,
     seq_check,
@@ -19,11 +27,14 @@ from oneshot_qcap.coding import (
     simulate_p2p_ea,
     simulate_unassisted,
 )
+from oneshot_qcap.divergences import dh_eps
 from oneshot_qcap.linalg import (
     DensityOp,
+    DimensionCapError,
     HermOp,
     SystemLayout,
     maximally_mixed,
+    place,
     sample,
     tensor,
 )
@@ -249,6 +260,131 @@ def test_mac_ea_unknown_strategy():
                         epsilons=(0.05, 0.1), delta=0.02, strategy="joint")
 
 
+def xor_side_state():
+    """[A, RA, SA]: A = RA xor SA for independent uniform bits RA, SA."""
+    mat = np.zeros((8, 8))
+    for u, side in itertools.product(range(2), repeat=2):
+        i = 4 * (u ^ side) + 2 * u + side
+        mat[i, i] = 0.25
+    return DensityOp(mat, SystemLayout([("A", 2), ("RA", 2), ("SA", 2)]))
+
+
+def flagged_bell_state():
+    """[B, RB, SB]: a Bell pair on B, RB, flipped on B when the flag SB is 1.
+    RB and SB are independent and uniform."""
+    flip = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    bell = bell_density("B", "RB").matrix
+    mat = sum(np.kron(f @ bell @ f, np.diag([1.0 - s, float(s)])) / 2
+              for s, f in enumerate((np.eye(4), flip)))
+    return DensityOp(mat, SystemLayout([("B", 2), ("RB", 2), ("SB", 2)]))
+
+
+def first_yes_dense(projectors, eye, state):
+    """Branches of ``state`` by the first test answering "yes" (last branch:
+    none did), with every test performed; decided branches continue
+    non-selectively."""
+    pending, branches = state, []
+    for p in projectors:
+        pbar = eye - p
+        branches = [p @ b @ p + pbar @ b @ pbar for b in branches]
+        branches.append(p @ pending @ p)
+        pending = pbar @ pending @ pbar
+    return branches + [pending]
+
+
+def dense_sequential_reference(ch, psi_a, psi_b, rates, eps, delta):
+    """The sequential decoder, evaluated on the full space: Neumark
+    projectors of the placed position tests and every branch evolved.
+    Returns the chain successes, the sequential-bound right-hand sides and
+    the first-yes outcome distribution."""
+    spec = get_scenario("mac_ea")
+    receivers = spec.build(ch, psi_a, psi_b, None,
+                           [spec.smoothing(e, delta) for e in eps])
+    omega = receivers[0].state
+    resources = [r.resource for r in receivers]
+    copies = [[f"{res}:{k}" for k in range(2 ** rate)]
+              for res, rate in zip(resources, rates)]
+    layout = SystemLayout(
+        [reg for reg in omega.layout.registers if reg[0] not in resources]
+        + [(c, omega.layout.dim_of(res)) for res, cs in zip(resources, copies)
+           for c in cs])
+
+    def renamed(registers, names):
+        return [(names.get(lbl, lbl), d) for lbl, d in registers]
+
+    proj = [[binary_test_projector(place(
+        [(renamed(r.joint.layout.registers, {r.resource: c}),
+          dh_eps(r.joint, r.alt, r.eps).witness.operator)], layout))
+        for c in cs] for r, cs in zip(receivers, copies)]
+    eye = np.eye(2 * layout.dim)
+    succ, rhs, dist = [], [], []
+    for msgs in itertools.product(*(range(len(cs)) for cs in copies)):
+        factors = [(renamed(omega.layout.registers, {
+            res: cs[m] for res, cs, m in zip(resources, copies, msgs)}),
+            omega.matrix)]
+        for r, cs, m in zip(receivers, copies, msgs):
+            factors += [(renamed(r.marginal.layout.registers, {r.resource: c}),
+                         r.marginal.matrix) for k, c in enumerate(cs) if k != m]
+        # The pointer qubit is the last register, in |0>.
+        rho0 = np.kron(place(factors, layout), np.diag([1.0, 0.0]))
+        cur, bad = rho0, 0.0
+        for ps, m in zip(proj, msgs):
+            for k, p in enumerate(ps):
+                op = p if k == m else eye - p
+                cur = op @ cur @ op
+                bad += np.trace((eye - op) @ rho0).real
+        succ.append(np.trace(cur).real)
+        rhs.append(1.0 - 4.0 * bad)
+        dist.append([max(np.trace(b).real, 0.0)
+                     for branch in first_yes_dense(proj[0], eye, rho0)
+                     for b in first_yes_dense(proj[1], eye, branch)])
+    shape = tuple(len(cs) for cs in copies)
+    return np.array(succ), np.array(rhs).reshape(shape), np.array(dist)
+
+
+@pytest.mark.parametrize("rates,senders", [
+    ((1, 1), lambda: (xor_side_state(), flagged_bell_state())),
+    ((2, 1), mac_inputs),
+], ids=["1,1-side-registers", "2,1"])
+def test_local_sequential_decoder_matches_the_dense_chain(rates, senders):
+    # Three-register senders put each test's registers on non-adjacent axes.
+    psi_a, psi_b = senders()
+    ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
+    succ, rhs, dist = dense_sequential_reference(ch, psi_a, psi_b, rates, eps,
+                                                 delta)
+    rep = simulate_mac_ea(ch, psi_a, psi_b, rates=rates, epsilons=eps,
+                          delta=delta, strategy="sequential")
+    assert np.allclose(rep.per_message_success, succ, rtol=0, atol=1e-12)
+    assert np.allclose(rep.details["seq_rhs"], rhs, rtol=0, atol=1e-12)
+    assert np.allclose(rep.details["outcome_dist"], dist, rtol=0, atol=1e-12)
+
+
+def test_sequential_pointer_is_checked_against_the_cap(monkeypatch):
+    # MAC (1,1) needs 32 dimensions, and 64 with the sequential decoder's
+    # pointer qubit.
+    monkeypatch.setenv("ONESHOT_QCAP_DIM_CAP", "32")
+    psi_a, psi_b = mac_inputs()
+    args = (xor_mac_channel(), psi_a, psi_b, (1, 1), (0.05, 0.1), 0.02)
+    with pytest.raises(DimensionCapError):
+        simulate_mac_ea(*args, strategy="sequential")
+    assert simulate_mac_ea(*args, strategy="pgm_a_first").bound_satisfied
+
+
+def test_sequential_pointer_label_clashes_with_no_register():
+    ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
+    reference = simulate_mac_ea(ch, xor_side_state(), flagged_bell_state(),
+                                (1, 1), eps, delta, strategy="sequential")
+    psi_a = DensityOp(xor_side_state().matrix,
+                      SystemLayout([("A", 2), ("J", 2), ("J#", 2)]))
+    psi_b = DensityOp(flagged_bell_state().matrix,
+                      SystemLayout([("B", 2), ("J##", 2), ("J###", 2)]))
+    rep = simulate_mac_ea(ch, psi_a, psi_b, (1, 1), eps, delta,
+                          strategy="sequential")
+    assert rep.per_message_success == reference.per_message_success
+    assert np.array_equal(rep.details["outcome_dist"],
+                          reference.details["outcome_dist"])
+
+
 # ---------------------------------------------------------------------------
 # unassisted simulation
 
@@ -458,6 +594,27 @@ def test_converse_floor_perfect_code():
     out = converse_floor(dist, 2.0, sigmas=3)
     assert out["holds"]
     assert out["floor"] >= 2.0 - 1e-7
+
+
+def test_converse_floor_eigendecomposes_blocks_only(monkeypatch):
+    # n = 8 messages, n_out = 15 outcomes: phi and I/n (x) sigma are 120-dim,
+    # and each of their 8 blocks is 15-dim.
+    dist = np.random.default_rng(3).dirichlet(np.ones(15), size=8)
+    shapes = []
+
+    def counted(real):
+        def call(m):
+            shapes.append(np.shape(m))
+            return real(m)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(divergences.np.linalg, name,
+                            counted(getattr(divergences.np.linalg, name)))
+    out = converse_floor(dist, 3.0, correct_cols=list(range(0, 15, 2))[:8],
+                         sigmas=2)
+    assert shapes and max(shape[-1] for shape in shapes) <= 15
+    assert len(out["values"]) == 2
 
 
 def test_report_floors_p2p_and_mac(id2, bell):

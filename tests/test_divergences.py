@@ -12,7 +12,7 @@ from oneshot_qcap.divergences import (
     dmax,
     relative_entropy,
 )
-from oneshot_qcap.linalg import DensityOp, SystemLayout, basis_ket, sample
+from oneshot_qcap.linalg import DensityOp, LayoutError, SystemLayout, basis_ket, sample
 
 from conftest import bell_density, pure_density
 
@@ -193,7 +193,46 @@ def test_dh_eigendecomposition_count(monkeypatch, kind, d, seed, eps):
                             counted(getattr(divergences.np.linalg, name)))
     dh_eps(rho, sig, eps)
     nested = np.linalg.matrix_rank(sig, tol=1e-10) == d
-    assert len(calls) <= (72 if nested else 130)
+    # Rank-deficient sigma: 59-63 calls on these instances.
+    assert len(calls) <= (72 if nested else 66)
+
+
+def direct_sum_instance(rng, k, d):
+    """(k, d, d) stacks rho and sigma, each of unit total trace: block 0 of
+    rho is zero and every other sigma block is rank-deficient."""
+    rho = np.stack([random_density(rng, d) for _ in range(k)])
+    sig = np.stack([random_density(rng, d, rank=max(1, d // 2) if b % 2 else None)
+                    for b in range(k)])
+    rho[0] = 0.0
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    return rho * p[:, None, None] / p[1:].sum(), sig * q[:, None, None]
+
+
+def test_dh_direct_sum_matches_its_assembled_matrix():
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(505)
+    for i in range(24):
+        k, d = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        rho, sig = direct_sum_instance(rng, k, d)
+        eps = float(rng.uniform(0.01, 0.9))
+        res = dh_eps(rho, sig, eps)
+        ref = dh_eps(block_diag(*rho), block_diag(*sig), eps)
+        assert res.unbounded == ref.unbounded
+        if not ref.unbounded:
+            assert res.value == pytest.approx(ref.value, abs=1e-10)
+            assert res.value <= res.dual_bound + 1e-8
+        assert res.witness.type1 == pytest.approx(ref.witness.type1, abs=1e-10)
+        assert res.witness.type2 == pytest.approx(ref.witness.type2, abs=1e-10)
+        assert 1 - eps - res.witness.type1 <= 1e-12
+        assert res.witness.operator.shape == (k, d, d)
+        assert np.allclose(block_diag(*res.witness.operator), ref.witness.operator,
+                           atol=1e-6)
+
+
+def test_dh_rejects_what_is_neither_a_matrix_nor_a_stack():
+    with pytest.raises(LayoutError):
+        dh_eps(np.eye(4).reshape(2, 8) / 4, np.eye(4).reshape(2, 8) / 4, 0.1)
 
 
 def test_dh_matches_classical_oracle_small():

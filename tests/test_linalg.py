@@ -12,6 +12,8 @@ from oneshot_qcap.linalg import (
     bell_ket,
     embed,
     fidelity,
+    local_product,
+    local_trace,
     max_entangled_ket,
     maximally_mixed,
     partial_trace,
@@ -163,6 +165,58 @@ def test_place_rejects_what_does_not_fit():
         place([([("A", 2)], np.eye(2)), ([("A", 2)], np.eye(2))], target)
     with pytest.raises(LayoutError, match="lacks register"):
         embed(HermOp(np.eye(2), [("X", 2)]), target)
+
+
+@pytest.mark.parametrize("registers", [[("B", 3)], [("D", 2), ("A", 2)],
+                                       [("A", 2), ("C", 2), ("D", 2)]])
+def test_local_product_matches_the_placed_product(registers):
+    # Registers in and out of the target's order, also non-adjacent ones.
+    target = SystemLayout([("A", 2), ("B", 3), ("C", 2), ("D", 2)])
+    rng = np.random.default_rng(len(registers))
+    d = int(np.prod([dim for _, dim in registers]))
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat = sample("density", target.dims, 5, labels=list(target.labels)).matrix
+    dense = place([(registers, op)], target)
+    assert np.allclose(local_product((registers, op), target, mat), dense @ mat,
+                       rtol=0, atol=1e-13)
+    cols = mat[:, :3]
+    assert np.allclose(local_product((registers, op), target, cols), dense @ cols,
+                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("registers", [[("B", 3)], [("D", 2), ("A", 2)],
+                                       [("A", 2), ("C", 2), ("D", 2)]])
+def test_local_trace_matches_the_trace_of_the_placed_product(registers):
+    target = SystemLayout([("A", 2), ("B", 3), ("C", 2), ("D", 2)])
+    rng = np.random.default_rng(len(registers))
+    d = int(np.prod([dim for _, dim in registers]))
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mat = (rng.standard_normal((target.dim, target.dim))
+           + 1j * rng.standard_normal((target.dim, target.dim)))
+    dense = np.trace(place([(registers, op)], target) @ mat)
+    assert abs(local_trace((registers, op), target, mat) - dense) < 1e-12
+    whole = [("A", 2), ("B", 3), ("C", 2), ("D", 2)]
+    assert abs(local_trace((whole, np.eye(target.dim)), target, mat)
+               - np.trace(mat)) < 1e-12
+    with pytest.raises(LayoutError, match="not square"):
+        local_trace((registers, op), target, mat[:, :3])
+    with pytest.raises(LayoutError, match="lacks register"):
+        local_trace(([("X", 2)], np.eye(2)), target, mat)
+
+
+def test_local_product_rejects_what_does_not_fit():
+    target = SystemLayout([("A", 2), ("B", 3)])
+    mat = np.eye(6)
+    with pytest.raises(LayoutError, match="lacks register"):
+        local_product(([("X", 2)], np.eye(2)), target, mat)
+    with pytest.raises(LayoutError, match="target dim"):
+        local_product(([("B", 2)], np.eye(2)), target, mat)
+    with pytest.raises(LayoutError, match="matrix shape"):
+        local_product(([("A", 2)], np.eye(3)), target, mat)
+    with pytest.raises(LayoutError, match="duplicate"):
+        local_product(([("A", 2), ("A", 2)], np.eye(4)), target, mat)
+    with pytest.raises(LayoutError, match="rows"):
+        local_product(([("A", 2)], np.eye(2)), target, np.eye(4))
 
 
 def test_sample_is_seed_deterministic():

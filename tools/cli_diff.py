@@ -1,0 +1,176 @@
+"""Compare the CLI output of two source trees on the benchmark's ops.
+
+Usage, from the repository root:
+
+    python3 tools/cli_diff.py OLD_TREE NEW_TREE --variants 0 5
+
+OLD_TREE and NEW_TREE are checkouts of this repository (``.`` for this one).
+Every op of ``bench/workloads.py`` (of this checkout) runs at each given
+variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
+that imports the package from the tree's ``src``. The spec files are written
+once, to one directory that both trees read. OpenBLAS runs on the thread
+count the benchmark pins.
+
+For every (op, variant) it prints whether the exit codes are equal, whether
+the outputs are byte-identical and, for outputs that differ, the largest
+|difference| of the numeric leaves under each key (list indices dropped) and
+the keys whose other leaves or structure differ. The last line sums it up.
+The exit code is 0 when every exit code is equal and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+
+
+def _ops(variants: list[int]):
+    import workloads as wl
+    return [wl.op_for(w, name, v) for w, ops in wl.WORKLOADS.items()
+            for name, _ in ops for v in variants]
+
+
+def _child(job: dict) -> None:
+    """Run the job's ops with its tree's package; print [[code, output], ...]."""
+    import run  # noqa: F401  (pins the BLAS thread count before numpy loads)
+    sys.path.insert(0, os.path.join(job["tree"], "src"))
+    from oneshot_qcap import cli
+
+    results = []
+    for op in _ops(job["variants"]):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.run(op.command(job["spec_dir"]))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # a crash is a result to compare, too
+            code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def _run_tree(tree: str, spec_dir: str, variants: list[int]) -> list:
+    job = {"tree": os.path.abspath(tree), "spec_dir": spec_dir,
+           "variants": variants}
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                          input=json.dumps(job), capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": BENCH})
+    return json.loads(proc.stdout)
+
+
+def _parse(text: str):
+    """A report as JSON, a sweep as CSV rows with ';'-separated lists."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        rows = list(csv.DictReader(io.StringIO(text)))
+        return [{k: v.split(";") for k, v in row.items()} for row in rows]
+
+
+def _leaves(doc, path: str = ""):
+    """(key, value) for every leaf; the key drops list indices."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _leaves(v, path + "[]")
+    else:
+        yield path, doc
+
+
+def _number(value) -> float | None:
+    """A numeric leaf or string (reports write 'inf' and 'nan' as strings)
+    as a float; None for any other leaf."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _delta(a, b) -> float | None:
+    """|a - b| for two numbers (0 for equal non-finite ones); None when
+    either leaf is not a number."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def compare(old: str, new: str) -> tuple[dict, list]:
+    """Largest |difference| per key, and the keys whose non-numeric leaves
+    or structure differ."""
+    a, b = list(_leaves(_parse(old))), list(_leaves(_parse(new)))
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return {}, ["structure"]
+    deltas, other = {}, []
+    for (key, x), (_, y) in zip(a, b):
+        d = _delta(x, y)
+        if d is None:
+            if x != y and key not in other:
+                other.append(key)
+        else:
+            deltas[key] = max(deltas.get(key, 0.0), d)
+    return deltas, other
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    sys.path.insert(0, BENCH)
+    if argv == ["--child"]:
+        _child(json.load(sys.stdin))
+        return 0
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", help="source tree of the reference run")
+    p.add_argument("new", help="source tree to compare with it")
+    p.add_argument("--variants", type=int, nargs="+", default=[0, 5])
+    args = p.parse_args(argv)
+    ops = _ops(args.variants)
+    with tempfile.TemporaryDirectory() as spec_dir:
+        for op in ops:
+            op.write_specs(spec_dir)
+        old, new = (_run_tree(tree, spec_dir, args.variants)
+                    for tree in (args.old, args.new))
+
+    codes_equal = identical = 0
+    worst = 0.0
+    for op, (code_a, out_a), (code_b, out_b) in zip(ops, old, new):
+        same_code = code_a == code_b
+        codes_equal += same_code
+        line = f"{op.workload}/{op.name} v{op.variant}: exit {code_a}/{code_b} " \
+               f"{'equal' if same_code else 'DIFFER'}, "
+        if out_a == out_b:
+            identical += 1
+            print(line + "byte-identical")
+            continue
+        deltas, other = compare(out_a, out_b)
+        moved = {k: d for k, d in deltas.items() if d > 0}
+        worst = max([worst, *moved.values()])
+        print(line + "bytes differ")
+        for key, d in sorted(moved.items(), key=lambda kv: -kv[1]):
+            print(f"    {key}: max |delta| {d:.3g}")
+        for key in other:
+            print(f"    {key}: differs")
+    print(f"{len(ops)} runs: {codes_equal} equal exit codes, {identical} "
+          f"byte-identical, largest numeric |delta| {worst:.3g}")
+    return 0 if codes_equal == len(ops) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
