@@ -26,7 +26,8 @@ from . import channels as channels_mod
 from . import coding as coding_mod
 from . import divergences as div_mod
 from . import verification as verify_mod
-from .linalg import DensityOp, Ket, SystemLayout, max_entangled_ket, maximally_mixed
+from .linalg import (DensityOp, Ket, SystemLayout, basis_ket, max_entangled_ket,
+                     maximally_mixed)
 
 __all__ = ["SpecError", "parse_spec", "run", "main"]
 
@@ -136,22 +137,16 @@ def _parse_state(doc: dict) -> DensityOp:
         if dims is None:
             raise SpecError("dims", "named states need explicit 'dims'")
         layout = SystemLayout(dims)
+        if name in ("max_entangled", "bell", "classically_correlated") and (
+                len(dims) != 2 or dims[0][1] != dims[1][1]):
+            raise SpecError("dims", "needs two registers of equal dimension")
         if name in ("max_entangled", "bell"):
-            if len(dims) != 2 or dims[0][1] != dims[1][1]:
-                raise SpecError("dims", "needs two registers of equal dimension")
-            ket = max_entangled_ket(dims[0][1], dims[0][0], dims[1][0])
-            state = DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()),
-                              ket.layout)
+            state = max_entangled_ket(dims[0][1], dims[0][0], dims[1][0]).density()
         elif name == "maximally_mixed":
             state = maximally_mixed(layout)
         elif name == "basis":
-            idx = int(doc.get("index", 0))
-            mat = np.zeros((layout.dim, layout.dim), dtype=complex)
-            mat[idx, idx] = 1.0
-            state = DensityOp(mat, layout)
+            state = basis_ket(int(doc.get("index", 0)), layout).density()
         else:  # classically_correlated
-            if len(dims) != 2 or dims[0][1] != dims[1][1]:
-                raise SpecError("dims", "needs two registers of equal dimension")
             d = dims[0][1]
             mat = np.zeros((d * d, d * d), dtype=complex)
             for i in range(d):
@@ -165,8 +160,8 @@ def _parse_state(doc: dict) -> DensityOp:
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-9:
             raise SpecError("ket", f"amplitudes have norm {nrm!r}, expected 1")
-        ket = Ket(amp, SystemLayout(dims))
-        state = DensityOp(np.outer(amp, amp.conj()), ket.layout)
+        # Ket renormalizes what is within the tolerance.
+        state = Ket(amp, SystemLayout(dims)).density()
     elif "matrix" in doc:
         if dims is None:
             raise SpecError("dims", "'matrix' states need explicit 'dims'")
@@ -246,13 +241,17 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _emit(report: dict, output: str | None):
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+def _write(text: str, output: str | None):
+    """Write ``text`` to the file ``output``, or to stdout without one."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, output: str | None):
+    _write(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n", output)
 
 
 def _floats(text: str) -> list[float]:
@@ -412,12 +411,7 @@ def _cmd_sweep(args) -> int:
                             lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args.output)
     return 0 if worst_ok else 2
 
 

@@ -1,11 +1,13 @@
 """Exact simulation of position-based coding protocols.
 
 Every decoder here is built explicitly as a POVM (or a sequence of Neumark
-projectors) on the receiver's full register set, and every success probability
-is an exact trace -- no Monte Carlo anywhere.  Each simulator returns a
-:class:`ProtocolReport` carrying the exact per-message statistics next to the
-error bound its construction guarantees, so the operator inequalities behind
-the bounds can be checked numerically on every run.
+projectors), and every success probability is an exact trace -- no Monte Carlo
+anywhere.  Point-to-point decoders act on the receiver's full register set; a
+multiple-access decoder decodes one sender at a time, and each stage places
+only the factors of a message state that name a register it reads.  Each
+simulator returns a :class:`ProtocolReport` carrying the exact per-message
+statistics next to the error bound its construction guarantees, so the operator
+inequalities behind the bounds can be checked numerically on every run.
 
 The eight scenarios (point-to-point, channel with state, broadcast and
 multiple access, each entanglement-assisted or unassisted) are defined once,
@@ -36,6 +38,7 @@ from .linalg import (
     place,
     psd_sqrt,
     purified_distance,
+    reduced,
     sample,
     tensor,
 )
@@ -206,41 +209,29 @@ def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> S
     return SystemLayout(regs)
 
 
-def _copy_tests(test: HermOp, resource_label: str, copies: int,
-                    layout: SystemLayout) -> list[np.ndarray]:
-    """``test`` on copy m of its resource register and identity elsewhere."""
-    return [place([(_on_copies(test.layout, {resource_label: m}), test.matrix)],
-                  layout) for m in range(copies)]
-
-
-def _pgm(tests: Sequence[np.ndarray]):
-    """Square-root measurement S^{-1/2} T_m S^{-1/2}, S = sum_m T_m, and the
-    completion element that makes it a POVM."""
-    total = np.sum(tests, axis=0)
-    root = _pinv_sqrt(total)
-    povm = [root @ t @ root for t in tests]
-    povm = [(p + p.conj().T) / 2 for p in povm]
-    comp = np.eye(tests[0].shape[0]) - np.sum(povm, axis=0)
-    comp = (comp + comp.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(comp)[0])
-    if min_eig < -COMPLETION_TOL:
-        raise ValueError(
-            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
-    return povm, comp
-
-
 def build_position_povm(test: HermOp, copies: int, resource_label: str) -> PositionCode:
     """Pretty-good measurement over per-position embeddings of ``test``.
 
     The test acts on the channel-output registers plus one resource register;
     position m gets the test on copy m and identity elsewhere, and the POVM is
-    S^{-1/2} Lambda(m) S^{-1/2} with a pseudo-inverse square root of the sum.
+    S^{-1/2} Lambda(m) S^{-1/2} with a pseudo-inverse square root of the sum,
+    completed by the element that makes it a POVM.
     """
     evals = np.linalg.eigvalsh(test.matrix)
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
     layout = _copies_layout(test.layout, [(resource_label, copies)])
-    povm, comp = _pgm(_copy_tests(test, resource_label, copies, layout))
+    tests = [place([(_on_copies(test.layout, {resource_label: m}), test.matrix)],
+                   layout) for m in range(copies)]
+    root = _pinv_sqrt(np.sum(tests, axis=0))
+    povm = [root @ t @ root for t in tests]
+    povm = [(p + p.conj().T) / 2 for p in povm]
+    comp = np.eye(layout.dim) - np.sum(povm, axis=0)
+    comp = (comp + comp.conj().T) / 2
+    min_eig = float(np.linalg.eigvalsh(comp)[0])
+    if min_eig < -COMPLETION_TOL:
+        raise ValueError(
+            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
     return PositionCode(layout=layout, povm=tuple(povm), completion=comp)
 
 
@@ -626,10 +617,10 @@ def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
     return rate <= dh_value - penalty_bits + 1e-9
 
 
-def _message_state(state: DensityOp, senders, messages,
-                   layout: SystemLayout) -> np.ndarray:
+def _message_factors(state: DensityOp, senders, messages) -> list:
     """``state`` with each sender's resource moved to copy m of its message m,
-    and independent copies of the resource in every other position.
+    and independent copies of the resource in every other position, as
+    :func:`place` factors.
 
     ``senders`` lists (resource label, resource marginal, number of copies).
     """
@@ -638,7 +629,7 @@ def _message_state(state: DensityOp, senders, messages,
     for (res, marg, n), m in zip(senders, messages):
         factors += [(_on_copies(marg.layout, {res: k}), marg.matrix)
                     for k in range(n) if k != m]
-    return place(factors, layout)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +654,7 @@ def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
     senders = [(rec.resource, rec.marginal, n)]
     dist = np.zeros((n, n + 1))
     for m in range(n):
-        state = _message_state(rec.state, senders, (m,), code.layout)
+        state = place(_message_factors(rec.state, senders, (m,)), code.layout)
         for mp in range(n):
             dist[m, mp] = max(_trace_with(code.povm[mp], state), 0.0)
         dist[m, n] = max(_trace_with(code.completion, state), 0.0)
@@ -719,64 +710,73 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
 
 
 # ---------------------------------------------------------------------------
-# multiple-access decoders: one receiver decoding both senders' messages
+# multiple-access decoders: one receiver decoding both senders' messages, one
+# sender at a time
 
 @dataclass(frozen=True)
 class _MacCode:
-    layout: SystemLayout           # receiver layout: outs+sides+copies
-    states: dict                   # (m1, m2) -> state on layout
-    chain_layout: SystemLayout | None  # sequential decoder: layout + pointer
+    omega: DensityOp               # receiver state, one copy of each resource
+    senders: tuple                 # per sender (resource, marginal, copies)
+    pointer: tuple | None          # sequential decoder: its pointer register
     dhs: tuple[DivergenceResult, DivergenceResult]
     witnesses: tuple[HermOp, HermOp]  # per sender, its test on one copy
-    resources: tuple[str, str]
-    n1: int
-    n2: int
+    n: tuple[int, int]             # per sender, its number of copies
     type1: tuple[float, float]     # per sender, type-I error of its test
     type2: tuple[float, float]
 
 
 def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
-    """The receiver's message states and both senders' tests.  The
-    sequential decoder's layout adds its pointer qubit after the receiver's
-    registers; :func:`_with_pointer` puts a message state on it."""
+    """Both senders' tests and what the message states are made of
+    (:func:`_message_factors`).  The receiver's registers, with the
+    sequential decoder's pointer qubit after them, are checked against the
+    dimension cap, although no decoding stage allocates all of them."""
     omega = receivers[0].state
-    n1, n2 = 2 ** rates[0], 2 ** rates[1]
-    senders = [(r.resource, r.marginal, n) for r, n in zip(receivers, (n1, n2))]
+    n = (2 ** rates[0], 2 ** rates[1])
+    senders = tuple((r.resource, r.marginal, k) for r, k in zip(receivers, n))
     layout = _copies_layout(omega.layout, [(res, n) for res, _, n in senders])
-    chain_layout = None
+    pointer = None
     if sequential:
-        # Longer than every register label, so it clashes with none; the
-        # layout checks the dimension cap before any state is allocated.
-        pointer = "J" + "#" * max(len(l) for l in layout.labels)
-        chain_layout = SystemLayout(layout.registers + ((pointer, 2),))
-    states = {msgs: _message_state(omega, senders, msgs, layout)
-              for msgs in itertools.product(range(n1), range(n2))}
+        # Longer than every register label, so it clashes with none.
+        pointer = ("J" + "#" * max(len(l) for l in layout.labels), 2)
+        SystemLayout(layout.registers + (pointer,))
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
-    return _MacCode(layout, states, chain_layout, dhs,
+    return _MacCode(omega, senders, pointer, dhs,
                     tuple(HermOp(dh.witness.operator, r.joint.layout)
-                          for dh, r in zip(dhs, receivers)),
-                    tuple(r.resource for r in receivers), n1, n2,
+                          for dh, r in zip(dhs, receivers)), n,
                     tuple(1.0 - dh.witness.type1 for dh in dhs),
                     tuple(dh.witness.type2 for dh in dhs))
 
 
-def _with_pointer(state: np.ndarray) -> np.ndarray:
-    """A message state on the sequential decoder's layout: times the pointer
-    qubit's initial state |0><0|, its last register."""
-    return np.kron(state, _basis_density(0, 2))
+def _stage(factors, reads):
+    """The layout of the registers named by the factors that name a label in
+    ``reads``, those factors placed on it, and the other factors."""
+    used = [any(l in reads for l, _ in regs) for regs, _ in factors]
+    layout = SystemLayout([reg for (regs, _), u in zip(factors, used) if u
+                           for reg in regs])
+    return (layout, place([f for f, u in zip(factors, used) if u], layout),
+            [f for f, u in zip(factors, used) if not u])
 
 
-def _neumark_tests(code: _MacCode) -> tuple[list, list]:
-    """Per sender, one :func:`place` factor per copy of its resource: the
-    Neumark projector of its test, on the decoder registers, that copy and
-    the pointer qubit."""
-    pointer = code.chain_layout.registers[-1]
-    tests = []
-    for w, res, n in zip(code.witnesses, code.resources, (code.n1, code.n2)):
+def _finished(layout: SystemLayout, mat: np.ndarray, copies) -> tuple:
+    """``mat`` on ``layout`` with a sender's ``copies`` traced out, as a
+    :func:`place` factor: no later stage reads them."""
+    keep = [reg for reg in layout.registers if reg[0] not in copies]
+    return keep, reduced(keep, layout, mat)
+
+
+def _neumark_stages(code: _MacCode) -> list:
+    """Per sender, its stage of the sequential decoder: the labels its tests
+    read, the labels of its copies, and its tests, one :func:`place` factor
+    per copy, the Neumark projector of its test on the decoder registers,
+    that copy and the pointer qubit."""
+    stages = []
+    for w, (res, _, n) in zip(code.witnesses, code.senders):
         proj = binary_test_projector(w)
-        tests.append([(_on_copies(w.layout, {res: k}) + [pointer], proj)
-                      for k in range(n)])
-    return tuple(tests)
+        tests = [(_on_copies(w.layout, {res: k}) + [code.pointer], proj)
+                 for k in range(n)]
+        stages.append(({l for regs, _ in tests for l, _ in regs},
+                       {_copy_label(res, k) for k in range(n)}, tests))
+    return stages
 
 
 def _split(layout: SystemLayout, test, b: np.ndarray):
@@ -788,32 +788,28 @@ def _split(layout: SystemLayout, test, b: np.ndarray):
     return pbp, b - pb - pb.conj().T + pbp
 
 
-def _yes_mass(layout: SystemLayout, test, b: np.ndarray) -> float:
-    """Tr(P b) for the projector factor ``test``."""
-    return float(np.real(local_trace(test, layout, b)))
-
-
-def _position_chain(layout: SystemLayout, tests, rho0: np.ndarray,
-                    messages) -> float:
+def _position_chain(stages, factors, messages) -> float:
     """Exact success of the stated chain: "no" outcomes everywhere except a
     "yes" at the true position, first across A copies then B copies."""
-    cur = rho0
-    for sender, m in zip(tests, messages):
-        for k, test in enumerate(sender):
+    for (reads, copies, tests), m in zip(stages, messages):
+        layout, cur, factors = _stage(factors, reads)
+        for k, test in enumerate(tests):
             yes, no = _split(layout, test, cur)
             cur = yes if k == m else no
+        factors = [_finished(layout, cur, copies)] + factors
     return float(np.real(np.trace(cur)))
 
 
-def _decision_row(layout: SystemLayout, tests, rho0: np.ndarray) -> np.ndarray:
+def _decision_row(stages, factors) -> np.ndarray:
     """Outcome distribution of the full decoder, (A outcome, B outcome) in
     row-major order: the first "yes" among a sender's tests wins (last
     outcome: none did), A's tests first, then B's, with every test
     performed."""
-    tests_a, tests_b = tests
+    (reads_a, copies_a, tests_a), (reads_b, _, tests_b) = stages
+    layout, pending, rest = _stage(factors, reads_a)
     # A's decided branches go on through A's later tests non-selectively:
     # B's tests, which follow, act on registers those tests touch.
-    pending, branches = rho0, []
+    branches = []
     for test in tests_a:
         branches = [sum(_split(layout, test, b)) for b in branches]
         yes, pending = _split(layout, test, pending)
@@ -822,37 +818,42 @@ def _decision_row(layout: SystemLayout, tests, rho0: np.ndarray) -> np.ndarray:
     # Nothing acts after B's tests, and they are trace preserving together,
     # so a decided B branch keeps its mass: it is traced, not evolved.
     row = np.zeros((len(branches), len(tests_b) + 1))
-    for oa, b in enumerate(branches):
+    for oa, branch in enumerate(branches):
+        layout_b, b, _ = _stage([_finished(layout, branch, copies_a)] + rest,
+                                reads_b)
         for ob, test in enumerate(tests_b[:-1]):
-            yes, b = _split(layout, test, b)
+            yes, b = _split(layout_b, test, b)
             row[oa, ob] = np.real(np.trace(yes))
-        row[oa, -2] = _yes_mass(layout, tests_b[-1], b)
+        row[oa, -2] = np.real(local_trace(tests_b[-1], layout_b, b))
         row[oa, -1] = np.real(np.trace(b)) - row[oa, -2]
     return np.maximum(row, 0.0).reshape(-1)
 
 
 def _mac_sequential(code: _MacCode):
-    """Sequential binary tests, dilated to projectors with a shared J qubit
-    and applied on the registers they act on.
+    """Sequential binary tests, dilated to projectors with a shared J qubit,
+    each sender's applied on the registers its stage reads.
 
     Returns the chain successes, the Hayashi-Nagaoka-type bound and the
     report details."""
-    tests = _neumark_tests(code)
-    n1, n2 = code.n1, code.n2
+    stages = _neumark_stages(code)
+    n1, n2 = code.n
     chain_succ = np.zeros((n1, n2))
     seq_rhs = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    layout = code.chain_layout
-    for (m1, m2), state in code.states.items():
-        rho0 = _with_pointer(state)
-        chain_succ[m1, m2] = _position_chain(layout, tests, rho0, (m1, m2))
-        total_bad, norm = 0.0, float(np.real(np.trace(rho0)))
-        for sender, m in zip(tests, (m1, m2)):
-            for k, test in enumerate(sender):
-                yes = _yes_mass(layout, test, rho0)
-                total_bad += yes if k != m else norm - yes
+    for m1, m2 in itertools.product(range(n1), range(n2)):
+        start = _message_factors(code.omega, code.senders, (m1, m2)) + [
+            ([code.pointer], _basis_density(0, 2))]
+        chain_succ[m1, m2] = _position_chain(stages, start, (m1, m2))
+        dist[m1 * n2 + m2] = _decision_row(stages, start)
+        # The tests' wrong answers on the message state itself: "yes" at
+        # every other position, "no" at the true one.
+        total_bad, factors = 0.0, start
+        for (reads, copies, tests), m in zip(stages, (m1, m2)):
+            layout, rho0, factors = _stage(factors, reads)
+            yes = [float(np.real(local_trace(test, layout, rho0))) for test in tests]
+            total_bad += sum(yes) - yes[m] + float(np.real(np.trace(rho0))) - yes[m]
+            factors = [_finished(layout, rho0, copies)] + factors
         seq_rhs[m1, m2] = 1.0 - 4.0 * total_bad
-        dist[m1 * n2 + m2] = _decision_row(layout, tests, rho0)
 
     hn = 4.0 * (code.type1[0] + code.type1[1]
                 + (n1 - 1) * code.type2[0]
@@ -861,53 +862,55 @@ def _mac_sequential(code: _MacCode):
 
 
 def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
-    """Two square-root measurements, the first sender's then the second's.
+    """Two square-root measurements, the first sender's then the second's,
+    each on the decoder registers and its own sender's copies.
 
     Returns the joint successes, the sum of the two stages'
     Hayashi-Nagaoka-type bounds and the report details."""
     order = (0, 1) if a_first else (1, 0)
     i_first, i_second = order
-    n = (code.n1, code.n2)
-    n_first, n_second = n[i_first], n[i_second]
+    n = code.n
     c_first, c_second = (_hn_constant(epsilons[i], delta, c) for i in order)
+    first, second = (build_position_povm(code.witnesses[i], n[i], code.senders[i][0])
+                     for i in order)
+    kraus_first = [(first.layout.registers, psd_sqrt(p))
+                   for p in first.povm + (_clip_psd(first.completion),)]
+    copies_first = set(first.layout.labels) - set(second.layout.labels)
 
-    tests = [_copy_tests(w, res, k, code.layout)
-             for w, res, k in zip(code.witnesses, code.resources, n)]
-    povm_first, comp_first = _pgm(tests[i_first])
-    povm_second, _ = _pgm(tests[i_second])
-    kraus_first = [psd_sqrt(p) for p in povm_first] + [psd_sqrt(_clip_psd(comp_first))]
-
-    n1, n2 = code.n1, code.n2
+    n1, n2 = n
     joint_succ = np.zeros((n1, n2))
     stage1_err = np.zeros((n1, n2))
     stage2_err = np.zeros((n1, n2))
     disturbance = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for (m1, m2), st in code.states.items():
+    for m1, m2 in itertools.product(range(n1), range(n2)):
         mf, ms = (m1, m2) if a_first else (m2, m1)
-        post = np.zeros_like(st)
-        row = np.zeros((n_first + 1, n_second + 1))
-        for i, k in enumerate(kraus_first):
-            branch = k @ st @ k
-            post += branch
-            for j, p2 in enumerate(povm_second):
-                row[i, j] = max(float(np.real(np.einsum("ij,ji->", p2, branch))), 0.0)
-            row[i, n_second] = max(float(np.real(np.trace(branch))) - row[i, :n_second].sum(), 0.0)
-        stage1_err[m1, m2] = 1.0 - _trace_with(povm_first[mf], st)
-        stage2_err[m1, m2] = 1.0 - float(
-            np.real(np.einsum("ij,ji->", povm_second[ms], post)))
+        layout, st, rest = _stage(_message_factors(code.omega, code.senders, (m1, m2)),
+                                  first.layout.labels)
+        # The second sender's other copies stay in product, untouched by the
+        # first stage: they change no fidelity, and the second stage reads
+        # them on its own layout.
+        branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
+                    for k in kraus_first]
+        post = np.sum(branches, axis=0)
+        traces = np.zeros((len(branches), n[i_second] + 1))
+        for i, branch in enumerate(branches):
+            b = place([_finished(layout, branch, copies_first)] + rest, second.layout)
+            traces[i] = [_trace_with(p, b) for p in second.povm] + [np.trace(b).real]
+        row = np.maximum(traces, 0.0)
+        row[:, -1] = np.maximum(traces[:, -1] - row[:, :-1].sum(axis=1), 0.0)
+        stage1_err[m1, m2] = 1.0 - float(np.real(local_trace(
+            (first.layout.registers, first.povm[mf]), layout, st)))
+        stage2_err[m1, m2] = 1.0 - float(np.sum(traces[:, ms]))
         joint_succ[m1, m2] = row[mf, ms]
         disturbance[m1, m2] = purified_distance(st, (post + post.conj().T) / 2)
-        # Flatten outcomes back to (A-outcome, B-outcome) order for the
-        # distribution regardless of decode order.
-        for i in range(n_first + 1):
-            for j in range(n_second + 1):
-                oa, ob = (i, j) if a_first else (j, i)
-                dist[m1 * n2 + m2, oa * (n2 + 1) + ob] = row[i, j]
+        # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
+        dist[m1 * n2 + m2] = (row if a_first else row.T).reshape(-1)
 
-    hn_first = _hn_chain(code.type1[i_first], code.type2[i_first], n_first, c_first)
+    hn_first = _hn_chain(code.type1[i_first], code.type2[i_first], n[i_first],
+                         c_first)
     hn_second = (math.sqrt(_hn_chain(code.type1[i_second], code.type2[i_second],
-                                     n_second, c_second))
+                                     n[i_second], c_second))
                  + math.sqrt(2 * hn_first)) ** 2
     return joint_succ.reshape(-1), hn_first + hn_second, {
         "outcome_dist": dist, "stage1_err": stage1_err, "stage2_err": stage2_err,
@@ -927,7 +930,7 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     feasible = all(_rate_feasible(rate, dh, pen)
                    for rate, dh, pen in zip(rates, dh_values, penalties))
     bounds = spec.bound(eps, delta, strategy=strategy)
-    cols = [m1 * (code.n2 + 1) + m2 for m1 in range(code.n1) for m2 in range(code.n2)]
+    cols = [m1 * (code.n[1] + 1) + m2 for m1 in range(code.n[0]) for m2 in range(code.n[1])]
     if strategy == "sequential":
         successes, hn, details = _mac_sequential(code)
         analytic = bounds[0]
@@ -1097,22 +1100,24 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, eps)
 
-    # The decoder of the randomized protocol, evaluated on fixed strings.
+    # The decoder of the randomized protocol, evaluated on fixed strings;
+    # a message state comes as its place factors.
     if spec.decode is _decode_mac:
         code = _mac_code(receivers, rates, sequential=True)
-        tests = _neumark_tests(code)
-        layout = code.layout
+        stages = _neumark_stages(code)
 
-        def success(messages, state: np.ndarray) -> float:
-            return _position_chain(code.chain_layout, tests,
-                                   _with_pointer(state), messages)
-        randomized = [success(msgs, st) for msgs, st in code.states.items()]
+        def success(messages, factors) -> float:
+            return _position_chain(stages, factors + [
+                ([code.pointer], _basis_density(0, 2))], messages)
+        randomized = [success(msgs, _message_factors(code.omega, code.senders, msgs))
+                      for msgs in itertools.product(*map(range, code.n))]
     else:
         run = _run_position_code(receivers[0], rates[0])
-        randomized, layout = run.successes, run.code.layout
+        randomized = run.successes
 
-        def success(messages, state: np.ndarray) -> float:
-            return _trace_with(run.code.povm[messages[0]], state)
+        def success(messages, factors) -> float:
+            return _trace_with(run.code.povm[messages[0]],
+                               place(factors, run.code.layout))
 
     senders = []
     for rec, st, rate in zip(receivers, (psi, psi_b), rates):
@@ -1150,7 +1155,7 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 ([(_copy_label(s.label, k), len(s.probs))],
                  _basis_density(string[k], len(s.probs)))
                 for s, string in zip(senders, strings) for k in range(s.copies)]
-            total_success += success(msgs, place(factors, layout))
+            total_success += success(msgs, factors)
         err = max(1.0 - total_success / len(messages), 0.0)
         if err < best_err - 1e-15:
             best_err, best = err, tuple(tuple(string) for string in strings)

@@ -35,6 +35,7 @@ __all__ = [
     "place",
     "local_product",
     "local_trace",
+    "reduced",
     "psd_sqrt",
     "sample",
     "basis_ket",
@@ -282,17 +283,9 @@ def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
     unknown = keep_set - set(op.layout.labels)
     if unknown:
         raise LayoutError(f"unknown registers {sorted(unknown)}")
-    dims = op.layout.dims
-    n = len(dims)
-    keep_idx = [i for i, (l, _) in enumerate(op.layout.registers) if l in keep_set]
-    drop_idx = [i for i in range(n) if i not in keep_idx]
-    reordered = _permute_matrix(op.matrix, dims, keep_idx + drop_idx)
-    d_keep = int(np.prod([dims[i] for i in keep_idx], dtype=np.int64)) if keep_idx else 1
-    d_drop = op.layout.dim // d_keep
-    mat = np.einsum("ikjk->ij",
-                    reordered.reshape(d_keep, d_drop, d_keep, d_drop))
-    new_layout = SystemLayout([op.layout.registers[i] for i in keep_idx])
-    return DensityOp(mat, new_layout, normalized=op.normalized)
+    kept = [reg for reg in op.layout.registers if reg[0] in keep_set]
+    return DensityOp(reduced(kept, op.layout, op.matrix), SystemLayout(kept),
+                     normalized=op.normalized)
 
 
 def herm_eig(H: HermOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +362,8 @@ def schmidt_decompose(psi: Ket, cut: Iterable[str]):
 
 def _checked_registers(factors, target: SystemLayout) -> list[tuple[str, int]]:
     """The registers the factors name, in order, once each of them is known
-    to be a register of ``target`` that the factor's matrix fits."""
+    to be a register of ``target`` that the factor's matrix fits (a factor
+    whose matrix is None only names registers)."""
     named = [reg for registers, _ in factors for reg in registers]
     for lbl, d in named:
         if not target.has(lbl):
@@ -379,7 +373,7 @@ def _checked_registers(factors, target: SystemLayout) -> list[tuple[str, int]]:
                 f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
     for registers, mat in factors:
         size = int(np.prod([d for _, d in registers], dtype=np.int64))
-        if np.shape(mat) != (size, size):
+        if mat is not None and np.shape(mat) != (size, size):
             raise LayoutError(f"matrix shape {np.shape(mat)} != ({size}, {size})")
     return named
 
@@ -439,28 +433,40 @@ def local_product(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
     return out.transpose(np.argsort(order)).reshape(mat.shape)
 
 
+def reduced(registers: Sequence[tuple[str, int]], target,
+            mat: np.ndarray) -> np.ndarray:
+    """The partial trace of ``mat``, a square matrix on ``target``, over every
+    register that ``registers`` does not name.
+
+    The result's axes are in the order ``registers`` lists them.  It is one
+    contraction of ``mat``, with no ``target.dim``-sized temporary.
+    """
+    target = as_layout(target)
+    axes = _local_axes((registers, None), target, mat)
+    if mat.shape != (target.dim, target.dim):
+        raise LayoutError(f"matrix shape {mat.shape} is not square")
+    # Row axis i has label i; column axis i shares it, which traces register
+    # i out, unless it is kept.
+    n = len(target.dims)
+    cols = [n + i if i in axes else i for i in range(n)]
+    out = np.einsum(mat.reshape(target.dims * 2), list(range(n)) + cols,
+                    axes + [n + i for i in axes])
+    size = int(np.prod([d for _, d in registers], dtype=np.int64))
+    return out.reshape(size, size)
+
+
 def local_trace(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
                 mat: np.ndarray) -> complex:
     """``np.trace(place([factor], target) @ mat)`` without the product.
 
     ``factor`` is as for :func:`local_product` and ``mat`` is square.  The
-    factor's matrix is paired with the partial trace of ``mat`` over the
-    registers the factor does not name, so the cost is ``target.dim`` times
-    the factor's dimension, and no ``target.dim``-sized matrix is made.
+    factor's matrix is paired with :func:`reduced` ``mat`` on the registers
+    it names, so the cost is ``target.dim`` times the factor's dimension,
+    and no ``target.dim``-sized matrix is made.
     """
-    target = as_layout(target)
-    axes = _local_axes(factor, target, mat)
-    if mat.shape != (target.dim, target.dim):
-        raise LayoutError(f"matrix shape {mat.shape} is not square")
-    # Row axis i has label i; column axis i shares it, which traces register
-    # i out, unless the factor names register i.
-    n = len(target.dims)
-    cols = [n + i if i in axes else i for i in range(n)]
-    reduced = np.einsum(mat.reshape(target.dims * 2), list(range(n)) + cols,
-                        axes + [n + i for i in axes])
-    d = len(factor[1])
+    _checked_registers([factor], as_layout(target))
     return complex(np.einsum("ij,ji->", np.asarray(factor[1]),
-                             reduced.reshape(d, d)))
+                             reduced(factor[0], target, mat)))
 
 
 def embed(op: HermOp, target: SystemLayout) -> HermOp:

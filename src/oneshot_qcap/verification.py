@@ -36,11 +36,6 @@ def _density(seed: int, dim: int) -> DensityOp:
     return sample("density", dim, seed)
 
 
-def _pure_density(seed: int, dim: int) -> DensityOp:
-    ket = sample("pure", dim, seed)
-    return DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()), ket.layout)
-
-
 def _sub_identity(seed: int, dim: int) -> np.ndarray:
     """A random operator with 0 < A < I strictly."""
     mat = sample("density", dim, seed).matrix * dim
@@ -100,7 +95,7 @@ def check_gentle_operator(seed: int, dim: int) -> dict:
 
 
 def check_gentle_povm(seed: int, dim: int) -> dict:
-    rho = _pure_density(seed, dim)
+    rho = sample("pure", dim, seed).density()
     povm = sample("povm", dim, seed + 1, outcomes=3)
     rep = gentle_checks("povm_ensemble", state=rho,
                         povm=[psd_sqrt(el.matrix) for el in povm])
@@ -161,7 +156,7 @@ def check_uniform_floor(seed: int, dim: int) -> dict:
 
 def check_pure_rank_one(seed: int, dim: int) -> dict:
     d = 2 + seed % 2
-    rho = _pure_density(seed, d)
+    rho = sample("pure", d, seed).density()
     sig = _density(seed + 1, d)
     eps = [0.1, 0.3][seed % 2]
     general = dh_eps(rho, sig, eps).value

@@ -73,6 +73,21 @@ def test_parse_rejects_unnormalized_ket():
         parse_spec(bad)
 
 
+def test_ket_inside_the_norm_tolerance_is_renormalized(tmp_path, capsys):
+    # Norm 1 + 5e-10 is inside the 1e-9 the spec allows; the state is built
+    # from the renormalized amplitudes, not with trace 1 + 1e-9.
+    scale = (1.0 + 5e-10) / 2 ** 0.5
+    ket = {"schema": "1", "type": "state", "ket": [scale, 0.0, 0.0, scale],
+           "dims": [["A", 2], ["B'", 2]]}
+    rho = parse_spec(ket)
+    assert abs(rho.trace - 1.0) <= 1e-15
+    assert abs(rho.matrix - parse_spec(BELL_STATE).matrix).max() <= 1e-15
+    path = write_spec(tmp_path, "ket.json", ket)
+    assert run(["divergence", "dmax", "--rho", path, "--sigma", path]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == \
+        pytest.approx(0.0, abs=1e-9)
+
+
 def test_parse_rejects_nonclassical_label():
     bad = dict(BELL_STATE, classical=["B'"])
     with pytest.raises(SpecError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oneshot_qcap import divergences
+from oneshot_qcap import coding, divergences
 from oneshot_qcap.channels import (
     KrausChannel,
     binary_test_projector,
@@ -35,6 +35,8 @@ from oneshot_qcap.linalg import (
     SystemLayout,
     maximally_mixed,
     place,
+    psd_sqrt,
+    purified_distance,
     sample,
     tensor,
 )
@@ -357,6 +359,133 @@ def test_local_sequential_decoder_matches_the_dense_chain(rates, senders):
     assert np.allclose(rep.per_message_success, succ, rtol=0, atol=1e-12)
     assert np.allclose(rep.details["seq_rhs"], rhs, rtol=0, atol=1e-12)
     assert np.allclose(rep.details["outcome_dist"], dist, rtol=0, atol=1e-12)
+
+
+def square_root_measurement(tests):
+    """S^{-1/2} T_m S^{-1/2}, S = sum_m T_m, and the completion element."""
+    w, v = np.linalg.eigh(np.sum(tests, axis=0))
+    inv = np.where(w > 1e-12 * max(w[-1], 1e-300),
+                   1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+    root = (v * inv) @ v.conj().T
+    povm = [root @ t @ root for t in tests]
+    povm = [(p + p.conj().T) / 2 for p in povm]
+    comp = np.eye(len(root)) - np.sum(povm, axis=0)
+    return povm, (comp + comp.conj().T) / 2
+
+
+def dense_pgm_reference(ch, psi_a, psi_b, rates, eps, delta, a_first):
+    """The two-stage square-root decoder, evaluated on the full space: both
+    senders' tests placed on every register of the receiver, and every
+    message state too.  Returns the joint successes, the outcome
+    distribution and the per-message stage errors and disturbance."""
+    spec = get_scenario("mac_ea")
+    receivers = spec.build(ch, psi_a, psi_b, None,
+                           [spec.smoothing(e, delta) for e in eps])
+    omega = receivers[0].state
+    resources = [r.resource for r in receivers]
+    copies = [[f"{res}:{k}" for k in range(2 ** rate)]
+              for res, rate in zip(resources, rates)]
+    layout = SystemLayout(
+        [reg for reg in omega.layout.registers if reg[0] not in resources]
+        + [(c, omega.layout.dim_of(res)) for res, cs in zip(resources, copies)
+           for c in cs])
+
+    def renamed(registers, names):
+        return [(names.get(lbl, lbl), d) for lbl, d in registers]
+
+    tests = [[place(
+        [(renamed(r.joint.layout.registers, {r.resource: c}),
+          dh_eps(r.joint, r.alt, r.eps).witness.operator)], layout)
+        for c in cs] for r, cs in zip(receivers, copies)]
+    first, second = (0, 1) if a_first else (1, 0)
+    povm_first, comp_first = square_root_measurement(tests[first])
+    povm_second, _ = square_root_measurement(tests[second])
+    w, v = np.linalg.eigh(comp_first)
+    kraus = [psd_sqrt(p) for p in povm_first] + [
+        psd_sqrt((v * np.clip(w, 0.0, None)) @ v.conj().T)]
+    out = {key: [] for key in ("success", "dist", "stage1_err", "stage2_err",
+                               "disturbance")}
+    for msgs in itertools.product(*(range(len(cs)) for cs in copies)):
+        factors = [(renamed(omega.layout.registers, {
+            res: cs[m] for res, cs, m in zip(resources, copies, msgs)}),
+            omega.matrix)]
+        for r, cs, m in zip(receivers, copies, msgs):
+            factors += [(renamed(r.marginal.layout.registers, {r.resource: c}),
+                         r.marginal.matrix) for k, c in enumerate(cs) if k != m]
+        st = place(factors, layout)
+        branches = [k @ st @ k for k in kraus]
+        post = np.sum(branches, axis=0)
+        row = np.array([[max(np.trace(p @ b).real, 0.0) for p in povm_second]
+                        + [np.trace(b).real] for b in branches])
+        row[:, -1] = np.maximum(row[:, -1] - row[:, :-1].sum(axis=1), 0.0)
+        mf, ms = msgs[first], msgs[second]
+        out["success"].append(row[mf, ms])
+        out["dist"].append((row if a_first else row.T).reshape(-1))
+        out["stage1_err"].append(1.0 - np.trace(povm_first[mf] @ st).real)
+        out["stage2_err"].append(1.0 - np.trace(povm_second[ms] @ post).real)
+        out["disturbance"].append(purified_distance(st, (post + post.conj().T) / 2))
+    return {key: np.array(val) for key, val in out.items()}
+
+
+@pytest.mark.parametrize("strategy", ["pgm_a_first", "pgm_b_first"])
+@pytest.mark.parametrize("rates,senders", [
+    ((1, 1), lambda: (xor_side_state(), flagged_bell_state())),
+    ((2, 1), mac_inputs),
+], ids=["1,1-side-registers", "2,1"])
+def test_staged_pgm_decoder_matches_the_dense_decoder(rates, senders, strategy):
+    psi_a, psi_b = senders()
+    ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
+    ref = dense_pgm_reference(ch, psi_a, psi_b, rates, eps, delta,
+                              strategy == "pgm_a_first")
+    rep = simulate_mac_ea(ch, psi_a, psi_b, rates=rates, epsilons=eps,
+                          delta=delta, strategy=strategy)
+    assert np.allclose(rep.per_message_success, ref["success"], rtol=0, atol=1e-12)
+    assert np.allclose(rep.details["outcome_dist"], ref["dist"], rtol=0, atol=1e-12)
+    for key in ("stage1_err", "stage2_err"):
+        assert np.allclose(rep.details[key].reshape(-1), ref[key], rtol=0,
+                           atol=1e-12)
+    # sqrt(1 - F^2) near F = 1 turns roundoff in F into disturbances of order
+    # 1e-8, so a disturbance that is zero in exact arithmetic is only bounded.
+    got, want = rep.details["disturbance"].reshape(-1), ref["disturbance"]
+    large = want >= 1e-4
+    assert np.allclose(got[large], want[large], rtol=0, atol=1e-10)
+    assert np.all(got[~large] <= 1e-7) and np.all(want[~large] <= 1e-7)
+
+
+def full_layout_dim(ch, psi_a, psi_b, rates):
+    """Dimension of all the receiver's registers: its channel outputs and
+    side registers, and every copy of both senders' resources."""
+    spec = get_scenario("mac_ea")
+    omega = spec.build(ch, psi_a, psi_b, None, [0.1, 0.1])[0].state.layout
+    return omega.dim * math.prod(
+        omega.dim_of(res) ** (2 ** rate - 1)
+        for res, rate in zip([psi_a.layout.labels[1], psi_b.layout.labels[1]],
+                             rates))
+
+
+def test_mac_decoders_place_nothing_on_the_full_layout(monkeypatch):
+    placed = []
+
+    def recorded(factors, target):
+        out = place(factors, target)
+        placed.append(len(out))
+        return out
+
+    monkeypatch.setattr(coding, "place", recorded)
+    ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
+    psi_a, psi_b = mac_inputs()
+    full = full_layout_dim(ch, psi_a, psi_b, (2, 1))
+    # The sequential decoder's pointer qubit doubles its full layout.
+    for strategy, dim in (("sequential", 2 * full), ("pgm_a_first", full)):
+        placed.clear()
+        simulate_mac_ea(ch, psi_a, psi_b, rates=(2, 1), epsilons=eps,
+                        delta=delta, strategy=strategy)
+        assert placed and max(placed) < dim, strategy
+    psi_a = classically_correlated("A", "UA")
+    psi_b = classically_correlated("B", "UB")
+    placed.clear()
+    derandomize("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3, psi_b=psi_b)
+    assert placed and max(placed) < 2 * full_layout_dim(ch, psi_a, psi_b, (1, 1))
 
 
 def test_sequential_pointer_is_checked_against_the_cap(monkeypatch):

@@ -20,6 +20,7 @@ from oneshot_qcap.linalg import (
     place,
     purified_distance,
     purify,
+    reduced,
     sample,
     schmidt_decompose,
     tensor,
@@ -202,6 +203,33 @@ def test_local_trace_matches_the_trace_of_the_placed_product(registers):
         local_trace((registers, op), target, mat[:, :3])
     with pytest.raises(LayoutError, match="lacks register"):
         local_trace(([("X", 2)], np.eye(2)), target, mat)
+
+
+@pytest.mark.parametrize("registers", [[("D", 2), ("A", 2)], [("C", 2)],
+                                       [("D", 2), ("B", 3), ("A", 2)], []])
+def test_reduced_matches_partial_trace_on_reordered_registers(registers):
+    # Kept registers that are not adjacent, listed out of the layout's order.
+    rho = sample("density", [2, 3, 2, 2], 7, labels=["A", "B", "C", "D"])
+    labels = [lbl for lbl, _ in registers]
+    want = (partial_trace(rho, labels).permuted(labels).matrix if labels
+            else np.array([[rho.trace]]))
+    got = reduced(registers, rho.layout, rho.matrix)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_reduced_rejects_what_does_not_fit():
+    target = SystemLayout([("A", 2), ("B", 3)])
+    mat = np.eye(6)
+    with pytest.raises(LayoutError, match="lacks register"):
+        reduced([("X", 2)], target, mat)
+    with pytest.raises(LayoutError, match="target dim"):
+        reduced([("B", 2)], target, mat)
+    with pytest.raises(LayoutError, match="duplicate"):
+        reduced([("A", 2), ("A", 2)], target, mat)
+    with pytest.raises(LayoutError, match="rows"):
+        reduced([("A", 2)], target, np.eye(4))
+    with pytest.raises(LayoutError, match="not square"):
+        reduced([("A", 2)], target, mat[:, :4])
 
 
 def test_local_product_rejects_what_does_not_fit():
