@@ -94,18 +94,13 @@ class KrausChannel:
 
 
 def apply_channel(ch: KrausChannel, rho: DensityOp) -> DensityOp:
-    """Apply a channel whose input layout matches the state's layout."""
-    if rho.layout.labels != ch.in_layout.labels:
-        if sorted(rho.layout.labels) == sorted(ch.in_layout.labels):
-            rho = rho.permuted(list(ch.in_layout.labels))
-        else:
-            raise LayoutError(
-                f"state layout {rho.layout.labels} != channel input "
-                f"{ch.in_layout.labels}")
-    if rho.layout.dims != ch.in_layout.dims:
-        raise LayoutError("state dims do not match channel input dims")
-    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus)
-    return DensityOp(out, ch.out_layout, normalized=rho.normalized)
+    """Apply a channel to a state on exactly the channel's input registers
+    (in any order)."""
+    if sorted(rho.layout.labels) != sorted(ch.in_layout.labels):
+        raise LayoutError(
+            f"state layout {rho.layout.labels} != channel input "
+            f"{ch.in_layout.labels}")
+    return apply_on(ch, rho, ch.in_layout.labels)
 
 
 def apply_on(ch: KrausChannel, rho: DensityOp, targets: Iterable[str]) -> DensityOp:
@@ -134,7 +129,7 @@ def apply_on(ch: KrausChannel, rho: DensityOp, targets: Iterable[str]) -> Densit
     out = sum(np.kron(k, eye) @ rho_p.matrix @ np.kron(k, eye).conj().T
               for k in ch.kraus)
     out_layout = ch.out_layout.concat(SystemLayout(spectators))
-    return DensityOp(out, out_layout, normalized=rho.normalized)
+    return DensityOp(out, out_layout)
 
 
 def choi(ch: KrausChannel) -> DensityOp:

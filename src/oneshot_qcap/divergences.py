@@ -324,64 +324,57 @@ def dh_classical_oracle(p, q, eps: float) -> float:
     return -math.log2(beta)
 
 
-def dh_rank1_oracle(rho: DensityOp, sigma, eps: float, *, grid: int = 24,
-                    restarts: int = 6, seed: int = 0,
-                    maxiter: int = 4000) -> float:
-    """Brute-force D_H^eps over rank-1 tests |v><v| with ||v|| <= 1.
+def dh_rank1_oracle(rho, sigma, eps: float) -> float:
+    """D_H^eps for pure rho, solved exactly over rank-1 tests |v><v|, ||v|| <= 1.
 
-    Valid for pure rho (where rank-1 tests are optimal); dimension <= 3 only,
-    since the search is a dense grid plus local refinement.  Independent of
-    the eigendecomposition solver in :func:`dh_eps`.
+    For pure rho = |psi><psi| a rank-1 test is optimal, and at the optimum
+    the constraint |<psi|v>|^2 >= t = 1 - eps is tight, so v = sqrt(t) psi +
+    Q w with Q an orthonormal basis of psi's complement.  What is left is
+    the convex trust-region problem
+
+        min  t s + 2 sqrt(t) Re(b^H w) + w^H M w   s.t.  ||w||^2 <= eps,
+
+    s = <psi|sigma|psi>, b = Q^H sigma psi, M = Q^H sigma Q, solved by
+    w(mu) = -sqrt(t) (M + mu)^{-1} b (More & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 1983): mu = 0 when that point is feasible, else the root of
+    the decreasing ||w(mu)||^2 = eps, bisected until the midpoint rounds to
+    an endpoint as in :func:`dh_eps`.  Two small eigendecompositions and no
+    threshold search, so it is a reference independent of :func:`dh_eps`,
+    in any dimension.
     """
-    from scipy.optimize import minimize
-
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    d = r.shape[0]
-    if d > 3:
-        raise ValueError("rank-1 oracle supports dimension <= 3")
-    wr = np.linalg.eigh(r)[0]
-    if d > 1 and wr[-2] > 1e-9:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    r, sig = _check_same_space(rho, sigma)
+    wr, vr = np.linalg.eigh(r)
+    if wr.size > 1 and wr[-2] > 1e-9:
         raise ValueError("rank-1 oracle requires a pure first argument")
-    psi = np.linalg.eigh(r)[1][:, -1]
-    target = 1.0 - eps
+    psi, q = vr[:, -1], vr[:, :-1]
+    t = 1.0 - eps
+    m, u = np.linalg.eigh(q.conj().T @ sig @ q)
+    # b lies in the range of M (sigma >= 0), so M's roundoff-level
+    # eigenvalues carry none of it: the pseudo-inverse drops them.
+    keep = m > SUPPORT_TOL
+    m, basis = m[keep], q @ u[:, keep]
+    c = basis.conj().T @ sig @ psi
+    weight = np.abs(c) ** 2
 
-    infeasible = 1e6  # finite penalty keeps Nelder-Mead numerics clean
+    def norm_sq(mu: float) -> float:  # ||w(mu)||^2
+        return t * float(np.sum(weight / (m + mu) ** 2))
 
-    def beta_of_direction(u: np.ndarray) -> float:
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-12:
-            return infeasible
-        u = u / nrm
-        overlap = abs(np.vdot(u, psi)) ** 2
-        if overlap < target - 1e-12:
-            # No scale c <= 1 makes this direction feasible; slope the penalty
-            # toward feasibility.
-            return infeasible + (target - overlap)
-        scale = 1.0 if target <= 0 else min(1.0, target / max(overlap, 1e-300))
-        return scale * float(np.real(np.vdot(u, s @ u)))
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        return x[:d] + 1j * x[d:]
-
-    best = math.inf
-    rng = np.random.default_rng(seed)
-    # Dense-ish start set: grid blends of psi with basis directions plus
-    # random starts, then Nelder-Mead refinement on the best candidates.
-    starts = [np.concatenate([np.real(psi), np.imag(psi)])]
-    for k in range(grid):
-        mix = rng.standard_normal(2 * d)
-        w = (k + 1) / (grid + 1)
-        starts.append((1 - w) * starts[0] + w * mix)
-    for _ in range(restarts):
-        starts.append(rng.standard_normal(2 * d))
-    for x0 in starts:
-        res = minimize(lambda x: beta_of_direction(unpack(x)), x0,
-                       method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-12,
-                                "fatol": 1e-16})
-        if res.fun < infeasible:
-            best = min(best, float(res.fun))
-    if not np.isfinite(best) or best <= TYPE2_FLOOR:
+    mu = 0.0
+    if norm_sq(0.0) > eps:
+        # ||w(mu)||^2 <= t ||b||^2 / mu^2 bounds the root; eps = 0 forces w = 0.
+        lo, mu = 0.0, math.sqrt(t * float(np.sum(weight)) / eps) if eps else math.inf
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (lo + mu)
+            if mid == lo or mid == mu:
+                break
+            if norm_sq(mid) > eps:
+                lo = mid
+            else:
+                mu = mid
+    v = math.sqrt(t) * (psi - basis @ (c / (m + mu)))
+    beta = float(np.real(np.vdot(v, sig @ v)))
+    if beta <= TYPE2_FLOOR:
         return math.inf
-    return -math.log2(best)
+    return -math.log2(beta)

@@ -143,16 +143,19 @@ def _reordered(layout: SystemLayout, order: Sequence[str]):
     return perm, SystemLayout([layout.registers[p] for p in perm])
 
 
-def _permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    return vec.reshape(dims).transpose(perm).reshape(-1)
-
-
-def _permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+def _permute(data: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """A vector or a matrix on registers of ``dims`` with its register axes
+    (every index at once) put in the order ``perm``."""
     n = len(dims)
-    full = mat.reshape(tuple(dims) * 2)
-    axes = list(perm) + [n + p for p in perm]
-    d = int(np.prod(dims, dtype=np.int64))
-    return full.transpose(axes).reshape(d, d)
+    axes = [k * n + p for k in range(data.ndim) for p in perm]
+    return data.reshape(tuple(dims) * data.ndim).transpose(axes).reshape(data.shape)
+
+
+def _permuted(self, order: Sequence[str]):
+    """The same vector or operator with its registers listed in ``order``."""
+    perm, layout = _reordered(self.layout, order)
+    data = self.amplitudes if isinstance(self, Ket) else self.matrix
+    return type(self)(_permute(data, self.layout.dims, perm), layout)
 
 
 @dataclass(frozen=True)
@@ -179,13 +182,10 @@ class Ket:
         object.__setattr__(self, "amplitudes", amp)
         object.__setattr__(self, "layout", layout)
 
-    def density(self, normalized: bool = True) -> "DensityOp":
-        return DensityOp(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout,
-                         normalized=normalized)
+    def density(self) -> "DensityOp":
+        return DensityOp(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
 
-    def permuted(self, order: Sequence[str]) -> "Ket":
-        perm, layout = _reordered(self.layout, order)
-        return Ket(_permute_vector(self.amplitudes, self.layout.dims, perm), layout)
+    permuted = _permuted
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
@@ -214,20 +214,17 @@ class HermOp:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "layout", layout)
 
-    def permuted(self, order: Sequence[str]) -> "HermOp":
-        perm, layout = _reordered(self.layout, order)
-        return HermOp(_permute_matrix(self.matrix, self.layout.dims, perm), layout)
+    permuted = _permuted
 
 
 @dataclass(frozen=True)
 class DensityOp:
-    """Positive semi-definite operator with unit (or sub-unit) trace."""
+    """Positive semi-definite operator with unit trace."""
 
     matrix: np.ndarray
     layout: SystemLayout
-    normalized: bool = True
 
-    def __init__(self, matrix, layout, normalized: bool = True):
+    def __init__(self, matrix, layout):
         layout = as_layout(layout)
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (layout.dim, layout.dim):
@@ -244,25 +241,18 @@ class DensityOp:
             mat = (v * w) @ v.conj().T
             mat = (mat + mat.conj().T) / 2.0
         tr = float(np.real(np.trace(mat)))
-        if normalized:
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"normalized density operator has trace {tr}")
-        elif tr > 1.0 + TRACE_TOL:
-            raise ValueError(f"sub-normalized density operator has trace {tr} > 1")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"normalized density operator has trace {tr}")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "normalized", bool(normalized))
 
     @property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def permuted(self, order: Sequence[str]) -> "DensityOp":
-        perm, layout = _reordered(self.layout, order)
-        return DensityOp(_permute_matrix(self.matrix, self.layout.dims, perm), layout,
-                         normalized=self.normalized)
+    permuted = _permuted
 
 
 def tensor(a, b):
@@ -270,8 +260,7 @@ def tensor(a, b):
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
     if isinstance(a, DensityOp) and isinstance(b, DensityOp):
-        return DensityOp(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout),
-                         normalized=a.normalized and b.normalized)
+        return DensityOp(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
     if isinstance(a, HermOp) and isinstance(b, HermOp):
         return HermOp(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
@@ -284,8 +273,7 @@ def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
     if unknown:
         raise LayoutError(f"unknown registers {sorted(unknown)}")
     kept = [reg for reg in op.layout.registers if reg[0] in keep_set]
-    return DensityOp(reduced(kept, op.layout, op.matrix), SystemLayout(kept),
-                     normalized=op.normalized)
+    return DensityOp(reduced(kept, op.layout, op.matrix), SystemLayout(kept))
 
 
 def herm_eig(H: HermOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +313,6 @@ def purified_distance(rho: DensityOp | np.ndarray,
 
 def purify(rho: DensityOp, env_label: str) -> Ket:
     """Purification with an environment register of dimension rank(rho)."""
-    if not rho.normalized:
-        raise ValueError("can only purify a normalized state")
     if rho.layout.has(env_label):
         raise LayoutError(f"environment label {env_label!r} already in layout")
     w, v = herm_eig(HermOp(rho.matrix, rho.layout))
@@ -397,7 +383,7 @@ def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
     # Raises on a register that two factors name.
     interim = SystemLayout(named + rest)
     perm, _ = _reordered(interim, target.labels)
-    return _permute_matrix(reduce(np.kron, mats), interim.dims, perm)
+    return _permute(reduce(np.kron, mats), interim.dims, perm)
 
 
 def _local_axes(factor, target: SystemLayout, mat: np.ndarray) -> list[int]:

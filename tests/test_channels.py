@@ -21,6 +21,7 @@ from oneshot_qcap.channels import (
 from oneshot_qcap.linalg import (
     DensityOp,
     HermOp,
+    LayoutError,
     SystemLayout,
     basis_ket,
     maximally_mixed,
@@ -128,6 +129,19 @@ def test_builtin_dispatch_matches_factories():
     rho = sample("density", 2, 1, labels=["A"])
     assert np.allclose(apply_channel(ch1, rho).matrix,
                        apply_channel(ch2, rho).matrix, atol=1e-14)
+
+
+def test_apply_channel_takes_the_inputs_in_any_order_and_nothing_else():
+    u = sample("unitary", 6, 3)
+    ch = KrausChannel([u[:3], u[3:]], [("A", 2), ("B", 3)], [("C", 3)])
+    rho = sample("density", [2, 3], 4, labels=["A", "B"])
+    out = apply_channel(ch, rho)
+    assert np.array_equal(apply_channel(ch, rho.permuted(["B", "A"])).matrix,
+                          out.matrix)
+    assert np.array_equal(apply_on(ch, rho, ["A", "B"]).matrix, out.matrix)
+    assert out.layout == ch.out_layout
+    with pytest.raises(LayoutError):
+        apply_channel(ch, sample("density", [2, 3], 4, labels=["A", "D"]))
 
 
 def test_neumark_matches_direct_statistics():

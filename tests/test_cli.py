@@ -169,6 +169,15 @@ def test_verify_exit_codes(capsys):
     assert code == 1
 
 
+def test_verify_pure_rank_one_where_the_search_fell_short(capsys):
+    # A local search for the rank-one optimum fell short of it here and made
+    # this run exit 2 although dh_eps was right.
+    code = run(["verify", "--facts", "pure_rank_one", "--trials", "10",
+                "--seed", "17"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0, out
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
     st = write_spec(tmp_path, "st.json", BELL_STATE)

@@ -270,8 +270,102 @@ def test_rank1_oracle_agrees_for_pure_states():
         rho = pure_density(sample("pure", 2, seed))
         sig = sample("density", 2, seed + 10)
         for eps in (0.1, 0.3):
-            assert dh_rank1_oracle(rho, sig, eps, seed=seed) == pytest.approx(
-                dh_eps(rho, sig, eps).value, abs=1e-6)
+            assert dh_rank1_oracle(rho, sig, eps) == pytest.approx(
+                dh_eps(rho, sig, eps).value, abs=1e-9)
+
+
+def pure_instance(rng, d, rank=None):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj()), random_density(rng, d, rank)
+
+
+def test_rank1_oracle_matches_dh_eps_in_any_dimension():
+    rng = np.random.default_rng(77)
+    for i in range(140):
+        d = 2 + i % 7
+        rank = int(rng.integers(1, d)) if i % 5 == 0 else None
+        rho, sig = pure_instance(rng, d, rank)
+        for eps in (0.0, 0.01, 0.1, 0.3, 0.7, 0.95):
+            ref = dh_eps(rho, sig, eps)
+            value = dh_rank1_oracle(rho, sig, eps)
+            assert math.isinf(value) == ref.unbounded
+            if not ref.unbounded:
+                assert value == pytest.approx(ref.value, abs=1e-9)
+
+
+def test_rank1_oracle_matches_the_classical_oracle_on_diagonal_instances():
+    rng = np.random.default_rng(78)
+    for i in range(60):
+        d = 2 + i % 7
+        p = np.zeros(d)
+        p[rng.integers(d)] = 1.0
+        q = rng.dirichlet(np.ones(d))
+        for eps in (0.0, 0.1, 0.5, 0.9):
+            assert dh_rank1_oracle(np.diag(p), np.diag(q), eps) == pytest.approx(
+                dh_classical_oracle(p, q, eps), abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
+def test_rank1_oracle_rejects_eps_outside_the_unit_interval(eps):
+    rho = diag_state([1.0, 0.0])
+    with pytest.raises(ValueError):
+        dh_rank1_oracle(rho, diag_state([0.5, 0.5]), eps)
+
+
+def nelder_mead_rank1_reference(rho, sigma, eps, *, grid=24, restarts=6, seed=0,
+                                maxiter=4000):
+    """The local search the exact oracle replaced: Nelder-Mead over the
+    directions of rank-1 tests |v><v|, from a seeded start set.  Every value
+    it returns is that of a feasible test, so it cannot exceed the optimum."""
+    from scipy.optimize import minimize
+
+    r, s = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    d = r.shape[0]
+    psi = np.linalg.eigh(r)[1][:, -1]
+    target = 1.0 - eps
+    infeasible = 1e6  # finite penalty keeps Nelder-Mead numerics clean
+
+    def beta_of_direction(u):
+        nrm = np.linalg.norm(u)
+        if nrm < 1e-12:
+            return infeasible
+        u = u / nrm
+        overlap = abs(np.vdot(u, psi)) ** 2
+        if overlap < target - 1e-12:
+            return infeasible + (target - overlap)
+        scale = 1.0 if target <= 0 else min(1.0, target / max(overlap, 1e-300))
+        return scale * float(np.real(np.vdot(u, s @ u)))
+
+    def unpack(x):
+        return x[:d] + 1j * x[d:]
+
+    best = math.inf
+    rng = np.random.default_rng(seed)
+    starts = [np.concatenate([np.real(psi), np.imag(psi)])]
+    for k in range(grid):
+        w = (k + 1) / (grid + 1)
+        starts.append((1 - w) * starts[0] + w * rng.standard_normal(2 * d))
+    for _ in range(restarts):
+        starts.append(rng.standard_normal(2 * d))
+    for x0 in starts:
+        res = minimize(lambda x: beta_of_direction(unpack(x)), x0,
+                       method="Nelder-Mead",
+                       options={"maxiter": maxiter, "xatol": 1e-12, "fatol": 1e-16})
+        if res.fun < infeasible:
+            best = min(best, float(res.fun))
+    if not np.isfinite(best) or best <= divergences.TYPE2_FLOOR:
+        return math.inf
+    return -math.log2(best)
+
+
+def test_no_rank1_test_the_search_finds_beats_the_exact_oracle():
+    rng = np.random.default_rng(79)
+    for i, (d, eps) in enumerate([(2, 0.1), (3, 0.3), (2, 0.05), (3, 0.5)]):
+        rho, sig = pure_instance(rng, d)
+        found = nelder_mead_rank1_reference(rho, sig, eps, grid=6, restarts=2,
+                                            seed=i, maxiter=800)
+        assert found <= dh_rank1_oracle(rho, sig, eps) + 1e-9
 
 
 def test_rank1_oracle_rejects_mixed_input():

@@ -82,6 +82,18 @@ def test_permuted_is_an_involution():
                        atol=1e-14)
 
 
+def test_one_permuted_serves_kets_and_operators():
+    psi = sample("pure", [2, 3], 5, labels=["A", "B"])
+    order = ["B", "A"]
+    flipped = psi.permuted(order)
+    rho = psi.density().permuted(order)
+    herm = HermOp(psi.density().matrix, psi.layout).permuted(order)
+    assert (type(flipped), type(rho), type(herm)) == (Ket, DensityOp, HermOp)
+    assert flipped.layout == rho.layout == herm.layout
+    assert np.allclose(flipped.density().matrix, rho.matrix, atol=1e-15)
+    assert np.allclose(herm.matrix, rho.matrix, atol=1e-15)
+
+
 def test_permutation_preserves_spectrum():
     rho = sample("density", [2, 2, 3], 11, labels=["A", "B", "C"])
     flipped = rho.permuted(["C", "A", "B"])

@@ -28,9 +28,16 @@ def test_each_check_holds_smoke(name):
 
 
 def test_pure_rank_one_smoke():
-    # The heaviest check: a single small-dimension trial.
+    # A single small-dimension trial.
     result = run_check("pure_rank_one", trials=1, dims=(2,), seed=1)
     assert result["holds"], result
+
+
+def test_pure_rank_one_holds_where_the_search_fell_short():
+    # A local search for the rank-one optimum reported margin -0.045 here.
+    result = run_check("pure_rank_one", trials=10, seed=22)
+    assert result["holds"], result
+    assert result["worst_margin"] > 0
 
 
 def test_run_check_is_deterministic():
