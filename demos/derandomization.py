@@ -32,7 +32,6 @@ def main():
         print(f"  best fixed string   : {code.strings}")
         print(f"  fixed-code error    : {code.error:.6f}")
         print(f"  randomized average  : {code.randomized_error:.6f}")
-        print(f"  exhaustive search   : {code.exhaustive}")
         assert code.error <= code.randomized_error + 1e-12
         print()
     print("The fixed code never does worse than the randomized average --")

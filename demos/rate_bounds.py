@@ -13,20 +13,12 @@ divergence (a one-shot effect: with a single channel use and a small error
 budget there may be no nontrivial code at all).
 """
 
-import numpy as np
-
 from oneshot_qcap import achievable_rate, bell_ket, converse_value
 from oneshot_qcap.channels import depolarizing
-from oneshot_qcap.linalg import DensityOp
-
-
-def pure(ket):
-    return DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()),
-                     ket.layout)
 
 
 def main():
-    bell = pure(bell_ket("A", "B'"))
+    bell = bell_ket("A", "B'").density()
     # One channel use leaves little room: a generous delta keeps the
     # log2(1/delta) penalty from consuming the whole divergence.
     delta = 0.45

@@ -20,18 +20,11 @@ from oneshot_qcap import (
     identity_channel_corollary,
     simulate_p2p_ea,
 )
-from oneshot_qcap.linalg import DensityOp
-import numpy as np
-
-
-def pure(ket):
-    return DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()),
-                     ket.layout)
 
 
 def main():
     ch = identity_channel(2, "A", "B")
-    bell = pure(bell_ket("A", "B'"))
+    bell = bell_ket("A", "B'").density()
 
     print("== converse ==")
     for eps in (0.0, 0.1, 0.25):

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import KrausChannel
 from .coding import check_uniform, get_scenario, product_marginals
 from .divergences import dh_eps, dmax
-from .linalg import DensityOp, Ket, SystemLayout, partial_trace, psd_sqrt
+from .linalg import DensityOp, Ket, SystemLayout, as_matrix, partial_trace, psd_sqrt
 
 __all__ = [
     "RateBound",
@@ -83,8 +83,7 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     cand_mats = [("output marginal", out_marg.matrix),
                  ("maximally mixed", np.eye(d_out) / d_out)]
     for i, c in enumerate(candidates or []):
-        mat = c.matrix if isinstance(c, DensityOp) else np.asarray(c, dtype=complex)
-        cand_mats.append((f"candidate {i}", mat))
+        cand_mats.append((f"candidate {i}", as_matrix(c)))
     best = math.inf
     best_desc = None
     for desc, mat in cand_mats:

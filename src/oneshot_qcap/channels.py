@@ -13,6 +13,7 @@ from .linalg import (
     LayoutError,
     SystemLayout,
     as_layout,
+    as_matrix,
     herm_eig,
     max_entangled_ket,
     psd_sqrt,
@@ -81,17 +82,6 @@ class KrausChannel:
     def out_dim(self) -> int:
         return self.out_layout.dim
 
-    def relabeled(self, in_labels: Sequence[str] | None = None,
-                  out_labels: Sequence[str] | None = None) -> "KrausChannel":
-        """Same map with renamed registers (dims unchanged)."""
-        inl = self.in_layout
-        outl = self.out_layout
-        if in_labels is not None:
-            inl = SystemLayout(list(zip(in_labels, inl.dims)))
-        if out_labels is not None:
-            outl = SystemLayout(list(zip(out_labels, outl.dims)))
-        return KrausChannel(self.kraus, inl, outl)
-
 
 def apply_channel(ch: KrausChannel, rho: DensityOp) -> DensityOp:
     """Apply a channel to a state on exactly the channel's input registers
@@ -106,17 +96,14 @@ def apply_channel(ch: KrausChannel, rho: DensityOp) -> DensityOp:
 def apply_on(ch: KrausChannel, rho: DensityOp, targets: Iterable[str]) -> DensityOp:
     """Apply a channel to a subset of registers, identity on the rest.
 
-    ``targets`` names the registers fed to the channel, in the channel's own
-    input order.  Output layout is the channel's output registers followed by
-    the untouched spectators in their original order.
+    ``targets`` names the registers fed to the channel: exactly the channel's
+    input registers, in any order.  Output layout is the channel's output
+    registers followed by the untouched spectators in their original order.
     """
     targets = list(targets)
     if sorted(targets) != sorted(ch.in_layout.labels):
-        # Allow positional targeting: map channel inputs onto the named
-        # registers in the given order.
-        if len(targets) != len(ch.in_layout.labels):
-            raise LayoutError("targets must match the channel's input registers")
-        ch = ch.relabeled(in_labels=targets)
+        raise LayoutError(f"targets {targets} are not the channel's inputs "
+                          f"{list(ch.in_layout.labels)}")
     for lbl in targets:
         if rho.layout.dim_of(lbl) != ch.in_layout.dim_of(lbl):
             raise LayoutError(f"register {lbl!r} dim mismatch with channel input")
@@ -336,8 +323,7 @@ def neumark_dilate(povm: Sequence[HermOp | np.ndarray]) -> NeumarkDilation:
     to a unitary; pointer outcome statistics on input rho (x) |0><0| then
     reproduce Tr(M_i rho) exactly.
     """
-    mats = [m.matrix if isinstance(m, HermOp) else np.asarray(m, dtype=complex)
-            for m in povm]
+    mats = [as_matrix(m) for m in povm]
     if not mats:
         raise ValueError("empty POVM")
     d = mats[0].shape[0]
@@ -381,7 +367,7 @@ def binary_test_projector(test: HermOp | np.ndarray) -> np.ndarray:
 
     Tr(P (rho (x) |0><0|)) = Tr(T rho), and P is idempotent.
     """
-    t = test.matrix if isinstance(test, HermOp) else np.asarray(test, dtype=complex)
+    t = as_matrix(test)
     d = t.shape[0]
     w, v = np.linalg.eigh((t + t.conj().T) / 2)
     w = np.clip(w, 0.0, 1.0)

@@ -31,7 +31,9 @@ from .linalg import (
     DensityOp,
     HermOp,
     SystemLayout,
+    as_matrix,
     fidelity,
+    herm_apply,
     local_product,
     local_trace,
     partial_trace,
@@ -86,16 +88,10 @@ MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 # ---------------------------------------------------------------------------
 # small operator helpers
 
-def _pinv_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
+def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse square root of the ascending eigenvalues ``w``."""
     cutoff = PINV_TOL * max(float(w[-1]), 1e-300)
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
-def _clip_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
 
 
 def _trace_with(op: np.ndarray, rho: np.ndarray) -> float:
@@ -223,12 +219,17 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     layout = _copies_layout(test.layout, [(resource_label, copies)])
     tests = [place([(_on_copies(test.layout, {resource_label: m}), test.matrix)],
                    layout) for m in range(copies)]
-    root = _pinv_sqrt(np.sum(tests, axis=0))
-    povm = [root @ t @ root for t in tests]
-    povm = [(p + p.conj().T) / 2 for p in povm]
+    w, v = np.linalg.eigh(np.sum(tests, axis=0))
+    root = (v * _pinv_sqrt(w)) @ v.conj().T
+    povm = [(p + p.conj().T) / 2 for p in (root @ t @ root for t in tests)]
+    del tests  # copies x D x D; nothing below reads them
     comp = np.eye(layout.dim) - np.sum(povm, axis=0)
     comp = (comp + comp.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(comp)[0])
+    # In S's eigenbasis the completion is diagonal up to roundoff, so its
+    # Gershgorin discs bound its smallest eigenvalue from below.
+    g = v.conj().T @ comp @ v
+    radii = np.sum(np.abs(g), axis=1) - np.abs(g.diagonal())
+    min_eig = float(np.min(g.diagonal().real - radii))
     if min_eig < -COMPLETION_TOL:
         raise ValueError(
             f"POVM completion element fails PSD (min eig {min_eig:.3e})")
@@ -246,9 +247,8 @@ def hn_check(S: HermOp | np.ndarray, T: HermOp | np.ndarray, c: float) -> float:
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    s = S.matrix if isinstance(S, HermOp) else np.asarray(S, dtype=complex)
-    t = T.matrix if isinstance(T, HermOp) else np.asarray(T, dtype=complex)
-    root = _pinv_sqrt(s + t)
+    s, t = as_matrix(S), as_matrix(T)
+    root = herm_apply(s + t, _pinv_sqrt)
     lhs = np.eye(s.shape[0]) - root @ s @ root
     rhs = (1 + c) * (np.eye(s.shape[0]) - s) + (2 + c + 1 / c) * t
     gap = rhs - lhs
@@ -261,8 +261,7 @@ def seq_check(rho: DensityOp, projectors: Sequence[HermOp | np.ndarray]):
     lhs = Tr(P'_k ... P'_1 rho P'_1 ... P'_k) with P' = I - P,
     rhs = 1 - 4 sum_i Tr(P_i rho); lhs >= rhs always.
     """
-    mats = [p.matrix if isinstance(p, HermOp) else np.asarray(p, dtype=complex)
-            for p in projectors]
+    mats = [as_matrix(p) for p in projectors]
     for p in mats:
         if float(np.max(np.abs(p @ p - p))) > 1e-10:
             raise ValueError("sequential bound needs projectors")
@@ -289,13 +288,13 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
                   = sum Tr(A_i rho)^2 >= sum Tr(A_i^2 rho)^2.
     """
     if mode == "sqrt_overlap":
-        pi = operator.matrix if isinstance(operator, HermOp) else np.asarray(operator)
+        pi = as_matrix(operator)
         lhs = abs(math.sqrt(max(_trace_with(pi, other.matrix), 0.0))
                   - math.sqrt(max(_trace_with(pi, state.matrix), 0.0)))
         rhs = purified_distance(state, other)
         return {"mode": mode, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
     if mode == "single_operator":
-        a = operator.matrix if isinstance(operator, HermOp) else np.asarray(operator)
+        a = as_matrix(operator)
         weight = _trace_with(a @ a, state.matrix)
         if weight <= 1e-14:
             return {"mode": mode, "degenerate": True, "weight": weight}
@@ -305,7 +304,7 @@ def gentle_checks(mode: str, *, state: DensityOp, operator=None,
         return {"mode": mode, "lhs": lhs, "rhs": rhs,
                 "holds": lhs >= rhs - 1e-9, "degenerate": False}
     if mode == "povm_ensemble":
-        mats = [m.matrix if isinstance(m, HermOp) else np.asarray(m) for m in povm]
+        mats = [as_matrix(m) for m in povm]
         post_mat = np.sum([a @ state.matrix @ a.conj().T for a in mats], axis=0)
         tr = float(np.real(np.trace(post_mat)))
         post = DensityOp(post_mat / tr, state.layout)
@@ -874,7 +873,7 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     first, second = (build_position_povm(code.witnesses[i], n[i], code.senders[i][0])
                      for i in order)
     kraus_first = [(first.layout.registers, psd_sqrt(p))
-                   for p in first.povm + (_clip_psd(first.completion),)]
+                   for p in first.povm + (first.completion,)]
     copies_first = set(first.layout.labels) - set(second.layout.labels)
 
     n1, n2 = n
@@ -1077,17 +1076,16 @@ class DerandomizedCode:
     strings_b: tuple[int, ...] | None
     error: float
     randomized_error: float
-    exhaustive: bool
 
 
 def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 epsilons, delta: float, *, psi_b: DensityOp | None = None,
-                tau: DensityOp | None = None, seed: int = 0, cap: int = 4096,
-                sample: bool = False, num_samples: int = 256) -> DerandomizedCode:
+                tau: DensityOp | None = None, cap: int = 4096) -> DerandomizedCode:
     """Search for a fixed randomness string at least as good as the average.
 
-    With exhaustive enumeration the minimum over strings is at most the
-    randomized protocol's average error, by the averaging argument.  For the
+    Every string is enumerated, so the minimum over strings is at most the
+    randomized protocol's average error, by the averaging argument; more
+    than ``cap`` candidate strings raise ValueError.  For the
     two-sender scenario the strings are chosen jointly and the figure
     minimized is the average error of the joint decoder.  The two-receiver
     broadcast scenario is not supported.
@@ -1095,7 +1093,6 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     spec = get_scenario(f"{scenario}_ua")
     if spec.streams > 1 and spec.decode is not _decode_mac:
         raise ValueError(f"derandomization not implemented for scenario {scenario!r}")
-    rng = np.random.default_rng(seed)
     rates = spec.per_stream(rates, "rates")
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, eps)
@@ -1130,20 +1127,10 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
         for letters in itertools.product(*(s.support for s in senders))}
 
     total = math.prod(len(s.support) ** s.copies for s in senders)
-    if total <= cap:
-        candidates = list(itertools.product(*(
-            itertools.product(s.support, repeat=s.copies) for s in senders)))
-        exhaustive = True
-    elif not sample:
-        raise ValueError(
-            f"{total} candidate strings exceed the enumeration cap {cap}; "
-            "pass sample=True to draw candidates instead")
-    else:
-        weights = [s.probs[s.support] / s.probs[s.support].sum() for s in senders]
-        candidates = [tuple(tuple(rng.choice(s.support, size=s.copies, p=p))
-                            for s, p in zip(senders, weights))
-                      for _ in range(num_samples)]
-        exhaustive = False
+    if total > cap:
+        raise ValueError(f"{total} strings exceed the enumeration cap {cap}")
+    candidates = itertools.product(*(
+        itertools.product(s.support, repeat=s.copies) for s in senders))
 
     messages = list(itertools.product(*(range(s.copies) for s in senders)))
     best_err, best = math.inf, None
@@ -1160,7 +1147,7 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
         if err < best_err - 1e-15:
             best_err, best = err, tuple(tuple(string) for string in strings)
     return DerandomizedCode(best[0], best[1] if len(best) > 1 else None,
-                            best_err, 1.0 - float(np.mean(randomized)), exhaustive)
+                            best_err, 1.0 - float(np.mean(randomized)))
 
 
 class _Sender(NamedTuple):
@@ -1183,24 +1170,22 @@ def _basis_density(index: int, dim: int) -> np.ndarray:
 # converse floor and dual error accounting
 
 def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
-                 eps: float | None = None, sigmas: int = 5, seed: int = 0) -> dict:
+                   sigmas: int = 5, seed: int = 0) -> dict:
     """Converse floor from the exact outcome distribution of a code.
 
     Embeds the joint (message, decoded) distribution as a cq state phi_MM'
     with uniform messages and checks dh_eps(phi || phi_M (x) sigma, eps) >= R
-    against sampled states sigma.  The correlation test sum_m |mm><mm| is a
-    feasible witness with type-I success = average success and type-II error
-    <= 2^-R for any sigma, so the floor is a theorem; this makes it a
-    numerical cross-check of the whole pipeline.
+    at eps = 1 - average success, against sampled states sigma.  The
+    correlation test sum_m |mm><mm| is a feasible witness with type-I success
+    = average success and type-II error <= 2^-R for any sigma, so the floor
+    is a theorem; this makes it a numerical cross-check of the whole pipeline.
     """
     dist = np.asarray(dist, dtype=float)
     n, n_out = dist.shape
     if correct_cols is None:
         correct_cols = np.arange(n)
     success = float(np.mean([dist[i, correct_cols[i]] for i in range(n)]))
-    if eps is None:
-        eps = 1.0 - success
-    eps = min(max(eps, 0.0), 1.0 - 1e-12)
+    eps = min(max(1.0 - success, 0.0), 1.0 - 1e-12)
     # phi_MM': permute the outcome axis so the correct outcome of message i
     # sits at column i, making the correlation structure literal.
     perm = list(correct_cols) + [j for j in range(n_out) if j not in set(correct_cols)]
@@ -1227,7 +1212,10 @@ def dilation_statistics(code: PositionCode, state: DensityOp) -> np.ndarray:
     traces: dilate {Omega(m)} + completion to a projective pointer
     measurement and read the pointer distribution.
     """
-    povm = list(code.povm) + [_clip_psd(code.completion)]
+    # neumark_dilate rejects eigenvalues below -1e-10; the completion check
+    # allows -COMPLETION_TOL.
+    povm = list(code.povm) + [herm_apply(code.completion,
+                                         lambda w: np.clip(w, 0.0, None))]
     dil = neumark_dilate(povm)
     rho = state.permuted(list(code.layout.labels))
     return dil.outcome_probabilities(rho.matrix)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOp, HermOp, LayoutError
+from .linalg import LayoutError, as_matrix
 
 __all__ = [
     "SupportError",
@@ -39,14 +39,8 @@ class SupportError(ValueError):
     """supp(rho) is not contained in supp(sigma)."""
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, (DensityOp, HermOp)):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
-
-
 def _check_same_space(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    r, s = _as_matrix(rho), _as_matrix(sigma)
+    r, s = as_matrix(rho), as_matrix(sigma)
     if r.shape != s.shape:
         raise LayoutError(f"dimension mismatch {r.shape} vs {s.shape}")
     return r, s
@@ -154,20 +148,6 @@ def _projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
     return [c @ c.conj().T for c in cols]
 
 
-def _threshold_split(delta: np.ndarray, scale: float):
-    """Eigen-split of rho - t*sigma into strictly-positive and boundary parts.
-
-    ``delta`` is a stack of blocks; the projectors come per block, the
-    eigenvalues as a stack.  ``scale`` anchors the boundary tolerance.  It is
-    taken from the operands rho and t*sigma rather than from the difference
-    itself, so that near a degenerate crossing (rho close to t*sigma) the
-    whole collapsing subspace is still recognized as boundary.
-    """
-    w, v = np.linalg.eigh(delta)
-    tol = _boundary_tol(scale)
-    return _projectors(v, w > tol), _projectors(v, np.abs(w) <= tol), w
-
-
 def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     """Smooth hypothesis-testing divergence via quantum Neyman-Pearson tests.
 
@@ -231,32 +211,44 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     def op_scale(t: float) -> float:
         return max(r_scale, t * s_scale)
 
-    def positive_projectors(t: float) -> list[np.ndarray]:
-        # P_> of _threshold_split alone; the bisection reads nothing else.
-        w, v = np.linalg.eigh(r - t * s)
-        return _projectors(v, w > _boundary_tol(op_scale(t)))
+    def split(t: float):
+        """Eigenvalues, eigenvectors and boundary tolerance of rho - t*sigma."""
+        return (*np.linalg.eigh(r - t * s), _boundary_tol(op_scale(t)))
 
-    def type1_above(t: float) -> float:
-        return _mass(positive_projectors(t), r)
+    def above_target(split_t) -> bool:  # Tr(P_> rho) > 1 - eps
+        w, v, tol = split_t
+        return _mass(_projectors(v, w > tol), r) > target
 
-    lo_t = 0.0
+    # The decompositions at the bracket ends, and at hi_t / 2 (the first
+    # midpoint) once hi_t has been doubled; None where none was made yet.
+    lo_t, lo_split = 0.0, None
     hi_t = hi
+    half_split = None
     # Guarantee the bracket: at t=0 the strict-positive part carries all of
     # rho's mass; push hi_t up if needed (orthogonal-support leftovers stay).
     for _ in range(64):
-        if type1_above(hi_t) <= target:
+        hi_split = split(hi_t)
+        if not above_target(hi_split):
             break
         hi_t *= 2.0
+        half_split, hi_split = hi_split, None
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo_t + hi_t)
         if mid == lo_t or mid == hi_t:
             break
-        if type1_above(mid) > target:
-            lo_t = mid
+        mid_split, half_split = half_split or split(mid), None
+        if above_target(mid_split):
+            lo_t, lo_split = mid, mid_split
         else:
-            hi_t = mid
+            hi_t, hi_split = mid, mid_split
     t_star = hi_t
-    p_pos, p_bnd, w_delta = _threshold_split(r - t_star * s, op_scale(t_star))
+    # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
+    # is taken from the operands rho and t*sigma rather than from the
+    # difference itself, so that near a degenerate crossing (rho close to
+    # t*sigma) the whole collapsing subspace is still recognized as boundary.
+    w_delta, v, tol = hi_split or split(t_star)
+    p_pos = _projectors(v, w_delta > tol)
+    p_bnd = _projectors(v, np.abs(w_delta) <= tol)
     mass_pos = _mass(p_pos, r)
     mass_bnd = _mass(p_bnd, r)
     if mass_bnd > 1e-15:
@@ -271,7 +263,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        p_lo = positive_projectors(lo_t)
+        w_lo, v_lo, tol_lo = lo_split or split(lo_t)
+        p_lo = _projectors(v_lo, w_lo > tol_lo)
         m_lo = _mass(p_lo, r)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)

@@ -9,7 +9,7 @@ all functions are pure, so values may be shared freely across threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -27,6 +27,8 @@ __all__ = [
     "tensor",
     "partial_trace",
     "herm_eig",
+    "herm_apply",
+    "as_matrix",
     "fidelity",
     "purified_distance",
     "purify",
@@ -46,7 +48,6 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 4096
 
-HERMITICITY_TOL = 1e-12
 EIG_CLIP_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -236,9 +237,7 @@ class DensityOp:
             raise ValueError(f"density operator has eigenvalue {lo:.3e} < -{EIG_CLIP_TOL}")
         if lo < 0.0:
             # Roundoff-scale negative part: clip it away.
-            w, v = np.linalg.eigh(mat)
-            w = np.clip(w, 0.0, None)
-            mat = (v * w) @ v.conj().T
+            mat = herm_apply(mat, lambda w: np.clip(w, 0.0, None))
             mat = (mat + mat.conj().T) / 2.0
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -285,11 +284,24 @@ def herm_eig(H: HermOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a HermOp or DensityOp, else ``x`` as a complex array."""
+    if isinstance(x, (HermOp, DensityOp)):
+        return x.matrix
+    return np.asarray(x, dtype=complex)
+
+
+def herm_apply(mat: np.ndarray, f) -> np.ndarray:
+    """f(mat) for a Hermitian matrix: ``f`` maps the ascending array of its
+    eigenvalues, and the result is reassembled on its eigenvectors."""
+    w, v = np.linalg.eigh(mat)
+    return (v * f(w)) @ v.conj().T
+
+
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Square root of a Hermitian matrix with its negative eigenvalues
     clipped to zero."""
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return herm_apply(mat, lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def fidelity(rho: DensityOp | np.ndarray, sigma: DensityOp | np.ndarray) -> float:
@@ -537,8 +549,7 @@ def sample(kind: str, dims, seed=0, *, outcomes: int = 2, rank: int | None = Non
         for _ in range(outcomes):
             g = _ginibre(rng, d, d)
             raw.append(g @ g.conj().T)
-        total = np.sum(raw, axis=0)
-        w, v = np.linalg.eigh(total)
-        inv_sqrt = (v * (1.0 / np.sqrt(np.clip(w, 1e-300, None)))) @ v.conj().T
+        inv_sqrt = herm_apply(np.sum(raw, axis=0),
+                              lambda w: 1.0 / np.sqrt(np.clip(w, 1e-300, None)))
         return [HermOp(inv_sqrt @ m @ inv_sqrt, layout) for m in raw]
     raise ValueError(f"unknown sample kind {kind!r}")

@@ -18,7 +18,6 @@ from .coding import gentle_checks, hn_check, seq_check
 from .divergences import dh_eps, dh_rank1_oracle, relative_entropy
 from .linalg import (
     DensityOp,
-    HermOp,
     SystemLayout,
     fidelity,
     psd_sqrt,

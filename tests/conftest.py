@@ -69,6 +69,18 @@ def gp_controlled_flip_channel() -> KrausChannel:
 
 
 @pytest.fixture
+def eig_inputs(monkeypatch) -> list:
+    """Every array handed to numpy's eigh or eigvalsh while the test runs."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def call(m, *args, _real=getattr(np.linalg, name), **kwargs):
+            seen.append(np.array(m))
+            return _real(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+    return seen
+
+
+@pytest.fixture
 def id2() -> KrausChannel:
     return identity_channel(2, "A", "B")
 

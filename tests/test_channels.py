@@ -144,6 +144,13 @@ def test_apply_channel_takes_the_inputs_in_any_order_and_nothing_else():
         apply_channel(ch, sample("density", [2, 3], 4, labels=["A", "D"]))
 
 
+def test_apply_on_takes_only_the_channel_inputs():
+    ch = depolarizing(0.2, 2, "A", "B")
+    rho = sample("density", [2, 2], 5, labels=["X", "R"])
+    with pytest.raises(LayoutError):
+        apply_on(ch, rho, ["X"])
+
+
 def test_neumark_matches_direct_statistics():
     povm = sample("povm", 3, 8, outcomes=4)
     dil = neumark_dilate([el.matrix for el in povm])

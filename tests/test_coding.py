@@ -76,6 +76,23 @@ def test_position_povm_completes_and_embeds():
         assert evals[0] >= -1e-10
 
 
+def test_position_povm_decomposes_one_operator_at_its_dimension(eig_inputs):
+    test = HermOp(np.diag([0.9, 0.1, 0.6, 0.2]),
+                  SystemLayout([("B", 2), ("R", 2)]))
+    code = build_position_povm(test, copies=4, resource_label="R")
+    assert [m.shape[-1] for m in eig_inputs].count(code.layout.dim) == 1
+
+
+def test_position_povm_rejects_a_completion_that_is_not_psd(monkeypatch):
+    # A root 1% too large leaves I - root S root at -0.02 on S's support.
+    pinv_sqrt = coding._pinv_sqrt
+    monkeypatch.setattr(coding, "_pinv_sqrt", lambda w: 1.01 * pinv_sqrt(w))
+    test = HermOp(np.diag([0.9, 0.1, 0.6, 0.2]),
+                  SystemLayout([("B", 2), ("R", 2)]))
+    with pytest.raises(ValueError, match="fails PSD"):
+        build_position_povm(test, copies=4, resource_label="R")
+
+
 def test_position_povm_rejects_invalid_test():
     bad = HermOp(np.diag([1.5, 0.0]), SystemLayout([("B", 2)]))
     with pytest.raises(ValueError):
@@ -549,7 +566,6 @@ def test_mac_ua_xor():
 def test_derandomize_rate_one_is_perfect(id2):
     corr = classically_correlated("A", "U")
     code = derandomize("p2p", id2, corr, 1, 0.1, 0.6)
-    assert code.exhaustive
     assert code.strings == (0, 1)
     assert code.error == pytest.approx(0.0, abs=1e-12)
     assert code.randomized_error == pytest.approx(0.25, abs=1e-10)
@@ -558,7 +574,6 @@ def test_derandomize_rate_one_is_perfect(id2):
 def test_derandomize_beats_randomized_average(id2):
     corr = classically_correlated("A", "U")
     code = derandomize("p2p", id2, corr, 2, 0.1, 0.6)
-    assert code.exhaustive
     assert code.error <= code.randomized_error + 1e-12
     assert code.error == pytest.approx(0.5, abs=1e-10)
     assert code.randomized_error == pytest.approx(0.53125, abs=1e-10)
@@ -573,7 +588,6 @@ def test_derandomize_mac_picks_string_pairs():
     psi_a = classically_correlated("A", "UA")
     psi_b = classically_correlated("B", "UB")
     code = derandomize("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3, psi_b=psi_b)
-    assert code.exhaustive
     assert (code.strings, code.strings_b) == ((0, 1), (0, 1))
     assert code.error == pytest.approx(0.268975, abs=1e-10)
     assert code.randomized_error == pytest.approx(0.81724375, abs=1e-10)
@@ -689,15 +703,13 @@ def test_simulator_values_are_unchanged():
 def test_derandomized_values_are_unchanged():
     code = derandomize("p2p", depolarizing(0.2, 2, "A", "B"),
                        classically_correlated("A", "U"), 2, 0.1, 0.6)
-    assert (code.strings, code.strings_b, code.exhaustive) == (
-        (0, 0, 0, 1), None, True)
+    assert (code.strings, code.strings_b) == ((0, 0, 0, 1), None)
     assert code.error == pytest.approx(0.5500000000000007, abs=1e-12)
     assert code.randomized_error == pytest.approx(0.5781250000000008, abs=1e-12)
     code = derandomize("mac", noisy_xor_mac_channel(0.1),
                        classically_correlated("A", "UA"), (1, 1), (0.1, 0.1),
                        0.3, psi_b=classically_correlated("B", "UB"))
-    assert (code.strings, code.strings_b, code.exhaustive) == (
-        (0, 1), (0, 1), True)
+    assert (code.strings, code.strings_b) == ((0, 1), (0, 1))
     assert code.error == pytest.approx(0.9768, abs=1e-12)
     assert code.randomized_error == pytest.approx(0.9966, abs=1e-12)
 

@@ -235,6 +235,37 @@ def test_dh_rejects_what_is_neither_a_matrix_nor_a_stack():
         dh_eps(np.eye(4).reshape(2, 8) / 4, np.eye(4).reshape(2, 8) / 4, 0.1)
 
 
+def near_equal_pair(d):
+    rho = sample("density", d, 3).matrix
+    return rho, (1 - 1e-8) * rho + 1e-8 * sample("density", d, 4).matrix
+
+
+@pytest.mark.parametrize("rho,sig,eps,repairs", [
+    (*guard_instance("random", 4, 104), 0.2, False),
+    (*direct_sum_instance(np.random.default_rng(7), 2, 3), 0.3, False),
+    # The witness at t* falls short of 1 - eps here, so the test at lo_t
+    # is mixed in.
+    (*near_equal_pair(4), 0.2, True),
+], ids=["random", "two_blocks", "repair"])
+def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
+                                            eps, repairs):
+    vecs = []  # the eigenvectors each projector is built from, in order
+    projectors = divergences._projectors
+    monkeypatch.setattr(divergences, "_projectors",
+                        lambda v, masks: vecs.append(v) or projectors(v, masks))
+    dh_eps(rho, sig, eps)
+    assert eig_inputs
+    for i, a in enumerate(eig_inputs):
+        assert not any(np.array_equal(a, b) for b in eig_inputs[i + 1:])
+    # The split at t* builds P_> and P_= from one decomposition; the repair
+    # then builds the test at lo_t from the bisection's decomposition there.
+    at_t_star = vecs[-3:-1] if repairs else vecs[-2:]
+    assert at_t_star[0] is at_t_star[1]
+    if repairs:
+        assert vecs[-1] is not vecs[-2]
+        assert any(v is vecs[-1] for v in vecs[:-3])
+
+
 def test_dh_matches_classical_oracle_small():
     p = [0.5, 0.3, 0.2]
     q = [0.2, 0.3, 0.5]
