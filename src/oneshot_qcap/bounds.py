@@ -214,7 +214,7 @@ def achievable_rate(scenario: str, ch: KrausChannel, psi: DensityOp, eps,
     delta-penalty exceeds the divergence at these parameters (infeasible)."""
     spec = get_scenario(scenario)
     eps = spec.per_stream(eps, "eps")
-    receivers = spec.build(ch, psi, psi_b, tau, [spec.smoothing(e, delta) for e in eps])
+    receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
     vals = [_dh_value(r.joint, r.alt.matrix, r.eps) - spec.penalty(e, delta, strategy)
             for r, e in zip(receivers, eps)]
     return _make_bound(scenario, "achievable", vals,

@@ -508,10 +508,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SpecError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

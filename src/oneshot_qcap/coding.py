@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -52,6 +53,7 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "MAC_STRATEGIES",
+    "ENUMERATION_CAP",
     "get_scenario",
     "product_marginals",
     "product_check",
@@ -81,6 +83,8 @@ PRODUCT_TOL = 1e-9
 CLASSICAL_TOL = 1e-9
 UNIFORM_TOL = 1e-9
 SUPPORT_FLOOR = 1e-12
+# derandomize enumerates every string; more than this many raise ValueError.
+ENUMERATION_CAP = 4096
 
 MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 
@@ -513,6 +517,19 @@ class Scenario:
             product_check(state, parts)
         return receivers
 
+    def smoothings(self, eps, delta: float) -> list[float]:
+        """The smoothing of each stream's test at error budgets ``eps``."""
+        if not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        return [self.smoothing(e, delta) for e in eps]
+
+    def rates(self, rates) -> tuple[int, ...]:
+        """``rates`` as one non-negative integer per message stream."""
+        rates = self.per_stream(rates, "rates")
+        if not all(isinstance(r, numbers.Integral) and r >= 0 for r in rates):
+            raise ValueError(f"rates must be non-negative integers, got {rates}")
+        return rates
+
     def per_stream(self, value, what: str) -> tuple:
         """``value`` as one entry per message stream; a single value serves
         every stream."""
@@ -638,8 +655,6 @@ def _message_factors(state: DensityOp, senders, messages) -> list:
 class _PositionRun:
     code: PositionCode
     dh: DivergenceResult
-    type1: float
-    type2: float
     successes: tuple[float, ...]
     outcome_dist: np.ndarray  # shape (n, n+1); last column = abort outcome
 
@@ -657,20 +672,14 @@ def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
         for mp in range(n):
             dist[m, mp] = max(_trace_with(code.povm[mp], state), 0.0)
         dist[m, n] = max(_trace_with(code.completion, state), 0.0)
-    return _PositionRun(
-        code=code,
-        dh=dh,
-        type1=1.0 - dh.witness.type1,
-        type2=dh.witness.type2,
-        successes=tuple(dist[m, m] for m in range(n)),
-        outcome_dist=dist,
-    )
+    return _PositionRun(code, dh, tuple(dist[m, m] for m in range(n)), dist)
 
 
-def _hn_chain(type1: float, type2: float, copies: int, c: float) -> float:
+def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
     # Exact Hayashi-Nagaoka chain on this instance: type-I and type-II error
     # of the achieving test, with the union bound over the wrong positions.
-    return (1 + c) * type1 + (2 + c + 1 / c) * copies * type2
+    return ((1 + c) * (1.0 - dh.witness.type1)
+            + (2 + c + 1 / c) * copies * dh.witness.type2)
 
 
 def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
@@ -680,7 +689,7 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
     consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, cs)]
     runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
     dh_values = [run.dh.value for run in runs]
-    hns = [_hn_chain(run.type1, run.type2, 2 ** rate, cv)
+    hns = [_hn_chain(run.dh, 2 ** rate, cv)
            for run, rate, cv in zip(runs, rates, consts)]
     bounds = spec.bound(eps, delta, c=consts, rates=rates, dhs=dh_values,
                         strategy=strategy)
@@ -689,7 +698,8 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
     errors = [_error(run.successes, not spec.assisted) for run in runs]
     if len(runs) == 1:
         (run,) = runs
-        details = {"c": consts[0], "type1": run.type1, "type2": run.type2,
+        details = {"c": consts[0], "type1": 1.0 - run.dh.witness.type1,
+                   "type2": run.dh.witness.type2,
                    "outcome_dist": run.outcome_dist, "dh": run.dh}
         if spec.headline is not None:
             details["headline_bound"] = spec.headline(eps[0], delta)
@@ -720,8 +730,6 @@ class _MacCode:
     dhs: tuple[DivergenceResult, DivergenceResult]
     witnesses: tuple[HermOp, HermOp]  # per sender, its test on one copy
     n: tuple[int, int]             # per sender, its number of copies
-    type1: tuple[float, float]     # per sender, type-I error of its test
-    type2: tuple[float, float]
 
 
 def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
@@ -741,9 +749,7 @@ def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
     return _MacCode(omega, senders, pointer, dhs,
                     tuple(HermOp(dh.witness.operator, r.joint.layout)
-                          for dh, r in zip(dhs, receivers)), n,
-                    tuple(1.0 - dh.witness.type1 for dh in dhs),
-                    tuple(dh.witness.type2 for dh in dhs))
+                          for dh, r in zip(dhs, receivers)), n)
 
 
 def _stage(factors, reads):
@@ -832,32 +838,25 @@ def _mac_sequential(code: _MacCode):
     """Sequential binary tests, dilated to projectors with a shared J qubit,
     each sender's applied on the registers its stage reads.
 
-    Returns the chain successes, the Hayashi-Nagaoka-type bound and the
-    report details."""
+    Returns the chain successes, the sequential (union) bound and the report
+    details.  A message state's true copy is in the joint state and every
+    other copy in the product alternative, so the bound's right-hand side
+    1 - 4 sum_k Tr(P_k rho) is read off the tests' recorded errors."""
     stages = _neumark_stages(code)
     n1, n2 = code.n
     chain_succ = np.zeros((n1, n2))
-    seq_rhs = np.zeros((n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
     for m1, m2 in itertools.product(range(n1), range(n2)):
         start = _message_factors(code.omega, code.senders, (m1, m2)) + [
             ([code.pointer], _basis_density(0, 2))]
         chain_succ[m1, m2] = _position_chain(stages, start, (m1, m2))
         dist[m1 * n2 + m2] = _decision_row(stages, start)
-        # The tests' wrong answers on the message state itself: "yes" at
-        # every other position, "no" at the true one.
-        total_bad, factors = 0.0, start
-        for (reads, copies, tests), m in zip(stages, (m1, m2)):
-            layout, rho0, factors = _stage(factors, reads)
-            yes = [float(np.real(local_trace(test, layout, rho0))) for test in tests]
-            total_bad += sum(yes) - yes[m] + float(np.real(np.trace(rho0))) - yes[m]
-            factors = [_finished(layout, rho0, copies)] + factors
-        seq_rhs[m1, m2] = 1.0 - 4.0 * total_bad
-
-    hn = 4.0 * (code.type1[0] + code.type1[1]
-                + (n1 - 1) * code.type2[0]
-                + (n2 - 1) * code.type2[1])
-    return chain_succ.reshape(-1), hn, {"outcome_dist": dist, "seq_rhs": seq_rhs}
+    dh_a, dh_b = code.dhs
+    hn = 4.0 * ((1.0 - dh_a.witness.type1) + (1.0 - dh_b.witness.type1)
+                + (n1 - 1) * dh_a.witness.type2
+                + (n2 - 1) * dh_b.witness.type2)
+    return chain_succ.reshape(-1), hn, {"outcome_dist": dist,
+                                        "seq_rhs": np.full((n1, n2), 1.0 - hn)}
 
 
 def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
@@ -898,18 +897,16 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
             traces[i] = [_trace_with(p, b) for p in second.povm] + [np.trace(b).real]
         row = np.maximum(traces, 0.0)
         row[:, -1] = np.maximum(traces[:, -1] - row[:, :-1].sum(axis=1), 0.0)
-        stage1_err[m1, m2] = 1.0 - float(np.real(local_trace(
-            (first.layout.registers, first.povm[mf]), layout, st)))
+        # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
+        stage1_err[m1, m2] = 1.0 - traces[mf, -1]
         stage2_err[m1, m2] = 1.0 - float(np.sum(traces[:, ms]))
         joint_succ[m1, m2] = row[mf, ms]
         disturbance[m1, m2] = purified_distance(st, (post + post.conj().T) / 2)
         # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
         dist[m1 * n2 + m2] = (row if a_first else row.T).reshape(-1)
 
-    hn_first = _hn_chain(code.type1[i_first], code.type2[i_first], n[i_first],
-                         c_first)
-    hn_second = (math.sqrt(_hn_chain(code.type1[i_second], code.type2[i_second],
-                                     n[i_second], c_second))
+    hn_first = _hn_chain(code.dhs[i_first], n[i_first], c_first)
+    hn_second = (math.sqrt(_hn_chain(code.dhs[i_second], n[i_second], c_second))
                  + math.sqrt(2 * hn_first)) ** 2
     return joint_succ.reshape(-1), hn_first + hn_second, {
         "outcome_dist": dist, "stage1_err": stage1_err, "stage2_err": stage2_err,
@@ -996,9 +993,9 @@ def _simulate(name: str, ch: KrausChannel, psi: DensityOp, rates, epsilons,
               tau: DensityOp | None = None, strategy: str = "sequential",
               c=None) -> ProtocolReport:
     spec = SCENARIOS[name]
-    rates = spec.per_stream(rates, "rates")
+    rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
-    receivers = spec.build(ch, psi, psi_b, tau, [spec.smoothing(e, delta) for e in eps])
+    receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
     return spec.decode(spec, receivers, rates, eps, delta, strategy, c)
 
 
@@ -1080,22 +1077,31 @@ class DerandomizedCode:
 
 def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 epsilons, delta: float, *, psi_b: DensityOp | None = None,
-                tau: DensityOp | None = None, cap: int = 4096) -> DerandomizedCode:
+                tau: DensityOp | None = None) -> DerandomizedCode:
     """Search for a fixed randomness string at least as good as the average.
 
     Every string is enumerated, so the minimum over strings is at most the
     randomized protocol's average error, by the averaging argument; more
-    than ``cap`` candidate strings raise ValueError.  For the
-    two-sender scenario the strings are chosen jointly and the figure
-    minimized is the average error of the joint decoder.  The two-receiver
-    broadcast scenario is not supported.
+    than :data:`ENUMERATION_CAP` candidate strings raise ValueError before
+    any decoding.  For the two-sender scenario the strings are chosen
+    jointly and the figure minimized is the average error of the joint
+    decoder.  The two-receiver broadcast scenario is not supported.
     """
     spec = get_scenario(f"{scenario}_ua")
     if spec.streams > 1 and spec.decode is not _decode_mac:
         raise ValueError(f"derandomization not implemented for scenario {scenario!r}")
-    rates = spec.per_stream(rates, "rates")
+    rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
-    receivers = spec.build(ch, psi, psi_b, tau, eps)
+    receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
+    senders = []
+    for rec, st, rate in zip(receivers, (psi, psi_b), rates):
+        probs, conds = classical_blocks(st, rec.resource)
+        support = [u for u in range(len(probs)) if probs[u] > SUPPORT_FLOOR]
+        senders.append(_Sender(rec.resource, 2 ** rate, support, probs, conds))
+    total = math.prod(len(s.support) ** s.copies for s in senders)
+    if total > ENUMERATION_CAP:
+        raise ValueError(
+            f"{total} strings exceed the enumeration cap {ENUMERATION_CAP}")
 
     # The decoder of the randomized protocol, evaluated on fixed strings;
     # a message state comes as its place factors.
@@ -1116,19 +1122,11 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
             return _trace_with(run.code.povm[messages[0]],
                                place(factors, run.code.layout))
 
-    senders = []
-    for rec, st, rate in zip(receivers, (psi, psi_b), rates):
-        probs, conds = classical_blocks(st, rec.resource)
-        support = [u for u in range(len(probs)) if probs[u] > SUPPORT_FLOOR]
-        senders.append(_Sender(rec.resource, 2 ** rate, support, probs, conds))
     # Channel outputs conditioned on each tuple of the senders' letters.
     cond_out = {letters: apply_on(ch, reduce(tensor, [
         s.conds[u] for s, u in zip(senders, letters)]), list(ch.in_layout.labels))
         for letters in itertools.product(*(s.support for s in senders))}
 
-    total = math.prod(len(s.support) ** s.copies for s in senders)
-    if total > cap:
-        raise ValueError(f"{total} strings exceed the enumeration cap {cap}")
     candidates = itertools.product(*(
         itertools.product(s.support, repeat=s.copies) for s in senders))
 
@@ -1180,6 +1178,8 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     = average success and type-II error <= 2^-R for any sigma, so the floor
     is a theorem; this makes it a numerical cross-check of the whole pipeline.
     """
+    if sigmas < 1:
+        raise ValueError(f"sigmas must be at least 1, got {sigmas}")
     dist = np.asarray(dist, dtype=float)
     n, n_out = dist.shape
     if correct_cols is None:

@@ -46,7 +46,7 @@ from oneshot_qcap.linalg import (
 )
 from oneshot_qcap.verification import run_suite
 
-from conftest import (
+from helpers import (
     bell_density,
     classically_correlated,
     copy_broadcast_channel,

@@ -20,7 +20,7 @@ from oneshot_qcap.linalg import (
     tensor,
 )
 
-from conftest import (
+from helpers import (
     bell_density,
     classically_correlated,
     copy_broadcast_channel,

@@ -6,7 +6,7 @@ from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
 
-from conftest import (
+from helpers import (
     bell_density,
     classically_correlated,
     copy_broadcast_channel,
@@ -222,6 +222,25 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["bound", "achievable", "--scenario", "mac_ea", "--strategy",
                 "joint", "--channel", ch, "--state", st]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["simulate", "p2p_ea", "--R", "1", "--delta", "0"], "delta"),
+    (["bound", "achievable", "--delta", "0"], "delta"),
+    (["simulate", "p2p_ea", "--R", "1", "--delta", "-0.1"], "delta"),
+    (["simulate", "p2p_ea", "--R", "-1", "--delta", "0.05"], "rates"),
+    (["simulate", "p2p_ea", "--R", "1", "--delta", "0.05",
+      "--floor-sigmas", "0"], "sigmas"),
+], ids=["simulate-delta-0", "achievable-delta-0", "delta-negative",
+        "rate-negative", "floor-sigmas-0"])
+def test_bad_scenario_parameters_exit_one_naming_them(tmp_path, capsys, argv,
+                                                      name):
+    ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    assert run(argv + ["--channel", ch, "--state", st, "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
 
 
 def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):

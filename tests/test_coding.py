@@ -41,7 +41,7 @@ from oneshot_qcap.linalg import (
     tensor,
 )
 
-from conftest import (
+from helpers import (
     bell_density,
     classically_correlated,
     copy_broadcast_channel,
@@ -480,6 +480,30 @@ def full_layout_dim(ch, psi_a, psi_b, rates):
                              rates))
 
 
+def sequential_mac_2_1():
+    psi_a, psi_b = mac_inputs()
+    return simulate_mac_ea(noisy_xor_mac_channel(0.1), psi_a, psi_b,
+                           rates=(2, 1), epsilons=(0.05, 0.1), delta=0.02,
+                           strategy="sequential")
+
+
+def test_sequential_bound_is_read_off_the_tests_errors():
+    rep = sequential_mac_2_1()
+    assert rep.details["seq_rhs"].shape == (4, 2)
+    assert np.all(rep.details["seq_rhs"] == 1 - rep.hn_bound)
+
+
+def test_sequential_bound_costs_no_placement_or_trace(monkeypatch):
+    calls = {"place": 0, "local_trace": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(coding, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(coding, name, counted)
+    sequential_mac_2_1()
+    assert calls["place"] <= 64 and calls["local_trace"] <= 40, calls
+
+
 def test_mac_decoders_place_nothing_on_the_full_layout(monkeypatch):
     placed = []
 
@@ -601,6 +625,16 @@ def test_derandomize_rejects_broadcast():
     with pytest.raises(ValueError):
         derandomize("broadcast", copy_broadcast_channel(),
                     classically_correlated("A", "U"), (1, 1), (0.1, 0.1), 0.3)
+
+
+def test_derandomize_checks_the_cap_before_decoding(monkeypatch, id2):
+    solved = []
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 3)
+    monkeypatch.setattr(coding, "dh_eps",
+                        lambda *args: solved.append(args) or dh_eps(*args))
+    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+        derandomize("p2p", id2, classically_correlated("A", "U"), 2, 0.1, 0.6)
+    assert not solved
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from oneshot_qcap.divergences import (
 )
 from oneshot_qcap.linalg import DensityOp, LayoutError, SystemLayout, basis_ket, sample
 
-from conftest import bell_density, pure_density
+from helpers import bell_density, pure_density
 
 
 def diag_state(p):

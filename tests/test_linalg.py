@@ -26,7 +26,7 @@ from oneshot_qcap.linalg import (
     tensor,
 )
 
-from conftest import bell_density, pure_density
+from helpers import bell_density, pure_density
 
 
 def test_layout_dims_and_lookup():
