@@ -34,7 +34,6 @@ from .channels import (
     dephasing,
     identity_channel,
     neumark_dilate,
-    validate,
 )
 from .divergences import (
     DivergenceResult,
@@ -52,10 +51,8 @@ from .coding import (
     ProtocolReport,
     build_position_povm,
     derandomize,
-    dilation_statistics,
     converse_floor,
     report_floors,
-    gentle_checks,
     hn_check,
     seq_check,
     simulate_broadcast_ea,

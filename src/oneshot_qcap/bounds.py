@@ -185,12 +185,12 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
 def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
                       eps) -> RateBound:
     """Sum-rate variant of the MAC converse for pure two-register sender states."""
+    spec = get_scenario("mac_ea")
+    rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.per_stream(eps, "eps"))
     for st in (psi_a, psi_b):
         purity = float(np.real(np.trace(st.matrix @ st.matrix)))
         if purity < 1 - 1e-9:
             raise ValueError("this converse variant needs pure sender states")
-    spec = get_scenario("mac_ea")
-    rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.per_stream(eps, "eps"))
     outs = list(ch.out_layout.labels)
     res_a, res_b = rec_a.resource, rec_b.resource
     rho = rec_a.state.permuted(outs + [res_a, res_b])

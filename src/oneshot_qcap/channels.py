@@ -22,11 +22,9 @@ from .linalg import (
 __all__ = [
     "KrausChannel",
     "NeumarkDilation",
-    "ChannelReport",
     "apply_channel",
     "apply_on",
     "choi",
-    "validate",
     "identity_channel",
     "depolarizing",
     "dephasing",
@@ -44,7 +42,11 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    The constructor is the one CPTP check: at least one operator, each of
+    shape (out dim, in dim), and sum K^dag K = I.  Any Kraus family is
+    completely positive."""
 
     kraus: tuple[np.ndarray, ...]
     in_layout: SystemLayout
@@ -130,49 +132,6 @@ def choi(ch: KrausChannel) -> DensityOp:
         mat += big @ rho @ big.conj().T
     layout = SystemLayout([("choi_in", d), ("choi_out", ch.out_dim)])
     return DensityOp(mat, layout)
-
-
-@dataclass(frozen=True)
-class ChannelReport:
-    """Diagnostics from :func:`validate`."""
-
-    is_cptp: bool
-    completeness_residual: float
-    choi_min_eigenvalue: float
-    violations: tuple[str, ...]
-
-
-def validate(kraus: Sequence[np.ndarray], in_dim: int, out_dim: int) -> ChannelReport:
-    """Check Kraus data for complete positivity and trace preservation."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
-    violations = []
-    completeness = float("nan")
-    choi_min = float("nan")
-    if not ops:
-        violations.append("no Kraus operators")
-    else:
-        bad_shape = [k.shape for k in ops if k.shape != (out_dim, in_dim)]
-        if bad_shape:
-            violations.append(f"Kraus shapes {bad_shape} != ({out_dim}, {in_dim})")
-        else:
-            total = sum(k.conj().T @ k for k in ops)
-            completeness = float(np.max(np.abs(total - np.eye(in_dim))))
-            if completeness > COMPLETENESS_TOL:
-                violations.append(
-                    f"trace preservation violated (residual {completeness:.3e})")
-            cmat = np.zeros((in_dim * out_dim,) * 2, dtype=complex)
-            for k in ops:
-                vec = k.reshape(-1, order="F")  # column-stacked |K>>
-                cmat += np.outer(vec, vec.conj())
-            choi_min = float(np.linalg.eigvalsh((cmat + cmat.conj().T) / 2)[0])
-            if choi_min < -COMPLETENESS_TOL:
-                violations.append(f"Choi operator not PSD (min eig {choi_min:.3e})")
-    return ChannelReport(
-        is_cptp=not violations,
-        completeness_residual=completeness,
-        choi_min_eigenvalue=choi_min,
-        violations=tuple(violations),
-    )
 
 
 def channel_from_choi(choi_mat: np.ndarray, in_layout, out_layout) -> KrausChannel:
@@ -293,36 +252,24 @@ def builtin(name: str, dims: int = 2, *, p: float | None = None,
 
 @dataclass(frozen=True)
 class NeumarkDilation:
-    """Unitary realization of a POVM on system (x) pointer."""
+    """Isometry V = sum_i sqrt(M_i) (x) |i> realizing a POVM on system (x)
+    pointer."""
 
-    unitary: np.ndarray
+    isometry: np.ndarray
     system_dim: int
     pointer_dim: int
 
-    def outcome_projector(self, i: int) -> np.ndarray:
-        """U^dag (I (x) |i><i|) U, a projector on system (x) pointer."""
-        sel = np.zeros((self.pointer_dim, self.pointer_dim))
-        sel[i, i] = 1.0
-        big = np.kron(np.eye(self.system_dim), sel)
-        return self.unitary.conj().T @ big @ self.unitary
-
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Pointer statistics on input rho (x) |0><0|."""
+        """Pointer statistics of V rho V^dag: Tr(M_i rho) for each outcome."""
         d, k = self.system_dim, self.pointer_dim
-        init = np.zeros((d * k,) * 2, dtype=complex)
-        init.reshape(d, k, d, k)[:, 0, :, 0] = rho
-        evolved = self.unitary @ init @ self.unitary.conj().T
+        evolved = self.isometry @ rho @ self.isometry.conj().T
         probs = np.einsum("ipiq->pq", evolved.reshape(d, k, d, k)).diagonal()
         return np.real(probs)
 
 
 def neumark_dilate(povm: Sequence[HermOp | np.ndarray]) -> NeumarkDilation:
-    """Dilate a POVM to a projective measurement on system (x) pointer.
-
-    The isometry stacking the square roots of the POVM elements is completed
-    to a unitary; pointer outcome statistics on input rho (x) |0><0| then
-    reproduce Tr(M_i rho) exactly.
-    """
+    """Dilate a POVM to the isometry stacking the square roots of its
+    elements; the pointer distribution of V rho V^dag is Tr(M_i rho)."""
     mats = [as_matrix(m) for m in povm]
     if not mats:
         raise ValueError("empty POVM")
@@ -337,29 +284,11 @@ def neumark_dilate(povm: Sequence[HermOp | np.ndarray]) -> NeumarkDilation:
     if float(np.max(np.abs(total - np.eye(d)))) > 1e-9:
         raise ValueError("POVM elements do not sum to the identity")
     k = len(mats)
-    # Isometry V: |s>|0> -> sum_i sqrt(M_i)|s>|i>, written in the |s>|p> basis.
+    # V: |s> -> sum_i sqrt(M_i)|s>|i>, written in the |s>|p> basis.
     v_iso = np.zeros((d * k, d), dtype=complex)
     for i, m in enumerate(mats):
         v_iso.reshape(d, k, d)[:, i, :] = psd_sqrt((m + m.conj().T) / 2)
-    unitary = _complete_to_unitary(v_iso, pointer_dim=k, system_dim=d)
-    return NeumarkDilation(unitary=unitary, system_dim=d, pointer_dim=k)
-
-
-def _complete_to_unitary(v_iso: np.ndarray, pointer_dim: int, system_dim: int) -> np.ndarray:
-    """Unitary whose pointer-|0> column block equals the given isometry."""
-    n = system_dim * pointer_dim
-    cols = np.zeros((n, n), dtype=complex)
-    # Column (s, p=0) carries the isometry; remaining columns get completed.
-    zero_cols = [s * pointer_dim for s in range(system_dim)]
-    cols[:, zero_cols] = v_iso
-    other = [c for c in range(n) if c not in zero_cols]
-    q, _ = np.linalg.qr(np.concatenate([v_iso, np.eye(n)], axis=1))
-    fill = q[:, system_dim:n]
-    cols[:, other] = fill[:, : len(other)]
-    u = cols
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(n)))) > 1e-9:
-        raise RuntimeError("unitary completion failed")
-    return u
+    return NeumarkDilation(isometry=v_iso, system_dim=d, pointer_dim=k)
 
 
 def binary_test_projector(test: HermOp | np.ndarray) -> np.ndarray:

@@ -83,12 +83,10 @@ def _parse_channel(doc: dict) -> channels_mod.KrausChannel:
         out_regs = _registers(doc["out_dims"], "out_dims")
         kraus = [_complex_matrix(k, f"kraus[{i}]")
                  for i, k in enumerate(doc["kraus"])]
-        in_dim = int(np.prod([d for _, d in in_regs]))
-        out_dim = int(np.prod([d for _, d in out_regs]))
-        report = channels_mod.validate(kraus, in_dim, out_dim)
-        if not report.is_cptp:
-            raise SpecError("kraus", "; ".join(report.violations))
-        return channels_mod.KrausChannel(kraus, in_regs, out_regs)
+        try:
+            return channels_mod.KrausChannel(kraus, in_regs, out_regs)
+        except ValueError as exc:  # LayoutError is a ValueError
+            raise SpecError("kraus", str(exc)) from exc
     if "name" not in doc:
         raise SpecError("name", "channel spec needs 'name' or 'kraus'")
     name = doc["name"]

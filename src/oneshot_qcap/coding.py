@@ -26,14 +26,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_on, binary_test_projector, neumark_dilate
+from .channels import KrausChannel, apply_on, binary_test_projector
 from .divergences import DivergenceResult, dh_eps
 from .linalg import (
     DensityOp,
     HermOp,
     SystemLayout,
     as_matrix,
-    fidelity,
     herm_apply,
     local_product,
     local_trace,
@@ -44,6 +43,7 @@ from .linalg import (
     reduced,
     sample,
     tensor,
+    trace_with,
 )
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "build_position_povm",
     "hn_check",
     "seq_check",
-    "gentle_checks",
     "simulate_p2p_ea",
     "simulate_gp_ea",
     "simulate_broadcast_ea",
@@ -73,7 +72,6 @@ __all__ = [
     "DerandomizedCode",
     "converse_floor",
     "report_floors",
-    "dilation_statistics",
 ]
 
 PINV_TOL = 1e-12
@@ -96,10 +94,6 @@ def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
     """The pseudo-inverse square root of the ascending eigenvalues ``w``."""
     cutoff = PINV_TOL * max(float(w[-1]), 1e-300)
     return np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-
-
-def _trace_with(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,ji->", op, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,49 +273,6 @@ def seq_check(rho: DensityOp, projectors: Sequence[HermOp | np.ndarray]):
     lhs = float(np.real(np.trace(state)))
     rhs = 1.0 - 4.0 * total
     return lhs, rhs
-
-
-def gentle_checks(mode: str, *, state: DensityOp, operator=None,
-                  povm: Sequence[HermOp | np.ndarray] | None = None,
-                  other: DensityOp | None = None) -> dict:
-    """Numeric reports for the measurement-disturbance facts.
-
-    mode "sqrt_overlap": |sqrt(Tr(Pi sigma)) - sqrt(Tr(Pi rho))| <= P(rho, sigma);
-    mode "single_operator": F(rho, A rho A / Tr(A^2 rho)) >= sqrt(Tr(A^2 rho));
-    mode "povm_ensemble": for pure rho and A_i >= 0, F^2(rho, sum A_i rho A_i)
-                  = sum Tr(A_i rho)^2 >= sum Tr(A_i^2 rho)^2.
-    """
-    if mode == "sqrt_overlap":
-        pi = as_matrix(operator)
-        lhs = abs(math.sqrt(max(_trace_with(pi, other.matrix), 0.0))
-                  - math.sqrt(max(_trace_with(pi, state.matrix), 0.0)))
-        rhs = purified_distance(state, other)
-        return {"mode": mode, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
-    if mode == "single_operator":
-        a = as_matrix(operator)
-        weight = _trace_with(a @ a, state.matrix)
-        if weight <= 1e-14:
-            return {"mode": mode, "degenerate": True, "weight": weight}
-        post = DensityOp(a @ state.matrix @ a.conj().T / weight, state.layout)
-        lhs = fidelity(state, post)
-        rhs = math.sqrt(weight)
-        return {"mode": mode, "lhs": lhs, "rhs": rhs,
-                "holds": lhs >= rhs - 1e-9, "degenerate": False}
-    if mode == "povm_ensemble":
-        mats = [as_matrix(m) for m in povm]
-        post_mat = np.sum([a @ state.matrix @ a.conj().T for a in mats], axis=0)
-        tr = float(np.real(np.trace(post_mat)))
-        post = DensityOp(post_mat / tr, state.layout)
-        fsq = (fidelity(state, post) ** 2) * tr
-        first = float(np.sum([_trace_with(a, state.matrix) ** 2 for a in mats]))
-        second = float(np.sum([_trace_with(a @ a, state.matrix) ** 2 for a in mats]))
-        purity = float(np.real(np.trace(state.matrix @ state.matrix)))
-        return {"mode": mode, "fidelity_sq": fsq, "sum_sq": first,
-                "sum_sq_squared": second,
-                "equality_holds": abs(fsq - first) <= 1e-7 if purity > 1 - 1e-10
-                else None,
-                "holds": first >= second - 1e-9}
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +621,8 @@ def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
     for m in range(n):
         state = place(_message_factors(rec.state, senders, (m,)), code.layout)
         for mp in range(n):
-            dist[m, mp] = max(_trace_with(code.povm[mp], state), 0.0)
-        dist[m, n] = max(_trace_with(code.completion, state), 0.0)
+            dist[m, mp] = max(trace_with(code.povm[mp], state), 0.0)
+        dist[m, n] = max(trace_with(code.completion, state), 0.0)
     return _PositionRun(code, dh, tuple(dist[m, m] for m in range(n)), dist)
 
 
@@ -685,8 +636,7 @@ def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
 def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                      c) -> ProtocolReport:
     """One square-root decoder per receiver, each on its own registers."""
-    cs = c if isinstance(c, (tuple, list)) else (c,) * len(receivers)
-    consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, cs)]
+    consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, c)]
     runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
     dh_values = [run.dh.value for run in runs]
     hns = [_hn_chain(run.dh, 2 ** rate, cv)
@@ -868,7 +818,7 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     order = (0, 1) if a_first else (1, 0)
     i_first, i_second = order
     n = code.n
-    c_first, c_second = (_hn_constant(epsilons[i], delta, c) for i in order)
+    c_first, c_second = (_hn_constant(epsilons[i], delta, c[i]) for i in order)
     first, second = (build_position_povm(code.witnesses[i], n[i], code.senders[i][0])
                      for i in order)
     kraus_first = [(first.layout.registers, psd_sqrt(p))
@@ -894,7 +844,7 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
         traces = np.zeros((len(branches), n[i_second] + 1))
         for i, branch in enumerate(branches):
             b = place([_finished(layout, branch, copies_first)] + rest, second.layout)
-            traces[i] = [_trace_with(p, b) for p in second.povm] + [np.trace(b).real]
+            traces[i] = [trace_with(p, b) for p in second.povm] + [np.trace(b).real]
         row = np.maximum(traces, 0.0)
         row[:, -1] = np.maximum(traces[:, -1] - row[:, :-1].sum(axis=1), 0.0)
         # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
@@ -996,7 +946,8 @@ def _simulate(name: str, ch: KrausChannel, psi: DensityOp, rates, epsilons,
     rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
-    return spec.decode(spec, receivers, rates, eps, delta, strategy, c)
+    return spec.decode(spec, receivers, rates, eps, delta, strategy,
+                       spec.per_stream(c, "c"))
 
 
 def simulate_p2p_ea(ch: KrausChannel, psi: DensityOp, rate: int, eps: float,
@@ -1119,7 +1070,7 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
         randomized = run.successes
 
         def success(messages, factors) -> float:
-            return _trace_with(run.code.povm[messages[0]],
+            return trace_with(run.code.povm[messages[0]],
                                place(factors, run.code.layout))
 
     # Channel outputs conditioned on each tuple of the senders' letters.
@@ -1203,22 +1154,6 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     floor = min(values)
     return {"floor": floor, "values": values, "eps": eps, "rate": rate_bits,
             "holds": floor >= rate_bits - 1e-7}
-
-
-def dilation_statistics(code: PositionCode, state: DensityOp) -> np.ndarray:
-    """Outcome probabilities of a position code via its Neumark dilation.
-
-    Independent accounting path for the same statistics as direct POVM
-    traces: dilate {Omega(m)} + completion to a projective pointer
-    measurement and read the pointer distribution.
-    """
-    # neumark_dilate rejects eigenvalues below -1e-10; the completion check
-    # allows -COMPLETION_TOL.
-    povm = list(code.povm) + [herm_apply(code.completion,
-                                         lambda w: np.clip(w, 0.0, None))]
-    dil = neumark_dilate(povm)
-    rho = state.permuted(list(code.layout.labels))
-    return dil.outcome_probabilities(rho.matrix)
 
 
 def report_floors(report: ProtocolReport, *, sigmas: int = 5,

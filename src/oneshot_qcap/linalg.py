@@ -29,6 +29,7 @@ __all__ = [
     "herm_eig",
     "herm_apply",
     "as_matrix",
+    "trace_with",
     "fidelity",
     "purified_distance",
     "purify",
@@ -289,6 +290,11 @@ def as_matrix(x) -> np.ndarray:
     if isinstance(x, (HermOp, DensityOp)):
         return x.matrix
     return np.asarray(x, dtype=complex)
+
+
+def trace_with(op: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr(op rho), without forming the product."""
+    return float(np.real(np.einsum("ij,ji->", op, rho)))
 
 
 def herm_apply(mat: np.ndarray, f) -> np.ndarray:

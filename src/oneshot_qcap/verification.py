@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import KrausChannel, apply_channel, neumark_dilate
-from .coding import gentle_checks, hn_check, seq_check
+from .coding import hn_check, seq_check
 from .divergences import dh_eps, dh_rank1_oracle, relative_entropy
 from .linalg import (
     DensityOp,
@@ -23,6 +23,7 @@ from .linalg import (
     psd_sqrt,
     purified_distance,
     sample,
+    trace_with,
 )
 
 __all__ = ["CHECKS", "run_check", "run_suite"]
@@ -74,33 +75,46 @@ def check_monotonicity(seed: int, dim: int) -> dict:
 
 
 def check_measurement_overlap(seed: int, dim: int) -> dict:
+    # |sqrt(Tr(Pi sigma)) - sqrt(Tr(Pi rho))| <= P(rho, sigma).
     rho = _density(seed, dim)
     sig = _density(seed + 1, dim)
-    pi = sample("projector", dim, seed + 2)
-    rep = gentle_checks("sqrt_overlap", state=rho, operator=pi, other=sig)
-    rep["margin"] = rep["rhs"] - rep["lhs"]
-    return rep
+    pi = sample("projector", dim, seed + 2).matrix
+    lhs = abs(math.sqrt(max(trace_with(pi, sig.matrix), 0.0))
+              - math.sqrt(max(trace_with(pi, rho.matrix), 0.0)))
+    rhs = purified_distance(rho, sig)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + ALG_TOL,
+            "margin": rhs - lhs}
 
 
 def check_gentle_operator(seed: int, dim: int) -> dict:
+    # F(rho, A rho A / Tr(A^2 rho)) >= sqrt(Tr(A^2 rho)) for 0 < A < I.
     rho = _density(seed, dim)
     a = _sub_identity(seed + 1, dim)
-    rep = gentle_checks("single_operator", state=rho, operator=a)
-    if rep.get("degenerate"):
-        rep.update(margin=0.0, holds=True)
-        return rep
-    rep["margin"] = rep["lhs"] - rep["rhs"]
-    return rep
+    weight = trace_with(a @ a, rho.matrix)
+    post = DensityOp(a @ rho.matrix @ a.conj().T / weight, rho.layout)
+    lhs = fidelity(rho, post)
+    rhs = math.sqrt(weight)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - ALG_TOL,
+            "margin": lhs - rhs}
 
 
 def check_gentle_povm(seed: int, dim: int) -> dict:
+    # For pure rho and A_i = sqrt(M_i):
+    # F^2(rho, sum A_i rho A_i) = sum Tr(A_i rho)^2 >= sum Tr(A_i^2 rho)^2.
     rho = sample("pure", dim, seed).density()
     povm = sample("povm", dim, seed + 1, outcomes=3)
-    rep = gentle_checks("povm_ensemble", state=rho,
-                        povm=[psd_sqrt(el.matrix) for el in povm])
-    rep["margin"] = rep["sum_sq"] - rep["sum_sq_squared"]
-    rep["holds"] = bool(rep["holds"]) and (rep["equality_holds"] is not False)
-    return rep
+    roots = [psd_sqrt(el.matrix) for el in povm]
+    post_mat = np.sum([a @ rho.matrix @ a.conj().T for a in roots], axis=0)
+    tr = float(np.real(np.trace(post_mat)))
+    post = DensityOp(post_mat / tr, rho.layout)
+    fsq = (fidelity(rho, post) ** 2) * tr
+    first = float(np.sum([trace_with(a, rho.matrix) ** 2 for a in roots]))
+    second = float(np.sum([trace_with(a @ a, rho.matrix) ** 2 for a in roots]))
+    equality = abs(fsq - first) <= 1e-7
+    return {"fidelity_sq": fsq, "sum_sq": first, "sum_sq_squared": second,
+            "equality_holds": equality,
+            "holds": first >= second - ALG_TOL and equality,
+            "margin": first - second}
 
 
 def check_hayashi_nagaoka(seed: int, dim: int) -> dict:

@@ -16,7 +16,6 @@ from oneshot_qcap.channels import (
     erasure,
     identity_channel,
     neumark_dilate,
-    validate,
 )
 from oneshot_qcap.linalg import (
     DensityOp,
@@ -33,16 +32,25 @@ from oneshot_qcap.linalg import (
 from helpers import bell_density, pure_density
 
 
-def test_validate_accepts_unitary():
-    rep = validate([np.eye(3)], 3, 3)
-    assert rep.is_cptp
-    assert rep.completeness_residual < 1e-12
+def test_kraus_channel_accepts_unitary():
+    u = sample("unitary", 3, 5)
+    ch = KrausChannel([u], [("A", 3)], [("B", 3)])
+    assert np.allclose(ch.kraus[0], u)
 
 
-def test_validate_rejects_incomplete_kraus():
-    rep = validate([0.9 * np.eye(2)], 2, 2)
-    assert not rep.is_cptp
-    assert rep.violations
+def test_kraus_channel_rejects_incomplete_kraus():
+    with pytest.raises(ValueError, match=r"trace preserving \(residual 1\.900e-01\)"):
+        KrausChannel([0.9 * np.eye(2)], [("A", 2)], [("B", 2)])
+
+
+def test_kraus_channel_rejects_wrong_shape():
+    with pytest.raises(LayoutError):
+        KrausChannel([np.eye(2)], [("A", 3)], [("B", 3)])
+
+
+def test_kraus_channel_rejects_empty_list():
+    with pytest.raises(ValueError, match="at least one"):
+        KrausChannel([], [("A", 2)], [("B", 2)])
 
 
 def test_depolarizing_fixed_point():
@@ -160,12 +168,20 @@ def test_neumark_matches_direct_statistics():
     assert np.allclose(probs, direct, atol=1e-10)
 
 
-def test_neumark_projectors_are_projective():
+def test_neumark_dilation_is_an_isometry():
     povm = sample("povm", 2, 3, outcomes=3)
-    dil = neumark_dilate([el.matrix for el in povm])
-    for i in range(3):
-        p = dil.outcome_projector(i)
-        assert np.allclose(p @ p, p, atol=1e-10)
+    v = neumark_dilate([el.matrix for el in povm]).isometry
+    assert v.shape == (6, 2)
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 0), (3, 1), (4, 2)])
+def test_binary_test_projector_is_the_range_of_the_neumark_isometry(dim, seed):
+    # A random 0 <= T <= I: random eigenbasis, spectrum uniform on [0, 1].
+    u = sample("unitary", dim, seed)
+    t = (u * np.random.default_rng(seed).random(dim)) @ u.conj().T
+    v = neumark_dilate([t, np.eye(dim) - t]).isometry
+    assert np.allclose(binary_test_projector(t), v @ v.conj().T, atol=1e-12)
 
 
 def test_binary_test_projector_statistics():

@@ -243,6 +243,17 @@ def test_bad_scenario_parameters_exit_one_naming_them(tmp_path, capsys, argv,
     assert "Traceback" not in err
 
 
+def test_mac_hdw_converse_without_second_sender_exits_one(tmp_path, capsys):
+    ch = write_spec(tmp_path, "mac_ch.json", channel_spec(xor_mac_channel()))
+    st = write_spec(tmp_path, "bell.json",
+                    state_spec(bell_density("A", "RA")))
+    assert run(["bound", "converse", "--scenario", "mac_ea_hdw", "--channel",
+                ch, "--state", st, "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "both sender" in err
+    assert "Traceback" not in err
+
+
 def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
     specs = scenario_specs(tmp_path)
     for command in ("simulate", "sweep"):

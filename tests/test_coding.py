@@ -10,13 +10,12 @@ from oneshot_qcap.channels import (
     binary_test_projector,
     depolarizing,
     identity_channel,
+    neumark_dilate,
 )
 from oneshot_qcap.coding import (
     build_position_povm,
     converse_floor,
     derandomize,
-    dilation_statistics,
-    gentle_checks,
     get_scenario,
     hn_check,
     report_floors,
@@ -33,6 +32,7 @@ from oneshot_qcap.linalg import (
     DimensionCapError,
     HermOp,
     SystemLayout,
+    herm_apply,
     maximally_mixed,
     place,
     psd_sqrt,
@@ -129,35 +129,6 @@ def test_seq_check_rejects_non_projector():
         seq_check(rho, [np.eye(2) * 0.5])
 
 
-def test_gentle_checks_all_modes_hold():
-    lay = SystemLayout([("A", 3)])
-    rho = sample("density", 3, 11, labels=["A"])
-    other = sample("density", 3, 12, labels=["A"])
-    pi = sub_identity(3, 13)
-    rep = gentle_checks("sqrt_overlap", state=rho, operator=pi, other=other)
-    assert rep["holds"]
-
-    rep = gentle_checks("single_operator", state=rho,
-                        operator=sub_identity(3, 14))
-    assert rep["holds"]
-
-    vec = sample("pure", 3, 15).amplitudes
-    pure = DensityOp(np.outer(vec, vec.conj()), lay)
-    povm = sample("povm", 3, 16, outcomes=3)
-    roots = []
-    for el in povm:
-        w, v = np.linalg.eigh(el.matrix)
-        roots.append(v @ np.diag(np.sqrt(np.clip(w, 0, None))) @ v.conj().T)
-    rep = gentle_checks("povm_ensemble", state=pure, povm=roots)
-    assert rep["holds"]
-    assert rep["equality_holds"] is not False
-
-
-def test_gentle_checks_unknown_mode():
-    with pytest.raises(ValueError):
-        gentle_checks("nonsense", state=sample("density", 2, 0))
-
-
 # ---------------------------------------------------------------------------
 # point-to-point entanglement-assisted simulation
 
@@ -236,6 +207,20 @@ def test_broadcast_ea_copy_channel():
     assert worst_c >= 0.5 - 1e-9
     assert worst_b <= worst_c
     assert report.worst_error == pytest.approx(max(worst_b, worst_c), abs=1e-12)
+
+
+def test_broadcast_ea_reads_one_c_per_receiver():
+    psi = tensor(bell_density("A", "RB"),
+                 maximally_mixed(SystemLayout([("RC", 2)])))
+    args = (copy_broadcast_channel(), psi, (1, 1), (0.1, 0.1), 0.05)
+    one = simulate_broadcast_ea(*args, c=0.5)
+    single = simulate_broadcast_ea(*args, c=(0.5,))
+    assert single.hn_bound == one.hn_bound == pytest.approx(8.25, abs=1e-9)
+    assert single.analytic_bound == one.analytic_bound
+    assert single.bound_satisfied == one.bound_satisfied
+    assert single.details == one.details
+    with pytest.raises(ValueError, match="of c"):
+        simulate_broadcast_ea(*args, c=(0.5, 0.5, 0.5))
 
 
 def test_broadcast_ea_rejects_correlated_resources():
@@ -750,6 +735,18 @@ def test_derandomized_values_are_unchanged():
 
 # ---------------------------------------------------------------------------
 # accounting cross-checks
+
+
+def dilation_statistics(code, state):
+    """Outcome probabilities of a position code via its Neumark dilation:
+    an accounting path independent of the direct POVM traces."""
+    # neumark_dilate rejects eigenvalues below -1e-10; the completion check
+    # allows -COMPLETION_TOL.
+    povm = list(code.povm) + [herm_apply(code.completion,
+                                         lambda w: np.clip(w, 0.0, None))]
+    dil = neumark_dilate(povm)
+    rho = state.permuted(list(code.layout.labels))
+    return dil.outcome_probabilities(rho.matrix)
 
 
 def test_dilation_statistics_match_direct_traces():
