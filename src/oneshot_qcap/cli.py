@@ -102,11 +102,8 @@ def _parse_channel(doc: dict) -> channels_mod.KrausChannel:
     if "out" in labels:
         kwargs["out_label"] = labels["out"]
     if "outputs" in doc:
-        outs = []
-        for i, sub in enumerate(doc["outputs"]):
-            st = parse_spec({"schema": SCHEMA_VERSION, "type": "state", **sub})
-            outs.append(st)
-        kwargs["outputs"] = outs
+        kwargs["outputs"] = [parse_spec({"schema": SCHEMA_VERSION, "type": "state",
+                                         **sub}) for sub in doc["outputs"]]
     try:
         ch = channels_mod.builtin(name, **kwargs)
     except (TypeError, ValueError) as exc:

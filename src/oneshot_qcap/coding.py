@@ -21,8 +21,8 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "MAC_STRATEGIES",
-    "ENUMERATION_CAP",
     "get_scenario",
     "product_marginals",
     "product_check",
@@ -81,8 +80,6 @@ PRODUCT_TOL = 1e-9
 CLASSICAL_TOL = 1e-9
 UNIFORM_TOL = 1e-9
 SUPPORT_FLOOR = 1e-12
-# derandomize enumerates every string; more than this many raise ValueError.
-ENUMERATION_CAP = 4096
 
 MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 
@@ -91,9 +88,21 @@ MAC_STRATEGIES = ("sequential", "pgm_a_first", "pgm_b_first")
 # small operator helpers
 
 def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
-    """The pseudo-inverse square root of the ascending eigenvalues ``w``."""
-    cutoff = PINV_TOL * max(float(w[-1]), 1e-300)
+    """The pseudo-inverse square root of eigenvalues ``w``, of one matrix or a stack."""
+    cutoff = PINV_TOL * max(float(np.max(w)), 1e-300)
     return np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+
+
+def _check_completion(comp: np.ndarray, v: np.ndarray):
+    """Require a square-root measurement's completion (or a stack) to be PSD:
+    diagonal up to roundoff in S's eigenbasis ``v``, it has Gershgorin discs
+    that bound its smallest eigenvalue from below."""
+    g = v.conj().swapaxes(-1, -2) @ comp @ v
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    min_eig = float(np.min(diag.real - (np.sum(np.abs(g), axis=-1) - np.abs(diag))))
+    if min_eig < -COMPLETION_TOL:
+        raise ValueError(
+            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +127,31 @@ def product_check(joint: DensityOp, parts: Sequence[Iterable[str]]):
             f"resource state does not factorize across {parts} (deviation {dev:.3e})")
 
 
+def _letter_view(op: DensityOp | HermOp, labels: Sequence[str]) -> np.ndarray:
+    """``op`` as an array [u, i, u', j]: u, u' run over the letters of the
+    registers ``labels`` (row-major), i, j over the others in layout order."""
+    rest = [l for l in op.layout.labels if l not in labels]
+    d_u = math.prod(op.layout.dim_of(l) for l in labels)
+    d = op.layout.dim // d_u
+    return op.permuted(list(labels) + rest).matrix.reshape(d_u, d, d_u, d)
+
+
 def classical_blocks(state: DensityOp, label: str):
     """Diagonal blocks of a state along a classical register.
 
-    Returns (probabilities, conditional states on the remaining registers);
-    raises if any off-diagonal block is non-negligible.
+    Returns the letter probabilities p(u) and the (d_U, d, d) stack of the
+    blocks p(u) rho^u on the other registers, in layout order; raises if any
+    off-diagonal block is non-negligible.
     """
-    rest = [l for l in state.layout.labels if l != label]
-    perm = state.permuted([label] + rest)
-    d_u = state.layout.dim_of(label)
-    d_rest = state.layout.dim // d_u
-    view = perm.matrix.reshape(d_u, d_rest, d_u, d_rest)
-    for u in range(d_u):
-        for up in range(d_u):
-            if u != up and float(np.max(np.abs(view[u, :, up, :]))) > CLASSICAL_TOL:
-                raise ValueError(
-                    f"register {label!r} is not classical (off-diagonal block "
-                    f"({u},{up}) has weight {np.max(np.abs(view[u, :, up, :])):.3e})")
-    rest_layout = SystemLayout([(l, state.layout.dim_of(l)) for l in rest])
-    probs, conds = [], []
-    for u in range(d_u):
-        block = view[u, :, u, :]
-        p = float(np.real(np.trace(block)))
-        probs.append(max(p, 0.0))
-        conds.append(DensityOp(block / p, rest_layout) if p > SUPPORT_FLOOR else None)
-    return np.asarray(probs), conds
+    view = _letter_view(state, [label])
+    weight = np.max(np.abs(view), axis=(1, 3))
+    np.fill_diagonal(weight, 0.0)
+    for u, up in np.argwhere(weight > CLASSICAL_TOL)[:1]:
+        raise ValueError(
+            f"register {label!r} is not classical (off-diagonal block "
+            f"({u},{up}) has weight {weight[u, up]:.3e})")
+    blocks = np.einsum("uiuj->uij", view)
+    return np.maximum(np.einsum("uii->u", blocks).real, 0.0), blocks
 
 
 def check_uniform(state: DensityOp, label: str):
@@ -223,14 +232,7 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     del tests  # copies x D x D; nothing below reads them
     comp = np.eye(layout.dim) - np.sum(povm, axis=0)
     comp = (comp + comp.conj().T) / 2
-    # In S's eigenbasis the completion is diagonal up to roundoff, so its
-    # Gershgorin discs bound its smallest eigenvalue from below.
-    g = v.conj().T @ comp @ v
-    radii = np.sum(np.abs(g), axis=1) - np.abs(g.diagonal())
-    min_eig = float(np.min(g.diagonal().real - radii))
-    if min_eig < -COMPLETION_TOL:
-        raise ValueError(
-            f"POVM completion element fails PSD (min eig {min_eig:.3e})")
+    _check_completion(comp, v)
     return PositionCode(layout=layout, povm=tuple(povm), completion=comp)
 
 
@@ -325,8 +327,11 @@ def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
     labels = ch.in_layout.labels
     if len(labels) != 2:
         raise ValueError("channel-with-state needs a two-register input (A, S)")
-    rec = _position_receiver(assisted, ch, psi, labels, eps[0])
     s_label = labels[1]
+    if tau is not None and tau.layout.registers != ch.in_layout.registers[1:]:
+        raise ValueError(f"tau must live on the channel state register "
+                         f"{ch.in_layout.registers[1]}, not {tau.layout.registers}")
+    rec = _position_receiver(assisted, ch, psi, labels, eps[0])
     if tau is not None:
         s_marg = partial_trace(psi, [s_label])
         if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
@@ -602,16 +607,9 @@ def _message_factors(state: DensityOp, senders, messages) -> list:
 # ---------------------------------------------------------------------------
 # independent position decoders (point-to-point, channel with state, broadcast)
 
-@dataclass(frozen=True)
-class _PositionRun:
-    code: PositionCode
-    dh: DivergenceResult
-    successes: tuple[float, ...]
-    outcome_dist: np.ndarray  # shape (n, n+1); last column = abort outcome
-
-
-def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
-    """Build the position code from the optimal test and decode every message."""
+def _run_position_code(rec: Receiver, rate: int):
+    """The D_H result and the (n, n+1) outcome distribution (abort last) of
+    the optimal test's position code on all copies of a quantum resource."""
     n = 2 ** rate
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
     test = HermOp(dh.witness.operator, rec.joint.layout)
@@ -623,7 +621,40 @@ def _run_position_code(rec: Receiver, rate: int) -> _PositionRun:
         for mp in range(n):
             dist[m, mp] = max(trace_with(code.povm[mp], state), 0.0)
         dist[m, n] = max(trace_with(code.completion, state), 0.0)
-    return _PositionRun(code, dh, tuple(dist[m, m] for m in range(n)), dist)
+    return dh, dist
+
+
+def _string_code(rec: Receiver, rate: int):
+    """:func:`_run_position_code` for a classical resource, one string at a
+    time.  The test and every message state are block-diagonal in the
+    letters on the copies, so the square-root measurement is a direct sum
+    over the strings u of those of S_u = sum_m T_{u_m}.  Also returns the
+    letter probabilities, the strings (rows of letters, in lexicographic
+    order) and per[u, m, k] = Tr(Lambda^u_k rho^{u_m}), the abort at k = n.
+    """
+    n = 2 ** rate
+    # The dense decoder's layout is the one dimension cap, checked before
+    # any D_H solve; it bounds the number of strings.
+    _copies_layout(rec.joint.layout, [(rec.resource, n)])
+    dh = dh_eps(rec.joint, rec.alt, rec.eps)
+    probs, blocks = classical_blocks(rec.joint, rec.resource)
+    strings = np.array(list(itertools.product(range(len(probs)), repeat=n)))
+    # Against the block-diagonal rho and sigma, the witness's diagonal
+    # blocks have its type-I and type-II errors.
+    t = np.einsum("uiuj->uij", _letter_view(
+        HermOp(dh.witness.operator, rec.joint.layout), [rec.resource]))[strings]
+    w, v = np.linalg.eigh(np.sum(t, axis=1))
+    root = ((v * _pinv_sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2))[:, None]
+    povm = root @ t @ root
+    povm = (povm + povm.conj().swapaxes(2, 3)) / 2
+    comp = np.eye(t.shape[-1]) - np.sum(povm, axis=1)
+    comp = (comp + comp.conj().swapaxes(1, 2)) / 2
+    _check_completion(comp, v)
+    conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
+    per = np.einsum("ukij,umji->umk", np.concatenate([povm, comp[:, None]], axis=1),
+                    conds[strings]).real
+    dist = np.maximum(np.tensordot(np.prod(probs[strings], axis=1), per, 1), 0.0)
+    return dh, dist, probs, strings, per
 
 
 def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
@@ -637,20 +668,23 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                      c) -> ProtocolReport:
     """One square-root decoder per receiver, each on its own registers."""
     consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, c)]
-    runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
-    dh_values = [run.dh.value for run in runs]
-    hns = [_hn_chain(run.dh, 2 ** rate, cv)
-           for run, rate, cv in zip(runs, rates, consts)]
+    # A quantum resource is decoded on all its copies, a classical one
+    # string by string.
+    runs = [_run_position_code(r, rate) if spec.assisted else _string_code(r, rate)[:2]
+            for r, rate in zip(receivers, rates)]
+    dh_values = [dh.value for dh, _ in runs]
+    hns = [_hn_chain(dh, 2 ** rate, cv)
+           for (dh, _), rate, cv in zip(runs, rates, consts)]
     bounds = spec.bound(eps, delta, c=consts, rates=rates, dhs=dh_values,
                         strategy=strategy)
     feasible = all(_rate_feasible(rate, dh, spec.penalty(e, delta, strategy))
                    for rate, dh, e in zip(rates, dh_values, eps))
-    errors = [_error(run.successes, not spec.assisted) for run in runs]
+    stream_successes = [np.diagonal(dist) for _, dist in runs]
+    errors = [_error(succ, not spec.assisted) for succ in stream_successes]
     if len(runs) == 1:
-        (run,) = runs
-        details = {"c": consts[0], "type1": 1.0 - run.dh.witness.type1,
-                   "type2": run.dh.witness.type2,
-                   "outcome_dist": run.outcome_dist, "dh": run.dh}
+        ((dh, dist),) = runs
+        details = {"c": consts[0], "type1": 1.0 - dh.witness.type1,
+                   "type2": dh.witness.type2, "outcome_dist": dist, "dh": dh}
         if spec.headline is not None:
             details["headline_bound"] = spec.headline(eps[0], delta)
     else:
@@ -659,13 +693,12 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
         kind = "worst" if spec.assisted else "avg"
         details = {f"per_receiver_{kind}_error": tuple(errors),
                    "per_receiver_bounds": bounds}
-    successes = [math.prod(s) for s in
-                 itertools.product(*(run.successes for run in runs))]
+    successes = [math.prod(s) for s in itertools.product(*stream_successes)]
     return _report(spec, rates, successes, errors, analytic=max(bounds),
                    hn=max(hns), ok=_holds(errors, hns, bounds, feasible),
                    feasible=feasible, dh_values=dh_values, details=details,
-                   floors=[(run.outcome_dist, float(rate), None)
-                           for run, rate in zip(runs, rates)])
+                   floors=[(dist, float(rate), None)
+                           for (_, dist), rate in zip(runs, rates)])
 
 
 # ---------------------------------------------------------------------------
@@ -1031,12 +1064,13 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 tau: DensityOp | None = None) -> DerandomizedCode:
     """Search for a fixed randomness string at least as good as the average.
 
-    Every string is enumerated, so the minimum over strings is at most the
-    randomized protocol's average error, by the averaging argument; more
-    than :data:`ENUMERATION_CAP` candidate strings raise ValueError before
-    any decoding.  For the two-sender scenario the strings are chosen
-    jointly and the figure minimized is the average error of the joint
-    decoder.  The two-receiver broadcast scenario is not supported.
+    Every string of positive probability is a candidate, so the minimum over
+    strings is at most the randomized protocol's average error, by the
+    averaging argument; each candidate's error is read off the randomized
+    protocol's decoder on that string.  For the two-sender scenario the
+    strings are chosen jointly and the figure minimized is the average error
+    of the joint decoder.  The two-receiver broadcast scenario is not
+    supported.
     """
     spec = get_scenario(f"{scenario}_ua")
     if spec.streams > 1 and spec.decode is not _decode_mac:
@@ -1044,69 +1078,51 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
-    senders = []
-    for rec, st, rate in zip(receivers, (psi, psi_b), rates):
-        probs, conds = classical_blocks(st, rec.resource)
-        support = [u for u in range(len(probs)) if probs[u] > SUPPORT_FLOOR]
-        senders.append(_Sender(rec.resource, 2 ** rate, support, probs, conds))
-    total = math.prod(len(s.support) ** s.copies for s in senders)
-    if total > ENUMERATION_CAP:
-        raise ValueError(
-            f"{total} strings exceed the enumeration cap {ENUMERATION_CAP}")
-
-    # The decoder of the randomized protocol, evaluated on fixed strings;
-    # a message state comes as its place factors.
     if spec.decode is _decode_mac:
-        code = _mac_code(receivers, rates, sequential=True)
-        stages = _neumark_stages(code)
-
-        def success(messages, factors) -> float:
-            return _position_chain(stages, factors + [
-                ([code.pointer], _basis_density(0, 2))], messages)
-        randomized = [success(msgs, _message_factors(code.omega, code.senders, msgs))
-                      for msgs in itertools.product(*map(range, code.n))]
+        candidates, randomized = _mac_string_errors(receivers, rates)
     else:
-        run = _run_position_code(receivers[0], rates[0])
-        randomized = run.successes
-
-        def success(messages, factors) -> float:
-            return trace_with(run.code.povm[messages[0]],
-                               place(factors, run.code.layout))
-
-    # Channel outputs conditioned on each tuple of the senders' letters.
-    cond_out = {letters: apply_on(ch, reduce(tensor, [
-        s.conds[u] for s, u in zip(senders, letters)]), list(ch.in_layout.labels))
-        for letters in itertools.product(*(s.support for s in senders))}
-
-    candidates = itertools.product(*(
-        itertools.product(s.support, repeat=s.copies) for s in senders))
-
-    messages = list(itertools.product(*(range(s.copies) for s in senders)))
+        _, dist, probs, strings, per = _string_code(receivers[0], rates[0])
+        randomized = _error(np.diagonal(dist), True)
+        success = np.mean(np.einsum("umm->um", per[:, :, :-1]), axis=1)
+        supported = np.all((probs > SUPPORT_FLOOR)[strings], axis=1)
+        candidates = (((tuple(string.tolist()),), max(1.0 - float(x), 0.0))
+                      for string, x in zip(strings[supported], success[supported]))
     best_err, best = math.inf, None
-    for strings in candidates:
-        total_success = 0.0
-        for msgs in messages:
-            cond = cond_out[tuple(string[m] for string, m in zip(strings, msgs))]
-            factors = [(cond.layout.registers, cond.matrix)] + [
-                ([(_copy_label(s.label, k), len(s.probs))],
-                 _basis_density(string[k], len(s.probs)))
-                for s, string in zip(senders, strings) for k in range(s.copies)]
-            total_success += success(msgs, factors)
-        err = max(1.0 - total_success / len(messages), 0.0)
+    for strings, err in candidates:
         if err < best_err - 1e-15:
-            best_err, best = err, tuple(tuple(string) for string in strings)
+            best_err, best = err, strings
     return DerandomizedCode(best[0], best[1] if len(best) > 1 else None,
-                            best_err, 1.0 - float(np.mean(randomized)))
+                            best_err, randomized)
 
 
-class _Sender(NamedTuple):
-    """One classical position register of a shared-randomness protocol."""
+def _mac_string_errors(receivers, rates):
+    """Each pair of strings of positive probability with the sequential
+    decoder's average error on it, and the randomized protocol's."""
+    code = _mac_code(receivers, rates, sequential=True)
+    stages = _neumark_stages(code)
+    messages = list(itertools.product(*map(range, code.n)))
 
-    label: str
-    copies: int
-    support: list            # letters of positive probability
-    probs: np.ndarray
-    conds: list              # state of the other registers given each letter
+    def error(factors) -> float:
+        return 1.0 - float(np.mean([_position_chain(stages, factors(msgs) + [
+            ([code.pointer], _basis_density(0, 2))], msgs) for msgs in messages]))
+    # Given the letters (a, b), the decoder registers are in a diagonal block
+    # of the receiver's state.
+    res, dims = zip(*((r, marg.layout.dim) for r, marg, _ in code.senders))
+    blocks = np.einsum("uiuj->uij", _letter_view(code.omega, res))
+    probs = np.einsum("uii->u", blocks).real.reshape(dims)
+    rest = [reg for reg in code.omega.layout.registers if reg[0] not in res]
+
+    def fixed(strings, msgs):
+        a, b = (string[m] for string, m in zip(strings, msgs))
+        return [(rest, blocks[a * dims[1] + b] / probs[a, b])] + [
+            ([(_copy_label(r, k), d)], _basis_density(u, d))
+            for r, d, string in zip(res, dims, strings) for k, u in enumerate(string)]
+    support = [np.flatnonzero(np.sum(probs, axis=1 - i) > SUPPORT_FLOOR).tolist()
+               for i in (0, 1)]
+    pairs = itertools.product(*(itertools.product(sup, repeat=n)
+                                for sup, n in zip(support, code.n)))
+    return (((strings, max(error(partial(fixed, strings)), 0.0)) for strings in pairs),
+            error(partial(_message_factors, code.omega, code.senders)))
 
 
 def _basis_density(index: int, dim: int) -> np.ndarray:

@@ -161,6 +161,20 @@ def test_identity_channel_corollary_values(dim, eps, expected):
     assert np.sum(np.asarray(a) ** 2) == pytest.approx(1 - eps, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.9])
+def test_identity_channel_corollary_witness_identities(dim, eps):
+    _, (lam, a) = identity_channel_corollary(dim, eps)
+    assert np.sum(lam ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(a ** 2) <= 1.0 + 1e-12
+    assert np.sum(a * lam) ** 2 == pytest.approx(1 - eps, abs=1e-12)
+    # <Pi| (I/|A| x psi_B') |Pi> with |Pi> = sum_i a_i |ii> and psi_B' = I/|A|.
+    pi = np.zeros(dim * dim)
+    pi[np.arange(dim) * (dim + 1)] = a
+    quad = pi @ (np.eye(dim * dim) / dim ** 2) @ pi
+    assert quad == pytest.approx((1 - eps) / dim ** 2, abs=1e-10)
+
+
 def test_identity_channel_corollary_rejects_bad_args():
     with pytest.raises(ValueError):
         identity_channel_corollary(1, 0.1)

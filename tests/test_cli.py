@@ -275,6 +275,40 @@ def test_channel_with_state_needs_tau(tmp_path, capsys):
         assert "--tau" in capsys.readouterr().err
 
 
+def test_channel_state_must_match_the_channel_register(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    wrong = {"on_t": maximally_mixed(SystemLayout([("T", 2)])),
+             "qutrit": maximally_mixed(SystemLayout([("S", 3)]))}
+    for name, tau in wrong.items():
+        path = write_spec(tmp_path, f"tau_{name}.json", state_spec(tau))
+        for scenario in ("gp_ea", "gp_ua"):
+            argv = specs[scenario]
+            at = argv.index("--tau")
+            argv = argv[:at + 1] + [path] + argv[at + 2:]
+            assert run(["simulate", scenario] + argv) == 1, (name, scenario)
+            err = capsys.readouterr().err
+            assert err.startswith("error: tau must live on the channel state "
+                                  "register ('S', 2)"), err
+            assert "Traceback" not in err
+
+
+def test_unassisted_ceiling_is_vacuous_without_error_budget(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    # The copy channel has four outputs, the XOR channel two.
+    for scenario, log_b in (("broadcast_ua", 2.0), ("mac_ua", 1.0)):
+        argv = specs[scenario]
+        base = argv[:argv.index("--R")]
+        for eps, ceiling in (("0.5,0.5", "inf"), ("0.6,0.6", "inf"),
+                             ("0.1,0.1", log_b / 0.8)):
+            assert run(["bound", "converse", "--scenario", scenario,
+                        "--eps", eps] + base) == 0, (scenario, eps)
+            got = json.loads(capsys.readouterr().out)["result"]["ceiling"]
+            if ceiling == "inf":
+                assert got == "inf", (scenario, eps)
+            else:
+                assert got == pytest.approx(ceiling, abs=1e-12), (scenario, eps)
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -559,6 +559,127 @@ def test_p2p_ua_rejects_nonclassical_register(id2, bell):
                             delta=0.3)
 
 
+def skewed_correlated(label_a, label_u, probs):
+    """[A, U] with A a copy of U, and U distributed by ``probs``."""
+    d = len(probs)
+    mat = np.zeros((d * d, d * d))
+    for u, p in enumerate(probs):
+        mat[u * d + u, u * d + u] = p
+    return DensityOp(mat, SystemLayout([(label_a, d), (label_u, d)]))
+
+
+def test_classical_blocks_are_a_stack_in_layout_order():
+    # [U, A, X] with A a copy of U and an independent mixed qubit X.
+    x = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+    psi = tensor(skewed_correlated("A", "U", (0.6, 0.4)),
+                 DensityOp(x, SystemLayout([("X", 2)]))).permuted(["U", "A", "X"])
+    probs, blocks = coding.classical_blocks(psi, "U")
+    assert np.allclose(probs, [0.6, 0.4], rtol=0, atol=1e-15)
+    assert blocks.shape == (2, 4, 4)
+    for u, p in enumerate((0.6, 0.4)):
+        assert np.allclose(blocks[u], p * np.kron(np.diag(np.eye(2)[u]), x),
+                           rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match=r"block \(0,1\) has weight 5\.000e-01"):
+        coding.classical_blocks(bell_density("A", "U"), "U")
+
+
+def two_output_broadcast():
+    """A = (a_B, a_C) as one ququart; Bob gets a_B and Charlie a_C, each
+    through a depolarizing channel."""
+    k_b = depolarizing(0.1, 2, "X", "Y").kraus
+    k_c = depolarizing(0.2, 2, "X", "Y").kraus
+    return KrausChannel([np.kron(a, b) for a in k_b for b in k_c],
+                        SystemLayout([("A", 4)]), SystemLayout([("B", 2), ("C", 2)]))
+
+
+def broadcast_ua_state():
+    """[A, U, V]: A = 2U + V for independent U, V with P(U=1) = 0.4 and
+    P(V=1) = 0.3."""
+    mat = np.zeros((16, 16))
+    for u, v in itertools.product(range(2), repeat=2):
+        i = 4 * (2 * u + v) + 2 * u + v
+        mat[i, i] = (0.6, 0.4)[u] * (0.7, 0.3)[v]
+    return DensityOp(mat, SystemLayout([("A", 4), ("U", 2), ("V", 2)]))
+
+
+def ua_case(name):
+    """(scenario, channel, state, tau) of one unassisted instance."""
+    tau = maximally_mixed(SystemLayout([("S", 2)]))
+    return {
+        "p2p": ("p2p", depolarizing(0.1, 2, "A", "B"),
+                skewed_correlated("A", "U", (0.6, 0.4)), None),
+        "p2p-qutrit": ("p2p", depolarizing(0.2, 3, "A", "B"),
+                       skewed_correlated("A", "U", (0.5, 0.5, 0.0)), None),
+        "gp": ("gp", gp_controlled_flip_channel(),
+               tensor(skewed_correlated("A", "U", (0.6, 0.4)), tau)
+               .permuted(["A", "S", "U"]), tau),
+        "broadcast": ("broadcast", two_output_broadcast(), broadcast_ua_state(),
+                      None),
+    }[name]
+
+
+@pytest.mark.parametrize("name,rates", [
+    ("p2p", 1), ("p2p", 2), ("p2p", 3), ("gp", 1), ("gp", 2), ("gp", 3), ("broadcast", (1, 1)), ("broadcast", (2, 2)),
+])
+def test_string_decoder_matches_the_dense_decoder(name, rates):
+    scenario, ch, psi, tau = ua_case(name)
+    rep = simulate_unassisted(scenario, ch, psi, rates, 0.1, 0.3, tau=tau)
+    spec = get_scenario(f"{scenario}_ua")
+    rates = spec.rates(rates)
+    receivers = spec.build(ch, psi, None, tau, [0.1] * spec.streams)
+    dists = [coding._run_position_code(r, rate)[1] for r, rate in zip(receivers, rates)]
+    for (got, _, _), want in zip(rep.floor_inputs, dists):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    successes = [math.prod(s) for s in itertools.product(*map(np.diagonal, dists))]
+    assert np.allclose(rep.per_message_success, successes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1, 2])
+def test_string_decoder_decodes_with_the_witness_diagonal_blocks(rate):
+    # Letters 0 and 1 are equiprobable and letter 2 never occurs.  The
+    # eigenspace of rho - t sigma that the D_H witness splits spans letters
+    # 0 and 1, so the witness has weight off the letters' diagonal, where the
+    # dense decoder of all the copies would read it.
+    _, ch, psi, _ = ua_case("p2p-qutrit")
+    (rec,) = get_scenario("p2p_ua").build(ch, psi, None, None, [0.1])
+    order = ["U", "B"]
+    view = HermOp(dh_eps(rec.joint, rec.alt, rec.eps).witness.operator,
+                  rec.joint.layout).permuted(order).matrix.reshape(3, 3, 3, 3)
+    pinched = np.zeros_like(view)
+    for u in range(3):
+        pinched[u, :, u, :] = view[u, :, u, :]
+    assert np.max(np.abs(view - pinched)) > 0.1
+    # Against the block-diagonal rho and sigma the diagonal blocks have the
+    # witness's type-I and type-II errors ...
+    layout = SystemLayout([("U", 3), ("B", 3)])
+    test = HermOp(pinched.reshape(9, 9), layout)
+    for st in (rec.joint, rec.alt):
+        mat = st.permuted(order).matrix
+        assert np.trace(test.matrix @ mat).real == pytest.approx(
+            np.trace(view.reshape(9, 9) @ mat).real, abs=1e-12)
+    # ... and the unassisted decoder is the square-root measurement of them.
+    n = 2 ** rate
+    code = build_position_povm(test, n, "U")
+    copies = [l for l in code.layout.labels if l != "B"]
+    joint = rec.joint.permuted(order).matrix
+    dense = np.zeros((n, n + 1))
+    for m in range(n):
+        state = place([([(copies[m], 3), ("B", 3)], joint)]
+                      + [([(c, 3)], rec.marginal.matrix)
+                         for k, c in enumerate(copies) if k != m], code.layout)
+        dense[m] = [np.trace(el @ state).real
+                    for el in code.povm + (code.completion,)]
+    rep = simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.3)
+    assert np.allclose(rep.details["outcome_dist"], dense, rtol=0, atol=1e-12)
+
+
+def test_string_decoder_decomposes_no_operator_above_the_block_dimension(eig_inputs):
+    ch, psi = depolarizing(0.1, 2, "A", "B"), classically_correlated("A", "U")
+    rep = simulate_unassisted("p2p", ch, psi, 3, 0.1, 0.6)
+    assert len(rep.per_message_success) == 8
+    assert eig_inputs and max(m.shape[-1] for m in eig_inputs) <= 4
+
+
 def test_mac_ua_xor():
     psi_a = classically_correlated("A", "UA")
     psi_b = classically_correlated("B", "UB")
@@ -613,13 +734,53 @@ def test_derandomize_rejects_broadcast():
 
 
 def test_derandomize_checks_the_cap_before_decoding(monkeypatch, id2):
+    # At R = 2 the dense decoder's layout, B and four copies of U, has 32
+    # dimensions.
     solved = []
-    monkeypatch.setattr(coding, "ENUMERATION_CAP", 3)
+    monkeypatch.setenv("ONESHOT_QCAP_DIM_CAP", "16")
     monkeypatch.setattr(coding, "dh_eps",
                         lambda *args: solved.append(args) or dh_eps(*args))
-    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+    with pytest.raises(DimensionCapError):
         derandomize("p2p", id2, classically_correlated("A", "U"), 2, 0.1, 0.6)
     assert not solved
+
+
+def dense_string_errors(ch, psi, rate, eps):
+    """The average error of the p2p_ua decoder on every string of positive
+    probability, read off the dense square-root measurement on all 2^R
+    copies of the classical register: each element's block at the string,
+    against the channel output given each letter."""
+    (rec,) = get_scenario("p2p_ua").build(ch, psi, None, None, [eps])
+    n = 2 ** rate
+    test = HermOp(dh_eps(rec.joint, rec.alt, rec.eps).witness.operator,
+                  rec.joint.layout)
+    code = build_position_povm(test, n, rec.resource)
+    d_u = rec.joint.layout.dim_of(rec.resource)
+    rest = [l for l in rec.joint.layout.labels if l != rec.resource]
+    d = rec.joint.layout.dim // d_u
+    joint = rec.joint.permuted([rec.resource] + rest).matrix.reshape(d_u, d, d_u, d)
+    conds = {a: joint[a, :, a, :] / np.trace(joint[a, :, a, :]).real
+             for a in range(d_u) if np.trace(joint[a, :, a, :]).real > 1e-12}
+    copies = [l for l in code.layout.labels if l not in rest]
+    elements = [HermOp(el, code.layout).permuted(copies + rest).matrix
+                .reshape(d_u ** n, d, d_u ** n, d) for el in code.povm]
+    errors = {}
+    for string in itertools.product(sorted(conds), repeat=n):
+        u = np.ravel_multi_index(string, (d_u,) * n)
+        errors[string] = 1.0 - np.mean([np.trace(el[u, :, u, :] @ conds[a]).real
+                                        for el, a in zip(elements, string)])
+    return errors
+
+
+@pytest.mark.parametrize("rate", [1, 2, 3])
+def test_derandomize_minimizes_the_dense_string_errors(rate):
+    ch, psi = depolarizing(0.1, 2, "A", "B"), skewed_correlated("A", "U", (0.6, 0.4))
+    code = derandomize("p2p", ch, psi, rate, 0.1, 0.6)
+    errors = dense_string_errors(ch, psi, rate, 0.1)
+    assert code.error == pytest.approx(min(errors.values()), abs=1e-12)
+    assert errors[code.strings] == pytest.approx(code.error, abs=1e-12)
+    randomized = simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.6)
+    assert code.randomized_error == pytest.approx(randomized.avg_error, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
