@@ -67,7 +67,6 @@ from .bounds import (
     converse_value,
     corollary_relaxations,
     identity_channel_corollary,
-    optimize_input_state,
 )
 
 __version__ = "0.1.0"

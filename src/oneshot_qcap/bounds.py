@@ -1,24 +1,23 @@
 """Converse and achievability rate expressions, corollaries, and the local
-searches behind their min-over-sigma / max-over-psi optimizations.
+search behind their min-over-sigma optimization.
 
 Values are in bits.  Negative achievable rates are flagged infeasible rather
-than clamped; the sigma minimization and psi maximization are best-effort
-local searches whose full candidate traces are returned so callers can judge
-convergence.
+than clamped; the sigma minimization is a best-effort local search whose full
+candidate trace is returned so callers can judge convergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import KrausChannel
 from .coding import check_uniform, get_scenario, product_marginals
 from .divergences import dh_eps, dmax
-from .linalg import DensityOp, Ket, SystemLayout, as_matrix, partial_trace, psd_sqrt
+from .linalg import DensityOp, as_matrix, partial_trace, psd_sqrt
 
 __all__ = [
     "RateBound",
@@ -26,7 +25,6 @@ __all__ = [
     "achievable_rate",
     "identity_channel_corollary",
     "corollary_relaxations",
-    "optimize_input_state",
     "EXTRA_SCENARIOS",
 ]
 
@@ -267,46 +265,3 @@ def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
                        [val - penalty for val, _, _ in runs], evaluated_at=note,
                        trace=tuple(t for _, _, trace in runs for t in trace))
 
-
-def optimize_input_state(objective: Callable[[Ket], float], dims,
-                         restarts: int = 4, seed: int = 0):
-    """Best-effort local maximization of an objective over pure input states.
-
-    Derivative-free simplex descent on real-imaginary coordinates of the
-    amplitude vector (normalized inside the objective), with seeded random
-    restarts.  Returns (best Ket, best value, trace of per-restart values);
-    global optimality is not claimed.
-    """
-    from scipy.optimize import minimize
-
-    layout = dims if isinstance(dims, SystemLayout) else SystemLayout(
-        dims if not np.isscalar(dims) else [("A", int(dims))])
-    d = layout.dim
-    rng = np.random.default_rng(seed)
-
-    def unpack(x: np.ndarray) -> Ket | None:
-        amp = x[:d] + 1j * x[d:]
-        nrm = float(np.linalg.norm(amp))
-        if nrm < 1e-12:
-            return None
-        return Ket(amp / nrm, layout)
-
-    def neg_objective(x: np.ndarray) -> float:
-        ket = unpack(x)
-        if ket is None:
-            return 1e6
-        return -float(objective(ket))
-
-    best_val = -math.inf
-    best_ket = None
-    trace = []
-    for k in range(max(restarts, 1)):
-        x0 = rng.standard_normal(2 * d)
-        res = minimize(neg_objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-        val = -float(res.fun)
-        trace.append((k, val))
-        if val > best_val:
-            best_val = val
-            best_ket = unpack(res.x)
-    return best_ket, best_val, trace

@@ -1,13 +1,14 @@
 """Exact simulation of position-based coding protocols.
 
-Every decoder here is built explicitly as a POVM (or a sequence of Neumark
-projectors), and every success probability is an exact trace -- no Monte Carlo
-anywhere.  Point-to-point decoders act on the receiver's full register set; a
-multiple-access decoder decodes one sender at a time, and each stage places
-only the factors of a message state that name a register it reads.  Each
-simulator returns a :class:`ProtocolReport` carrying the exact per-message
-statistics next to the error bound its construction guarantees, so the operator
-inequalities behind the bounds can be checked numerically on every run.
+Every decoder here is a square-root measurement, read off its tests and
+S^{-1/2}, or a sequence of Neumark projectors, and every success probability
+is an exact trace -- no Monte Carlo anywhere.  Point-to-point decoders act on
+the receiver's full register set; a multiple-access decoder decodes one sender
+at a time, and each stage places only the factors of a message state that
+name a register it reads.  Each simulator returns a :class:`ProtocolReport`
+carrying the exact per-message statistics next to the error bound its
+construction guarantees, so the operator inequalities behind the bounds can be
+checked numerically on every run.
 
 The eight scenarios (point-to-point, channel with state, broadcast and
 multiple access, each entanglement-assisted or unassisted) are defined once,
@@ -43,7 +44,6 @@ from .linalg import (
     reduced,
     sample,
     tensor,
-    trace_with,
 )
 
 __all__ = [
@@ -93,16 +93,27 @@ def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
     return np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
 
 
-def _check_completion(comp: np.ndarray, v: np.ndarray):
-    """Require a square-root measurement's completion (or a stack) to be PSD:
-    diagonal up to roundoff in S's eigenbasis ``v``, it has Gershgorin discs
-    that bound its smallest eigenvalue from below."""
-    g = v.conj().swapaxes(-1, -2) @ comp @ v
+def _check_completion(g: np.ndarray):
+    """Require a square-root measurement's completion ``g``, given in S's
+    eigenbasis (or a stack), to be PSD by its Gershgorin discs there."""
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     min_eig = float(np.min(diag.real - (np.sum(np.abs(g), axis=-1) - np.abs(diag))))
     if min_eig < -COMPLETION_TOL:
         raise ValueError(
             f"POVM completion element fails PSD (min eig {min_eig:.3e})")
+
+
+def _square_root_measurement(tests: np.ndarray, root: np.ndarray, v: np.ndarray):
+    """The elements root T_k root of a stack of tests T_k (k on axis -3),
+    their checked completion last, for S^{-1/2} = ``root`` with eigenbasis
+    ``v`` (or stacks of them)."""
+    root = root[..., None, :, :]
+    povm = root @ tests @ root
+    povm = (povm + povm.conj().swapaxes(-1, -2)) / 2
+    comp = np.eye(tests.shape[-1]) - np.sum(povm, axis=-3)
+    comp = (comp + comp.conj().swapaxes(-1, -2)) / 2
+    _check_completion(v.conj().swapaxes(-1, -2) @ comp @ v)
+    return np.concatenate([povm, comp[..., None, :, :]], axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +196,27 @@ def split_sender_state(psi: DensityOp, channel_label: str):
 
 @dataclass(frozen=True)
 class PositionCode:
-    """Square-root-measurement decoder across position copies of a resource."""
+    """Square-root measurement S^{-1/2} T_k S^{-1/2}, S = sum_k T_k, of tests
+    T_k (:func:`place` factors, one per position copy of a resource),
+    completed by I minus their sum; ``root`` is S^{-1/2}, ``basis`` S's eigenbasis."""
 
     layout: SystemLayout
-    povm: tuple[np.ndarray, ...]
-    completion: np.ndarray
+    tests: tuple
+    root: np.ndarray
+    basis: np.ndarray
+
+    def probabilities(self, state: np.ndarray) -> np.ndarray:
+        """Re Tr(T_k S^{-1/2} state S^{-1/2}) for every copy k, then the trace
+        of ``state`` they leave (the abort), each clipped at 0."""
+        conj = self.root @ state @ self.root
+        row = np.maximum([local_trace(t, self.layout, conj).real
+                          for t in self.tests], 0.0)
+        return np.append(row, max(np.trace(state).real - row.sum(), 0.0))
+
+    def elements(self) -> np.ndarray:
+        """The (copies + 1, D, D) stack of elements, the checked completion last."""
+        tests = np.stack([place([t], self.layout) for t in self.tests])
+        return _square_root_measurement(tests, self.root, self.basis)
 
 
 def _copy_label(resource_label: str, m: int) -> str:
@@ -216,24 +243,19 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     """Pretty-good measurement over per-position embeddings of ``test``.
 
     The test acts on the channel-output registers plus one resource register;
-    position m gets the test on copy m and identity elsewhere, and the POVM is
-    S^{-1/2} Lambda(m) S^{-1/2} with a pseudo-inverse square root of the sum,
-    completed by the element that makes it a POVM.
+    position m gets the test on copy m and identity elsewhere.  S is summed
+    one placed copy at a time; in its eigenbasis the completion is diagonal.
     """
     evals = np.linalg.eigvalsh(test.matrix)
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
     layout = _copies_layout(test.layout, [(resource_label, copies)])
-    tests = [place([(_on_copies(test.layout, {resource_label: m}), test.matrix)],
-                   layout) for m in range(copies)]
-    w, v = np.linalg.eigh(np.sum(tests, axis=0))
-    root = (v * _pinv_sqrt(w)) @ v.conj().T
-    povm = [(p + p.conj().T) / 2 for p in (root @ t @ root for t in tests)]
-    del tests  # copies x D x D; nothing below reads them
-    comp = np.eye(layout.dim) - np.sum(povm, axis=0)
-    comp = (comp + comp.conj().T) / 2
-    _check_completion(comp, v)
-    return PositionCode(layout=layout, povm=tuple(povm), completion=comp)
+    tests = tuple((_on_copies(test.layout, {resource_label: m}), test.matrix)
+                  for m in range(copies))
+    w, v = np.linalg.eigh(reduce(np.add, (place([t], layout) for t in tests)))
+    inv = _pinv_sqrt(w)
+    _check_completion(np.diag(1.0 - w * inv ** 2))
+    return PositionCode(layout, tests, (v * inv) @ v.conj().T, v)
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +287,12 @@ def seq_check(rho: DensityOp, projectors: Sequence[HermOp | np.ndarray]):
     for p in mats:
         if float(np.max(np.abs(p @ p - p))) > 1e-10:
             raise ValueError("sequential bound needs projectors")
-    d = rho.layout.dim
-    state = rho.matrix.copy()
-    total = 0.0
+    state, total = rho.matrix, 0.0
     for p in mats:
         total += float(np.real(np.trace(p @ rho.matrix)))
-        comp = np.eye(d) - p
+        comp = np.eye(rho.layout.dim) - p
         state = comp @ state @ comp
-    lhs = float(np.real(np.trace(state)))
-    rhs = 1.0 - 4.0 * total
-    return lhs, rhs
+    return float(np.real(np.trace(state))), 1.0 - 4.0 * total
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +416,7 @@ def _log_quad(eps: float, delta: float, strategy: str) -> float:
 def _mac_penalty(eps: float, delta: float, strategy: str) -> float:
     if strategy not in MAC_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "sequential":
-        return _log_inv_delta(eps, delta, strategy)
-    return _log_quad(eps, delta, strategy)
+    return (_log_inv_delta if strategy == "sequential" else _log_quad)(eps, delta, strategy)
 
 
 def _p2p_ea_bound(eps, delta, *, c, rates, dhs, **_) -> tuple[float, ...]:
@@ -557,13 +573,12 @@ def _report(spec: Scenario, rates, successes, errors, *, analytic, hn, ok,
             feasible, dh_values, details, floors) -> ProtocolReport:
     """``successes`` are the joint per-message successes; ``errors`` the
     errors of the independently decoded streams (one for a joint decoder)."""
-    lost = 1.0 - np.asarray(successes, dtype=float)
     return ProtocolReport(
         scenario=spec.name,
         rates=tuple(float(r) for r in rates),
         per_message_success=tuple(float(s) for s in successes),
-        worst_error=max(errors) if spec.assisted else float(np.max(lost)),
-        avg_error=float(np.mean(lost)),
+        worst_error=max(errors) if spec.assisted else _error(successes, False),
+        avg_error=_error(successes, True),
         reported_error=max(errors),
         analytic_bound=float(analytic),
         hn_bound=float(hn),
@@ -584,9 +599,7 @@ def _hn_constant(eps: float, delta: float, c: float | None) -> float:
 
 
 def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
-    if math.isinf(dh_value):
-        return True
-    return rate <= dh_value - penalty_bits + 1e-9
+    return math.isinf(dh_value) or rate <= dh_value - penalty_bits + 1e-9
 
 
 def _message_factors(state: DensityOp, senders, messages) -> list:
@@ -612,15 +625,16 @@ def _run_position_code(rec: Receiver, rate: int):
     the optimal test's position code on all copies of a quantum resource."""
     n = 2 ** rate
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
-    test = HermOp(dh.witness.operator, rec.joint.layout)
-    code = build_position_povm(test, n, rec.resource)
-    senders = [(rec.resource, rec.marginal, n)]
-    dist = np.zeros((n, n + 1))
-    for m in range(n):
-        state = place(_message_factors(rec.state, senders, (m,)), code.layout)
-        for mp in range(n):
-            dist[m, mp] = max(trace_with(code.povm[mp], state), 0.0)
-        dist[m, n] = max(trace_with(code.completion, state), 0.0)
+    code = build_position_povm(HermOp(dh.witness.operator, rec.joint.layout), n,
+                               rec.resource)
+    state = place(_message_factors(rec.state, [(rec.resource, rec.marginal, n)], (0,)),
+                  code.layout)
+    row = code.probabilities(state)
+    # Swapping copies 0 and m takes message 0's state to message m's and
+    # T_0 to T_m, and leaves S, so S^{-1/2}, and the set of tests unchanged:
+    # row m is row 0 with outcomes 0 and m swapped.
+    dist, m = np.tile(row, (n, 1)), np.arange(n)
+    dist[m, m], dist[m, 0] = row[0], row[m]
     return dh, dist
 
 
@@ -644,15 +658,10 @@ def _string_code(rec: Receiver, rate: int):
     t = np.einsum("uiuj->uij", _letter_view(
         HermOp(dh.witness.operator, rec.joint.layout), [rec.resource]))[strings]
     w, v = np.linalg.eigh(np.sum(t, axis=1))
-    root = ((v * _pinv_sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2))[:, None]
-    povm = root @ t @ root
-    povm = (povm + povm.conj().swapaxes(2, 3)) / 2
-    comp = np.eye(t.shape[-1]) - np.sum(povm, axis=1)
-    comp = (comp + comp.conj().swapaxes(1, 2)) / 2
-    _check_completion(comp, v)
+    povm = _square_root_measurement(
+        t, (v * _pinv_sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2), v)
     conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
-    per = np.einsum("ukij,umji->umk", np.concatenate([povm, comp[:, None]], axis=1),
-                    conds[strings]).real
+    per = np.einsum("ukij,umji->umk", povm, conds[strings]).real
     dist = np.maximum(np.tensordot(np.prod(probs[strings], axis=1), per, 1), 0.0)
     return dh, dist, probs, strings, per
 
@@ -854,15 +863,11 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     c_first, c_second = (_hn_constant(epsilons[i], delta, c[i]) for i in order)
     first, second = (build_position_povm(code.witnesses[i], n[i], code.senders[i][0])
                      for i in order)
-    kraus_first = [(first.layout.registers, psd_sqrt(p))
-                   for p in first.povm + (first.completion,)]
+    kraus_first = [(first.layout.registers, psd_sqrt(p)) for p in first.elements()]
     copies_first = set(first.layout.labels) - set(second.layout.labels)
 
     n1, n2 = n
-    joint_succ = np.zeros((n1, n2))
-    stage1_err = np.zeros((n1, n2))
-    stage2_err = np.zeros((n1, n2))
-    disturbance = np.zeros((n1, n2))
+    joint_succ, stage1_err, stage2_err, disturbance = np.zeros((4, n1, n2))
     dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
     for m1, m2 in itertools.product(range(n1), range(n2)):
         mf, ms = (m1, m2) if a_first else (m2, m1)
@@ -874,15 +879,11 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
         branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
                     for k in kraus_first]
         post = np.sum(branches, axis=0)
-        traces = np.zeros((len(branches), n[i_second] + 1))
-        for i, branch in enumerate(branches):
-            b = place([_finished(layout, branch, copies_first)] + rest, second.layout)
-            traces[i] = [trace_with(p, b) for p in second.povm] + [np.trace(b).real]
-        row = np.maximum(traces, 0.0)
-        row[:, -1] = np.maximum(traces[:, -1] - row[:, :-1].sum(axis=1), 0.0)
+        row = np.array([second.probabilities(place(
+            [_finished(layout, b, copies_first)] + rest, second.layout)) for b in branches])
         # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
-        stage1_err[m1, m2] = 1.0 - traces[mf, -1]
-        stage2_err[m1, m2] = 1.0 - float(np.sum(traces[:, ms]))
+        stage1_err[m1, m2] = 1.0 - np.trace(branches[mf]).real
+        stage2_err[m1, m2] = 1.0 - float(np.sum(row[:, ms]))
         joint_succ[m1, m2] = row[mf, ms]
         disturbance[m1, m2] = purified_distance(st, (post + post.conj().T) / 2)
         # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
@@ -1126,9 +1127,7 @@ def _mac_string_errors(receivers, rates):
 
 
 def _basis_density(index: int, dim: int) -> np.ndarray:
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[index, index] = 1.0
-    return mat
+    return np.diag(np.eye(dim, dtype=complex)[index])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from oneshot_qcap.bounds import (
     converse_value,
     corollary_relaxations,
     identity_channel_corollary,
-    optimize_input_state,
 )
 from oneshot_qcap.channels import apply_on, depolarizing, identity_channel
 from oneshot_qcap.divergences import dh_eps
@@ -214,20 +213,3 @@ def test_broadcast_relaxation_matches_converse_on_product():
     relaxed = corollary_relaxations("broadcast", ch, product, (0.1, 0.1))
     exact = converse_value("broadcast_ea", ch, product, (0.1, 0.1))
     assert relaxed.per_sender == pytest.approx(exact.per_sender, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# input-state search
-
-
-def test_optimize_input_state_recovers_noiseless_capacity(id2):
-    def objective(ket):
-        psi = DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()),
-                        ket.layout)
-        return converse_value("p2p_ea", id2, psi, 0.0).value
-
-    best, value, trace = optimize_input_state(
-        objective, [("A", 2), ("B'", 2)], restarts=2, seed=0)
-    assert value >= 2.0 - 1e-3
-    assert len(trace) == 2
-    assert max(v for _, v in trace) == pytest.approx(value, abs=1e-12)

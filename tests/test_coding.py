@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from oneshot_qcap import coding, divergences
 from oneshot_qcap.channels import (
     KrausChannel,
+    amplitude_damping,
     binary_test_projector,
     depolarizing,
     identity_channel,
@@ -39,6 +41,7 @@ from oneshot_qcap.linalg import (
     purified_distance,
     sample,
     tensor,
+    trace_with,
 )
 
 from helpers import (
@@ -68,10 +71,11 @@ def test_position_povm_completes_and_embeds():
     test = HermOp(np.diag([0.9, 0.1, 0.6, 0.2]),
                   SystemLayout([("B", 2), ("R", 2)]))
     code = build_position_povm(test, copies=4, resource_label="R")
-    total = np.sum(code.povm, axis=0) + code.completion
+    *povm, completion = code.elements()
+    total = np.sum(povm, axis=0) + completion
     assert np.allclose(total, np.eye(code.layout.dim), atol=1e-10)
-    assert len(code.povm) == 4
-    for el in code.povm:
+    assert len(povm) == 4
+    for el in povm:
         evals = np.linalg.eigvalsh(el)
         assert evals[0] >= -1e-10
 
@@ -97,6 +101,78 @@ def test_position_povm_rejects_invalid_test():
     bad = HermOp(np.diag([1.5, 0.0]), SystemLayout([("B", 2)]))
     with pytest.raises(ValueError):
         build_position_povm(bad, copies=2, resource_label="B")
+
+
+def dense_position_dist(code, state, resource, marginal):
+    """The outcome distribution (abort last) of a position code with every
+    message decoded on its own: message m's state, ``state`` with
+    ``resource`` on copy m and ``marginal`` on every other copy, is placed on
+    all the copies and traced against every assembled element."""
+    others = [l for l in state.layout.labels if l != resource]
+    copies = [l for l in code.layout.labels if l not in others]
+    elements = code.elements()
+    dist = np.zeros((len(copies), len(copies) + 1))
+    for m, copy in enumerate(copies):
+        regs = [(copy if l == resource else l, d) for l, d in state.layout.registers]
+        placed = place([(regs, state.matrix)]
+                       + [([(c, marginal.layout.dim)], marginal.matrix)
+                          for k, c in enumerate(copies) if k != m], code.layout)
+        dist[m] = [max(trace_with(el, placed), 0.0) for el in elements]
+    return dist
+
+
+def dense_position_code(rec, rate):
+    """:func:`dense_position_dist` of a receiver's position code at ``rate``,
+    built on its optimal test."""
+    test = HermOp(dh_eps(rec.joint, rec.alt, rec.eps).witness.operator,
+                  rec.joint.layout)
+    return dense_position_dist(build_position_povm(test, 2 ** rate, rec.resource),
+                               rec.state, rec.resource, rec.marginal)
+
+
+def ea_receivers(name):
+    """The receivers of one assisted instance, each tested at smoothing 0.15."""
+    tau = maximally_mixed(SystemLayout([("S", 2)]))
+    bell = bell_density("A", "R")
+    # A = (a_B, a_C) as one ququart, each half maximally entangled with its
+    # receiver's resource.
+    pairs = tensor(bell_density("a", "RB"), bell_density("c", "RC"))
+    broadcast = DensityOp(pairs.permuted(["a", "c", "RB", "RC"]).matrix,
+                          SystemLayout([("A", 4), ("RB", 2), ("RC", 2)]))
+    scenario, ch, psi, tau = {
+        "p2p-depolarizing": ("p2p_ea", depolarizing(0.1, 2, "A", "B"), bell, None),
+        "p2p-damping": ("p2p_ea", amplitude_damping(0.3, "A", "B"), bell, None),
+        "gp": ("gp_ea", gp_controlled_flip_channel(),
+               tensor(bell, tau).permuted(["A", "S", "R"]), tau),
+        "broadcast": ("broadcast_ea", two_output_broadcast(), broadcast, None),
+    }[name]
+    spec = get_scenario(scenario)
+    return spec.build(ch, psi, None, tau, [0.15] * spec.streams)
+
+
+@pytest.mark.parametrize("name,rate", [
+    ("p2p-depolarizing", 1), ("p2p-depolarizing", 2), ("p2p-depolarizing", 3),
+    ("p2p-damping", 1), ("p2p-damping", 2), ("p2p-damping", 3),
+    ("gp", 1), ("gp", 2), ("broadcast", 1), ("broadcast", 2),
+])
+def test_position_code_rows_match_the_dense_decoder(name, rate):
+    for rec in ea_receivers(name):
+        _, dist = coding._run_position_code(rec, rate)
+        assert dist.shape == (2 ** rate, 2 ** rate + 1)
+        assert np.allclose(dist, dense_position_code(rec, rate), rtol=0, atol=1e-12)
+
+
+def test_p2p_decoder_assembles_no_elements():
+    # One 512-dim complex matrix takes 4 MiB; the eight elements of the
+    # R = 3 decoder alone would take 32 MiB.
+    ch, bell = depolarizing(0.1, 2, "A", "B"), bell_density("A", "R")
+    tracemalloc.start()
+    try:
+        simulate_p2p_ea(ch, bell, rate=3, eps=0.1, delta=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -627,7 +703,7 @@ def test_string_decoder_matches_the_dense_decoder(name, rates):
     spec = get_scenario(f"{scenario}_ua")
     rates = spec.rates(rates)
     receivers = spec.build(ch, psi, None, tau, [0.1] * spec.streams)
-    dists = [coding._run_position_code(r, rate)[1] for r, rate in zip(receivers, rates)]
+    dists = [dense_position_code(r, rate) for r, rate in zip(receivers, rates)]
     for (got, _, _), want in zip(rep.floor_inputs, dists):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
     successes = [math.prod(s) for s in itertools.product(*map(np.diagonal, dists))]
@@ -660,15 +736,7 @@ def test_string_decoder_decodes_with_the_witness_diagonal_blocks(rate):
     # ... and the unassisted decoder is the square-root measurement of them.
     n = 2 ** rate
     code = build_position_povm(test, n, "U")
-    copies = [l for l in code.layout.labels if l != "B"]
-    joint = rec.joint.permuted(order).matrix
-    dense = np.zeros((n, n + 1))
-    for m in range(n):
-        state = place([([(copies[m], 3), ("B", 3)], joint)]
-                      + [([(c, 3)], rec.marginal.matrix)
-                         for k, c in enumerate(copies) if k != m], code.layout)
-        dense[m] = [np.trace(el @ state).real
-                    for el in code.povm + (code.completion,)]
+    dense = dense_position_dist(code, rec.joint.permuted(order), "U", rec.marginal)
     rep = simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.3)
     assert np.allclose(rep.details["outcome_dist"], dense, rtol=0, atol=1e-12)
 
@@ -763,7 +831,7 @@ def dense_string_errors(ch, psi, rate, eps):
              for a in range(d_u) if np.trace(joint[a, :, a, :]).real > 1e-12}
     copies = [l for l in code.layout.labels if l not in rest]
     elements = [HermOp(el, code.layout).permuted(copies + rest).matrix
-                .reshape(d_u ** n, d, d_u ** n, d) for el in code.povm]
+                .reshape(d_u ** n, d, d_u ** n, d) for el in code.elements()[:-1]]
     errors = {}
     for string in itertools.product(sorted(conds), repeat=n):
         u = np.ravel_multi_index(string, (d_u,) * n)
@@ -903,8 +971,8 @@ def dilation_statistics(code, state):
     an accounting path independent of the direct POVM traces."""
     # neumark_dilate rejects eigenvalues below -1e-10; the completion check
     # allows -COMPLETION_TOL.
-    povm = list(code.povm) + [herm_apply(code.completion,
-                                         lambda w: np.clip(w, 0.0, None))]
+    *povm, completion = code.elements()
+    povm.append(herm_apply(completion, lambda w: np.clip(w, 0.0, None)))
     dil = neumark_dilate(povm)
     rho = state.permuted(list(code.layout.labels))
     return dil.outcome_probabilities(rho.matrix)
@@ -917,7 +985,7 @@ def test_dilation_statistics_match_direct_traces():
     state = sample("density", [2, 2, 2], 21, labels=list(code.layout.labels))
     probs = dilation_statistics(code, state)
     direct = [float(np.real(np.trace(el @ state.matrix)))
-              for el in code.povm]
+              for el in code.elements()[:-1]]
     assert np.allclose(probs[:-1], direct, atol=1e-8)
     assert probs[-1] == pytest.approx(1.0 - sum(direct), abs=1e-8)
 
