@@ -7,6 +7,7 @@ from .linalg import (
     HermOp,
     Ket,
     LayoutError,
+    NumericalError,
     SystemLayout,
     bell_ket,
     basis_ket,

@@ -1,9 +1,11 @@
-"""Converse and achievability rate expressions, corollaries, and the local
-search behind their min-over-sigma optimization.
+"""Converse and achievability rate expressions, corollaries, and the exact
+minimization over sigma behind the converses.
 
 Values are in bits.  Negative achievable rates are flagged infeasible rather
-than clamped; the sigma minimization is a best-effort local search whose full
-candidate trace is returned so callers can judge convergence.
+than clamped.  The converse's minimum over the receiver-side state sigma is
+a small semidefinite program (Matthews-Wehner, arXiv:1210.4722), solved by a
+primal-dual interior-point method that also returns a certificate: the true
+minimum lies between the certificate and the reported value.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 
 from .channels import KrausChannel
 from .coding import check_uniform, get_scenario, product_marginals
-from .divergences import dh_eps, dmax
-from .linalg import DensityOp, as_matrix, partial_trace, psd_sqrt
+from .divergences import SUPPORT_TOL, dh_eps, dmax
+from .linalg import (DensityOp, DimensionCapError, NumericalError, as_matrix,
+                     dimension_cap, herm_apply, partial_trace, trace_with)
 
 __all__ = [
     "RateBound",
@@ -32,6 +35,21 @@ __all__ = [
 # ``converse_value`` and the two relaxations of ``corollary_relaxations``.
 EXTRA_SCENARIOS = ("mac_ea_hdw", "gp", "broadcast")
 
+# The interior-point solve of the sigma SDP stops once the duality gap is at
+# most _SDP_TOL times the objective and the dual residual at most _SDP_TOL.
+# Close to the optimum rounding can stop its progress first (the Newton
+# system's condition number grows without bound, and on rank-deficient
+# inputs the dual residual grows again); a failed step or the step cap
+# _SDP_ITERS then keeps the iterate if its gap and residual are within
+# _SDP_NEAR, and is a stall otherwise.  Either way the certificate reports
+# how tight the result is.
+_SDP_ITERS = 50
+_SDP_TOL = 1e-10
+_SDP_NEAR = (1e-9, 1e-6)
+# The recovered test keeps its eigenvalues in [_SDP_MARGIN, 1 - _SDP_MARGIN],
+# so that its feasibility survives the rounding of its reassembly.
+_SDP_MARGIN = 1e-13
+
 
 @dataclass(frozen=True)
 class RateBound:
@@ -41,7 +59,11 @@ class RateBound:
     of them (the single rate for one-sender scenarios).  ``ceiling`` carries
     the dimension ceilings of the unassisted converses, ``sum_rate`` the
     sum-rate expression where one exists.  ``optimizer_trace`` lists every
-    (candidate description, value) pair examined by the sigma search.
+    (candidate description, value) pair examined for sigma; with the exact
+    minimization it ends in one ``sdp`` row per sender, the value at the
+    SDP's optimal sigma.  ``certificate`` is then one lower bound per
+    sender on the exact minimum over sigma (so certificate <= minimum <=
+    value), and ``None`` when sigma was not optimized.
     """
 
     scenario: str
@@ -53,6 +75,7 @@ class RateBound:
     infeasible: bool
     evaluated_at: str
     optimizer_trace: tuple
+    certificate: tuple[float, ...] | None = None
 
 
 def _dh_value(rho: DensityOp, alt_mat: np.ndarray, eps: float) -> float:
@@ -60,71 +83,236 @@ def _dh_value(rho: DensityOp, alt_mat: np.ndarray, eps: float) -> float:
     return math.inf if res.unbounded else res.value
 
 
+def _phi(test: np.ndarray, res: np.ndarray, d_out: int) -> np.ndarray:
+    """Tr_res[(I x res) T] for a test T on [outputs, resources], or for each
+    of a stack of them; its adjoint maps sigma to sigma x res."""
+    d_res = res.shape[0]
+    split = test.reshape(*test.shape[:-2], d_out, d_res, d_out, d_res)
+    return np.einsum("...aqbr,rq->...ab", split, res)
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """(n^2, n^2) unitary whose columns are the row-major vectors of an
+    orthonormal basis of the n x n Hermitian matrices: E_kk, and
+    (E_kl + E_lk)/sqrt2 and i(E_kl - E_lk)/sqrt2 for k < l."""
+    k, l = np.triu_indices(n, 1)
+    off = np.arange(len(k)) + n
+    basis = np.zeros((n, n, n * n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[k, l, off] = basis[l, k, off] = math.sqrt(0.5)
+    basis[k, l, off + len(k)] = 1j * math.sqrt(0.5)
+    basis[l, k, off + len(k)] = -1j * math.sqrt(0.5)
+    return basis.reshape(n * n, n * n)
+
+
+def _nt_scaling(s: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd scaling of a primal-dual pair of positive definite
+    blocks: G, G^-1 and the spectrum w with G^-1 S G^-H = G^H Z G = diag(w),
+    from Cholesky factors and one SVD (Todd, Toh and Tutuncu 1998)."""
+    ls, lz = np.linalg.cholesky(s), np.linalg.cholesky(z)
+    u, w, vh = np.linalg.svd(lz.conj().T @ ls)
+    root = np.sqrt(w)
+    return (ls @ vh.conj().T) / root, (u.conj().T @ lz.conj().T) / root[:, None], w
+
+
+def _max_step(w: np.ndarray, step: np.ndarray) -> float:
+    """The largest a <= 1 with diag(w) + a * step positive semidefinite."""
+    r = 1.0 / np.sqrt(w)
+    low = np.linalg.eigvalsh(r[:, None] * step * r[None, :])[0]
+    return 1.0 if low >= -1.0 else -1.0 / low
+
+
+class _SigmaSDP:
+    """max over states sigma of 2^-D_H(rho || sigma x res), which by Sion's
+    minimax theorem is the SDP
+        minimize lam  subject to  0 <= T <= I,  Tr(T rho) >= 1 - eps,
+                                  Phi(T) = Tr_res[(I x res) T] <= lam I,
+    in inequality form: minimize c.x subject to S(x) = F0 + A x >= 0, where
+    x = (T in the basis of ``_hermitian_basis``, lam) and the slack S has
+    four blocks: T, I - T, lam I - Phi(T) and Tr(T rho) - (1 - eps).  The
+    dual variable Z of the third block is an optimal sigma.  ``step`` is one
+    Mehrotra predictor-corrector step in Nesterov-Todd directions.
+    """
+
+    def __init__(self, rho: np.ndarray, res: np.ndarray, d_out: int, eps: float):
+        n = rho.shape[0]
+        self.basis = _hermitian_basis(n)
+        phi = _phi(self.basis.T.reshape(n * n, n, n), res, d_out).reshape(n * n, -1).T
+        none = np.zeros((n * n, 1))
+        self.blocks = [  # (A_b, F0_b), with A_b acting on x into vec S_b
+            (np.hstack([self.basis, none]), np.zeros((n, n))),
+            (np.hstack([-self.basis, none]), np.eye(n)),
+            (np.hstack([-phi, np.eye(d_out).reshape(-1, 1)]), np.zeros((d_out, d_out))),
+            (np.hstack([rho.conj().reshape(1, -1) @ self.basis, [[0.0]]]),
+             np.array([[eps - 1.0]])),
+        ]
+        self.c = np.zeros(n * n + 1)
+        self.c[-1] = 1.0
+
+    def along(self, dx: np.ndarray) -> list:
+        return [(a @ dx).reshape(f0.shape) for a, f0 in self.blocks]
+
+    def slack(self, x: np.ndarray) -> list:
+        return [f0 + d for (_, f0), d in zip(self.blocks, self.along(x))]
+
+    def adjoint(self, mats) -> np.ndarray:
+        return sum(np.real(a.conj().T @ m.ravel())
+                   for (a, _), m in zip(self.blocks, mats))
+
+    def step(self, x: np.ndarray, slack: list, dual: list, mu: float):
+        scaled = [_nt_scaling(s, z) for s, z in zip(slack, dual)]
+        w_inv = [gi.conj().T @ gi for _, gi, _ in scaled]
+        schur = sum(np.real(a.conj().T @ np.kron(wi, wi.T) @ a)
+                    for (a, _), wi in zip(self.blocks, w_inv))
+        schur = 0.5 * (schur + schur.T)
+
+        def direction(rhs):
+            """The step whose scaled complementarity residual is rhs (per
+            block, already divided by the Lyapunov operator of diag(w))."""
+            h = [gi.conj().T @ q @ gi for q, (_, gi, _) in zip(rhs, scaled)]
+            try:
+                dx = np.linalg.solve(schur, self.adjoint(h) - self.c)
+            except np.linalg.LinAlgError:  # exactly singular: T not unique
+                dx = np.linalg.lstsq(schur, self.adjoint(h) - self.c, rcond=None)[0]
+            ds = self.along(dx)
+            dz = [hb - z - wi @ d @ wi for hb, z, d, wi in zip(h, dual, ds, w_inv)]
+            dz = [0.5 * (d + d.conj().T) for d in dz]
+            s_scaled = [gi @ d @ gi.conj().T for d, (_, gi, _) in zip(ds, scaled)]
+            z_scaled = [g.conj().T @ d @ g for d, (g, _, _) in zip(dz, scaled)]
+            a_p = min(_max_step(w, d) for d, (_, _, w) in zip(s_scaled, scaled))
+            a_d = min(_max_step(w, d) for d, (_, _, w) in zip(z_scaled, scaled))
+            return dx, dz, s_scaled, z_scaled, a_p, a_d
+
+        _, _, s_aff, z_aff, a_p, a_d = direction([np.zeros_like(s) for s in slack])
+        mu_aff = sum(trace_with(np.diag(w) + a_p * ds, np.diag(w) + a_d * dz)
+                     for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled))
+        mu_aff /= sum(len(w) for _, _, w in scaled)
+        # Mehrotra's centering (mu_aff / mu)^3, floored at 0.2: without the
+        # floor, iterates on degenerate problems (rank-deficient rho and
+        # sigma*) leave the central path and stall.
+        target = max(0.2, min(1.0, mu_aff / mu) ** 3) * mu
+        rhs = []
+        for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled):
+            second = ds @ dz
+            rhs.append((target * np.eye(len(w)) - 0.5 * (second + second.conj().T))
+                       * (2.0 / (w[:, None] + w[None, :])))
+        dx, dz, _, _, a_p, a_d = direction(rhs)
+        keep = 0.9 + 0.09 * min(a_p, a_d)
+        a_p, a_d = min(1.0, keep * a_p), min(1.0, keep * a_d)
+        return x + a_p * dx, [z + a_d * d for z, d in zip(dual, dz)]
+
+
+def _sdp_sigma(rho: np.ndarray, res: np.ndarray, d_out: int, eps: float):
+    """An optimal sigma for min over states sigma of D_H(rho || sigma x res),
+    and a certificate: -log2 lambda_max(Phi(T)) at a test T of the SDP of
+    ``_SigmaSDP`` checked feasible in floating point, a lower bound on that
+    minimum.
+
+    At eps = 0 (the threshold of ``dh_eps``'s own eps = 0 branch) the
+    feasible tests are the projector Pi onto supp(rho) plus any test on its
+    kernel, so the optimum is lambda_max(Phi(Pi)), attained by its top
+    eigenvector, with no iteration.  Otherwise the primal-dual
+    interior-point method starts at T = (1 - eps/2) I, lam = 1 and Z = S^-1
+    (on the central path).  Raises ``NumericalError`` when it stalls, a
+    factorization fails inside the domain, or no feasible test can be
+    recovered.
+    """
+    n = rho.shape[0]
+    if n * n > dimension_cap():
+        raise DimensionCapError(
+            f"the SDP over sigma has n^2 = {n * n} unknowns for the joint "
+            f"dimension n = {n}, which exceeds the cap {dimension_cap()}; "
+            "set ONESHOT_QCAP_DIM_CAP to raise the limit")
+    if eps <= 1e-12:
+        support = herm_apply(rho, lambda w: (w > SUPPORT_TOL).astype(float))
+        top, vecs = np.linalg.eigh(_phi(support, res, d_out))
+        return np.outer(vecs[:, -1], vecs[:, -1].conj()), -math.log2(top[-1])
+
+    sdp = _SigmaSDP(rho, res, d_out, eps)
+    x = np.append(np.real(sdp.basis.conj().T @ np.eye(n).ravel()) * (1 - eps / 2), 1.0)
+    slack = sdp.slack(x)
+    dual = [np.linalg.inv(s) for s in slack]
+    dual = [0.5 * (z + z.conj().T) for z in dual]
+    barrier = sum(len(s) for s in slack)
+    for step in range(_SDP_ITERS + 1):
+        gap = sum(trace_with(s, z) for s, z in zip(slack, dual)) / x[-1]
+        residual = np.max(np.abs(sdp.c - sdp.adjoint(dual)))
+        if gap <= _SDP_TOL and residual <= _SDP_TOL:
+            break
+        near = gap <= _SDP_NEAR[0] and residual <= _SDP_NEAR[1]
+        if step == _SDP_ITERS:
+            if near:
+                break
+            raise NumericalError(f"SDP over sigma stalled after {step} steps "
+                                 f"(relative duality gap {gap:.3e}, dual "
+                                 f"residual {residual:.3e})")
+        try:
+            x, dual = sdp.step(x, slack, dual, gap * x[-1] / barrier)
+        except np.linalg.LinAlgError as exc:
+            if near:
+                break
+            raise NumericalError(f"SDP over sigma: {exc} inside the domain "
+                                 f"(relative duality gap {gap:.3e})") from exc
+        slack = sdp.slack(x)
+    sigma = dual[2] / np.real(np.trace(dual[2]))
+    return sigma, _certificate((sdp.basis @ x[:-1]).reshape(n, n), rho, res, d_out, eps)
+
+
+def _certificate(test: np.ndarray, rho: np.ndarray, res: np.ndarray,
+                 d_out: int, eps: float) -> float:
+    """-log2 lambda_max(Phi(T)) at the interior-point test T, clipped to
+    eigenvalues in [m, 1 - m] and mixed with (1 - m) I until Tr(T rho)
+    reaches 1 - eps, then checked feasible in floating point."""
+    test = herm_apply(test, lambda w: np.clip(w, _SDP_MARGIN, 1 - _SDP_MARGIN))
+    mass = trace_with(test, rho)
+    if mass < 1 - eps:
+        mix = (1 - eps - mass + _SDP_MARGIN) / (1 - _SDP_MARGIN - mass)
+        test = (1 - mix) * test + mix * (1 - _SDP_MARGIN) * np.eye(len(test))
+    w = np.linalg.eigvalsh(test)
+    if w[0] < 0 or w[-1] > 1 or trace_with(test, rho) < 1 - eps:
+        raise NumericalError("SDP over sigma: no feasible test recovered "
+                             f"(eigenvalues [{w[0]:.3e}, {w[-1]:.3e}], "
+                             f"Tr(T rho) = {trace_with(test, rho):.17g})")
+    return -math.log2(np.linalg.eigvalsh(_phi(test, res, d_out))[-1])
+
+
 def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
-                    candidates, optimize: bool, restarts: int, seed: int):
+                    candidates, optimize: bool):
     """min over states sigma on the non-resource block of D_H(joint || sigma x res).
 
     The joint is permuted to [outputs..., resources...]; candidates always
-    include the joint's own output marginal.  Local refinement parameterizes
-    sigma = G^dag G / Tr(G^dag G) over complex G and runs a simplex descent.
+    include the joint's own output marginal and the maximally mixed state.
+    With ``optimize`` the SDP's optimal sigma is one more candidate, and its
+    certificate (else None) is returned with the minimum, its description
+    and the trace.
     """
     out_labels = [l for l in joint.layout.labels if l not in set(res_labels)]
     joint = joint.permuted(out_labels + list(res_labels))
     res_marg = partial_trace(joint, list(res_labels)).permuted(list(res_labels))
     d_out = int(np.prod([joint.layout.dim_of(l) for l in out_labels]))
 
-    def value_of(sig: np.ndarray) -> float:
-        return _dh_value(joint, np.kron(sig, res_marg.matrix), eps)
-
-    trace = []
     out_marg = partial_trace(joint, out_labels).permuted(out_labels)
     cand_mats = [("output marginal", out_marg.matrix),
                  ("maximally mixed", np.eye(d_out) / d_out)]
     for i, c in enumerate(candidates or []):
         cand_mats.append((f"candidate {i}", as_matrix(c)))
+    certificate = None
+    if optimize:
+        sigma, certificate = _sdp_sigma(joint.matrix, res_marg.matrix, d_out, eps)
+        cand_mats.append(("sdp", sigma))
+    trace = []
     best = math.inf
     best_desc = None
     for desc, mat in cand_mats:
-        val = value_of(mat)
+        val = _dh_value(joint, np.kron(mat, res_marg.matrix), eps)
         trace.append((desc, val))
         if val < best:
             best, best_desc = val, desc
-
-    if optimize:
-        from scipy.optimize import minimize
-
-        rng = np.random.default_rng(seed)
-
-        def unpack(x: np.ndarray) -> np.ndarray:
-            g = (x[: d_out * d_out] + 1j * x[d_out * d_out:]).reshape(d_out, d_out)
-            sig = g.conj().T @ g
-            tr = float(np.real(np.trace(sig)))
-            if tr < 1e-14:
-                sig = np.eye(d_out)
-                tr = d_out
-            return sig / tr
-
-        def objective(x: np.ndarray) -> float:
-            v = value_of(unpack(x))
-            return v if math.isfinite(v) else 1e6
-
-        starts = []
-        for desc, mat in cand_mats:
-            g = psd_sqrt(mat)
-            starts.append(np.concatenate([np.real(g).ravel(), np.imag(g).ravel()]))
-        for _ in range(restarts):
-            starts.append(rng.standard_normal(2 * d_out * d_out))
-        for k, x0 in enumerate(starts):
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-12})
-            trace.append((f"descent {k}", float(res.fun)))
-            if res.fun < best:
-                best, best_desc = float(res.fun), f"descent {k}"
-    return best, best_desc, trace
+    return best, best_desc, trace, certificate
 
 
 def _make_bound(scenario, kind, per_sender, *, sum_rate=None, ceiling=None,
-                evaluated_at="", trace=()) -> RateBound:
+                evaluated_at="", trace=(), certificate=None) -> RateBound:
     per_sender = tuple(float(v) for v in per_sender)
     infeasible = kind == "achievable" and any(v < 0 for v in per_sender)
     return RateBound(
@@ -137,18 +325,22 @@ def _make_bound(scenario, kind, per_sender, *, sum_rate=None, ceiling=None,
         infeasible=infeasible,
         evaluated_at=evaluated_at,
         optimizer_trace=tuple(trace),
+        certificate=None if certificate is None else tuple(
+            float(v) for v in certificate),
     )
 
 
 def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
                    eps, sigma_candidates=None, optimize: bool = False, *,
-                   psi_b: DensityOp | None = None, tau: DensityOp | None = None,
-                   restarts: int = 4, seed: int = 0) -> RateBound:
+                   psi_b: DensityOp | None = None, tau: DensityOp | None = None
+                   ) -> RateBound:
     """Upper bound on the rate(s) of any code, evaluated at one input state.
 
     The minimization over the receiver-side state sigma is carried out over
-    the supplied candidates (the channel-output marginal is always included)
-    and, with ``optimize``, refined by local descent.  Unassisted scenarios
+    the supplied candidates (the channel-output marginal and the maximally
+    mixed state are always included) and, with ``optimize``, exactly: the
+    SDP's optimal sigma joins the candidates and each sender gets a
+    certificate.  Unassisted scenarios
     additionally report the dimension ceiling log|B| / (1 - eps) and require
     uniform classical registers, matching the converse statements.
     """
@@ -172,13 +364,13 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
             budget -= e
         # No error budget left: the ceiling is vacuous.
         ceiling = math.log2(ch.out_dim) / budget if budget > 0 else math.inf
-    runs = [_min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates,
-                            optimize, restarts, seed) for r in receivers]
+    vals, descs, traces, certs = zip(*(
+        _min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates, optimize)
+        for r in receivers))
     return _make_bound(
-        scenario, "converse", [val for val, _, _ in runs], ceiling=ceiling,
-        evaluated_at=spec.converse_note.format(*(desc for _, desc, _ in runs),
-                                               labels=psi.layout.labels),
-        trace=tuple(t for _, _, trace in runs for t in trace))
+        scenario, "converse", vals, ceiling=ceiling,
+        evaluated_at=spec.converse_note.format(*descs, labels=psi.layout.labels),
+        trace=sum(traces, []), certificate=certs if optimize else None)
 
 
 def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
@@ -239,8 +431,8 @@ def identity_channel_corollary(dimA: int, eps: float):
 
 
 def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
-                          eps, sigma_candidates=None, optimize: bool = False,
-                          *, restarts: int = 4, seed: int = 0) -> RateBound:
+                          eps, sigma_candidates=None, optimize: bool = False
+                          ) -> RateBound:
     """Converse variants without product constraints, paid by a D_max penalty.
 
     For the channel-with-state scenario the penalty is
@@ -256,12 +448,14 @@ def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
         True, ch, psi, None, None, spec.per_stream(eps, "eps"))
     marg, prod = product_marginals(state, parts)
     penalty = max(dmax(marg, prod.matrix), 0.0)
-    runs = [_min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates,
-                            optimize, restarts, seed) for r in receivers]
+    vals, descs, traces, certs = zip(*(
+        _min_over_sigma(r.joint, [r.resource], r.eps, sigma_candidates, optimize)
+        for r in receivers))
     note = f"dmax penalty = {penalty:.6f}"
-    if len(runs) == 1:
-        note = f"sigma = {runs[0][1]}, {note}"
+    if len(descs) == 1:
+        note = f"sigma = {descs[0]}, {note}"
     return _make_bound(f"{scenario}_relaxed", "converse",
-                       [val - penalty for val, _, _ in runs], evaluated_at=note,
-                       trace=tuple(t for _, _, trace in runs for t in trace))
+                       [val - penalty for val in vals], evaluated_at=note,
+                       trace=sum(traces, []),
+                       certificate=[c - penalty for c in certs] if optimize else None)
 

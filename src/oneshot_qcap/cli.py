@@ -4,7 +4,7 @@ randomized inequality-verification suite.
 
 Exit codes: 0 = all asserted inequalities hold, 1 = input or validation
 error (usage errors included), 2 = an inequality was violated beyond
-tolerance.
+tolerance, 3 = a numerical failure of a solver (``NumericalError``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from . import channels as channels_mod
 from . import coding as coding_mod
 from . import divergences as div_mod
 from . import verification as verify_mod
-from .linalg import (DensityOp, Ket, SystemLayout, basis_ket, max_entangled_ket,
-                     maximally_mixed)
+from .linalg import (DensityOp, Ket, NumericalError, SystemLayout, basis_ket,
+                     max_entangled_ket, maximally_mixed)
 
 __all__ = ["SpecError", "parse_spec", "run", "main"]
 
@@ -345,8 +345,7 @@ def _cmd_bound(args) -> int:
     if args.kind == "converse":
         rb = bounds_mod.converse_value(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
-            optimize=args.optimize, psi_b=psi_b, tau=tau,
-            restarts=args.restarts, seed=args.seed)
+            optimize=args.optimize, psi_b=psi_b, tau=tau)
     elif args.kind == "achievable":
         rb = bounds_mod.achievable_rate(
             args.scenario, ch, psi, eps, args.delta, psi_b=psi_b, tau=tau,
@@ -354,7 +353,7 @@ def _cmd_bound(args) -> int:
     else:  # relaxation
         rb = bounds_mod.corollary_relaxations(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
-            optimize=args.optimize, restarts=args.restarts, seed=args.seed)
+            optimize=args.optimize)
     _emit({"command": "bound", "kind": args.kind, "scenario": args.scenario,
            "seed": args.seed, "result": _jsonable(rb)}, args.output)
     return 0
@@ -471,10 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--dimA", dest="dimA", type=int, default=2)
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=4,
+                   help="ignored: --optimize solves the minimum over sigma "
+                        "exactly; kept so that older command lines parse")
     p.add_argument("--strategy", default="sequential",
                    choices=coding_mod.MAC_STRATEGIES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in the report; bounds draw nothing at random")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bound)
 
@@ -506,6 +508,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "DimensionCapError",
     "LayoutError",
+    "NumericalError",
     "SystemLayout",
     "as_layout",
     "Ket",
@@ -61,6 +62,10 @@ class LayoutError(ValueError):
 
 class DimensionCapError(ValueError):
     """Total Hilbert-space dimension exceeds the configured cap."""
+
+
+class NumericalError(ArithmeticError):
+    """A solver failed for numerical reasons; the input itself was valid."""
 
 
 def dimension_cap() -> int:

@@ -1,9 +1,13 @@
 """Builders for channels and states shared across the test suite."""
 
+import math
+
 import numpy as np
 
 from oneshot_qcap.channels import KrausChannel
-from oneshot_qcap.linalg import DensityOp, Ket, SystemLayout, bell_ket
+from oneshot_qcap.divergences import dh_eps
+from oneshot_qcap.linalg import (DensityOp, Ket, SystemLayout, bell_ket,
+                                 partial_trace, psd_sqrt)
 
 
 def pure_density(ket: Ket) -> DensityOp:
@@ -58,3 +62,39 @@ def gp_controlled_flip_channel() -> KrausChannel:
              for i in range(2)]
     return KrausChannel(kraus, SystemLayout([("A", 2), ("S", 2)]),
                         SystemLayout([("B", 2)]))
+
+
+def nelder_mead_sigma_reference(joint: DensityOp, res_labels, eps: float,
+                                maxiter: int = 2000) -> float:
+    """min over sigma of D_H(joint || sigma x res) by the Nelder-Mead search
+    that ``bounds`` used before its exact SDP: sigma = G^dag G / Tr(G^dag G)
+    over complex G, one descent from the output marginal and one from the
+    maximally mixed state.  Kept as the reference the exact solver must
+    match or beat."""
+    from scipy.optimize import minimize
+
+    out_labels = [l for l in joint.layout.labels if l not in set(res_labels)]
+    joint = joint.permuted(out_labels + list(res_labels))
+    res = partial_trace(joint, list(res_labels)).permuted(list(res_labels)).matrix
+    out = partial_trace(joint, out_labels).permuted(out_labels).matrix
+    d = out.shape[0]
+
+    def value_of(sig: np.ndarray) -> float:
+        r = dh_eps(joint, np.kron(sig, res), eps)
+        return math.inf if r.unbounded else r.value
+
+    def objective(x: np.ndarray) -> float:
+        g = (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
+        sig = g.conj().T @ g
+        tr = float(np.real(np.trace(sig)))
+        v = value_of(sig / tr) if tr >= 1e-14 else math.inf
+        return v if math.isfinite(v) else 1e6
+
+    best = math.inf
+    for start in (out, np.eye(d) / d):
+        g = psd_sqrt(start)
+        x0 = np.concatenate([np.real(g).ravel(), np.imag(g).ravel()])
+        found = minimize(objective, x0, method="Nelder-Mead",
+                         options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12})
+        best = min(best, value_of(start), float(found.fun))
+    return best

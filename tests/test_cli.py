@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oneshot_qcap import bounds
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
@@ -254,6 +255,44 @@ def test_mac_hdw_converse_without_second_sender_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def optimize_args(tmp_path):
+    return ["bound", "converse", "--channel",
+            write_spec(tmp_path, "id.json", IDENTITY_CHANNEL), "--state",
+            write_spec(tmp_path, "bell.json", BELL_STATE), "--eps", "0.1",
+            "--optimize"]
+
+
+def test_bound_optimize_reports_certificates_and_ignores_restarts(tmp_path, capsys):
+    reports = []
+    for restarts in ("0", "7"):
+        assert run(optimize_args(tmp_path) + ["--restarts", restarts,
+                                              "--seed", "3"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["seed"] == 3
+    result = reports[0]["result"]
+    assert len(result["certificate"]) == 1
+    assert result["certificate"][0] <= result["value"]
+    assert result["optimizer_trace"][-1][0] == "sdp"
+    assert run(optimize_args(tmp_path)[:-1]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["certificate"] is None
+
+
+def test_bound_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_SDP_ITERS", 2)
+    assert run(optimize_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: SDP over sigma stalled")
+    assert "Traceback" not in err
+
+
+def test_bound_sdp_past_the_dimension_cap_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ONESHOT_QCAP_DIM_CAP", "15")
+    assert run(optimize_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 4" in err
+
+
 def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
     specs = scenario_specs(tmp_path)
     for command in ("simulate", "sweep"):
@@ -307,6 +346,23 @@ def test_unassisted_ceiling_is_vacuous_without_error_budget(tmp_path, capsys):
                 assert got == "inf", (scenario, eps)
             else:
                 assert got == pytest.approx(ceiling, abs=1e-12), (scenario, eps)
+
+
+def test_every_scenario_optimizes_through_the_sdp(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    for scenario, argv in specs.items():
+        base = argv[:argv.index("--R")]
+        eps = argv[argv.index("--eps") + 1]
+        assert run(["bound", "converse", "--scenario", scenario, "--eps", eps,
+                    "--optimize"] + base) == 0, scenario
+        result = json.loads(capsys.readouterr().out)["result"]
+        if scenario == "mac_ea":  # alternatives fixed at the state's marginals
+            assert result["certificate"] is None
+            continue
+        assert len(result["certificate"]) == len(result["per_sender"]), scenario
+        for cert, value in zip(result["certificate"], result["per_sender"]):
+            assert cert <= value, scenario
+            assert value - cert <= 1e-8, scenario
 
 
 def test_help_exits_zero(capsys):
