@@ -32,6 +32,7 @@ from .divergences import DivergenceResult, dh_eps
 from .linalg import (
     DensityOp,
     HermOp,
+    NumericalError,
     SystemLayout,
     as_matrix,
     herm_apply,
@@ -99,7 +100,7 @@ def _check_completion(g: np.ndarray):
     diag = np.diagonal(g, axis1=-2, axis2=-1)
     min_eig = float(np.min(diag.real - (np.sum(np.abs(g), axis=-1) - np.abs(diag))))
     if min_eig < -COMPLETION_TOL:
-        raise ValueError(
+        raise NumericalError(
             f"POVM completion element fails PSD (min eig {min_eig:.3e})")
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import LayoutError, as_matrix
+from .linalg import LayoutError, NumericalError, as_matrix
 
 __all__ = [
     "SupportError",
@@ -29,6 +30,11 @@ __all__ = [
 SUPPORT_TOL = 1e-10
 BOUNDARY_REL_TOL = 1e-9
 BISECT_ITERS = 200
+# Relative width to which the secant steps of dh_eps narrow its bracket, and
+# how far beyond that bracket the replayed bisection evaluates midpoints.
+SEARCH_WINDOW = 2.0 ** -45
+# Secant steps that do not halve the bracket before a midpoint step.
+_STALLS = 3
 TYPE2_FLOOR = 1e-14
 # A witness whose type-I mass falls further than this below 1 - eps is
 # repaired; smaller shortfalls are rounding in the trace.
@@ -148,12 +154,26 @@ def _projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
     return [c @ c.conj().T for c in cols]
 
 
+class _Split(NamedTuple):
+    """rho - t*sigma at one t: its eigenvalues ``w`` and eigenvectors ``v``
+    (per block), the boundary tolerance, the diagonal <v|rho|v> of rho in
+    those eigenvectors, and the type-I mass Tr(P_> rho) and the count of
+    eigenvalues above the tolerance that make up P_>."""
+
+    w: np.ndarray
+    v: np.ndarray
+    tol: float
+    rho_diag: np.ndarray
+    mass: float
+    count: int
+
+
 def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     """Smooth hypothesis-testing divergence via quantum Neyman-Pearson tests.
 
     The optimal test has the form P_{>}(t*) + lambda P_{=}(t*) from the
-    eigendecomposition of rho - t*sigma; t* is located by bisection (the
-    type-I success Tr(P_> rho) is monotone non-increasing in t) and lambda is
+    eigendecomposition of rho - t*sigma; t* is the threshold of the type-I
+    success Tr(P_> rho), which is monotone non-increasing in t, and lambda is
     chosen so Tr(Lambda rho) = 1 - eps exactly (should eigenvector rounding
     leave it short, the test is mixed with the one at the bracket's lower
     end).  Weight placement inside the boundary subspace is irrelevant to the
@@ -161,23 +181,45 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
 
     ``rho`` and ``sigma`` may also be direct sums, given as (k, d, d) stacks
     of their diagonal blocks.  The blocks share the threshold t and lambda:
-    each bisection step is one stacked eigendecomposition, the masses and
-    the positive part of the dual sum over blocks, and the witness comes back
-    as the stack of its blocks.  A matrix is the one-block case, computed
-    with the same arithmetic.
+    each search step is one stacked eigendecomposition, the masses and the
+    positive part of the dual sum over blocks, and the witness comes back as
+    the stack of its blocks.  A matrix is the one-block case, computed with
+    the same arithmetic.
 
-    The bracket starts at 2^(D_max(Pi rho Pi || sigma) + 1), Pi the
+    The bracket starts at [0, 2^(D_max(Pi rho Pi || sigma) + 1)], Pi the
     projector onto supp(sigma), the largest over blocks; when supp(rho) lies
-    in supp(sigma) that is D_max(rho || sigma) + 1, where the type-I mass
-    above t is already 0.  The bisection stops once its midpoint rounds to
-    an endpoint, i.e. once the bracket can no longer shrink in floating
-    point; ``BISECT_ITERS`` is only a cap.  From there on every step would
-    evaluate the deterministic predicate at a float it has already evaluated
-    and give an endpoint its own value, so t* = hi_t is the one the full
-    ``BISECT_ITERS`` steps reach.  (Two endpoints are never evaluated: the
+    in supp(sigma) the upper end is D_max(rho || sigma) + 1, where the type-I
+    mass above t is already 0.  t* is where the bisection of that bracket
+    ends: the predicate Tr(P_> rho) > 1 - eps holds at lo_t and fails at
+    hi_t = t*, two adjacent floats, so the midpoint rounds to an endpoint.
+    The search gets there in two stages, each evaluation one
+    eigendecomposition:
+
+    * Safeguarded secant steps narrow the bracket to ``SEARCH_WINDOW``
+      relative.  Where the counts above the tolerance differ at the ends (or
+      the lower end is t = 0), the step is a Newton step on the whole
+      spectrum: each eigenvalue is linearized along its eigenvector at the
+      last point evaluated, <v|rho|v> - t <v|sigma|v>, and the step goes to
+      where the mass of the linearized spectrum above the tolerance falls to
+      1 - eps.  Where that step leaves the bracket, it is a secant on the
+      eigenvalues that cross the tolerance; where the counts agree, on the
+      type-I mass.  Secants are Illinois-weighted, a step lands at least
+      half a window inside the bracket, and after ``_STALLS`` steps that do
+      not halve the bracket one midpoint step is taken.
+    * The bisection is then replayed from [0, hi]: a midpoint within
+      ``SEARCH_WINDOW`` of the secant's bracket is evaluated, one further
+      out takes the side that bracket implies.  The predicate can be noisy
+      near t*, at the rounding of the eigenvalues that cross the tolerance,
+      and this evaluates the same midpoints there that a full bisection
+      would.  An end of the final bracket that was implied, not evaluated,
+      means the noise reaches past the window: the window grows to it and
+      the replay runs again, so both ends are always evaluated.
+
+    A replay that reaches ``BISECT_ITERS`` steps without adjacent floats
+    raises :class:`NumericalError`.  (Two endpoints are never evaluated: the
     starting lo_t = 0.0, which the midpoint cannot reach within the cap
     because hi_t starts above 2^-46, and hi_t when the bracket search gave
-    up, where the skipped step could only have moved lo_t.)
+    up, where no secant step is taken and every midpoint below is evaluated.)
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
@@ -211,42 +253,120 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     def op_scale(t: float) -> float:
         return max(r_scale, t * s_scale)
 
-    def split(t: float):
-        """Eigenvalues, eigenvectors and boundary tolerance of rho - t*sigma."""
-        return (*np.linalg.eigh(r - t * s), _boundary_tol(op_scale(t)))
+    splits: dict[float, _Split] = {}
 
-    def above_target(split_t) -> bool:  # Tr(P_> rho) > 1 - eps
-        w, v, tol = split_t
-        return _mass(_projectors(v, w > tol), r) > target
+    def split(t: float) -> _Split:
+        """rho - t*sigma at t, decomposed once per t."""
+        if t not in splits:
+            w, v = np.linalg.eigh(r - t * s)
+            tol = _boundary_tol(op_scale(t))
+            rho_diag = np.einsum("kij,kij->kj", v.conj(), r @ v).real
+            above = w > tol
+            splits[t] = _Split(w, v, tol, rho_diag, float(np.sum(rho_diag[above])),
+                               int(np.count_nonzero(above)))
+        return splits[t]
 
-    # The decompositions at the bracket ends, and at hi_t / 2 (the first
-    # midpoint) once hi_t has been doubled; None where none was made yet.
-    lo_t, lo_split = 0.0, None
-    hi_t = hi
-    half_split = None
+    def above_target(t: float) -> bool:  # Tr(P_> rho) > 1 - eps
+        return split(t).mass > target
+
+    def newton_step(t0: float) -> float:
+        """Where the type-I mass falls to the target if every eigenvalue of
+        rho - t*sigma follows its tangent at t0, <v|rho|v> - t <v|sigma|v>;
+        exact when rho and sigma commute."""
+        sp = split(t0)
+        sigma_diag = np.maximum((sp.rho_diag - sp.w) / t0, 1e-300)
+        crossing = (sp.rho_diag - sp.tol) / sigma_diag
+        mass = 0.0
+        for t, m in sorted(zip(crossing.ravel().tolist(), sp.rho_diag.ravel().tolist()),
+                           reverse=True):
+            mass += m
+            if mass > target:
+                return t
+        return 0.0
+
+    def secant_values(a: float, b: float) -> tuple[float, float]:
+        """What the secant interpolates, at a (above the target, or t = 0)
+        and at b (not above it), less its value at the root: where the
+        counts above the tolerance differ, the eigenvalues that cross it (at
+        a the smallest above it, at b the largest not above it) less the
+        tolerance; else the type-I mass less the target."""
+        sb = split(b)
+        if a not in splits:  # t = 0: all of rho lies above the tolerance
+            return 1.0 - target, sb.mass - target
+        sa = split(a)
+        if sa.count > sb.count:
+            return (float(np.min(sa.w[sa.w > sa.tol])) - sa.tol,
+                    float(np.max(sb.w[sb.w <= sb.tol])) - sb.tol)
+        return sa.mass - target, sb.mass - target
+
     # Guarantee the bracket: at t=0 the strict-positive part carries all of
     # rho's mass; push hi_t up if needed (orthogonal-support leftovers stay).
+    lo_t, hi_t = 0.0, hi
     for _ in range(64):
-        hi_split = split(hi_t)
-        if not above_target(hi_split):
+        if not above_target(hi_t):
             break
-        hi_t *= 2.0
-        half_split, hi_split = hi_split, None
+        lo_t, hi_t = hi_t, 2.0 * hi_t
+    top = hi_t
+    # Secant steps, while hi_t is known to fall below the target.  An end
+    # kept twice in a row has its Illinois weight halved.
+    weight_lo = weight_hi = 1.0
+    kept, stalls, last = None, 0, hi_t
     for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo_t + hi_t)
-        if mid == lo_t or mid == hi_t:
+        width = hi_t - lo_t
+        if hi_t not in splits or width <= SEARCH_WINDOW * hi_t:
             break
-        mid_split, half_split = half_split or split(mid), None
-        if above_target(mid_split):
-            lo_t, lo_split = mid, mid_split
+        if stalls >= _STALLS:
+            t = 0.5 * (lo_t + hi_t)
         else:
-            hi_t, hi_split = mid, mid_split
+            t = lo_t
+            if lo_t not in splits or split(lo_t).count != split(hi_t).count:
+                t = newton_step(last)
+            if not lo_t < t < hi_t:
+                f_lo, f_hi = secant_values(lo_t, hi_t)
+                f_lo, f_hi = weight_lo * f_lo, weight_hi * f_hi
+                t = lo_t + width * (f_lo / (f_lo - f_hi))
+            margin = 0.5 * SEARCH_WINDOW * hi_t
+            t = min(max(t, lo_t + margin), hi_t - margin)
+        last = t
+        if above_target(t):
+            if kept == "hi":
+                weight_hi *= 0.5
+            lo_t, weight_lo, kept = t, 1.0, "hi"
+        else:
+            if kept == "lo":
+                weight_lo *= 0.5
+            hi_t, weight_hi, kept = t, 1.0, "lo"
+        stalls = stalls + 1 if hi_t - lo_t > 0.5 * width else 0
+
+    def replay(win_lo: float, win_hi: float) -> tuple[float, float]:
+        """The bisection of [0, top], evaluated only inside the window."""
+        lo_t, hi_t = 0.0, top
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (lo_t + hi_t)
+            if mid == lo_t or mid == hi_t:
+                return lo_t, hi_t
+            if mid in splits or win_lo <= mid <= win_hi:
+                above = above_target(mid)
+            else:
+                above = mid < win_lo
+            if above:
+                lo_t = mid
+            else:
+                hi_t = mid
+        raise NumericalError(f"D_H threshold search found no adjacent bracket "
+                             f"in {BISECT_ITERS} steps")
+
+    win_lo, win_hi = lo_t - SEARCH_WINDOW * hi_t, hi_t + SEARCH_WINDOW * hi_t
+    lo_t, hi_t = replay(win_lo, win_hi)
+    while (lo_t > 0.0 and lo_t not in splits) or (hi_t != top and hi_t not in splits):
+        win_lo, win_hi = min(win_lo, lo_t), max(win_hi, hi_t)
+        lo_t, hi_t = replay(win_lo, win_hi)
     t_star = hi_t
     # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
     # is taken from the operands rho and t*sigma rather than from the
     # difference itself, so that near a degenerate crossing (rho close to
     # t*sigma) the whole collapsing subspace is still recognized as boundary.
-    w_delta, v, tol = hi_split or split(t_star)
+    w_delta, v, tol = split(t_star)[:3]
     p_pos = _projectors(v, w_delta > tol)
     p_bnd = _projectors(v, np.abs(w_delta) <= tol)
     mass_pos = _mass(p_pos, r)
@@ -263,7 +383,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        w_lo, v_lo, tol_lo = lo_split or split(lo_t)
+        w_lo, v_lo, tol_lo = split(lo_t)[:3]
         p_lo = _projectors(v_lo, w_lo > tol_lo)
         m_lo = _mass(p_lo, r)
         if m_lo > t1:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
+from oneshot_qcap import divergences as dv
 from oneshot_qcap.channels import KrausChannel
-from oneshot_qcap.divergences import dh_eps
+from oneshot_qcap.divergences import DivergenceResult, HypothesisTest, dh_eps
 from oneshot_qcap.linalg import (DensityOp, Ket, SystemLayout, bell_ket,
                                  partial_trace, psd_sqrt)
 
@@ -98,3 +99,69 @@ def nelder_mead_sigma_reference(joint: DensityOp, res_labels, eps: float,
                          options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, value_of(start), float(found.fun))
     return best
+
+
+def dh_eps_bisection(rho, sigma, eps: float) -> DivergenceResult:
+    """D_H^eps as ``dh_eps`` computed it before its secant search: t* by
+    plain bisection of [0, 2^(D_max + 1)] until the midpoint rounds to an
+    endpoint, each step's type-I mass summed from per-block projectors.  The
+    witness, its repair and the dual certificate are built as in
+    ``dh_eps``.  Kept as the reference the search must match; eps > 1e-12."""
+    r, s = dv._check_same_space(rho, sigma)
+    stacked = r.ndim == 3
+    r, s = dv._blocks(r, s)
+    target = 1.0 - eps
+    hi_t = 2.0 ** (max(dv._dmax_on_support(rb, ws, vs)
+                       for rb, (ws, vs) in zip(r, dv._supports(s))) + 1.0)
+    r_scale, s_scale = float(np.max(np.abs(r))), float(np.max(np.abs(s)))
+
+    def split(t: float):
+        tol = dv._boundary_tol(max(r_scale, t * s_scale))
+        return (*np.linalg.eigh(r - t * s), tol)
+
+    def above_target(split_t) -> bool:
+        w, v, tol = split_t
+        return dv._mass(dv._projectors(v, w > tol), r) > target
+
+    lo_t, lo_split, half_split = 0.0, None, None
+    for _ in range(64):
+        hi_split = split(hi_t)
+        if not above_target(hi_split):
+            break
+        hi_t *= 2.0
+        half_split, hi_split = hi_split, None
+    for _ in range(dv.BISECT_ITERS):
+        mid = 0.5 * (lo_t + hi_t)
+        if mid == lo_t or mid == hi_t:
+            break
+        mid_split, half_split = half_split or split(mid), None
+        if above_target(mid_split):
+            lo_t, lo_split = mid, mid_split
+        else:
+            hi_t, hi_split = mid, mid_split
+    t_star = hi_t
+    w_delta, v, tol = hi_split or split(t_star)
+    p_pos = dv._projectors(v, w_delta > tol)
+    p_bnd = dv._projectors(v, np.abs(w_delta) <= tol)
+    mass_pos, mass_bnd = dv._mass(p_pos, r), dv._mass(p_bnd, r)
+    lam_weight = (target - mass_pos) / mass_bnd if mass_bnd > 1e-15 else 0.0
+    lam_weight = min(max(lam_weight, 0.0), 1.0)
+    lam = [pp + lam_weight * pb for pp, pb in zip(p_pos, p_bnd)]
+    t1 = dv._mass(lam, r)
+    if target - t1 > dv.TYPE1_SLACK:
+        w_lo, v_lo, tol_lo = lo_split or split(lo_t)
+        p_lo = dv._projectors(v_lo, w_lo > tol_lo)
+        m_lo = dv._mass(p_lo, r)
+        if m_lo > t1:
+            mix = min((target - t1) / (m_lo - t1), 1.0)
+            lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]
+            t1 = dv._mass(lam, r)
+    t2 = dv._mass(lam, s)
+    witness = HypothesisTest(operator=np.stack(lam) if stacked else lam[0],
+                             type1=t1, type2=max(t2, 0.0))
+    pos_part = float(np.sum(w_delta[w_delta > 0]))
+    dual_beta = (target - pos_part) / t_star if t_star > 0 else 0.0
+    dual = -math.log2(dual_beta) if dual_beta > dv.TYPE2_FLOOR else math.inf
+    if t2 <= dv.TYPE2_FLOOR:
+        return DivergenceResult(math.inf, witness, dual, unbounded=True)
+    return DivergenceResult(-math.log2(t2), witness, dual)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oneshot_qcap import bounds
+from oneshot_qcap import bounds, divergences
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
@@ -283,6 +283,14 @@ def test_bound_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert run(optimize_args(tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: SDP over sigma stalled")
+    assert "Traceback" not in err
+
+
+def test_dh_search_that_reaches_the_cap_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(divergences, "BISECT_ITERS", 8)
+    assert run(optimize_args(tmp_path)[:-1]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: D_H threshold search")
     assert "Traceback" not in err
 
 

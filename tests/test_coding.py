@@ -33,6 +33,7 @@ from oneshot_qcap.linalg import (
     DensityOp,
     DimensionCapError,
     HermOp,
+    NumericalError,
     SystemLayout,
     herm_apply,
     maximally_mixed,
@@ -93,8 +94,9 @@ def test_position_povm_rejects_a_completion_that_is_not_psd(monkeypatch):
     monkeypatch.setattr(coding, "_pinv_sqrt", lambda w: 1.01 * pinv_sqrt(w))
     test = HermOp(np.diag([0.9, 0.1, 0.6, 0.2]),
                   SystemLayout([("B", 2), ("R", 2)]))
-    with pytest.raises(ValueError, match="fails PSD"):
+    with pytest.raises(NumericalError, match="fails PSD") as err:
         build_position_povm(test, copies=4, resource_label="R")
+    assert not isinstance(err.value, ValueError)
 
 
 def test_position_povm_rejects_invalid_test():

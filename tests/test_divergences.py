@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from oneshot_qcap import divergences
+from oneshot_qcap.channels import KrausChannel
+from oneshot_qcap.coding import simulate_mac_ea
 from oneshot_qcap.divergences import (
+    TYPE1_SLACK,
     SupportError,
     dh_classical_oracle,
     dh_eps,
@@ -12,9 +15,11 @@ from oneshot_qcap.divergences import (
     dmax,
     relative_entropy,
 )
-from oneshot_qcap.linalg import DensityOp, LayoutError, SystemLayout, basis_ket, sample
+from oneshot_qcap.linalg import (DensityOp, LayoutError, NumericalError, SystemLayout,
+                                 basis_ket, sample)
 
-from helpers import bell_density, pure_density
+from helpers import (bell_density, classically_correlated, dh_eps_bisection,
+                     pure_density, xor_mac_channel)
 
 
 def diag_state(p):
@@ -112,14 +117,20 @@ def dual_instance(rng, kind, d):
     return rho, random_density(rng, d)
 
 
-def test_dh_witness_and_dual_bound_hold_on_random_instances():
+def property_instances(n):
+    """The first n (rho, sigma, eps) of the seeded property set, cycling
+    through random, equal, near-equal and rank-deficient sigma."""
     rng = np.random.default_rng(2024)
     kinds = ("random", "equal", "near_equal", "rank_deficient")
-    worst = shortfall = -math.inf
-    for i in range(320):
+    for i in range(n):
         d = int(rng.integers(2, 9))
         rho, sig = dual_instance(rng, kinds[i % 4], d)
-        eps = float(rng.uniform(0.01, 0.9))
+        yield rho, sig, float(rng.uniform(0.01, 0.9))
+
+
+def test_dh_witness_and_dual_bound_hold_on_random_instances():
+    worst = shortfall = -math.inf
+    for rho, sig, eps in property_instances(320):
         res = dh_eps(rho, sig, eps)
         shortfall = max(shortfall, 1 - eps - res.witness.type1)
         if not res.unbounded:
@@ -177,24 +188,23 @@ def test_dh_values_are_unchanged(kind, d, seed, eps, value, type1, type2):
     assert res.witness.type2 == pytest.approx(type2, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind,d,seed,eps", [g[:4] for g in DH_GUARDS])
-def test_dh_eigendecomposition_count(monkeypatch, kind, d, seed, eps):
+def decompositions(eig_inputs, kind, d, seed, eps) -> int:
+    """The eigendecompositions dh_eps makes on one guard instance."""
     rho, sig = guard_instance(kind, d, seed)
-    calls = []
-
-    def counted(real):
-        def call(m):
-            calls.append(m.shape)
-            return real(m)
-        return call
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(divergences.np.linalg, name,
-                            counted(getattr(divergences.np.linalg, name)))
+    eig_inputs.clear()
     dh_eps(rho, sig, eps)
-    nested = np.linalg.matrix_rank(sig, tol=1e-10) == d
-    # Rank-deficient sigma: 59-63 calls on these instances.
-    assert len(calls) <= (72 if nested else 66)
+    return len(eig_inputs)
+
+
+@pytest.mark.parametrize("kind,d,seed,eps", [g[:4] for g in DH_GUARDS])
+def test_dh_eigendecomposition_count(eig_inputs, kind, d, seed, eps):
+    # The bisection it replaced made 57-72.
+    assert decompositions(eig_inputs, kind, d, seed, eps) <= 40
+
+
+def test_dh_eigendecompositions_average_at_most_thirty(eig_inputs):
+    counts = [decompositions(eig_inputs, *g[:4]) for g in DH_GUARDS]
+    assert sum(counts) / len(counts) <= 30
 
 
 def direct_sum_instance(rng, k, d):
@@ -235,6 +245,82 @@ def test_dh_rejects_what_is_neither_a_matrix_nor_a_stack():
         dh_eps(np.eye(4).reshape(2, 8) / 4, np.eye(4).reshape(2, 8) / 4, 0.1)
 
 
+def floor_instance(rng, k, d):
+    """A converse floor's shape: rho a direct sum of k diagonal blocks (a
+    joint distribution of message and outcome) and one sigma / k shared by
+    every block."""
+    rho = np.zeros((k, d, d))
+    rho[:, range(d), range(d)] = rng.dirichlet(np.full(d, 0.3), size=k) / k
+    return rho, np.broadcast_to(random_density(rng, d) / k, (k, d, d))
+
+
+def assert_matches_bisection(rho, sig, eps):
+    res, ref = dh_eps(rho, sig, eps), dh_eps_bisection(rho, sig, eps)
+    assert res.unbounded == ref.unbounded
+    if not ref.unbounded:
+        assert res.value == pytest.approx(ref.value, abs=1e-10)
+    assert res.witness.type1 == pytest.approx(ref.witness.type1, abs=1e-10)
+    assert res.witness.type2 == pytest.approx(ref.witness.type2, abs=1e-10)
+    assert res.dual_bound == pytest.approx(ref.dual_bound, abs=1e-10)
+    return res
+
+
+def search_reference_instances():
+    yield from ((*guard_instance(*g[:3]), g[3]) for g in DH_GUARDS)
+    yield from property_instances(80)
+    rng = np.random.default_rng(606)
+    for seed in range(200, 212):
+        yield *guard_instance("commuting", int(rng.integers(2, 9)), seed), 0.3
+    for _ in range(16):
+        k, d = int(rng.integers(2, 9)), int(rng.integers(3, 10))
+        yield *floor_instance(rng, k, d), float(rng.uniform(0.05, 0.9))
+
+
+def test_dh_search_matches_the_bisection():
+    for rho, sig, eps in search_reference_instances():
+        assert_matches_bisection(rho, sig, eps)
+
+
+def xor_depolarized_channel(p):
+    """The XOR multiple-access channel, then depolarizing noise p on its
+    output, written with Pauli Kraus operators."""
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    weights = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
+    xor = xor_mac_channel()
+    kraus = [math.sqrt(w) * np.asarray(pauli, dtype=complex) @ k
+             for w, pauli in zip(weights, paulis) for k in xor.kraus]
+    return KrausChannel(kraus, xor.in_layout, xor.out_layout)
+
+
+def test_dh_search_matches_the_bisection_where_eigenvalues_ride_the_tolerance():
+    # The converse floor of a sequential (2, 1) MAC code: at its fifth sigma
+    # (13.462 bits, eps 0.8823) eight eigenvalues of rho - t*sigma track the
+    # boundary tolerance, so the predicate is noisy well beyond rounding.
+    # A search that implies an end of its final bracket lands on a test of
+    # type-I mass 0.159 and a value of 13.031 bits.
+    rep = simulate_mac_ea(xor_depolarized_channel(0.08),
+                          classically_correlated("A", "RA"),
+                          classically_correlated("B", "RB"), rates=(2, 1),
+                          epsilons=(0.05, 0.1), delta=0.02)
+    (dist, _, cols), = rep.floor_inputs
+    n, n_out = dist.shape
+    eps = 1.0 - float(np.mean(dist[range(n), cols]))
+    perm = list(cols) + [j for j in range(n_out) if j not in set(cols)]
+    phi = np.zeros((n, n_out, n_out))
+    phi[:, range(n_out), range(n_out)] = dist[:, perm] / n
+    sig = np.broadcast_to(sample("density", n_out, seed=7).matrix / n, phi.shape)
+    res = assert_matches_bisection(phi, sig, eps)
+    assert res.value == pytest.approx(13.46208846, abs=1e-8)
+    assert res.witness.type1 <= 1 - eps + TYPE1_SLACK
+
+
+def test_dh_search_that_reaches_the_cap_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(divergences, "BISECT_ITERS", 8)
+    with pytest.raises(NumericalError, match="no adjacent bracket") as err:
+        dh_eps(*guard_instance("random", 4, 104), 0.2)
+    assert not isinstance(err.value, ValueError)
+
+
 def near_equal_pair(d):
     rho = sample("density", d, 3).matrix
     return rho, (1 - 1e-8) * rho + 1e-8 * sample("density", d, 4).matrix
@@ -250,20 +336,25 @@ def near_equal_pair(d):
 def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
                                             eps, repairs):
     vecs = []  # the eigenvectors each projector is built from, in order
+    searched = []  # the eigenvectors of each decomposition, in order
     projectors = divergences._projectors
     monkeypatch.setattr(divergences, "_projectors",
                         lambda v, masks: vecs.append(v) or projectors(v, masks))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: (lambda w, v: searched.append(v) or (w, v))(*eigh(m)))
     dh_eps(rho, sig, eps)
     assert eig_inputs
     for i, a in enumerate(eig_inputs):
         assert not any(np.array_equal(a, b) for b in eig_inputs[i + 1:])
     # The split at t* builds P_> and P_= from one decomposition; the repair
-    # then builds the test at lo_t from the bisection's decomposition there.
+    # then builds the test at lo_t from the search's decomposition there.
     at_t_star = vecs[-3:-1] if repairs else vecs[-2:]
     assert at_t_star[0] is at_t_star[1]
+    assert any(v is at_t_star[0] for v in searched)
     if repairs:
         assert vecs[-1] is not vecs[-2]
-        assert any(v is vecs[-1] for v in vecs[:-3])
+        assert any(v is vecs[-1] for v in searched)
 
 
 def test_dh_matches_classical_oracle_small():
