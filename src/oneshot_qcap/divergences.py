@@ -155,13 +155,12 @@ def _projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
 
 
 class _Split(NamedTuple):
-    """rho - t*sigma at one t: its eigenvalues ``w`` and eigenvectors ``v``
-    (per block), the boundary tolerance, the diagonal <v|rho|v> of rho in
-    those eigenvectors, and the type-I mass Tr(P_> rho) and the count of
-    eigenvalues above the tolerance that make up P_>."""
+    """rho - t*sigma at one t: its eigenvalues ``w`` (per block), the
+    boundary tolerance, the diagonal <v|rho|v> of rho in its eigenvectors,
+    and the type-I mass Tr(P_> rho) and the count of eigenvalues above the
+    tolerance that make up P_>."""
 
     w: np.ndarray
-    v: np.ndarray
     tol: float
     rho_diag: np.ndarray
     mass: float
@@ -189,11 +188,10 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     The bracket starts at [0, 2^(D_max(Pi rho Pi || sigma) + 1)], Pi the
     projector onto supp(sigma), the largest over blocks; when supp(rho) lies
     in supp(sigma) the upper end is D_max(rho || sigma) + 1, where the type-I
-    mass above t is already 0.  t* is where the bisection of that bracket
-    ends: the predicate Tr(P_> rho) > 1 - eps holds at lo_t and fails at
-    hi_t = t*, two adjacent floats, so the midpoint rounds to an endpoint.
-    The search gets there in two stages, each evaluation one
-    eigendecomposition:
+    mass above t is already 0.  t* ends an adjacent bracket: the predicate
+    Tr(P_> rho) > 1 - eps was evaluated true at lo_t and false at hi_t = t*,
+    two adjacent floats, so the midpoint rounds to an endpoint.  The search
+    gets there in two stages, each evaluation one eigendecomposition:
 
     * Safeguarded secant steps narrow the bracket to ``SEARCH_WINDOW``
       relative.  Where the counts above the tolerance differ at the ends (or
@@ -206,14 +204,23 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
       type-I mass.  Secants are Illinois-weighted, a step lands at least
       half a window inside the bracket, and after ``_STALLS`` steps that do
       not halve the bracket one midpoint step is taken.
-    * The bisection is then replayed from [0, hi]: a midpoint within
+    * The bisection of [0, hi] is then replayed: a midpoint within
       ``SEARCH_WINDOW`` of the secant's bracket is evaluated, one further
       out takes the side that bracket implies.  The predicate can be noisy
       near t*, at the rounding of the eigenvalues that cross the tolerance,
       and this evaluates the same midpoints there that a full bisection
       would.  An end of the final bracket that was implied, not evaluated,
       means the noise reaches past the window: the window grows to it and
-      the replay runs again, so both ends are always evaluated.
+      the replay runs again, so both ends are always evaluated.  The result
+      is the bisection's bracket wherever the predicate is monotone outside
+      the window; where it is not, an adjacent bracket of two evaluated
+      points all the same.
+
+    Every point evaluated keeps its eigenvalues and the diagonal of rho, but
+    only the points inside the current bracket keep their eigenvectors (at
+    most five: its ends, the secant's ends while the replay brackets them,
+    and the point just decomposed); the witness and its repair are built
+    from those at the final ends.
 
     A replay that reaches ``BISECT_ITERS`` steps without adjacent floats
     raises :class:`NumericalError`.  (Two endpoints are never evaluated: the
@@ -254,6 +261,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         return max(r_scale, t * s_scale)
 
     splits: dict[float, _Split] = {}
+    vectors: dict[float, np.ndarray] = {}
 
     def split(t: float) -> _Split:
         """rho - t*sigma at t, decomposed once per t."""
@@ -262,12 +270,18 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
             tol = _boundary_tol(op_scale(t))
             rho_diag = np.einsum("kij,kij->kj", v.conj(), r @ v).real
             above = w > tol
-            splits[t] = _Split(w, v, tol, rho_diag, float(np.sum(rho_diag[above])),
+            splits[t] = _Split(w, tol, rho_diag, float(np.sum(rho_diag[above])),
                                int(np.count_nonzero(above)))
+            vectors[t] = v
         return splits[t]
 
     def above_target(t: float) -> bool:  # Tr(P_> rho) > 1 - eps
         return split(t).mass > target
+
+    def keep_vectors(lo_t: float, hi_t: float) -> None:
+        """Let go of the eigenvectors outside the bracket."""
+        for t in [t for t in vectors if not lo_t <= t <= hi_t]:
+            del vectors[t]
 
     def newton_step(t0: float) -> float:
         """Where the type-I mass falls to the target if every eigenvalue of
@@ -306,6 +320,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         if not above_target(hi_t):
             break
         lo_t, hi_t = hi_t, 2.0 * hi_t
+        keep_vectors(lo_t, hi_t)
     top = hi_t
     # Secant steps, while hi_t is known to fall below the target.  An end
     # kept twice in a row has its Illinois weight halved.
@@ -336,6 +351,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
             if kept == "lo":
                 weight_lo *= 0.5
             hi_t, weight_hi, kept = t, 1.0, "lo"
+        keep_vectors(lo_t, hi_t)
         stalls = stalls + 1 if hi_t - lo_t > 0.5 * width else 0
 
     def replay(win_lo: float, win_hi: float) -> tuple[float, float]:
@@ -353,6 +369,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
                 lo_t = mid
             else:
                 hi_t = mid
+            keep_vectors(lo_t, hi_t)
         raise NumericalError(f"D_H threshold search found no adjacent bracket "
                              f"in {BISECT_ITERS} steps")
 
@@ -362,15 +379,22 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         win_lo, win_hi = min(win_lo, lo_t), max(win_hi, hi_t)
         lo_t, hi_t = replay(win_lo, win_hi)
     t_star = hi_t
+
+    def eigenvectors(t: float) -> np.ndarray:
+        """The eigenvectors at a final end.  They are decomposed again only
+        if that end is a point the secant steps let go, which the replay
+        reaches only by hitting it exactly as a midpoint."""
+        return vectors[t] if t in vectors else np.linalg.eigh(r - t * s)[1]
+
     # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
     # is taken from the operands rho and t*sigma rather than from the
     # difference itself, so that near a degenerate crossing (rho close to
     # t*sigma) the whole collapsing subspace is still recognized as boundary.
-    w_delta, v, tol = split(t_star)[:3]
+    w_delta, tol, rho_diag, mass_pos = split(t_star)[:4]
+    v = eigenvectors(t_star)
     p_pos = _projectors(v, w_delta > tol)
     p_bnd = _projectors(v, np.abs(w_delta) <= tol)
-    mass_pos = _mass(p_pos, r)
-    mass_bnd = _mass(p_bnd, r)
+    mass_bnd = float(np.sum(rho_diag[np.abs(w_delta) <= tol]))
     if mass_bnd > 1e-15:
         lam_weight = (target - mass_pos) / mass_bnd
     else:
@@ -383,9 +407,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        w_lo, v_lo, tol_lo = split(lo_t)[:3]
-        p_lo = _projectors(v_lo, w_lo > tol_lo)
-        m_lo = _mass(p_lo, r)
+        w_lo, tol_lo, _, m_lo = split(lo_t)[:4]
+        p_lo = _projectors(eigenvectors(lo_t), w_lo > tol_lo)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)
             lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]

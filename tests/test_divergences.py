@@ -337,9 +337,10 @@ def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
                                             eps, repairs):
     vecs = []  # the eigenvectors each projector is built from, in order
     searched = []  # the eigenvectors of each decomposition, in order
+    made = []  # how many decompositions were made before each projector
     projectors = divergences._projectors
-    monkeypatch.setattr(divergences, "_projectors",
-                        lambda v, masks: vecs.append(v) or projectors(v, masks))
+    monkeypatch.setattr(divergences, "_projectors", lambda v, masks: (
+        vecs.append(v) or made.append(len(searched)) or projectors(v, masks)))
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda m: (lambda w, v: searched.append(v) or (w, v))(*eigh(m)))
@@ -348,8 +349,11 @@ def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
     for i, a in enumerate(eig_inputs):
         assert not any(np.array_equal(a, b) for b in eig_inputs[i + 1:])
     # The split at t* builds P_> and P_= from one decomposition; the repair
-    # then builds the test at lo_t from the search's decomposition there.
-    at_t_star = vecs[-3:-1] if repairs else vecs[-2:]
+    # then builds the test at lo_t from another.  Both are the search's: no
+    # decomposition is made once the first of them is built.
+    first = -3 if repairs else -2
+    assert made[first] == len(searched)
+    at_t_star = vecs[first:][:2]
     assert at_t_star[0] is at_t_star[1]
     assert any(v is at_t_star[0] for v in searched)
     if repairs:
