@@ -49,6 +49,8 @@ _SDP_NEAR = (1e-9, 1e-6)
 # The recovered test keeps its eigenvalues in [_SDP_MARGIN, 1 - _SDP_MARGIN],
 # so that its feasibility survives the rounding of its reassembly.
 _SDP_MARGIN = 1e-13
+# The converse names the first candidate sigma within _TIE_BITS of the minimum.
+_TIE_BITS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -283,8 +285,8 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     The joint is permuted to [outputs..., resources...]; candidates always
     include the joint's own output marginal and the maximally mixed state.
     With ``optimize`` the SDP's optimal sigma is one more candidate, and its
-    certificate (else None) is returned with the minimum, its description
-    and the trace.
+    certificate (else None) is returned with the minimum, the description of
+    the first candidate within ``_TIE_BITS`` of it and the trace.
     """
     out_labels = [l for l in joint.layout.labels if l not in set(res_labels)]
     joint = joint.permuted(out_labels + list(res_labels))
@@ -300,14 +302,12 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     if optimize:
         sigma, certificate = _sdp_sigma(joint.matrix, res_marg.matrix, d_out, eps)
         cand_mats.append(("sdp", sigma))
-    trace = []
-    best = math.inf
-    best_desc = None
-    for desc, mat in cand_mats:
-        val = _dh_value(joint, np.kron(mat, res_marg.matrix), eps)
-        trace.append((desc, val))
-        if val < best:
-            best, best_desc = val, desc
+    trace = [(desc, _dh_value(joint, np.kron(mat, res_marg.matrix), eps))
+             for desc, mat in cand_mats]
+    best = min(val for _, val in trace)
+    # Candidates that tie to rounding name the earliest, so the label does
+    # not follow the last bits of D_H.
+    best_desc = next(desc for desc, val in trace if val <= best + _TIE_BITS)
     return best, best_desc, trace, certificate
 
 

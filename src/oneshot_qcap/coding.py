@@ -621,16 +621,143 @@ def _message_factors(state: DensityOp, senders, messages) -> list:
 # ---------------------------------------------------------------------------
 # independent position decoders (point-to-point, channel with state, broadcast)
 
+def _partitions(n: int, rows: int, largest: int | None = None):
+    """The partitions of ``n`` into at most ``rows`` parts, largest first."""
+    if n == 0:
+        yield ()
+    elif rows > 0:
+        for first in range(min(n, largest or n), 0, -1):
+            for rest in _partitions(n - first, rows - 1, first):
+                yield (first,) + rest
+
+
+def _columns(mu) -> list[int]:
+    """The column heights of the Young diagram of ``mu``."""
+    return [sum(r > j for r in mu) for j in range(mu[0] if mu else 0)]
+
+
+def _standard_tableaux(mu) -> int:
+    """The number of standard tableaux of shape ``mu`` (hook-length formula)."""
+    cols = _columns(mu)
+    hooks = math.prod(r - j + cols[j] - i - 1 for i, r in enumerate(mu) for j in range(r))
+    return math.factorial(sum(mu)) // hooks
+
+
+def _semistandard_tableaux(mu, d: int) -> int:
+    """The number of semistandard tableaux of shape ``mu`` with entries below
+    ``d``: the dimension of the irreducible representation of U(d)."""
+    mu = list(mu) + [0] * (d - len(mu))
+    pairs = list(itertools.combinations(range(d), 2))
+    return (math.prod(mu[i] - mu[j] + j - i for i, j in pairs)
+            // math.prod(j - i for i, j in pairs))
+
+
+def _irrep_basis(mu, d: int) -> np.ndarray:
+    """A real orthonormal basis of Q_mu inside (C^d)^{(x)N}, as the columns
+    of an array of shape (d,)*N + (q,).
+
+    Q_mu is spanned by its highest-weight vector, the product over mu's
+    columns of the antisymmetric |0 ^ 1 ^ ... ^ (h-1)> on that column's
+    copies, and closed under the lowering operators Pi(|b><a|), b > a, Pi
+    summing over the copies.
+    """
+    vec = np.ones(())
+    for h in _columns(mu):
+        col = np.zeros((d,) * h)
+        for perm in itertools.permutations(range(h)):
+            col[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        vec = np.multiply.outer(vec, col)
+    basis = [vec.reshape(-1) / np.linalg.norm(vec)]
+    k = 0
+    while k < len(basis):
+        for a, b in itertools.combinations(range(d), 2):
+            # Pi(|b><a|): on each copy in turn, entry a moved to entry b.
+            src, new = basis[k].reshape(vec.shape), np.zeros(vec.shape)
+            for c in range(vec.ndim):
+                new[(slice(None),) * c + (b,)] += src[(slice(None),) * c + (a,)]
+            new = new.reshape(-1)
+            norm = np.linalg.norm(new)
+            for _ in range(2):
+                done = np.array(basis)
+                new = new - done.T @ (done @ new)
+            if np.linalg.norm(new) > 1e-8 * norm:
+                basis.append(new / np.linalg.norm(new))
+        k += 1
+    if len(basis) != _semistandard_tableaux(mu, d):
+        raise NumericalError(f"irreducible representation {mu} of U({d}) spans "
+                             f"{len(basis)} dimensions, not "
+                             f"{_semistandard_tableaux(mu, d)}")
+    return np.array(basis).T.reshape(vec.shape + (len(basis),))
+
+
+def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
+    """Per partition mu of ``copies`` into at most d rows, d the dimension
+    of ``marginal``: its multiplicity m_mu, the generators pi_mu(|a><b|)
+    stacked as [a, b, x, y], and pi_mu(marginal), both in Q_mu's basis."""
+    d = len(marginal)
+    for mu in _partitions(copies, d):
+        v = _irrep_basis(mu, d)
+        q = v.shape[-1]
+        # <x| Pi(|a><b|) |y> pairs, on each copy, v's slice a with its slice
+        # b (v is real).
+        slices = [np.moveaxis(v, c, 0).reshape(d, -1, q) for c in range(copies)]
+        gens = sum((np.einsum("amx,bmy->abxy", s, s) for s in slices),
+                   np.zeros((d, d, q, q)))
+        power = v
+        for c in range(copies):
+            power = np.moveaxis(np.tensordot(marginal, power, axes=(1, c)), 0, c)
+        yield (_standard_tableaux(mu), gens,
+               v.reshape(-1, q).T @ power.reshape(-1, q))
+
+
 def _run_position_code(rec: Receiver, rate: int):
     """The D_H result and the (n, n+1) outcome distribution (abort last) of
-    the optimal test's position code on all copies of a quantum resource."""
+    the optimal test's position code on all copies of a quantum resource.
+
+    With the resource last, T = sum_ij |i><j| (x) T_ij, and S = T (x) I +
+    sum_ij |i><j| (x) I (x) Pi(T_ij), Pi summing over the N = n - 1 wrong
+    copies.  Pi(X) and the wrong copies' state act on Schur-Weyl duality's
+    Q_mu only, so S, T and message 0's state are direct sums over mu of
+    blocks on the decoder registers, the true copy and Q_mu, each repeated
+    m_mu times; the square-root measurement is read off block by block.
+    """
     n = 2 ** rate
+    # The dense decoder's layout is the one dimension cap, checked before
+    # any D_H solve.
+    _copies_layout(rec.joint.layout, [(rec.resource, n)])
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
-    code = build_position_povm(HermOp(dh.witness.operator, rec.joint.layout), n,
-                               rec.resource)
-    state = place(_message_factors(rec.state, [(rec.resource, rec.marginal, n)], (0,)),
-                  code.layout)
-    row = code.probabilities(state)
+    order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
+    test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
+    state = rec.state.permuted(order).matrix
+    d = rec.joint.layout.dim_of(rec.resource)
+    t = test.reshape(len(test) // d, d, len(test) // d, d)
+    blocks = []
+    for mult, gens, marg in _schur_weyl_blocks(n - 1, rec.marginal.matrix):
+        eye = np.eye(len(marg))
+        s = (np.einsum("irjs,xy->irxjsy", t, eye)
+             + np.einsum("iajb,abxy,rs->irxjsy", t, gens, np.eye(d))
+             ).reshape(len(test) * len(eye), -1)
+        blocks.append((mult, s, np.kron(test, eye), np.kron(state, marg)))
+    eigs = [np.linalg.eigh(s) for _, s, _, _ in blocks]
+    # One pseudo-inverse cutoff for all of S: PINV_TOL times its largest
+    # eigenvalue over every block.
+    w = np.concatenate([w_b for w_b, _ in eigs])
+    inv = _pinv_sqrt(w)
+    _check_completion(np.diag(1.0 - w * inv ** 2))
+    invs = np.split(inv, np.cumsum([len(w_b) for w_b, _ in eigs])[:-1])
+    p0 = total = trace = 0.0
+    for (mult, s, t0, rho), (_, v), inv_b in zip(blocks, eigs, invs):
+        root = (v * inv_b) @ v.conj().T
+        conj = root @ rho @ root
+        p0 += mult * np.trace(t0 @ conj).real
+        total += mult * np.trace(s @ conj).real
+        trace += mult * np.trace(rho).real
+    # Permuting the wrong copies fixes S, T_0 and message 0's state, so they
+    # share what T_0 leaves of Tr(S S^{-1/2} rho S^{-1/2}).  At R = 0 there
+    # are none.
+    wrong = [(total - p0) / (n - 1)] * (n - 1) if n > 1 else []
+    row = np.maximum([p0] + wrong, 0.0)
+    row = np.append(row, max(trace - row.sum(), 0.0))
     # Swapping copies 0 and m takes message 0's state to message m's and
     # T_0 to T_m, and leaves S, so S^{-1/2}, and the set of tests unchanged:
     # row m is row 0 with outcomes 0 and m swapped.

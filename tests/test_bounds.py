@@ -152,6 +152,17 @@ def test_converse_certificate_only_when_optimized(id2, bell):
         "output marginal", "maximally mixed", "sdp"]
 
 
+def test_converse_names_the_first_candidate_that_ties_the_minimum(bell):
+    # Depolarized Bell output: the output marginal is maximally mixed, and
+    # all three candidates tie to within a few ulps of D_H.
+    bound = converse_value("p2p_ea", depolarizing(0.10, 2, "A", "B"), bell, 0.1,
+                           optimize=True)
+    values = [val for _, val in bound.optimizer_trace]
+    assert bound.value == min(values)
+    assert max(values) - min(values) <= 1e-12
+    assert bound.evaluated_at.endswith("sigma = output marginal")
+
+
 def test_stalled_sdp_raises_numerical_error(monkeypatch, id2, bell):
     monkeypatch.setattr(bounds, "_SDP_ITERS", 2)
     with pytest.raises(NumericalError, match="stalled") as err:

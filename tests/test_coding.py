@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -33,9 +34,11 @@ from oneshot_qcap.linalg import (
     DensityOp,
     DimensionCapError,
     HermOp,
+    Ket,
     NumericalError,
     SystemLayout,
     herm_apply,
+    max_entangled_ket,
     maximally_mixed,
     place,
     psd_sqrt,
@@ -132,10 +135,24 @@ def dense_position_code(rec, rate):
                                rec.state, rec.resource, rec.marginal)
 
 
+def resource_first(rec):
+    """``rec`` with its resource register listed first."""
+    order = [rec.resource] + [l for l in rec.joint.layout.labels if l != rec.resource]
+    return dataclasses.replace(rec, joint=rec.joint.permuted(order),
+                               alt=rec.alt.permuted(order),
+                               state=rec.state.permuted(order))
+
+
 def ea_receivers(name):
     """The receivers of one assisted instance, each tested at smoothing 0.15."""
+    if name == "resource-first":
+        return [resource_first(rec) for rec in ea_receivers("p2p-damping")]
     tau = maximally_mixed(SystemLayout([("S", 2)]))
     bell = bell_density("A", "R")
+    # A qubit maximally entangled with two of a qutrit resource's levels:
+    # the resource's marginal has rank 2.
+    partial = Ket(np.array([1, 0, 0, 0, 1, 0]) / math.sqrt(2),
+                  SystemLayout([("A", 2), ("R", 3)])).density()
     # A = (a_B, a_C) as one ququart, each half maximally entangled with its
     # receiver's resource.
     pairs = tensor(bell_density("a", "RB"), bell_density("c", "RC"))
@@ -147,15 +164,21 @@ def ea_receivers(name):
         "gp": ("gp_ea", gp_controlled_flip_channel(),
                tensor(bell, tau).permuted(["A", "S", "R"]), tau),
         "broadcast": ("broadcast_ea", two_output_broadcast(), broadcast, None),
+        "qutrit": ("p2p_ea", depolarizing(0.1, 3, "A", "B"),
+                   max_entangled_ket(3, "A", "R").density(), None),
+        "rank-deficient": ("p2p_ea", depolarizing(0.1, 2, "A", "B"), partial, None),
     }[name]
     spec = get_scenario(scenario)
     return spec.build(ch, psi, None, tau, [0.15] * spec.streams)
 
 
 @pytest.mark.parametrize("name,rate", [
-    ("p2p-depolarizing", 1), ("p2p-depolarizing", 2), ("p2p-depolarizing", 3),
-    ("p2p-damping", 1), ("p2p-damping", 2), ("p2p-damping", 3),
-    ("gp", 1), ("gp", 2), ("broadcast", 1), ("broadcast", 2),
+    ("p2p-depolarizing", 0), ("p2p-depolarizing", 1), ("p2p-depolarizing", 2),
+    ("p2p-depolarizing", 3), ("p2p-damping", 1), ("p2p-damping", 2),
+    ("p2p-damping", 3), ("gp", 1), ("gp", 2), ("gp", 3), ("broadcast", 0),
+    ("broadcast", 1), ("broadcast", 2), ("broadcast", 3), ("qutrit", 1),
+    ("qutrit", 2), ("rank-deficient", 1), ("rank-deficient", 2),
+    ("resource-first", 2),
 ])
 def test_position_code_rows_match_the_dense_decoder(name, rate):
     for rec in ea_receivers(name):
@@ -164,9 +187,55 @@ def test_position_code_rows_match_the_dense_decoder(name, rate):
         assert np.allclose(dist, dense_position_code(rec, rate), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("copies,d", [(0, 2), (1, 3), (3, 2), (7, 2), (3, 3),
+                                      (4, 3), (3, 4)])
+def test_schur_weyl_blocks_fill_the_copies(copies, d):
+    # Traces over (C^d)^{(x)N} are sums over the blocks weighted by their
+    # multiplicities: Tr I = d^N, Tr rho^{(x)N} = 1, Tr Pi(rho) = N d^(N-1).
+    rho = sample("density", d, seed=copies).matrix
+    dims = power = copy_sum = 0.0
+    for mult, gens, marg in coding._schur_weyl_blocks(copies, rho):
+        dims += mult * len(marg)
+        power += mult * np.trace(marg).real
+        copy_sum += mult * np.einsum("ab,abxx->", rho, gens).real
+        # pi_mu is a representation: [pi(E_01), pi(E_10)] = pi(E_00 - E_11).
+        assert np.allclose(gens[0, 1] @ gens[1, 0] - gens[1, 0] @ gens[0, 1],
+                           gens[0, 0] - gens[1, 1], rtol=0, atol=1e-12)
+    assert dims == d ** copies
+    assert power == pytest.approx(1.0, abs=1e-12)
+    assert copy_sum == pytest.approx(copies * d ** (copies - 1), abs=1e-9)
+
+
+def test_schur_weyl_block_of_the_wrong_dimension_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(coding, "_semistandard_tableaux", lambda mu, d: 99)
+    with pytest.raises(NumericalError, match="spans") as err:
+        list(coding._schur_weyl_blocks(3, np.eye(2) / 2))
+    assert not isinstance(err.value, ValueError)
+
+
+def test_p2p_decoder_decomposes_only_schur_weyl_blocks(eig_inputs):
+    # The dense S at R = 3 has dim 512; its largest block, on B, the true
+    # copy and the symmetric subspace of the seven wrong copies, has dim 32.
+    simulate_p2p_ea(depolarizing(0.1, 2, "A", "B"), bell_density("A", "R"),
+                    rate=3, eps=0.1, delta=0.05)
+    assert eig_inputs and max(m.shape[-1] for m in eig_inputs) <= 32
+
+
+def test_assisted_decoder_checks_the_cap_before_decoding(monkeypatch, bell):
+    # At R = 4 the dense decoder's layout, B and 16 copies of the resource,
+    # has 131072 dimensions.
+    solved = []
+    monkeypatch.setattr(coding, "dh_eps",
+                        lambda *args: solved.append(args) or dh_eps(*args))
+    with pytest.raises(DimensionCapError):
+        simulate_p2p_ea(depolarizing(0.1, 2, "A", "B"), bell, rate=4, eps=0.1,
+                        delta=0.05)
+    assert not solved
+
+
 def test_p2p_decoder_assembles_no_elements():
-    # One 512-dim complex matrix takes 4 MiB; the eight elements of the
-    # R = 3 decoder alone would take 32 MiB.
+    # One 512-dim complex matrix takes 4 MiB; the block decoder's largest
+    # matrix is 32-dim.
     ch, bell = depolarizing(0.1, 2, "A", "B"), bell_density("A", "R")
     tracemalloc.start()
     try:
@@ -174,7 +243,7 @@ def test_p2p_decoder_assembles_no_elements():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 2 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("seed", range(4))
