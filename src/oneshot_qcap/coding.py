@@ -2,13 +2,13 @@
 
 Every decoder here is a square-root measurement, read off its tests and
 S^{-1/2}, or a sequence of Neumark projectors, and every success probability
-is an exact trace -- no Monte Carlo anywhere.  Point-to-point decoders act on
-the receiver's full register set; a multiple-access decoder decodes one sender
-at a time, and each stage places only the factors of a message state that
-name a register it reads.  Each simulator returns a :class:`ProtocolReport`
-carrying the exact per-message statistics next to the error bound its
-construction guarantees, so the operator inequalities behind the bounds can be
-checked numerically on every run.
+is an exact trace -- no Monte Carlo anywhere.  Position codes are read off
+blocks for one message and permuted for the others; a multiple-access decoder
+decodes one sender at a time, and each stage places only the factors of a
+message state that name a register it reads.  Each simulator returns a
+:class:`ProtocolReport` carrying the exact per-message statistics next to the
+error bound its construction guarantees, so the operator inequalities behind
+the bounds can be checked numerically on every run.
 
 The eight scenarios (point-to-point, channel with state, broadcast and
 multiple access, each entanglement-assisted or unassisted) are defined once,
@@ -199,20 +199,13 @@ def split_sender_state(psi: DensityOp, channel_label: str):
 class PositionCode:
     """Square-root measurement S^{-1/2} T_k S^{-1/2}, S = sum_k T_k, of tests
     T_k (:func:`place` factors, one per position copy of a resource),
-    completed by I minus their sum; ``root`` is S^{-1/2}, ``basis`` S's eigenbasis."""
+    completed by I minus their sum; ``root`` is S^{-1/2}, ``basis`` S's
+    eigenbasis.  Only the multiple-access first stage and the tests use it."""
 
     layout: SystemLayout
     tests: tuple
     root: np.ndarray
     basis: np.ndarray
-
-    def probabilities(self, state: np.ndarray) -> np.ndarray:
-        """Re Tr(T_k S^{-1/2} state S^{-1/2}) for every copy k, then the trace
-        of ``state`` they leave (the abort), each clipped at 0."""
-        conj = self.root @ state @ self.root
-        row = np.maximum([local_trace(t, self.layout, conj).real
-                          for t in self.tests], 0.0)
-        return np.append(row, max(np.trace(state).real - row.sum(), 0.0))
 
     def elements(self) -> np.ndarray:
         """The (copies + 1, D, D) stack of elements, the checked completion last."""
@@ -241,7 +234,8 @@ def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> S
 
 
 def build_position_povm(test: HermOp, copies: int, resource_label: str) -> PositionCode:
-    """Pretty-good measurement over per-position embeddings of ``test``.
+    """Pretty-good measurement over per-position embeddings of ``test``, on
+    all the copies: the multiple-access first stage and the tests' reference.
 
     The test acts on the channel-output registers plus one resource register;
     position m gets the test on copy m and identity elsewhere.  S is summed
@@ -619,7 +613,7 @@ def _message_factors(state: DensityOp, senders, messages) -> list:
 
 
 # ---------------------------------------------------------------------------
-# independent position decoders (point-to-point, channel with state, broadcast)
+# position decoders on Schur-Weyl and per-string blocks
 
 def _partitions(n: int, rows: int, largest: int | None = None):
     """The partitions of ``n`` into at most ``rows`` parts, largest first."""
@@ -710,34 +704,33 @@ def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
                v.reshape(-1, q).T @ power.reshape(-1, q))
 
 
-def _run_position_code(rec: Receiver, rate: int):
-    """The D_H result and the (n, n+1) outcome distribution (abort last) of
-    the optimal test's position code on all copies of a quantum resource.
+def _swaps(copies: int, outcomes: int) -> np.ndarray:
+    """Per message m, the outcomes with 0 and m swapped.  Swapping copies 0
+    and m of a position code takes message 0's state to message m's and T_0
+    to T_m, and leaves S and the set of tests: row m is row 0 in this order."""
+    perm = np.tile(np.arange(outcomes), (copies, 1))
+    perm[:, 0], perm[range(copies), range(copies)] = range(copies), 0
+    return perm
 
-    With the resource last, T = sum_ij |i><j| (x) T_ij, and S = T (x) I +
-    sum_ij |i><j| (x) I (x) Pi(T_ij), Pi summing over the N = n - 1 wrong
-    copies.  Pi(X) and the wrong copies' state act on Schur-Weyl duality's
-    Q_mu only, so S, T and message 0's state are direct sums over mu of
-    blocks on the decoder registers, the true copy and Q_mu, each repeated
-    m_mu times; the square-root measurement is read off block by block.
-    """
-    n = 2 ** rate
-    # The dense decoder's layout is the one dimension cap, checked before
-    # any D_H solve.
-    _copies_layout(rec.joint.layout, [(rec.resource, n)])
-    dh = dh_eps(rec.joint, rec.alt, rec.eps)
-    order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
-    test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
-    state = rec.state.permuted(order).matrix
-    d = rec.joint.layout.dim_of(rec.resource)
+
+def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
+                   states) -> np.ndarray:
+    """One row (true copy, each wrong copy, abort) per state of the
+    square-root measurement of ``test`` over ``copies`` copies of a resource:
+    ``test`` and each state act on the decoder registers and the true copy,
+    last, and the wrong copies are in ``marginal``.  With T = sum_ij |i><j|
+    (x) T_ij, S = T (x) I + sum_ij |i><j| (x) I (x) Pi(T_ij), Pi summing over
+    the wrong copies; S, T and each state are direct sums of Schur-Weyl
+    blocks (docs/decoders.md), and the states share S's decomposition."""
+    d = len(marginal)
     t = test.reshape(len(test) // d, d, len(test) // d, d)
     blocks = []
-    for mult, gens, marg in _schur_weyl_blocks(n - 1, rec.marginal.matrix):
+    for mult, gens, marg in _schur_weyl_blocks(copies - 1, marginal):
         eye = np.eye(len(marg))
         s = (np.einsum("irjs,xy->irxjsy", t, eye)
              + np.einsum("iajb,abxy,rs->irxjsy", t, gens, np.eye(d))
              ).reshape(len(test) * len(eye), -1)
-        blocks.append((mult, s, np.kron(test, eye), np.kron(state, marg)))
+        blocks.append((mult, s, np.kron(test, eye), marg))
     eigs = [np.linalg.eigh(s) for _, s, _, _ in blocks]
     # One pseudo-inverse cutoff for all of S: PINV_TOL times its largest
     # eigenvalue over every block.
@@ -745,25 +738,38 @@ def _run_position_code(rec: Receiver, rate: int):
     inv = _pinv_sqrt(w)
     _check_completion(np.diag(1.0 - w * inv ** 2))
     invs = np.split(inv, np.cumsum([len(w_b) for w_b, _ in eigs])[:-1])
-    p0 = total = trace = 0.0
-    for (mult, s, t0, rho), (_, v), inv_b in zip(blocks, eigs, invs):
-        root = (v * inv_b) @ v.conj().T
-        conj = root @ rho @ root
-        p0 += mult * np.trace(t0 @ conj).real
-        total += mult * np.trace(s @ conj).real
-        trace += mult * np.trace(rho).real
-    # Permuting the wrong copies fixes S, T_0 and message 0's state, so they
-    # share what T_0 leaves of Tr(S S^{-1/2} rho S^{-1/2}).  At R = 0 there
-    # are none.
-    wrong = [(total - p0) / (n - 1)] * (n - 1) if n > 1 else []
-    row = np.maximum([p0] + wrong, 0.0)
-    row = np.append(row, max(trace - row.sum(), 0.0))
-    # Swapping copies 0 and m takes message 0's state to message m's and
-    # T_0 to T_m, and leaves S, so S^{-1/2}, and the set of tests unchanged:
-    # row m is row 0 with outcomes 0 and m swapped.
-    dist, m = np.tile(row, (n, 1)), np.arange(n)
-    dist[m, m], dist[m, 0] = row[0], row[m]
-    return dh, dist
+    roots = [(v * inv_b) @ v.conj().T for (_, v), inv_b in zip(eigs, invs)]
+    rows = []
+    for state in states:
+        p0 = total = trace = 0.0
+        for (mult, s, t0, marg), root in zip(blocks, roots):
+            rho = np.kron(state, marg)
+            conj = root @ rho @ root
+            p0 += mult * np.trace(t0 @ conj).real
+            total += mult * np.trace(s @ conj).real
+            trace += mult * np.trace(rho).real
+        # Permuting the wrong copies fixes S, T_0 and the state, so they
+        # share what T_0 leaves of Tr(S S^{-1/2} rho S^{-1/2}).  With one
+        # copy there are none.
+        wrong = [(total - p0) / (copies - 1)] * (copies - 1) if copies > 1 else []
+        row = np.maximum([p0] + wrong, 0.0)
+        rows.append(np.append(row, max(trace - row.sum(), 0.0)))
+    return np.array(rows)
+
+
+def _run_position_code(rec: Receiver, rate: int):
+    """The D_H result and the (n, n+1) outcome distribution (abort last) of
+    the optimal test's position code on all copies of a quantum resource."""
+    n = 2 ** rate
+    # The dense decoder's layout is the one dimension cap, checked before
+    # any D_H solve.
+    _copies_layout(rec.joint.layout, [(rec.resource, n)])
+    dh = dh_eps(rec.joint, rec.alt, rec.eps)
+    order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
+    test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
+    (row,) = _position_rows(test, rec.marginal.matrix, n,
+                            [rec.state.permuted(order).matrix])
+    return dh, row[_swaps(n, n + 1)]
 
 
 def _string_code(rec: Receiver, rate: int):
@@ -981,48 +987,39 @@ def _mac_sequential(code: _MacCode):
 
 def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     """Two square-root measurements, the first sender's then the second's,
-    each on the decoder registers and its own sender's copies.
-
-    Returns the joint successes, the sum of the two stages'
-    Hayashi-Nagaoka-type bounds and the report details."""
-    order = (0, 1) if a_first else (1, 0)
-    i_first, i_second = order
-    n = code.n
+    each on the decoder registers and its own sender's copies.  Both are
+    position codes, so only message (0, 0) is decoded: (m1, m2)'s row is its
+    row with A's outcomes 0, m1 and B's 0, m2 swapped.  Returns the joint
+    successes, the stages' summed Hayashi-Nagaoka-type bounds and the details."""
+    i_first, i_second = order = (0, 1) if a_first else (1, 0)
+    n1, n2 = n = code.n
     c_first, c_second = (_hn_constant(epsilons[i], delta, c[i]) for i in order)
-    first, second = (build_position_povm(code.witnesses[i], n[i], code.senders[i][0])
-                     for i in order)
+    first = build_position_povm(code.witnesses[i_first], n[i_first],
+                                code.senders[i_first][0])
     kraus_first = [(first.layout.registers, psd_sqrt(p)) for p in first.elements()]
-    copies_first = set(first.layout.labels) - set(second.layout.labels)
-
-    n1, n2 = n
-    joint_succ, stage1_err, stage2_err, disturbance = np.zeros((4, n1, n2))
-    dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for m1, m2 in itertools.product(range(n1), range(n2)):
-        mf, ms = (m1, m2) if a_first else (m2, m1)
-        layout, st, rest = _stage(_message_factors(code.omega, code.senders, (m1, m2)),
-                                  first.layout.labels)
-        # The second sender's other copies stay in product, untouched by the
-        # first stage: they change no fidelity, and the second stage reads
-        # them on its own layout.
-        branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
-                    for k in kraus_first]
-        post = np.sum(branches, axis=0)
-        row = np.array([second.probabilities(place(
-            [_finished(layout, b, copies_first)] + rest, second.layout)) for b in branches])
-        # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
-        stage1_err[m1, m2] = 1.0 - np.trace(branches[mf]).real
-        stage2_err[m1, m2] = 1.0 - float(np.sum(row[:, ms]))
-        joint_succ[m1, m2] = row[mf, ms]
-        disturbance[m1, m2] = purified_distance(st, (post + post.conj().T) / 2)
-        # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
-        dist[m1 * n2 + m2] = (row if a_first else row.T).reshape(-1)
-
+    # The second sender's wrong copies are untouched by the first stage:
+    # they change no fidelity and stay in the marginal the second stage reads.
+    layout, st, _ = _stage(_message_factors(code.omega, code.senders, (0, 0)),
+                           first.layout.labels)
+    branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
+                for k in kraus_first]
+    post = np.sum(branches, axis=0)
+    (res, marg, copies), w = code.senders[i_second], code.witnesses[i_second]
+    row = _position_rows(w.matrix, marg.matrix, copies, [
+        reduced(_on_copies(w.layout, {res: 0}), layout, b) for b in branches])
+    # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
+    dist = (row if a_first else row.T)[_swaps(n1, n1 + 1)[:, None, :, None],
+                                       _swaps(n2, n2 + 1)[None, :, None, :]]
     hn_first = _hn_chain(code.dhs[i_first], n[i_first], c_first)
     hn_second = (math.sqrt(_hn_chain(code.dhs[i_second], n[i_second], c_second))
                  + math.sqrt(2 * hn_first)) ** 2
-    return joint_succ.reshape(-1), hn_first + hn_second, {
-        "outcome_dist": dist, "stage1_err": stage1_err, "stage2_err": stage2_err,
-        "disturbance": disturbance, "stage_hn": (hn_first, hn_second)}
+    return np.full(n1 * n2, row[0, 0]), hn_first + hn_second, {
+        "outcome_dist": dist.reshape(n1 * n2, -1),
+        # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
+        "stage1_err": np.full(n, 1.0 - np.trace(branches[0]).real),
+        "stage2_err": np.full(n, 1.0 - float(np.sum(row[:, 0]))),
+        "disturbance": np.full(n, purified_distance(st, (post + post.conj().T) / 2)),
+        "stage_hn": (hn_first, hn_second)}
 
 
 def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
@@ -1270,7 +1267,8 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     at eps = 1 - average success, against sampled states sigma.  The
     correlation test sum_m |mm><mm| is a feasible witness with type-I success
     = average success and type-II error <= 2^-R for any sigma, so the floor
-    is a theorem; this makes it a numerical cross-check of the whole pipeline.
+    holds for any row-stochastic ``dist``: a failed floor points at
+    :func:`dh_eps`, not at the decoder that produced ``dist``.
     """
     if sigmas < 1:
         raise ValueError(f"sigmas must be at least 1, got {sigmas}")
@@ -1304,9 +1302,10 @@ def report_floors(report: ProtocolReport, *, sigmas: int = 5,
     """Converse floors for every receiver of a simulated code.
 
     Runs :func:`converse_floor` on each outcome distribution recorded in the
-    report (one per receiver; one joint distribution for multiple access); a
-    failed floor means a bug in the decoder pipeline, never in the
-    parameters.
+    report (one per receiver; one joint distribution for multiple access).
+    A floor holds for any outcome distribution, so it checks :func:`dh_eps`
+    and not the decoder; decoders are checked by the dense references in the
+    tests and by their error staying below ``hn_bound``.
     """
     if not report.floor_inputs:
         raise ValueError(f"no floor extraction for scenario {report.scenario!r}")

@@ -580,7 +580,8 @@ def dense_pgm_reference(ch, psi_a, psi_b, rates, eps, delta, a_first):
 @pytest.mark.parametrize("rates,senders", [
     ((1, 1), lambda: (xor_side_state(), flagged_bell_state())),
     ((2, 1), mac_inputs),
-], ids=["1,1-side-registers", "2,1"])
+    ((1, 2), mac_inputs),
+], ids=["1,1-side-registers", "2,1", "1,2"])
 def test_staged_pgm_decoder_matches_the_dense_decoder(rates, senders, strategy):
     psi_a, psi_b = senders()
     ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
@@ -599,6 +600,22 @@ def test_staged_pgm_decoder_matches_the_dense_decoder(rates, senders, strategy):
     large = want >= 1e-4
     assert np.allclose(got[large], want[large], rtol=0, atol=1e-10)
     assert np.all(got[~large] <= 1e-7) and np.all(want[~large] <= 1e-7)
+
+
+def test_pgm_decoder_assembles_one_message_state(monkeypatch):
+    # Every message's row is message (0, 0)'s with outcomes swapped, and the
+    # second stage is read off Schur-Weyl blocks: one message state and one
+    # dense position code, the first stage's.
+    calls = {"_message_factors": 0, "build_position_povm": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(coding, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(coding, name, counted)
+    psi_a, psi_b = mac_inputs()
+    simulate_mac_ea(noisy_xor_mac_channel(0.1), psi_a, psi_b, rates=(2, 1),
+                    epsilons=(0.05, 0.1), delta=0.02, strategy="pgm_a_first")
+    assert calls == {"_message_factors": 1, "build_position_povm": 1}
 
 
 def full_layout_dim(ch, psi_a, psi_b, rates):
