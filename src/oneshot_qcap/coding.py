@@ -4,11 +4,12 @@ Every decoder here is a square-root measurement, read off its tests and
 S^{-1/2}, or a sequence of Neumark projectors, and every success probability
 is an exact trace -- no Monte Carlo anywhere.  Position codes are read off
 blocks for one message and permuted for the others; a multiple-access decoder
-decodes one sender at a time, and each stage places only the factors of a
-message state that name a register it reads.  Each simulator returns a
-:class:`ProtocolReport` carrying the exact per-message statistics next to the
-error bound its construction guarantees, so the operator inequalities behind
-the bounds can be checked numerically on every run.
+decodes one sender at a time, and holds a wrong copy of a resource only
+around the test that reads it (sequential) or only the registers its stage
+reads (square root).  Each simulator returns a :class:`ProtocolReport`
+carrying the exact per-message statistics next to the error bound its
+construction guarantees, so the operator inequalities behind the bounds can
+be checked numerically on every run.
 
 The eight scenarios (point-to-point, channel with state, broadcast and
 multiple access, each entanglement-assisted or unassisted) are defined once,
@@ -22,8 +23,8 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from typing import Callable, Iterable, Sequence
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
     "simulate_unassisted",
     "derandomize",
     "DerandomizedCode",
+    "FloorInput",
     "converse_floor",
     "report_floors",
 ]
@@ -518,6 +520,16 @@ def get_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # protocol reports
 
+class FloorInput(NamedTuple):
+    """What one converse floor reads (:func:`converse_floor`): an outcome
+    distribution, one row per message, the rate in bits, and per message the
+    column of its correct outcome (None: column m for message m)."""
+
+    dist: np.ndarray
+    rate: float
+    correct_cols: list | None
+
+
 @dataclass(frozen=True)
 class ProtocolReport:
     """Exact statistics of one simulated code next to its guaranteed bounds.
@@ -531,9 +543,8 @@ class ProtocolReport:
     for broadcast: for ``broadcast_ea`` it is the larger of the receivers'
     worst errors, for ``broadcast_ua`` the worst over message pairs of
     1 - s_B * s_C, the error of the pair's joint success.  ``floor_inputs``
-    holds one (outcome distribution, rate, correct columns) triple per
-    converse floor for :func:`report_floors`; it is left out of repr and of
-    CLI reports.
+    holds one :class:`FloorInput` per converse floor for
+    :func:`report_floors`; it is left out of repr and of CLI reports.
     """
 
     scenario: str
@@ -548,7 +559,7 @@ class ProtocolReport:
     bound_satisfied: bool
     dh_values: tuple[float, ...]
     details: dict = field(default_factory=dict)
-    floor_inputs: tuple = field(default=(), repr=False)
+    floor_inputs: tuple[FloorInput, ...] = field(default=(), repr=False)
 
 
 def _error(successes, average: bool) -> float:
@@ -840,7 +851,7 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
     return _report(spec, rates, successes, errors, analytic=max(bounds),
                    hn=max(hns), ok=_holds(errors, hns, bounds, feasible),
                    feasible=feasible, dh_values=dh_values, details=details,
-                   floors=[(dist, float(rate), None)
+                   floors=[FloorInput(dist, float(rate), None)
                            for (_, dist), rate in zip(runs, rates)])
 
 
@@ -880,103 +891,119 @@ def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
 
 def _stage(factors, reads):
     """The layout of the registers named by the factors that name a label in
-    ``reads``, those factors placed on it, and the other factors."""
-    used = [any(l in reads for l, _ in regs) for regs, _ in factors]
-    layout = SystemLayout([reg for (regs, _), u in zip(factors, used) if u
-                           for reg in regs])
-    return (layout, place([f for f, u in zip(factors, used) if u], layout),
-            [f for f, u in zip(factors, used) if not u])
+    ``reads``, and those factors placed on it."""
+    used = [f for f in factors if any(l in reads for l, _ in f[0])]
+    layout = SystemLayout([reg for regs, _ in used for reg in regs])
+    return layout, place(used, layout)
 
 
-def _finished(layout: SystemLayout, mat: np.ndarray, copies) -> tuple:
-    """``mat`` on ``layout`` with a sender's ``copies`` traced out, as a
-    :func:`place` factor: no later stage reads them."""
-    keep = [reg for reg in layout.registers if reg[0] not in copies]
-    return keep, reduced(keep, layout, mat)
+def _split(layout: SystemLayout, test, stack: np.ndarray):
+    """P X P and (I - P) X (I - P) for each Hermitian X of ``stack`` (its
+    matrices along the first two axes) and the projector factor ``test``,
+    from two local products: with PX = P X, P X P = P (PX)^H and
+    (I - P) X (I - P) = X - PX - (PX)^H + P X P."""
+    pb = local_product(test, layout, stack)
+    pbh = pb.conj().swapaxes(0, 1)
+    pbp = local_product(test, layout, pbh)
+    return pbp, stack - pb - pbh + pbp
 
 
-def _neumark_stages(code: _MacCode) -> list:
-    """Per sender, its stage of the sequential decoder: the labels its tests
-    read, the labels of its copies, and its tests, one :func:`place` factor
-    per copy, the Neumark projector of its test on the decoder registers,
-    that copy and the pointer qubit."""
-    stages = []
-    for w, (res, _, n) in zip(code.witnesses, code.senders):
-        proj = binary_test_projector(w)
-        tests = [(_on_copies(w.layout, {res: k}) + [code.pointer], proj)
-                 for k in range(n)]
-        stages.append(({l for regs, _ in tests for l, _ in regs},
-                       {_copy_label(res, k) for k in range(n)}, tests))
-    return stages
+def _sequential_pass(code: _MacCode, starts, wrong):
+    """Chain successes (n1, n2) and outcome rows (A outcome, B outcome in
+    row-major order; last outcome: no test said "yes") of the sequential
+    decoder, streamed copy by copy.
+
+    ``starts[m1]`` lists :func:`place` factors of message states on the
+    receiver's registers, whose resource registers hold the true copies:
+    one list per m2, or one for every m2.  ``wrong[s][k]`` is copy k of
+    sender s when it is not the true copy.  The working matrices hold the
+    decoder registers, the pointer qubit, the true copies not yet tested and
+    at most one wrong copy: a wrong copy enters right before the test that
+    reads it, and each copy is traced out right after, since no later test
+    reads it.  B's true copy is a register A's tests do not touch, so A's
+    stage runs once per m1 for every m2 that shares its start, and B's stage
+    once per m2, on a stack of every m1 (docs/decoders.md).
+    """
+    n1, n2 = code.n
+    projectors = [binary_test_projector(w) for w in code.witnesses]
+
+    def copy_test(sender, k, m, layout, stack):
+        """Copy k of ``sender`` in the stack (entered unless it is the true
+        copy m), its test, and the registers left once it is traced out."""
+        res, w = code.senders[sender][0], code.witnesses[sender]
+        label = res if k == m else _copy_label(res, k)
+        keep = [reg for reg in layout.registers if reg[0] != label]
+        if k != m:
+            layout = SystemLayout(layout.registers + ((label, w.layout.dim_of(res)),))
+            size = len(stack) * len(wrong[sender][k])
+            stack = np.einsum("ab...,ij->aibj...", stack, wrong[sender][k]).reshape(
+                (size, size) + stack.shape[2:])
+        test = ([(label if l == res else l, d) for l, d in w.layout.registers]
+                + [code.pointer], projectors[sender])
+        return layout, stack, test, keep
+
+    # A's stage: per start, slots 0..n1-1 are the branches whose first "yes"
+    # was at that copy, which go on through A's later tests non-selectively
+    # (B's tests act on registers they touch); slot n1 is pending (no "yes"
+    # yet) and slot n1+1 the chain ("yes" only at the true copy).
+    start_layout = SystemLayout(code.omega.layout.registers + (code.pointer,))
+    pointer = ([code.pointer], _basis_density(0, 2))
+    outs = []
+    for m1, states in enumerate(starts):
+        layout = start_layout
+        st = np.stack([place(f + [pointer], layout) for f in states], axis=-1)
+        x = np.zeros(st.shape + (n1 + 2,), dtype=complex)
+        x[..., n1] = x[..., n1 + 1] = st
+        for k in range(n1):
+            layout, x, test, keep = copy_test(0, k, m1, layout, x)
+            yes, no = _split(layout, test, x)
+            out = yes + no
+            out[..., k], out[..., n1] = yes[..., n1], no[..., n1]
+            out[..., n1 + 1] = (yes if k == m1 else no)[..., n1 + 1]
+            x, layout = reduced(keep, layout, out), SystemLayout(keep)
+        outs.append(x)
+    outs = np.stack(outs, axis=2)
+    pick = np.broadcast_to(np.arange(outs.shape[3]), n2)
+    # B's stage: nothing acts after B's tests, and they are trace preserving
+    # together, so a branch B has decided keeps its mass: it is traced, not
+    # evolved.
+    chain = np.zeros((n1, n2))
+    dist = np.zeros((n1, n2, n1 + 1, n2 + 1))
+    layout_b = layout
+    for m2 in range(n2):
+        x, layout = outs[:, :, :, pick[m2]], layout_b
+        for k in range(n2):
+            layout, x, test, keep = copy_test(1, k, m2, layout, x)
+            if k == n2 - 1:
+                break
+            yes, no = _split(layout, test, x)
+            dist[:, m2, :, k] = np.trace(yes).real[:, :n1 + 1]
+            no[..., n1 + 1] = (yes if k == m2 else no)[..., n1 + 1]
+            x, layout = reduced(keep, layout, no), SystemLayout(keep)
+        last, total = local_trace(test, layout, x).real, np.trace(x).real
+        dist[:, m2, :, -2] = last[:, :n1 + 1]
+        dist[:, m2, :, -1] = total[:, :n1 + 1] - last[:, :n1 + 1]
+        chain[:, m2] = (last if m2 == n2 - 1 else total - last)[:, n1 + 1]
+    return np.maximum(chain, 0.0), np.maximum(dist, 0.0).reshape(n1 * n2, -1)
 
 
-def _split(layout: SystemLayout, test, b: np.ndarray):
-    """P b P and (I - P) b (I - P) for Hermitian ``b`` and the projector
-    factor ``test``, from two local products: with Pb = P b, P b P =
-    P (Pb)^H and (I - P) b (I - P) = b - Pb - (Pb)^H + P b P."""
-    pb = local_product(test, layout, b)
-    pbp = local_product(test, layout, pb.conj().T)
-    return pbp, b - pb - pb.conj().T + pbp
-
-
-def _position_chain(stages, factors, messages) -> float:
-    """Exact success of the stated chain: "no" outcomes everywhere except a
-    "yes" at the true position, first across A copies then B copies."""
-    for (reads, copies, tests), m in zip(stages, messages):
-        layout, cur, factors = _stage(factors, reads)
-        for k, test in enumerate(tests):
-            yes, no = _split(layout, test, cur)
-            cur = yes if k == m else no
-        factors = [_finished(layout, cur, copies)] + factors
-    return float(np.real(np.trace(cur)))
-
-
-def _decision_row(stages, factors) -> np.ndarray:
-    """Outcome distribution of the full decoder, (A outcome, B outcome) in
-    row-major order: the first "yes" among a sender's tests wins (last
-    outcome: none did), A's tests first, then B's, with every test
-    performed."""
-    (reads_a, copies_a, tests_a), (reads_b, _, tests_b) = stages
-    layout, pending, rest = _stage(factors, reads_a)
-    # A's decided branches go on through A's later tests non-selectively:
-    # B's tests, which follow, act on registers those tests touch.
-    branches = []
-    for test in tests_a:
-        branches = [sum(_split(layout, test, b)) for b in branches]
-        yes, pending = _split(layout, test, pending)
-        branches.append(yes)
-    branches.append(pending)
-    # Nothing acts after B's tests, and they are trace preserving together,
-    # so a decided B branch keeps its mass: it is traced, not evolved.
-    row = np.zeros((len(branches), len(tests_b) + 1))
-    for oa, branch in enumerate(branches):
-        layout_b, b, _ = _stage([_finished(layout, branch, copies_a)] + rest,
-                                reads_b)
-        for ob, test in enumerate(tests_b[:-1]):
-            yes, b = _split(layout_b, test, b)
-            row[oa, ob] = np.real(np.trace(yes))
-        row[oa, -2] = np.real(local_trace(tests_b[-1], layout_b, b))
-        row[oa, -1] = np.real(np.trace(b)) - row[oa, -2]
-    return np.maximum(row, 0.0).reshape(-1)
+def _randomized(code: _MacCode):
+    """:func:`_sequential_pass`'s input for the code's own message states:
+    the receiver's state, and every wrong copy in its resource's marginal."""
+    return ([[[(code.omega.layout.registers, code.omega.matrix)]]] * code.n[0],
+            [[marg.matrix] * n for _, marg, n in code.senders])
 
 
 def _mac_sequential(code: _MacCode):
     """Sequential binary tests, dilated to projectors with a shared J qubit,
-    each sender's applied on the registers its stage reads.
+    each applied on the registers it reads (:func:`_sequential_pass`).
 
     Returns the chain successes, the sequential (union) bound and the report
     details.  A message state's true copy is in the joint state and every
     other copy in the product alternative, so the bound's right-hand side
     1 - 4 sum_k Tr(P_k rho) is read off the tests' recorded errors."""
-    stages = _neumark_stages(code)
     n1, n2 = code.n
-    chain_succ = np.zeros((n1, n2))
-    dist = np.zeros((n1 * n2, (n1 + 1) * (n2 + 1)))
-    for m1, m2 in itertools.product(range(n1), range(n2)):
-        start = _message_factors(code.omega, code.senders, (m1, m2)) + [
-            ([code.pointer], _basis_density(0, 2))]
-        chain_succ[m1, m2] = _position_chain(stages, start, (m1, m2))
-        dist[m1 * n2 + m2] = _decision_row(stages, start)
+    chain_succ, dist = _sequential_pass(code, *_randomized(code))
     dh_a, dh_b = code.dhs
     hn = 4.0 * ((1.0 - dh_a.witness.type1) + (1.0 - dh_b.witness.type1)
                 + (n1 - 1) * dh_a.witness.type2
@@ -999,8 +1026,8 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     kraus_first = [(first.layout.registers, psd_sqrt(p)) for p in first.elements()]
     # The second sender's wrong copies are untouched by the first stage:
     # they change no fidelity and stay in the marginal the second stage reads.
-    layout, st, _ = _stage(_message_factors(code.omega, code.senders, (0, 0)),
-                           first.layout.labels)
+    layout, st = _stage(_message_factors(code.omega, code.senders, (0, 0)),
+                        first.layout.labels)
     branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
                 for k in kraus_first]
     post = np.sum(branches, axis=0)
@@ -1054,8 +1081,8 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     return _report(spec, rates, successes, errors, analytic=analytic, hn=hn,
                    ok=_holds(*zip(*checks), feasible), feasible=feasible,
                    dh_values=dh_values, details=details,
-                   floors=[(details["outcome_dist"],
-                            float(rates[0]) + float(rates[1]), cols)])
+                   floors=[FloorInput(details["outcome_dist"],
+                                      float(rates[0]) + float(rates[1]), cols)])
 
 
 def _plain(eps: float, delta: float) -> float:
@@ -1225,30 +1252,29 @@ def _mac_string_errors(receivers, rates):
     """Each pair of strings of positive probability with the sequential
     decoder's average error on it, and the randomized protocol's."""
     code = _mac_code(receivers, rates, sequential=True)
-    stages = _neumark_stages(code)
-    messages = list(itertools.product(*map(range, code.n)))
 
-    def error(factors) -> float:
-        return 1.0 - float(np.mean([_position_chain(stages, factors(msgs) + [
-            ([code.pointer], _basis_density(0, 2))], msgs) for msgs in messages]))
+    def error(starts, wrong) -> float:
+        return 1.0 - float(np.mean(_sequential_pass(code, starts, wrong)[0]))
     # Given the letters (a, b), the decoder registers are in a diagonal block
-    # of the receiver's state.
+    # of the receiver's state, and every copy is in the basis state of its
+    # letter.
     res, dims = zip(*((r, marg.layout.dim) for r, marg, _ in code.senders))
     blocks = np.einsum("uiuj->uij", _letter_view(code.omega, res))
     probs = np.einsum("uii->u", blocks).real.reshape(dims)
     rest = [reg for reg in code.omega.layout.registers if reg[0] not in res]
 
-    def fixed(strings, msgs):
-        a, b = (string[m] for string, m in zip(strings, msgs))
-        return [(rest, blocks[a * dims[1] + b] / probs[a, b])] + [
-            ([(_copy_label(r, k), d)], _basis_density(u, d))
-            for r, d, string in zip(res, dims, strings) for k, u in enumerate(string)]
+    def fixed(strings):
+        starts = [[[(rest, blocks[a * dims[1] + b] / probs[a, b])] + [
+            ([(r, d)], _basis_density(u, d)) for r, d, u in zip(res, dims, (a, b))]
+            for b in strings[1]] for a in strings[0]]
+        return starts, [[_basis_density(u, d) for u in string]
+                        for string, d in zip(strings, dims)]
     support = [np.flatnonzero(np.sum(probs, axis=1 - i) > SUPPORT_FLOOR).tolist()
                for i in (0, 1)]
     pairs = itertools.product(*(itertools.product(sup, repeat=n)
                                 for sup, n in zip(support, code.n)))
-    return (((strings, max(error(partial(fixed, strings)), 0.0)) for strings in pairs),
-            error(partial(_message_factors, code.omega, code.senders)))
+    return (((strings, max(error(*fixed(strings)), 0.0)) for strings in pairs),
+            error(*_randomized(code)))
 
 
 def _basis_density(index: int, dim: int) -> np.ndarray:
@@ -1309,6 +1335,6 @@ def report_floors(report: ProtocolReport, *, sigmas: int = 5,
     """
     if not report.floor_inputs:
         raise ValueError(f"no floor extraction for scenario {report.scenario!r}")
-    return [converse_floor(dist, rate, correct_cols=cols, sigmas=sigmas,
-                           seed=seed + i)
-            for i, (dist, rate, cols) in enumerate(report.floor_inputs)]
+    return [converse_floor(f.dist, f.rate, correct_cols=f.correct_cols,
+                           sigmas=sigmas, seed=seed + i)
+            for i, f in enumerate(report.floor_inputs)]

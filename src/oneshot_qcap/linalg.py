@@ -448,34 +448,40 @@ def reduced(registers: Sequence[tuple[str, int]], target,
     register that ``registers`` does not name.
 
     The result's axes are in the order ``registers`` lists them.  It is one
-    contraction of ``mat``, with no ``target.dim``-sized temporary.
+    contraction of ``mat``, with no ``target.dim``-sized temporary.  Axes of
+    ``mat`` after its first two index a stack of matrices, as for
+    :func:`local_product`, and are kept.
     """
     target = as_layout(target)
     axes = _local_axes((registers, None), target, mat)
-    if mat.shape != (target.dim, target.dim):
+    if mat.shape[:2] != (target.dim, target.dim):
         raise LayoutError(f"matrix shape {mat.shape} is not square")
     # Row axis i has label i; column axis i shares it, which traces register
-    # i out, unless it is kept.
+    # i out, unless it is kept.  Stack axes follow the columns.
     n = len(target.dims)
     cols = [n + i if i in axes else i for i in range(n)]
-    out = np.einsum(mat.reshape(target.dims * 2), list(range(n)) + cols,
-                    axes + [n + i for i in axes])
+    stack = list(range(2 * n, 2 * n + mat.ndim - 2))
+    out = np.einsum(mat.reshape(target.dims * 2 + mat.shape[2:]),
+                    list(range(n)) + cols + stack,
+                    axes + [n + i for i in axes] + stack)
     size = int(np.prod([d for _, d in registers], dtype=np.int64))
-    return out.reshape(size, size)
+    return out.reshape((size, size) + mat.shape[2:])
 
 
 def local_trace(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
-                mat: np.ndarray) -> complex:
+                mat: np.ndarray) -> complex | np.ndarray:
     """``np.trace(place([factor], target) @ mat)`` without the product.
 
-    ``factor`` is as for :func:`local_product` and ``mat`` is square.  The
+    ``factor`` is as for :func:`local_product` and ``mat`` is square, or a
+    stack as for :func:`reduced`, which gives one trace per matrix.  The
     factor's matrix is paired with :func:`reduced` ``mat`` on the registers
     it names, so the cost is ``target.dim`` times the factor's dimension,
     and no ``target.dim``-sized matrix is made.
     """
     _checked_registers([factor], as_layout(target))
-    return complex(np.einsum("ij,ji->", np.asarray(factor[1]),
-                             reduced(factor[0], target, mat)))
+    out = np.einsum("ij,ji...->...", np.asarray(factor[1]),
+                    reduced(factor[0], target, mat))
+    return complex(out) if out.ndim == 0 else out
 
 
 def embed(op: HermOp, target: SystemLayout) -> HermOp:

@@ -496,7 +496,8 @@ def dense_sequential_reference(ch, psi_a, psi_b, rates, eps, delta):
 @pytest.mark.parametrize("rates,senders", [
     ((1, 1), lambda: (xor_side_state(), flagged_bell_state())),
     ((2, 1), mac_inputs),
-], ids=["1,1-side-registers", "2,1"])
+    ((1, 2), mac_inputs),
+], ids=["1,1-side-registers", "2,1", "1,2"])
 def test_local_sequential_decoder_matches_the_dense_chain(rates, senders):
     # Three-register senders put each test's registers on non-adjacent axes.
     psi_a, psi_b = senders()
@@ -651,6 +652,31 @@ def test_sequential_bound_costs_no_placement_or_trace(monkeypatch):
         monkeypatch.setattr(coding, name, counted)
     sequential_mac_2_1()
     assert calls["place"] <= 64 and calls["local_trace"] <= 40, calls
+
+
+def test_sequential_decoder_holds_one_wrong_copy(monkeypatch):
+    # The working matrices hold the output, the side registers, the true
+    # copies not yet tested, the pointer qubit and at most one wrong copy:
+    # 2 * 2 * 2 * 2 * 2 = 32 rows for the XOR MAC, at any rates.
+    ch, eps, delta = noisy_xor_mac_channel(0.1), (0.05, 0.1), 0.02
+    psi_a, psi_b = mac_inputs()
+    spec = get_scenario("mac_ea")
+    omega = spec.build(ch, psi_a, psi_b, None, [0.1, 0.1])[0].state.layout
+    bound = omega.dim * 2 * omega.dim_of("RA")
+    real = coding.local_product
+
+    def bounded(factor, target, mat):
+        if len(mat) > bound:
+            raise AssertionError(f"{len(mat)} rows > {bound}")
+        return real(factor, target, mat)
+
+    monkeypatch.setattr(coding, "local_product", bounded)
+    for rates in ((2, 1), (3, 1)):
+        rep = simulate_mac_ea(ch, psi_a, psi_b, rates=rates, epsilons=eps,
+                              delta=delta, strategy="sequential")
+    assert bound == 32
+    assert np.allclose(rep.details["outcome_dist"].sum(axis=1), 1.0, rtol=0,
+                       atol=1e-12)
 
 
 def test_mac_decoders_place_nothing_on_the_full_layout(monkeypatch):

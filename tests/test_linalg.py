@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,23 @@ def test_reduced_matches_partial_trace_on_reordered_registers(registers):
             else np.array([[rho.trace]]))
     got = reduced(registers, rho.layout, rho.matrix)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_reduced_and_local_trace_keep_stack_axes():
+    target = SystemLayout([("A", 2), ("B", 3), ("C", 2)])
+    rng = np.random.default_rng(3)
+    stack = (rng.standard_normal((target.dim, target.dim, 2, 3))
+             + 1j * rng.standard_normal((target.dim, target.dim, 2, 3)))
+    op = rng.standard_normal((4, 4))
+    kept = [("C", 2), ("A", 2)]
+    got = reduced(kept, target, stack)
+    traces = local_trace((kept, op), target, stack)
+    assert got.shape == (4, 4, 2, 3) and traces.shape == (2, 3)
+    for i, j in itertools.product(range(2), range(3)):
+        mat = stack[:, :, i, j]
+        assert np.allclose(got[:, :, i, j], reduced(kept, target, mat),
+                           rtol=0, atol=1e-14)
+        assert abs(traces[i, j] - local_trace((kept, op), target, mat)) < 1e-12
 
 
 def test_reduced_rejects_what_does_not_fit():
