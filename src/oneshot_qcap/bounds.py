@@ -291,9 +291,8 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     out_labels = [l for l in joint.layout.labels if l not in set(res_labels)]
     joint = joint.permuted(out_labels + list(res_labels))
     res_marg = partial_trace(joint, list(res_labels)).permuted(list(res_labels))
-    d_out = int(np.prod([joint.layout.dim_of(l) for l in out_labels]))
-
     out_marg = partial_trace(joint, out_labels).permuted(out_labels)
+    d_out = out_marg.layout.dim
     cand_mats = [("output marginal", out_marg.matrix),
                  ("maximally mixed", np.eye(d_out) / d_out)]
     for i, c in enumerate(candidates or []):

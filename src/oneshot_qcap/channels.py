@@ -109,16 +109,13 @@ def apply_on(ch: KrausChannel, rho: DensityOp, targets: Iterable[str]) -> Densit
     for lbl in targets:
         if rho.layout.dim_of(lbl) != ch.in_layout.dim_of(lbl):
             raise LayoutError(f"register {lbl!r} dim mismatch with channel input")
-    spectators = [(l, d) for l, d in rho.layout.registers
-                  if l not in set(ch.in_layout.labels)]
-    order = list(ch.in_layout.labels) + [l for l, _ in spectators]
-    rho_p = rho.permuted(order)
-    d_spec = int(np.prod([d for _, d in spectators], dtype=np.int64)) if spectators else 1
-    eye = np.eye(d_spec)
+    spectators = SystemLayout([(l, d) for l, d in rho.layout.registers
+                               if not ch.in_layout.has(l)])
+    rho_p = rho.permuted(list(ch.in_layout.labels) + list(spectators.labels))
+    eye = np.eye(spectators.dim)
     out = sum(np.kron(k, eye) @ rho_p.matrix @ np.kron(k, eye).conj().T
               for k in ch.kraus)
-    out_layout = ch.out_layout.concat(SystemLayout(spectators))
-    return DensityOp(out, out_layout)
+    return DensityOp(out, ch.out_layout.concat(spectators))
 
 
 def choi(ch: KrausChannel) -> DensityOp:

@@ -45,6 +45,24 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 # spec parsing
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpecError(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _real(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(path, f"expected an integer, got {value!r}")
+    return value
+
+
 def _complex_entry(value, path: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -82,7 +100,7 @@ def _parse_channel(doc: dict) -> channels_mod.KrausChannel:
         in_regs = _registers(doc["in_dims"], "in_dims")
         out_regs = _registers(doc["out_dims"], "out_dims")
         kraus = [_complex_matrix(k, f"kraus[{i}]")
-                 for i, k in enumerate(doc["kraus"])]
+                 for i, k in enumerate(_list(doc["kraus"], "kraus"))]
         try:
             return channels_mod.KrausChannel(kraus, in_regs, out_regs)
         except ValueError as exc:  # LayoutError is a ValueError
@@ -92,18 +110,25 @@ def _parse_channel(doc: dict) -> channels_mod.KrausChannel:
     name = doc["name"]
     kwargs: dict[str, Any] = {}
     if "dims" in doc:
-        kwargs["dims"] = int(doc["dims"])
+        kwargs["dims"] = _int(doc["dims"], "dims")
     for key in ("p", "gamma"):
         if key in doc:
-            kwargs[key] = float(doc[key])
+            kwargs[key] = _real(doc[key], key)
     labels = doc.get("labels", {})
-    if "in" in labels:
-        kwargs["in_label"] = labels["in"]
-    if "out" in labels:
-        kwargs["out_label"] = labels["out"]
+    if not isinstance(labels, dict) or not set(labels) <= {"in", "out"}:
+        raise SpecError("labels", f"expected an object with keys 'in' and/or "
+                        f"'out', got {labels!r}")
+    for key, label in labels.items():
+        if not isinstance(label, str):
+            raise SpecError(f"labels.{key}", f"expected a string, got {label!r}")
+        kwargs[f"{key}_label"] = label
     if "outputs" in doc:
+        outputs = _list(doc["outputs"], "outputs")
+        for i, sub in enumerate(outputs):
+            if not isinstance(sub, dict):
+                raise SpecError(f"outputs[{i}]", f"expected a state spec, got {sub!r}")
         kwargs["outputs"] = [parse_spec({"schema": SCHEMA_VERSION, "type": "state",
-                                         **sub}) for sub in doc["outputs"]]
+                                         **sub}) for sub in outputs]
     try:
         ch = channels_mod.builtin(name, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -140,7 +165,11 @@ def _parse_state(doc: dict) -> DensityOp:
         elif name == "maximally_mixed":
             state = maximally_mixed(layout)
         elif name == "basis":
-            state = basis_ket(int(doc.get("index", 0)), layout).density()
+            try:
+                ket = basis_ket(_int(doc.get("index", 0), "index"), layout)
+            except IndexError as exc:
+                raise SpecError("index", str(exc)) from exc
+            state = ket.density()
         else:  # classically_correlated
             d = dims[0][1]
             mat = np.zeros((d * d, d * d), dtype=complex)
@@ -151,7 +180,7 @@ def _parse_state(doc: dict) -> DensityOp:
         if dims is None:
             raise SpecError("dims", "'ket' states need explicit 'dims'")
         amp = np.array([_complex_entry(v, f"ket[{i}]")
-                        for i, v in enumerate(doc["ket"])])
+                        for i, v in enumerate(_list(doc["ket"], "ket"))])
         nrm = float(np.linalg.norm(amp))
         if abs(nrm - 1.0) > 1e-9:
             raise SpecError("ket", f"amplitudes have norm {nrm!r}, expected 1")
@@ -167,13 +196,19 @@ def _parse_state(doc: dict) -> DensityOp:
             raise SpecError("matrix", str(exc)) from exc
     else:
         raise SpecError("state", "needs one of 'name', 'ket', 'matrix'")
-    for grp in doc.get("product", []):
+    for i, grp in enumerate(_list(doc.get("product", []), "product")):
+        parts = [[l] if isinstance(l, str) else l for l in _list(grp, f"product[{i}]")]
+        if not all(isinstance(part, list) and all(isinstance(l, str) for l in part)
+                   for part in parts):
+            raise SpecError(f"product[{i}]", "expected a list of labels or of "
+                            f"label lists, got {grp!r}")
         try:
-            coding_mod.product_check(state, [[l] for l in grp] if all(
-                isinstance(l, str) for l in grp) else grp)
+            coding_mod.product_check(state, parts)
         except ValueError as exc:
             raise SpecError("product", str(exc)) from exc
-    for label in doc.get("classical", []):
+    for i, label in enumerate(_list(doc.get("classical", []), "classical")):
+        if not isinstance(label, str):
+            raise SpecError(f"classical[{i}]", f"expected a label, got {label!r}")
         try:
             coding_mod.classical_blocks(state, label)
         except ValueError as exc:

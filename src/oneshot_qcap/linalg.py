@@ -8,9 +8,10 @@ all functions are pure, so values may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,53 +77,51 @@ def dimension_cap() -> int:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered list of named registers with dimensions."""
+    """Ordered list of named registers with dimensions, checked when built."""
 
     registers: tuple[tuple[str, int], ...]
 
     def __init__(self, registers: Iterable[tuple[str, int]]):
-        regs = tuple((str(lbl), int(dim)) for lbl, dim in registers)
-        labels = [lbl for lbl, _ in regs]
-        if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate register labels in {labels}")
-        for lbl, dim in regs:
+        object.__setattr__(self, "registers",
+                           tuple((str(lbl), int(dim)) for lbl, dim in registers))
+        if len(self._index) != len(self.registers):
+            raise LayoutError(f"duplicate register labels in {list(self.labels)}")
+        for lbl, dim in self.registers:
             if dim < 1:
                 raise LayoutError(f"register {lbl!r} has dimension {dim} < 1")
-        total = int(np.prod([d for _, d in regs], dtype=object)) if regs else 1
         cap = dimension_cap()
-        if total > cap:
+        if self.dim > cap:
             raise DimensionCapError(
-                f"total dimension {total} exceeds cap {cap}; "
+                f"total dimension {self.dim} exceeds cap {cap}; "
                 "set ONESHOT_QCAP_DIM_CAP to raise the limit"
             )
-        object.__setattr__(self, "registers", regs)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.registers)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.registers)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.registers else 1
+        return math.prod(self.dims)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lbl: i for i, lbl in enumerate(self.labels)}
 
     def dim_of(self, label: str) -> int:
-        for lbl, d in self.registers:
-            if lbl == label:
-                return d
-        raise LayoutError(f"unknown register {label!r} in layout {self.labels}")
+        return self.dims[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
-        for i, (lbl, _) in enumerate(self.registers):
-            if lbl == label:
-                return i
-        raise LayoutError(f"unknown register {label!r} in layout {self.labels}")
+        if not self.has(label):
+            raise LayoutError(f"unknown register {label!r} in layout {self.labels}")
+        return self._index[label]
 
     def has(self, label: str) -> bool:
-        return any(lbl == label for lbl, _ in self.registers)
+        return label in self._index
 
     def concat(self, other: "SystemLayout") -> "SystemLayout":
         overlap = set(self.labels) & set(other.labels)
@@ -142,14 +141,6 @@ def as_layout(layout) -> SystemLayout:
     return SystemLayout(layout)
 
 
-def _reordered(layout: SystemLayout, order: Sequence[str]):
-    """Axis permutation and reordered layout that list registers in ``order``."""
-    if sorted(order) != sorted(layout.labels):
-        raise LayoutError("permutation must use exactly the layout's labels")
-    perm = [layout.index_of(l) for l in order]
-    return perm, SystemLayout([layout.registers[p] for p in perm])
-
-
 def _permute(data: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """A vector or a matrix on registers of ``dims`` with its register axes
     (every index at once) put in the order ``perm``."""
@@ -160,9 +151,12 @@ def _permute(data: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.n
 
 def _permuted(self, order: Sequence[str]):
     """The same vector or operator with its registers listed in ``order``."""
-    perm, layout = _reordered(self.layout, order)
+    if sorted(order) != sorted(self.layout.labels):
+        raise LayoutError("permutation must use exactly the layout's labels")
+    perm = [self.layout.index_of(l) for l in order]
     data = self.amplitudes if isinstance(self, Ket) else self.matrix
-    return type(self)(_permute(data, self.layout.dims, perm), layout)
+    return type(self)(_permute(data, self.layout.dims, perm),
+                      SystemLayout([self.layout.registers[p] for p in perm]))
 
 
 @dataclass(frozen=True)
@@ -361,30 +355,37 @@ def schmidt_decompose(psi: Ket, cut: Iterable[str]):
         raise LayoutError("cut must be a nonempty strict subset of the layout's registers")
     left = [l for l in labels if l in cut_set]
     right = [l for l in labels if l not in cut_set]
-    reordered = psi.permuted(left + right)
-    d_left = int(np.prod([psi.layout.dim_of(l) for l in left], dtype=np.int64))
-    d_right = int(np.prod([psi.layout.dim_of(l) for l in right], dtype=np.int64))
-    mat = reordered.amplitudes.reshape(d_left, d_right)
+    d_left = math.prod(psi.layout.dim_of(l) for l in left)
+    mat = psi.permuted(left + right).amplitudes.reshape(d_left, -1)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return s, u, vh.conj().T
 
 
-def _checked_registers(factors, target: SystemLayout) -> list[tuple[str, int]]:
-    """The registers the factors name, in order, once each of them is known
-    to be a register of ``target`` that the factor's matrix fits (a factor
-    whose matrix is None only names registers)."""
-    named = [reg for registers, _ in factors for reg in registers]
-    for lbl, d in named:
-        if not target.has(lbl):
-            raise LayoutError(f"target layout lacks register {lbl!r}")
-        if target.dim_of(lbl) != d:
-            raise LayoutError(
-                f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
-    for registers, mat in factors:
-        size = int(np.prod([d for _, d in registers], dtype=np.int64))
-        if mat is not None and np.shape(mat) != (size, size):
-            raise LayoutError(f"matrix shape {np.shape(mat)} != ({size}, {size})")
-    return named
+def _target_axes(factors, target: SystemLayout, mat: np.ndarray | None = None
+                 ) -> list[int]:
+    """The axes of ``target`` that the factors' registers occupy, in the
+    factors' order, once each register is known to be in ``target`` with its
+    dimension, to be named once, each factor's matrix to fit its registers (a
+    factor whose matrix is None only names registers), and ``mat``, if given,
+    to have ``target.dim`` rows."""
+    axes = []
+    for registers, op in factors:
+        for lbl, d in registers:
+            if not target.has(lbl):
+                raise LayoutError(f"target layout lacks register {lbl!r}")
+            if target.dim_of(lbl) != d:
+                raise LayoutError(
+                    f"register {lbl!r}: dim {d} != target dim {target.dim_of(lbl)}")
+            axes.append(target.index_of(lbl))
+        size = math.prod(d for _, d in registers)
+        if op is not None and np.shape(op) != (size, size):
+            raise LayoutError(f"matrix shape {np.shape(op)} != ({size}, {size})")
+    if len(set(axes)) != len(axes):
+        named = [lbl for registers, _ in factors for lbl, _ in registers]
+        raise LayoutError(f"duplicate register labels in {named}")
+    if mat is not None and mat.shape[0] != target.dim:
+        raise LayoutError(f"{mat.shape[0]} rows != target dimension {target.dim}")
+    return axes
 
 
 def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
@@ -398,27 +399,14 @@ def place(factors: Sequence[tuple[Sequence[tuple[str, int]], np.ndarray]],
     as Hermitian or positive as its factors, so nothing is checked again.
     """
     target = as_layout(target)
-    named = _checked_registers(factors, target)
+    axes = _target_axes(factors, target)
     mats = [np.asarray(mat) for _, mat in factors]
-    rest = [reg for reg in target.registers if reg not in named]
+    rest = [i for i in range(len(target.dims)) if i not in axes]
     if rest:
-        mats.append(np.eye(SystemLayout(rest).dim))
-    # Raises on a register that two factors name.
-    interim = SystemLayout(named + rest)
-    perm, _ = _reordered(interim, target.labels)
-    return _permute(reduce(np.kron, mats), interim.dims, perm)
-
-
-def _local_axes(factor, target: SystemLayout, mat: np.ndarray) -> list[int]:
-    """The axes of ``target`` that the factor's registers occupy, in the
-    factor's order, once the factor is known to fit ``target`` and ``mat`` to
-    have ``target.dim`` rows."""
-    named = _checked_registers([factor], target)
-    # Raises on a register named twice.
-    SystemLayout(named)
-    if mat.shape[0] != target.dim:
-        raise LayoutError(f"{mat.shape[0]} rows != target dimension {target.dim}")
-    return [target.index_of(lbl) for lbl, _ in named]
+        mats.append(np.eye(math.prod(target.dims[i] for i in rest)))
+    order = axes + rest
+    return _permute(reduce(np.kron, mats), [target.dims[i] for i in order],
+                    np.argsort(order))
 
 
 def local_product(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
@@ -432,7 +420,7 @@ def local_product(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
     ``target.dim`` times ``mat.size``.
     """
     target = as_layout(target)
-    axes = _local_axes(factor, target, mat)
+    axes = _target_axes([factor], target, mat)
     op = factor[1]
     # Bring the factor's row axes to the front, multiply, and put them back.
     dims = target.dims + mat.shape[1:]
@@ -453,7 +441,11 @@ def reduced(registers: Sequence[tuple[str, int]], target,
     :func:`local_product`, and are kept.
     """
     target = as_layout(target)
-    axes = _local_axes((registers, None), target, mat)
+    return _reduced(_target_axes([(registers, None)], target, mat), target, mat)
+
+
+def _reduced(axes: list[int], target: SystemLayout, mat: np.ndarray) -> np.ndarray:
+    """:func:`reduced` onto the checked ``axes`` of ``target``."""
     if mat.shape[:2] != (target.dim, target.dim):
         raise LayoutError(f"matrix shape {mat.shape} is not square")
     # Row axis i has label i; column axis i shares it, which traces register
@@ -464,7 +456,7 @@ def reduced(registers: Sequence[tuple[str, int]], target,
     out = np.einsum(mat.reshape(target.dims * 2 + mat.shape[2:]),
                     list(range(n)) + cols + stack,
                     axes + [n + i for i in axes] + stack)
-    size = int(np.prod([d for _, d in registers], dtype=np.int64))
+    size = math.prod(target.dims[i] for i in axes)
     return out.reshape((size, size) + mat.shape[2:])
 
 
@@ -478,9 +470,10 @@ def local_trace(factor: tuple[Sequence[tuple[str, int]], np.ndarray], target,
     it names, so the cost is ``target.dim`` times the factor's dimension,
     and no ``target.dim``-sized matrix is made.
     """
-    _checked_registers([factor], as_layout(target))
+    target = as_layout(target)
+    axes = _target_axes([factor], target, mat)
     out = np.einsum("ij,ji...->...", np.asarray(factor[1]),
-                    reduced(factor[0], target, mat))
+                    _reduced(axes, target, mat))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -494,7 +487,10 @@ def embed(op: HermOp, target: SystemLayout) -> HermOp:
 
 
 def basis_ket(index: int, layout) -> Ket:
+    """The computational basis state ``index``, 0 <= index < dim, of ``layout``."""
     layout = as_layout(layout)
+    if not 0 <= index < layout.dim:
+        raise IndexError(f"basis index {index} is outside 0..{layout.dim - 1}")
     amp = np.zeros(layout.dim, dtype=complex)
     amp[index] = 1.0
     return Ket(amp, layout)

@@ -212,6 +212,8 @@ def run_check(name: str, trials: int, dims=(2, 4, 8), seed: int = 0) -> dict:
     if name not in CHECKS:
         raise ValueError(
             f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     fn = CHECKS[name]
     worst = math.inf
     failures = []

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oneshot_qcap import bounds, divergences
+from oneshot_qcap import bounds, divergences, verification
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
@@ -95,6 +95,36 @@ def test_parse_rejects_nonclassical_label():
         parse_spec(bad)
 
 
+BASIS_STATE = {"schema": "1", "type": "state", "name": "basis",
+               "dims": [["A", 2]]}
+CQ_CHANNEL = {"schema": "1", "type": "channel", "name": "cq"}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(IDENTITY_CHANNEL, name="depolarizing", p=[0.1]), "p"),
+    (dict(IDENTITY_CHANNEL, dims="x"), "dims"),
+    (dict(BASIS_STATE, index=7), "index"),
+    (dict(BASIS_STATE, index=-1), "index"),
+    (dict(IDENTITY_CHANNEL, labels=["A"]), "labels"),
+    (dict(CQ_CHANNEL, outputs=5), "outputs"),
+    (dict(CQ_CHANNEL, outputs=[5]), "outputs[0]"),
+    ({"schema": "1", "type": "state", "ket": 5, "dims": [["A", 2]]}, "ket"),
+    (dict(BELL_STATE, product=5), "product"),
+    (dict(BELL_STATE, product=[5]), "product[0]"),
+    (dict(BELL_STATE, classical=5), "classical"),
+    (dict(BELL_STATE, classical=[["A"]]), "classical[0]"),
+])
+def test_malformed_spec_field_is_named(tmp_path, capsys, doc, field):
+    with pytest.raises(SpecError) as info:
+        parse_spec(doc)
+    assert info.value.path == field
+    if field == "index":
+        path = write_spec(tmp_path, "bad.json", doc)
+        assert run(["divergence", "dmax", "--rho", path, "--sigma", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: index: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 
@@ -168,6 +198,15 @@ def test_verify_exit_codes(capsys):
     code = run(["verify", "--facts", "not_a_check", "--trials", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_needs_at_least_one_trial(capsys, trials):
+    with pytest.raises(ValueError, match="trials"):
+        verification.run_check("triangle", trials)
+    assert run(["verify", "--facts", "triangle", "--trials", str(trials)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "trials" in out.err
 
 
 def test_verify_pure_rank_one_where_the_search_fell_short(capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oneshot_qcap import linalg
 from oneshot_qcap.linalg import (
     DensityOp,
     DimensionCapError,
@@ -217,6 +218,10 @@ def test_local_trace_matches_the_trace_of_the_placed_product(registers):
         local_trace((registers, op), target, mat[:, :3])
     with pytest.raises(LayoutError, match="lacks register"):
         local_trace(([("X", 2)], np.eye(2)), target, mat)
+    with pytest.raises(LayoutError, match="matrix shape"):
+        local_trace(([("A", 2)], np.eye(3)), target, mat)
+    with pytest.raises(LayoutError, match="duplicate"):
+        local_trace(([("A", 2), ("A", 2)], np.eye(4)), target, mat)
 
 
 @pytest.mark.parametrize("registers", [[("D", 2), ("A", 2)], [("C", 2)],
@@ -246,6 +251,24 @@ def test_reduced_and_local_trace_keep_stack_axes():
         assert np.allclose(got[:, :, i, j], reduced(kept, target, mat),
                            rtol=0, atol=1e-14)
         assert abs(traces[i, j] - local_trace((kept, op), target, mat)) < 1e-12
+
+
+def test_register_operations_leave_a_built_layout_unchecked(monkeypatch):
+    # The target was checked against the cap when it was built; the register
+    # operations check only the registers they name.
+    target = SystemLayout([("A", 2), ("B", 3), ("C", 2)])
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((target.dim, target.dim))
+    factor = ([("C", 2), ("A", 2)], rng.standard_normal((4, 4)))
+    calls = []
+    real = linalg.dimension_cap
+    monkeypatch.setattr(linalg, "dimension_cap",
+                        lambda: calls.append(1) or real())
+    place([factor], target)
+    local_product(factor, target, mat)
+    reduced(factor[0], target, mat)
+    local_trace(factor, target, mat)
+    assert calls == []
 
 
 def test_reduced_rejects_what_does_not_fit():
