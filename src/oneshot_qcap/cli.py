@@ -10,6 +10,7 @@ tolerance, 3 = a numerical failure of a solver (``NumericalError``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -26,8 +27,8 @@ from . import channels as channels_mod
 from . import coding as coding_mod
 from . import divergences as div_mod
 from . import verification as verify_mod
-from .linalg import (DensityOp, Ket, NumericalError, SystemLayout, basis_ket,
-                     max_entangled_ket, maximally_mixed)
+from .linalg import (DensityOp, DimensionCapError, Ket, NumericalError,
+                     SystemLayout, basis_ket, max_entangled_ket, maximally_mixed)
 
 __all__ = ["SpecError", "parse_spec", "run", "main"]
 
@@ -40,106 +41,115 @@ class SpecError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 # ---------------------------------------------------------------------------
 # spec parsing
 
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise SpecError(path, f"expected a list, got {value!r}")
+@contextlib.contextmanager
+def _field(path: str):
+    """Report a bad value met inside as an error in the field ``path``: a
+    ValueError (LayoutError included), TypeError or IndexError becomes a
+    SpecError at ``path``, and a nested SpecError gets ``path`` as a prefix.
+    The dimension cap and numerical failures pass through as themselves."""
+    try:
+        yield
+    except SpecError as exc:
+        sep = "" if exc.path.startswith("[") else "."
+        raise SpecError(f"{path}{sep}{exc.path}", exc.message) from exc.__cause__
+    except DimensionCapError:
+        raise
+    except (ValueError, TypeError, IndexError) as exc:
+        raise SpecError(path, str(exc)) from exc
+
+
+def _typed(value, kind=(int, float), noun: str = "a number"):
+    """``value`` if it is a ``kind``, by default a number; the one type check
+    of spec values, so booleans are neither numbers nor integers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {noun}, got {value!r}")
     return value
 
 
-def _real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(path, f"expected a number, got {value!r}")
-    return float(value)
+def _each(values, parse) -> list:
+    """``parse`` of each entry of the list ``values``, entry i under ``[i]``."""
+    parsed = []
+    for i, value in enumerate(_typed(values, list, "a list")):
+        with _field(f"[{i}]"):
+            parsed.append(parse(value))
+    return parsed
 
 
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(path, f"expected an integer, got {value!r}")
-    return value
+def _label(value) -> str:
+    return _typed(value, str, "a label")
 
 
-def _complex_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise SpecError(path, f"expected a real number or [re, im] pair, got {value!r}")
+def _complex_entry(value) -> complex:
+    """A number, or an [re, im] pair of numbers."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_typed(value[0]), _typed(value[1]))
+    return complex(_typed(value))
 
 
-def _complex_matrix(rows, path: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SpecError(path, "expected a non-empty list of rows")
-    return np.array([[_complex_entry(v, f"{path}[{i}][{j}]")
-                      for j, v in enumerate(row)]
-                     for i, row in enumerate(rows)], dtype=complex)
+def _complex_matrix(rows) -> np.ndarray:
+    if not rows:
+        raise ValueError("expected a non-empty list of rows")
+    return np.array(_each(rows, lambda row: _each(row, _complex_entry)),
+                    dtype=complex)
 
 
-def _registers(field, path: str) -> list[tuple[str, int]]:
-    if not isinstance(field, list) or not field:
-        raise SpecError(path, "expected a non-empty list of [label, dim] pairs")
-    regs = []
-    for i, item in enumerate(field):
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], str) or not isinstance(item[1], int)):
-            raise SpecError(f"{path}[{i}]", f"expected [label, dim], got {item!r}")
-        regs.append((item[0], item[1]))
-    return regs
+def _register(item) -> tuple[str, int]:
+    if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str):
+        raise TypeError(f"expected [label, dim], got {item!r}")
+    return item[0], _typed(item[1], int, "an integer")
+
+
+def _registers(doc: dict, key: str) -> SystemLayout:
+    """The checked layout of ``doc[key]``, a list of [label, dim] pairs."""
+    with _field(key):
+        if not isinstance(doc[key], list) or not doc[key]:
+            raise TypeError("expected a non-empty list of [label, dim] pairs")
+        return SystemLayout(_each(doc[key], _register))
 
 
 def _parse_channel(doc: dict) -> channels_mod.KrausChannel:
+    layouts = {}
+    for key in ("in_dims", "out_dims"):
+        if key in doc:
+            layouts[key] = _registers(doc, key)
+        elif "kraus" in doc:
+            raise SpecError(key, "required alongside 'kraus'")
     if "kraus" in doc:
-        for key in ("in_dims", "out_dims"):
-            if key not in doc:
-                raise SpecError(key, "required alongside 'kraus'")
-        in_regs = _registers(doc["in_dims"], "in_dims")
-        out_regs = _registers(doc["out_dims"], "out_dims")
-        kraus = [_complex_matrix(k, f"kraus[{i}]")
-                 for i, k in enumerate(_list(doc["kraus"], "kraus"))]
-        try:
-            return channels_mod.KrausChannel(kraus, in_regs, out_regs)
-        except ValueError as exc:  # LayoutError is a ValueError
-            raise SpecError("kraus", str(exc)) from exc
+        with _field("kraus"):
+            return channels_mod.KrausChannel(
+                _each(doc["kraus"], _complex_matrix), *layouts.values())
     if "name" not in doc:
         raise SpecError("name", "channel spec needs 'name' or 'kraus'")
-    name = doc["name"]
     kwargs: dict[str, Any] = {}
-    if "dims" in doc:
-        kwargs["dims"] = _int(doc["dims"], "dims")
-    for key in ("p", "gamma"):
+    for key in ("dims", "p", "gamma"):
         if key in doc:
-            kwargs[key] = _real(doc[key], key)
+            with _field(key):
+                kwargs[key] = (_typed(doc[key], int, "an integer") if key == "dims"
+                               else float(_typed(doc[key])))
     labels = doc.get("labels", {})
     if not isinstance(labels, dict) or not set(labels) <= {"in", "out"}:
         raise SpecError("labels", f"expected an object with keys 'in' and/or "
                         f"'out', got {labels!r}")
     for key, label in labels.items():
-        if not isinstance(label, str):
-            raise SpecError(f"labels.{key}", f"expected a string, got {label!r}")
-        kwargs[f"{key}_label"] = label
+        with _field(f"labels.{key}"):
+            kwargs[f"{key}_label"] = _label(label)
     if "outputs" in doc:
-        outputs = _list(doc["outputs"], "outputs")
-        for i, sub in enumerate(outputs):
-            if not isinstance(sub, dict):
-                raise SpecError(f"outputs[{i}]", f"expected a state spec, got {sub!r}")
-        kwargs["outputs"] = [parse_spec({"schema": SCHEMA_VERSION, "type": "state",
-                                         **sub}) for sub in outputs]
-    try:
-        ch = channels_mod.builtin(name, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SpecError("name", str(exc)) from exc
-    if "in_dims" in doc or "out_dims" in doc:
-        # Relabel / reshape built-in channel registers when requested.
-        in_regs = _registers(doc["in_dims"], "in_dims") if "in_dims" in doc \
-            else list(ch.in_layout.registers)
-        out_regs = _registers(doc["out_dims"], "out_dims") if "out_dims" in doc \
-            else list(ch.out_layout.registers)
-        ch = channels_mod.KrausChannel(list(ch.kraus), in_regs, out_regs)
+        with _field("outputs"):
+            kwargs["outputs"] = _each(doc["outputs"], lambda sub: _parse_state(
+                _typed(sub, dict, "a state spec")))
+    with _field("name"):
+        ch = channels_mod.builtin(doc["name"], **kwargs)
+    # Relabel / reshape the built-in channel's registers, one side at a time.
+    for key, layout in layouts.items():
+        with _field(key):
+            sides = {"in_dims": ch.in_layout, "out_dims": ch.out_layout, key: layout}
+            ch = channels_mod.KrausChannel(ch.kraus, *sides.values())
     return ch
 
 
@@ -148,71 +158,58 @@ _STATE_NAMES = ("max_entangled", "bell", "maximally_mixed", "basis",
 
 
 def _parse_state(doc: dict) -> DensityOp:
-    dims = _registers(doc["dims"], "dims") if "dims" in doc else None
+    layout = _registers(doc, "dims") if "dims" in doc else None
     if "name" in doc:
         name = doc["name"]
         if name not in _STATE_NAMES:
             raise SpecError("name", f"unknown state {name!r}; "
                             f"choose from {_STATE_NAMES}")
-        if dims is None:
+        if layout is None:
             raise SpecError("dims", "named states need explicit 'dims'")
-        layout = SystemLayout(dims)
+        dims = layout.dims
         if name in ("max_entangled", "bell", "classically_correlated") and (
-                len(dims) != 2 or dims[0][1] != dims[1][1]):
+                len(dims) != 2 or dims[0] != dims[1]):
             raise SpecError("dims", "needs two registers of equal dimension")
         if name in ("max_entangled", "bell"):
-            state = max_entangled_ket(dims[0][1], dims[0][0], dims[1][0]).density()
+            state = max_entangled_ket(dims[0], *layout.labels).density()
         elif name == "maximally_mixed":
             state = maximally_mixed(layout)
         elif name == "basis":
-            try:
-                ket = basis_ket(_int(doc.get("index", 0), "index"), layout)
-            except IndexError as exc:
-                raise SpecError("index", str(exc)) from exc
-            state = ket.density()
+            with _field("index"):
+                index = _typed(doc.get("index", 0), int, "an integer")
+                state = basis_ket(index, layout).density()
         else:  # classically_correlated
-            d = dims[0][1]
+            d = dims[0]
             mat = np.zeros((d * d, d * d), dtype=complex)
             for i in range(d):
                 mat[i * d + i, i * d + i] = 1.0 / d
             state = DensityOp(mat, layout)
     elif "ket" in doc:
-        if dims is None:
+        if layout is None:
             raise SpecError("dims", "'ket' states need explicit 'dims'")
-        amp = np.array([_complex_entry(v, f"ket[{i}]")
-                        for i, v in enumerate(_list(doc["ket"], "ket"))])
-        nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > 1e-9:
-            raise SpecError("ket", f"amplitudes have norm {nrm!r}, expected 1")
-        # Ket renormalizes what is within the tolerance.
-        state = Ket(amp, SystemLayout(dims)).density()
+        with _field("ket"):
+            amp = np.array(_each(doc["ket"], _complex_entry))
+            nrm = float(np.linalg.norm(amp))
+            if abs(nrm - 1.0) > 1e-9:
+                raise ValueError(f"amplitudes have norm {nrm!r}, expected 1")
+            # Ket renormalizes what is within the tolerance.
+            state = Ket(amp, layout).density()
     elif "matrix" in doc:
-        if dims is None:
+        if layout is None:
             raise SpecError("dims", "'matrix' states need explicit 'dims'")
-        mat = _complex_matrix(doc["matrix"], "matrix")
-        try:
-            state = DensityOp(mat, SystemLayout(dims))
-        except ValueError as exc:
-            raise SpecError("matrix", str(exc)) from exc
+        with _field("matrix"):
+            state = DensityOp(_complex_matrix(doc["matrix"]), layout)
     else:
         raise SpecError("state", "needs one of 'name', 'ket', 'matrix'")
-    for i, grp in enumerate(_list(doc.get("product", []), "product")):
-        parts = [[l] if isinstance(l, str) else l for l in _list(grp, f"product[{i}]")]
-        if not all(isinstance(part, list) and all(isinstance(l, str) for l in part)
-                   for part in parts):
-            raise SpecError(f"product[{i}]", "expected a list of labels or of "
-                            f"label lists, got {grp!r}")
-        try:
+    # Each product group lists labels or label lists.
+    with _field("product"):
+        for parts in _each(doc.get("product", []), lambda grp: _each(
+                grp, lambda part: _each([part] if isinstance(part, str) else part,
+                                        _label))):
             coding_mod.product_check(state, parts)
-        except ValueError as exc:
-            raise SpecError("product", str(exc)) from exc
-    for i, label in enumerate(_list(doc.get("classical", []), "classical")):
-        if not isinstance(label, str):
-            raise SpecError(f"classical[{i}]", f"expected a label, got {label!r}")
-        try:
+    with _field("classical"):
+        for label in _each(doc.get("classical", []), _label):
             coding_mod.classical_blocks(state, label)
-        except ValueError as exc:
-            raise SpecError("classical", str(exc)) from exc
     return state
 
 
@@ -238,6 +235,17 @@ def _load_spec(path: str):
         except json.JSONDecodeError as exc:
             raise SpecError(path, f"invalid JSON: {exc}") from exc
     return parse_spec(doc)
+
+
+def _load_specs(args, required, command: str) -> dict:
+    """``args``' --channel, --state, --state-b and --tau specs, each parsed
+    once (None when not given); those in ``required`` must be given."""
+    paths = {key: getattr(args, key) for key in ("channel", "state", "state_b", "tau")}
+    for key in required:
+        if paths[key] is None:
+            flag = key.replace("_", "-")
+            raise SpecError(flag, f"{command} needs the spec --{flag}")
+    return {key: _load_spec(path) if path else None for key, path in paths.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -315,40 +323,37 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def _simulate_report(args):
+def _simulate_reports(args, points):
+    """(report, floors, holds) of the scenario at each (R, eps, delta) of
+    ``points``, its specs loaded once."""
     spec = coding_mod.SCENARIOS[args.scenario]
     if args.strategy not in (spec.strategies or ("sequential",)):
         takers = [name for name, sc in coding_mod.SCENARIOS.items()
                   if sc.strategies]
         raise ValueError(f"--strategy {args.strategy} applies only to "
                          f"{', '.join(takers)}; {spec.name} has one decoder")
-    paths = {"state": args.state, "state_b": args.state_b, "tau": args.tau}
-    for key in spec.inputs:
-        if paths[key] is None:
-            flag = key.replace("_", "-")
-            raise SpecError(flag, f"{spec.name} needs the spec --{flag}")
-    ch = _load_spec(args.channel)
-    specs = {key: _load_spec(path) if path else None for key, path in paths.items()}
-    # One value serves every message stream; see Scenario.per_stream.
-    rates, eps, delta = _ints(args.R), _floats(args.eps), float(args.delta)
-    if spec.assisted:
-        # Each assisted simulator is simulate_<scenario>, taking the
-        # scenario's spec inputs in table order after the channel.
-        simulate = getattr(coding_mod, f"simulate_{spec.name}")
-        options = {"strategy": args.strategy} if spec.strategies else {}
-        rep = simulate(ch, *(specs[key] for key in spec.inputs), rates, eps,
-                       delta, c=args.c, **options)
-    else:
-        rep = coding_mod.simulate_unassisted(
-            spec.name.removesuffix("_ua"), ch, specs["state"], rates, eps, delta,
-            psi_b=specs["state_b"], tau=specs["tau"], c=args.c)
-    floors = coding_mod.report_floors(rep, sigmas=args.floor_sigmas,
-                                      seed=args.seed)
-    return rep, floors, rep.bound_satisfied and all(f["holds"] for f in floors)
+    specs = _load_specs(args, spec.inputs, spec.name)
+    for R, eps, delta in points:
+        # One value serves every message stream; see Scenario.per_stream.
+        rates, eps, delta = _ints(R), _floats(eps), float(delta)
+        if spec.assisted:
+            # Each assisted simulator is simulate_<scenario>, taking the
+            # scenario's spec inputs in table order after the channel.
+            simulate = getattr(coding_mod, f"simulate_{spec.name}")
+            options = {"strategy": args.strategy} if spec.strategies else {}
+            rep = simulate(specs["channel"], *(specs[key] for key in spec.inputs),
+                           rates, eps, delta, c=args.c, **options)
+        else:
+            rep = coding_mod.simulate_unassisted(
+                spec.name.removesuffix("_ua"), specs["channel"], specs["state"],
+                rates, eps, delta, psi_b=specs["state_b"], tau=specs["tau"], c=args.c)
+        floors = coding_mod.report_floors(rep, sigmas=args.floor_sigmas,
+                                          seed=args.seed)
+        yield rep, floors, rep.bound_satisfied and all(f["holds"] for f in floors)
 
 
 def _cmd_simulate(args) -> int:
-    rep, floors, ok = _simulate_report(args)
+    (rep, floors, ok), = _simulate_reports(args, [(args.R, args.eps, args.delta)])
     _emit({"command": "simulate", "scenario": args.scenario, "seed": args.seed,
            "inputs": {"channel": args.channel, "state": args.state,
                       "state_b": args.state_b, "tau": args.tau,
@@ -368,13 +373,8 @@ def _cmd_bound(args) -> int:
                "result": {"ceiling": ceiling, "witness_lambda": lam,
                           "witness_a": avec}}, args.output)
         return 0
-    for flag in ("channel", "state"):
-        if getattr(args, flag) is None:
-            raise SpecError(flag, f"bound {args.kind} needs the spec --{flag}")
-    ch = _load_spec(args.channel)
-    psi = _load_spec(args.state)
-    psi_b = _load_spec(args.state_b) if args.state_b else None
-    tau = _load_spec(args.tau) if args.tau else None
+    specs = _load_specs(args, ("channel", "state"), f"bound {args.kind}")
+    ch, psi, psi_b, tau = specs.values()
     sigmas = [_load_spec(p) for p in (args.sigma or [])]
     eps = _floats(args.eps)
     if args.kind == "converse":
@@ -411,13 +411,11 @@ def _cmd_sweep(args) -> int:
     grid_r = str(args.R).split(";")
     grid_eps = str(args.eps).split(";")
     grid_delta = [float(x) for x in str(args.delta).split(";")]
+    points = list(itertools.product(grid_r, grid_eps, grid_delta))
     rows = []
     worst_ok = True
-    for idx, (r, e, d) in enumerate(itertools.product(grid_r, grid_eps,
-                                                      grid_delta)):
-        sub = argparse.Namespace(**vars(args))
-        sub.R, sub.eps, sub.delta = r, e, d
-        rep, floors, ok = _simulate_report(sub)
+    for idx, ((r, e, d), (rep, floors, ok)) in enumerate(
+            zip(points, _simulate_reports(args, points))):
         worst_ok = worst_ok and ok
         rows.append({
             "index": idx,

@@ -96,26 +96,24 @@ def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
     return np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
 
 
-def _check_completion(g: np.ndarray):
-    """Require a square-root measurement's completion ``g``, given in S's
-    eigenbasis (or a stack), to be PSD by its Gershgorin discs there."""
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    min_eig = float(np.min(diag.real - (np.sum(np.abs(g), axis=-1) - np.abs(diag))))
+def _check_completion(w: np.ndarray, inv: np.ndarray):
+    """Require a square-root measurement's completion I - S^{-1/2} S S^{-1/2}
+    to be PSD: in S's eigenbasis it is diagonal, 1 - w inv^2 for S's
+    eigenvalues ``w`` and ``inv`` = :func:`_pinv_sqrt` of them (or stacks)."""
+    min_eig = float(np.min(1.0 - w * inv ** 2))
     if min_eig < -COMPLETION_TOL:
         raise NumericalError(
             f"POVM completion element fails PSD (min eig {min_eig:.3e})")
 
 
-def _square_root_measurement(tests: np.ndarray, root: np.ndarray, v: np.ndarray):
+def _square_root_measurement(tests: np.ndarray, root: np.ndarray):
     """The elements root T_k root of a stack of tests T_k (k on axis -3),
-    their checked completion last, for S^{-1/2} = ``root`` with eigenbasis
-    ``v`` (or stacks of them)."""
+    their completion last, for S^{-1/2} = ``root`` (or stacks of them)."""
     root = root[..., None, :, :]
     povm = root @ tests @ root
     povm = (povm + povm.conj().swapaxes(-1, -2)) / 2
     comp = np.eye(tests.shape[-1]) - np.sum(povm, axis=-3)
     comp = (comp + comp.conj().swapaxes(-1, -2)) / 2
-    _check_completion(v.conj().swapaxes(-1, -2) @ comp @ v)
     return np.concatenate([povm, comp[..., None, :, :]], axis=-3)
 
 
@@ -201,18 +199,17 @@ def split_sender_state(psi: DensityOp, channel_label: str):
 class PositionCode:
     """Square-root measurement S^{-1/2} T_k S^{-1/2}, S = sum_k T_k, of tests
     T_k (:func:`place` factors, one per position copy of a resource),
-    completed by I minus their sum; ``root`` is S^{-1/2}, ``basis`` S's
-    eigenbasis.  Only the multiple-access first stage and the tests use it."""
+    completed by I minus their sum; ``tests`` is the (copies, D, D) stack of
+    the placed T_k, ``root`` S^{-1/2}.  Only the multiple-access first stage
+    and the tests use it."""
 
     layout: SystemLayout
-    tests: tuple
+    tests: np.ndarray
     root: np.ndarray
-    basis: np.ndarray
 
     def elements(self) -> np.ndarray:
-        """The (copies + 1, D, D) stack of elements, the checked completion last."""
-        tests = np.stack([place([t], self.layout) for t in self.tests])
-        return _square_root_measurement(tests, self.root, self.basis)
+        """The (copies + 1, D, D) stack of elements, the completion last."""
+        return _square_root_measurement(self.tests, self.root)
 
 
 def _copy_label(resource_label: str, m: int) -> str:
@@ -247,12 +244,12 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
     layout = _copies_layout(test.layout, [(resource_label, copies)])
-    tests = tuple((_on_copies(test.layout, {resource_label: m}), test.matrix)
-                  for m in range(copies))
-    w, v = np.linalg.eigh(reduce(np.add, (place([t], layout) for t in tests)))
+    tests = np.stack([place([(_on_copies(test.layout, {resource_label: m}),
+                               test.matrix)], layout) for m in range(copies)])
+    w, v = np.linalg.eigh(reduce(np.add, tests))
     inv = _pinv_sqrt(w)
-    _check_completion(np.diag(1.0 - w * inv ** 2))
-    return PositionCode(layout, tests, (v * inv) @ v.conj().T, v)
+    _check_completion(w, inv)
+    return PositionCode(layout, tests, (v * inv) @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +744,7 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
     # eigenvalue over every block.
     w = np.concatenate([w_b for w_b, _ in eigs])
     inv = _pinv_sqrt(w)
-    _check_completion(np.diag(1.0 - w * inv ** 2))
+    _check_completion(w, inv)
     invs = np.split(inv, np.cumsum([len(w_b) for w_b, _ in eigs])[:-1])
     roots = [(v * inv_b) @ v.conj().T for (_, v), inv_b in zip(eigs, invs)]
     rows = []
@@ -803,8 +800,9 @@ def _string_code(rec: Receiver, rate: int):
     t = np.einsum("uiuj->uij", _letter_view(
         HermOp(dh.witness.operator, rec.joint.layout), [rec.resource]))[strings]
     w, v = np.linalg.eigh(np.sum(t, axis=1))
-    povm = _square_root_measurement(
-        t, (v * _pinv_sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2), v)
+    inv = _pinv_sqrt(w)
+    _check_completion(w, inv)
+    povm = _square_root_measurement(t, (v * inv[:, None, :]) @ v.conj().swapaxes(1, 2))
     conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
     per = np.einsum("ukij,umji->umk", povm, conds[strings]).real
     dist = np.maximum(np.tensordot(np.prod(probs[strings], axis=1), per, 1), 0.0)

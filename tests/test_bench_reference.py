@@ -1,5 +1,5 @@
-"""The benchmark's dense_sim and solver_loops ops, at two variants each, still
-produce the fingerprints recorded in ``bench/reference.json``.
+"""The benchmark's dense_sim, solver_loops and small_grid ops, at two variants
+each, still produce the fingerprints recorded in ``bench/reference.json``.
 
 The ops run in this process through ``oneshot_qcap.cli.run``; their spec
 files go to a temporary directory, and nothing under ``bench/`` is written.
@@ -23,7 +23,7 @@ import workloads  # noqa: E402
 from oneshot_qcap import cli  # noqa: E402
 
 OPS = [(workload, name, variant)
-       for workload in ("dense_sim", "solver_loops")
+       for workload in ("dense_sim", "solver_loops", "small_grid")
        for name, _ in workloads.WORKLOADS[workload]
        for variant in (0, 5)]
 

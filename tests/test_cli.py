@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from oneshot_qcap import bounds, divergences, verification
+from oneshot_qcap import bounds, cli, divergences, verification
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
-from oneshot_qcap.linalg import SystemLayout, maximally_mixed, tensor
+from oneshot_qcap.linalg import DimensionCapError, SystemLayout, maximally_mixed, tensor
 
 from helpers import (
     bell_density,
@@ -123,6 +123,64 @@ def test_malformed_spec_field_is_named(tmp_path, capsys, doc, field):
         assert run(["divergence", "dmax", "--rho", path, "--sigma", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: index: ") and "Traceback" not in err
+
+
+MIXED_QUBIT = {"schema": "1", "type": "state", "name": "maximally_mixed",
+               "dims": [["A", 2]]}
+MATRIX_STATE = {"schema": "1", "type": "state", "dims": [["A", 2]]}
+BAD_SECOND_OUTPUT = dict(CQ_CHANNEL, outputs=[MIXED_QUBIT, dict(MIXED_QUBIT, dims="x")])
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(MIXED_QUBIT, dims=[["A", True]]), "dims[0]"),
+    (dict(MATRIX_STATE, ket=[True, False]), "ket[0]"),
+    (dict(MATRIX_STATE, matrix=[[True, False], [False, False]]), "matrix[0][0]"),
+    (BAD_SECOND_OUTPUT, "outputs[1].dims"),
+    (dict(IDENTITY_CHANNEL, in_dims=[["A", 3]]), "in_dims"),
+    (dict(IDENTITY_CHANNEL, out_dims=[["B", 3]]), "out_dims"),
+    (dict(MATRIX_STATE, ket=[1, 0, 0]), "ket"),
+    (dict(MIXED_QUBIT, dims=[["A", 2], ["A", 2]]), "dims"),
+    (dict(MIXED_QUBIT, dims=[["A", 0]]), "dims"),
+    (dict(MATRIX_STATE, matrix=[[0.5, 0.0], [0.5]]), "matrix"),
+    (dict(IDENTITY_CHANNEL, dims=True), "dims"),
+    (dict(BELL_STATE, product=[[["A"], ["B'", 5]]]), "product[0][1][1]"),
+])
+def test_every_bad_value_is_a_field_error(doc, field):
+    with pytest.raises(SpecError) as info:
+        parse_spec(doc)
+    assert info.value.path == field
+    assert str(info.value) == f"{field}: {info.value.message}"
+
+
+def test_bad_cq_output_exits_one_naming_its_field(tmp_path, capsys):
+    ch = write_spec(tmp_path, "ch.json", BAD_SECOND_OUTPUT)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    assert run(["simulate", "p2p_ea", "--channel", ch, "--state", st,
+                "--R", "1", "--eps", "0.1", "--delta", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: outputs[1].dims: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [dict(MIXED_QUBIT, dims=[["A", 5000]]),
+                                 dict(IDENTITY_CHANNEL, dims=5000)])
+def test_dims_past_the_cap_raise_the_cap_error(tmp_path, capsys, doc):
+    with pytest.raises(DimensionCapError):
+        parse_spec(doc)
+    path = write_spec(tmp_path, "big.json", doc)
+    assert run(["divergence", "dmax", "--rho", path, "--sigma", path]) == 1
+    assert capsys.readouterr().err.startswith("error: total dimension 5000 exceeds cap")
+
+
+def test_sweep_parses_each_spec_file_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    parse = cli.parse_spec
+    monkeypatch.setattr(cli, "parse_spec", lambda doc: calls.append(doc) or parse(doc))
+    ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    assert run(["sweep", "p2p_ea", "--channel", ch, "--state", st, "--R", "1;2",
+                "--eps", "0.1", "--delta", "0.05", "--floor-sigmas", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert calls == [IDENTITY_CHANNEL, BELL_STATE]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ def test_position_povm_decomposes_one_operator_at_its_dimension(eig_inputs):
     assert [m.shape[-1] for m in eig_inputs].count(code.layout.dim) == 1
 
 
+def test_position_povm_checks_its_completion_once(monkeypatch):
+    calls = []
+    check = coding._check_completion
+    monkeypatch.setattr(coding, "_check_completion",
+                        lambda w, inv: calls.append(len(w)) or check(w, inv))
+    test = HermOp(np.diag([0.9, 0.1, 0.6, 0.2]),
+                  SystemLayout([("B", 2), ("R", 2)]))
+    code = build_position_povm(test, copies=4, resource_label="R")
+    assert len(code.elements()) == 5
+    assert calls == [code.layout.dim]
+
+
 def test_position_povm_rejects_a_completion_that_is_not_psd(monkeypatch):
     # A root 1% too large leaves I - root S root at -0.02 on S's support.
     pinv_sqrt = coding._pinv_sqrt
