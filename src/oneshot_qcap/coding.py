@@ -605,21 +605,6 @@ def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
     return math.isinf(dh_value) or rate <= dh_value - penalty_bits + 1e-9
 
 
-def _message_factors(state: DensityOp, senders, messages) -> list:
-    """``state`` with each sender's resource moved to copy m of its message m,
-    and independent copies of the resource in every other position, as
-    :func:`place` factors.
-
-    ``senders`` lists (resource label, resource marginal, number of copies).
-    """
-    factors = [(_on_copies(state.layout, {res: m for (res, _, _), m
-                                          in zip(senders, messages)}), state.matrix)]
-    for (res, marg, n), m in zip(senders, messages):
-        factors += [(_on_copies(marg.layout, {res: k}), marg.matrix)
-                    for k in range(n) if k != m]
-    return factors
-
-
 # ---------------------------------------------------------------------------
 # position decoders on Schur-Weyl and per-string blocks
 
@@ -712,11 +697,12 @@ def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
                v.reshape(-1, q).T @ power.reshape(-1, q))
 
 
-def _swaps(copies: int, outcomes: int) -> np.ndarray:
-    """Per message m, the outcomes with 0 and m swapped.  Swapping copies 0
-    and m of a position code takes message 0's state to message m's and T_0
-    to T_m, and leaves S and the set of tests: row m is row 0 in this order."""
-    perm = np.tile(np.arange(outcomes), (copies, 1))
+def _swaps(copies: int) -> np.ndarray:
+    """Per message m, the outcomes (abort last) with 0 and m swapped.
+    Swapping copies 0 and m of a position code takes message 0's state to
+    message m's and T_0 to T_m, and leaves S and the set of tests: row m is
+    row 0 in this order."""
+    perm = np.tile(np.arange(copies + 1), (copies, 1))
     perm[:, 0], perm[range(copies), range(copies)] = range(copies), 0
     return perm
 
@@ -777,7 +763,7 @@ def _run_position_code(rec: Receiver, rate: int):
     test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
     (row,) = _position_rows(test, rec.marginal.matrix, n,
                             [rec.state.permuted(order).matrix])
-    return dh, row[_swaps(n, n + 1)]
+    return dh, row[_swaps(n)]
 
 
 def _string_code(rec: Receiver, rate: int):
@@ -860,7 +846,7 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
 @dataclass(frozen=True)
 class _MacCode:
     omega: DensityOp               # receiver state, one copy of each resource
-    senders: tuple                 # per sender (resource, marginal, copies)
+    senders: tuple                 # per sender (resource, marginal)
     pointer: tuple | None          # sequential decoder: its pointer register
     dhs: tuple[DivergenceResult, DivergenceResult]
     witnesses: tuple[HermOp, HermOp]  # per sender, its test on one copy
@@ -868,14 +854,14 @@ class _MacCode:
 
 
 def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
-    """Both senders' tests and what the message states are made of
-    (:func:`_message_factors`).  The receiver's registers, with the
+    """Both senders' tests, resources and marginals, from which each decoder
+    builds the message states it reads.  The receiver's registers, with the
     sequential decoder's pointer qubit after them, are checked against the
     dimension cap, although no decoding stage allocates all of them."""
     omega = receivers[0].state
     n = (2 ** rates[0], 2 ** rates[1])
-    senders = tuple((r.resource, r.marginal, k) for r, k in zip(receivers, n))
-    layout = _copies_layout(omega.layout, [(res, n) for res, _, n in senders])
+    senders = tuple((r.resource, r.marginal) for r in receivers)
+    layout = _copies_layout(omega.layout, [(res, k) for (res, _), k in zip(senders, n)])
     pointer = None
     if sequential:
         # Longer than every register label, so it clashes with none.
@@ -885,14 +871,6 @@ def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
     return _MacCode(omega, senders, pointer, dhs,
                     tuple(HermOp(dh.witness.operator, r.joint.layout)
                           for dh, r in zip(dhs, receivers)), n)
-
-
-def _stage(factors, reads):
-    """The layout of the registers named by the factors that name a label in
-    ``reads``, and those factors placed on it."""
-    used = [f for f in factors if any(l in reads for l, _ in f[0])]
-    layout = SystemLayout([reg for regs, _ in used for reg in regs])
-    return layout, place(used, layout)
 
 
 def _split(layout: SystemLayout, test, stack: np.ndarray):
@@ -989,7 +967,7 @@ def _randomized(code: _MacCode):
     """:func:`_sequential_pass`'s input for the code's own message states:
     the receiver's state, and every wrong copy in its resource's marginal."""
     return ([[[(code.omega.layout.registers, code.omega.matrix)]]] * code.n[0],
-            [[marg.matrix] * n for _, marg, n in code.senders])
+            [[marg.matrix] * k for (_, marg), k in zip(code.senders, code.n)])
 
 
 def _mac_sequential(code: _MacCode):
@@ -1019,22 +997,29 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     i_first, i_second = order = (0, 1) if a_first else (1, 0)
     n1, n2 = n = code.n
     c_first, c_second = (_hn_constant(epsilons[i], delta, c[i]) for i in order)
-    first = build_position_povm(code.witnesses[i_first], n[i_first],
-                                code.senders[i_first][0])
+    res, marg = code.senders[i_first]
+    first = build_position_povm(code.witnesses[i_first], n[i_first], res)
     kraus_first = [(first.layout.registers, psd_sqrt(p)) for p in first.elements()]
-    # The second sender's wrong copies are untouched by the first stage:
-    # they change no fidelity and stay in the marginal the second stage reads.
-    layout, st = _stage(_message_factors(code.omega, code.senders, (0, 0)),
-                        first.layout.labels)
+    # Message (0, 0)'s first-stage state: the receiver's state with both
+    # resources on copy 0, and the first sender's other copies in its
+    # marginal.  The second sender's wrong copies are untouched by the first
+    # stage: they change no fidelity and stay in the marginal the second
+    # stage reads, so they are never placed.
+    factors = [(_on_copies(code.omega.layout, {r: 0 for r, _ in code.senders}),
+                code.omega.matrix)]
+    factors += [(_on_copies(marg.layout, {res: k}), marg.matrix)
+                for k in range(1, n[i_first])]
+    layout = SystemLayout([reg for regs, _ in factors for reg in regs])
+    st = place(factors, layout)
     branches = [local_product(k, layout, local_product(k, layout, st).conj().T)
                 for k in kraus_first]
     post = np.sum(branches, axis=0)
-    (res, marg, copies), w = code.senders[i_second], code.witnesses[i_second]
-    row = _position_rows(w.matrix, marg.matrix, copies, [
+    (res, marg), w = code.senders[i_second], code.witnesses[i_second]
+    row = _position_rows(w.matrix, marg.matrix, n[i_second], [
         reduced(_on_copies(w.layout, {res: 0}), layout, b) for b in branches])
     # Outcomes in (A-outcome, B-outcome) order whatever the decode order.
-    dist = (row if a_first else row.T)[_swaps(n1, n1 + 1)[:, None, :, None],
-                                       _swaps(n2, n2 + 1)[None, :, None, :]]
+    dist = (row if a_first else row.T)[_swaps(n1)[:, None, :, None],
+                                       _swaps(n2)[None, :, None, :]]
     hn_first = _hn_chain(code.dhs[i_first], n[i_first], c_first)
     hn_second = (math.sqrt(_hn_chain(code.dhs[i_second], n[i_second], c_second))
                  + math.sqrt(2 * hn_first)) ** 2
@@ -1256,7 +1241,7 @@ def _mac_string_errors(receivers, rates):
     # Given the letters (a, b), the decoder registers are in a diagonal block
     # of the receiver's state, and every copy is in the basis state of its
     # letter.
-    res, dims = zip(*((r, marg.layout.dim) for r, marg, _ in code.senders))
+    res, dims = zip(*((r, marg.layout.dim) for r, marg in code.senders))
     blocks = np.einsum("uiuj->uij", _letter_view(code.omega, res))
     probs = np.einsum("uii->u", blocks).real.reshape(dims)
     rest = [reg for reg in code.omega.layout.registers if reg[0] not in res]

@@ -9,6 +9,7 @@ all functions are pure, so values may be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -82,13 +83,19 @@ class SystemLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __init__(self, registers: Iterable[tuple[str, int]]):
-        object.__setattr__(self, "registers",
-                           tuple((str(lbl), int(dim)) for lbl, dim in registers))
-        if len(self._index) != len(self.registers):
-            raise LayoutError(f"duplicate register labels in {list(self.labels)}")
-        for lbl, dim in self.registers:
+        registers = tuple(registers)
+        for lbl, dim in registers:
+            if not isinstance(lbl, str):
+                raise LayoutError(f"register label {lbl!r} is not a string")
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+                raise LayoutError(f"register {lbl!r} has dimension {dim!r}, "
+                                  "not an integer")
             if dim < 1:
                 raise LayoutError(f"register {lbl!r} has dimension {dim} < 1")
+        object.__setattr__(self, "registers",
+                           tuple((lbl, int(dim)) for lbl, dim in registers))
+        if len(self._index) != len(self.registers):
+            raise LayoutError(f"duplicate register labels in {list(self.labels)}")
         cap = dimension_cap()
         if self.dim > cap:
             raise DimensionCapError(

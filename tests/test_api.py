@@ -1,10 +1,12 @@
-"""Static checks of the package's public names and imports.
+"""Static checks of the package's public names, private names and imports.
 
-The package has no linter; these two checks catch what one would: a stale
-``__all__`` entry and an import left behind when its last use is deleted.
+The package has no linter; these checks catch what one would: a stale
+``__all__`` entry, an import left behind when its last use is deleted, and a
+private helper left behind when its last caller is.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 
@@ -40,6 +42,51 @@ def _exported_names(tree: ast.Module) -> set[str]:
                         for t in node.targets)):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def _private_definitions(body: list[ast.stmt]):
+    """Each private function, class and constant that the statements
+    ``body`` define, with the statement that defines it."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((n, node) for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def _references(node: ast.AST) -> set[str]:
+    """The names ``node`` reads: bare, as attributes, or imported."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+@functools.cache
+def _package_statements() -> dict[str, list[tuple[ast.stmt, set[str]]]]:
+    """Per module, each top-level statement with the names it reads."""
+    return {p.stem: [(node, _references(node)) for node in ast.parse(p.read_text()).body]
+            for p in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_name_is_used(name):
+    statements = _package_statements()
+    body = [node for node, _ in statements[name]]
+    unused = [private for private, defined in _private_definitions(body)
+              if not any(private in refs for stmts in statements.values()
+                         for node, refs in stmts if node is not defined)]
+    assert not unused, f"{name} defines private names nothing uses {unused}"
 
 
 @pytest.mark.parametrize("name", MODULES)

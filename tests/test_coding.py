@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneshot_qcap import coding, divergences
 from oneshot_qcap.channels import (
@@ -114,6 +115,27 @@ def test_position_povm_rejects_a_completion_that_is_not_psd(monkeypatch):
     assert not isinstance(err.value, ValueError)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([2, 3]),
+       copies=st.integers(1, 4), spectrum=st.lists(st.floats(0, 1), min_size=6,
+                                                   max_size=6))
+def test_position_povm_is_complete_and_positive_for_every_test(seed, r, copies,
+                                                                spectrum):
+    # 0 <= T <= I on [B, R]: a random eigenbasis, and a spectrum in [0, 1]
+    # that may touch both ends.
+    u = sample("unitary", 2 * r, seed)
+    t = (u * spectrum[:2 * r]) @ u.conj().T
+    code = build_position_povm(HermOp((t + t.conj().T) / 2,
+                                      SystemLayout([("B", 2), ("R", r)])),
+                               copies, "R")
+    elements = code.elements()
+    assert len(elements) == copies + 1
+    assert np.allclose(np.sum(elements, axis=0), np.eye(code.layout.dim),
+                       rtol=0, atol=1e-10)
+    for el in elements:
+        assert np.linalg.eigvalsh(el)[0] >= -1e-10
+
+
 def test_position_povm_rejects_invalid_test():
     bad = HermOp(np.diag([1.5, 0.0]), SystemLayout([("B", 2)]))
     with pytest.raises(ValueError):
@@ -197,6 +219,21 @@ def test_position_code_rows_match_the_dense_decoder(name, rate):
         _, dist = coding._run_position_code(rec, rate)
         assert dist.shape == (2 ** rate, 2 ** rate + 1)
         assert np.allclose(dist, dense_position_code(rec, rate), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1, 2])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_position_code_rows_are_message_zeros_swapped(rate, seed):
+    # A random channel (an isometry A -> B (x) E split into two Kraus
+    # operators) and a random pure resource state: each message's row of the
+    # dense code is message 0's with outcomes 0 and m swapped.
+    v = sample("unitary", 4, seed)[:, :2]
+    ch = KrausChannel([v[:2], v[2:]], [("A", 2)], [("B", 2)])
+    psi = sample("pure", [2, 2], seed + 1, labels=["A", "R"]).density()
+    (rec,) = get_scenario("p2p_ea").build(ch, psi, None, None, [0.15])
+    dist = dense_position_code(rec, rate)
+    assert np.allclose(dist, dist[0][coding._swaps(2 ** rate)], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("copies,d", [(0, 2), (1, 3), (3, 2), (7, 2), (3, 3),
@@ -617,18 +654,25 @@ def test_staged_pgm_decoder_matches_the_dense_decoder(rates, senders, strategy):
 
 def test_pgm_decoder_assembles_one_message_state(monkeypatch):
     # Every message's row is message (0, 0)'s with outcomes swapped, and the
-    # second stage is read off Schur-Weyl blocks: one message state and one
-    # dense position code, the first stage's.
-    calls = {"_message_factors": 0, "build_position_povm": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(coding, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(coding, name, counted)
-    psi_a, psi_b = mac_inputs()
-    simulate_mac_ea(noisy_xor_mac_channel(0.1), psi_a, psi_b, rates=(2, 1),
-                    epsilons=(0.05, 0.1), delta=0.02, strategy="pgm_a_first")
-    assert calls == {"_message_factors": 1, "build_position_povm": 1}
+    # second stage is read off Schur-Weyl blocks: one placement of the
+    # receiver's state and one dense position code, the first stage's.
+    ch, (psi_a, psi_b), eps = noisy_xor_mac_channel(0.1), mac_inputs(), (0.05, 0.1)
+    omega = get_scenario("mac_ea").build(ch, psi_a, psi_b, None, eps)[0].state.matrix
+    calls = {"place": 0, "build_position_povm": 0}
+    place_, povm = coding.place, coding.build_position_povm
+
+    def counted_place(factors, target):
+        calls["place"] += any(np.array_equal(m, omega) for _, m in factors)
+        return place_(factors, target)
+
+    def counted_povm(*args):
+        calls["build_position_povm"] += 1
+        return povm(*args)
+    monkeypatch.setattr(coding, "place", counted_place)
+    monkeypatch.setattr(coding, "build_position_povm", counted_povm)
+    simulate_mac_ea(ch, psi_a, psi_b, rates=(2, 1), epsilons=eps, delta=0.02,
+                    strategy="pgm_a_first")
+    assert calls == {"place": 1, "build_position_povm": 1}
 
 
 def full_layout_dim(ch, psi_a, psi_b, rates):

@@ -44,6 +44,19 @@ def test_layout_rejects_duplicate_labels():
         SystemLayout([("A", 2), ("A", 2)])
 
 
+@pytest.mark.parametrize("register,named", [
+    (("A", 2.7), "'A'"), (("A", True), "'A'"), ((5, "3"), "5")],
+    ids=["float", "bool", "int-label"])
+def test_layout_rejects_a_register_that_is_not_a_label_and_an_integer(register, named):
+    with pytest.raises(LayoutError, match=named):
+        SystemLayout([register])
+
+
+def test_layout_accepts_a_numpy_integer_dimension():
+    lay = SystemLayout([("A", np.int64(2))])
+    assert lay.registers == (("A", 2),) and type(lay.dim_of("A")) is int
+
+
 def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         SystemLayout([(f"R{i}", 4) for i in range(10)])  # 4^10 >> 4096
