@@ -18,14 +18,13 @@ from .linalg import (
     maximally_mixed,
     partial_trace,
     purified_distance,
-    purify,
     sample,
-    schmidt_decompose,
     tensor,
 )
 from .channels import (
     KrausChannel,
     NeumarkDilation,
+    ParameterError,
     apply_channel,
     apply_on,
     builtin,
@@ -40,7 +39,6 @@ from .divergences import (
     DivergenceResult,
     HypothesisTest,
     SupportError,
-    dh_classical_oracle,
     dh_eps,
     dh_rank1_oracle,
     dmax,

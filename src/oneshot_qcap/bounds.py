@@ -80,11 +80,6 @@ class RateBound:
     certificate: tuple[float, ...] | None = None
 
 
-def _dh_value(rho: DensityOp, alt_mat: np.ndarray, eps: float) -> float:
-    res = dh_eps(rho, alt_mat, eps)
-    return math.inf if res.unbounded else res.value
-
-
 def _phi(test: np.ndarray, res: np.ndarray, d_out: int) -> np.ndarray:
     """Tr_res[(I x res) T] for a test T on [outputs, resources], or for each
     of a stack of them; its adjoint maps sigma to sigma x res."""
@@ -301,7 +296,7 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     if optimize:
         sigma, certificate = _sdp_sigma(joint.matrix, res_marg.matrix, d_out, eps)
         cand_mats.append(("sdp", sigma))
-    trace = [(desc, _dh_value(joint, np.kron(mat, res_marg.matrix), eps))
+    trace = [(desc, dh_eps(joint, np.kron(mat, res_marg.matrix), eps).value)
              for desc, mat in cand_mats]
     best = min(val for _, val in trace)
     # Candidates that tie to rounding name the earliest, so the label does
@@ -350,7 +345,7 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
     receivers = spec.build(ch, psi, psi_b, tau, eps)
     if spec.marginal_converse:
         # Conditioned variant: alternatives fixed by the state's own marginals.
-        vals = [_dh_value(r.joint, r.alt.matrix, r.eps) for r in receivers]
+        vals = [dh_eps(r.joint, r.alt.matrix, r.eps).value for r in receivers]
         return _make_bound(scenario, "converse", vals,
                            evaluated_at=spec.converse_note,
                            trace=(("rho_{out,sides} x rho_res", tuple(vals)),))
@@ -385,11 +380,11 @@ def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
     res_a, res_b = rec_a.resource, rec_b.resource
     rho = rec_a.state.permuted(outs + [res_a, res_b])
     rho_c = partial_trace(rho, outs).permuted(outs)
-    v1 = _dh_value(rho.permuted(outs + [res_b, res_a]),
-                   np.kron(rec_b.joint.matrix, rec_a.marginal.matrix), rec_a.eps)
-    v2 = _dh_value(rho, np.kron(rec_a.joint.matrix, rec_b.marginal.matrix), rec_b.eps)
-    vsum = _dh_value(rho, np.kron(np.kron(rho_c.matrix, rec_a.marginal.matrix),
-                                  rec_b.marginal.matrix), rec_a.eps + rec_b.eps)
+    v1 = dh_eps(rho.permuted(outs + [res_b, res_a]),
+                np.kron(rec_b.joint.matrix, rec_a.marginal.matrix), rec_a.eps).value
+    v2 = dh_eps(rho, np.kron(rec_a.joint.matrix, rec_b.marginal.matrix), rec_b.eps).value
+    vsum = dh_eps(rho, np.kron(np.kron(rho_c.matrix, rec_a.marginal.matrix),
+                               rec_b.marginal.matrix), rec_a.eps + rec_b.eps).value
     return _make_bound("mac_ea_hdw", "converse", [v1, v2], sum_rate=vsum,
                        evaluated_at="alternatives = state marginals",
                        trace=(("per-sender and sum-rate", (v1, v2, vsum)),))
@@ -405,7 +400,7 @@ def achievable_rate(scenario: str, ch: KrausChannel, psi: DensityOp, eps,
     spec = get_scenario(scenario)
     eps = spec.per_stream(eps, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
-    vals = [_dh_value(r.joint, r.alt.matrix, r.eps) - spec.penalty(e, delta, strategy)
+    vals = [dh_eps(r.joint, r.alt.matrix, r.eps).value - spec.penalty(e, delta, strategy)
             for r, e in zip(receivers, eps)]
     return _make_bound(scenario, "achievable", vals,
                        evaluated_at=spec.achievable_note.format(strategy=strategy))

@@ -21,6 +21,7 @@ from .linalg import (
 
 __all__ = [
     "KrausChannel",
+    "ParameterError",
     "NeumarkDilation",
     "apply_channel",
     "apply_on",
@@ -225,26 +226,47 @@ def cq_channel(outputs: Sequence[DensityOp], in_label: str = "A",
     return KrausChannel(kraus, [(in_label, d_in)], [(out_label, d_out)])
 
 
-def builtin(name: str, dims: int = 2, *, p: float | None = None,
+class ParameterError(ValueError):
+    """A builtin channel asked for without a parameter it needs, or with one
+    it does not take; ``parameter`` names it."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
+# Each builtin's factory and the parameters it takes, in the factory's
+# order; every one is required but ``dims``, which defaults to 2.
+_BUILTINS = {
+    "identity": (identity_channel, ("dims",)),
+    "depolarizing": (depolarizing, ("p", "dims")),
+    "dephasing": (dephasing, ("p",)),
+    "amplitude_damping": (amplitude_damping, ("gamma",)),
+    "erasure": (erasure, ("p", "dims")),
+    "cq": (cq_channel, ("outputs",)),
+}
+
+
+def builtin(name: str, dims: int | None = None, *, p: float | None = None,
             gamma: float | None = None,
             outputs: Sequence[DensityOp] | None = None,
             in_label: str = "A", out_label: str = "B") -> KrausChannel:
-    """Channel zoo dispatch by name."""
-    if name == "identity":
-        return identity_channel(dims, in_label, out_label)
-    if name == "depolarizing":
-        return depolarizing(0.0 if p is None else p, dims, in_label, out_label)
-    if name == "dephasing":
-        return dephasing(0.0 if p is None else p, in_label, out_label)
-    if name == "amplitude_damping":
-        return amplitude_damping(0.0 if gamma is None else gamma, in_label, out_label)
-    if name == "erasure":
-        return erasure(0.0 if p is None else p, dims, in_label, out_label)
-    if name == "cq":
-        if outputs is None:
-            raise ValueError("cq channel needs its output states")
-        return cq_channel(outputs, in_label, out_label)
-    raise ValueError(f"unknown builtin channel {name!r}")
+    """Channel zoo dispatch by name.  ``p`` is required by depolarizing,
+    dephasing and erasure, ``gamma`` by amplitude_damping and ``outputs`` by
+    cq; ``dims`` (default 2) is taken by identity, depolarizing and erasure.
+    A missing parameter, or one the channel does not take, raises
+    :class:`ParameterError`."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin channel {name!r}")
+    factory, takes = _BUILTINS[name]
+    given = {"dims": dims, "p": p, "gamma": gamma, "outputs": outputs}
+    for key, value in given.items():
+        if value is not None and key not in takes:
+            raise ParameterError(key, f"the {name} channel takes no {key!r}")
+        if value is None and key in takes and key != "dims":
+            raise ParameterError(key, f"the {name} channel needs {key!r}")
+    given["dims"] = 2 if dims is None else dims
+    return factory(*(given[key] for key in takes), in_label, out_label)
 
 
 @dataclass(frozen=True)

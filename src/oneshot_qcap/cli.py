@@ -52,7 +52,9 @@ def _field(path: str):
     """Report a bad value met inside as an error in the field ``path``: a
     ValueError (LayoutError included), TypeError or IndexError becomes a
     SpecError at ``path``, and a nested SpecError gets ``path`` as a prefix.
-    The dimension cap and numerical failures pass through as themselves."""
+    A builtin channel's missing or stray parameter is an error in that
+    parameter's field.  The dimension cap and numerical failures pass through
+    as themselves."""
     try:
         yield
     except SpecError as exc:
@@ -60,6 +62,8 @@ def _field(path: str):
         raise SpecError(f"{path}{sep}{exc.path}", exc.message) from exc.__cause__
     except DimensionCapError:
         raise
+    except channels_mod.ParameterError as exc:  # names its own field
+        raise SpecError(exc.parameter, str(exc)) from exc
     except (ValueError, TypeError, IndexError) as exc:
         raise SpecError(path, str(exc)) from exc
 
@@ -307,12 +311,7 @@ def _cmd_divergence(args) -> int:
     rho = _load_spec(args.rho)
     sigma = _load_spec(args.sigma)
     if args.kind == "dh":
-        res = div_mod.dh_eps(rho, sigma, args.eps)
-        result = {"value": res.value, "unbounded": res.unbounded,
-                  "dual_bound": res.dual_bound,
-                  "witness": {"operator": res.witness.operator,
-                              "type1": res.witness.type1,
-                              "type2": res.witness.type2}}
+        result = div_mod.dh_eps(rho, sigma, args.eps)
     elif args.kind == "dmax":
         result = {"value": div_mod.dmax(rho, sigma)}
     else:  # relative-entropy

@@ -106,6 +106,19 @@ def _check_completion(w: np.ndarray, inv: np.ndarray):
             f"POVM completion element fails PSD (min eig {min_eig:.3e})")
 
 
+def _inverse_roots(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """S^{-1/2} of each Hermitian matrix or stack in ``mats``, the diagonal
+    blocks of one operator S: one pseudo-inverse cutoff, PINV_TOL times S's
+    largest eigenvalue, and one completion check over every eigenvalue."""
+    eigs = [np.linalg.eigh(m) for m in mats]
+    w = np.concatenate([w_m.ravel() for w_m, _ in eigs])
+    inv = _pinv_sqrt(w)
+    _check_completion(w, inv)
+    invs = np.split(inv, np.cumsum([w_m.size for w_m, _ in eigs])[:-1])
+    return [(v * inv_m.reshape(w_m.shape)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            for (w_m, v), inv_m in zip(eigs, invs)]
+
+
 def _square_root_measurement(tests: np.ndarray, root: np.ndarray):
     """The elements root T_k root of a stack of tests T_k (k on axis -3),
     their completion last, for S^{-1/2} = ``root`` (or stacks of them)."""
@@ -246,10 +259,8 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     layout = _copies_layout(test.layout, [(resource_label, copies)])
     tests = np.stack([place([(_on_copies(test.layout, {resource_label: m}),
                                test.matrix)], layout) for m in range(copies)])
-    w, v = np.linalg.eigh(reduce(np.add, tests))
-    inv = _pinv_sqrt(w)
-    _check_completion(w, inv)
-    return PositionCode(layout, tests, (v * inv) @ v.conj().T)
+    (root,) = _inverse_roots([reduce(np.add, tests)])
+    return PositionCode(layout, tests, root)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +428,7 @@ def _p2p_ea_bound(eps, delta, *, c, rates, dhs, **_) -> tuple[float, ...]:
     # The Hayashi-Nagaoka chain with the achieving test's errors replaced by
     # their guarantees: type I at most eps + delta, type II 2^-D_H.
     (e,), (cv,), (rate,), (dh,) = eps, c, rates, dhs
-    return ((1 + cv) * (e + delta) + (2 + cv + 1 / cv) * (
-        0.0 if math.isinf(dh) else 2.0 ** (rate - dh)),)
+    return ((1 + cv) * (e + delta) + (2 + cv + 1 / cv) * 2.0 ** (rate - dh),)
 
 
 def _slack_bound(k: int):
@@ -602,7 +612,7 @@ def _hn_constant(eps: float, delta: float, c: float | None) -> float:
 
 
 def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
-    return math.isinf(dh_value) or rate <= dh_value - penalty_bits + 1e-9
+    return rate <= dh_value - penalty_bits + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -725,14 +735,7 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
              + np.einsum("iajb,abxy,rs->irxjsy", t, gens, np.eye(d))
              ).reshape(len(test) * len(eye), -1)
         blocks.append((mult, s, np.kron(test, eye), marg))
-    eigs = [np.linalg.eigh(s) for _, s, _, _ in blocks]
-    # One pseudo-inverse cutoff for all of S: PINV_TOL times its largest
-    # eigenvalue over every block.
-    w = np.concatenate([w_b for w_b, _ in eigs])
-    inv = _pinv_sqrt(w)
-    _check_completion(w, inv)
-    invs = np.split(inv, np.cumsum([len(w_b) for w_b, _ in eigs])[:-1])
-    roots = [(v * inv_b) @ v.conj().T for (_, v), inv_b in zip(eigs, invs)]
+    roots = _inverse_roots([s for _, s, _, _ in blocks])
     rows = []
     for state in states:
         p0 = total = trace = 0.0
@@ -785,10 +788,8 @@ def _string_code(rec: Receiver, rate: int):
     # blocks have its type-I and type-II errors.
     t = np.einsum("uiuj->uij", _letter_view(
         HermOp(dh.witness.operator, rec.joint.layout), [rec.resource]))[strings]
-    w, v = np.linalg.eigh(np.sum(t, axis=1))
-    inv = _pinv_sqrt(w)
-    _check_completion(w, inv)
-    povm = _square_root_measurement(t, (v * inv[:, None, :]) @ v.conj().swapaxes(1, 2))
+    (roots,) = _inverse_roots([np.sum(t, axis=1)])
+    povm = _square_root_measurement(t, roots)
     conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
     per = np.einsum("ukij,umji->umk", povm, conds[strings]).real
     dist = np.maximum(np.tensordot(np.prod(probs[strings], axis=1), per, 1), 0.0)
@@ -1299,8 +1300,7 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     for i in range(sigmas):
         sigma = sample("density", n_out, seed=seed + i)
         alt = np.broadcast_to(sigma.matrix / n, (n, n_out, n_out))
-        res = dh_eps(phi, alt, eps)
-        values.append(math.inf if res.unbounded else res.value)
+        values.append(dh_eps(phi, alt, eps).value)
     floor = min(values)
     return {"floor": floor, "values": values, "eps": eps, "rate": rate_bits,
             "holds": floor >= rate_bits - 1e-7}

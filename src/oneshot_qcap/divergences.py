@@ -23,7 +23,6 @@ __all__ = [
     "relative_entropy",
     "dmax",
     "dh_eps",
-    "dh_classical_oracle",
     "dh_rank1_oracle",
 ]
 
@@ -113,7 +112,8 @@ class DivergenceResult:
     """Value of D_H^eps with the achieving test and a duality certificate.
 
     ``unbounded`` marks orthogonal-support instances where the type-II error
-    vanishes; ``value`` is meaningless in that case and callers must branch.
+    vanishes; ``value`` is then ``math.inf``, so callers can compare and
+    exponentiate it without branching (2 ** -value is 0).
     ``dual_bound`` upper-bounds the true optimum (weak duality), so
     value <= optimum <= dual_bound.
     """
@@ -427,37 +427,6 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     if t2 <= TYPE2_FLOOR:
         return DivergenceResult(math.inf, witness, dual, unbounded=True)
     return DivergenceResult(-math.log2(t2), witness, dual)
-
-
-def dh_classical_oracle(p, q, eps: float) -> float:
-    """Classical Neyman-Pearson value by greedy likelihood-ratio filling.
-
-    Sorts outcomes by p_i/q_i descending (q_i = 0 first, ties by original
-    index) and accepts mass until exactly 1 - eps of p is covered, splitting
-    the last outcome fractionally.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("p and q must have equal length")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    ratios = np.where(q > 0, p / np.where(q > 0, q, 1.0), math.inf)
-    order = sorted(range(len(p)), key=lambda i: (-ratios[i], i))
-    target = 1.0 - eps
-    beta = 0.0
-    acc = 0.0
-    for i in order:
-        if acc >= target - 1e-15:
-            break
-        take = min(1.0, (target - acc) / p[i]) if p[i] > 0 else 1.0
-        if p[i] <= 0:
-            continue  # zero-mass outcomes add type-II error for nothing
-        beta += take * q[i]
-        acc += take * p[i]
-    if beta <= TYPE2_FLOOR:
-        return math.inf
-    return -math.log2(beta)
 
 
 def dh_rank1_oracle(rho, sigma, eps: float) -> float:

@@ -35,8 +35,6 @@ __all__ = [
     "trace_with",
     "fidelity",
     "purified_distance",
-    "purify",
-    "schmidt_decompose",
     "embed",
     "place",
     "local_product",
@@ -55,7 +53,6 @@ DEFAULT_DIM_CAP = 4096
 EIG_CLIP_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
-RANK_TOL = 1e-10
 
 
 class LayoutError(ValueError):
@@ -333,39 +330,6 @@ def purified_distance(rho: DensityOp | np.ndarray,
     """sqrt(1 - F^2); a metric on density operators."""
     f = fidelity(rho, sigma)
     return float(np.sqrt(max(0.0, 1.0 - f * f)))
-
-
-def purify(rho: DensityOp, env_label: str) -> Ket:
-    """Purification with an environment register of dimension rank(rho)."""
-    if rho.layout.has(env_label):
-        raise LayoutError(f"environment label {env_label!r} already in layout")
-    w, v = herm_eig(HermOp(rho.matrix, rho.layout))
-    rank = max(1, int(np.sum(w > RANK_TOL)))
-    amp = np.zeros(rho.layout.dim * rank, dtype=complex)
-    for i in range(rank):
-        env = np.zeros(rank)
-        env[i] = 1.0
-        amp += np.sqrt(max(w[i], 0.0)) * np.kron(v[:, i], env)
-    layout = rho.layout.concat(SystemLayout([(env_label, rank)]))
-    return Ket(amp, layout)
-
-
-def schmidt_decompose(psi: Ket, cut: Iterable[str]):
-    """Schmidt decomposition across ``cut`` vs the remaining registers.
-
-    Returns (coefficients descending, left basis columns, right basis columns),
-    where "left" spans the ``cut`` registers in layout order.
-    """
-    cut_set = set(cut)
-    labels = psi.layout.labels
-    if not cut_set or cut_set == set(labels) or not cut_set <= set(labels):
-        raise LayoutError("cut must be a nonempty strict subset of the layout's registers")
-    left = [l for l in labels if l in cut_set]
-    right = [l for l in labels if l not in cut_set]
-    d_left = math.prod(psi.layout.dim_of(l) for l in left)
-    mat = psi.permuted(left + right).amplitudes.reshape(d_left, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return s, u, vh.conj().T
 
 
 def _target_axes(factors, target: SystemLayout, mat: np.ndarray | None = None

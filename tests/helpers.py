@@ -101,6 +101,39 @@ def nelder_mead_sigma_reference(joint: DensityOp, res_labels, eps: float,
     return best
 
 
+def dh_classical_oracle(p, q, eps: float) -> float:
+    """Classical Neyman-Pearson value by greedy likelihood-ratio filling, the
+    reference ``dh_eps`` and ``dh_rank1_oracle`` must match on diagonal
+    instances.
+
+    Sorts outcomes by p_i/q_i descending (q_i = 0 first, ties by original
+    index) and accepts mass until exactly 1 - eps of p is covered, splitting
+    the last outcome fractionally.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("p and q must have equal length")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    ratios = np.where(q > 0, p / np.where(q > 0, q, 1.0), math.inf)
+    order = sorted(range(len(p)), key=lambda i: (-ratios[i], i))
+    target = 1.0 - eps
+    beta = 0.0
+    acc = 0.0
+    for i in order:
+        if acc >= target - 1e-15:
+            break
+        take = min(1.0, (target - acc) / p[i]) if p[i] > 0 else 1.0
+        if p[i] <= 0:
+            continue  # zero-mass outcomes add type-II error for nothing
+        beta += take * q[i]
+        acc += take * p[i]
+    if beta <= dv.TYPE2_FLOOR:
+        return math.inf
+    return -math.log2(beta)
+
+
 def dh_eps_bisection(rho, sigma, eps: float) -> DivergenceResult:
     """D_H^eps as ``dh_eps`` computed it before its secant search: t* by
     plain bisection of [0, 2^(D_max + 1)] until the midpoint rounds to an

@@ -36,7 +36,7 @@ from oneshot_qcap.coding import (
     simulate_p2p_ea,
     simulate_unassisted,
 )
-from oneshot_qcap.divergences import DivergenceResult, dh_classical_oracle, dh_eps
+from oneshot_qcap.divergences import DivergenceResult, dh_eps
 from oneshot_qcap.linalg import (
     DensityOp,
     SystemLayout,
@@ -50,6 +50,7 @@ from helpers import (
     bell_density,
     classically_correlated,
     copy_broadcast_channel,
+    dh_classical_oracle,
     gp_controlled_flip_channel,
     gp_discard_channel,
     xor_mac_channel,

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from oneshot_qcap import bounds, cli, divergences, verification
+from oneshot_qcap import bounds, channels, cli, divergences, verification
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import DimensionCapError, SystemLayout, maximally_mixed, tensor
@@ -152,6 +154,64 @@ def test_every_bad_value_is_a_field_error(doc, field):
     assert str(info.value) == f"{field}: {info.value.message}"
 
 
+CHANNEL = {"schema": "1", "type": "channel", "labels": {"in": "A", "out": "B"}}
+ZERO_STATE = {"schema": "1", "type": "state", "name": "basis", "dims": [["B", 2]]}
+ONE_STATE = dict(ZERO_STATE, index=1)
+
+
+@pytest.mark.parametrize("params, factory", [
+    ({"name": "identity"}, lambda: channels.identity_channel(2)),
+    ({"name": "identity", "dims": 3}, lambda: channels.identity_channel(3)),
+    ({"name": "depolarizing", "p": 0.3}, lambda: channels.depolarizing(0.3)),
+    ({"name": "depolarizing", "p": 0.3, "dims": 3},
+     lambda: channels.depolarizing(0.3, 3)),
+    ({"name": "dephasing", "p": 0.2}, lambda: channels.dephasing(0.2)),
+    ({"name": "amplitude_damping", "gamma": 0.4},
+     lambda: channels.amplitude_damping(0.4)),
+    ({"name": "erasure", "p": 0.25}, lambda: channels.erasure(0.25)),
+    ({"name": "erasure", "p": 0.25, "dims": 3}, lambda: channels.erasure(0.25, 3)),
+    ({"name": "cq", "outputs": [ONE_STATE, ZERO_STATE]},
+     lambda: channels.cq_channel([parse_spec(ONE_STATE), parse_spec(ZERO_STATE)])),
+])
+def test_builtin_channel_spec_builds_its_factory(params, factory):
+    got, want = parse_spec(dict(CHANNEL, **params)), factory()
+    assert (got.in_layout, got.out_layout) == (want.in_layout, want.out_layout)
+    assert len(got.kraus) == len(want.kraus)
+    for a, b in zip(got.kraus, want.kraus):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"name": "depolarizing"}, "p"),
+    ({"name": "dephasing"}, "p"),
+    ({"name": "erasure", "dims": 3}, "p"),
+    ({"name": "amplitude_damping"}, "gamma"),
+    ({"name": "cq"}, "outputs"),
+    ({"name": "depolarizing", "p": 0.1, "gamma": 0.3}, "gamma"),
+    ({"name": "identity", "p": 0.1}, "p"),
+    ({"name": "amplitude_damping", "gamma": 0.3, "p": 0.1}, "p"),
+    ({"name": "amplitude_damping", "gamma": 0.3, "dims": 2}, "dims"),
+    ({"name": "dephasing", "p": 0.1, "dims": 2}, "dims"),
+    ({"name": "identity", "outputs": [ZERO_STATE]}, "outputs"),
+    ({"name": "cq", "outputs": [ZERO_STATE], "dims": 2}, "dims"),
+])
+def test_builtin_channel_parameter_missing_or_stray_is_named(tmp_path, capsys,
+                                                             params, field):
+    doc = dict(CHANNEL, **params)
+    with pytest.raises(SpecError) as info:
+        parse_spec(doc)
+    assert info.value.path == field
+    with pytest.raises(channels.ParameterError) as lib:
+        channels.builtin(**{k: [parse_spec(x) for x in v] if k == "outputs" else v
+                            for k, v in params.items()})
+    assert lib.value.parameter == field
+    ch = write_spec(tmp_path, "ch.json", doc)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    assert run(["bound", "converse", "--channel", ch, "--state", st]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
 def test_bad_cq_output_exits_one_naming_its_field(tmp_path, capsys):
     ch = write_spec(tmp_path, "ch.json", BAD_SECOND_OUTPUT)
     st = write_spec(tmp_path, "st.json", BELL_STATE)
@@ -196,6 +256,91 @@ def test_divergence_command(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["value"] == pytest.approx(2.0, abs=1e-10)
+
+
+MIXED_PAIR = {"schema": "1", "type": "state", "name": "maximally_mixed",
+              "dims": [["A", 2], ["B'", 2]]}
+ZERO_QUBIT = {"schema": "1", "type": "state", "name": "basis", "index": 0,
+              "dims": [["A", 2]]}
+ONE_QUBIT = dict(ZERO_QUBIT, index=1)
+NOISY_PAIR = {"schema": "1", "type": "state", "dims": [["A", 2], ["B'", 2]],
+              "matrix": [[0.4, 0, 0, 0.3], [0, 0.1, 0, 0],
+                         [0, 0, 0.1, 0], [0.3, 0, 0, 0.4]]}
+
+
+def _divergence(tmp_path, capsys, kind, rho, sigma, eps):
+    """The report of ``divergence kind`` on the specs rho and sigma."""
+    paths = [write_spec(tmp_path, f"{name}.json", doc)
+             for name, doc in (("rho", rho), ("sigma", sigma))]
+    assert run(["divergence", kind, "--rho", paths[0], "--sigma", paths[1],
+                "--eps", repr(eps)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"command": "divergence", "kind": kind, "eps": eps,
+                   "inputs": {"rho": paths[0], "sigma": paths[1]},
+                   "result": out["result"]}
+    return out["result"]
+
+
+@pytest.mark.parametrize("rho, sigma, eps", [
+    (BELL_STATE, MIXED_PAIR, 0.1), (NOISY_PAIR, MIXED_PAIR, 0.0),
+    (NOISY_PAIR, BELL_STATE, 0.2),
+    (ZERO_QUBIT, ONE_QUBIT, 0.1), (ZERO_QUBIT, ONE_QUBIT, 0.0)])
+def test_divergence_dh_reports_the_solver_result(tmp_path, capsys, rho, sigma, eps):
+    got = _divergence(tmp_path, capsys, "dh", rho, sigma, eps)
+    want = divergences.dh_eps(parse_spec(rho), parse_spec(sigma), eps)
+    assert set(got) == {"dual_bound", "unbounded", "value", "witness"}
+    assert set(got["witness"]) == {"operator", "type1", "type2"}
+    assert got["unbounded"] is want.unbounded
+    for key in ("value", "dual_bound"):  # inf is written as the string 'inf'
+        assert float(got[key]) == pytest.approx(getattr(want, key), abs=1e-12)
+    for key in ("type1", "type2"):
+        assert got["witness"][key] == pytest.approx(
+            getattr(want.witness, key), abs=1e-12)
+    operator = np.array(got["witness"]["operator"])
+    assert np.allclose(operator[..., 0] + 1j * operator[..., 1],
+                       want.witness.operator, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, solver", [
+    ("relative-entropy", divergences.relative_entropy),
+    ("dmax", divergences.dmax)])
+def test_divergence_value_reports_match_the_library(tmp_path, capsys, kind, solver):
+    got = _divergence(tmp_path, capsys, kind, NOISY_PAIR, MIXED_PAIR, 0.0)
+    assert set(got) == {"value"}
+    assert got["value"] == pytest.approx(
+        solver(parse_spec(NOISY_PAIR), parse_spec(MIXED_PAIR)), abs=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["gp", "broadcast"])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_bound_relaxation_reports_the_corollary(tmp_path, capsys, scenario,
+                                                optimize):
+    argv = scenario_specs(tmp_path)[f"{scenario}_ea"]
+    base = argv[:argv.index("--R")]
+    eps = argv[argv.index("--eps") + 1]
+    assert run(["bound", "relaxation", "--scenario", scenario, "--eps", eps]
+               + base + (["--optimize"] if optimize else [])) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"command", "kind", "result", "scenario", "seed"}
+    assert (out["command"], out["kind"], out["scenario"]) == (
+        "bound", "relaxation", scenario)
+    got = out["result"]
+    files = dict(zip(base[::2], base[1::2]))
+    ch, psi = (cli._load_spec(files[flag]) for flag in ("--channel", "--state"))
+    want = bounds.corollary_relaxations(scenario, ch, psi, [float(e) for e in
+                                                             eps.split(",")],
+                                        optimize=optimize)
+    assert set(got) == {f.name for f in dataclasses.fields(want)}
+    assert (got["scenario"], got["kind"], got["evaluated_at"], got["infeasible"]) \
+        == (f"{scenario}_relaxed", "converse", want.evaluated_at, False)
+    assert got["per_sender"] == pytest.approx(list(want.per_sender), abs=1e-12)
+    assert got["value"] == pytest.approx(want.value, abs=1e-12)
+    assert [desc for desc, _ in got["optimizer_trace"]] == \
+        [desc for desc, _ in want.optimizer_trace]
+    if optimize:
+        assert got["certificate"] == pytest.approx(list(want.certificate), abs=1e-12)
+    else:
+        assert got["certificate"] is None
 
 
 def test_bound_identity_corollary(capsys):

@@ -325,6 +325,14 @@ def test_seq_check_rejects_non_projector():
         seq_check(rho, [np.eye(2) * 0.5])
 
 
+def test_an_unbounded_divergence_reads_as_infinity():
+    # dh_eps gives D_H = +inf when the type-II error vanishes: the bound's
+    # 2^(R - D_H) term is then 0 and every rate is feasible.
+    bound = coding._p2p_ea_bound((0.1,), 0.05, c=(0.5,), rates=(3,), dhs=(math.inf,))
+    assert bound == ((1 + 0.5) * (0.1 + 0.05),)
+    assert coding._rate_feasible(50, math.inf, 7.0) is True
+
+
 # ---------------------------------------------------------------------------
 # point-to-point entanglement-assisted simulation
 

@@ -9,7 +9,6 @@ from oneshot_qcap.coding import simulate_mac_ea
 from oneshot_qcap.divergences import (
     TYPE1_SLACK,
     SupportError,
-    dh_classical_oracle,
     dh_eps,
     dh_rank1_oracle,
     dmax,
@@ -18,8 +17,8 @@ from oneshot_qcap.divergences import (
 from oneshot_qcap.linalg import (DensityOp, LayoutError, NumericalError, SystemLayout,
                                  basis_ket, sample)
 
-from helpers import (bell_density, classically_correlated, dh_eps_bisection,
-                     pure_density, xor_mac_channel)
+from helpers import (bell_density, classically_correlated, dh_classical_oracle,
+                     dh_eps_bisection, pure_density, xor_mac_channel)
 
 
 def diag_state(p):
@@ -382,6 +381,14 @@ def test_dh_unbounded_on_orthogonal_supports():
     sig = diag_state([0.0, 1.0])
     res = dh_eps(rho, sig, 0.1)
     assert res.unbounded
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0])  # the search and the eps = 0 return
+def test_dh_reports_an_unbounded_value_as_infinity(eps):
+    res = dh_eps(diag_state([1.0, 0.0]), diag_state([0.0, 1.0]), eps)
+    assert res.unbounded
+    assert res.value == math.inf
+    assert res.witness.type2 == 0.0
 
 
 def test_dh_monotone_in_eps():

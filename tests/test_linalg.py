@@ -12,7 +12,6 @@ from oneshot_qcap.linalg import (
     LayoutError,
     SystemLayout,
     basis_ket,
-    bell_ket,
     embed,
     fidelity,
     local_product,
@@ -22,10 +21,8 @@ from oneshot_qcap.linalg import (
     partial_trace,
     place,
     purified_distance,
-    purify,
     reduced,
     sample,
-    schmidt_decompose,
     tensor,
 )
 
@@ -135,19 +132,6 @@ def test_fidelity_pure_vs_mixed_closed_form():
     assert fidelity(rho.matrix, sigma.matrix) == fidelity(rho, sigma)
     with pytest.raises(LayoutError):
         fidelity(rho, DensityOp(sigma.matrix, [("B", 2)]))
-
-
-def test_purify_reduces_back():
-    rho = sample("density", 3, 5, labels=["A"])
-    ket = purify(rho, "E")
-    joint = pure_density(ket)
-    marg = partial_trace(joint, ["A"])
-    assert np.allclose(marg.matrix, rho.matrix, atol=1e-10)
-
-
-def test_schmidt_of_bell():
-    coeffs = schmidt_decompose(bell_ket("A", "B"), ["A"])[0]
-    assert np.allclose(sorted(coeffs), [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_max_entangled_marginal_is_uniform():

@@ -1,11 +1,14 @@
-"""Compare the CLI output of two source trees on the benchmark's ops.
+"""Compare the CLI output of two source trees on every CLI command.
 
 Usage, from the repository root:
 
     python3 tools/cli_diff.py OLD_TREE NEW_TREE --variants 0 5
 
 OLD_TREE and NEW_TREE are checkouts of this repository (``.`` for this one).
-Every op of ``bench/workloads.py`` (of this checkout) runs at each given
+Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
+the commands the benchmark does not run (``divergence``, ``bound
+achievable``, ``relaxation`` and ``identity-corollary``, the ``mac_ea_hdw``
+converse; see ``_cli_ops``), runs at each given
 variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
 that imports the package from the tree's ``src``. The spec files are written
 once, to one directory that both trees read. OpenBLAS runs on the thread
@@ -35,10 +38,65 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 
 
+def _named(name: str, dims, **extra) -> dict:
+    return {"schema": "1", "type": "state", "name": name, "dims": dims, **extra}
+
+
+def _cli_ops(variant: int):
+    """The CLI commands the benchmark does not run, on its spec documents at
+    ``variant`` and four more states: every divergence, the achievable,
+    relaxation and identity-corollary bounds and the sum-rate converse of
+    multiple access (which needs pure sender states)."""
+    import workloads as wl
+    p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
+    gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
+    bc = wl.op_for("small_grid", "broadcast_ea", variant).specs
+    mac = wl.op_for("dense_sim", "mac_ea_seq_21", variant).specs
+    pure = {"channel": mac["channel"],
+            "state": _named("bell", [["A", 2], ["RA", 2]]),
+            "state-b": _named("bell", [["B", 2], ["RB", 2]])}
+    pair = {"rho": p2p["state"],
+            "sigma": _named("maximally_mixed", [["A", 2], ["B'", 2]])}
+    # Orthogonal supports: D_H is unbounded at every eps.
+    apart = {"rho": _named("basis", [["A", 2]], index=0),
+             "sigma": _named("basis", [["A", 2]], index=1)}
+    eps = str(wl.P_GRID[variant])
+    spec_args = ["--channel", "@channel", "--state", "@state"]
+    divergence = ["--rho", "@rho", "--sigma", "@sigma"]
+    commands = {
+        "divergence_dh": (["divergence", "dh", *divergence, "--eps", eps], pair),
+        "divergence_dh_unbounded": (
+            ["divergence", "dh", *divergence, "--eps", eps], apart),
+        "divergence_dh_unbounded_eps0": (
+            ["divergence", "dh", *divergence, "--eps", "0"], apart),
+        "divergence_dmax": (["divergence", "dmax", *divergence], pair),
+        "divergence_relative_entropy": (
+            ["divergence", "relative-entropy", *divergence], pair),
+        "achievable_p2p_ea": (["bound", "achievable", "--scenario", "p2p_ea",
+                               *spec_args, "--eps", "0.1", "--delta", "0.05"], p2p),
+        "achievable_mac_ea_pgm": (
+            ["bound", "achievable", "--scenario", "mac_ea", *spec_args,
+             "--state-b", "@state-b", "--eps", "0.05,0.1", "--delta", "0.02",
+             "--strategy", "pgm_a_first"], mac),
+        "relaxation_gp": (["bound", "relaxation", "--scenario", "gp", *spec_args,
+                           "--eps", "0.15", "--optimize"], gp),
+        "relaxation_broadcast": (["bound", "relaxation", "--scenario", "broadcast",
+                                  *spec_args, "--eps", "0.1,0.1"], bc),
+        "identity_corollary": (["bound", "identity-corollary",
+                                "--dimA", str(2 + variant % 3), "--eps", eps], {}),
+        "converse_mac_ea_hdw": (
+            ["bound", "converse", "--scenario", "mac_ea_hdw", *spec_args,
+             "--state-b", "@state-b", "--eps", "0.05,0.1"], pure),
+    }
+    return [wl.Op("cli", name, variant, tuple(argv), specs)
+            for name, (argv, specs) in commands.items()]
+
+
 def _ops(variants: list[int]):
     import workloads as wl
     return [wl.op_for(w, name, v) for w, ops in wl.WORKLOADS.items()
-            for name, _ in ops for v in variants]
+            for name, _ in ops for v in variants] + [
+        op for v in variants for op in _cli_ops(v)]
 
 
 def _child(job: dict) -> None:
