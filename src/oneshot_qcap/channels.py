@@ -146,6 +146,15 @@ def channel_from_choi(choi_mat: np.ndarray, in_layout, out_layout) -> KrausChann
     return KrausChannel(kraus, in_layout, out_layout)
 
 
+class ParameterError(ValueError):
+    """A channel parameter that is missing, stray or out of range;
+    ``parameter`` names it (``p``, ``gamma``, ``outputs`` or ``dims``)."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 def identity_channel(dim: int, in_label: str = "A", out_label: str = "B") -> KrausChannel:
     return KrausChannel([np.eye(dim)], [(in_label, dim)], [(out_label, dim)])
 
@@ -154,7 +163,7 @@ def depolarizing(p: float, dim: int = 2, in_label: str = "A",
                  out_label: str = "B") -> KrausChannel:
     """rho -> (1-p) rho + p I/d."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("depolarizing parameter must be in [0, 1]")
+        raise ParameterError("p", "depolarizing parameter must be in [0, 1]")
     d = dim
     # Choi of the map, unnormalized (trace d).
     phi = np.zeros((d * d,) * 2, dtype=complex)
@@ -168,7 +177,7 @@ def depolarizing(p: float, dim: int = 2, in_label: str = "A",
 def dephasing(p: float, in_label: str = "A", out_label: str = "B") -> KrausChannel:
     """Qubit phase flip with Kraus {sqrt(1-p) I, sqrt(p) Z}."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("dephasing parameter must be in [0, 1]")
+        raise ParameterError("p", "dephasing parameter must be in [0, 1]")
     z = np.diag([1.0, -1.0])
     kraus = [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * z]
     kraus = [k for k in kraus if np.max(np.abs(k)) > 0]
@@ -178,7 +187,7 @@ def dephasing(p: float, in_label: str = "A", out_label: str = "B") -> KrausChann
 def amplitude_damping(gamma: float, in_label: str = "A",
                       out_label: str = "B") -> KrausChannel:
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError("damping parameter must be in [0, 1]")
+        raise ParameterError("gamma", "damping parameter must be in [0, 1]")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]])
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     return KrausChannel([k0, k1], [(in_label, 2)], [(out_label, 2)])
@@ -188,7 +197,7 @@ def erasure(p: float, dim: int = 2, in_label: str = "A",
             out_label: str = "B") -> KrausChannel:
     """With probability p replace the input by an orthogonal erasure flag."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("erasure parameter must be in [0, 1]")
+        raise ParameterError("p", "erasure parameter must be in [0, 1]")
     d = dim
     kraus = []
     keep = np.zeros((d + 1, d))
@@ -210,13 +219,14 @@ def cq_channel(outputs: Sequence[DensityOp], in_label: str = "A",
     ``outputs[i]`` is the state emitted on basis input |i>.
     """
     if not outputs:
-        raise ValueError("cq channel needs at least one output state")
+        raise ParameterError("outputs", "cq channel needs at least one output state")
     d_in = len(outputs)
     d_out = outputs[0].layout.dim
     kraus = []
     for i, out in enumerate(outputs):
         if out.layout.dim != d_out:
-            raise LayoutError("all cq output states must share one dimension")
+            raise ParameterError("outputs",
+                                 "all cq output states must share one dimension")
         w, v = herm_eig(HermOp(out.matrix, out.layout))
         bra = np.zeros((1, d_in))
         bra[0, i] = 1.0
@@ -224,15 +234,6 @@ def cq_channel(outputs: Sequence[DensityOp], in_label: str = "A",
             if w[j] > 1e-14:
                 kraus.append(np.sqrt(w[j]) * np.outer(v[:, j], bra))
     return KrausChannel(kraus, [(in_label, d_in)], [(out_label, d_out)])
-
-
-class ParameterError(ValueError):
-    """A builtin channel asked for without a parameter it needs, or with one
-    it does not take; ``parameter`` names it."""
-
-    def __init__(self, parameter: str, message: str):
-        super().__init__(message)
-        self.parameter = parameter
 
 
 # Each builtin's factory and the parameters it takes, in the factory's
@@ -254,7 +255,8 @@ def builtin(name: str, dims: int | None = None, *, p: float | None = None,
     """Channel zoo dispatch by name.  ``p`` is required by depolarizing,
     dephasing and erasure, ``gamma`` by amplitude_damping and ``outputs`` by
     cq; ``dims`` (default 2) is taken by identity, depolarizing and erasure.
-    A missing parameter, or one the channel does not take, raises
+    A missing parameter, one the channel does not take, a ``p`` or ``gamma``
+    outside [0, 1] and an empty ``outputs`` or one of mixed dimensions raise
     :class:`ParameterError`."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin channel {name!r}")

@@ -52,9 +52,9 @@ def _field(path: str):
     """Report a bad value met inside as an error in the field ``path``: a
     ValueError (LayoutError included), TypeError or IndexError becomes a
     SpecError at ``path``, and a nested SpecError gets ``path`` as a prefix.
-    A builtin channel's missing or stray parameter is an error in that
-    parameter's field.  The dimension cap and numerical failures pass through
-    as themselves."""
+    A builtin channel's missing, stray or out-of-range parameter is an error
+    in that parameter's field.  The dimension cap and numerical failures pass
+    through as themselves."""
     try:
         yield
     except SpecError as exc:

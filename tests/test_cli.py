@@ -115,6 +115,9 @@ CQ_CHANNEL = {"schema": "1", "type": "channel", "name": "cq"}
     (dict(BELL_STATE, product=[5]), "product[0]"),
     (dict(BELL_STATE, classical=5), "classical"),
     (dict(BELL_STATE, classical=[["A"]]), "classical[0]"),
+    (dict(IDENTITY_CHANNEL, name="depolarizing", p=1.5), "p"),
+    (dict(CQ_CHANNEL, name="amplitude_damping", gamma=-0.1), "gamma"),
+    (dict(CQ_CHANNEL, outputs=[]), "outputs"),
 ])
 def test_malformed_spec_field_is_named(tmp_path, capsys, doc, field):
     with pytest.raises(SpecError) as info:
@@ -194,6 +197,14 @@ def test_builtin_channel_spec_builds_its_factory(params, factory):
     ({"name": "dephasing", "p": 0.1, "dims": 2}, "dims"),
     ({"name": "identity", "outputs": [ZERO_STATE]}, "outputs"),
     ({"name": "cq", "outputs": [ZERO_STATE], "dims": 2}, "dims"),
+    # Out of range.
+    ({"name": "depolarizing", "p": 1.5}, "p"),
+    ({"name": "dephasing", "p": -0.5}, "p"),
+    ({"name": "erasure", "p": 2.0}, "p"),
+    ({"name": "amplitude_damping", "gamma": 1.5}, "gamma"),
+    ({"name": "cq", "outputs": []}, "outputs"),
+    ({"name": "cq", "outputs": [ZERO_STATE, dict(ZERO_STATE, dims=[["B", 3]])]},
+     "outputs"),
 ])
 def test_builtin_channel_parameter_missing_or_stray_is_named(tmp_path, capsys,
                                                              params, field):

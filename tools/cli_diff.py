@@ -8,7 +8,8 @@ OLD_TREE and NEW_TREE are checkouts of this repository (``.`` for this one).
 Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound
 achievable``, ``relaxation`` and ``identity-corollary``, the ``mac_ea_hdw``
-converse; see ``_cli_ops``), runs at each given
+converse, ``verify`` of one fact and of all at other dims; see
+``_cli_ops``), runs at each given
 variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
 that imports the package from the tree's ``src``. The spec files are written
 once, to one directory that both trees read. OpenBLAS runs on the thread
@@ -42,11 +43,18 @@ def _named(name: str, dims, **extra) -> dict:
     return {"schema": "1", "type": "state", "name": name, "dims": dims, **extra}
 
 
+# The names of ``verification.CHECKS``, in its order.
+FACTS = ("triangle", "monotonicity", "measurement_overlap", "gentle_operator",
+         "gentle_povm", "hayashi_nagaoka", "dh_vs_relent", "sequential_union",
+         "uniform_floor", "pure_rank_one", "neumark")
+
+
 def _cli_ops(variant: int):
     """The CLI commands the benchmark does not run, on its spec documents at
     ``variant`` and four more states: every divergence, the achievable,
-    relaxation and identity-corollary bounds and the sum-rate converse of
-    multiple access (which needs pure sender states)."""
+    relaxation and identity-corollary bounds, the sum-rate converse of
+    multiple access (which needs pure sender states), and ``verify`` of each
+    fact alone and of all of them at other dims and seed."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -87,6 +95,10 @@ def _cli_ops(variant: int):
         "converse_mac_ea_hdw": (
             ["bound", "converse", "--scenario", "mac_ea_hdw", *spec_args,
              "--state-b", "@state-b", "--eps", "0.05,0.1"], pure),
+        **{f"verify_{fact}": (["verify", "--facts", fact, "--trials", "3",
+                               "--dims", "2,3"], {}) for fact in FACTS},
+        "verify_all_dims_3_5": (["verify", "--facts", "all", "--trials", "3",
+                                 "--dims", "3,5", "--seed", "11"], {}),
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
