@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -533,9 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` reads its arguments with, built once per
+    process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

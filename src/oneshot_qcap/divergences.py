@@ -51,11 +51,33 @@ def _check_same_space(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
+def _kinds(*stacks: np.ndarray) -> tuple[list[int], list[int] | None]:
+    """The first block of each kind of the (k, d, d) ``stacks`` (a kind is
+    the b-th blocks of every stack, compared by their bytes) and, per block,
+    the position of its kind among those firsts; the index is None when no
+    block repeats."""
+    k = len(stacks[0])
+    if k < 2:
+        return list(range(k)), None
+    seen: dict[bytes, int] = {}
+    firsts, index = [], []
+    for b in range(k):
+        key = b"".join(stack[b].tobytes() for stack in stacks)
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(b)
+        index.append(seen[key])
+    return firsts, None if len(firsts) == k else index
+
+
 def _supports(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per matrix of the (k, d, d) stack ``sigmas``, its eigenvalues and
-    eigenvectors on its support, from one stacked eigendecomposition."""
-    w, v = np.linalg.eigh(sigmas)
-    return [(wb[mask], vb[:, mask]) for wb, vb, mask in zip(w, v, w > SUPPORT_TOL)]
+    eigenvectors on its support, from one stacked eigendecomposition of its
+    distinct matrices."""
+    firsts, index = _kinds(sigmas)
+    w, v = np.linalg.eigh(sigmas if index is None else sigmas[firsts])
+    supports = [(wb[mask], vb[:, mask]) for wb, vb, mask in zip(w, v, w > SUPPORT_TOL)]
+    return supports if index is None else [supports[i] for i in index]
 
 
 def _support_projection(r: np.ndarray, sigma_mat: np.ndarray):
@@ -183,7 +205,15 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     each search step is one stacked eigendecomposition, the masses and the
     positive part of the dual sum over blocks, and the witness comes back as
     the stack of its blocks.  A matrix is the one-block case, computed with
-    the same arithmetic.
+    the same arithmetic.  Blocks b whose (rho_b, sigma_b) are bitwise equal
+    (a converse floor whose outcome rows repeat) are decomposed once, sigma's
+    support once per distinct sigma_b, and the eigenvalues, the diagonal of
+    rho and the projectors are then indexed back out to every block before
+    any mass, count or sum is formed.  The bits do not change: a stacked
+    eigendecomposition decomposes each matrix on its own, so a block gets
+    the same eigenpairs alone as among its copies, and every later step
+    runs on the indexed arrays in the same order.  Blocks that are only
+    nearly equal are kept apart.
 
     The bracket starts at [0, 2^(D_max(Pi rho Pi || sigma) + 1)], Pi the
     projector onto supp(sigma), the largest over blocks; when supp(rho) lies
@@ -233,6 +263,22 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     r, s = _check_same_space(rho, sigma)
     stacked = r.ndim == 3
     r, s = _blocks(r, s)
+    # The distinct (rho_b, sigma_b) pairs: each is decomposed once, and its
+    # eigenvalues and diagonals are spread back out to the blocks that
+    # repeat it.
+    firsts, index = _kinds(r, s)
+    r_kinds, s_kinds = (r, s) if index is None else (r[firsts], s[firsts])
+
+    def spread(per_kind: np.ndarray) -> np.ndarray:
+        return per_kind if index is None else per_kind[index]
+
+    def projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
+        """Per block, the projector onto the eigenvectors ``masks`` (per
+        block) selects from ``v`` (per kind)."""
+        if index is None:
+            return _projectors(v, masks)
+        made = _projectors(v, masks[firsts])
+        return [made[i] for i in index]
 
     def result(lam: list[np.ndarray]) -> np.ndarray:
         return np.stack(lam) if stacked else lam[0]
@@ -240,8 +286,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     if eps <= 1e-12:
         # Exact-constraint edge case: the minimal feasible test is the
         # projector onto supp(rho).
-        wr, vr = np.linalg.eigh(r)
-        lam = _projectors(vr, wr > SUPPORT_TOL)
+        wr, vr = np.linalg.eigh(r_kinds)
+        lam = projectors(vr, spread(wr) > SUPPORT_TOL)
         t1 = _mass(lam, r)
         t2 = _mass(lam, s)
         witness = HypothesisTest(operator=result(lam), type1=t1, type2=max(t2, 0.0))
@@ -251,8 +297,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         return DivergenceResult(val, witness, val)
 
     target = 1.0 - eps
-    hi = 2.0 ** (max(_dmax_on_support(rb, ws, vs)
-                     for rb, (ws, vs) in zip(r, _supports(s))) + 1.0)
+    supports = _supports(s)
+    hi = 2.0 ** (max(_dmax_on_support(r[b], *supports[b]) for b in firsts) + 1.0)
 
     r_scale = float(np.max(np.abs(r)))
     s_scale = float(np.max(np.abs(s)))
@@ -261,14 +307,15 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         return max(r_scale, t * s_scale)
 
     splits: dict[float, _Split] = {}
-    vectors: dict[float, np.ndarray] = {}
+    vectors: dict[float, np.ndarray] = {}  # per distinct block
 
     def split(t: float) -> _Split:
         """rho - t*sigma at t, decomposed once per t."""
         if t not in splits:
-            w, v = np.linalg.eigh(r - t * s)
+            w, v = np.linalg.eigh(r_kinds - t * s_kinds)
             tol = _boundary_tol(op_scale(t))
-            rho_diag = np.einsum("kij,kij->kj", v.conj(), r @ v).real
+            rho_diag = np.einsum("kij,kij->kj", v.conj(), r_kinds @ v).real
+            w, rho_diag = spread(w), spread(rho_diag)
             above = w > tol
             splits[t] = _Split(w, tol, rho_diag, float(np.sum(rho_diag[above])),
                                int(np.count_nonzero(above)))
@@ -384,7 +431,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         """The eigenvectors at a final end.  They are decomposed again only
         if that end is a point the secant steps let go, which the replay
         reaches only by hitting it exactly as a midpoint."""
-        return vectors[t] if t in vectors else np.linalg.eigh(r - t * s)[1]
+        return vectors[t] if t in vectors else np.linalg.eigh(r_kinds - t * s_kinds)[1]
 
     # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
     # is taken from the operands rho and t*sigma rather than from the
@@ -392,8 +439,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     # t*sigma) the whole collapsing subspace is still recognized as boundary.
     w_delta, tol, rho_diag, mass_pos = split(t_star)[:4]
     v = eigenvectors(t_star)
-    p_pos = _projectors(v, w_delta > tol)
-    p_bnd = _projectors(v, np.abs(w_delta) <= tol)
+    p_pos = projectors(v, w_delta > tol)
+    p_bnd = projectors(v, np.abs(w_delta) <= tol)
     mass_bnd = float(np.sum(rho_diag[np.abs(w_delta) <= tol]))
     if mass_bnd > 1e-15:
         lam_weight = (target - mass_pos) / mass_bnd
@@ -408,7 +455,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
         w_lo, tol_lo, _, m_lo = split(lo_t)[:4]
-        p_lo = _projectors(eigenvectors(lo_t), w_lo > tol_lo)
+        p_lo = projectors(eigenvectors(lo_t), w_lo > tol_lo)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)
             lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]

@@ -254,6 +254,22 @@ def test_sweep_parses_each_spec_file_once(tmp_path, capsys, monkeypatch):
     assert calls == [IDENTITY_CHANNEL, BELL_STATE]
 
 
+def test_run_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    bell = write_spec(tmp_path, "bell.json", BELL_STATE)
+    argv = ["divergence", "dmax", "--rho", bell, "--sigma", bell]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    # A usage error in between leaves the parser as it was.
+    assert run(["divergence", "nope", "--rho", bell, "--sigma", bell]) == 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 

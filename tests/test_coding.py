@@ -1196,6 +1196,29 @@ def test_converse_floor_eigendecomposes_blocks_only(monkeypatch):
     assert len(out["values"]) == 2
 
 
+def test_converse_floor_decomposes_repeated_blocks_once(eig_inputs):
+    # The A-first floor of the XOR MAC with classically correlated senders:
+    # every message decodes to one outcome row, so all 8 blocks of phi, and
+    # all 8 of I/n (x) sigma, are equal.
+    row = np.random.default_rng(5).dirichlet(np.ones(15))
+    out = converse_floor(np.tile(row, (8, 1)), 2.0,
+                         correct_cols=[0, 1, 3, 4, 6, 7, 9, 10], sigmas=2)
+    assert len(out["values"]) == 2
+    stacks = [a.shape for a in eig_inputs if a.ndim == 3]
+    assert stacks and set(stacks) == {(1, 15, 15)}
+    assert max(a.shape[-1] for a in eig_inputs) <= 15
+    # p2p R = 3: 8 distinct rows over 9 outcomes share one sigma/n block,
+    # whose support is decomposed once per solve.
+    eig_inputs.clear()
+    converse_floor(np.random.default_rng(4).dirichlet(np.ones(9), size=8), 3.0,
+                   sigmas=3)
+    for i in range(3):
+        block = sample("density", 9, seed=i).matrix / 8
+        holding = [a.shape for a in eig_inputs
+                   if a.ndim == 3 and any(np.array_equal(b, block) for b in a)]
+        assert holding == [(1, 9, 9)]
+
+
 def test_report_floors_p2p_and_mac(id2, bell):
     p2p = simulate_p2p_ea(id2, bell, rate=1, eps=0.1, delta=0.05)
     floors = report_floors(p2p, sigmas=3)

@@ -239,6 +239,55 @@ def test_dh_direct_sum_matches_its_assembled_matrix():
                            atol=1e-6)
 
 
+def repeated_blocks(rho, sig, rho_picks, sig_picks):
+    """The direct sum of the blocks ``rho_picks`` of rho and ``sig_picks``
+    of sigma, each stack scaled to unit total trace; equal picks give
+    bitwise equal blocks."""
+    r, s = rho[rho_picks], sig[sig_picks]
+    return r / np.einsum("kii->", r).real, s / np.einsum("kii->", s).real
+
+
+# Picks from direct_sum_instance's blocks (rho's block 0 is zero, sigma's
+# blocks 1 and 3 are rank-deficient): every block equal; the zero rho block
+# repeated with its sigma block; and a rank-deficient sigma block repeated,
+# twice with one rho block and once with another.
+REPEATS = {"all_equal": ([1, 1, 1, 1], [1, 1, 1, 1]),
+           "zero_rho": ([0, 1, 0, 2, 0], [0, 1, 0, 2, 0]),
+           "rank_deficient_sigma": ([1, 2, 3, 2], [1, 1, 3, 1])}
+
+
+def repeated_block_instances():
+    rng = np.random.default_rng(808)
+    for d in (3, 4, 6):
+        rho, sig = direct_sum_instance(rng, 4, d)
+        for picks in REPEATS.values():
+            yield repeated_blocks(rho, sig, *picks)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 0.8])
+def test_dh_eps_decomposes_each_distinct_block_once(eig_inputs, eps):
+    from scipy.linalg import block_diag
+
+    for rho, sig in repeated_block_instances():
+        eig_inputs.clear()
+        res = dh_eps(rho, sig, eps)
+        for a in eig_inputs:
+            if a.ndim == 3:
+                assert not any(np.array_equal(a[i], b)
+                               for i in range(len(a)) for b in a[i + 1:])
+        refs = [dh_eps(block_diag(*rho), block_diag(*sig), eps)]
+        if eps:
+            refs.append(assert_matches_bisection(rho, sig, eps))
+        for ref in refs:
+            assert res.unbounded == ref.unbounded
+            if not ref.unbounded:
+                assert res.value == pytest.approx(ref.value, abs=1e-10)
+            assert res.witness.type1 == pytest.approx(ref.witness.type1, abs=1e-10)
+            assert res.witness.type2 == pytest.approx(ref.witness.type2, abs=1e-10)
+            assert res.dual_bound == pytest.approx(ref.dual_bound, abs=1e-10)
+        assert res.witness.operator.shape == rho.shape
+
+
 def test_dh_rejects_what_is_neither_a_matrix_nor_a_stack():
     with pytest.raises(LayoutError):
         dh_eps(np.eye(4).reshape(2, 8) / 4, np.eye(4).reshape(2, 8) / 4, 0.1)
@@ -328,10 +377,12 @@ def near_equal_pair(d):
 @pytest.mark.parametrize("rho,sig,eps,repairs", [
     (*guard_instance("random", 4, 104), 0.2, False),
     (*direct_sum_instance(np.random.default_rng(7), 2, 3), 0.3, False),
+    (*repeated_blocks(*direct_sum_instance(np.random.default_rng(7), 4, 3),
+                      *REPEATS["rank_deficient_sigma"]), 0.3, False),
     # The witness at t* falls short of 1 - eps here, so the test at lo_t
     # is mixed in.
     (*near_equal_pair(4), 0.2, True),
-], ids=["random", "two_blocks", "repair"])
+], ids=["random", "two_blocks", "repeated_blocks", "repair"])
 def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
                                             eps, repairs):
     vecs = []  # the eigenvectors each projector is built from, in order
