@@ -19,8 +19,8 @@ import numpy as np
 from .channels import KrausChannel
 from .coding import check_uniform, get_scenario, product_marginals
 from .divergences import SUPPORT_TOL, dh_eps, dmax
-from .linalg import (DensityOp, DimensionCapError, NumericalError, as_matrix,
-                     dimension_cap, herm_apply, partial_trace, trace_with)
+from .linalg import (DensityOp, NumericalError, as_matrix, check_dimension,
+                     herm_apply, partial_trace, trace_with)
 
 __all__ = [
     "RateBound",
@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 # Scenario names outside the coding table: the sum-rate MAC converse of
-# ``converse_value`` and the two relaxations of ``corollary_relaxations``.
-EXTRA_SCENARIOS = ("mac_ea_hdw", "gp", "broadcast")
+# ``converse_value`` and the two relaxations of ``corollary_relaxations``,
+# each with the table's scenario whose receivers (and spec inputs) it reads.
+EXTRA_SCENARIOS = {"mac_ea_hdw": "mac_ea", "gp": "gp_ea", "broadcast": "broadcast_ea"}
 
 # The interior-point solve of the sigma SDP stops once the duality gap is at
 # most _SDP_TOL times the objective and the dual residual at most _SDP_TOL.
@@ -215,11 +216,7 @@ def _sdp_sigma(rho: np.ndarray, res: np.ndarray, d_out: int, eps: float):
     recovered.
     """
     n = rho.shape[0]
-    if n * n > dimension_cap():
-        raise DimensionCapError(
-            f"the SDP over sigma has n^2 = {n * n} unknowns for the joint "
-            f"dimension n = {n}, which exceeds the cap {dimension_cap()}; "
-            "set ONESHOT_QCAP_DIM_CAP to raise the limit")
+    check_dimension(f"the SDP over sigma at n = {n}, with n^2 unknowns,", n * n)
     if eps <= 1e-12:
         support = herm_apply(rho, lambda w: (w > SUPPORT_TOL).astype(float))
         top, vecs = np.linalg.eigh(_phi(support, res, d_out))
@@ -370,7 +367,7 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
 def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
                       eps) -> RateBound:
     """Sum-rate variant of the MAC converse for pure two-register sender states."""
-    spec = get_scenario("mac_ea")
+    spec = get_scenario(EXTRA_SCENARIOS["mac_ea_hdw"])
     rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.per_stream(eps, "eps"))
     for st in (psi_a, psi_b):
         purity = float(np.real(np.trace(st.matrix @ st.matrix)))
@@ -425,21 +422,22 @@ def identity_channel_corollary(dimA: int, eps: float):
 
 
 def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
-                          eps, sigma_candidates=None, optimize: bool = False
-                          ) -> RateBound:
+                          eps, sigma_candidates=None, optimize: bool = False, *,
+                          tau: DensityOp | None = None) -> RateBound:
     """Converse variants without product constraints, paid by a D_max penalty.
 
     For the channel-with-state scenario the penalty is
     dmax(psi_SB' || psi_S x psi_B'); for broadcast it is
     dmax(psi_B'C' || psi_B' x psi_C'), charged to both receivers.  When the
     relevant marginal is product the penalty vanishes and the value agrees
-    with :func:`converse_value`.
+    with :func:`converse_value`.  The channel-with-state scenario checks
+    ``tau`` as :func:`converse_value` does.
     """
     if scenario not in ("gp", "broadcast"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    spec = get_scenario(f"{scenario}_ea")
+    spec = get_scenario(EXTRA_SCENARIOS[scenario])
     receivers, ((state, parts),) = spec.receivers(
-        True, ch, psi, None, None, spec.per_stream(eps, "eps"))
+        True, ch, psi, None, tau, spec.per_stream(eps, "eps"))
     marg, prod = product_marginals(state, parts)
     penalty = max(dmax(marg, prod.matrix), 0.0)
     vals, descs, traces, certs = zip(*(

@@ -242,13 +242,16 @@ def _load_spec(path: str):
     return parse_spec(doc)
 
 
-def _load_specs(args, required, command: str) -> dict:
+def _load_specs(args, reads, required, command: str) -> dict:
     """``args``' --channel, --state, --state-b and --tau specs, each parsed
-    once (None when not given); those in ``required`` must be given."""
+    once (None when not given); those in ``required`` must be given, and
+    only those ``command`` reads may be."""
     paths = {key: getattr(args, key) for key in ("channel", "state", "state_b", "tau")}
-    for key in required:
-        if paths[key] is None:
-            flag = key.replace("_", "-")
+    for key, path in paths.items():
+        flag = key.replace("_", "-")
+        if path is not None and key not in reads:
+            raise SpecError(flag, f"{command} does not read the spec --{flag}")
+        if path is None and key in required:
             raise SpecError(flag, f"{command} needs the spec --{flag}")
     return {key: _load_spec(path) if path else None for key, path in paths.items()}
 
@@ -297,12 +300,15 @@ def _emit(report: dict, output: str | None):
     _write(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n", output)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",")]
+def _number(text, option: str, kind=float):
+    """``text`` as a ``kind``; a value that does not parse is an error in
+    the field ``option``."""
+    with _field(option):
+        return kind(text)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",")]
+def _numbers(text, option: str, kind=float, sep: str = ",") -> list:
+    return [_number(x, option, kind) for x in str(text).split(sep)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +338,11 @@ def _simulate_reports(args, points):
                   if sc.strategies]
         raise ValueError(f"--strategy {args.strategy} applies only to "
                          f"{', '.join(takers)}; {spec.name} has one decoder")
-    specs = _load_specs(args, spec.inputs, spec.name)
+    specs = _load_specs(args, ("channel", *spec.inputs), spec.inputs, spec.name)
     for R, eps, delta in points:
         # One value serves every message stream; see Scenario.per_stream.
-        rates, eps, delta = _ints(R), _floats(eps), float(delta)
+        rates, eps = _numbers(R, "R", int), _numbers(eps, "eps")
+        delta = _number(delta, "delta")
         if spec.assisted:
             # Each assisted simulator is simulate_<scenario>, taking the
             # scenario's spec inputs in table order after the channel.
@@ -365,18 +372,28 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    command, reads = f"bound {args.kind}", ()
+    if args.kind != "identity-corollary":
+        # The scenario's spec inputs, and sigma candidates where the bound
+        # is a minimum over sigma.
+        spec = coding_mod.SCENARIOS[
+            bounds_mod.EXTRA_SCENARIOS.get(args.scenario, args.scenario)]
+        reads = ("channel", *spec.inputs) + (
+            () if args.kind == "achievable" or spec.marginal_converse else ("sigma",))
+    if args.sigma and "sigma" not in reads:
+        raise SpecError("sigma", f"{command} does not read the spec --sigma")
+    specs = _load_specs(args, reads, ("channel", "state") if reads else (), command)
     if args.kind == "identity-corollary":
         ceiling, (lam, avec) = bounds_mod.identity_channel_corollary(
-            args.dimA, float(args.eps))
+            args.dimA, _number(args.eps, "eps"))
         _emit({"command": "bound", "kind": args.kind, "dimA": args.dimA,
                "eps": args.eps,
                "result": {"ceiling": ceiling, "witness_lambda": lam,
                           "witness_a": avec}}, args.output)
         return 0
-    specs = _load_specs(args, ("channel", "state"), f"bound {args.kind}")
     ch, psi, psi_b, tau = specs.values()
     sigmas = [_load_spec(p) for p in (args.sigma or [])]
-    eps = _floats(args.eps)
+    eps = _numbers(args.eps, "eps")
     if args.kind == "converse":
         rb = bounds_mod.converse_value(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
@@ -388,7 +405,7 @@ def _cmd_bound(args) -> int:
     else:  # relaxation
         rb = bounds_mod.corollary_relaxations(
             args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
-            optimize=args.optimize)
+            optimize=args.optimize, tau=tau)
     _emit({"command": "bound", "kind": args.kind, "scenario": args.scenario,
            "seed": args.seed, "result": _jsonable(rb)}, args.output)
     return 0
@@ -397,8 +414,8 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.facts == "all" else [s.strip()
                                               for s in args.facts.split(",")]
-    suite = verify_mod.run_suite(names, trials=args.trials,
-                                 dims=tuple(_ints(args.dims)), seed=args.seed)
+    suite = verify_mod.run_suite(names, trials=args.trials, seed=args.seed,
+                                 dims=tuple(_numbers(args.dims, "dims", int)))
     _emit({"command": "verify", "facts": args.facts, "trials": args.trials,
            "dims": args.dims, "seed": args.seed,
            "result": _jsonable(suite)}, args.output)
@@ -410,7 +427,7 @@ def _cmd_sweep(args) -> int:
     # their ',' form (e.g. --R "1,1;2,1").
     grid_r = str(args.R).split(";")
     grid_eps = str(args.eps).split(";")
-    grid_delta = [float(x) for x in str(args.delta).split(";")]
+    grid_delta = _numbers(args.delta, "delta", sep=";")
     points = list(itertools.product(grid_r, grid_eps, grid_delta))
     rows = []
     worst_ok = True

@@ -36,6 +36,7 @@ from .linalg import (
     NumericalError,
     SystemLayout,
     as_matrix,
+    check_dimension,
     herm_apply,
     local_product,
     local_trace,
@@ -236,13 +237,13 @@ def _on_copies(layout: SystemLayout, copy_of: dict) -> list[tuple[str, int]]:
             for l, d in layout.registers]
 
 
-def _copies_layout(layout: SystemLayout, copies: Sequence[tuple[str, int]]) -> SystemLayout:
-    """``layout`` with each (resource, n) register replaced by n numbered copies."""
-    resources = {label for label, _ in copies}
-    regs = [(l, d) for l, d in layout.registers if l not in resources]
-    for label, n in copies:
-        regs += [(_copy_label(label, m), layout.dim_of(label)) for m in range(n)]
-    return SystemLayout(regs)
+def _check_copies(layout: SystemLayout, rates: dict, pointer: bool = False):
+    """The decoders' cap, from R alone: ``layout`` with 2^R copies of each
+    resource of ``rates`` (resource: R), doubled by the sequential ``pointer`` qubit."""
+    rest = math.prod(d for l, d in layout.registers if l not in rates)
+    at = ",".join(map(str, rates.values())) + (" with the pointer qubit" if pointer else "")
+    check_dimension(f"the dense layout of all 2^R copies at R = {at}", rest * (1 + pointer),
+                    *((layout.dim_of(res), r) for res, r in rates.items()))
 
 
 def build_position_povm(test: HermOp, copies: int, resource_label: str) -> PositionCode:
@@ -256,7 +257,9 @@ def build_position_povm(test: HermOp, copies: int, resource_label: str) -> Posit
     evals = np.linalg.eigvalsh(test.matrix)
     if evals[0] < -1e-10 or evals[-1] > 1 + 1e-10:
         raise ValueError("test operator must satisfy 0 <= T <= I")
-    layout = _copies_layout(test.layout, [(resource_label, copies)])
+    layout = SystemLayout([r for r in test.layout.registers if r[0] != resource_label] + [
+        (_copy_label(resource_label, m), test.layout.dim_of(resource_label))
+        for m in range(copies)])
     tests = np.stack([place([(_on_copies(test.layout, {resource_label: m}),
                                test.matrix)], layout) for m in range(copies)])
     (root,) = _inverse_roots([reduce(np.add, tests)])
@@ -338,18 +341,25 @@ def _position_receiver(assisted: bool, ch: KrausChannel, psi: DensityOp,
     return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint)
 
 
+def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
+    """The labels of ``layout``, the channel's ``side``, one per register
+    role, a letter of ``roles``; any other count is an error naming them."""
+    if len(layout.labels) != len(roles):
+        raise ValueError(f"{scenario} needs a {('one', 'two')[len(roles) - 1]}-register "
+                         f"channel {side} ({', '.join(roles)}), got {list(layout.labels)}")
+    return layout.labels
+
+
 def _p2p_receivers(assisted, ch, psi, psi_b, tau, eps):
     """psi on [A, R]: A feeds the channel; the receiver holds B and R."""
-    (a_label,) = ch.in_layout.labels
+    (a_label,) = _channel_labels("point-to-point", ch.in_layout, "input", "A")
     return [_position_receiver(assisted, ch, psi, [a_label], eps[0])], []
 
 
 def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
     """psi on [A, S, R]: A and the channel state S = tau feed the channel;
     S must be independent of the resource R."""
-    labels = ch.in_layout.labels
-    if len(labels) != 2:
-        raise ValueError("channel-with-state needs a two-register input (A, S)")
+    labels = _channel_labels("channel-with-state", ch.in_layout, "input", "AS")
     s_label = labels[1]
     if tau is not None and tau.layout.registers != ch.in_layout.registers[1:]:
         raise ValueError(f"tau must live on the channel state register "
@@ -365,8 +375,8 @@ def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
 def _broadcast_receivers(assisted, ch, psi, psi_b, tau, eps):
     """psi on [A, R_B, R_C]: Bob gets the first channel output and R_B,
     Charlie the second output and R_C; R_B and R_C must be independent."""
-    (a_label,) = ch.in_layout.labels
-    out_b, out_c = ch.out_layout.labels
+    (a_label,) = _channel_labels("broadcast", ch.in_layout, "input", "A")
+    out_b, out_c = _channel_labels("broadcast", ch.out_layout, "output", "BC")
     res = [l for l in psi.layout.labels if l != a_label]
     if len(res) != 2:
         raise ValueError("state must live on [A, Bob resource, Charlie resource]")
@@ -389,7 +399,7 @@ def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
     its output, the side registers and the copies of R_A and R_B."""
     if psi_b is None:
         raise ValueError("mac scenario needs both sender ensembles")
-    a_label, b_label = ch.in_layout.labels
+    a_label, b_label = _channel_labels("multiple-access", ch.in_layout, "input", "AB")
     res_a, side_a = split_sender_state(psi, a_label)
     res_b, side_b = split_sender_state(psi_b, b_label)
     if not assisted:
@@ -757,10 +767,8 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
 def _run_position_code(rec: Receiver, rate: int):
     """The D_H result and the (n, n+1) outcome distribution (abort last) of
     the optimal test's position code on all copies of a quantum resource."""
+    _check_copies(rec.joint.layout, {rec.resource: rate})
     n = 2 ** rate
-    # The dense decoder's layout is the one dimension cap, checked before
-    # any D_H solve.
-    _copies_layout(rec.joint.layout, [(rec.resource, n)])
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
     order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
     test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
@@ -777,10 +785,8 @@ def _string_code(rec: Receiver, rate: int):
     letter probabilities, the strings (rows of letters, in lexicographic
     order) and per[u, m, k] = Tr(Lambda^u_k rho^{u_m}), the abort at k = n.
     """
+    _check_copies(rec.joint.layout, {rec.resource: rate})  # bounds the strings
     n = 2 ** rate
-    # The dense decoder's layout is the one dimension cap, checked before
-    # any D_H solve; it bounds the number of strings.
-    _copies_layout(rec.joint.layout, [(rec.resource, n)])
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
     probs, blocks = classical_blocks(rec.joint, rec.resource)
     strings = np.array(list(itertools.product(range(len(probs)), repeat=n)))
@@ -856,18 +862,15 @@ class _MacCode:
 
 def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
     """Both senders' tests, resources and marginals, from which each decoder
-    builds the message states it reads.  The receiver's registers, with the
-    sequential decoder's pointer qubit after them, are checked against the
-    dimension cap, although no decoding stage allocates all of them."""
+    builds the message states it reads, once :func:`_check_copies` passes."""
     omega = receivers[0].state
-    n = (2 ** rates[0], 2 ** rates[1])
     senders = tuple((r.resource, r.marginal) for r in receivers)
-    layout = _copies_layout(omega.layout, [(res, k) for (res, _), k in zip(senders, n)])
-    pointer = None
-    if sequential:
-        # Longer than every register label, so it clashes with none.
-        pointer = ("J" + "#" * max(len(l) for l in layout.labels), 2)
-        SystemLayout(layout.registers + (pointer,))
+    _check_copies(omega.layout, {res: k for (res, _), k in zip(senders, rates)}, sequential)
+    n = (2 ** rates[0], 2 ** rates[1])
+    # Longer than every register and copy label, so it clashes with none.
+    labels = [*omega.layout.labels,
+              *(_copy_label(r, k - 1) for (r, _), k in zip(senders, n))]
+    pointer = ("J" + "#" * max(map(len, labels)), 2) if sequential else None
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
     return _MacCode(omega, senders, pointer, dhs,
                     tuple(HermOp(dh.witness.operator, r.joint.layout)

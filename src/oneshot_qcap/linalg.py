@@ -73,6 +73,19 @@ def dimension_cap() -> int:
     return int(raw) if raw else DEFAULT_DIM_CAP
 
 
+def check_dimension(what: str, base: int, *copies: tuple[int, int]) -> None:
+    """Raise ``DimensionCapError`` ("``what`` exceeds cap ...") if ``base`` times d^(2^r)
+    per (d, r) of ``copies`` passes the cap; d is squared only while within it."""
+    cap, dim = dimension_cap(), base
+    for d, r in copies:
+        while r and d > 1 and dim * d <= cap:
+            d, r = d * d, r - 1
+        dim *= d
+    if dim > cap:
+        raise DimensionCapError(f"{what} exceeds cap {cap}; "
+                                "set ONESHOT_QCAP_DIM_CAP to raise the limit")
+
+
 @dataclass(frozen=True)
 class SystemLayout:
     """Ordered list of named registers with dimensions, checked when built."""
@@ -93,12 +106,7 @@ class SystemLayout:
                            tuple((lbl, int(dim)) for lbl, dim in registers))
         if len(self._index) != len(self.registers):
             raise LayoutError(f"duplicate register labels in {list(self.labels)}")
-        cap = dimension_cap()
-        if self.dim > cap:
-            raise DimensionCapError(
-                f"total dimension {self.dim} exceeds cap {cap}; "
-                "set ONESHOT_QCAP_DIM_CAP to raise the limit"
-            )
+        check_dimension(f"total dimension {self.dim}", self.dim)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from oneshot_qcap import bounds, channels, cli, divergences, verification
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
-from oneshot_qcap.linalg import DimensionCapError, SystemLayout, maximally_mixed, tensor
+from oneshot_qcap.linalg import (DimensionCapError, SystemLayout, dimension_cap,
+                                 maximally_mixed, tensor)
 
 from helpers import (
     bell_density,
@@ -570,6 +573,23 @@ def test_bound_sdp_past_the_dimension_cap_exits_one(tmp_path, capsys, monkeypatc
     assert err.startswith("error:") and "n = 4" in err
 
 
+@pytest.mark.parametrize("rate", [12, 18])
+@pytest.mark.parametrize("scenario,strategy", [
+    ("p2p_ea", None), ("p2p_ua", None), ("mac_ea", "sequential"),
+    ("mac_ea", "pgm_a_first")])
+def test_simulate_past_the_cap_exits_one_from_the_rate_alone(tmp_path, capsys,
+                                                             scenario, strategy, rate):
+    argv = scenario_specs(tmp_path)[scenario]
+    argv[argv.index("--R") + 1] = f"{rate},1" if scenario == "mac_ea" else str(rate)
+    argv += ["--strategy", strategy] if strategy else []
+    start = time.perf_counter()
+    assert run(["simulate", scenario] + argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"R = {rate}" in err, err
+    assert f"cap {dimension_cap()}" in err and not re.search(r"[0-9]{21}", err), err
+
+
 def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
     specs = scenario_specs(tmp_path)
     for command in ("simulate", "sweep"):
@@ -580,6 +600,92 @@ def test_strategy_needs_a_scenario_that_takes_it(tmp_path, capsys):
     assert run(["simulate", "mac_ua", "--floor-sigmas", "2", "--strategy",
                 "sequential"] + specs["mac_ua"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario,donor,want", [
+    ("p2p_ea", "gp_ea",
+     "point-to-point needs a one-register channel input (A), got ['A', 'S']"),
+    ("broadcast_ea", "p2p_ea",
+     "broadcast needs a two-register channel output (B, C), got ['B']"),
+    ("mac_ea", "p2p_ea",
+     "multiple-access needs a two-register channel input (A, B), got ['A']"),
+])
+def test_channel_with_the_wrong_register_count_is_named(tmp_path, capsys, scenario,
+                                                        donor, want):
+    specs = scenario_specs(tmp_path)
+    argv, other = specs[scenario], specs[donor]
+    at = argv.index("--channel") + 1
+    argv[at] = other[other.index("--channel") + 1]
+    assert run(["simulate", scenario] + argv) == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("case", ["simulate-tau", "simulate-state-b",
+                                  "identity-corollary-channel"])
+def test_spec_files_a_command_does_not_read_are_rejected(tmp_path, capsys, case):
+    specs = scenario_specs(tmp_path)
+    p2p, gp = specs["p2p_ea"], specs["gp_ea"]
+    ch, st, tau = p2p[1], p2p[3], gp[gp.index("--tau") + 1]
+    flag, argv = {
+        "simulate-tau": ("tau", ["simulate", "p2p_ea", "--tau", tau] + p2p),
+        "simulate-state-b": ("state-b", ["simulate", "p2p_ea", "--state-b", st] + p2p),
+        "identity-corollary-channel": (
+            "channel", ["bound", "identity-corollary", "--channel", ch]),
+    }[case]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and \
+        f"does not read the spec --{flag}" in err, err
+
+
+def test_sigma_is_read_only_where_a_bound_minimizes_over_sigma(tmp_path, capsys):
+    specs = scenario_specs(tmp_path)
+    p2p, mac = specs["p2p_ea"], specs["mac_ea"]
+    sigma = ["--sigma", write_spec(tmp_path, "mixed_b.json", state_spec(
+        maximally_mixed(SystemLayout([("B", 2)]))))]
+    assert run(["bound", "converse", "--eps", "0.1"] + sigma
+               + p2p[:p2p.index("--R")]) == 0
+    trace = json.loads(capsys.readouterr().out)["result"]["optimizer_trace"]
+    assert len(trace) == 3  # the output marginal, I/d and the candidate
+    # Achievable rates take no minimum; the multiple-access converse's
+    # alternatives are the state's own marginals.
+    for argv in (["bound", "achievable", "--eps", "0.1"] + p2p[:p2p.index("--R")],
+                 ["bound", "converse", "--scenario", "mac_ea", "--eps", "0.1,0.1"]
+                 + mac[:mac.index("--R")]):
+        assert run(argv + sigma) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma: ") and \
+            "does not read the spec --sigma" in err, err
+
+
+def test_bound_relaxation_checks_tau(tmp_path, capsys):
+    three = write_spec(tmp_path, "three.json", state_spec(maximally_mixed(
+        SystemLayout([("S", 2), ("T", 2), ("U", 2)]))))
+    argv = scenario_specs(tmp_path)["gp_ea"]
+    argv[argv.index("--tau") + 1] = three
+    assert run(["bound", "relaxation", "--scenario", "gp"]
+               + argv[:argv.index("--R")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau must live on the channel state register "
+                          "('S', 2)"), err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["simulate", "p2p_ea", "--R", "x", "--eps", "0.1", "--delta", "0.05"], "R"),
+    (["simulate", "p2p_ea", "--R", "1", "--eps", "0.1x", "--delta", "0.05"], "eps"),
+    (["sweep", "p2p_ea", "--R", "1", "--eps", "0.1", "--delta", "0.05;y"], "delta"),
+    (["bound", "converse", "--eps", "x"], "eps"),
+    (["bound", "identity-corollary", "--eps", "x"], "eps"),
+    (["verify", "--dims", "2,x"], "dims"),
+], ids=["simulate-R", "simulate-eps", "sweep-delta", "bound-eps",
+        "identity-corollary-eps", "verify-dims"])
+def test_unparseable_option_values_are_named(tmp_path, capsys, argv, option):
+    specs = ["--channel", write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL),
+             "--state", write_spec(tmp_path, "st.json", BELL_STATE)]
+    reads_specs = argv[0] != "verify" and "identity-corollary" not in argv
+    assert run(argv + (specs if reads_specs else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and "Traceback" not in err, err
 
 
 def test_channel_with_state_needs_tau(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -38,6 +40,7 @@ from oneshot_qcap.linalg import (
     Ket,
     NumericalError,
     SystemLayout,
+    dimension_cap,
     herm_apply,
     max_entangled_ket,
     maximally_mixed,
@@ -989,6 +992,47 @@ def test_derandomize_checks_the_cap_before_decoding(monkeypatch, id2):
     with pytest.raises(DimensionCapError):
         derandomize("p2p", id2, classically_correlated("A", "U"), 2, 0.1, 0.6)
     assert not solved
+
+
+# Every decoder and derandomize at a rate past the cap, as a function of R.
+PAST_THE_CAP = {
+    "p2p_ea": lambda r: simulate_p2p_ea(depolarizing(0.1, 2, "A", "B"),
+                                        bell_density("A", "R"), r, 0.1, 0.05),
+    "p2p_ua": lambda r: simulate_unassisted(
+        "p2p", identity_channel(2, "A", "B"), classically_correlated("A", "U"),
+        r, 0.1, 0.6),
+    "mac_ea_sequential": lambda r: simulate_mac_ea(
+        xor_mac_channel(), *mac_inputs(), (r, 1), (0.05, 0.1), 0.02),
+    "mac_ea_pgm_a_first": lambda r: simulate_mac_ea(
+        xor_mac_channel(), *mac_inputs(), (r, 1), (0.05, 0.1), 0.02,
+        strategy="pgm_a_first"),
+    "derandomize_p2p": lambda r: derandomize(
+        "p2p", identity_channel(2, "A", "B"), classically_correlated("A", "U"),
+        r, 0.1, 0.6),
+    "derandomize_mac": lambda r: derandomize(
+        "mac", xor_mac_channel(), classically_correlated("A", "UA"), (r, 1),
+        (0.1, 0.1), 0.3, psi_b=classically_correlated("B", "UB")),
+}
+
+
+def assert_rejected_from_the_rate(call, rate):
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError) as err:
+        call(rate)
+    assert time.perf_counter() - start < 1.0
+    message = str(err.value)
+    assert f"R = {rate}" in message and f"cap {dimension_cap()}" in message
+    assert not re.search(r"[0-9]{21}", message), message
+
+
+@pytest.mark.parametrize("call", PAST_THE_CAP)
+def test_rate_18_is_rejected_from_the_rate_alone(call):
+    assert_rejected_from_the_rate(PAST_THE_CAP[call], 18)
+
+
+@pytest.mark.parametrize("call", PAST_THE_CAP)
+def test_a_million_bits_of_rate_are_rejected_as_fast(call):
+    assert_rejected_from_the_rate(PAST_THE_CAP[call], 10 ** 6)
 
 
 def dense_string_errors(ch, psi, rate, eps):

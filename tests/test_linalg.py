@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +59,31 @@ def test_layout_accepts_a_numpy_integer_dimension():
 def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         SystemLayout([(f"R{i}", 4) for i in range(10)])  # 4^10 >> 4096
+
+
+@pytest.mark.parametrize("cap", [1, 15, 16, 512, 513, 4096])
+def test_check_dimension_decides_as_the_whole_product(monkeypatch, cap):
+    # base times d^(2^r) per copied register, compared whole with the cap.
+    monkeypatch.setenv("ONESHOT_QCAP_DIM_CAP", str(cap))
+    registers = [(1, 9), (2, 0), (2, 3), (3, 2), (4, 1), (2, 4)]
+    for base, k in itertools.product((1, 2, 3), range(3)):
+        for copies in itertools.combinations(registers, k):
+            whole = base * math.prod(d ** 2 ** r for d, r in copies)
+            if whole > cap:
+                with pytest.raises(DimensionCapError, match=f"^layout exceeds cap {cap}; "):
+                    linalg.check_dimension("layout", base, *copies)
+            else:
+                linalg.check_dimension("layout", base, *copies)
+
+
+def test_check_dimension_never_forms_the_number_of_copies():
+    # 2^(10^9) copies: of a qubit they are rejected, of a one-dimensional
+    # register they add nothing; either way at once.
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError):
+        linalg.check_dimension("layout", 3, (1, 10 ** 9), (2, 10 ** 9))
+    linalg.check_dimension("layout", 3, (1, 10 ** 9))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_density_requires_unit_trace():
