@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel
-from .coding import check_uniform, get_scenario, product_marginals
+from .coding import SCENARIOS, Scenario, check_uniform, product_marginals
 from .divergences import SUPPORT_TOL, dh_eps, dmax
 from .linalg import (DensityOp, NumericalError, as_matrix, check_dimension,
                      herm_apply, partial_trace, trace_with)
@@ -28,13 +28,27 @@ __all__ = [
     "achievable_rate",
     "identity_channel_corollary",
     "corollary_relaxations",
-    "EXTRA_SCENARIOS",
+    "BoundKind",
+    "BOUND_KINDS",
+    "spec_inputs",
 ]
 
-# Scenario names outside the coding table: the sum-rate MAC converse of
-# ``converse_value`` and the two relaxations of ``corollary_relaxations``,
-# each with the table's scenario whose receivers (and spec inputs) it reads.
-EXTRA_SCENARIOS = {"mac_ea_hdw": "mac_ea", "gp": "gp_ea", "broadcast": "broadcast_ea"}
+
+class BoundKind(NamedTuple):
+    """The scenario names one kind of bound takes, each with the coding-table
+    scenario whose receivers and spec inputs it reads, and the name it is
+    evaluated at when none is given (None: a name is required)."""
+
+    scenarios: dict[str, str]
+    default: str | None
+
+
+BOUND_KINDS = {
+    "converse": BoundKind({**{name: name for name in SCENARIOS},
+                           "mac_ea_hdw": "mac_ea"}, "p2p_ea"),
+    "achievable": BoundKind({name: name for name in SCENARIOS}, "p2p_ea"),
+    "relaxation": BoundKind({"gp": "gp_ea", "broadcast": "broadcast_ea"}, None),
+}
 
 # The interior-point solve of the sigma SDP stops once the duality gap is at
 # most _SDP_TOL times the objective and the dual residual at most _SDP_TOL.
@@ -321,6 +335,26 @@ def _make_bound(scenario, kind, per_sender, *, sum_rate=None, ceiling=None,
     )
 
 
+def _scenario(kind: str, scenario: str | None) -> Scenario:
+    """The coding-table scenario a ``kind`` bound at ``scenario`` reads."""
+    names = BOUND_KINDS[kind].scenarios
+    if scenario not in names:
+        given = "none was given" if scenario is None else f"not {scenario!r}"
+        raise ValueError(f"the {kind} bound takes the scenarios "
+                         f"{', '.join(names)}; {given}")
+    return SCENARIOS[names[scenario]]
+
+
+def spec_inputs(kind: str, scenario: str | None) -> tuple[str, ...]:
+    """The inputs a ``kind`` bound (a key of :data:`BOUND_KINDS`) at
+    ``scenario`` reads: the channel, the scenario's spec inputs, and
+    ``sigma`` candidates where the bound is a minimum over sigma.  Raises
+    ``ValueError`` naming the kind's scenarios for a name it does not take."""
+    spec = _scenario(kind, scenario)
+    minimizes = not (kind == "achievable" or spec.marginal_converse)
+    return ("channel", *spec.inputs) + (("sigma",) if minimizes else ())
+
+
 def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
                    eps, sigma_candidates=None, optimize: bool = False, *,
                    psi_b: DensityOp | None = None, tau: DensityOp | None = None
@@ -337,7 +371,7 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
     """
     if scenario == "mac_ea_hdw":
         return _mac_hdw_converse(ch, psi, psi_b, eps)
-    spec = get_scenario(scenario)
+    spec = _scenario("converse", scenario)
     eps = spec.per_stream(eps, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, eps)
     if spec.marginal_converse:
@@ -367,7 +401,7 @@ def converse_value(scenario: str, ch: KrausChannel, psi: DensityOp,
 def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
                       eps) -> RateBound:
     """Sum-rate variant of the MAC converse for pure two-register sender states."""
-    spec = get_scenario(EXTRA_SCENARIOS["mac_ea_hdw"])
+    spec = _scenario("converse", "mac_ea_hdw")
     rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.per_stream(eps, "eps"))
     for st in (psi_a, psi_b):
         purity = float(np.real(np.trace(st.matrix @ st.matrix)))
@@ -394,7 +428,7 @@ def achievable_rate(scenario: str, ch: KrausChannel, psi: DensityOp, eps,
     """The rate guaranteed achievable at this input state: D_H minus the
     penalty of the matching coding theorem.  Negative values mean the
     delta-penalty exceeds the divergence at these parameters (infeasible)."""
-    spec = get_scenario(scenario)
+    spec = _scenario("achievable", scenario)
     eps = spec.per_stream(eps, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
     vals = [dh_eps(r.joint, r.alt.matrix, r.eps).value - spec.penalty(e, delta, strategy)
@@ -433,9 +467,7 @@ def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
     with :func:`converse_value`.  The channel-with-state scenario checks
     ``tau`` as :func:`converse_value` does.
     """
-    if scenario not in ("gp", "broadcast"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    spec = get_scenario(EXTRA_SCENARIOS[scenario])
+    spec = _scenario("relaxation", scenario)
     receivers, ((state, parts),) = spec.receivers(
         True, ch, psi, None, tau, spec.per_stream(eps, "eps"))
     marg, prod = product_marginals(state, parts)

@@ -373,13 +373,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     command, reads = f"bound {args.kind}", ()
-    if args.kind != "identity-corollary":
-        # The scenario's spec inputs, and sigma candidates where the bound
-        # is a minimum over sigma.
-        spec = coding_mod.SCENARIOS[
-            bounds_mod.EXTRA_SCENARIOS.get(args.scenario, args.scenario)]
-        reads = ("channel", *spec.inputs) + (
-            () if args.kind == "achievable" or spec.marginal_converse else ("sigma",))
+    kind = bounds_mod.BOUND_KINDS.get(args.kind)
+    scenario = kind.default if kind and args.scenario is None else args.scenario
+    with _field("scenario"):
+        if kind:
+            reads = bounds_mod.spec_inputs(args.kind, scenario)
+        elif scenario is not None and not any(
+                scenario in k.scenarios for k in bounds_mod.BOUND_KINDS.values()):
+            # identity-corollary reads no scenario, yet takes only a bound's.
+            raise ValueError(f"no bound takes the scenario {scenario!r}")
     if args.sigma and "sigma" not in reads:
         raise SpecError("sigma", f"{command} does not read the spec --sigma")
     specs = _load_specs(args, reads, ("channel", "state") if reads else (), command)
@@ -396,17 +398,17 @@ def _cmd_bound(args) -> int:
     eps = _numbers(args.eps, "eps")
     if args.kind == "converse":
         rb = bounds_mod.converse_value(
-            args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
+            scenario, ch, psi, eps, sigma_candidates=sigmas or None,
             optimize=args.optimize, psi_b=psi_b, tau=tau)
     elif args.kind == "achievable":
         rb = bounds_mod.achievable_rate(
-            args.scenario, ch, psi, eps, args.delta, psi_b=psi_b, tau=tau,
+            scenario, ch, psi, eps, args.delta, psi_b=psi_b, tau=tau,
             strategy=args.strategy)
     else:  # relaxation
         rb = bounds_mod.corollary_relaxations(
-            args.scenario, ch, psi, eps, sigma_candidates=sigmas or None,
+            scenario, ch, psi, eps, sigma_candidates=sigmas or None,
             optimize=args.optimize, tau=tau)
-    _emit({"command": "bound", "kind": args.kind, "scenario": args.scenario,
+    _emit({"command": "bound", "kind": args.kind, "scenario": scenario,
            "seed": args.seed, "result": _jsonable(rb)}, args.output)
     return 0
 
@@ -508,8 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate a rate bound")
     p.add_argument("kind", choices=["converse", "achievable", "relaxation",
                                     "identity-corollary"])
-    p.add_argument("--scenario", default="p2p_ea",
-                   choices=[*coding_mod.SCENARIOS, *bounds_mod.EXTRA_SCENARIOS])
+    p.add_argument("--scenario", help="; ".join(
+        f"{name}: {' '.join(kind.scenarios)}"
+        + (f" (default {kind.default})" if kind.default else "")
+        for name, kind in bounds_mod.BOUND_KINDS.items()))
     p.add_argument("--channel")
     p.add_argument("--state")
     p.add_argument("--state-b", dest="state_b")

@@ -239,11 +239,13 @@ def _on_copies(layout: SystemLayout, copy_of: dict) -> list[tuple[str, int]]:
 
 def _check_copies(layout: SystemLayout, rates: dict, pointer: bool = False):
     """The decoders' cap, from R alone: ``layout`` with 2^R copies of each
-    resource of ``rates`` (resource: R), doubled by the sequential ``pointer`` qubit."""
+    resource of ``rates`` (resource: R), doubled by the sequential ``pointer`` qubit.
+    A resource counts as at least a qubit: the decoders' tables and stacks
+    grow with 2^R even where its copies add no dimension."""
     rest = math.prod(d for l, d in layout.registers if l not in rates)
     at = ",".join(map(str, rates.values())) + (" with the pointer qubit" if pointer else "")
     check_dimension(f"the dense layout of all 2^R copies at R = {at}", rest * (1 + pointer),
-                    *((layout.dim_of(res), r) for res, r in rates.items()))
+                    *((max(layout.dim_of(res), 2), r) for res, r in rates.items()))
 
 
 def build_position_povm(test: HermOp, copies: int, resource_label: str) -> PositionCode:

@@ -11,6 +11,40 @@ from oneshot_qcap.linalg import (DensityOp, Ket, SystemLayout, bell_ket,
                                  partial_trace, psd_sqrt)
 
 
+# What each kind of bound reads (``bounds.spec_inputs``), for every scenario
+# name the kind takes.
+_P2P, _GP, _MAC = ("channel", "state"), ("channel", "tau", "state"), \
+    ("channel", "state", "state_b")
+BOUND_SPEC_INPUTS = {
+    ("converse", "p2p_ea"): (*_P2P, "sigma"),
+    ("converse", "gp_ea"): (*_GP, "sigma"),
+    ("converse", "broadcast_ea"): (*_P2P, "sigma"),
+    ("converse", "mac_ea"): _MAC,
+    ("converse", "p2p_ua"): (*_P2P, "sigma"),
+    ("converse", "gp_ua"): (*_GP, "sigma"),
+    ("converse", "broadcast_ua"): (*_P2P, "sigma"),
+    ("converse", "mac_ua"): (*_MAC, "sigma"),
+    ("converse", "mac_ea_hdw"): _MAC,
+    ("achievable", "p2p_ea"): _P2P,
+    ("achievable", "gp_ea"): _GP,
+    ("achievable", "broadcast_ea"): _P2P,
+    ("achievable", "mac_ea"): _MAC,
+    ("achievable", "p2p_ua"): _P2P,
+    ("achievable", "gp_ua"): _GP,
+    ("achievable", "broadcast_ua"): _P2P,
+    ("achievable", "mac_ua"): _MAC,
+    ("relaxation", "gp"): (*_GP, "sigma"),
+    ("relaxation", "broadcast"): (*_P2P, "sigma"),
+}
+BOUND_SCENARIOS = {kind: [name for k, name in BOUND_SPEC_INPUTS if k == kind]
+                   for kind in ("converse", "achievable", "relaxation")}
+# Each (kind, name) of a name some bound kind takes that this kind does not.
+REJECTED_BOUND_SCENARIOS = [
+    (kind, name) for kind in BOUND_SCENARIOS
+    for name in dict.fromkeys(name for _, name in BOUND_SPEC_INPUTS)
+    if name not in BOUND_SCENARIOS[kind]]
+
+
 def pure_density(ket: Ket) -> DensityOp:
     return DensityOp(np.outer(ket.amplitudes, ket.amplitudes.conj()), ket.layout)
 

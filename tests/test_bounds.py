@@ -32,6 +32,9 @@ from oneshot_qcap.linalg import (
 )
 
 from helpers import (
+    BOUND_SCENARIOS,
+    BOUND_SPEC_INPUTS,
+    REJECTED_BOUND_SCENARIOS,
     bell_density,
     classically_correlated,
     copy_broadcast_channel,
@@ -245,6 +248,31 @@ def test_p2p_ua_converse_rejects_nonuniform_register(id2):
 def test_converse_unknown_scenario(id2, bell):
     with pytest.raises(ValueError):
         converse_value("teleport", id2, bell, 0.1)
+
+
+@pytest.mark.parametrize("kind,scenario", BOUND_SPEC_INPUTS)
+def test_spec_inputs_name_what_each_bound_reads(kind, scenario):
+    assert bounds.spec_inputs(kind, scenario) == BOUND_SPEC_INPUTS[kind, scenario]
+
+
+def test_the_bound_kinds_take_exactly_their_scenarios():
+    assert {kind: list(k.scenarios) for kind, k in bounds.BOUND_KINDS.items()} \
+        == BOUND_SCENARIOS
+
+
+@pytest.mark.parametrize("kind,scenario", REJECTED_BOUND_SCENARIOS)
+def test_a_bound_rejects_a_scenario_its_kind_does_not_take(id2, bell, kind,
+                                                           scenario):
+    evaluate = {
+        "converse": lambda: converse_value(scenario, id2, bell, 0.1),
+        "achievable": lambda: achievable_rate(scenario, id2, bell, 0.1, 0.05),
+        "relaxation": lambda: corollary_relaxations(scenario, id2, bell, 0.1),
+    }[kind]
+    for call in (evaluate, lambda: bounds.spec_inputs(kind, scenario)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"the {kind} bound takes the scenarios " \
+            f"{', '.join(BOUND_SCENARIOS[kind])}; not {scenario!r}"
 
 
 # ---------------------------------------------------------------------------

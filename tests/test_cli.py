@@ -13,6 +13,8 @@ from oneshot_qcap.linalg import (DimensionCapError, SystemLayout, dimension_cap,
                                  maximally_mixed, tensor)
 
 from helpers import (
+    BOUND_SCENARIOS,
+    REJECTED_BOUND_SCENARIOS,
     bell_density,
     classically_correlated,
     copy_broadcast_channel,
@@ -656,6 +658,44 @@ def test_sigma_is_read_only_where_a_bound_minimizes_over_sigma(tmp_path, capsys)
         err = capsys.readouterr().err
         assert err.startswith("error: sigma: ") and \
             "does not read the spec --sigma" in err, err
+
+
+@pytest.mark.parametrize("kind,scenario", REJECTED_BOUND_SCENARIOS
+                         + [("relaxation", None)])
+def test_bound_rejects_a_scenario_its_kind_does_not_take(tmp_path, capsys, kind,
+                                                         scenario):
+    # The spec files do not exist: the scenario is checked before any opens.
+    argv = ["bound", kind, "--channel", str(tmp_path / "no-channel.json"),
+            "--state", str(tmp_path / "no-state.json")]
+    assert run(argv + (["--scenario", scenario] if scenario else [])) == 1
+    given = f"not {scenario!r}" if scenario else "none was given"
+    assert capsys.readouterr().err == (
+        f"error: scenario: the {kind} bound takes the scenarios "
+        f"{', '.join(BOUND_SCENARIOS[kind])}; {given}\n")
+
+
+@pytest.mark.parametrize("kind", ["converse", "achievable"])
+def test_bound_without_a_scenario_is_point_to_point(tmp_path, capsys, kind):
+    assert bounds.BOUND_KINDS[kind].default == "p2p_ea"
+    argv = ["bound", kind, "--eps", "0.1",
+            "--channel", write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL),
+            "--state", write_spec(tmp_path, "st.json", BELL_STATE)]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run(argv + ["--scenario", "p2p_ea"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["scenario"] == "p2p_ea"
+
+
+def test_identity_corollary_takes_only_a_bound_scenario(capsys):
+    argv = ["bound", "identity-corollary", "--dimA", "2"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ["--scenario", "gp"]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(argv + ["--scenario", "teleport"]) == 1
+    assert capsys.readouterr().err == \
+        "error: scenario: no bound takes the scenario 'teleport'\n"
 
 
 def test_bound_relaxation_checks_tau(tmp_path, capsys):

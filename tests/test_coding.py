@@ -1035,6 +1035,35 @@ def test_a_million_bits_of_rate_are_rejected_as_fast(call):
     assert_rejected_from_the_rate(PAST_THE_CAP[call], 10 ** 6)
 
 
+def beside_a_trivial_resource(sender: str, resource: str) -> DensityOp:
+    """The maximally mixed qubit ``sender`` beside a one-dimensional ``resource``."""
+    return DensityOp(np.eye(2, dtype=complex) / 2,
+                     SystemLayout([(sender, 2), (resource, 1)]))
+
+
+ONE_DIMENSIONAL_RESOURCE = {
+    "p2p_ea": lambda r: simulate_p2p_ea(
+        depolarizing(0.1, 2, "A", "B"), beside_a_trivial_resource("A", "R"),
+        r, 0.1, 0.05),
+    "p2p_ua": lambda r: simulate_unassisted(
+        "p2p", identity_channel(2, "A", "B"), beside_a_trivial_resource("A", "U"),
+        r, 0.1, 0.6),
+    "mac_ea": lambda r: simulate_mac_ea(
+        xor_mac_channel(), beside_a_trivial_resource("A", "RA"),
+        beside_a_trivial_resource("B", "RB"), (r, 1), (0.05, 0.1), 0.02),
+}
+
+
+@pytest.mark.parametrize("call", ONE_DIMENSIONAL_RESOURCE)
+def test_a_one_dimensional_resource_counts_as_a_qubit_against_the_cap(call):
+    # A qubit resource in its place decodes up to R = 3 and is rejected from
+    # R = 4 on.
+    for rate in (1, 2, 3):
+        assert ONE_DIMENSIONAL_RESOURCE[call](rate).bound_satisfied
+    for rate in (4, 7, 10 ** 9):
+        assert_rejected_from_the_rate(ONE_DIMENSIONAL_RESOURCE[call], rate)
+
+
 def dense_string_errors(ch, psi, rate, eps):
     """The average error of the p2p_ua decoder on every string of positive
     probability, read off the dense square-root measurement on all 2^R

@@ -6,10 +6,10 @@ Usage, from the repository root:
 
 OLD_TREE and NEW_TREE are checkouts of this repository (``.`` for this one).
 Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
-the commands the benchmark does not run (``divergence``, ``bound
-achievable``, ``relaxation`` and ``identity-corollary``, the ``mac_ea_hdw``
-converse, ``verify`` of one fact and of all at other dims; see
-``_cli_ops``), runs at each given
+the commands the benchmark does not run (``divergence``, ``bound converse``
+and ``achievable`` of every scenario, ``relaxation`` and
+``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
+and of all at other dims; see ``_cli_ops``), runs at each given
 variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
 that imports the package from the tree's ``src``. The spec files are written
 once, to one directory that both trees read. OpenBLAS runs on the thread
@@ -51,8 +51,9 @@ FACTS = ("triangle", "monotonicity", "measurement_overlap", "gentle_operator",
 
 def _cli_ops(variant: int):
     """The CLI commands the benchmark does not run, on its spec documents at
-    ``variant`` and four more states: every divergence, the achievable,
-    relaxation and identity-corollary bounds, the sum-rate converse of
+    ``variant`` and four more states: every divergence, the converse and the
+    achievable rate of every scenario, the converse without ``--scenario``,
+    the relaxation and identity-corollary bounds, the sum-rate converse of
     multiple access (which needs pure sender states), and ``verify`` of each
     fact alone and of all of them at other dims and seed."""
     import workloads as wl
@@ -70,6 +71,23 @@ def _cli_ops(variant: int):
              "sigma": _named("basis", [["A", 2]], index=1)}
     eps = str(wl.P_GRID[variant])
     spec_args = ["--channel", "@channel", "--state", "@state"]
+
+    def bound(kind: str, scenario: str | None, grid_op: str):
+        """``bound kind`` at ``scenario`` on the specs, eps and delta of the
+        ``small_grid`` op ``grid_op``."""
+        op = wl.op_for("small_grid", grid_op, variant)
+        options = dict(zip(op.argv[2::2], op.argv[3::2]))
+        argv = ["bound", kind] + (["--scenario", scenario] if scenario else [])
+        argv += [a for key in op.specs for a in (f"--{key}", f"@{key}")]
+        argv += ["--eps", options["--eps"]]
+        if kind == "achievable":
+            argv += ["--delta", options["--delta"]]
+        return argv, op.specs
+
+    # The small_grid op of each scenario the benchmark bounds nowhere.
+    grid = {"gp_ea": "gp_ea_flip", "broadcast_ea": "broadcast_ea",
+            "mac_ea": "mac_ea_seq", "p2p_ua": "p2p_ua", "gp_ua": "gp_ua",
+            "broadcast_ua": "broadcast_ua", "mac_ua": "mac_ua"}
     divergence = ["--rho", "@rho", "--sigma", "@sigma"]
     commands = {
         "divergence_dh": (["divergence", "dh", *divergence, "--eps", eps], pair),
@@ -92,6 +110,11 @@ def _cli_ops(variant: int):
                                   *spec_args, "--eps", "0.1,0.1"], bc),
         "identity_corollary": (["bound", "identity-corollary",
                                 "--dimA", str(2 + variant % 3), "--eps", eps], {}),
+        **{f"converse_{name}": bound("converse", name, op)
+           for name, op in grid.items()},
+        **{f"achievable_{name}": bound("achievable", name, op)
+           for name, op in grid.items() if name != "mac_ea"},
+        "converse_default_scenario": bound("converse", None, "p2p_ea_r1"),
         "converse_mac_ea_hdw": (
             ["bound", "converse", "--scenario", "mac_ea_hdw", *spec_args,
              "--state-b", "@state-b", "--eps", "0.05,0.1"], pure),
