@@ -3,7 +3,9 @@
 The shared-randomness protocols pre-share 2^R correlated copies of a
 classical register.  Averaging over the randomness, some fixed value of the
 shared string must do at least as well as the average — so for small
-alphabets we can simply enumerate every string and pick the best fixed code.
+alphabets we can search every string and pick the best fixed code.  The
+decoder's error on a string depends only on its type (its letter counts),
+so the search decodes one string per type.
 
 This demo runs the search for a noiseless bit channel with a perfectly
 correlated bit register.  At R = 1 the two messages can pick the two distinct

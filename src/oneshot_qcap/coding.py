@@ -120,17 +120,6 @@ def _inverse_roots(mats: list[np.ndarray]) -> list[np.ndarray]:
             for (w_m, v), inv_m in zip(eigs, invs)]
 
 
-def _square_root_measurement(tests: np.ndarray, root: np.ndarray):
-    """The elements root T_k root of a stack of tests T_k (k on axis -3),
-    their completion last, for S^{-1/2} = ``root`` (or stacks of them)."""
-    root = root[..., None, :, :]
-    povm = root @ tests @ root
-    povm = (povm + povm.conj().swapaxes(-1, -2)) / 2
-    comp = np.eye(tests.shape[-1]) - np.sum(povm, axis=-3)
-    comp = (comp + comp.conj().swapaxes(-1, -2)) / 2
-    return np.concatenate([povm, comp[..., None, :, :]], axis=-3)
-
-
 # ---------------------------------------------------------------------------
 # input validation, shared by the simulators, the bounds and spec parsing
 
@@ -223,7 +212,10 @@ class PositionCode:
 
     def elements(self) -> np.ndarray:
         """The (copies + 1, D, D) stack of elements, the completion last."""
-        return _square_root_measurement(self.tests, self.root)
+        povm = self.root @ self.tests @ self.root
+        povm = (povm + povm.conj().swapaxes(-1, -2)) / 2
+        comp = np.eye(self.layout.dim) - np.sum(povm, axis=0)
+        return np.concatenate([povm, [(comp + comp.conj().T) / 2]])
 
 
 def _copy_label(resource_label: str, m: int) -> str:
@@ -316,7 +308,8 @@ class Receiver:
     ``marginal`` is the resource's own state, which every other copy is in.
     ``state`` holds the decoder's registers with one copy of each resource
     the decoder reads: ``joint`` itself, except for the multiple-access
-    receiver, which reads both senders' resources.
+    receiver, which reads both senders' resources.  ``classical``: the
+    resource is shared randomness, diagonal in its letters.
     """
 
     joint: DensityOp
@@ -325,6 +318,7 @@ class Receiver:
     marginal: DensityOp
     eps: float
     state: DensityOp
+    classical: bool
 
 
 def _position_receiver(assisted: bool, ch: KrausChannel, psi: DensityOp,
@@ -340,7 +334,7 @@ def _position_receiver(assisted: bool, ch: KrausChannel, psi: DensityOp,
     joint = apply_on(ch, psi, in_labels)
     alt = tensor(apply_on(ch, partial_trace(psi, in_labels), in_labels),
                  partial_trace(psi, [res]))
-    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint)
+    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint, not assisted)
 
 
 def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
@@ -391,7 +385,8 @@ def _broadcast_receivers(assisted, ch, psi, psi_b, tau, eps):
     for out, r, e in zip((out_b, out_c), res, eps):
         joint = partial_trace(full, [out, r])
         alt = tensor(partial_trace(out_marg, [out]), partial_trace(psi, [r]))
-        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
+        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint,
+                                  not assisted))
     return receivers, [(psi, [[res[0]], [res[1]]])]
 
 
@@ -415,7 +410,7 @@ def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
         joint = partial_trace(omega, base + [res]).permuted(base + [res])
         res_marg = partial_trace(omega, [res])
         receivers.append(Receiver(joint, tensor(marg, res_marg), res, res_marg, e,
-                                  omega))
+                                  omega, not assisted))
     return receivers, [(st, [[res], [side]]) for st, res, side in (
         (psi, res_a, side_a), (psi_b, res_b, side_b)) if side is not None]
 
@@ -628,7 +623,7 @@ def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# position decoders on Schur-Weyl and per-string blocks
+# position decoders on Schur-Weyl and type blocks
 
 def _partitions(n: int, rows: int, largest: int | None = None):
     """The partitions of ``n`` into at most ``rows`` parts, largest first."""
@@ -719,6 +714,17 @@ def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
                v.reshape(-1, q).T @ power.reshape(-1, q))
 
 
+def _type_blocks(copies: int, marginal: np.ndarray):
+    """:func:`_schur_weyl_blocks` for tests diagonal in the letters of a
+    classical ``marginal`` p: per type M of ``copies`` letters, its number of
+    strings, the generators delta_ab M_a on one string, and p^M."""
+    p = np.diagonal(marginal).real
+    for first in itertools.combinations_with_replacement(range(len(p)), copies):
+        counts = np.array([first.count(a) for a in range(len(p))])
+        yield (math.factorial(copies) // math.prod(map(math.factorial, counts)),
+               np.diag(counts)[..., None, None], np.array([[math.prod(p ** counts)]]))
+
+
 def _swaps(copies: int) -> np.ndarray:
     """Per message m, the outcomes (abort last) with 0 and m swapped.
     Swapping copies 0 and m of a position code takes message 0's state to
@@ -730,18 +736,18 @@ def _swaps(copies: int) -> np.ndarray:
 
 
 def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
-                   states) -> np.ndarray:
+                   states, family=_schur_weyl_blocks) -> np.ndarray:
     """One row (true copy, each wrong copy, abort) per state of the
     square-root measurement of ``test`` over ``copies`` copies of a resource:
     ``test`` and each state act on the decoder registers and the true copy,
     last, and the wrong copies are in ``marginal``.  With T = sum_ij |i><j|
     (x) T_ij, S = T (x) I + sum_ij |i><j| (x) I (x) Pi(T_ij), Pi summing over
-    the wrong copies; S, T and each state are direct sums of Schur-Weyl
-    blocks (docs/decoders.md), and the states share S's decomposition."""
+    the wrong copies; S, T and each state are direct sums of the blocks of
+    ``family`` (docs/decoders.md), and the states share S's decomposition."""
     d = len(marginal)
     t = test.reshape(len(test) // d, d, len(test) // d, d)
     blocks = []
-    for mult, gens, marg in _schur_weyl_blocks(copies - 1, marginal):
+    for mult, gens, marg in family(copies - 1, marginal):
         eye = np.eye(len(marg))
         s = (np.einsum("irjs,xy->irxjsy", t, eye)
              + np.einsum("iajb,abxy,rs->irxjsy", t, gens, np.eye(d))
@@ -766,42 +772,29 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
     return np.array(rows)
 
 
+def _receiver_test(rec: Receiver, dh: DivergenceResult) -> HermOp:
+    """The D_H witness, on a classical resource only its letter-diagonal
+    blocks: they have its type-I and type-II errors, and the others depend
+    on the basis :func:`dh_eps` picks inside a degenerate eigenspace."""
+    layout = rec.joint.layout
+    letter = np.indices(layout.dims)[layout.index_of(rec.resource)].ravel()
+    keep = (letter[:, None] == letter) | (not rec.classical)
+    return HermOp(np.where(keep, dh.witness.operator, 0), layout)
+
+
 def _run_position_code(rec: Receiver, rate: int):
     """The D_H result and the (n, n+1) outcome distribution (abort last) of
-    the optimal test's position code on all copies of a quantum resource."""
+    the receiver's position code on all copies of its resource: on
+    Schur-Weyl blocks, or on type blocks for a classical resource."""
     _check_copies(rec.joint.layout, {rec.resource: rate})
     n = 2 ** rate
     dh = dh_eps(rec.joint, rec.alt, rec.eps)
     order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
-    test = HermOp(dh.witness.operator, rec.joint.layout).permuted(order).matrix
+    test = _receiver_test(rec, dh).permuted(order).matrix
     (row,) = _position_rows(test, rec.marginal.matrix, n,
-                            [rec.state.permuted(order).matrix])
+                            [rec.state.permuted(order).matrix],
+                            _type_blocks if rec.classical else _schur_weyl_blocks)
     return dh, row[_swaps(n)]
-
-
-def _string_code(rec: Receiver, rate: int):
-    """:func:`_run_position_code` for a classical resource, one string at a
-    time.  The test and every message state are block-diagonal in the
-    letters on the copies, so the square-root measurement is a direct sum
-    over the strings u of those of S_u = sum_m T_{u_m}.  Also returns the
-    letter probabilities, the strings (rows of letters, in lexicographic
-    order) and per[u, m, k] = Tr(Lambda^u_k rho^{u_m}), the abort at k = n.
-    """
-    _check_copies(rec.joint.layout, {rec.resource: rate})  # bounds the strings
-    n = 2 ** rate
-    dh = dh_eps(rec.joint, rec.alt, rec.eps)
-    probs, blocks = classical_blocks(rec.joint, rec.resource)
-    strings = np.array(list(itertools.product(range(len(probs)), repeat=n)))
-    # Against the block-diagonal rho and sigma, the witness's diagonal
-    # blocks have its type-I and type-II errors.
-    t = np.einsum("uiuj->uij", _letter_view(
-        HermOp(dh.witness.operator, rec.joint.layout), [rec.resource]))[strings]
-    (roots,) = _inverse_roots([np.sum(t, axis=1)])
-    povm = _square_root_measurement(t, roots)
-    conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
-    per = np.einsum("ukij,umji->umk", povm, conds[strings]).real
-    dist = np.maximum(np.tensordot(np.prod(probs[strings], axis=1), per, 1), 0.0)
-    return dh, dist, probs, strings, per
 
 
 def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
@@ -815,10 +808,7 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                      c) -> ProtocolReport:
     """One square-root decoder per receiver, each on its own registers."""
     consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, c)]
-    # A quantum resource is decoded on all its copies, a classical one
-    # string by string.
-    runs = [_run_position_code(r, rate) if spec.assisted else _string_code(r, rate)[:2]
-            for r, rate in zip(receivers, rates)]
+    runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
     dh_values = [dh.value for dh, _ in runs]
     hns = [_hn_chain(dh, 2 ** rate, cv)
            for (dh, _), rate, cv in zip(runs, rates, consts)]
@@ -875,8 +865,7 @@ def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
     pointer = ("J" + "#" * max(map(len, labels)), 2) if sequential else None
     dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
     return _MacCode(omega, senders, pointer, dhs,
-                    tuple(HermOp(dh.witness.operator, r.joint.layout)
-                          for dh, r in zip(dhs, receivers)), n)
+                    tuple(_receiver_test(r, dh) for dh, r in zip(dhs, receivers)), n)
 
 
 def _split(layout: SystemLayout, test, stack: np.ndarray):
@@ -1209,10 +1198,11 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     Every string of positive probability is a candidate, so the minimum over
     strings is at most the randomized protocol's average error, by the
     averaging argument; each candidate's error is read off the randomized
-    protocol's decoder on that string.  For the two-sender scenario the
-    strings are chosen jointly and the figure minimized is the average error
-    of the joint decoder.  The two-receiver broadcast scenario is not
-    supported.
+    protocol's decoder on that string; for ``p2p`` and ``gp`` that error
+    depends only on the string's type, so each type is decoded once.  For
+    the two-sender scenario the strings are chosen jointly and the figure
+    minimized is the average error of the joint sequential decoder.  The
+    two-receiver broadcast scenario is not supported.
     """
     spec = get_scenario(f"{scenario}_ua")
     if spec.streams > 1 and spec.decode is not _decode_mac:
@@ -1220,21 +1210,31 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
-    if spec.decode is _decode_mac:
-        candidates, randomized = _mac_string_errors(receivers, rates)
-    else:
-        _, dist, probs, strings, per = _string_code(receivers[0], rates[0])
-        randomized = _error(np.diagonal(dist), True)
-        success = np.mean(np.einsum("umm->um", per[:, :, :-1]), axis=1)
-        supported = np.all((probs > SUPPORT_FLOOR)[strings], axis=1)
-        candidates = (((tuple(string.tolist()),), max(1.0 - float(x), 0.0))
-                      for string, x in zip(strings[supported], success[supported]))
+    candidates, randomized = (_mac_string_errors if spec.decode is _decode_mac
+                              else _type_errors)(receivers, rates)
     best_err, best = math.inf, None
     for strings, err in candidates:
         if err < best_err - 1e-15:
             best_err, best = err, strings
     return DerandomizedCode(best[0], best[1] if len(best) > 1 else None,
                             best_err, randomized)
+
+
+def _type_errors(receivers, rates):
+    """Per type N of positive probability, its first string and the error on
+    it, S = sum_a N_a T_a (T_a: the test at letter a); and the randomized error."""
+    (rec,), (rate,) = receivers, rates
+    dh, dist = _run_position_code(rec, rate)
+    probs, blocks = classical_blocks(rec.joint, rec.resource)
+    tests = np.einsum("uiuj->uij", _letter_view(_receiver_test(rec, dh), [rec.resource]))
+    conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
+    firsts = list(itertools.combinations_with_replacement(
+        np.flatnonzero(probs > SUPPORT_FLOOR).tolist(), 2 ** rate))
+    counts = np.array([[f.count(a) for a in range(len(probs))] for f in firsts])
+    roots = _inverse_roots([np.tensordot(counts, tests, 1)])[0][:, None]
+    success = np.einsum("ka,kaij,aji->k", counts, roots @ tests @ roots, conds).real
+    return ((((f,), max(1.0 - float(x) / 2 ** rate, 0.0)) for f, x in zip(firsts, success)),
+            _error(np.diagonal(dist), True))
 
 
 def _mac_string_errors(receivers, rates):

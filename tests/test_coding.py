@@ -867,6 +867,8 @@ def ua_case(name):
                 skewed_correlated("A", "U", (0.6, 0.4)), None),
         "p2p-qutrit": ("p2p", depolarizing(0.2, 3, "A", "B"),
                        skewed_correlated("A", "U", (0.5, 0.5, 0.0)), None),
+        "p2p-correlated": ("p2p", depolarizing(0.1, 2, "A", "B"),
+                           classically_correlated("A", "U"), None),
         "gp": ("gp", gp_controlled_flip_channel(),
                tensor(skewed_correlated("A", "U", (0.6, 0.4)), tau)
                .permuted(["A", "S", "U"]), tau),
@@ -929,6 +931,60 @@ def test_string_decoder_decomposes_no_operator_above_the_block_dimension(eig_inp
     assert eig_inputs and max(m.shape[-1] for m in eig_inputs) <= 4
 
 
+def test_unassisted_decoder_decomposes_one_block_per_type(monkeypatch):
+    # At R = 3 the seven wrong copies of a binary resource have 8 types
+    # against 2^7 strings, and the 2^8 strings of all the copies have 9.
+    # Each matrix of a stack counts.
+    counts = []
+    real = coding._inverse_roots
+    monkeypatch.setattr(coding, "_inverse_roots", lambda mats: counts.append(
+        sum(math.prod(m.shape[:-2]) for m in mats)) or real(mats))
+    ch, psi = depolarizing(0.1, 2, "A", "B"), classically_correlated("A", "U")
+    simulate_unassisted("p2p", ch, psi, 3, 0.1, 0.6)
+    assert sum(counts) <= 2 ** 3
+    counts.clear()
+    derandomize("p2p", ch, psi, 3, 0.1, 0.6)
+    assert sum(counts) <= 2 ** 3 + 2 ** 3 + 1
+
+
+def qutrit_beside_a_qubit():
+    """A depolarizing(0.2) qutrit on A beside a noiseless qubit on B, with
+    UA letters (0.5, 0.5, 0) and UB letters (0.5, 0.5)."""
+    dep = depolarizing(0.2, 3, "X", "Y").kraus
+    ch = KrausChannel([np.kron(k, np.eye(2)) for k in dep],
+                      SystemLayout([("A", 3), ("B", 2)]),
+                      SystemLayout([("CA", 3), ("CB", 2)]))
+    return (ch, skewed_correlated("A", "UA", (0.5, 0.5, 0.0)),
+            skewed_correlated("B", "UB", (0.5, 0.5)))
+
+
+def test_mac_ua_decodes_with_letter_diagonal_tests(monkeypatch):
+    # The D_H witness of sender A splits an eigenspace that spans letters 0
+    # and 1, so it has weight off the letters' diagonal; the decoder reads
+    # only its diagonal blocks.
+    ch, psi_a, psi_b = qutrit_beside_a_qubit()
+    tests = []
+    monkeypatch.setattr(coding, "binary_test_projector",
+                        lambda t: tests.append(t) or binary_test_projector(t))
+    rep = simulate_unassisted("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3, psi_b=psi_b)
+    code = derandomize("mac", ch, psi_a, (1, 1), (0.1, 0.1), 0.3, psi_b=psi_b)
+    seen = set()
+    for test in tests:
+        (res,) = [l for l in test.layout.labels if l in ("UA", "UB")]
+        seen.add(res)
+        d = test.layout.dim_of(res)
+        rest = test.layout.dim // d
+        view = test.permuted([res] + [l for l in test.layout.labels if l != res]
+                             ).matrix.reshape(d, rest, d, rest)
+        for u, v in itertools.product(range(d), repeat=2):
+            if u != v:
+                assert np.max(np.abs(view[u, :, v, :])) == 0.0
+    assert seen == {"UA", "UB"}
+    assert rep.avg_error == pytest.approx(0.8073916647004116, abs=1e-12)
+    assert (code.strings, code.strings_b) == ((0, 1), (1, 0))
+    assert code.error == pytest.approx(0.20921251933612128, abs=1e-12)
+
+
 def test_mac_ua_xor():
     psi_a = classically_correlated("A", "UA")
     psi_b = classically_correlated("B", "UB")
@@ -974,6 +1030,22 @@ def test_derandomize_mac_picks_string_pairs():
                                      psi_b=psi_b)
     assert code.randomized_error == pytest.approx(randomized.avg_error,
                                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("case,rate,delta,strings,error,randomized", [
+    # Every string but 0...0 and 1...1 ties at 0.7625: the first is named.
+    ("p2p-correlated", 3, 0.6, (0, 0, 0, 0, 0, 0, 0, 1), 0.7625, 0.763427734375),
+    # Letter 2 has probability 0, so no string holding it is a candidate.
+    ("p2p-qutrit", 1, 0.3, (0, 1), 0.1, 19 / 60),
+    ("p2p-qutrit", 2, 0.3, (0, 0, 0, 1), 0.55, 277 / 480),
+])
+def test_derandomized_strings_and_errors(case, rate, delta, strings, error,
+                                         randomized):
+    _, ch, psi, _ = ua_case(case)
+    code = derandomize("p2p", ch, psi, rate, 0.1, delta)
+    assert code.strings == strings
+    assert code.error == pytest.approx(error, abs=1e-12)
+    assert code.randomized_error == pytest.approx(randomized, abs=1e-12)
 
 
 def test_derandomize_rejects_broadcast():

@@ -9,7 +9,8 @@ Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound converse``
 and ``achievable`` of every scenario, ``relaxation`` and
 ``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
-and of all at other dims; see ``_cli_ops``), runs at each given
+and of all at other dims, and the unassisted simulations past R = 1; see
+``_cli_ops``), runs at each given
 variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
 that imports the package from the tree's ``src``. The spec files are written
 once, to one directory that both trees read. OpenBLAS runs on the thread
@@ -54,8 +55,10 @@ def _cli_ops(variant: int):
     ``variant`` and four more states: every divergence, the converse and the
     achievable rate of every scenario, the converse without ``--scenario``,
     the relaxation and identity-corollary bounds, the sum-rate converse of
-    multiple access (which needs pure sender states), and ``verify`` of each
-    fact alone and of all of them at other dims and seed."""
+    multiple access (which needs pure sender states), ``verify`` of each
+    fact alone and of all of them at other dims and seed, and the
+    unassisted simulations at rates past the benchmark's R = 1, where the
+    wrong copies have more than two types."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -82,6 +85,13 @@ def _cli_ops(variant: int):
         argv += ["--eps", options["--eps"]]
         if kind == "achievable":
             argv += ["--delta", options["--delta"]]
+        return argv, op.specs
+
+    def at_rates(grid_op: str, rates: str):
+        """The ``small_grid`` op ``grid_op`` at ``--R rates``."""
+        op = wl.op_for("small_grid", grid_op, variant)
+        argv = list(op.argv)
+        argv[argv.index("--R") + 1] = rates
         return argv, op.specs
 
     # The small_grid op of each scenario the benchmark bounds nowhere.
@@ -122,6 +132,9 @@ def _cli_ops(variant: int):
                                "--dims", "2,3"], {}) for fact in FACTS},
         "verify_all_dims_3_5": (["verify", "--facts", "all", "--trials", "3",
                                  "--dims", "3,5", "--seed", "11"], {}),
+        **{f"simulate_{name}_r{rates.replace(',', '_')}": at_rates(name, rates)
+           for name, rates in (("p2p_ua", "2"), ("p2p_ua", "3"), ("gp_ua", "3"),
+                               ("broadcast_ua", "3,2"), ("mac_ua", "2,1"))},
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
