@@ -468,8 +468,8 @@ def corollary_relaxations(scenario: str, ch: KrausChannel, psi: DensityOp,
     ``tau`` as :func:`converse_value` does.
     """
     spec = _scenario("relaxation", scenario)
-    receivers, ((state, parts),) = spec.receivers(
-        True, ch, psi, None, tau, spec.per_stream(eps, "eps"))
+    receivers, ((state, parts),) = spec.receivers(ch, psi, None, tau,
+                                                  spec.per_stream(eps, "eps"))
     marg, prod = product_marginals(state, parts)
     penalty = max(dmax(marg, prod.matrix), 0.0)
     vals, descs, traces, certs = zip(*(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -318,23 +318,21 @@ class Receiver:
     marginal: DensityOp
     eps: float
     state: DensityOp
-    classical: bool
+    classical: bool = False
 
 
-def _position_receiver(assisted: bool, ch: KrausChannel, psi: DensityOp,
-                       in_labels: Sequence[str], eps: float) -> Receiver:
+def _position_receiver(ch: KrausChannel, psi: DensityOp, in_labels: Sequence[str],
+                       eps: float) -> Receiver:
     in_labels = list(in_labels)
     res = [l for l in psi.layout.labels if l not in in_labels]
     if len(res) != 1 or not all(psi.layout.has(l) for l in in_labels):
         raise ValueError(
             f"state must live on [{', '.join(in_labels)}, one resource register]")
     (res,) = res
-    if not assisted:
-        classical_blocks(psi, res)
     joint = apply_on(ch, psi, in_labels)
     alt = tensor(apply_on(ch, partial_trace(psi, in_labels), in_labels),
                  partial_trace(psi, [res]))
-    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint, not assisted)
+    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint)
 
 
 def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
@@ -346,13 +344,13 @@ def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
     return layout.labels
 
 
-def _p2p_receivers(assisted, ch, psi, psi_b, tau, eps):
+def _p2p_receivers(ch, psi, psi_b, tau, eps):
     """psi on [A, R]: A feeds the channel; the receiver holds B and R."""
     (a_label,) = _channel_labels("point-to-point", ch.in_layout, "input", "A")
-    return [_position_receiver(assisted, ch, psi, [a_label], eps[0])], []
+    return [_position_receiver(ch, psi, [a_label], eps[0])], []
 
 
-def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
+def _gp_receivers(ch, psi, psi_b, tau, eps):
     """psi on [A, S, R]: A and the channel state S = tau feed the channel;
     S must be independent of the resource R."""
     labels = _channel_labels("channel-with-state", ch.in_layout, "input", "AS")
@@ -360,7 +358,7 @@ def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
     if tau is not None and tau.layout.registers != ch.in_layout.registers[1:]:
         raise ValueError(f"tau must live on the channel state register "
                          f"{ch.in_layout.registers[1]}, not {tau.layout.registers}")
-    rec = _position_receiver(assisted, ch, psi, labels, eps[0])
+    rec = _position_receiver(ch, psi, labels, eps[0])
     if tau is not None:
         s_marg = partial_trace(psi, [s_label])
         if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
@@ -368,7 +366,7 @@ def _gp_receivers(assisted, ch, psi, psi_b, tau, eps):
     return [rec], [(psi, [[s_label], [rec.resource]])]
 
 
-def _broadcast_receivers(assisted, ch, psi, psi_b, tau, eps):
+def _broadcast_receivers(ch, psi, psi_b, tau, eps):
     """psi on [A, R_B, R_C]: Bob gets the first channel output and R_B,
     Charlie the second output and R_C; R_B and R_C must be independent."""
     (a_label,) = _channel_labels("broadcast", ch.in_layout, "input", "A")
@@ -376,21 +374,17 @@ def _broadcast_receivers(assisted, ch, psi, psi_b, tau, eps):
     res = [l for l in psi.layout.labels if l != a_label]
     if len(res) != 2:
         raise ValueError("state must live on [A, Bob resource, Charlie resource]")
-    if not assisted:
-        for r in res:
-            classical_blocks(psi, r)
     full = apply_on(ch, psi, [a_label])
     out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
     receivers = []
     for out, r, e in zip((out_b, out_c), res, eps):
         joint = partial_trace(full, [out, r])
         alt = tensor(partial_trace(out_marg, [out]), partial_trace(psi, [r]))
-        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint,
-                                  not assisted))
+        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
     return receivers, [(psi, [[res[0]], [res[1]]])]
 
 
-def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
+def _mac_receivers(ch, psi, psi_b, tau, eps):
     """Sender states [A, R_A(, side)] and [B, R_B(, side)] (see
     :func:`split_sender_state`): A and B feed the channel; the receiver holds
     its output, the side registers and the copies of R_A and R_B."""
@@ -399,9 +393,6 @@ def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
     a_label, b_label = _channel_labels("multiple-access", ch.in_layout, "input", "AB")
     res_a, side_a = split_sender_state(psi, a_label)
     res_b, side_b = split_sender_state(psi_b, b_label)
-    if not assisted:
-        classical_blocks(psi, res_a)
-        classical_blocks(psi_b, res_b)
     omega = apply_on(ch, tensor(psi, psi_b), [a_label, b_label])
     base = list(ch.out_layout.labels) + [s for s in (side_a, side_b) if s is not None]
     marg = partial_trace(omega, base).permuted(base)
@@ -409,8 +400,7 @@ def _mac_receivers(assisted, ch, psi, psi_b, tau, eps):
     for res, e in ((res_a, eps[0]), (res_b, eps[1])):
         joint = partial_trace(omega, base + [res]).permuted(base + [res])
         res_marg = partial_trace(omega, [res])
-        receivers.append(Receiver(joint, tensor(marg, res_marg), res, res_marg, e,
-                                  omega, not assisted))
+        receivers.append(Receiver(joint, tensor(marg, res_marg), res, res_marg, e, omega))
     return receivers, [(st, [[res], [side]]) for st, res, side in (
         (psi, res_a, side_a), (psi_b, res_b, side_b)) if side is not None]
 
@@ -460,17 +450,17 @@ def _mac_bound(eps, delta, *, strategy, **_) -> tuple[float, ...]:
 class Scenario:
     """One communication scenario, defined once for bounds, simulators and CLI.
 
-    ``receivers(assisted, ch, psi, psi_b, tau, eps)`` checks the register
-    roles of the inputs and builds one :class:`Receiver` per message stream,
-    each tested at the given smoothing; it also returns the independence
-    constraints, (state, parts) pairs whose parts must be in a product state
-    (:meth:`build` checks them).  ``smoothing(eps, delta)`` is the
-    eps of that test in the coding theorem, ``penalty(eps, delta, strategy)``
-    what the theorem subtracts from D_H (bits), and ``bound(eps, delta, *, c,
-    rates, dhs, strategy)`` the analytic error bound(s).  Entanglement-assisted
-    scenarios report worst-case error, unassisted ones (classical shared
-    randomness as the resource) average error.  ``inputs`` names the spec
-    inputs the simulator needs, in the order an assisted simulator takes them.
+    ``receivers(ch, psi, psi_b, tau, eps)`` checks the register roles of the inputs
+    and builds one :class:`Receiver` per message stream, each tested at the given
+    smoothing; it also returns the independence constraints, (state, parts) pairs
+    whose parts must be in a product state (:meth:`build` checks them, and that an
+    unassisted scenario's resources are classical).  ``smoothing(eps, delta)`` is
+    the eps of that test in the coding theorem, ``penalty(eps, delta, strategy)``
+    what the theorem subtracts from D_H (bits), and ``bound(eps, delta, *, c, rates,
+    dhs, strategy)`` the analytic error bound(s).  Entanglement-assisted scenarios
+    report worst-case error, unassisted ones (classical shared randomness as the
+    resource) average error.  ``inputs`` names the spec inputs the simulator needs,
+    in the order an assisted simulator takes them.
     """
 
     name: str
@@ -493,9 +483,13 @@ class Scenario:
     def build(self, ch: KrausChannel, psi: DensityOp, psi_b: DensityOp | None,
               tau: DensityOp | None, eps) -> list[Receiver]:
         """The receivers at smoothings ``eps``, for inputs that meet the
-        independence constraints."""
-        receivers, independent = self.receivers(self.assisted, ch, psi, psi_b,
-                                                tau, eps)
+        independence constraints.  An unassisted scenario's resources must be
+        classical in the inputs that hold them, and its receivers say so."""
+        receivers, independent = self.receivers(ch, psi, psi_b, tau, eps)
+        if not self.assisted:
+            for rec in receivers:
+                classical_blocks(psi if psi.layout.has(rec.resource) else psi_b, rec.resource)
+            receivers = [replace(rec, classical=True) for rec in receivers]
         for state, parts in independent:
             product_check(state, parts)
         return receivers
@@ -716,10 +710,11 @@ def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
 
 def _type_blocks(copies: int, marginal: np.ndarray):
     """:func:`_schur_weyl_blocks` for tests diagonal in the letters of a
-    classical ``marginal`` p: per type M of ``copies`` letters, its number of
-    strings, the generators delta_ab M_a on one string, and p^M."""
+    classical ``marginal`` p: per type M of ``copies`` letters that occur,
+    its number of strings, the generators delta_ab M_a on one string, and p^M."""
     p = np.diagonal(marginal).real
-    for first in itertools.combinations_with_replacement(range(len(p)), copies):
+    letters = np.flatnonzero(p > SUPPORT_FLOOR).tolist()
+    for first in itertools.combinations_with_replacement(letters, copies):
         counts = np.array([first.count(a) for a in range(len(p))])
         yield (math.factorial(copies) // math.prod(map(math.factorial, counts)),
                np.diag(counts)[..., None, None], np.array([[math.prod(p ** counts)]]))

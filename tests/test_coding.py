@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oneshot_qcap import coding, divergences
+from oneshot_qcap.bounds import achievable_rate, converse_value
 from oneshot_qcap.channels import (
     KrausChannel,
     amplitude_damping,
@@ -816,6 +817,70 @@ def test_p2p_ua_rejects_nonclassical_register(id2, bell):
                             delta=0.3)
 
 
+def quantum_resource(name, resource):
+    """(channel, state, second sender's state, tau) of scenario ``name``,
+    with ``resource`` half a Bell pair with the channel input and every
+    other constraint met: the other resources are classical, and each
+    register the resource must be independent of is maximally mixed."""
+    def mixed(label):
+        return maximally_mixed(SystemLayout([(label, 2)]))
+    if name == "p2p":
+        return depolarizing(0.1, 2, "A", "B"), bell_density("A", resource), None, None
+    if name == "gp":
+        return (gp_controlled_flip_channel(),
+                tensor(bell_density("A", resource), mixed("S")), None, mixed("S"))
+    if name == "broadcast":
+        other = "V" if resource == "U" else "U"
+        return (copy_broadcast_channel(), tensor(bell_density("A", resource), mixed(other))
+                .permuted(["A", "U", "V"]), None, None)
+    psi_a, psi_b = classically_correlated("A", "UA"), classically_correlated("B", "UB")
+    if resource == "UA":
+        return xor_mac_channel(), bell_density("A", "UA"), psi_b, None
+    return xor_mac_channel(), psi_a, bell_density("B", "UB"), None
+
+
+def through(entry, scenario, ch, psi, psi_b, tau):
+    """``entry`` (simulate, converse or achievable) of ``scenario`` on the
+    inputs, at R = 1, eps 0.1 and delta 0.3 for each stream."""
+    if entry == "converse":
+        return converse_value(scenario, ch, psi, 0.1, psi_b=psi_b, tau=tau)
+    if entry == "achievable":
+        return achievable_rate(scenario, ch, psi, 0.1, 0.3, psi_b=psi_b, tau=tau)
+    if scenario.endswith("_ua"):
+        return simulate_unassisted(scenario[:-3], ch, psi, 1, 0.1, 0.3,
+                                   psi_b=psi_b, tau=tau)
+    return coding._simulate(scenario, ch, psi, 1, 0.1, 0.3, psi_b=psi_b, tau=tau)
+
+
+ENTRIES = ("simulate", "converse", "achievable")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("name,resource", [
+    ("p2p", "U"), ("gp", "U"), ("broadcast", "U"), ("broadcast", "V"),
+    ("mac", "UA"), ("mac", "UB"),
+])
+def test_unassisted_scenarios_require_classical_resources(name, resource, entry):
+    # The assisted twin takes the same input: a classical resource is all
+    # that sets the unassisted scenario apart.
+    inputs = quantum_resource(name, resource)
+    with pytest.raises(ValueError, match=re.escape(f"register {resource!r} is not classical")):
+        through(entry, f"{name}_ua", *inputs)
+    through(entry, f"{name}_ea", *inputs)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_broadcast_ua_reports_a_quantum_resource_before_a_correlated_one(entry):
+    # U and V are a Bell pair: U is not classical, and U and V are not
+    # independent.  The assisted twin rejects the second.
+    inputs = (copy_broadcast_channel(), tensor(maximally_mixed(SystemLayout([("A", 2)])),
+                                               bell_density("U", "V")), None, None)
+    with pytest.raises(ValueError, match="register 'U' is not classical"):
+        through(entry, "broadcast_ua", *inputs)
+    with pytest.raises(ValueError, match="does not factorize"):
+        through(entry, "broadcast_ea", *inputs)
+
+
 def skewed_correlated(label_a, label_u, probs):
     """[A, U] with A a copy of U, and U distributed by ``probs``."""
     d = len(probs)
@@ -945,6 +1010,27 @@ def test_unassisted_decoder_decomposes_one_block_per_type(monkeypatch):
     counts.clear()
     derandomize("p2p", ch, psi, 3, 0.1, 0.6)
     assert sum(counts) <= 2 ** 3 + 2 ** 3 + 1
+
+
+@pytest.mark.parametrize("rate,decoded,derandomized", [(1, 2, 5), (2, 4, 9)])
+def test_type_blocks_hold_only_the_letters_that_occur(monkeypatch, rate, decoded,
+                                                      derandomized):
+    # Letter 2 of the qutrit resource never occurs.  Over letters 0 and 1 the
+    # 2^R - 1 wrong copies have R + 1 types (4 at R = 2, against 10 over all
+    # three letters), and derandomize adds one matrix per type of the 2^R
+    # copies, its candidates.
+    counts = []
+    real = coding._inverse_roots
+    monkeypatch.setattr(coding, "_inverse_roots", lambda mats: counts.append(
+        sum(math.prod(m.shape[:-2]) for m in mats)) or real(mats))
+    _, ch, psi, _ = ua_case("p2p-qutrit")
+    simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.3)
+    assert sum(counts) <= decoded
+    counts.clear()
+    derandomize("p2p", ch, psi, rate, 0.1, 0.3)
+    assert sum(counts) <= derandomized
+    blocks = coding._type_blocks(2 ** rate - 1, np.diag([0.5, 0.5, 0.0]))
+    assert all(weight.item() > 0 for _, _, weight in blocks)
 
 
 def qutrit_beside_a_qubit():

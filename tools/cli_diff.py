@@ -9,7 +9,8 @@ Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound converse``
 and ``achievable`` of every scenario, ``relaxation`` and
 ``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
-and of all at other dims, and the unassisted simulations past R = 1; see
+and of all at other dims, the unassisted simulations past R = 1, and each
+unassisted simulation on a quantum resource, rejected with exit 1; see
 ``_cli_ops``), runs at each given
 variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
 that imports the package from the tree's ``src``. The spec files are written
@@ -36,12 +37,22 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 
 
 def _named(name: str, dims, **extra) -> dict:
     return {"schema": "1", "type": "state", "name": name, "dims": dims, **extra}
+
+
+def _bell_beside_mixed(labels: str, **extra) -> dict:
+    """A Bell pair on the first two of three qubit registers, named by the
+    letters of ``labels``; the third is maximally mixed."""
+    mat = np.kron(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2, np.eye(2) / 2)
+    return {"schema": "1", "type": "state", "matrix": mat.tolist(),
+            "dims": [[label, 2] for label in labels], **extra}
 
 
 # The names of ``verification.CHECKS``, in its order.
@@ -56,9 +67,12 @@ def _cli_ops(variant: int):
     achievable rate of every scenario, the converse without ``--scenario``,
     the relaxation and identity-corollary bounds, the sum-rate converse of
     multiple access (which needs pure sender states), ``verify`` of each
-    fact alone and of all of them at other dims and seed, and the
-    unassisted simulations at rates past the benchmark's R = 1, where the
-    wrong copies have more than two types."""
+    fact alone and of all of them at other dims and seed, the unassisted
+    simulations at rates past the benchmark's R = 1, where the wrong copies
+    have more than two types, and each unassisted simulation with its
+    (first) resource half a Bell pair with the channel input: rejected with
+    exit 1, so a tree whose classicality check stops rejecting differs in
+    its exit code."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -93,6 +107,11 @@ def _cli_ops(variant: int):
         argv = list(op.argv)
         argv[argv.index("--R") + 1] = rates
         return argv, op.specs
+
+    def on_state(grid_op: str, state: dict):
+        """The ``small_grid`` op ``grid_op`` with ``state`` for its state."""
+        op = wl.op_for("small_grid", grid_op, variant)
+        return list(op.argv), {**op.specs, "state": state}
 
     # The small_grid op of each scenario the benchmark bounds nowhere.
     grid = {"gp_ea": "gp_ea_flip", "broadcast_ea": "broadcast_ea",
@@ -135,6 +154,13 @@ def _cli_ops(variant: int):
         **{f"simulate_{name}_r{rates.replace(',', '_')}": at_rates(name, rates)
            for name, rates in (("p2p_ua", "2"), ("p2p_ua", "3"), ("gp_ua", "3"),
                                ("broadcast_ua", "3,2"), ("mac_ua", "2,1"))},
+        # The other constraints hold: S and V are independent of U, the
+        # second sender's UB is classical.
+        **{f"simulate_{name}_quantum": on_state(name, state) for name, state in (
+            ("p2p_ua", _named("bell", [["A", 2], ["U", 2]])),
+            ("gp_ua", _bell_beside_mixed("AUS", product=[["S"], ["U"]])),
+            ("broadcast_ua", _bell_beside_mixed("AUV")),
+            ("mac_ua", _named("bell", [["A", 2], ["UA", 2]])))},
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
