@@ -178,7 +178,7 @@ def check_uniform(state: DensityOp, label: str):
 
 
 def split_sender_state(psi: DensityOp, channel_label: str):
-    """Register roles for one sender: (channel input, resource, optional side).
+    """The (resource, side) registers of one sender's state, side None if absent.
 
     Layout convention: first register feeds the channel, second carries the
     position resource, an optional third is a side register the receiver
@@ -553,6 +553,8 @@ class ProtocolReport:
     1 - s_B * s_C, the error of the pair's joint success.  ``floor_inputs``
     holds one :class:`FloorInput` per converse floor for
     :func:`report_floors`; it is left out of repr and of CLI reports.
+    :func:`_report` decides ``rate_feasible`` and ``bound_satisfied`` for
+    every decoder.
     """
 
     scenario: str
@@ -575,18 +577,18 @@ def _error(successes, average: bool) -> float:
     return float(np.mean(lost) if average else np.max(lost))
 
 
-def _holds(errors, hns, bounds, feasible: bool) -> bool:
-    """Each error is within its premise-free bound and, when the rate is
-    feasible, within its analytic bound."""
-    return all(e <= min(1.0, h) + BOUND_SLACK
-               and (not feasible or e <= min(1.0, b) + BOUND_SLACK)
-               for e, h, b in zip(errors, hns, bounds))
-
-
-def _report(spec: Scenario, rates, successes, errors, *, analytic, hn, ok,
-            feasible, dh_values, details, floors) -> ProtocolReport:
-    """``successes`` are the joint per-message successes; ``errors`` the
-    errors of the independently decoded streams (one for a joint decoder)."""
+def _report(spec: Scenario, rates, successes, errors, dhs, penalties, checks, *,
+            details, floors) -> ProtocolReport:
+    """A simulated code's report and its verdict, from the joint per-message
+    ``successes``, the ``errors`` of the separately decoded streams, per
+    stream the D_H result and its penalty, and the (error, premise-free
+    bound, analytic bound) ``checks`` whose largest bounds are reported.
+    Each error must be within its premise-free bound and, at a feasible
+    rate, its analytic bound."""
+    dh_values = tuple(float(dh.value) for dh in dhs)
+    feasible = all(_rate_feasible(rate, dh, pen)
+                   for rate, dh, pen in zip(rates, dh_values, penalties))
+    errs, hns, bounds = zip(*checks)
     return ProtocolReport(
         scenario=spec.name,
         rates=tuple(float(r) for r in rates),
@@ -594,11 +596,12 @@ def _report(spec: Scenario, rates, successes, errors, *, analytic, hn, ok,
         worst_error=max(errors) if spec.assisted else _error(successes, False),
         avg_error=_error(successes, True),
         reported_error=max(errors),
-        analytic_bound=float(analytic),
-        hn_bound=float(hn),
-        rate_feasible=bool(feasible),
-        bound_satisfied=bool(ok),
-        dh_values=tuple(float(v) for v in dh_values),
+        analytic_bound=float(max(bounds)),
+        hn_bound=float(max(hns)),
+        rate_feasible=feasible,
+        bound_satisfied=all(e <= min(1.0, h, b if feasible else 1.0) + BOUND_SLACK
+                            for e, h, b in zip(errs, hns, bounds)),
+        dh_values=dh_values,
         details=details,
         floor_inputs=tuple(floors),
     )
@@ -802,15 +805,13 @@ def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
 def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                      c) -> ProtocolReport:
     """One square-root decoder per receiver, each on its own registers."""
+    penalties = [spec.penalty(e, delta, strategy) for e in eps]
     consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, c)]
     runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
-    dh_values = [dh.value for dh, _ in runs]
-    hns = [_hn_chain(dh, 2 ** rate, cv)
-           for (dh, _), rate, cv in zip(runs, rates, consts)]
-    bounds = spec.bound(eps, delta, c=consts, rates=rates, dhs=dh_values,
-                        strategy=strategy)
-    feasible = all(_rate_feasible(rate, dh, spec.penalty(e, delta, strategy))
-                   for rate, dh, e in zip(rates, dh_values, eps))
+    dhs = [dh for dh, _ in runs]
+    hns = [_hn_chain(dh, 2 ** rate, cv) for dh, rate, cv in zip(dhs, rates, consts)]
+    bounds = spec.bound(eps, delta, c=consts, rates=rates,
+                        dhs=[dh.value for dh in dhs], strategy=strategy)
     stream_successes = [np.diagonal(dist) for _, dist in runs]
     errors = [_error(succ, not spec.assisted) for succ in stream_successes]
     if len(runs) == 1:
@@ -826,9 +827,8 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
         details = {f"per_receiver_{kind}_error": tuple(errors),
                    "per_receiver_bounds": bounds}
     successes = [math.prod(s) for s in itertools.product(*stream_successes)]
-    return _report(spec, rates, successes, errors, analytic=max(bounds),
-                   hn=max(hns), ok=_holds(errors, hns, bounds, feasible),
-                   feasible=feasible, dh_values=dh_values, details=details,
+    return _report(spec, rates, successes, errors, dhs, penalties,
+                   zip(errors, hns, bounds), details=details,
                    floors=[FloorInput(dist, float(rate), None)
                            for (_, dist), rate in zip(runs, rates)])
 
@@ -1031,29 +1031,24 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     # The penalty rejects an unknown strategy before any decoding work.
     penalties = [spec.penalty(e, delta, strategy) for e in eps]
     code = _mac_code(receivers, rates, strategy == "sequential")
-    dh_values = [dh.value for dh in code.dhs]
-    feasible = all(_rate_feasible(rate, dh, pen)
-                   for rate, dh, pen in zip(rates, dh_values, penalties))
     bounds = spec.bound(eps, delta, strategy=strategy)
     cols = [m1 * (code.n[1] + 1) + m2 for m1 in range(code.n[0]) for m2 in range(code.n[1])]
     if strategy == "sequential":
         successes, hn, details = _mac_sequential(code)
-        analytic = bounds[0]
     else:
         successes, hn, details = _mac_pgm(code, eps, delta, c,
                                           strategy == "pgm_a_first")
-        analytic = sum(bounds)
         details["stage_bounds"] = bounds
     details["strategy"] = strategy
     errors = [_error(successes, not spec.assisted)]
-    checks = [(errors[0], hn, analytic)]
+    # The joint error's bound is the sequential one or the stages' sum.
+    checks = [(errors[0], hn, sum(bounds))]
     if strategy != "sequential":
         # The theorems bound the two stages separately; require those too.
         checks += [(float(np.max(details[f"stage{i + 1}_err"])),
                     details["stage_hn"][i], bounds[i]) for i in (0, 1)]
-    return _report(spec, rates, successes, errors, analytic=analytic, hn=hn,
-                   ok=_holds(*zip(*checks), feasible), feasible=feasible,
-                   dh_values=dh_values, details=details,
+    return _report(spec, rates, successes, errors, code.dhs, penalties, checks,
+                   details=details,
                    floors=[FloorInput(details["outcome_dist"],
                                       float(rates[0]) + float(rates[1]), cols)])
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import re
 import time
@@ -6,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from oneshot_qcap import bounds, channels, cli, divergences, verification
+from oneshot_qcap import bounds, channels, cli, coding, divergences, verification
 from oneshot_qcap.cli import SpecError, parse_spec, run
 from oneshot_qcap.coding import simulate_broadcast_ea
 from oneshot_qcap.linalg import (DimensionCapError, SystemLayout, dimension_cap,
@@ -435,6 +437,25 @@ def test_verify_exit_codes(capsys):
     assert code == 1
 
 
+def test_verify_exits_two_listing_the_failing_trials(capsys, monkeypatch):
+    # At a tolerance of -1 the triangle inequality needs a margin of 1, which
+    # some trials have and others lack.
+    monkeypatch.setattr(verification, "ALG_TOL", -1.0)
+    code = run(["verify", "--facts", "triangle", "--trials", "4", "--dims", "2,3"])
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert code == 2
+    assert out["holds"] is False
+    (check,) = out["checks"]
+    failures = check["failures"]
+    assert check["holds"] is False
+    assert 0 < len(failures) < 4
+    assert check["passes"] == 4 - len(failures)
+    for failure in failures:
+        assert failure["holds"] is False and failure["margin"] < 1
+        assert failure["dim"] == (2, 3)[failure["trial"] % 2]
+    assert check["worst_margin"] == min(f["margin"] for f in failures)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_needs_at_least_one_trial(capsys, trials):
     with pytest.raises(ValueError, match="trials"):
@@ -466,6 +487,19 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 3  # header + two grid points
     header = lines[0].split(",")
     assert "worst_error" in header and "bound_satisfied" in header
+
+
+def test_sweep_exits_two_when_a_bound_fails(tmp_path, capsys, monkeypatch):
+    # A slack of -2 puts every error past its bound.
+    monkeypatch.setattr(coding, "BOUND_SLACK", -2.0)
+    ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    code = run(["sweep", "p2p_ea", "--channel", ch, "--state", st,
+                "--R", "1;2", "--eps", "0.1", "--delta", "0.05",
+                "--floor-sigmas", "2"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 2
+    assert [row["bound_satisfied"] for row in rows] == ["False", "False"]
 
 
 def test_cli_output_is_deterministic(tmp_path, capsys):
@@ -891,6 +925,21 @@ def test_simulate_report_shape_for_every_scenario(tmp_path, capsys):
                             "seed"}, name
         assert set(out["report"]) == REPORT_KEYS, name
         assert set(out["report"]["details"]) == details, name
+
+
+def test_simulate_exits_two_when_a_bound_fails(tmp_path, capsys, monkeypatch):
+    # A slack of -2 puts every error past its bound, in every scenario and
+    # with every decoder.
+    monkeypatch.setattr(coding, "BOUND_SLACK", -2.0)
+    specs = scenario_specs(tmp_path)
+    cases = list(specs.items()) + [
+        ("mac_ea", specs["mac_ea"] + ["--strategy", strategy])
+        for strategy in ("pgm_a_first", "pgm_b_first")]
+    for name, args in cases:
+        assert run(["simulate", name, "--floor-sigmas", "2"] + args) == 2, name
+        out = json.loads(capsys.readouterr().out)
+        assert out["holds"] is False, name
+        assert out["report"]["bound_satisfied"] is False, name
 
 
 def test_simulate_broadcast_ea_uses_c(tmp_path, capsys):

@@ -799,6 +799,71 @@ def test_sequential_pointer_label_clashes_with_no_register():
 
 
 # ---------------------------------------------------------------------------
+# the verdict: rate_feasible and bound_satisfied
+
+
+def noiseless_instance(name):
+    """(channel, state, second sender's state, tau) of scenario ``name`` on
+    noiseless channels: each resource is half a Bell pair with its sender's
+    input, or for an unassisted scenario a classical copy of it."""
+    pair = classically_correlated if name.endswith("_ua") else bell_density
+    r = "U" if name.endswith("_ua") else "R"
+    if name.startswith("p2p"):
+        return identity_channel(2, "A", "B"), pair("A", r), None, None
+    if name.startswith("gp"):
+        tau = maximally_mixed(SystemLayout([("S", 2)]))
+        return (gp_discard_channel(), tensor(pair("A", r), tau).permuted(["A", "S", r]),
+                None, tau)
+    if name.startswith("broadcast"):
+        return (copy_broadcast_channel(),
+                tensor(pair("A", r + "B"), maximally_mixed(SystemLayout([(r + "C", 2)]))),
+                None, None)
+    return xor_mac_channel(), pair("A", r + "A"), pair("B", r + "B"), None
+
+
+def verdict_report(name, strategy):
+    """The report of ``name`` at R = 1, eps 0.05 and delta 0.45 on its
+    :func:`noiseless_instance`."""
+    ch, psi, psi_b, tau = noiseless_instance(name)
+    return coding._simulate(name, ch, psi, 1, 0.05, 0.45, psi_b=psi_b, tau=tau,
+                            strategy=strategy)
+
+
+VERDICT_CASES = [(name, strategy) for name, spec in coding.SCENARIOS.items()
+                 for strategy in spec.strategies or ("sequential",)]
+
+
+@pytest.mark.parametrize("name,strategy", VERDICT_CASES)
+def test_a_negative_slack_fails_every_bound_and_no_rate(monkeypatch, name, strategy):
+    # Errors are non-negative and the bounds are capped at 1, so a slack of
+    # -2 puts every error past its bound; feasibility does not read it.
+    before = verdict_report(name, strategy)
+    assert before.bound_satisfied
+    assert before.rate_feasible == name.startswith(("p2p", "gp"))
+    monkeypatch.setattr(coding, "BOUND_SLACK", -2.0)
+    after = verdict_report(name, strategy)
+    assert after.bound_satisfied is False
+    assert after.rate_feasible == before.rate_feasible
+
+
+@pytest.mark.parametrize("feasible", [False, True])
+@pytest.mark.parametrize("name,strategy", VERDICT_CASES)
+def test_the_analytic_bound_counts_only_at_a_feasible_rate(monkeypatch, name,
+                                                          strategy, feasible):
+    # Analytic bounds of 0 fail every nonzero error, but only when the rate
+    # is feasible; the premise-free bounds hold either way.
+    spec = coding.SCENARIOS[name]
+    monkeypatch.setitem(coding.SCENARIOS, name, dataclasses.replace(
+        spec, bound=lambda eps, delta, **_: (0.0,) * len(eps)))
+    monkeypatch.setattr(coding, "_rate_feasible", lambda *_: feasible)
+    rep = verdict_report(name, strategy)
+    assert rep.rate_feasible is feasible
+    assert rep.analytic_bound == 0.0
+    assert rep.reported_error > 0.05
+    assert rep.bound_satisfied is not feasible
+
+
+# ---------------------------------------------------------------------------
 # unassisted simulation
 
 

@@ -9,13 +9,14 @@ Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound converse``
 and ``achievable`` of every scenario, ``relaxation`` and
 ``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
-and of all at other dims, the unassisted simulations past R = 1, and each
-unassisted simulation on a quantum resource, rejected with exit 1; see
-``_cli_ops``), runs at each given
-variant through ``oneshot_qcap.cli.run``, once per tree, in a child process
-that imports the package from the tree's ``src``. The spec files are written
-once, to one directory that both trees read. OpenBLAS runs on the thread
-count the benchmark pins.
+and of all at other dims, the unassisted simulations past R = 1, each
+unassisted simulation on a quantum resource, rejected with exit 1, the
+multiple-access simulation decoding B first, a multiple-access sweep and the
+point-to-point simulation at a given ``--c``; see ``_cli_ops``), runs at each
+given variant through ``oneshot_qcap.cli.run``, once per tree, in a child
+process that imports the package from the tree's ``src``. The spec files are
+written once, to one directory that both trees read. OpenBLAS runs on the
+thread count the benchmark pins.
 
 For every (op, variant) it prints whether the exit codes are equal, whether
 the outputs are byte-identical and, for outputs that differ, the largest
@@ -72,7 +73,9 @@ def _cli_ops(variant: int):
     have more than two types, and each unassisted simulation with its
     (first) resource half a Bell pair with the channel input: rejected with
     exit 1, so a tree whose classicality check stops rejecting differs in
-    its exit code."""
+    its exit code; and the paths of ``simulate`` and ``sweep`` no benchmark
+    op takes: multiple access decoding B first and swept over two rate
+    pairs, and point-to-point at a given Hayashi-Nagaoka constant ``--c``."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -101,11 +104,18 @@ def _cli_ops(variant: int):
             argv += ["--delta", options["--delta"]]
         return argv, op.specs
 
-    def at_rates(grid_op: str, rates: str):
-        """The ``small_grid`` op ``grid_op`` at ``--R rates``."""
-        op = wl.op_for("small_grid", grid_op, variant)
+    def with_options(workload: str, name: str, *options: str, command=None):
+        """The op ``name`` of ``workload``, each ``--key value`` pair of
+        ``options`` replacing its value or appended, run as ``command``
+        when given."""
+        op = wl.op_for(workload, name, variant)
         argv = list(op.argv)
-        argv[argv.index("--R") + 1] = rates
+        for key, value in zip(options[::2], options[1::2]):
+            if key in argv:
+                argv[argv.index(key) + 1] = value
+            else:
+                argv += [key, value]
+        argv[0] = command or argv[0]
         return argv, op.specs
 
     def on_state(grid_op: str, state: dict):
@@ -151,7 +161,8 @@ def _cli_ops(variant: int):
                                "--dims", "2,3"], {}) for fact in FACTS},
         "verify_all_dims_3_5": (["verify", "--facts", "all", "--trials", "3",
                                  "--dims", "3,5", "--seed", "11"], {}),
-        **{f"simulate_{name}_r{rates.replace(',', '_')}": at_rates(name, rates)
+        **{f"simulate_{name}_r{rates.replace(',', '_')}": with_options(
+            "small_grid", name, "--R", rates)
            for name, rates in (("p2p_ua", "2"), ("p2p_ua", "3"), ("gp_ua", "3"),
                                ("broadcast_ua", "3,2"), ("mac_ua", "2,1"))},
         # The other constraints hold: S and V are independent of U, the
@@ -161,6 +172,12 @@ def _cli_ops(variant: int):
             ("gp_ua", _bell_beside_mixed("AUS", product=[["S"], ["U"]])),
             ("broadcast_ua", _bell_beside_mixed("AUV")),
             ("mac_ua", _named("bell", [["A", 2], ["UA", 2]])))},
+        "simulate_mac_ea_pgm_b_first": with_options(
+            "dense_sim", "mac_ea_seq_21", "--strategy", "pgm_b_first"),
+        "sweep_mac_ea_pgm_a_first": with_options(
+            "dense_sim", "mac_ea_seq_21", "--strategy", "pgm_a_first",
+            "--R", "1,1;2,1", command="sweep"),
+        "simulate_p2p_ea_c": with_options("small_grid", "p2p_ea_r1", "--c", "0.3"),
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
