@@ -416,8 +416,10 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     names = None if args.facts == "all" else [s.strip()
                                               for s in args.facts.split(",")]
-    suite = verify_mod.run_suite(names, trials=args.trials, seed=args.seed,
-                                 dims=tuple(_numbers(args.dims, "dims", int)))
+    dims = tuple(_numbers(args.dims, "dims", int))
+    if min(dims) < 1:
+        raise SpecError("dims", f"each dimension must be at least 1, got {args.dims}")
+    suite = verify_mod.run_suite(names, trials=args.trials, seed=args.seed, dims=dims)
     _emit({"command": "verify", "facts": args.facts, "trials": args.trials,
            "dims": args.dims, "seed": args.seed,
            "result": _jsonable(suite)}, args.output)

@@ -495,10 +495,16 @@ class Scenario:
         return receivers
 
     def smoothings(self, eps, delta: float) -> list[float]:
-        """The smoothing of each stream's test at error budgets ``eps``."""
+        """The smoothing of each stream's test at error budgets ``eps``; each
+        budget and smoothing must lie in [0, 1)."""
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return [self.smoothing(e, delta) for e in eps]
+        smoothings = [self.smoothing(e, delta) for e in eps]
+        for e, s in zip(eps, smoothings):
+            if not (0 <= e < 1 and 0 <= s < 1):
+                raise ValueError(f"{'the smoothing' if 0 <= e < 1 else 'eps'} must lie "
+                                 f"in [0, 1), got eps {e}, delta {delta}, smoothing {s}")
+        return smoothings
 
     def rates(self, rates) -> tuple[int, ...]:
         """``rates`` as one non-negative integer per message stream."""
@@ -770,14 +776,16 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
     return np.array(rows)
 
 
-def _receiver_test(rec: Receiver, dh: DivergenceResult) -> HermOp:
-    """The D_H witness, on a classical resource only its letter-diagonal
-    blocks: they have its type-I and type-II errors, and the others depend
-    on the basis :func:`dh_eps` picks inside a degenerate eigenspace."""
+def _receiver_test(rec: Receiver) -> tuple[DivergenceResult, HermOp]:
+    """The receiver's D_H result and its test, the D_H witness; on a
+    classical resource only the witness's letter-diagonal blocks, which have
+    its type-I and type-II errors, while the others depend on the basis
+    :func:`dh_eps` picks inside a degenerate eigenspace."""
+    dh = dh_eps(rec.joint, rec.alt, rec.eps)
     layout = rec.joint.layout
     letter = np.indices(layout.dims)[layout.index_of(rec.resource)].ravel()
     keep = (letter[:, None] == letter) | (not rec.classical)
-    return HermOp(np.where(keep, dh.witness.operator, 0), layout)
+    return dh, HermOp(np.where(keep, dh.witness.operator, 0), layout)
 
 
 def _run_position_code(rec: Receiver, rate: int):
@@ -786,10 +794,9 @@ def _run_position_code(rec: Receiver, rate: int):
     Schur-Weyl blocks, or on type blocks for a classical resource."""
     _check_copies(rec.joint.layout, {rec.resource: rate})
     n = 2 ** rate
-    dh = dh_eps(rec.joint, rec.alt, rec.eps)
+    dh, test = _receiver_test(rec)
     order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
-    test = _receiver_test(rec, dh).permuted(order).matrix
-    (row,) = _position_rows(test, rec.marginal.matrix, n,
+    (row,) = _position_rows(test.permuted(order).matrix, rec.marginal.matrix, n,
                             [rec.state.permuted(order).matrix],
                             _type_blocks if rec.classical else _schur_weyl_blocks)
     return dh, row[_swaps(n)]
@@ -858,9 +865,7 @@ def _mac_code(receivers, rates, sequential: bool) -> _MacCode:
     labels = [*omega.layout.labels,
               *(_copy_label(r, k - 1) for (r, _), k in zip(senders, n))]
     pointer = ("J" + "#" * max(map(len, labels)), 2) if sequential else None
-    dhs = tuple(dh_eps(r.joint, r.alt, r.eps) for r in receivers)
-    return _MacCode(omega, senders, pointer, dhs,
-                    tuple(_receiver_test(r, dh) for dh, r in zip(dhs, receivers)), n)
+    return _MacCode(omega, senders, pointer, *zip(*map(_receiver_test, receivers)), n)
 
 
 def _split(layout: SystemLayout, test, stack: np.ndarray):
@@ -953,13 +958,6 @@ def _sequential_pass(code: _MacCode, starts, wrong):
     return np.maximum(chain, 0.0), np.maximum(dist, 0.0).reshape(n1 * n2, -1)
 
 
-def _randomized(code: _MacCode):
-    """:func:`_sequential_pass`'s input for the code's own message states:
-    the receiver's state, and every wrong copy in its resource's marginal."""
-    return ([[[(code.omega.layout.registers, code.omega.matrix)]]] * code.n[0],
-            [[marg.matrix] * k for (_, marg), k in zip(code.senders, code.n)])
-
-
 def _mac_sequential(code: _MacCode):
     """Sequential binary tests, dilated to projectors with a shared J qubit,
     each applied on the registers it reads (:func:`_sequential_pass`).
@@ -969,7 +967,9 @@ def _mac_sequential(code: _MacCode):
     other copy in the product alternative, so the bound's right-hand side
     1 - 4 sum_k Tr(P_k rho) is read off the tests' recorded errors."""
     n1, n2 = code.n
-    chain_succ, dist = _sequential_pass(code, *_randomized(code))
+    chain_succ, dist = _sequential_pass(
+        code, [[[(code.omega.layout.registers, code.omega.matrix)]]] * n1,
+        [[marg.matrix] * k for (_, marg), k in zip(code.senders, code.n)])
     dh_a, dh_b = code.dhs
     hn = 4.0 * ((1.0 - dh_a.witness.type1) + (1.0 - dh_b.witness.type1)
                 + (n1 - 1) * dh_a.witness.type2
@@ -1030,6 +1030,8 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     correct)."""
     # The penalty rejects an unknown strategy before any decoding work.
     penalties = [spec.penalty(e, delta, strategy) for e in eps]
+    if strategy == "sequential" and any(ci is not None for ci in c):
+        raise ValueError(f"the sequential decoder takes no c, got c {c}")
     code = _mac_code(receivers, rates, strategy == "sequential")
     bounds = spec.bound(eps, delta, strategy=strategy)
     cols = [m1 * (code.n[1] + 1) + m2 for m1 in range(code.n[0]) for m2 in range(code.n[1])]
@@ -1144,7 +1146,8 @@ def simulate_mac_ea(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
     Sender states follow the register convention of :func:`split_sender_state`.
     Strategies: two square-root measurements in either order (``pgm_a_first``,
     ``pgm_b_first``) or projective ``sequential`` tests via a shared pointer
-    qubit.  Per-message successes are joint (both messages correct).
+    qubit, which takes no ``c``.  Per-message successes are joint (both
+    messages correct).
     """
     return _simulate("mac_ea", ch, psi_a, rates, epsilons, delta, psi_b=psi_b,
                      strategy=strategy, c=c)
@@ -1185,14 +1188,15 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
                 tau: DensityOp | None = None) -> DerandomizedCode:
     """Search for a fixed randomness string at least as good as the average.
 
-    Every string of positive probability is a candidate, so the minimum over
-    strings is at most the randomized protocol's average error, by the
-    averaging argument; each candidate's error is read off the randomized
-    protocol's decoder on that string; for ``p2p`` and ``gp`` that error
-    depends only on the string's type, so each type is decoded once.  For
-    the two-sender scenario the strings are chosen jointly and the figure
-    minimized is the average error of the joint sequential decoder.  The
-    two-receiver broadcast scenario is not supported.
+    The randomized protocol is the mixture of its fixed-string codes, so its
+    average error is theirs weighted by the strings' probabilities, and the
+    best string of positive probability does at least as well (the averaging
+    argument).  Each candidate's error is read off the randomized protocol's
+    decoder on that string; for ``p2p`` and ``gp`` that error depends only
+    on the string's type, so each type is decoded once, on its first
+    string.  For the two-sender scenario the strings are chosen jointly and
+    the figure minimized is the average error of the joint sequential
+    decoder.  The two-receiver broadcast scenario is not supported.
     """
     spec = get_scenario(f"{scenario}_ua")
     if spec.streams > 1 and spec.decode is not _decode_mac:
@@ -1200,40 +1204,39 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     rates = spec.rates(rates)
     eps = spec.per_stream(epsilons, "eps")
     receivers = spec.build(ch, psi, psi_b, tau, spec.smoothings(eps, delta))
-    candidates, randomized = (_mac_string_errors if spec.decode is _decode_mac
-                              else _type_errors)(receivers, rates)
+    candidates = list((_mac_string_errors if spec.decode is _decode_mac
+                       else _type_errors)(receivers, rates))
     best_err, best = math.inf, None
-    for strings, err in candidates:
+    for strings, _, err in candidates:
         if err < best_err - 1e-15:
             best_err, best = err, strings
-    return DerandomizedCode(best[0], best[1] if len(best) > 1 else None,
-                            best_err, randomized)
+    return DerandomizedCode(best[0], best[1] if len(best) > 1 else None, best_err,
+                            math.fsum(weight * err for _, weight, err in candidates))
 
 
 def _type_errors(receivers, rates):
-    """Per type N of positive probability, its first string and the error on
-    it, S = sum_a N_a T_a (T_a: the test at letter a); and the randomized error."""
+    """Per type N of the 2^R copies' letters (:func:`_type_blocks`), its
+    first string, the probability of its strings and the error on them,
+    S = sum_a N_a T_a (T_a: the test at letter a)."""
     (rec,), (rate,) = receivers, rates
-    dh, dist = _run_position_code(rec, rate)
+    _check_copies(rec.joint.layout, {rec.resource: rate})
+    _, test = _receiver_test(rec)
     probs, blocks = classical_blocks(rec.joint, rec.resource)
-    tests = np.einsum("uiuj->uij", _letter_view(_receiver_test(rec, dh), [rec.resource]))
+    tests = np.einsum("uiuj->uij", _letter_view(test, [rec.resource]))
     conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
-    firsts = list(itertools.combinations_with_replacement(
-        np.flatnonzero(probs > SUPPORT_FLOOR).tolist(), 2 ** rate))
-    counts = np.array([[f.count(a) for a in range(len(probs))] for f in firsts])
+    mults, gens, powers = zip(*_type_blocks(2 ** rate, rec.marginal.matrix))
+    counts = np.array([np.diagonal(g[..., 0, 0]) for g in gens])
     roots = _inverse_roots([np.tensordot(counts, tests, 1)])[0][:, None]
     success = np.einsum("ka,kaij,aji->k", counts, roots @ tests @ roots, conds).real
-    return ((((f,), max(1.0 - float(x) / 2 ** rate, 0.0)) for f, x in zip(firsts, success)),
-            _error(np.diagonal(dist), True))
+    for count, mult, power, x in zip(counts, mults, powers, success):
+        yield ((tuple(np.repeat(np.arange(len(probs)), count).tolist()),),
+               mult * power.item(), max(1.0 - float(x) / 2 ** rate, 0.0))
 
 
 def _mac_string_errors(receivers, rates):
-    """Each pair of strings of positive probability with the sequential
-    decoder's average error on it, and the randomized protocol's."""
+    """Each pair of strings of positive probability, its probability and
+    the sequential decoder's average error on it."""
     code = _mac_code(receivers, rates, sequential=True)
-
-    def error(starts, wrong) -> float:
-        return 1.0 - float(np.mean(_sequential_pass(code, starts, wrong)[0]))
     # Given the letters (a, b), the decoder registers are in a diagonal block
     # of the receiver's state, and every copy is in the basis state of its
     # letter.
@@ -1248,12 +1251,13 @@ def _mac_string_errors(receivers, rates):
             for b in strings[1]] for a in strings[0]]
         return starts, [[_basis_density(u, d) for u in string]
                         for string, d in zip(strings, dims)]
-    support = [np.flatnonzero(np.sum(probs, axis=1 - i) > SUPPORT_FLOOR).tolist()
-               for i in (0, 1)]
-    pairs = itertools.product(*(itertools.product(sup, repeat=n)
-                                for sup, n in zip(support, code.n)))
-    return (((strings, max(error(*fixed(strings)), 0.0)) for strings in pairs),
-            error(*_randomized(code)))
+    letters = [np.sum(probs, axis=1 - i) for i in (0, 1)]
+    support = [np.flatnonzero(p > SUPPORT_FLOOR).tolist() for p in letters]
+    for strings in itertools.product(*(itertools.product(sup, repeat=n)
+                                       for sup, n in zip(support, code.n))):
+        chain, _ = _sequential_pass(code, *fixed(strings))
+        yield (strings, math.prod(p[u] for p, s in zip(letters, strings) for u in s),
+               max(1.0 - float(np.mean(chain)), 0.0))
 
 
 def _basis_density(index: int, dim: int) -> np.ndarray:

@@ -465,6 +465,14 @@ def test_verify_needs_at_least_one_trial(capsys, trials):
     assert out.out == "" and "trials" in out.err
 
 
+@pytest.mark.parametrize("dims", ["0", "2,0", "-1"])
+def test_verify_dims_below_one_are_named(capsys, dims):
+    assert run(["verify", "--facts", "triangle", "--trials", "1", "--dims", dims]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(
+        f"error: dims: each dimension must be at least 1, got {dims}"), out.err
+
+
 def test_verify_pure_rank_one_where_the_search_fell_short(capsys):
     # A local search for the rank-one optimum fell short of it here and made
     # this run exit 2 although dh_eps was right.
@@ -550,6 +558,27 @@ def test_bad_scenario_parameters_exit_one_naming_them(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps,delta,name", [
+    ("-0.01", "0.05", "eps"), ("0.97", "0.05", "the smoothing"),
+    ("0.1", "2", "the smoothing"),
+], ids=["eps-negative", "smoothing-past-one", "delta-past-one"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "p2p_ea", "--R", "1"], ["sweep", "p2p_ea", "--R", "1"],
+    ["bound", "achievable", "--scenario", "p2p_ea"],
+], ids=["simulate", "sweep", "achievable"])
+def test_error_budgets_and_smoothings_out_of_range_exit_one_naming_them(
+        tmp_path, capsys, argv, eps, delta, name):
+    # p2p_ea tests at eps + delta, which is 0.04 at eps -0.01.
+    ch = write_spec(tmp_path, "ch.json", IDENTITY_CHANNEL)
+    st = write_spec(tmp_path, "st.json", BELL_STATE)
+    assert run(argv + ["--channel", ch, "--state", st, "--eps", eps,
+                       "--delta", delta]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(
+        f"error: {name} must lie in [0, 1), got eps {float(eps)}, "
+        f"delta {float(delta)}, smoothing "), out.err
 
 
 def test_mac_hdw_converse_without_second_sender_exits_one(tmp_path, capsys):
@@ -955,3 +984,25 @@ def test_simulate_broadcast_ea_uses_c(tmp_path, capsys):
                                  (0.1, 0.1), 0.05, c=(0.3, 0.3)).hn_bound
     assert hn[1] != pytest.approx(hn[0], abs=1e-6)
     assert hn[1] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,c", [("mac_ua", "0.3"), ("mac_ea", "0.3"),
+                                    ("mac_ea", "-1")])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_sequential_mac_decoding_with_c_exits_one(tmp_path, capsys, command, name, c):
+    specs = scenario_specs(tmp_path)[name]
+    assert run([command, name, "--floor-sigmas", "2", "--c", c] + specs) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(
+        "error: the sequential decoder takes no c"), out.err
+
+
+@pytest.mark.parametrize("strategy", ["pgm_a_first", "pgm_b_first"])
+def test_square_root_mac_decoding_reads_c(tmp_path, capsys, strategy):
+    args = ["simulate", "mac_ea", "--floor-sigmas", "2", "--strategy", strategy]
+    args += scenario_specs(tmp_path)["mac_ea"]
+    hn = []
+    for extra in ([], ["--c", "0.3"]):
+        assert run(args + extra) == 0
+        hn.append(json.loads(capsys.readouterr().out)["report"]["hn_bound"])
+    assert hn[1] != pytest.approx(hn[0], abs=1e-6)

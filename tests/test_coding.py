@@ -370,6 +370,22 @@ def test_p2p_ea_rejects_misshapen_state(id2):
         simulate_p2p_ea(id2, bad, rate=1, eps=0.1, delta=0.05)
 
 
+@pytest.mark.parametrize("eps,delta,name", [
+    (-0.01, 0.05, "eps"), (1.0, 0.05, "eps"), (0.97, 0.05, "the smoothing"),
+    (0.1, 2.0, "the smoothing"),
+])
+def test_error_budgets_and_smoothings_out_of_range_are_rejected_by_name(
+        id2, bell, eps, delta, name):
+    # The p2p_ea test is at eps + delta: at eps -0.01 and delta 0.05 it is
+    # in range, and only the error budget is out.
+    message = (f"{name} must lie in [0, 1), got eps {eps}, delta {delta}, "
+               f"smoothing {eps + delta}")
+    for call in (lambda: simulate_p2p_ea(id2, bell, 1, eps, delta),
+                 lambda: achievable_rate("p2p_ea", id2, bell, eps, delta)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # channel-with-state simulation
 
@@ -470,6 +486,29 @@ def test_mac_ea_unknown_strategy():
     with pytest.raises(ValueError):
         simulate_mac_ea(xor_mac_channel(), psi_a, psi_b, rates=(1, 1),
                         epsilons=(0.05, 0.1), delta=0.02, strategy="joint")
+
+
+@pytest.mark.parametrize("c", [0.3, -1.0, (0.3, None)])
+def test_the_sequential_decoder_takes_no_c(c):
+    psi_a, psi_b = mac_inputs()
+    with pytest.raises(ValueError, match="sequential decoder takes no c"):
+        simulate_mac_ea(xor_mac_channel(), psi_a, psi_b, (1, 1), (0.05, 0.1), 0.02,
+                        c=c)
+    with pytest.raises(ValueError, match="sequential decoder takes no c"):
+        simulate_unassisted("mac", xor_mac_channel(),
+                            classically_correlated("A", "UA"), (1, 1), (0.1, 0.1),
+                            0.05, psi_b=classically_correlated("B", "UB"), c=c)
+
+
+@pytest.mark.parametrize("strategy", ["pgm_a_first", "pgm_b_first"])
+def test_the_square_root_decoders_read_c(strategy):
+    psi_a, psi_b = mac_inputs()
+    hn = [simulate_mac_ea(xor_mac_channel(), psi_a, psi_b, (1, 1), (0.05, 0.1), 0.02,
+                          strategy=strategy, c=c).hn_bound for c in (None, 0.3)]
+    assert hn[1] != pytest.approx(hn[0], abs=1e-6)
+    with pytest.raises(ValueError, match="c must be positive"):
+        simulate_mac_ea(xor_mac_channel(), psi_a, psi_b, (1, 1), (0.05, 0.1), 0.02,
+                        strategy=strategy, c=-1.0)
 
 
 def xor_side_state():
@@ -1323,6 +1362,68 @@ def test_derandomize_minimizes_the_dense_string_errors(rate):
     assert errors[code.strings] == pytest.approx(code.error, abs=1e-12)
     randomized = simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.6)
     assert code.randomized_error == pytest.approx(randomized.avg_error, abs=1e-12)
+
+
+def noiseless_qubit_pair():
+    """Two noiseless qubit inputs side by side, each with its classical
+    resource."""
+    return (KrausChannel([np.eye(4)], SystemLayout([("A", 2), ("B", 2)]),
+                         SystemLayout([("CA", 2), ("CB", 2)])),
+            classically_correlated("A", "UA"), classically_correlated("B", "UB"))
+
+
+def counted(monkeypatch, *names):
+    """Per name of ``names``, a function of :mod:`oneshot_qcap.coding`, the
+    number of its calls: for ``_inverse_roots`` the number of matrices it is
+    handed, each matrix of a stack counting."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _real=getattr(coding, name)):
+            counts[_name] += (sum(math.prod(m.shape[:-2]) for m in args[0])
+                              if _name == "_inverse_roots" else 1)
+            return _real(*args)
+        monkeypatch.setattr(coding, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("case,rate,matrices", [
+    ("p2p-correlated", 1, 3), ("p2p-correlated", 2, 5), ("p2p-correlated", 3, 9),
+    # Letter 2 never occurs: the types of 2^R letters 0 and 1.
+    ("p2p-qutrit", 1, 3), ("p2p-qutrit", 2, 5),
+])
+def test_derandomize_decodes_only_its_candidates(monkeypatch, case, rate, matrices):
+    # One matrix S_N per type N of the 2^R copies, and no decoder of the
+    # randomized code: its error is the candidates' weighted average.
+    counts = counted(monkeypatch, "_inverse_roots", "_position_rows")
+    _, ch, psi, _ = ua_case(case)
+    derandomize("p2p", ch, psi, rate, 0.1, 0.6)
+    assert counts == {"_inverse_roots": matrices, "_position_rows": 0}
+
+
+@pytest.mark.parametrize("rates", [(1, 1), (2, 1)])
+def test_derandomize_mac_runs_one_sequential_pass_per_candidate_pair(monkeypatch,
+                                                                     rates):
+    counts = counted(monkeypatch, "_sequential_pass")
+    ch, psi_a, psi_b = noiseless_qubit_pair()
+    derandomize("mac", ch, psi_a, rates, (0.1, 0.1), 0.3, psi_b=psi_b)
+    # Both letters of each copy occur: 2^(2^R1 + 2^R2) pairs of strings.
+    assert counts["_sequential_pass"] == 2 ** (2 ** rates[0] + 2 ** rates[1])
+
+
+@pytest.mark.parametrize("case,rates", [
+    ("p2p-correlated", 1), ("p2p-correlated", 2), ("p2p-correlated", 3),
+    ("p2p-qutrit", 1), ("p2p-qutrit", 2), ("gp", 2), ("mac", (1, 1)), ("mac", (2, 1)),
+])
+def test_the_randomized_error_is_the_randomized_codes_average(case, rates):
+    if case == "mac":
+        scenario, tau, (ch, psi, psi_b) = "mac", None, noiseless_qubit_pair()
+    else:
+        (scenario, ch, psi, tau), psi_b = ua_case(case), None
+    args = (scenario, ch, psi, rates, 0.1, 0.3)
+    code = derandomize(*args, psi_b=psi_b, tau=tau)
+    randomized = simulate_unassisted(*args, psi_b=psi_b, tau=tau)
+    assert code.randomized_error == pytest.approx(randomized.avg_error, abs=1e-12)
+    assert code.error <= code.randomized_error + 1e-12
 
 
 # ---------------------------------------------------------------------------

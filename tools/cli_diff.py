@@ -11,12 +11,14 @@ and ``achievable`` of every scenario, ``relaxation`` and
 ``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
 and of all at other dims, the unassisted simulations past R = 1, each
 unassisted simulation on a quantum resource, rejected with exit 1, the
-multiple-access simulation decoding B first, a multiple-access sweep and the
-point-to-point simulation at a given ``--c``; see ``_cli_ops``), runs at each
-given variant through ``oneshot_qcap.cli.run``, once per tree, in a child
-process that imports the package from the tree's ``src``. The spec files are
-written once, to one directory that both trees read. OpenBLAS runs on the
-thread count the benchmark pins.
+multiple-access simulation decoding B first, with and without a given
+``--c``, a multiple-access sweep, the point-to-point simulation at a given
+``--c`` and the multiple-access achievable rate at the sequential strategy;
+see ``_cli_ops``), runs at each given variant through
+``oneshot_qcap.cli.run``, once per tree, in a child process that imports the
+package from the tree's ``src``. The spec files are written once, to one
+directory that both trees read. OpenBLAS runs on the thread count the
+benchmark pins.
 
 For every (op, variant) it prints whether the exit codes are equal, whether
 the outputs are byte-identical and, for outputs that differ, the largest
@@ -75,7 +77,10 @@ def _cli_ops(variant: int):
     exit 1, so a tree whose classicality check stops rejecting differs in
     its exit code; and the paths of ``simulate`` and ``sweep`` no benchmark
     op takes: multiple access decoding B first and swept over two rate
-    pairs, and point-to-point at a given Hayashi-Nagaoka constant ``--c``."""
+    pairs, and point-to-point and multiple access decoding B first at a given
+    Hayashi-Nagaoka constant ``--c``; and the multiple-access achievable rate
+    at its default, sequential strategy, as ``achievable_mac_ea_pgm`` bounds
+    it at ``pgm_a_first``."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -178,6 +183,9 @@ def _cli_ops(variant: int):
             "dense_sim", "mac_ea_seq_21", "--strategy", "pgm_a_first",
             "--R", "1,1;2,1", command="sweep"),
         "simulate_p2p_ea_c": with_options("small_grid", "p2p_ea_r1", "--c", "0.3"),
+        "simulate_mac_ea_pgm_b_first_c": with_options(
+            "dense_sim", "mac_ea_seq_21", "--strategy", "pgm_b_first", "--c", "0.3"),
+        "achievable_mac_ea_sequential": bound("achievable", "mac_ea", "mac_ea_seq"),
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
