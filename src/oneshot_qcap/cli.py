@@ -266,14 +266,6 @@ def _jsonable(obj):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _jsonable(float(obj))
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -284,7 +276,7 @@ def _jsonable(obj):
         # Fields kept out of repr hold internals, not results.
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if f.repr}
-    return repr(obj)
+    raise TypeError(f"a report value of {type(obj)} has no JSON form")
 
 
 def _write(text: str, output: str | None):

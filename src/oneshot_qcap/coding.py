@@ -269,8 +269,8 @@ def hn_check(S: HermOp | np.ndarray, T: HermOp | np.ndarray, c: float) -> float:
     LHS = I - (S+T)^{-1/2} S (S+T)^{-1/2},
     RHS = (1+c)(I-S) + (2+c+1/c) T; the return value must be >= -1e-9.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     s, t = as_matrix(S), as_matrix(T)
     root = herm_apply(s + t, _pinv_sqrt)
     lhs = np.eye(s.shape[0]) - root @ s @ root
@@ -321,18 +321,25 @@ class Receiver:
     classical: bool = False
 
 
-def _position_receiver(ch: KrausChannel, psi: DensityOp, in_labels: Sequence[str],
-                       eps: float) -> Receiver:
-    in_labels = list(in_labels)
-    res = [l for l in psi.layout.labels if l not in in_labels]
-    if len(res) != 1 or not all(psi.layout.has(l) for l in in_labels):
-        raise ValueError(
-            f"state must live on [{', '.join(in_labels)}, one resource register]")
-    (res,) = res
-    joint = apply_on(ch, psi, in_labels)
-    alt = tensor(apply_on(ch, partial_trace(psi, in_labels), in_labels),
-                 partial_trace(psi, [res]))
-    return Receiver(joint, alt, res, partial_trace(joint, [res]), eps, joint)
+def _position_receivers(ch: KrausChannel, psi: DensityOp, ins: Sequence[str],
+                        outs: Sequence[Sequence[str]], eps) -> list[Receiver]:
+    """One receiver per group of channel outputs in ``outs``: the group with
+    one resource register, the registers of ``psi`` past the channel inputs
+    ``ins``, in their order, tested against the product of the group's and
+    the resource's marginals.  The group's marginal is read off the channel
+    applied to ``psi``'s input marginal, a second application."""
+    res = [l for l in psi.layout.labels if l not in ins]
+    if len(res) != len(outs) or not all(psi.layout.has(l) for l in ins):
+        raise ValueError(f"state must live on [{', '.join(ins)}] and {len(outs)} "
+                         f"resource register(s), got {list(psi.layout.labels)}")
+    full = apply_on(ch, psi, ins)
+    out_marg = apply_on(ch, partial_trace(psi, ins), ins)
+    receivers = []
+    for grp, r, e in zip(outs, res, eps):
+        joint = partial_trace(full, [*grp, r])
+        alt = tensor(partial_trace(out_marg, grp), partial_trace(psi, [r]))
+        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
+    return receivers
 
 
 def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
@@ -346,8 +353,8 @@ def _channel_labels(scenario: str, layout: SystemLayout, side: str, roles):
 
 def _p2p_receivers(ch, psi, psi_b, tau, eps):
     """psi on [A, R]: A feeds the channel; the receiver holds B and R."""
-    (a_label,) = _channel_labels("point-to-point", ch.in_layout, "input", "A")
-    return [_position_receiver(ch, psi, [a_label], eps[0])], []
+    ins = _channel_labels("point-to-point", ch.in_layout, "input", "A")
+    return _position_receivers(ch, psi, ins, [ch.out_layout.labels], eps), []
 
 
 def _gp_receivers(ch, psi, psi_b, tau, eps):
@@ -358,7 +365,7 @@ def _gp_receivers(ch, psi, psi_b, tau, eps):
     if tau is not None and tau.layout.registers != ch.in_layout.registers[1:]:
         raise ValueError(f"tau must live on the channel state register "
                          f"{ch.in_layout.registers[1]}, not {tau.layout.registers}")
-    rec = _position_receiver(ch, psi, labels, eps[0])
+    (rec,) = _position_receivers(ch, psi, labels, [ch.out_layout.labels], eps)
     if tau is not None:
         s_marg = partial_trace(psi, [s_label])
         if float(np.max(np.abs(s_marg.matrix - tau.matrix))) > 1e-9:
@@ -369,19 +376,10 @@ def _gp_receivers(ch, psi, psi_b, tau, eps):
 def _broadcast_receivers(ch, psi, psi_b, tau, eps):
     """psi on [A, R_B, R_C]: Bob gets the first channel output and R_B,
     Charlie the second output and R_C; R_B and R_C must be independent."""
-    (a_label,) = _channel_labels("broadcast", ch.in_layout, "input", "A")
-    out_b, out_c = _channel_labels("broadcast", ch.out_layout, "output", "BC")
-    res = [l for l in psi.layout.labels if l != a_label]
-    if len(res) != 2:
-        raise ValueError("state must live on [A, Bob resource, Charlie resource]")
-    full = apply_on(ch, psi, [a_label])
-    out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
-    receivers = []
-    for out, r, e in zip((out_b, out_c), res, eps):
-        joint = partial_trace(full, [out, r])
-        alt = tensor(partial_trace(out_marg, [out]), partial_trace(psi, [r]))
-        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
-    return receivers, [(psi, [[res[0]], [res[1]]])]
+    ins = _channel_labels("broadcast", ch.in_layout, "input", "A")
+    outs = _channel_labels("broadcast", ch.out_layout, "output", "BC")
+    receivers = _position_receivers(ch, psi, ins, [[out] for out in outs], eps)
+    return receivers, [(psi, [[rec.resource] for rec in receivers])]
 
 
 def _mac_receivers(ch, psi, psi_b, tau, eps):
@@ -615,8 +613,8 @@ def _report(spec: Scenario, rates, successes, errors, dhs, penalties, checks, *,
 
 def _hn_constant(eps: float, delta: float, c: float | None) -> float:
     if c is not None:
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {c}")
         return c
     return delta / eps if eps > 1e-12 else 1.0
 

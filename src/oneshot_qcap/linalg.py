@@ -278,12 +278,17 @@ def tensor(a, b):
 
 
 def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
-    """Trace out every register not in ``keep``, preserving register order."""
+    """Trace out every register not in ``keep``, preserving register order.
+
+    Keeping every register returns ``op`` itself: tracing out nothing does
+    not rebuild the state, so it is not validated (and clipped) again."""
     keep_set = set(keep)
     unknown = keep_set - set(op.layout.labels)
     if unknown:
         raise LayoutError(f"unknown registers {sorted(unknown)}")
     kept = [reg for reg in op.layout.registers if reg[0] in keep_set]
+    if len(kept) == len(op.layout.registers):
+        return op
     return DensityOp(reduced(kept, op.layout, op.matrix), SystemLayout(kept))
 
 

@@ -159,6 +159,25 @@ def test_apply_on_takes_only_the_channel_inputs():
         apply_on(ch, rho, ["X"])
 
 
+def test_apply_on_rejects_a_register_of_another_dimension():
+    ch = depolarizing(0.2, 2, "A", "B")
+    rho = sample("density", [3, 2], 5, labels=["A", "R"])
+    with pytest.raises(LayoutError,
+                       match=r"^register 'A' dim mismatch with channel input$"):
+        apply_on(ch, rho, ["A"])
+
+
+@pytest.mark.parametrize("povm,message", [
+    ([], "empty POVM"),
+    ([np.eye(2), np.zeros((3, 3))], "POVM elements must share one dimension"),
+    ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], "POVM element is not PSD"),
+    ([np.eye(2) / 2, np.eye(2) / 4], "POVM elements do not sum to the identity"),
+])
+def test_neumark_dilate_rejects_what_is_not_a_povm(povm, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        neumark_dilate(povm)
+
+
 def test_neumark_matches_direct_statistics():
     povm = sample("povm", 3, 8, outcomes=4)
     dil = neumark_dilate([el.matrix for el in povm])

@@ -164,6 +164,34 @@ def test_every_bad_value_is_a_field_error(doc, field):
     assert str(info.value) == f"{field}: {info.value.message}"
 
 
+STATE = {"schema": "1", "type": "state"}
+
+
+@pytest.mark.parametrize("doc,line", [
+    ({"schema": "1", "type": "channel", "kraus": [[[1, 0], [0, 1]]]},
+     "in_dims: required alongside 'kraus'"),
+    ({"schema": "1", "type": "channel"}, "name: channel spec needs 'name' or 'kraus'"),
+    (dict(STATE, name="ghz", dims=[["A", 2]]),
+     "name: unknown state 'ghz'; choose from ('max_entangled', 'bell', "
+     "'maximally_mixed', 'basis', 'classically_correlated')"),
+    (dict(STATE, name="bell"), "dims: named states need explicit 'dims'"),
+    (dict(STATE, name="bell", dims=[["A", 2], ["B", 3]]),
+     "dims: needs two registers of equal dimension"),
+    (dict(STATE, ket=[1, 0]), "dims: 'ket' states need explicit 'dims'"),
+    (dict(STATE, matrix=[[1]]), "dims: 'matrix' states need explicit 'dims'"),
+    (STATE, "state: needs one of 'name', 'ket', 'matrix'"),
+    ([STATE], "$: spec must be a JSON object"),
+    (dict(STATE, name="maximally_mixed", dims=[["A"]]),
+     "dims[0]: expected [label, dim], got ['A']"),
+    (dict(STATE, matrix=[], dims=[["A", 2]]), "matrix: expected a non-empty list of rows"),
+])
+def test_spec_schema_errors_exit_one_with_their_line(tmp_path, capsys, doc, line):
+    path = write_spec(tmp_path, "bad.json", doc)
+    assert run(["divergence", "dmax", "--rho", path, "--sigma", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {line}\n"
+
+
 CHANNEL = {"schema": "1", "type": "channel", "labels": {"in": "A", "out": "B"}}
 ZERO_STATE = {"schema": "1", "type": "state", "name": "basis", "dims": [["B", 2]]}
 ONE_STATE = dict(ZERO_STATE, index=1)
@@ -508,6 +536,13 @@ def test_sweep_exits_two_when_a_bound_fails(tmp_path, capsys, monkeypatch):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert code == 2
     assert [row["bound_satisfied"] for row in rows] == ["False", "False"]
+
+
+def test_a_report_value_without_a_json_form_is_a_type_error():
+    # numpy's bool is no Python bool; np.float64 is a float.
+    assert cli._jsonable({"x": (np.float64(0.5), True)}) == {"x": [0.5, True]}
+    with pytest.raises(TypeError, match="numpy.bool"):
+        cli._jsonable({"holds": [np.bool_(True)]})
 
 
 def test_cli_output_is_deterministic(tmp_path, capsys):
@@ -995,6 +1030,15 @@ def test_sequential_mac_decoding_with_c_exits_one(tmp_path, capsys, command, nam
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith(
         "error: the sequential decoder takes no c"), out.err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_non_finite_c_exits_one(tmp_path, capsys, command, c):
+    specs = scenario_specs(tmp_path)["p2p_ea"]
+    assert run([command, "p2p_ea", "--floor-sigmas", "2", "--c", c] + specs) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: c must be positive and finite, got {c}\n"
 
 
 @pytest.mark.parametrize("strategy", ["pgm_a_first", "pgm_b_first"])

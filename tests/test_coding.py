@@ -14,12 +14,14 @@ from oneshot_qcap.bounds import achievable_rate, converse_value
 from oneshot_qcap.channels import (
     KrausChannel,
     amplitude_damping,
+    apply_on,
     binary_test_projector,
     depolarizing,
     identity_channel,
     neumark_dilate,
 )
 from oneshot_qcap.coding import (
+    Receiver,
     build_position_povm,
     converse_floor,
     derandomize,
@@ -32,6 +34,7 @@ from oneshot_qcap.coding import (
     simulate_mac_ea,
     simulate_p2p_ea,
     simulate_unassisted,
+    split_sender_state,
 )
 from oneshot_qcap.divergences import dh_eps
 from oneshot_qcap.linalg import (
@@ -45,6 +48,7 @@ from oneshot_qcap.linalg import (
     herm_apply,
     max_entangled_ket,
     maximally_mixed,
+    partial_trace,
     place,
     psd_sqrt,
     purified_distance,
@@ -312,6 +316,18 @@ def test_hn_check_rejects_bad_constant():
         hn_check(np.eye(2) * 0.5, np.eye(2) * 0.1, 0.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0])
+def test_a_hn_constant_outside_zero_to_infinity_is_an_input_error(id2, bell, c):
+    # A NaN c makes NaN bounds, and min(1, NaN) is 1: they would read as holding.
+    psi = tensor(bell_density("A", "RB"), maximally_mixed(SystemLayout([("RC", 2)])))
+    for call in (lambda: hn_check(np.eye(2) * 0.5, np.eye(2) * 0.1, c),
+                 lambda: simulate_p2p_ea(id2, bell, 1, 0.1, 0.05, c=c),
+                 lambda: simulate_broadcast_ea(copy_broadcast_channel(), psi, (1, 1),
+                                               (0.1, 0.1), 0.05, c=(0.5, c))):
+        with pytest.raises(ValueError, match=f"^c must be positive and finite, got {c}$"):
+            call()
+
+
 def test_seq_check_union_bound():
     rho = sample("density", 4, 3)
     projs = []
@@ -459,6 +475,115 @@ def test_broadcast_ea_rejects_correlated_resources():
 
 
 # ---------------------------------------------------------------------------
+# the receivers of point-to-point, channel-with-state and broadcast
+
+
+def reference_position_receivers(ch, psi, eps):
+    """The receiver of a point-to-point or channel-with-state input, as one
+    builder of its own made it: the channel applied to psi and to psi's
+    input marginal, the resource the one register past the inputs."""
+    ins = list(ch.in_layout.labels)
+    (res,) = [l for l in psi.layout.labels if l not in ins]
+    joint = apply_on(ch, psi, ins)
+    alt = tensor(apply_on(ch, partial_trace(psi, ins), ins), partial_trace(psi, [res]))
+    return [Receiver(joint, alt, res, partial_trace(joint, [res]), eps[0], joint)]
+
+
+def reference_broadcast_receivers(ch, psi, eps):
+    """The broadcast receivers, as a loop of their own made them: Bob's
+    joint on the first output and the first resource, Charlie's on the
+    second of each, read off one channel application to psi."""
+    (a_label,) = ch.in_layout.labels
+    res = [l for l in psi.layout.labels if l != a_label]
+    full = apply_on(ch, psi, [a_label])
+    out_marg = apply_on(ch, partial_trace(psi, [a_label]), [a_label])
+    receivers = []
+    for out, r, e in zip(ch.out_layout.labels, res, eps):
+        joint = partial_trace(full, [out, r])
+        alt = tensor(partial_trace(out_marg, [out]), partial_trace(psi, [r]))
+        receivers.append(Receiver(joint, alt, r, partial_trace(joint, [r]), e, joint))
+    return receivers
+
+
+def builder_case(name):
+    """(scenario, channel, state, tau) of one instance of the receivers'
+    builder, its registers in and out of role order."""
+    tau = maximally_mixed(SystemLayout([("S", 2)]))
+    bell = bell_density("A", "R")
+    pairs = tensor(bell_density("a", "RB"), bell_density("c", "RC"))
+    broadcast = DensityOp(pairs.permuted(["a", "c", "RB", "RC"]).matrix,
+                          SystemLayout([("A", 4), ("RB", 2), ("RC", 2)]))
+    _, ch_qutrit, psi_qutrit, _ = ua_case("p2p-qutrit")
+    return {
+        "p2p-resource-last": ("p2p_ea", depolarizing(0.1, 2, "A", "B"), bell, None),
+        "p2p-resource-first": ("p2p_ea", depolarizing(0.1, 2, "A", "B"),
+                               bell.permuted(["R", "A"]), None),
+        "p2p-two-outputs": ("p2p_ea", two_output_broadcast(),
+                            max_entangled_ket(4, "A", "R").density(), None),
+        "p2p-ua-qutrit": ("p2p_ua", ch_qutrit, psi_qutrit, None),
+        "gp-state-first": ("gp_ea", gp_controlled_flip_channel(),
+                           tensor(bell, tau).permuted(["S", "A", "R"]), tau),
+        "broadcast": ("broadcast_ea", two_output_broadcast(), broadcast, None),
+        "broadcast-resources-swapped": ("broadcast_ea", two_output_broadcast(),
+                                        broadcast.permuted(["RC", "A", "RB"]), None),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["p2p-resource-last", "p2p-resource-first",
+                                  "p2p-two-outputs", "p2p-ua-qutrit", "gp-state-first",
+                                  "broadcast", "broadcast-resources-swapped"])
+def test_one_builder_makes_the_receivers_each_scenario_made_alone(name):
+    scenario, ch, psi, tau = builder_case(name)
+    spec = get_scenario(scenario)
+    eps = [0.15] * spec.streams
+    reference = (reference_broadcast_receivers if scenario.startswith("broadcast")
+                 else reference_position_receivers)
+    got, want = spec.build(ch, psi, None, tau, eps), reference(ch, psi, eps)
+    assert [rec.resource for rec in got] == [rec.resource for rec in want]
+    for rec, ref in zip(got, want):
+        assert rec.eps == ref.eps and rec.classical == (not spec.assisted)
+        for key in ("joint", "alt", "marginal", "state"):
+            op, ref_op = getattr(rec, key), getattr(ref, key)
+            assert op.layout == ref_op.layout, (key, op.layout, ref_op.layout)
+            assert np.array_equal(op.matrix, ref_op.matrix), key
+
+
+def test_a_trace_over_no_register_keeps_the_witness():
+    # The joint has a roundoff-negative eigenvalue that building a DensityOp
+    # clips; rebuilding the joint and alternative from their matrices moves
+    # them by ~4e-16 and the D_H witness, in a degenerate eigenspace, by 0.5.
+    _, ch, psi, _ = ua_case("p2p-qutrit")
+    (rec,) = get_scenario("p2p_ua").build(ch, psi, None, None, [0.1])
+    labels = rec.joint.layout.labels
+    joint, alt = partial_trace(rec.joint, labels), partial_trace(rec.alt, labels[::-1])
+    assert joint is rec.joint and alt is rec.alt
+    before, after = dh_eps(rec.joint, rec.alt, rec.eps), dh_eps(joint, alt, rec.eps)
+    assert np.array_equal(after.witness.operator, before.witness.operator)
+    assert after.value == before.value
+
+
+@pytest.mark.parametrize("scenario,ch,psi,message", [
+    ("p2p_ea", "p2p", sample("density", [2, 2, 2], 5, labels=["A", "R", "X"]),
+     "[A] and 1 resource register(s), got ['A', 'R', 'X']"),
+    ("p2p_ua", "p2p", sample("density", [2], 5, labels=["A"]),
+     "[A] and 1 resource register(s), got ['A']"),
+    ("gp_ea", "gp", sample("density", [2, 2], 5, labels=["A", "S"]),
+     "[A, S] and 1 resource register(s), got ['A', 'S']"),
+    ("broadcast_ea", "broadcast", sample("density", [2, 2], 5, labels=["A", "RB"]),
+     "[A] and 2 resource register(s), got ['A', 'RB']"),
+    ("broadcast_ua", "broadcast", sample("density", [2, 2, 2], 5, labels=["X", "U", "V"]),
+     "[A] and 2 resource register(s), got ['X', 'U', 'V']"),
+])
+def test_a_state_without_one_resource_per_receiver_is_rejected(scenario, ch, psi,
+                                                               message):
+    ch = {"p2p": depolarizing(0.1, 2, "A", "B"), "gp": gp_discard_channel(),
+          "broadcast": copy_broadcast_channel()}[ch]
+    spec = get_scenario(scenario)
+    with pytest.raises(ValueError, match=f"^{re.escape('state must live on ' + message)}$"):
+        spec.build(ch, psi, None, None, [0.1] * spec.streams)
+
+
+# ---------------------------------------------------------------------------
 # multiple-access simulation
 
 
@@ -479,6 +604,22 @@ def test_mac_ea_xor_all_strategies(strategy):
     dist = report.details["outcome_dist"]
     assert dist.shape == (4, 9)  # (m1, m2) rows; 3 x 3 outcome grid w/ aborts
     assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("psi,message", [
+    (bell_density("R", "A"), "sender state must lead with channel input 'A'"),
+    (sample("density", [2, 2, 2, 2], 3, labels=["A", "R", "X", "Y"]),
+     "sender state needs registers [input, resource(, side)]"),
+])
+def test_split_sender_state_rejects_misshapen_states(psi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_sender_state(psi, "A")
+
+
+def test_the_sum_rate_converse_rejects_an_impure_sender_state():
+    with pytest.raises(ValueError, match="^this converse variant needs pure sender states$"):
+        converse_value("mac_ea_hdw", xor_mac_channel(), classically_correlated("A", "RA"),
+                       (0.1, 0.1), psi_b=bell_density("B", "RB"))
 
 
 def test_mac_ea_unknown_strategy():

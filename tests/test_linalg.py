@@ -108,6 +108,13 @@ def test_tensor_and_partial_trace_roundtrip():
     assert np.allclose(back_b.matrix, b.matrix, atol=1e-12)
 
 
+def test_partial_trace_keeping_every_register_is_its_operand():
+    # Nothing is traced out, so nothing is rebuilt or clipped again.
+    rho = sample("density", [2, 3], 7, labels=["A", "B"])
+    assert partial_trace(rho, ["A", "B"]) is rho
+    assert partial_trace(rho, ["B", "A"]) is rho
+
+
 def test_partial_trace_of_bell_is_mixed():
     rho = bell_density("A", "B")
     marg = partial_trace(rho, ["A"])

@@ -13,12 +13,15 @@ and of all at other dims, the unassisted simulations past R = 1, each
 unassisted simulation on a quantum resource, rejected with exit 1, the
 multiple-access simulation decoding B first, with and without a given
 ``--c``, a multiple-access sweep, the point-to-point simulation at a given
-``--c`` and the multiple-access achievable rate at the sequential strategy;
-see ``_cli_ops``), runs at each given variant through
-``oneshot_qcap.cli.run``, once per tree, in a child process that imports the
-package from the tree's ``src``. The spec files are written once, to one
-directory that both trees read. OpenBLAS runs on the thread count the
-benchmark pins.
+``--c``, the multiple-access achievable rate at the sequential strategy, and
+five ops on states whose registers are not in role order: the
+point-to-point simulation with the resource first, the channel-with-state
+simulation and relaxation bound on [S, A, B'], and the broadcast simulation
+and optimized converse on [R_C, A, R_B]; see ``_cli_ops``), runs at each
+given variant through ``oneshot_qcap.cli.run``, once per tree, in a child
+process that imports the package from the tree's ``src``. The spec files
+are written once, to one directory that both trees read. OpenBLAS runs on
+the thread count the benchmark pins.
 
 For every (op, variant) it prints whether the exit codes are equal, whether
 the outputs are byte-identical and, for outputs that differ, the largest
@@ -50,10 +53,12 @@ def _named(name: str, dims, **extra) -> dict:
     return {"schema": "1", "type": "state", "name": name, "dims": dims, **extra}
 
 
-def _bell_beside_mixed(labels: str, **extra) -> dict:
-    """A Bell pair on the first two of three qubit registers, named by the
-    letters of ``labels``; the third is maximally mixed."""
-    mat = np.kron(np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2, np.eye(2) / 2)
+def _bell_beside_mixed(labels, mixed_first: bool = False, **extra) -> dict:
+    """A Bell pair on two of three qubit registers, named by the entries of
+    ``labels``; the third, last or (``mixed_first``) first, is maximally
+    mixed."""
+    bell, mixed = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2, np.eye(2) / 2
+    mat = np.kron(mixed, bell) if mixed_first else np.kron(bell, mixed)
     return {"schema": "1", "type": "state", "matrix": mat.tolist(),
             "dims": [[label, 2] for label in labels], **extra}
 
@@ -80,7 +85,12 @@ def _cli_ops(variant: int):
     pairs, and point-to-point and multiple access decoding B first at a given
     Hayashi-Nagaoka constant ``--c``; and the multiple-access achievable rate
     at its default, sequential strategy, as ``achievable_mac_ea_pgm`` bounds
-    it at ``pgm_a_first``."""
+    it at ``pgm_a_first``; and the receivers' builder on states whose
+    registers are not in role order: the point-to-point simulation on a Bell
+    pair listed [B', A], the channel-with-state simulation and relaxation
+    bound on [S, A, B'] (a Bell pair on A, B' beside the maximally mixed S),
+    and the broadcast simulation and ``bound converse --optimize`` on
+    [R_C, A, R_B] (Bob's resource the maximally mixed R_C)."""
     import workloads as wl
     p2p = wl.op_for("solver_loops", "converse_optimize", variant).specs
     gp = wl.op_for("small_grid", "gp_ea_flip", variant).specs
@@ -95,6 +105,9 @@ def _cli_ops(variant: int):
     apart = {"rho": _named("basis", [["A", 2]], index=0),
              "sigma": _named("basis", [["A", 2]], index=1)}
     eps = str(wl.P_GRID[variant])
+    gp_state_first = _bell_beside_mixed(["S", "A", "B'"], mixed_first=True,
+                                        product=[["S"], ["B'"]])
+    bc_swapped = _bell_beside_mixed(["RC", "A", "RB"], mixed_first=True)
     spec_args = ["--channel", "@channel", "--state", "@state"]
 
     def bound(kind: str, scenario: str | None, grid_op: str):
@@ -186,6 +199,18 @@ def _cli_ops(variant: int):
         "simulate_mac_ea_pgm_b_first_c": with_options(
             "dense_sim", "mac_ea_seq_21", "--strategy", "pgm_b_first", "--c", "0.3"),
         "achievable_mac_ea_sequential": bound("achievable", "mac_ea", "mac_ea_seq"),
+        # The receivers on states whose registers are not in role order.
+        "simulate_p2p_ea_resource_first": on_state(
+            "p2p_ea_r1", _named("bell", [["B'", 2], ["A", 2]])),
+        "simulate_gp_ea_state_first": on_state("gp_ea_flip", gp_state_first),
+        "simulate_broadcast_ea_resources_swapped": on_state(
+            "broadcast_ea", bc_swapped),
+        "converse_optimize_broadcast_ea_resources_swapped": (
+            ["bound", "converse", "--scenario", "broadcast_ea", *spec_args,
+             "--eps", "0.1,0.1", "--optimize"], {**bc, "state": bc_swapped}),
+        "relaxation_gp_state_first": (
+            ["bound", "relaxation", "--scenario", "gp", *spec_args, "--tau", "@tau",
+             "--eps", "0.15"], {**gp, "state": gp_state_first}),
     }
     return [wl.Op("cli", name, variant, tuple(argv), specs)
             for name, (argv, specs) in commands.items()]
