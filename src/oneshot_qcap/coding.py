@@ -492,17 +492,26 @@ class Scenario:
             product_check(state, parts)
         return receivers
 
-    def smoothings(self, eps, delta: float) -> list[float]:
-        """The smoothing of each stream's test at error budgets ``eps``; each
-        budget and smoothing must lie in [0, 1)."""
-        if not delta > 0:
+    def budgets(self, eps, delta: float | None = None) -> tuple[float, ...]:
+        """``eps`` as one error budget per message stream, each in [0, 1).
+        Given ``delta``, which must be positive, the smoothing of each
+        stream's test must lie in [0, 1) too, and the message naming a value
+        out of range names delta and the smoothing."""
+        eps = self.per_stream(eps, "eps")
+        if delta is not None and not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        smoothings = [self.smoothing(e, delta) for e in eps]
-        for e, s in zip(eps, smoothings):
+        for e in eps:
+            s = e if delta is None else self.smoothing(e, delta)
             if not (0 <= e < 1 and 0 <= s < 1):
+                got = "" if delta is None else f", delta {delta}, smoothing {s}"
                 raise ValueError(f"{'the smoothing' if 0 <= e < 1 else 'eps'} must lie "
-                                 f"in [0, 1), got eps {e}, delta {delta}, smoothing {s}")
-        return smoothings
+                                 f"in [0, 1), got eps {e}{got}")
+        return eps
+
+    def smoothings(self, eps, delta: float) -> list[float]:
+        """The smoothing of each stream's test at error budgets ``eps``, both
+        checked by :meth:`budgets`."""
+        return [self.smoothing(e, delta) for e in self.budgets(eps, delta)]
 
     def rates(self, rates) -> tuple[int, ...]:
         """``rates`` as one non-negative integer per message stream."""

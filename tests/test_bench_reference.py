@@ -3,14 +3,18 @@ each, still produce the fingerprints recorded in ``bench/reference.json``.
 
 The ops run in this process through ``oneshot_qcap.cli.run``; their spec
 files go to a temporary directory, and nothing under ``bench/`` is written.
-``tools/check_reference.py`` runs every (op, variant) pair.
+``tools/check_reference.py`` runs every (op, variant) pair.  The optimized
+broadcast bounds on the specs of the ``broadcast_ea`` op are checked here too.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -38,3 +42,33 @@ def test_benchmark_op_matches_the_reference(tmp_path, workload, name, variant):
         code = cli.run(op.command(str(tmp_path)))
     expected = check.load_reference()[workload][name][str(variant)]
     assert check.op_failures(code, op.argv, out.getvalue(), expected) == []
+
+
+# The broadcast_ea op's state with its registers in another order,
+# [R_C, A, R_B]: the Bell pair on A, R_B beside the maximally mixed R_C.
+SWAPPED = {"schema": "1", "type": "state", "dims": [["RC", 2], ["A", 2], ["RB", 2]],
+           "matrix": np.kron(np.eye(2) / 2, np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
+                             ).tolist()}
+
+
+@pytest.mark.parametrize("variant", range(workloads.VARIANTS))
+@pytest.mark.parametrize("swapped", [False, True], ids=["bench-state", "swapped"])
+@pytest.mark.parametrize("kind, scenario", [("converse", "broadcast_ea"),
+                                            ("relaxation", "broadcast")])
+def test_optimized_broadcast_bounds_solve_a_maximally_mixed_resource(
+        tmp_path, capsys, kind, scenario, swapped, variant):
+    # The receiver whose resource is maximally mixed has the joint
+    # rho_out x I/2, whose minimum over sigma is -log2(1 - eps), at sigma =
+    # rho_out; the SDP's dual residual stays far above its duality gap there.
+    specs = workloads.op_for("small_grid", "broadcast_ea", variant).specs
+    argv = ("bound", kind, "--scenario", scenario, "--channel", "@channel",
+            "--state", "@state", "--eps", "0.1,0.1", "--optimize")
+    op = workloads.Op("cli", kind, variant, argv,
+                      {**specs, "state": SWAPPED} if swapped else specs)
+    op.write_specs(str(tmp_path))
+    assert cli.run(op.command(str(tmp_path))) == 0, capsys.readouterr().err
+    result = json.loads(capsys.readouterr().out)["result"]
+    mixed = 0 if swapped else 1
+    assert result["per_sender"][mixed] == pytest.approx(-math.log2(0.9), abs=1e-12)
+    for value, certificate in zip(result["per_sender"], result["certificate"]):
+        assert certificate <= value <= certificate + 1e-8

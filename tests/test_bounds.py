@@ -207,6 +207,28 @@ def test_sdp_sigma_is_a_state_and_certificate_below_value(seed, d_out, kraus, ep
         assert certificate <= dh_rank1_oracle(rho, alt, eps)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3]),
+       rank=st.integers(1, 3), eps=st.floats(0.01, 0.9))
+def test_a_product_joint_attains_its_closed_form_minimum(seed, d, rank, eps):
+    # The noiseless channel on rho_A x I/d: the joint is rho_B x I/d, and by
+    # data processing under the trace over the resource the minimum over
+    # sigma is -log2(1 - eps), at sigma = rho_B.  The resource's flat
+    # spectrum leaves the SDP's dual residual well above its duality gap.
+    # dh_eps's test is optimal only to about 1e-9 bits, so the value may
+    # sit that far below the certificate.
+    rng = np.random.default_rng(seed)
+    shape = (d, min(rank, d))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = DensityOp(g @ g.conj().T / np.linalg.norm(g) ** 2, SystemLayout([("A", d)]))
+    psi = tensor(rho, maximally_mixed(SystemLayout([("R", d)])))
+    bound = converse_value("p2p_ea", identity_channel(d, "A", "B"), psi, eps,
+                           optimize=True)
+    (certificate,) = bound.certificate
+    assert bound.value == pytest.approx(-math.log2(1 - eps), abs=1e-9)
+    assert certificate - 1e-9 <= bound.value <= certificate + bounds._SDP_BRACKET
+
+
 def test_mac_ea_converse_structure():
     psi_a = classically_correlated("A", "RA")
     psi_b = classically_correlated("B", "RB")

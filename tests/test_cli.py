@@ -616,6 +616,21 @@ def test_error_budgets_and_smoothings_out_of_range_exit_one_naming_them(
         f"delta {float(delta)}, smoothing "), out.err
 
 
+@pytest.mark.parametrize("eps", ["1.0", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("kind, scenario", [("converse", "p2p_ea"),
+                                            ("relaxation", "gp")])
+def test_an_error_budget_out_of_range_exits_one_before_the_sdp(
+        tmp_path, capsys, monkeypatch, kind, scenario, eps):
+    # Without the check the SDP over sigma runs on it and stalls (exit 3).
+    monkeypatch.setattr(bounds, "_sdp_sigma", None)
+    argv = scenario_specs(tmp_path)["gp_ea" if scenario == "gp" else scenario]
+    assert run(["bound", kind, "--scenario", scenario, "--eps", eps, "--optimize"]
+               + argv[:argv.index("--R")]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(
+        f"error: eps must lie in [0, 1), got eps {float(eps)}"), out.err
+
+
 def test_mac_hdw_converse_without_second_sender_exits_one(tmp_path, capsys):
     ch = write_spec(tmp_path, "mac_ch.json", channel_spec(xor_mac_channel()))
     st = write_spec(tmp_path, "bell.json",

@@ -7,9 +7,11 @@ Usage, from the repository root:
 OLD_TREE and NEW_TREE are checkouts of this repository (``.`` for this one).
 Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound converse``
-and ``achievable`` of every scenario, ``relaxation`` and
-``identity-corollary``, the ``mac_ea_hdw`` converse, ``verify`` of one fact
-and of all at other dims, the unassisted simulations past R = 1, each
+and ``achievable`` of every scenario, ``bound converse --optimize`` of every
+scenario but ``p2p_ea`` and ``mac_ea``, ``relaxation`` and
+``identity-corollary``, the broadcast relaxation with ``--optimize``, the
+``mac_ea_hdw`` converse, ``verify`` of one fact and of all at other dims,
+the unassisted simulations past R = 1, each
 unassisted simulation on a quantum resource, rejected with exit 1, the
 multiple-access simulation decoding B first, with and without a given
 ``--c``, a multiple-access sweep, the point-to-point simulation at a given
@@ -73,7 +75,11 @@ def _cli_ops(variant: int):
     """The CLI commands the benchmark does not run, on its spec documents at
     ``variant`` and four more states: every divergence, the converse and the
     achievable rate of every scenario, the converse without ``--scenario``,
-    the relaxation and identity-corollary bounds, the sum-rate converse of
+    the converse with ``--optimize`` of every scenario whose converse is a
+    minimum over sigma but ``p2p_ea``, which the benchmark optimizes, and
+    the broadcast relaxation with ``--optimize`` (together, every minimum
+    over sigma the SDP solves), the relaxation and identity-corollary
+    bounds, the sum-rate converse of
     multiple access (which needs pure sender states), ``verify`` of each
     fact alone and of all of them at other dims and seed, the unassisted
     simulations at rates past the benchmark's R = 1, where the wrong copies
@@ -110,9 +116,9 @@ def _cli_ops(variant: int):
     bc_swapped = _bell_beside_mixed(["RC", "A", "RB"], mixed_first=True)
     spec_args = ["--channel", "@channel", "--state", "@state"]
 
-    def bound(kind: str, scenario: str | None, grid_op: str):
+    def bound(kind: str, scenario: str | None, grid_op: str, *extra: str):
         """``bound kind`` at ``scenario`` on the specs, eps and delta of the
-        ``small_grid`` op ``grid_op``."""
+        ``small_grid`` op ``grid_op``, followed by ``extra``."""
         op = wl.op_for("small_grid", grid_op, variant)
         options = dict(zip(op.argv[2::2], op.argv[3::2]))
         argv = ["bound", kind] + (["--scenario", scenario] if scenario else [])
@@ -120,7 +126,7 @@ def _cli_ops(variant: int):
         argv += ["--eps", options["--eps"]]
         if kind == "achievable":
             argv += ["--delta", options["--delta"]]
-        return argv, op.specs
+        return argv + list(extra), op.specs
 
     def with_options(workload: str, name: str, *options: str, command=None):
         """The op ``name`` of ``workload``, each ``--key value`` pair of
@@ -171,6 +177,12 @@ def _cli_ops(variant: int):
            for name, op in grid.items()},
         **{f"achievable_{name}": bound("achievable", name, op)
            for name, op in grid.items() if name != "mac_ea"},
+        # mac_ea's converse takes the state's marginals, with no minimum over
+        # sigma to optimize; the benchmark optimizes p2p_ea's.
+        **{f"converse_optimize_{name}": bound("converse", name, op, "--optimize")
+           for name, op in grid.items() if name != "mac_ea"},
+        "relaxation_broadcast_optimize": bound("relaxation", "broadcast",
+                                               "broadcast_ea", "--optimize"),
         "converse_default_scenario": bound("converse", None, "p2p_ea_r1"),
         "converse_mac_ea_hdw": (
             ["bound", "converse", "--scenario", "mac_ea_hdw", *spec_args,
