@@ -11,7 +11,7 @@ minimum lies between the certificate and the reported value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -332,13 +332,15 @@ def _make_bound(scenario, kind, per_sender, *, sum_rate=None, ceiling=None,
 
 
 def _scenario(kind: str, scenario: str | None) -> Scenario:
-    """The coding-table scenario a ``kind`` bound at ``scenario`` reads."""
+    """The coding-table scenario a ``kind`` bound at ``scenario`` reads,
+    under the name ``scenario``, so that its errors name the bound's
+    scenario."""
     names = BOUND_KINDS[kind].scenarios
     if scenario not in names:
         given = "none was given" if scenario is None else f"not {scenario!r}"
         raise ValueError(f"the {kind} bound takes the scenarios "
                          f"{', '.join(names)}; {given}")
-    return SCENARIOS[names[scenario]]
+    return replace(SCENARIOS[names[scenario]], name=scenario)
 
 
 def spec_inputs(kind: str, scenario: str | None) -> tuple[str, ...]:
@@ -398,7 +400,11 @@ def _mac_hdw_converse(ch: KrausChannel, psi_a: DensityOp, psi_b: DensityOp,
                       eps) -> RateBound:
     """Sum-rate variant of the MAC converse for pure two-register sender states."""
     spec = _scenario("converse", "mac_ea_hdw")
-    rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, spec.budgets(eps))
+    eps = spec.budgets(eps)
+    if not sum(eps) < 1:
+        raise ValueError(f"mac_ea_hdw tests its sum rate at eps_A + eps_B, which must "
+                         f"lie below 1; got {eps[0]} + {eps[1]} = {sum(eps)}")
+    rec_a, rec_b = spec.build(ch, psi_a, psi_b, None, eps)
     for st in (psi_a, psi_b):
         purity = float(np.real(np.trace(st.matrix @ st.matrix)))
         if purity < 1 - 1e-9:

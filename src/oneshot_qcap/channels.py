@@ -319,6 +319,12 @@ def binary_test_projector(test: HermOp | np.ndarray) -> np.ndarray:
     """
     t = as_matrix(test)
     d = t.shape[0]
+    # This is V V^dag of neumark_dilate([T, I - T]), but with the roots of T
+    # and I - T read off one eigendecomposition.  neumark_dilate takes them
+    # apart, with two psd_sqrt calls, and built that way the projector moves
+    # the avg_error of test_mac_ua_decodes_with_letter_diagonal_tests by
+    # 2.6e-11, past its 1e-12 pin; V V^dag with both roots from this eigh
+    # keeps it.
     w, v = np.linalg.eigh((t + t.conj().T) / 2)
     w = np.clip(w, 0.0, 1.0)
     root = (v * np.sqrt(w * (1.0 - w))) @ v.conj().T

@@ -242,16 +242,19 @@ def _load_spec(path: str):
     return parse_spec(doc)
 
 
-def _load_specs(args, reads, required, command: str) -> dict:
+def _load_specs(args, reads, required, command: str, options=()) -> dict:
     """``args``' --channel, --state, --state-b and --tau specs, each parsed
-    once (None when not given); those in ``required`` must be given, and
-    only those ``command`` reads may be."""
+    once (None when not given); those in ``required`` must be given.  Each
+    of the further ``options``, of --sigma and of these specs that is given
+    but that ``command`` does not read is rejected before any spec opens."""
     paths = {key: getattr(args, key) for key in ("channel", "state", "state_b", "tau")}
-    for key, path in paths.items():
+    for key in (*options, "sigma", *paths):
         flag = key.replace("_", "-")
-        if path is not None and key not in reads:
-            raise SpecError(flag, f"{command} does not read the spec --{flag}")
-        if path is None and key in required:
+        given = getattr(args, key, None) is not None
+        if given and key not in reads:
+            spec = "" if key in options else "the spec "
+            raise SpecError(flag, f"{command} does not read {spec}--{flag}")
+        if not given and key in required:
             raise SpecError(flag, f"{command} needs the spec --{flag}")
     return {key: _load_spec(path) if path else None for key, path in paths.items()}
 
@@ -363,6 +366,15 @@ def _cmd_simulate(args) -> int:
     return 0 if ok else 2
 
 
+# What each bound kind reads besides --eps, --output and its spec files
+# (bounds.spec_inputs): its options, each with the value it takes when not
+# given.  The minimizing kinds read --restarts and ignore it.
+_MINIMUM_OPTIONS = {"optimize": False, "restarts": None, "seed": 0}
+_BOUND_OPTIONS = {"converse": _MINIMUM_OPTIONS,
+                  "achievable": {"delta": 0.1, "strategy": "sequential", "seed": 0},
+                  "relaxation": _MINIMUM_OPTIONS, "identity-corollary": {"dimA": 2}}
+
+
 def _cmd_bound(args) -> int:
     command, reads = f"bound {args.kind}", ()
     kind = bounds_mod.BOUND_KINDS.get(args.kind)
@@ -374,9 +386,10 @@ def _cmd_bound(args) -> int:
                 scenario in k.scenarios for k in bounds_mod.BOUND_KINDS.values()):
             # identity-corollary reads no scenario, yet takes only a bound's.
             raise ValueError(f"no bound takes the scenario {scenario!r}")
-    if args.sigma and "sigma" not in reads:
-        raise SpecError("sigma", f"{command} does not read the spec --sigma")
-    specs = _load_specs(args, reads, ("channel", "state") if reads else (), command)
+    options = _BOUND_OPTIONS[args.kind]
+    specs = _load_specs(args, (*reads, *options), ("channel", "state") if reads else (),
+                        command, [key for opts in _BOUND_OPTIONS.values() for key in opts])
+    args = argparse.Namespace(**{**options, **vars(args)})
     if args.kind == "identity-corollary":
         ceiling, (lam, avec) = bounds_mod.identity_channel_corollary(
             args.dimA, _number(args.eps, "eps"))
@@ -502,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("bound", help="evaluate a rate bound")
-    p.add_argument("kind", choices=["converse", "achievable", "relaxation",
-                                    "identity-corollary"])
+    p.add_argument("kind", choices=list(_BOUND_OPTIONS))
     p.add_argument("--scenario", help="; ".join(
         f"{name}: {' '.join(kind.scenarios)}"
         + (f" (default {kind.default})" if kind.default else "")
@@ -515,15 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", action="append",
                    help="candidate sigma state spec (repeatable)")
     p.add_argument("--eps", default="0.0")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--dimA", dest="dimA", type=int, default=2)
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=4,
+    # Absent unless given: _BOUND_OPTIONS rejects or defaults each.
+    unset = argparse.SUPPRESS
+    p.add_argument("--delta", type=float, default=unset)
+    p.add_argument("--dimA", type=int, default=unset)
+    p.add_argument("--optimize", action="store_true", default=unset)
+    p.add_argument("--restarts", type=int, default=unset,
                    help="ignored: --optimize solves the minimum over sigma "
                         "exactly; kept so that older command lines parse")
-    p.add_argument("--strategy", default="sequential",
-                   choices=coding_mod.MAC_STRATEGIES)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--strategy", default=unset, choices=coding_mod.MAC_STRATEGIES)
+    p.add_argument("--seed", type=int, default=unset,
                    help="echoed in the report; bounds draw nothing at random")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bound)

@@ -171,6 +171,15 @@ def _permuted(self, order: Sequence[str]):
                       SystemLayout([self.layout.registers[p] for p in perm]))
 
 
+def _freeze(obj, field: str, array: np.ndarray, layout: SystemLayout):
+    """Set the frozen ``obj``'s ``field`` to a read-only copy of ``array``,
+    and its ``layout``."""
+    array = array.copy()
+    array.setflags(write=False)
+    object.__setattr__(obj, field, array)
+    object.__setattr__(obj, "layout", layout)
+
+
 @dataclass(frozen=True)
 class Ket:
     """Unit vector on a labeled tensor-product space."""
@@ -190,10 +199,7 @@ class Ket:
             raise ValueError(f"ket norm {nrm} is not 1")
         if abs(nrm - 1.0) > NORM_TOL:
             amp = amp / nrm
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "layout", layout)
+        _freeze(self, "amplitudes", amp, layout)
 
     def density(self) -> "DensityOp":
         return DensityOp(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
@@ -201,7 +207,12 @@ class Ket:
     permuted = _permuted
 
 
-def _check_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
+def _hermitian(matrix, layout: SystemLayout, what: str) -> np.ndarray:
+    """``matrix`` as a square complex array of ``layout``'s dimension, checked
+    Hermitian to 1e-8 of its scale and symmetrized."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (layout.dim, layout.dim):
+        raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
     if dev > 1e-8 * scale:
@@ -218,14 +229,7 @@ class HermOp:
 
     def __init__(self, matrix, layout):
         layout = as_layout(layout)
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (layout.dim, layout.dim):
-            raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
-        mat = _check_hermitian(mat, "operator")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "layout", layout)
+        _freeze(self, "matrix", _hermitian(matrix, layout, "operator"), layout)
 
     permuted = _permuted
 
@@ -239,10 +243,7 @@ class DensityOp:
 
     def __init__(self, matrix, layout):
         layout = as_layout(layout)
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (layout.dim, layout.dim):
-            raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
-        mat = _check_hermitian(mat, "density operator")
+        mat = _hermitian(matrix, layout, "density operator")
         evals = np.linalg.eigvalsh(mat)
         lo = float(evals[0]) if evals.size else 0.0
         if lo < -EIG_CLIP_TOL:
@@ -254,10 +255,7 @@ class DensityOp:
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"normalized density operator has trace {tr}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "layout", layout)
+        _freeze(self, "matrix", mat, layout)
 
     @property
     def trace(self) -> float:
@@ -270,10 +268,8 @@ def tensor(a, b):
     """Kronecker product of two same-kind objects with disjoint register labels."""
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
-    if isinstance(a, DensityOp) and isinstance(b, DensityOp):
-        return DensityOp(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
-    if isinstance(a, HermOp) and isinstance(b, HermOp):
-        return HermOp(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
+    if type(a) is type(b) and isinstance(a, (DensityOp, HermOp)):
+        return type(a)(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
     raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 

@@ -4,7 +4,9 @@ each, still produce the fingerprints recorded in ``bench/reference.json``.
 The ops run in this process through ``oneshot_qcap.cli.run``; their spec
 files go to a temporary directory, and nothing under ``bench/`` is written.
 ``tools/check_reference.py`` runs every (op, variant) pair.  The optimized
-broadcast bounds on the specs of the ``broadcast_ea`` op are checked here too.
+broadcast bounds on the specs of the ``broadcast_ea`` op are checked here too,
+and so is each rate a ``simulate`` op codes at against the converse at the
+error its code reports.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ if BENCH not in sys.path:
 
 import check  # noqa: E402
 import workloads  # noqa: E402
-from oneshot_qcap import cli  # noqa: E402
+from oneshot_qcap import bounds, cli  # noqa: E402
 
 OPS = [(workload, name, variant)
        for workload in ("dense_sim", "solver_loops", "small_grid")
@@ -72,3 +74,65 @@ def test_optimized_broadcast_bounds_solve_a_maximally_mixed_resource(
     assert result["per_sender"][mixed] == pytest.approx(-math.log2(0.9), abs=1e-12)
     for value, certificate in zip(result["per_sender"], result["certificate"]):
         assert certificate <= value <= certificate + 1e-8
+
+
+def test_the_optimized_converse_op_reads_restarts_and_seed(tmp_path):
+    # The only bound op of the benchmark passes --restarts 0 and --seed v.
+    test_benchmark_op_matches_the_reference(tmp_path, "solver_loops",
+                                            "converse_optimize", 3)
+
+
+# Every simulate op but multiple access, whose converse is per stream while
+# its error is joint.
+SIM_OPS = [(workload, name, variant) for workload, name, variant in OPS
+           if workloads.op_for(workload, name, variant).argv[0] == "simulate"
+           and not name.startswith("mac")]
+
+
+def _simulated(tmp_path, workload, name, variant):
+    """The op's scenario, its specs parsed, and its report's rates and
+    per-stream errors: worst case if assisted, average if not, one per
+    receiver for broadcast."""
+    op = workloads.op_for(workload, name, variant)
+    op.write_specs(str(tmp_path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(op.command(str(tmp_path))) == 0
+    report = json.loads(out.getvalue())["report"]
+    scenario = op.argv[1]
+    specs = {key: cli.parse_spec(doc) for key, doc in op.specs.items()}
+    if scenario.startswith("broadcast"):
+        average = scenario.endswith("_ua")
+        errors = report["details"]["per_receiver_" + ("avg" if average else "worst")
+                                   + "_error"]
+    else:
+        errors = [report["reported_error"]]
+    return scenario, specs, report["rates"], errors
+
+
+def _converse(scenario, specs, errors):
+    return bounds.converse_value(scenario, specs["channel"], specs["state"],
+                                 tuple(errors), optimize=True,
+                                 tau=specs.get("tau")).per_sender
+
+
+@pytest.mark.parametrize("workload, name, variant", SIM_OPS,
+                         ids=[f"{n}-v{v}" for _, n, v in SIM_OPS])
+def test_every_simulated_rate_is_within_the_converse_at_its_own_error(
+        tmp_path, workload, name, variant):
+    # A decoder that reported a smaller error than it makes could pass its
+    # own premise-free bound; the converse at that error would then fall
+    # below the rate.
+    scenario, specs, rates, errors = _simulated(tmp_path, workload, name, variant)
+    assert len(errors) == len(rates)
+    for rate, ceiling in zip(rates, _converse(scenario, specs, errors)):
+        assert rate <= ceiling + bounds._SDP_BRACKET, (rate, ceiling, errors)
+
+
+@pytest.mark.parametrize("variant", [0, 5])
+def test_the_converse_check_fails_a_decoder_that_overstates_its_success(
+        tmp_path, variant):
+    scenario, specs, (rate,), (error,) = _simulated(
+        tmp_path, "dense_sim", "p2p_ea_r3", variant)
+    (ceiling,) = _converse(scenario, specs, [error - 0.1])
+    assert ceiling + bounds._SDP_BRACKET < rate

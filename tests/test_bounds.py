@@ -251,6 +251,17 @@ def test_mac_ea_hdw_converse_reports_sum_rate():
     assert bound.sum_rate >= max(bound.per_sender) - 1e-9
 
 
+def test_mac_ea_hdw_needs_a_sum_budget_below_one(monkeypatch):
+    # Each budget lies in [0, 1), but their sum, at which the sum rate is
+    # tested, does not: the converse stops before any D_H.
+    monkeypatch.setattr(bounds, "dh_eps", None)
+    with pytest.raises(ValueError) as err:
+        converse_value("mac_ea_hdw", xor_mac_channel(), bell_density("A", "RA"),
+                       (0.5, 0.6), psi_b=bell_density("B", "RB"))
+    assert str(err.value) == "mac_ea_hdw tests its sum rate at eps_A + eps_B, " \
+        "which must lie below 1; got 0.5 + 0.6 = 1.1"
+
+
 def test_p2p_ua_converse_has_dimension_ceiling(id2):
     corr = classically_correlated("A", "U")
     bound = converse_value("p2p_ua", id2, corr, 0.2)

@@ -787,6 +787,53 @@ def test_bound_rejects_a_scenario_its_kind_does_not_take(tmp_path, capsys, kind,
         f"{', '.join(BOUND_SCENARIOS[kind])}; {given}\n")
 
 
+@pytest.mark.parametrize("kind,option", [
+    ("converse", ["--delta", "0.3"]), ("converse", ["--dimA", "5"]),
+    ("converse", ["--strategy", "pgm_a_first"]),
+    ("achievable", ["--optimize"]), ("achievable", ["--dimA", "2"]),
+    ("achievable", ["--restarts", "0"]),
+    ("relaxation", ["--delta", "0.1"]), ("relaxation", ["--dimA", "5"]),
+    ("relaxation", ["--strategy", "sequential"]),
+    ("identity-corollary", ["--delta", "0.3"]), ("identity-corollary", ["--optimize"]),
+    ("identity-corollary", ["--strategy", "sequential"]),
+    ("identity-corollary", ["--restarts", "4"]), ("identity-corollary", ["--seed", "4"]),
+], ids=lambda v: v if isinstance(v, str) else v[0][2:])
+def test_bound_rejects_an_option_its_kind_does_not_read(tmp_path, capsys, kind,
+                                                        option):
+    # The spec files do not exist: the option is rejected before any opens,
+    # even at the value it takes where it is read.
+    argv = ["bound", kind, "--scenario", "gp" if kind == "relaxation" else "p2p_ea",
+            "--channel", str(tmp_path / "no-channel.json"),
+            "--state", str(tmp_path / "no-state.json"), "--eps", "0.1"]
+    assert run(argv + option) == 1
+    flag = option[0][2:]
+    assert capsys.readouterr().err == \
+        f"error: {flag}: bound {kind} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize("scenario,eps,want", [
+    ("gp", "0.1,0.2", "gp needs 1 value(s) of eps, got (0.1, 0.2)"),
+    ("mac_ea_hdw", "0.1,0.1,0.1",
+     "mac_ea_hdw needs 2 value(s) of eps, got (0.1, 0.1, 0.1)"),
+    ("mac_ea_hdw", "0.5,0.6", "mac_ea_hdw tests its sum rate at eps_A + eps_B, "
+                              "which must lie below 1; got 0.5 + 0.6 = 1.1"),
+], ids=["relaxation-gp", "mac_ea_hdw-three", "mac_ea_hdw-sum"])
+def test_a_bound_names_its_own_scenario_in_a_budget_error(tmp_path, capsys,
+                                                          scenario, eps, want):
+    if scenario == "gp":
+        argv = scenario_specs(tmp_path)["gp_ea"]
+        argv = ["bound", "relaxation"] + argv[:argv.index("--R")]
+    else:
+        argv = ["bound", "converse", "--channel", write_spec(
+            tmp_path, "mac_ch.json", channel_spec(xor_mac_channel()))]
+        for flag, a, r in (("--state", "A", "RA"), ("--state-b", "B", "RB")):
+            argv += [flag, write_spec(tmp_path, f"{a}.json",
+                                      state_spec(bell_density(a, r)))]
+    assert run(argv + ["--scenario", scenario, "--eps", eps]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("kind", ["converse", "achievable"])
 def test_bound_without_a_scenario_is_point_to_point(tmp_path, capsys, kind):
     assert bounds.BOUND_KINDS[kind].default == "p2p_ea"
