@@ -379,16 +379,13 @@ def _cmd_bound(args) -> int:
     command, reads = f"bound {args.kind}", ()
     kind = bounds_mod.BOUND_KINDS.get(args.kind)
     scenario = kind.default if kind and args.scenario is None else args.scenario
-    with _field("scenario"):
-        if kind:
-            reads = bounds_mod.spec_inputs(args.kind, scenario)
-        elif scenario is not None and not any(
-                scenario in k.scenarios for k in bounds_mod.BOUND_KINDS.values()):
-            # identity-corollary reads no scenario, yet takes only a bound's.
-            raise ValueError(f"no bound takes the scenario {scenario!r}")
+    if kind:
+        with _field("scenario"):
+            reads = ("scenario", *bounds_mod.spec_inputs(args.kind, scenario))
     options = _BOUND_OPTIONS[args.kind]
     specs = _load_specs(args, (*reads, *options), ("channel", "state") if reads else (),
-                        command, [key for opts in _BOUND_OPTIONS.values() for key in opts])
+                        command, [*(key for opts in _BOUND_OPTIONS.values()
+                                    for key in opts), "scenario"])
     args = argparse.Namespace(**{**options, **vars(args)})
     if args.kind == "identity-corollary":
         ceiling, (lam, avec) = bounds_mod.identity_channel_corollary(

@@ -633,7 +633,7 @@ def _rate_feasible(rate: int, dh_value: float, penalty_bits: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# position decoders on Schur-Weyl and type blocks
+# position decoders on Schur-Weyl blocks and type tables
 
 def _partitions(n: int, rows: int, largest: int | None = None):
     """The partitions of ``n`` into at most ``rows`` parts, largest first."""
@@ -724,18 +724,6 @@ def _schur_weyl_blocks(copies: int, marginal: np.ndarray):
                v.reshape(-1, q).T @ power.reshape(-1, q))
 
 
-def _type_blocks(copies: int, marginal: np.ndarray):
-    """:func:`_schur_weyl_blocks` for tests diagonal in the letters of a
-    classical ``marginal`` p: per type M of ``copies`` letters that occur,
-    its number of strings, the generators delta_ab M_a on one string, and p^M."""
-    p = np.diagonal(marginal).real
-    letters = np.flatnonzero(p > SUPPORT_FLOOR).tolist()
-    for first in itertools.combinations_with_replacement(letters, copies):
-        counts = np.array([first.count(a) for a in range(len(p))])
-        yield (math.factorial(copies) // math.prod(map(math.factorial, counts)),
-               np.diag(counts)[..., None, None], np.array([[math.prod(p ** counts)]]))
-
-
 def _swaps(copies: int) -> np.ndarray:
     """Per message m, the outcomes (abort last) with 0 and m swapped.
     Swapping copies 0 and m of a position code takes message 0's state to
@@ -747,18 +735,18 @@ def _swaps(copies: int) -> np.ndarray:
 
 
 def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
-                   states, family=_schur_weyl_blocks) -> np.ndarray:
+                   states) -> np.ndarray:
     """One row (true copy, each wrong copy, abort) per state of the
     square-root measurement of ``test`` over ``copies`` copies of a resource:
     ``test`` and each state act on the decoder registers and the true copy,
     last, and the wrong copies are in ``marginal``.  With T = sum_ij |i><j|
     (x) T_ij, S = T (x) I + sum_ij |i><j| (x) I (x) Pi(T_ij), Pi summing over
-    the wrong copies; S, T and each state are direct sums of the blocks of
-    ``family`` (docs/decoders.md), and the states share S's decomposition."""
+    the wrong copies; S, T and each state are direct sums of Schur-Weyl
+    blocks (docs/decoders.md), and the states share S's decomposition."""
     d = len(marginal)
     t = test.reshape(len(test) // d, d, len(test) // d, d)
     blocks = []
-    for mult, gens, marg in family(copies - 1, marginal):
+    for mult, gens, marg in _schur_weyl_blocks(copies - 1, marginal):
         eye = np.eye(len(marg))
         s = (np.einsum("irjs,xy->irxjsy", t, eye)
              + np.einsum("iajb,abxy,rs->irxjsy", t, gens, np.eye(d))
@@ -774,13 +762,44 @@ def _position_rows(test: np.ndarray, marginal: np.ndarray, copies: int,
             p0 += mult * np.trace(t0 @ conj).real
             total += mult * np.trace(s @ conj).real
             trace += mult * np.trace(rho).real
-        # Permuting the wrong copies fixes S, T_0 and the state, so they
-        # share what T_0 leaves of Tr(S S^{-1/2} rho S^{-1/2}).  With one
-        # copy there are none.
-        wrong = [(total - p0) / (copies - 1)] * (copies - 1) if copies > 1 else []
-        row = np.maximum([p0] + wrong, 0.0)
-        rows.append(np.append(row, max(trace - row.sum(), 0.0)))
+        rows.append(_row(p0, total, trace, copies))
     return np.array(rows)
+
+
+def _row(p0: float, total: float, trace: float, copies: int) -> np.ndarray:
+    """Message 0's row (true copy, each wrong copy, abort) from its true
+    copy's outcome ``p0``, every outcome but abort ``total`` and the state's
+    ``trace``.  Permuting the wrong copies fixes S, T_0 and the state, so
+    they share what T_0 leaves of ``total``; with one copy there are none.
+    Each entry is clipped at 0."""
+    wrong = [(total - p0) / (copies - 1)] * (copies - 1) if copies > 1 else []
+    row = np.maximum([p0] + wrong, 0.0)
+    return np.append(row, max(trace - row.sum(), 0.0))
+
+
+def _type_table(rec: Receiver, test: HermOp, n: int):
+    """For a classical resource, per type N of the ``n`` copies over the
+    letters that occur (p_a above SUPPORT_FLOOR): its first string, the
+    probability of its strings, and two masses of one such string summed
+    over the copies, the true copy's outcome sum_a N_a Tr(S_N^{-1/2} T_a
+    S_N^{-1/2} rho^a) and every outcome but abort sum_a N_a Tr(Pi_N rho^a).
+    S_N = sum_a N_a T_a, T_a is ``test`` at letter a, Pi_N the projector on
+    S_N's support, and the S_N, the blocks of one S, are one stack."""
+    probs, blocks = classical_blocks(rec.joint, rec.resource)
+    tests = np.einsum("uiuj->uij", _letter_view(test, [rec.resource]))
+    conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
+    p = np.diagonal(rec.marginal.matrix).real
+    firsts = list(itertools.combinations_with_replacement(
+        np.flatnonzero(p > SUPPORT_FLOOR).tolist(), n))
+    counts = np.array([[first.count(a) for a in range(len(p))] for first in firsts])
+    weights = np.array([math.factorial(n) // math.prod(map(math.factorial, c))
+                        * math.prod(p ** c) for c in counts])
+    s = np.tensordot(counts, tests, 1)
+    (roots,) = _inverse_roots([s])
+    success = np.einsum("ka,kaij,aji->k", counts,
+                        roots[:, None] @ tests @ roots[:, None], conds).real
+    total = np.einsum("kij,kji->k", roots @ s @ roots, np.tensordot(counts, conds, 1)).real
+    return firsts, weights, success, total
 
 
 def _receiver_test(rec: Receiver) -> tuple[DivergenceResult, HermOp]:
@@ -798,14 +817,18 @@ def _receiver_test(rec: Receiver) -> tuple[DivergenceResult, HermOp]:
 def _run_position_code(rec: Receiver, rate: int):
     """The D_H result and the (n, n+1) outcome distribution (abort last) of
     the receiver's position code on all copies of its resource: on
-    Schur-Weyl blocks, or on type blocks for a classical resource."""
+    Schur-Weyl blocks, or for a classical resource the mixture of its
+    fixed-string codes, read off :func:`_type_table`."""
     _check_copies(rec.joint.layout, {rec.resource: rate})
     n = 2 ** rate
     dh, test = _receiver_test(rec)
-    order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
-    (row,) = _position_rows(test.permuted(order).matrix, rec.marginal.matrix, n,
-                            [rec.state.permuted(order).matrix],
-                            _type_blocks if rec.classical else _schur_weyl_blocks)
+    if rec.classical:
+        _, weights, success, total = _type_table(rec, test, n)
+        row = _row(weights @ success / n, weights @ total / n, weights.sum(), n)
+    else:
+        order = [l for l in rec.joint.layout.labels if l != rec.resource] + [rec.resource]
+        (row,) = _position_rows(test.permuted(order).matrix, rec.marginal.matrix, n,
+                                [rec.state.permuted(order).matrix])
     return dh, row[_swaps(n)]
 
 
@@ -1200,8 +1223,8 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
     best string of positive probability does at least as well (the averaging
     argument).  Each candidate's error is read off the randomized protocol's
     decoder on that string; for ``p2p`` and ``gp`` that error depends only
-    on the string's type, so each type is decoded once, on its first
-    string.  For the two-sender scenario the strings are chosen jointly and
+    on the string's type, so it is read off the simulator's own table of
+    the types (:func:`_type_table`).  For the two-sender scenario the strings are chosen jointly and
     the figure minimized is the average error of the joint sequential
     decoder.  The two-receiver broadcast scenario is not supported.
     """
@@ -1222,22 +1245,13 @@ def derandomize(scenario: str, ch: KrausChannel, psi: DensityOp, rates,
 
 
 def _type_errors(receivers, rates):
-    """Per type N of the 2^R copies' letters (:func:`_type_blocks`), its
-    first string, the probability of its strings and the error on them,
-    S = sum_a N_a T_a (T_a: the test at letter a)."""
+    """Per type of the 2^R copies' letters (:func:`_type_table`), its first
+    string, the probability of its strings and the error on them."""
     (rec,), (rate,) = receivers, rates
     _check_copies(rec.joint.layout, {rec.resource: rate})
-    _, test = _receiver_test(rec)
-    probs, blocks = classical_blocks(rec.joint, rec.resource)
-    tests = np.einsum("uiuj->uij", _letter_view(test, [rec.resource]))
-    conds = blocks / np.where(probs > 0, probs, np.inf)[:, None, None]
-    mults, gens, powers = zip(*_type_blocks(2 ** rate, rec.marginal.matrix))
-    counts = np.array([np.diagonal(g[..., 0, 0]) for g in gens])
-    roots = _inverse_roots([np.tensordot(counts, tests, 1)])[0][:, None]
-    success = np.einsum("ka,kaij,aji->k", counts, roots @ tests @ roots, conds).real
-    for count, mult, power, x in zip(counts, mults, powers, success):
-        yield ((tuple(np.repeat(np.arange(len(probs)), count).tolist()),),
-               mult * power.item(), max(1.0 - float(x) / 2 ** rate, 0.0))
+    n = 2 ** rate
+    for first, weight, x, _ in zip(*_type_table(rec, _receiver_test(rec)[1], n)):
+        yield (first,), weight, max(1.0 - float(x) / n, 0.0)
 
 
 def _mac_string_errors(receivers, rates):

@@ -290,8 +290,7 @@ def partial_trace(op: DensityOp, keep: Iterable[str]) -> DensityOp:
 
 def herm_eig(H: HermOp | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching unitary eigenvector columns."""
-    mat = H.matrix if isinstance(H, HermOp) else _check_hermitian(
-        np.asarray(H, dtype=complex), "operator")
+    mat = (H if isinstance(H, HermOp) else HermOp(H, [("H", len(H))])).matrix
     w, v = np.linalg.eigh(mat)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]

@@ -1,14 +1,17 @@
 """Static checks of the package's public names, private names and imports.
 
 The package has no linter; these checks catch what one would: a stale
-``__all__`` entry, an import left behind when its last use is deleted, and a
-private helper left behind when its last caller is.
+``__all__`` entry, an import left behind when its last use is deleted, a
+private helper left behind when its last caller is, and a function that
+reads a global name nothing binds.
 """
 
 import ast
+import builtins
 import functools
 import importlib
 import pathlib
+import symtable
 
 import pytest
 
@@ -94,6 +97,28 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"oneshot_qcap.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def _scopes(table: symtable.SymbolTable):
+    """Every function, class and comprehension scope nested in ``table``."""
+    for child in table.get_children():
+        yield child
+        yield from _scopes(child)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_global_a_function_reads_is_bound(name):
+    # A module's own statements run on import; a function's globals are
+    # looked up only when it runs, so a renamed helper fails only there.
+    module = importlib.import_module(f"oneshot_qcap.{name}")
+    path = PACKAGE / f"{name}.py"
+    top = symtable.symtable(path.read_text(), str(path), "exec")
+    unbound = sorted({(scope.get_name(), sym.get_name()) for scope in _scopes(top)
+                      for sym in scope.get_symbols()
+                      if sym.is_global() and sym.is_referenced()
+                      and not hasattr(module, sym.get_name())
+                      and not hasattr(builtins, sym.get_name())})
+    assert not unbound, f"{name} reads unbound globals (scope, name) {unbound}"
 
 
 @pytest.mark.parametrize("name", MODULES)

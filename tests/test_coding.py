@@ -1241,41 +1241,44 @@ def test_string_decoder_decomposes_no_operator_above_the_block_dimension(eig_inp
     assert eig_inputs and max(m.shape[-1] for m in eig_inputs) <= 4
 
 
-def test_unassisted_decoder_decomposes_one_block_per_type(monkeypatch):
-    # At R = 3 the seven wrong copies of a binary resource have 8 types
-    # against 2^7 strings, and the 2^8 strings of all the copies have 9.
-    # Each matrix of a stack counts.
-    counts = []
+def recorded_stacks(monkeypatch):
+    """Each list of matrices or stacks that :mod:`oneshot_qcap.coding` hands
+    ``_inverse_roots``, one entry per call."""
+    calls = []
     real = coding._inverse_roots
-    monkeypatch.setattr(coding, "_inverse_roots", lambda mats: counts.append(
-        sum(math.prod(m.shape[:-2]) for m in mats)) or real(mats))
+    monkeypatch.setattr(coding, "_inverse_roots",
+                        lambda mats: calls.append(mats) or real(mats))
+    return calls
+
+
+def test_unassisted_decoder_decomposes_one_block_per_type(monkeypatch):
+    # At R = 3 the 2^8 strings of a binary resource's copies have 9 types:
+    # simulate and derandomize each decompose the 9 blocks S_N (2 x 2, on
+    # the decoder register) in one stack, the same stack.
+    calls = recorded_stacks(monkeypatch)
     ch, psi = depolarizing(0.1, 2, "A", "B"), classically_correlated("A", "U")
     simulate_unassisted("p2p", ch, psi, 3, 0.1, 0.6)
-    assert sum(counts) <= 2 ** 3
-    counts.clear()
     derandomize("p2p", ch, psi, 3, 0.1, 0.6)
-    assert sum(counts) <= 2 ** 3 + 2 ** 3 + 1
+    assert [[m.shape for m in mats] for mats in calls] == [[(9, 2, 2)]] * 2
+    assert np.array_equal(calls[0][0], calls[1][0])
 
 
-@pytest.mark.parametrize("rate,decoded,derandomized", [(1, 2, 5), (2, 4, 9)])
-def test_type_blocks_hold_only_the_letters_that_occur(monkeypatch, rate, decoded,
-                                                      derandomized):
-    # Letter 2 of the qutrit resource never occurs.  Over letters 0 and 1 the
-    # 2^R - 1 wrong copies have R + 1 types (4 at R = 2, against 10 over all
-    # three letters), and derandomize adds one matrix per type of the 2^R
-    # copies, its candidates.
-    counts = []
-    real = coding._inverse_roots
-    monkeypatch.setattr(coding, "_inverse_roots", lambda mats: counts.append(
-        sum(math.prod(m.shape[:-2]) for m in mats)) or real(mats))
+@pytest.mark.parametrize("rate,types", [(1, 3), (2, 5)])
+def test_type_blocks_hold_only_the_letters_that_occur(monkeypatch, rate, types):
+    # Letter 2 of the qutrit resource never occurs.  Over letters 0 and 1
+    # the 2^R copies have 2^R + 1 types (5 at R = 2, against 15 over all
+    # three letters), and simulate and derandomize decompose their S_N,
+    # 3 x 3 each, in one stack.
+    calls = recorded_stacks(monkeypatch)
     _, ch, psi, _ = ua_case("p2p-qutrit")
     simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.3)
-    assert sum(counts) <= decoded
-    counts.clear()
     derandomize("p2p", ch, psi, rate, 0.1, 0.3)
-    assert sum(counts) <= derandomized
-    blocks = coding._type_blocks(2 ** rate - 1, np.diag([0.5, 0.5, 0.0]))
-    assert all(weight.item() > 0 for _, _, weight in blocks)
+    assert [[m.shape for m in mats] for mats in calls] == [[(types, 3, 3)]] * 2
+    (rec,) = get_scenario("p2p_ua").build(ch, psi, None, None, [0.1])
+    firsts, weights, _, _ = coding._type_table(rec, coding._receiver_test(rec)[1],
+                                               2 ** rate)
+    assert len(firsts) == types and all(2 not in first for first in firsts)
+    assert np.all(weights > 0) and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
 def qutrit_beside_a_qubit():

@@ -15,6 +15,7 @@ from oneshot_qcap.linalg import (
     SystemLayout,
     basis_ket,
     embed,
+    herm_eig,
     fidelity,
     local_product,
     local_trace,
@@ -54,6 +55,17 @@ def test_layout_rejects_a_register_that_is_not_a_label_and_an_integer(register, 
 def test_layout_accepts_a_numpy_integer_dimension():
     lay = SystemLayout([("A", np.int64(2))])
     assert lay.registers == (("A", 2),) and type(lay.dim_of("A")) is int
+
+
+def test_herm_eig_reads_an_array_as_its_hermitian_operator():
+    mat = np.array([[2.0, 1j, 0.0], [-1j, 0.5, 0.3], [0.0, 0.3, -1.0]])
+    w, v = herm_eig(mat)
+    w_op, v_op = herm_eig(HermOp(mat, [("X", 3)]))
+    assert np.array_equal(w, w_op) and np.array_equal(v, v_op)
+    assert np.all(np.diff(w) <= 0)
+    assert np.allclose(v @ np.diag(w) @ v.conj().T, mat, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_dimension_cap(monkeypatch):

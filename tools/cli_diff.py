@@ -9,9 +9,11 @@ Every op of ``bench/workloads.py`` (of this checkout), and a fixed list of
 the commands the benchmark does not run (``divergence``, ``bound converse``
 and ``achievable`` of every scenario, ``bound converse --optimize`` of every
 scenario but ``p2p_ea`` and ``mac_ea``, ``relaxation`` and
-``identity-corollary``, the broadcast relaxation with ``--optimize``, the
+``identity-corollary`` (also given a ``--scenario``, rejected with exit 1),
+the broadcast relaxation with ``--optimize``, the
 ``mac_ea_hdw`` converse, ``verify`` of one fact and of all at other dims,
-the unassisted simulations past R = 1, each
+the unassisted simulations past R = 1, the point-to-point one on a qutrit
+resource with a letter that never occurs, each
 unassisted simulation on a quantum resource, rejected with exit 1, the
 multiple-access simulation decoding B first, with and without a given
 ``--c``, a multiple-access sweep, the point-to-point simulation at a given
@@ -79,11 +81,14 @@ def _cli_ops(variant: int):
     minimum over sigma but ``p2p_ea``, which the benchmark optimizes, and
     the broadcast relaxation with ``--optimize`` (together, every minimum
     over sigma the SDP solves), the relaxation and identity-corollary
-    bounds, the sum-rate converse of
+    bounds, the identity corollary given a ``--scenario`` (which it does not
+    read: exit 1), the sum-rate converse of
     multiple access (which needs pure sender states), ``verify`` of each
     fact alone and of all of them at other dims and seed, the unassisted
-    simulations at rates past the benchmark's R = 1, where the wrong copies
-    have more than two types, and each unassisted simulation with its
+    simulations at rates past the benchmark's R = 1, where the copies have
+    more than three types, the point-to-point unassisted simulation at
+    R = 1 and 2 on a depolarizing(0.2) qutrit whose classical resource's
+    third letter never occurs, and each unassisted simulation with its
     (first) resource half a Bell pair with the channel input: rejected with
     exit 1, so a tree whose classicality check stops rejecting differs in
     its exit code; and the paths of ``simulate`` and ``sweep`` no benchmark
@@ -114,6 +119,12 @@ def _cli_ops(variant: int):
     gp_state_first = _bell_beside_mixed(["S", "A", "B'"], mixed_first=True,
                                         product=[["S"], ["B'"]])
     bc_swapped = _bell_beside_mixed(["RC", "A", "RB"], mixed_first=True)
+    # A copy of U on A, with letters 0.5, 0.5 and 0: the third never occurs.
+    qutrit = {"channel": {"schema": "1", "type": "channel", "name": "depolarizing",
+                          "p": 0.2, "dims": 3, "labels": {"in": "A", "out": "B"}},
+              "state": {"schema": "1", "type": "state",
+                        "matrix": np.diag([0.5, 0, 0, 0, 0.5, 0, 0, 0, 0]).tolist(),
+                        "dims": [["A", 3], ["U", 3]], "classical": ["U"]}}
     spec_args = ["--channel", "@channel", "--state", "@state"]
 
     def bound(kind: str, scenario: str | None, grid_op: str, *extra: str):
@@ -173,6 +184,8 @@ def _cli_ops(variant: int):
                                   *spec_args, "--eps", "0.1,0.1"], bc),
         "identity_corollary": (["bound", "identity-corollary",
                                 "--dimA", str(2 + variant % 3), "--eps", eps], {}),
+        "identity_corollary_scenario": (["bound", "identity-corollary",
+                                         "--scenario", "gp", "--eps", eps], {}),
         **{f"converse_{name}": bound("converse", name, op)
            for name, op in grid.items()},
         **{f"achievable_{name}": bound("achievable", name, op)
@@ -195,6 +208,9 @@ def _cli_ops(variant: int):
             "small_grid", name, "--R", rates)
            for name, rates in (("p2p_ua", "2"), ("p2p_ua", "3"), ("gp_ua", "3"),
                                ("broadcast_ua", "3,2"), ("mac_ua", "2,1"))},
+        **{f"simulate_p2p_ua_qutrit_r{rate}": (
+            with_options("small_grid", "p2p_ua", "--R", rate)[0], qutrit)
+           for rate in ("1", "2")},
         # The other constraints hold: S and V are independent of U, the
         # second sender's UB is classical.
         **{f"simulate_{name}_quantum": on_state(name, state) for name, state in (
