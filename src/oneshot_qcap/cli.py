@@ -276,9 +276,7 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Fields kept out of repr hold internals, not results.
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj) if f.repr}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"a report value of {type(obj)} has no JSON form")
 
 

@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
     "simulate_unassisted",
     "derandomize",
     "DerandomizedCode",
-    "FloorInput",
     "converse_floor",
     "report_floors",
 ]
@@ -541,16 +540,6 @@ def get_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # protocol reports
 
-class FloorInput(NamedTuple):
-    """What one converse floor reads (:func:`converse_floor`): an outcome
-    distribution, one row per message, the rate in bits, and per message the
-    column of its correct outcome (None: column m for message m)."""
-
-    dist: np.ndarray
-    rate: float
-    correct_cols: list | None
-
-
 @dataclass(frozen=True)
 class ProtocolReport:
     """Exact statistics of one simulated code next to its guaranteed bounds.
@@ -563,11 +552,11 @@ class ProtocolReport:
     average-case for the unassisted ones.  ``worst_error`` has two meanings
     for broadcast: for ``broadcast_ea`` it is the larger of the receivers'
     worst errors, for ``broadcast_ua`` the worst over message pairs of
-    1 - s_B * s_C, the error of the pair's joint success.  ``floor_inputs``
-    holds one :class:`FloorInput` per converse floor for
-    :func:`report_floors`; it is left out of repr and of CLI reports.
-    :func:`_report` decides ``rate_feasible`` and ``bound_satisfied`` for
-    every decoder.
+    1 - s_B * s_C, the error of the pair's joint success.  ``details`` holds
+    results only: a position code's ``receivers``, one record per receiver
+    in stream order, or a multiple-access code's joint ``outcome_dist`` and
+    its decoder's figures, one number each.  :func:`_report` decides
+    ``rate_feasible`` and ``bound_satisfied`` for every decoder.
     """
 
     scenario: str
@@ -582,7 +571,6 @@ class ProtocolReport:
     bound_satisfied: bool
     dh_values: tuple[float, ...]
     details: dict = field(default_factory=dict)
-    floor_inputs: tuple[FloorInput, ...] = field(default=(), repr=False)
 
 
 def _error(successes, average: bool) -> float:
@@ -591,7 +579,7 @@ def _error(successes, average: bool) -> float:
 
 
 def _report(spec: Scenario, rates, successes, errors, dhs, penalties, checks, *,
-            details, floors) -> ProtocolReport:
+            details) -> ProtocolReport:
     """A simulated code's report and its verdict, from the joint per-message
     ``successes``, the ``errors`` of the separately decoded streams, per
     stream the D_H result and its penalty, and the (error, premise-free
@@ -616,7 +604,6 @@ def _report(spec: Scenario, rates, successes, errors, dhs, penalties, checks, *,
                             for e, h, b in zip(errs, hns, bounds)),
         dh_values=dh_values,
         details=details,
-        floor_inputs=tuple(floors),
     )
 
 
@@ -841,7 +828,9 @@ def _hn_chain(dh: DivergenceResult, copies: int, c: float) -> float:
 
 def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                      c) -> ProtocolReport:
-    """One square-root decoder per receiver, each on its own registers."""
+    """One square-root decoder per receiver, each on its own registers.  The
+    receivers act on disjoint registers, so the success of a message tuple
+    factorizes; each receiver's record holds its own error and bounds."""
     penalties = [spec.penalty(e, delta, strategy) for e in eps]
     consts = [_hn_constant(r.eps, delta, ci) for r, ci in zip(receivers, c)]
     runs = [_run_position_code(r, rate) for r, rate in zip(receivers, rates)]
@@ -851,23 +840,16 @@ def _decode_position(spec: Scenario, receivers, rates, eps, delta, strategy,
                         dhs=[dh.value for dh in dhs], strategy=strategy)
     stream_successes = [np.diagonal(dist) for _, dist in runs]
     errors = [_error(succ, not spec.assisted) for succ in stream_successes]
-    if len(runs) == 1:
-        ((dh, dist),) = runs
-        details = {"c": consts[0], "type1": 1.0 - dh.witness.type1,
-                   "type2": dh.witness.type2, "outcome_dist": dist, "dh": dh}
-        if spec.headline is not None:
-            details["headline_bound"] = spec.headline(eps[0], delta)
-    else:
-        # The receivers act on disjoint registers, so the success of a
-        # message tuple factorizes; errors and bounds are per receiver.
-        kind = "worst" if spec.assisted else "avg"
-        details = {f"per_receiver_{kind}_error": tuple(errors),
-                   "per_receiver_bounds": bounds}
+    details = {"receivers": [
+        {"c": cv, "type1": 1.0 - dh.witness.type1, "type2": dh.witness.type2,
+         "dual_bound": dh.dual_bound, "error": err, "bound": bound,
+         "outcome_dist": dist}
+        for cv, (dh, dist), err, bound in zip(consts, runs, errors, bounds)]}
+    if spec.headline is not None:
+        details["headline_bound"] = spec.headline(eps[0], delta)
     successes = [math.prod(s) for s in itertools.product(*stream_successes)]
     return _report(spec, rates, successes, errors, dhs, penalties,
-                   zip(errors, hns, bounds), details=details,
-                   floors=[FloorInput(dist, float(rate), None)
-                           for (_, dist), rate in zip(runs, rates)])
+                   zip(errors, hns, bounds), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,8 +986,7 @@ def _mac_sequential(code: _MacCode):
     hn = 4.0 * ((1.0 - dh_a.witness.type1) + (1.0 - dh_b.witness.type1)
                 + (n1 - 1) * dh_a.witness.type2
                 + (n2 - 1) * dh_b.witness.type2)
-    return chain_succ.reshape(-1), hn, {"outcome_dist": dist,
-                                        "seq_rhs": np.full((n1, n2), 1.0 - hn)}
+    return chain_succ.reshape(-1), hn, {"outcome_dist": dist, "seq_rhs": 1.0 - hn}
 
 
 def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
@@ -1043,12 +1024,12 @@ def _mac_pgm(code: _MacCode, epsilons, delta, c, a_first: bool):
     hn_first = _hn_chain(code.dhs[i_first], n[i_first], c_first)
     hn_second = (math.sqrt(_hn_chain(code.dhs[i_second], n[i_second], c_second))
                  + math.sqrt(2 * hn_first)) ** 2
-    return np.full(n1 * n2, row[0, 0]), hn_first + hn_second, {
+    return [row[0, 0]] * (n1 * n2), hn_first + hn_second, {
         "outcome_dist": dist.reshape(n1 * n2, -1),
         # Tr(sqrt(L) rho sqrt(L)) = Tr(L rho): the true outcome's branch.
-        "stage1_err": np.full(n, 1.0 - np.trace(branches[0]).real),
-        "stage2_err": np.full(n, 1.0 - float(np.sum(row[:, 0]))),
-        "disturbance": np.full(n, purified_distance(st, (post + post.conj().T) / 2)),
+        "stage1_err": 1.0 - np.trace(branches[0]).real,
+        "stage2_err": 1.0 - float(np.sum(row[:, 0])),
+        "disturbance": purified_distance(st, (post + post.conj().T) / 2),
         "stage_hn": (hn_first, hn_second)}
 
 
@@ -1064,7 +1045,6 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
         raise ValueError(f"the sequential decoder takes no c, got c {c}")
     code = _mac_code(receivers, rates, strategy == "sequential")
     bounds = spec.bound(eps, delta, strategy=strategy)
-    cols = [m1 * (code.n[1] + 1) + m2 for m1 in range(code.n[0]) for m2 in range(code.n[1])]
     if strategy == "sequential":
         successes, hn, details = _mac_sequential(code)
     else:
@@ -1077,12 +1057,10 @@ def _decode_mac(spec: Scenario, receivers, rates, eps, delta, strategy,
     checks = [(errors[0], hn, sum(bounds))]
     if strategy != "sequential":
         # The theorems bound the two stages separately; require those too.
-        checks += [(float(np.max(details[f"stage{i + 1}_err"])),
-                    details["stage_hn"][i], bounds[i]) for i in (0, 1)]
+        checks += [(details[f"stage{i + 1}_err"], details["stage_hn"][i], bounds[i])
+                   for i in (0, 1)]
     return _report(spec, rates, successes, errors, code.dhs, penalties, checks,
-                   details=details,
-                   floors=[FloorInput(details["outcome_dist"],
-                                      float(rates[0]) + float(rates[1]), cols)])
+                   details=details)
 
 
 def _plain(eps: float, delta: float) -> float:
@@ -1330,14 +1308,24 @@ def report_floors(report: ProtocolReport, *, sigmas: int = 5,
                   seed: int = 0) -> list[dict]:
     """Converse floors for every receiver of a simulated code.
 
-    Runs :func:`converse_floor` on each outcome distribution recorded in the
-    report (one per receiver; one joint distribution for multiple access).
-    A floor holds for any outcome distribution, so it checks :func:`dh_eps`
-    and not the decoder; decoders are checked by the dense references in the
-    tests and by their error staying below ``hn_bound``.
+    Runs :func:`converse_floor` on the outcome distributions the report
+    holds: each receiver's at its rate, or a multiple-access code's joint
+    one at the summed rate, with message (m1, m2)'s correct outcome at
+    column m1 (n2 + 1) + m2.  A floor holds for any outcome distribution, so
+    it checks :func:`dh_eps` and not the decoder; decoders are checked by the
+    dense references in the tests and by their error staying below
+    ``hn_bound``.
     """
-    if not report.floor_inputs:
-        raise ValueError(f"no floor extraction for scenario {report.scenario!r}")
-    return [converse_floor(f.dist, f.rate, correct_cols=f.correct_cols,
-                           sigmas=sigmas, seed=seed + i)
-            for i, f in enumerate(report.floor_inputs)]
+    details, rates = report.details, report.rates
+    if "receivers" in details:
+        inputs = [(rec["outcome_dist"], rate, None)
+                  for rec, rate in zip(details["receivers"], rates)]
+    elif "outcome_dist" in details:
+        n1, n2 = (2 ** int(r) for r in rates)
+        inputs = [(details["outcome_dist"], rates[0] + rates[1],
+                   [m1 * (n2 + 1) + m2 for m1 in range(n1) for m2 in range(n2)])]
+    else:
+        raise ValueError(f"no outcome distribution in the report of scenario "
+                         f"{report.scenario!r}")
+    return [converse_floor(dist, rate, correct_cols=cols, sigmas=sigmas, seed=seed + i)
+            for i, (dist, rate, cols) in enumerate(inputs)]

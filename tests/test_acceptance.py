@@ -8,8 +8,10 @@ floors, the sequential-vs-two-stage error-scaling comparison, exhaustive
 derandomization, and byte-level determinism of the CLI.
 """
 
+import dataclasses
 import json
 import math
+import numbers
 import time
 
 import numpy as np
@@ -26,8 +28,9 @@ from oneshot_qcap.channels import (
     erasure,
     identity_channel,
 )
-from oneshot_qcap.cli import run as cli_run
+from oneshot_qcap.cli import _jsonable, run as cli_run
 from oneshot_qcap.coding import (
+    ProtocolReport,
     derandomize,
     report_floors,
     simulate_broadcast_ea,
@@ -36,7 +39,7 @@ from oneshot_qcap.coding import (
     simulate_p2p_ea,
     simulate_unassisted,
 )
-from oneshot_qcap.divergences import DivergenceResult, dh_eps
+from oneshot_qcap.divergences import dh_eps
 from oneshot_qcap.linalg import (
     DensityOp,
     SystemLayout,
@@ -221,10 +224,23 @@ def test_converse_floor_holds_for_every_instance(instance_reports):
 
 
 def test_report_details_hold_results_only(instance_reports):
-    allowed = (int, float, str, np.ndarray, tuple, DivergenceResult)
+    # Numbers, strings, arrays and tuples of numbers, at the top level and in
+    # each receiver record; no solver object, such as a D_H witness.
+    def result(value):
+        if isinstance(value, tuple):
+            return all(isinstance(x, numbers.Real) for x in value)
+        return isinstance(value, (numbers.Real, str, np.ndarray))
+
+    fields = {f.name for f in dataclasses.fields(ProtocolReport)}
     for name, rep in instance_reports:
-        for key, value in rep.details.items():
-            assert isinstance(value, allowed), (name, key, type(value))
+        details = dict(rep.details)
+        records = details.pop("receivers", [])
+        assert isinstance(records, list), name
+        items = [*details.items(), *(item for rec in records for item in rec.items())]
+        for key, value in items:
+            assert result(value), (name, key, type(value))
+        # A CLI report writes every field: a report holds nothing hidden.
+        assert set(_jsonable(rep)) == fields, name
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The package has no linter; these checks catch what one would: a stale
 ``__all__`` entry, an import left behind when its last use is deleted, a
 private helper left behind when its last caller is, and a function that
-reads a global name nothing binds.
+reads a global name nothing binds.  One more check parses every source file
+of the repository as Python 3.10, the oldest version it supports.
 """
 
 import ast
@@ -137,3 +138,26 @@ def test_package_exports_are_public_names_of_their_modules():
             module = importlib.import_module(f"oneshot_qcap.{node.module}")
             private = [a.name for a in node.names if a.name not in module.__all__]
             assert not private, f"oneshot_qcap re-exports {private} of {node.module}"
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SOURCE_DIRS = ("src", "tests", "bench", "tools", "demos")
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """Python 3.10 is the ``requires-python`` floor.  This checks syntax
+    only, through the parser's ``feature_version``: it does not check that
+    the standard-library names a file uses exist in 3.10."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
+    paths = sorted(p for d in SOURCE_DIRS for p in (REPO / d).rglob("*.py"))
+    assert len(paths) > 30
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(REPO)}:{exc.lineno}: {exc.msg}")
+    assert not failed, failed

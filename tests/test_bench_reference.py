@@ -90,9 +90,8 @@ SIM_OPS = [(workload, name, variant) for workload, name, variant in OPS
 
 
 def _simulated(tmp_path, workload, name, variant):
-    """The op's scenario, its specs parsed, and its report's rates and
-    per-stream errors: worst case if assisted, average if not, one per
-    receiver for broadcast."""
+    """The op's scenario, its specs parsed, and its report's rates and its
+    receiver records' errors: worst case if assisted, average if not."""
     op = workloads.op_for(workload, name, variant)
     op.write_specs(str(tmp_path))
     out = io.StringIO()
@@ -101,12 +100,7 @@ def _simulated(tmp_path, workload, name, variant):
     report = json.loads(out.getvalue())["report"]
     scenario = op.argv[1]
     specs = {key: cli.parse_spec(doc) for key, doc in op.specs.items()}
-    if scenario.startswith("broadcast"):
-        average = scenario.endswith("_ua")
-        errors = report["details"]["per_receiver_" + ("avg" if average else "worst")
-                                   + "_error"]
-    else:
-        errors = [report["reported_error"]]
+    errors = [rec["error"] for rec in report["details"]["receivers"]]
     return scenario, specs, report["rates"], errors
 
 

@@ -1020,18 +1020,19 @@ def scenario_specs(tmp_path):
     }
 
 
-SINGLE_DETAILS = {"c", "dh", "outcome_dist", "type1", "type2"}
 SEQUENTIAL_DETAILS = {"outcome_dist", "seq_rhs", "strategy"}
 DETAIL_KEYS = {
-    "p2p_ea": SINGLE_DETAILS | {"headline_bound"},
-    "gp_ea": SINGLE_DETAILS,
-    "broadcast_ea": {"per_receiver_bounds", "per_receiver_worst_error"},
+    "p2p_ea": {"receivers", "headline_bound"},
+    "gp_ea": {"receivers"},
+    "broadcast_ea": {"receivers"},
     "mac_ea": SEQUENTIAL_DETAILS,
-    "p2p_ua": SINGLE_DETAILS,
-    "gp_ua": SINGLE_DETAILS,
-    "broadcast_ua": {"per_receiver_avg_error", "per_receiver_bounds"},
+    "p2p_ua": {"receivers"},
+    "gp_ua": {"receivers"},
+    "broadcast_ua": {"receivers"},
     "mac_ua": SEQUENTIAL_DETAILS,
 }
+RECEIVER_KEYS = {"bound", "c", "dual_bound", "error", "outcome_dist", "type1",
+                 "type2"}
 REPORT_KEYS = {"analytic_bound", "avg_error", "bound_satisfied", "details",
                "dh_values", "floors", "hn_bound", "per_message_success",
                "rate_feasible", "rates", "reported_error", "scenario",
@@ -1051,6 +1052,11 @@ def test_simulate_report_shape_for_every_scenario(tmp_path, capsys):
                             "seed"}, name
         assert set(out["report"]) == REPORT_KEYS, name
         assert set(out["report"]["details"]) == details, name
+        receivers = out["report"]["details"].get("receivers", [])
+        assert len(receivers) == (len(out["report"]["rates"])
+                                  if "receivers" in details else 0), name
+        for rec in receivers:
+            assert set(rec) == RECEIVER_KEYS, name
 
 
 def test_simulate_exits_two_when_a_bound_fails(tmp_path, capsys, monkeypatch):

@@ -362,8 +362,8 @@ def test_p2p_ea_noiseless_qubit_exact_value(id2, bell):
     assert report.worst_error == pytest.approx(1.0 - PGM_BELL_SUCCESS,
                                                abs=1e-10)
     assert report.bound_satisfied
-    dist = report.details["outcome_dist"]
-    assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-10)
+    (receiver,) = report.details["receivers"]
+    assert np.allclose(receiver["outcome_dist"].sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_p2p_ea_fully_depolarizing_is_a_coin_flip(bell):
@@ -412,8 +412,8 @@ def test_gp_ea_discard_matches_p2p(id2, bell, tau_s, gp_input):
     gp = simulate_gp_ea(gp_discard_channel(), tau_s, gp_input, rate=1,
                         eps=0.15, delta=0.05)
     p2p = simulate_p2p_ea(id2, bell, rate=1, eps=0.1, delta=0.05)
-    assert np.allclose(gp.details["outcome_dist"],
-                       p2p.details["outcome_dist"], atol=1e-10)
+    assert np.allclose(gp.details["receivers"][0]["outcome_dist"],
+                       p2p.details["receivers"][0]["outcome_dist"], atol=1e-10)
     assert gp.bound_satisfied
 
 
@@ -442,7 +442,7 @@ def test_broadcast_ea_copy_channel():
                                    rates=(1, 1), epsilons=(0.1, 0.1),
                                    delta=0.05)
     assert report.bound_satisfied
-    worst_b, worst_c = report.details["per_receiver_worst_error"]
+    worst_b, worst_c = (rec["error"] for rec in report.details["receivers"])
     # Charlie's resource carries no information, so he cannot beat guessing.
     assert worst_c >= 0.5 - 1e-9
     assert worst_b <= worst_c
@@ -458,7 +458,10 @@ def test_broadcast_ea_reads_one_c_per_receiver():
     assert single.hn_bound == one.hn_bound == pytest.approx(8.25, abs=1e-9)
     assert single.analytic_bound == one.analytic_bound
     assert single.bound_satisfied == one.bound_satisfied
-    assert single.details == one.details
+    for a, b in zip(single.details["receivers"], one.details["receivers"],
+                    strict=True):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[key], b[key]) for key in a)
     with pytest.raises(ValueError, match="of c"):
         simulate_broadcast_ea(*args, c=(0.5, 0.5, 0.5))
 
@@ -472,6 +475,60 @@ def test_broadcast_ea_rejects_correlated_resources():
     with pytest.raises(ValueError):
         simulate_broadcast_ea(copy_broadcast_channel(), psi, rates=(1, 1),
                               epsilons=(0.1, 0.1), delta=0.05)
+
+
+def random_isometric_broadcast(seed):
+    """A -> (B, C) by a random isometry from a qubit pair A = (a_B, a_C) to
+    a qubit B and a qutrit C, and its two point-to-point marginals Tr_C o N
+    and Tr_B o N."""
+    v = sample("unitary", 6, seed)[:, :4].reshape(2, 3, 4)
+    a = SystemLayout([("A", 4)])
+    return (KrausChannel([v.reshape(6, 4)], a, SystemLayout([("B", 2), ("C", 3)])),
+            KrausChannel(list(v.transpose(1, 0, 2)), a, SystemLayout([("B", 2)])),
+            KrausChannel(list(v), a, SystemLayout([("C", 3)])))
+
+
+def independent_letters(seed):
+    """[A, U, V]: A = 2U + V for independent random bits U and V."""
+    p, q = np.random.default_rng(seed).dirichlet([1.0, 1.0], size=2)
+    mat = np.zeros((16, 16))
+    for u, v in itertools.product(range(2), repeat=2):
+        i = 4 * (2 * u + v) + 2 * u + v
+        mat[i, i] = p[u] * q[v]
+    return DensityOp(mat, SystemLayout([("A", 4), ("U", 2), ("V", 2)]))
+
+
+def same_receiver(broadcast, i, p2p):
+    """Receiver i of a broadcast report and the one receiver of a
+    point-to-point report agree in D_H value, error and outcomes."""
+    got, (want,) = broadcast.details["receivers"][i], p2p.details["receivers"]
+    assert broadcast.dh_values[i] == pytest.approx(p2p.dh_values[0], rel=0, abs=1e-12)
+    for key in ("type1", "type2", "error"):
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12), key
+    assert np.allclose(got["outcome_dist"], want["outcome_dist"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1, 2])
+def test_broadcast_receivers_are_point_to_point_codes(rate):
+    # Each receiver decodes its own resource from its own output, so it is
+    # the point-to-point code over the channel to that output.  The assisted
+    # point-to-point test smooths at eps + delta, the broadcast one at eps.
+    eps, delta = 0.1875, 0.0625
+    pairs = tensor(bell_density("a", "RB"), bell_density("c", "RC"))
+    bell_pairs = DensityOp(pairs.permuted(["a", "c", "RB", "RC"]).matrix,
+                           SystemLayout([("A", 4), ("RB", 2), ("RC", 2)]))
+    for seed in range(20):
+        ch, to_b, to_c = random_isometric_broadcast(seed)
+        rep = simulate_broadcast_ea(ch, bell_pairs, (rate, rate), (eps, eps), delta)
+        for i, (to, res) in enumerate(((to_b, "RB"), (to_c, "RC"))):
+            same_receiver(rep, i, simulate_p2p_ea(
+                to, partial_trace(bell_pairs, ["A", res]), rate, eps - delta, delta))
+        letters = independent_letters(seed)
+        rep = simulate_unassisted("broadcast", ch, letters, (rate, rate), (eps, eps),
+                                  delta)
+        for i, (to, res) in enumerate(((to_b, "U"), (to_c, "V"))):
+            same_receiver(rep, i, simulate_unassisted(
+                "p2p", to, partial_trace(letters, ["A", res]), rate, eps, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -833,12 +890,13 @@ def test_staged_pgm_decoder_matches_the_dense_decoder(rates, senders, strategy):
                           delta=delta, strategy=strategy)
     assert np.allclose(rep.per_message_success, ref["success"], rtol=0, atol=1e-12)
     assert np.allclose(rep.details["outcome_dist"], ref["dist"], rtol=0, atol=1e-12)
+    # Each stage figure is one number, every message's.
     for key in ("stage1_err", "stage2_err"):
-        assert np.allclose(rep.details[key].reshape(-1), ref[key], rtol=0,
-                           atol=1e-12)
+        assert np.allclose(rep.details[key], ref[key], rtol=0, atol=1e-12)
     # sqrt(1 - F^2) near F = 1 turns roundoff in F into disturbances of order
     # 1e-8, so a disturbance that is zero in exact arithmetic is only bounded.
-    got, want = rep.details["disturbance"].reshape(-1), ref["disturbance"]
+    want = ref["disturbance"]
+    got = np.broadcast_to(rep.details["disturbance"], want.shape)
     large = want >= 1e-4
     assert np.allclose(got[large], want[large], rtol=0, atol=1e-10)
     assert np.all(got[~large] <= 1e-7) and np.all(want[~large] <= 1e-7)
@@ -887,8 +945,7 @@ def sequential_mac_2_1():
 
 def test_sequential_bound_is_read_off_the_tests_errors():
     rep = sequential_mac_2_1()
-    assert rep.details["seq_rhs"].shape == (4, 2)
-    assert np.all(rep.details["seq_rhs"] == 1 - rep.hn_bound)
+    assert rep.details["seq_rhs"] == 1 - rep.hn_bound
 
 
 def test_sequential_bound_costs_no_placement_or_trace(monkeypatch):
@@ -1197,8 +1254,8 @@ def test_string_decoder_matches_the_dense_decoder(name, rates):
     rates = spec.rates(rates)
     receivers = spec.build(ch, psi, None, tau, [0.1] * spec.streams)
     dists = [dense_position_code(r, rate) for r, rate in zip(receivers, rates)]
-    for (got, _, _), want in zip(rep.floor_inputs, dists):
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for got, want in zip(rep.details["receivers"], dists, strict=True):
+        assert np.allclose(got["outcome_dist"], want, rtol=0, atol=1e-12)
     successes = [math.prod(s) for s in itertools.product(*map(np.diagonal, dists))]
     assert np.allclose(rep.per_message_success, successes, rtol=0, atol=1e-12)
 
@@ -1231,7 +1288,8 @@ def test_string_decoder_decodes_with_the_witness_diagonal_blocks(rate):
     code = build_position_povm(test, n, "U")
     dense = dense_position_dist(code, rec.joint.permuted(order), "U", rec.marginal)
     rep = simulate_unassisted("p2p", ch, psi, rate, 0.1, 0.3)
-    assert np.allclose(rep.details["outcome_dist"], dense, rtol=0, atol=1e-12)
+    (receiver,) = rep.details["receivers"]
+    assert np.allclose(receiver["outcome_dist"], dense, rtol=0, atol=1e-12)
 
 
 def test_string_decoder_decomposes_no_operator_above_the_block_dimension(eig_inputs):
@@ -1656,7 +1714,8 @@ def test_simulator_values_are_unchanged():
     rep = simulate_p2p_ea(depolarizing(0.1, 2, "A", "B"), bell_density("A", "R"),
                           rate=2, eps=0.1, delta=0.05)
     assert rep.per_message_success == pytest.approx(P2P_SUCCESS, abs=1e-12)
-    assert np.allclose(rep.details["outcome_dist"], P2P_DIST, rtol=0, atol=1e-12)
+    (receiver,) = rep.details["receivers"]
+    assert np.allclose(receiver["outcome_dist"], P2P_DIST, rtol=0, atol=1e-12)
     for strategy in ("sequential", "pgm_a_first"):
         rep = simulate_mac_ea(noisy_xor_mac_channel(0.1), bell_density("A", "RA"),
                               classically_correlated("B", "RB"), rates=(1, 1),
@@ -1764,13 +1823,13 @@ def test_report_floors_p2p_and_mac(id2, bell):
     p2p = simulate_p2p_ea(id2, bell, rate=1, eps=0.1, delta=0.05)
     floors = report_floors(p2p, sigmas=3)
     assert len(floors) == 1 and floors[0]["holds"]
-
-    psi_a, psi_b = mac_inputs()
-    mac = simulate_mac_ea(xor_mac_channel(), psi_a, psi_b, rates=(1, 1),
-                          epsilons=(0.05, 0.1), delta=0.02,
-                          strategy="sequential")
+    # Multiple access: the joint outcomes at r1 + r2 = 3 bits, message
+    # (m1, m2)'s correct outcome at column m1 (n2 + 1) + m2 with n2 = 2.
+    mac = sequential_mac_2_1()
     floors = report_floors(mac, sigmas=3)
-    assert len(floors) == 1 and floors[0]["holds"]
+    assert floors == [converse_floor(mac.details["outcome_dist"], 3.0,
+                                     correct_cols=[0, 1, 3, 4, 6, 7, 9, 10], sigmas=3)]
+    assert floors[0]["holds"]
 
 
 def test_report_floors_broadcast():
@@ -1782,3 +1841,13 @@ def test_report_floors_broadcast():
     floors = report_floors(report, sigmas=3)
     assert len(floors) == 2
     assert all(f["holds"] for f in floors)
+    # The floors read the report: Charlie's outcomes swapped for a perfect
+    # code's move his floor only, and a report without outcomes has none.
+    bob, charlie = report.details["receivers"]
+    perfect = converse_floor(np.eye(2, 3), 1.0, sigmas=3, seed=1)
+    swapped = {"receivers": [bob, {**charlie, "outcome_dist": np.eye(2, 3)}]}
+    assert report_floors(dataclasses.replace(report, details=swapped),
+                         sigmas=3) == [floors[0], perfect]
+    assert floors[1] != perfect
+    with pytest.raises(ValueError, match="'broadcast_ea'"):
+        report_floors(dataclasses.replace(report, details={}))

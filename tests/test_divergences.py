@@ -350,7 +350,8 @@ def test_dh_search_matches_the_bisection_where_eigenvalues_ride_the_tolerance():
                           classically_correlated("A", "RA"),
                           classically_correlated("B", "RB"), rates=(2, 1),
                           epsilons=(0.05, 0.1), delta=0.02)
-    (dist, _, cols), = rep.floor_inputs
+    dist = rep.details["outcome_dist"]
+    cols = [m1 * 3 + m2 for m1 in range(4) for m2 in range(2)]
     n, n_out = dist.shape
     eps = 1.0 - float(np.mean(dist[range(n), cols]))
     perm = list(cols) + [j for j in range(n_out) if j not in set(cols)]
