@@ -40,6 +40,7 @@ from .divergences import (
     HypothesisTest,
     SupportError,
     dh_eps,
+    dh_eps_many,
     dh_rank1_oracle,
     dmax,
     relative_entropy,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .coding import SCENARIOS, Scenario, check_uniform, product_marginals
-from .divergences import SUPPORT_TOL, dh_eps, dmax
+from .divergences import SUPPORT_TOL, dh_eps, dh_eps_many, dmax
 from .linalg import (DensityOp, NumericalError, as_matrix, check_dimension,
                      herm_apply, partial_trace, trace_with)
 
@@ -299,8 +299,9 @@ def _min_over_sigma(joint: DensityOp, res_labels: Sequence[str], eps: float,
     if optimize:
         sigma, certificate = _sdp_sigma(joint.matrix, res_marg.matrix, d_out, eps)
         cand_mats.append(("sdp", sigma))
-    trace = [(desc, dh_eps(joint, np.kron(mat, res_marg.matrix), eps).value)
-             for desc, mat in cand_mats]
+    solved = dh_eps_many([(joint, np.kron(mat, res_marg.matrix), eps)
+                          for _, mat in cand_mats])
+    trace = [(desc, res.value) for (desc, _), res in zip(cand_mats, solved)]
     best = min(val for _, val in trace)
     if optimize and not best - certificate <= _SDP_BRACKET:
         raise NumericalError(f"SDP over sigma stalled: the minimum {best!r} is "

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channels import KrausChannel, apply_on, binary_test_projector
-from .divergences import DivergenceResult, dh_eps
+from .divergences import DivergenceResult, dh_eps, dh_eps_many
 from .linalg import (
     DensityOp,
     HermOp,
@@ -1272,11 +1272,12 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
 
     Embeds the joint (message, decoded) distribution as a cq state phi_MM'
     with uniform messages and checks dh_eps(phi || phi_M (x) sigma, eps) >= R
-    at eps = 1 - average success, against sampled states sigma.  The
-    correlation test sum_m |mm><mm| is a feasible witness with type-I success
-    = average success and type-II error <= 2^-R for any sigma, so the floor
-    holds for any row-stochastic ``dist``: a failed floor points at
-    :func:`dh_eps`, not at the decoder that produced ``dist``.
+    at eps = 1 - average success, against sampled states sigma, solved side
+    by side in one :func:`dh_eps_many` call.  The correlation test
+    sum_m |mm><mm| is a feasible witness with type-I success = average
+    success and type-II error <= 2^-R for any sigma, so the floor holds for
+    any row-stochastic ``dist``: a failed floor points at :func:`dh_eps`,
+    not at the decoder that produced ``dist``.
     """
     if sigmas < 1:
         raise ValueError(f"sigmas must be at least 1, got {sigmas}")
@@ -1294,11 +1295,9 @@ def converse_floor(dist: np.ndarray, rate_bits: float, *, correct_cols=None,
     # diag(p[m]), that of I/n (x) sigma is sigma/n.
     phi = np.zeros((n, n_out, n_out))
     phi[:, range(n_out), range(n_out)] = p
-    values = []
-    for i in range(sigmas):
-        sigma = sample("density", n_out, seed=seed + i)
-        alt = np.broadcast_to(sigma.matrix / n, (n, n_out, n_out))
-        values.append(dh_eps(phi, alt, eps).value)
+    alts = [np.broadcast_to(sample("density", n_out, seed=seed + i).matrix / n,
+                            (n, n_out, n_out)) for i in range(sigmas)]
+    values = [res.value for res in dh_eps_many([(phi, alt, eps) for alt in alts])]
     floor = min(values)
     return {"floor": floor, "values": values, "eps": eps, "rate": rate_bits,
             "holds": floor >= rate_bits - 1e-7}

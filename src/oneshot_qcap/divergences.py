@@ -8,6 +8,7 @@ that brackets the optimum, so callers can verify tightness without re-solving.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ __all__ = [
     "relative_entropy",
     "dmax",
     "dh_eps",
+    "dh_eps_many",
     "dh_rank1_oracle",
 ]
 
@@ -70,14 +72,21 @@ def _kinds(*stacks: np.ndarray) -> tuple[list[int], list[int] | None]:
     return firsts, None if len(firsts) == k else index
 
 
+def _on_support(w: np.ndarray, v: np.ndarray, index: list[int] | None):
+    """Per matrix, its eigenvalues and eigenvectors on its support, from the
+    eigendecomposition (``w``, ``v``) of the distinct matrices of a stack
+    whose kinds ``index`` lists (see :func:`_kinds`)."""
+    supports = [(wb[mask], vb[:, mask]) for wb, vb, mask in zip(w, v, w > SUPPORT_TOL)]
+    return supports if index is None else [supports[i] for i in index]
+
+
 def _supports(sigmas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per matrix of the (k, d, d) stack ``sigmas``, its eigenvalues and
     eigenvectors on its support, from one stacked eigendecomposition of its
     distinct matrices."""
     firsts, index = _kinds(sigmas)
     w, v = np.linalg.eigh(sigmas if index is None else sigmas[firsts])
-    supports = [(wb[mask], vb[:, mask]) for wb, vb, mask in zip(w, v, w > SUPPORT_TOL)]
-    return supports if index is None else [supports[i] for i in index]
+    return _on_support(w, v, index)
 
 
 def _support_projection(r: np.ndarray, sigma_mat: np.ndarray):
@@ -92,13 +101,27 @@ def _support_projection(r: np.ndarray, sigma_mat: np.ndarray):
     return ws, vs
 
 
+def _dmax_core(r: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The Hermitian part of sigma^{-1/2} r sigma^{-1/2} on supp(sigma), from
+    sigma's eigenvalues ``ws`` and eigenvectors ``vs`` on its support: its
+    top eigenvalue is 2^D_max(Pi r Pi || sigma), Pi the projector onto
+    supp(sigma)."""
+    inv_sqrt = vs * (1.0 / np.sqrt(ws))
+    core = inv_sqrt.conj().T @ r @ inv_sqrt
+    return (core + core.conj().T) / 2
+
+
+def _dmax_bits(top: float) -> float:
+    """D_max from the top eigenvalue of :func:`_dmax_core` (0 for an empty
+    support)."""
+    return math.log2(max(top, TYPE2_FLOOR))
+
+
 def _dmax_on_support(r: np.ndarray, ws: np.ndarray, vs: np.ndarray) -> float:
     """D_max(Pi r Pi || sigma), Pi the projector onto supp(sigma), from
     sigma's eigenvalues ``ws`` and eigenvectors ``vs`` on its support."""
-    inv_sqrt = vs * (1.0 / np.sqrt(ws))
-    core = inv_sqrt.conj().T @ r @ inv_sqrt
-    top = float(np.linalg.eigvalsh((core + core.conj().T) / 2)[-1]) if ws.size else 0.0
-    return math.log2(max(top, TYPE2_FLOOR))
+    top = float(np.linalg.eigvalsh(_dmax_core(r, ws, vs))[-1]) if ws.size else 0.0
+    return _dmax_bits(top)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -247,10 +270,18 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
       points all the same.
 
     Every point evaluated keeps its eigenvalues and the diagonal of rho, but
-    only the points inside the current bracket keep their eigenvectors (at
-    most five: its ends, the secant's ends while the replay brackets them,
-    and the point just decomposed); the witness and its repair are built
-    from those at the final ends.
+    after each step that evaluates a point only the points inside the
+    bracket keep their eigenvectors (at most five: its ends, the secant's
+    ends while the replay brackets them, and the point just decomposed); the
+    witness and its repair are built from those at the final ends.
+
+    This function is :func:`dh_eps_many` of one problem.  The search is a
+    generator that asks for each eigendecomposition it needs (sigma's
+    support, D_max's blocks, and rho - t*sigma at each t with the diagonal
+    <v|rho|v>) and does every other step itself, so that many searches run
+    side by side: each round, the pending matrices of one block shape, over
+    all open searches, go to one stacked ``eigh``.  The answers are bitwise
+    those of a solo decomposition, so a result does not depend on the batch.
 
     A replay that reaches ``BISECT_ITERS`` steps without adjacent floats
     raises :class:`NumericalError`.  (Two endpoints are never evaluated: the
@@ -258,11 +289,136 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     because hi_t starts above 2^-46, and hi_t when the bracket search gave
     up, where no secant step is taken and every midpoint below is evaluated.)
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    r, s = _check_same_space(rho, sigma)
-    stacked = r.ndim == 3
-    r, s = _blocks(r, s)
+    return dh_eps_many([(rho, sigma, eps)])[0]
+
+
+def dh_eps_many(problems) -> list[DivergenceResult]:
+    """:func:`dh_eps` of each (rho, sigma, eps) of ``problems``, in input
+    order, every result bitwise what ``dh_eps`` gives that problem alone.
+
+    Every problem is checked first, in input order, and the first invalid
+    one raises the error its solo call would, before any decomposition.
+    Then the searches run side by side: each round, every matrix an open
+    search needs decomposed is decomposed, those of one kind and block shape
+    in one stacked ``eigh`` (or ``eigvalsh``) and one ``einsum`` and matmul
+    for their diagonals of rho, and each search takes its own answers and
+    does its own control arithmetic.  A search that raises stops the
+    searches after it in the input order; those before it run on, and the
+    error of the first failing problem is raised.  ``dh_eps`` is the batch
+    of one, so there is one search.
+    """
+    searches = []
+    for rho, sigma, eps in problems:
+        if not 0.0 <= eps < 1.0:
+            raise ValueError("eps must lie in [0, 1)")
+        r, s = _check_same_space(rho, sigma)
+        searches.append(_search(eps, *_blocks(r, s), r.ndim == 3))
+    results: list = [None] * len(searches)
+    answers = dict.fromkeys(range(len(searches)))  # what each open search is sent
+    failed: set[int] = set()  # the searches whose answers hold an error
+    stop, failure = len(searches), None  # the first failing search and its error
+    while answers:
+        asked = {}
+        for i, answer in answers.items():
+            if i >= stop:
+                break
+            try:
+                asked[i] = (searches[i].send(answer) if i not in failed else
+                            searches[i].throw(next(a for a in answer
+                                                   if isinstance(a, Exception))))
+            except StopIteration as done:
+                results[i] = done.value
+            except Exception as err:
+                stop, failure = i, err
+        answers, failed = _answers(asked)
+    if failure is not None:
+        raise failure
+    return results
+
+
+class _Eig(NamedTuple):
+    """A (k, d, d) stack of Hermitian matrices that a search needs
+    decomposed: ``eigh`` of ``mats`` and, given ``rho``, the diagonal
+    <v|rho|v> of that stack in each eigenbasis; with ``vectors`` False,
+    ``eigvalsh`` of ``mats`` only.  Its answer is the triple (w, v,
+    rho_diag), with None for what was not asked."""
+
+    mats: np.ndarray
+    rho: np.ndarray | None = None
+    vectors: bool = True
+
+
+def _decompose(requests: list[_Eig]) -> list[tuple]:
+    """The answers to requests of one kind and block shape, from one stacked
+    call of each numpy kernel over all their matrices.  A stacked ``eigh``,
+    ``einsum`` and matmul treat each matrix as they would alone, so every
+    answer is bitwise what its request gets decomposed by itself."""
+    first = requests[0]
+    if len(requests) == 1:
+        mats, rho = first.mats, first.rho
+    else:
+        mats = np.concatenate([q.mats for q in requests])
+        rho = None if first.rho is None else np.concatenate([q.rho for q in requests])
+    if not first.vectors:
+        w, v, rho_diag = np.linalg.eigvalsh(mats), None, None
+    else:
+        w, v = np.linalg.eigh(mats)
+        rho_diag = None if rho is None else np.einsum(
+            "kij,kij->kj", v.conj(), rho @ v).real
+    if len(requests) == 1:
+        return [(w, v, rho_diag)]
+    ends = list(itertools.accumulate(len(q.mats) for q in requests))
+    spans = [slice(end - len(q.mats), end) for q, end in zip(requests, ends)]
+    none = [None] * len(spans)
+    # The eigenvectors are copied out: those a search keeps must not hold on
+    # to every other search's eigenvectors of that round.
+    return list(zip([w[span] for span in spans],
+                    none if v is None else [v[span].copy() for span in spans],
+                    none if rho_diag is None else [rho_diag[span] for span in spans]))
+
+
+def _serve(requests: list[_Eig]) -> list:
+    """:func:`_decompose`; where that fails, each request alone, so that a
+    request whose own decomposition fails gets its error as its answer."""
+    try:
+        return _decompose(requests)
+    except np.linalg.LinAlgError as err:
+        if len(requests) == 1:
+            return [err]
+        return [_serve([q])[0] for q in requests]
+
+
+def _answers(asked: dict[int, list[_Eig]]) -> tuple[dict[int, list], set[int]]:
+    """Per search, the answers to the requests it ``asked``, in order, and
+    the searches with an error among them.  The requests of all searches
+    are grouped by kind and block shape, and each group is served by one
+    stacked call.  A search alone has each of its requests served alone, as
+    the solo search always had."""
+    if len(asked) == 1:
+        ((i, requests),) = asked.items()
+        groups = [[(i, j, q)] for j, q in enumerate(requests)]
+    else:
+        by_kind: dict[tuple, list] = {}
+        for i, requests in asked.items():
+            for j, q in enumerate(requests):
+                key = (q.vectors, q.rho is None, q.mats.shape[1:])
+                by_kind.setdefault(key, []).append((i, j, q))
+        groups = by_kind.values()
+    answers = {i: [None] * len(requests) for i, requests in asked.items()}
+    failed = set()
+    for group in groups:
+        for (i, j, _), answer in zip(group, _serve([q for _, _, q in group])):
+            answers[i][j] = answer
+            if isinstance(answer, Exception):
+                failed.add(i)
+    return answers, failed
+
+
+def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
+    """The D_H^eps search of :func:`dh_eps` on (k, d, d) stacks ``r`` and
+    ``s``: a generator that yields each list of :class:`_Eig` requests it
+    needs answered, is sent their answers in order, and returns the
+    :class:`DivergenceResult`.  All other arithmetic is its own."""
     # The distinct (rho_b, sigma_b) pairs: each is decomposed once, and its
     # eigenvalues and diagonals are spread back out to the blocks that
     # repeat it.
@@ -286,7 +442,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     if eps <= 1e-12:
         # Exact-constraint edge case: the minimal feasible test is the
         # projector onto supp(rho).
-        wr, vr = np.linalg.eigh(r_kinds)
+        ((wr, vr, _),) = yield [_Eig(r_kinds)]
         lam = projectors(vr, spread(wr) > SUPPORT_TOL)
         t1 = _mass(lam, r)
         t2 = _mass(lam, s)
@@ -297,8 +453,13 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         return DivergenceResult(val, witness, val)
 
     target = 1.0 - eps
-    supports = _supports(s)
-    hi = 2.0 ** (max(_dmax_on_support(r[b], *supports[b]) for b in firsts) + 1.0)
+    s_firsts, s_index = _kinds(s)
+    ((ws, vs, _),) = yield [_Eig(s if s_index is None else s[s_firsts])]
+    supports = _on_support(ws, vs, s_index)
+    cores = {b: _dmax_core(r[b], *supports[b]) for b in firsts if supports[b][0].size}
+    tops = yield [_Eig(core[None], vectors=False) for core in cores.values()]
+    top_of = dict(zip(cores, (float(w[0, -1]) for w, _, _ in tops)))
+    hi = 2.0 ** (max(_dmax_bits(top_of.get(b, 0.0)) for b in firsts) + 1.0)
 
     r_scale = float(np.max(np.abs(r)))
     s_scale = float(np.max(np.abs(s)))
@@ -309,21 +470,20 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     splits: dict[float, _Split] = {}
     vectors: dict[float, np.ndarray] = {}  # per distinct block
 
-    def split(t: float) -> _Split:
+    def split(t: float):
         """rho - t*sigma at t, decomposed once per t."""
         if t not in splits:
-            w, v = np.linalg.eigh(r_kinds - t * s_kinds)
+            ((w, v, rho_diag),) = yield [_Eig(r_kinds - t * s_kinds, r_kinds)]
             tol = _boundary_tol(op_scale(t))
-            rho_diag = np.einsum("kij,kij->kj", v.conj(), r_kinds @ v).real
             w, rho_diag = spread(w), spread(rho_diag)
             above = w > tol
-            splits[t] = _Split(w, tol, rho_diag, float(np.sum(rho_diag[above])),
+            splits[t] = _Split(w, tol, rho_diag, float(rho_diag[above].sum()),
                                int(np.count_nonzero(above)))
             vectors[t] = v
         return splits[t]
 
-    def above_target(t: float) -> bool:  # Tr(P_> rho) > 1 - eps
-        return split(t).mass > target
+    def above_target(t: float):  # Tr(P_> rho) > 1 - eps
+        return (yield from split(t)).mass > target
 
     def keep_vectors(lo_t: float, hi_t: float) -> None:
         """Let go of the eigenvectors outside the bracket."""
@@ -334,7 +494,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         """Where the type-I mass falls to the target if every eigenvalue of
         rho - t*sigma follows its tangent at t0, <v|rho|v> - t <v|sigma|v>;
         exact when rho and sigma commute."""
-        sp = split(t0)
+        sp = splits[t0]
         sigma_diag = np.maximum((sp.rho_diag - sp.w) / t0, 1e-300)
         crossing = (sp.rho_diag - sp.tol) / sigma_diag
         mass = 0.0
@@ -351,10 +511,10 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         counts above the tolerance differ, the eigenvalues that cross it (at
         a the smallest above it, at b the largest not above it) less the
         tolerance; else the type-I mass less the target."""
-        sb = split(b)
+        sb = splits[b]
         if a not in splits:  # t = 0: all of rho lies above the tolerance
             return 1.0 - target, sb.mass - target
-        sa = split(a)
+        sa = splits[a]
         if sa.count > sb.count:
             return (float(np.min(sa.w[sa.w > sa.tol])) - sa.tol,
                     float(np.max(sb.w[sb.w <= sb.tol])) - sb.tol)
@@ -364,7 +524,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
     # rho's mass; push hi_t up if needed (orthogonal-support leftovers stay).
     lo_t, hi_t = 0.0, hi
     for _ in range(64):
-        if not above_target(hi_t):
+        if not (yield from above_target(hi_t)):
             break
         lo_t, hi_t = hi_t, 2.0 * hi_t
         keep_vectors(lo_t, hi_t)
@@ -381,7 +541,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
             t = 0.5 * (lo_t + hi_t)
         else:
             t = lo_t
-            if lo_t not in splits or split(lo_t).count != split(hi_t).count:
+            if lo_t not in splits or splits[lo_t].count != splits[hi_t].count:
                 t = newton_step(last)
             if not lo_t < t < hi_t:
                 f_lo, f_hi = secant_values(lo_t, hi_t)
@@ -390,7 +550,7 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
             margin = 0.5 * SEARCH_WINDOW * hi_t
             t = min(max(t, lo_t + margin), hi_t - margin)
         last = t
-        if above_target(t):
+        if (yield from above_target(t)):
             if kept == "hi":
                 weight_hi *= 0.5
             lo_t, weight_lo, kept = t, 1.0, "hi"
@@ -401,44 +561,46 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         keep_vectors(lo_t, hi_t)
         stalls = stalls + 1 if hi_t - lo_t > 0.5 * width else 0
 
-    def replay(win_lo: float, win_hi: float) -> tuple[float, float]:
+    def replay(win_lo: float, win_hi: float):
         """The bisection of [0, top], evaluated only inside the window."""
         lo_t, hi_t = 0.0, top
         for _ in range(BISECT_ITERS):
             mid = 0.5 * (lo_t + hi_t)
             if mid == lo_t or mid == hi_t:
                 return lo_t, hi_t
-            if mid in splits or win_lo <= mid <= win_hi:
-                above = above_target(mid)
-            else:
-                above = mid < win_lo
+            evaluated = mid in splits or win_lo <= mid <= win_hi
+            above = (yield from above_target(mid)) if evaluated else mid < win_lo
             if above:
                 lo_t = mid
             else:
                 hi_t = mid
-            keep_vectors(lo_t, hi_t)
+            if evaluated:
+                keep_vectors(lo_t, hi_t)
         raise NumericalError(f"D_H threshold search found no adjacent bracket "
                              f"in {BISECT_ITERS} steps")
 
     win_lo, win_hi = lo_t - SEARCH_WINDOW * hi_t, hi_t + SEARCH_WINDOW * hi_t
-    lo_t, hi_t = replay(win_lo, win_hi)
+    lo_t, hi_t = yield from replay(win_lo, win_hi)
     while (lo_t > 0.0 and lo_t not in splits) or (hi_t != top and hi_t not in splits):
         win_lo, win_hi = min(win_lo, lo_t), max(win_hi, hi_t)
-        lo_t, hi_t = replay(win_lo, win_hi)
+        lo_t, hi_t = yield from replay(win_lo, win_hi)
     t_star = hi_t
 
-    def eigenvectors(t: float) -> np.ndarray:
+    def eigenvectors(t: float):
         """The eigenvectors at a final end.  They are decomposed again only
         if that end is a point the secant steps let go, which the replay
         reaches only by hitting it exactly as a midpoint."""
-        return vectors[t] if t in vectors else np.linalg.eigh(r_kinds - t * s_kinds)[1]
+        if t in vectors:
+            return vectors[t]
+        ((_, v, _),) = yield [_Eig(r_kinds - t * s_kinds)]
+        return v
 
     # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
     # is taken from the operands rho and t*sigma rather than from the
     # difference itself, so that near a degenerate crossing (rho close to
     # t*sigma) the whole collapsing subspace is still recognized as boundary.
-    w_delta, tol, rho_diag, mass_pos = split(t_star)[:4]
-    v = eigenvectors(t_star)
+    w_delta, tol, rho_diag, mass_pos = (yield from split(t_star))[:4]
+    v = yield from eigenvectors(t_star)
     p_pos = projectors(v, w_delta > tol)
     p_bnd = projectors(v, np.abs(w_delta) <= tol)
     mass_bnd = float(np.sum(rho_diag[np.abs(w_delta) <= tol]))
@@ -454,8 +616,8 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        w_lo, tol_lo, _, m_lo = split(lo_t)[:4]
-        p_lo = projectors(eigenvectors(lo_t), w_lo > tol_lo)
+        w_lo, tol_lo, _, m_lo = (yield from split(lo_t))[:4]
+        p_lo = projectors((yield from eigenvectors(lo_t)), w_lo > tol_lo)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)
             lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]

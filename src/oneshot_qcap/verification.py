@@ -4,7 +4,9 @@ Each check reads a seeded random instance, a :class:`Trial`, evaluates both
 sides of one inequality exactly, and reports the margin.  A negative margin
 beyond the stated tolerance is a genuine violation (of the code, not the
 mathematics) and fails the run.  The checks of one run share each trial:
-its draws, D_H^eps(rho || sigma) and P(rho, sigma) are computed once.
+its draws, its D_H problems and P(rho, sigma) are computed once, and the D_H
+problems of all its trials are solved side by side in one
+:func:`dh_eps_many` call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import numpy as np
 
 from .channels import KrausChannel, apply_channel, neumark_dilate
 from .coding import hn_check, seq_check
-from .divergences import dh_eps, dh_rank1_oracle, relative_entropy
+from .divergences import (
+    DivergenceResult,
+    dh_eps,
+    dh_eps_many,
+    dh_rank1_oracle,
+    relative_entropy,
+)
 from .linalg import (
     DensityOp,
     fidelity,
@@ -38,7 +46,10 @@ class Trial:
     ``draw(kind, offset, ...)`` is ``sample(kind, dim, seed + offset, ...)``,
     ``rho`` and ``sigma`` are the densities at offsets 0 and 1, and ``dh`` and
     ``distance`` are D_H^eps(rho || sigma) at the trial's ``eps`` and
-    P(rho, sigma).  Each is computed on first use and kept for the trial.
+    P(rho, sigma).  ``problem(make)`` is the D_H problem ``make(trial)``, an
+    (rho, sigma, eps) triple, and ``solved(make)`` its result.  Each is
+    computed on first use and kept for the trial; :meth:`solve_together`
+    solves the problems of many trials at once.
     """
 
     def __init__(self, seed: int, dim: int):
@@ -68,15 +79,60 @@ class Trial:
     def sigma(self) -> DensityOp:
         return self.draw("density", 1)
 
+    def problem(self, make: Callable[[Trial], tuple]) -> tuple:
+        return self._once(("problem", make), lambda: make(self))
+
+    def solved(self, make: Callable[[Trial], tuple]) -> DivergenceResult:
+        return self._once(("dh", make), lambda: dh_eps(*self.problem(make)))
+
+    @staticmethod
+    def solve_together(trials, makes) -> None:
+        """Solve the problems ``makes`` of every trial in one
+        :func:`dh_eps_many` call, each result bitwise what ``solved`` gives
+        alone, and keep each in its trial."""
+        wanted = [(trial, make) for trial in trials for make in makes]
+        results = dh_eps_many([trial.problem(make) for trial, make in wanted])
+        for (trial, make), result in zip(wanted, results):
+            trial._kept[("dh", make)] = result
+
     @property
     def dh(self) -> float:
-        return self._once(
-            "dh", lambda: dh_eps(self.rho, self.sigma, self.eps).value)
+        return self.solved(_pair).value
 
     @property
     def distance(self) -> float:
         return self._once(
             "distance", lambda: purified_distance(self.rho, self.sigma))
+
+
+def _pair(trial: Trial) -> tuple:
+    return trial.rho, trial.sigma, trial.eps
+
+
+def _mapped_pair(trial: Trial) -> tuple:
+    """rho and sigma through the trial's random channel."""
+    ch = _random_channel(trial)
+    return apply_channel(ch, trial.rho), apply_channel(ch, trial.sigma), trial.eps
+
+
+def _uniform_floor(trial: Trial) -> tuple:
+    """A classical joint with uniform first register and heavy diagonal
+    against (uniform x sigma), at its off-diagonal mass.  Both operands are
+    direct sums over the first register, as in converse_floor: block m of
+    the joint is diag(rows[m])/n, that of the alternative sigma/n."""
+    rng = np.random.default_rng(trial.seed)
+    n = 2 if trial.dim <= 4 else 4
+    rows = np.eye(n) * (2.0 + rng.random()) + rng.random((n, n))
+    rows /= rows.sum(axis=1, keepdims=True)
+    eps = 1.0 - float(np.mean(np.diag(rows)))
+    joint = np.zeros((n, n, n))
+    joint[:, range(n), range(n)] = rows / n
+    sigma = trial.draw("density", 1, dim=n).matrix
+    return joint, np.broadcast_to(sigma / n, (n, n, n)), eps
+
+
+def _pure_pair(trial: Trial) -> tuple:
+    return trial.draw("pure", 0).density(), trial.sigma, [0.1, 0.3][trial.seed % 2]
 
 
 def _sub_identity(state: DensityOp) -> np.ndarray:
@@ -104,12 +160,9 @@ def check_triangle(trial: Trial) -> dict:
 
 
 def check_monotonicity(trial: Trial) -> dict:
-    rho, sig = trial.rho, trial.sigma
-    ch = _random_channel(trial)
-    erho, esig = apply_channel(ch, rho), apply_channel(ch, sig)
-    f_margin = fidelity(erho, esig) - fidelity(rho, sig)
-    d_after = dh_eps(erho, esig, trial.eps)
-    d_margin = trial.dh - d_after.value
+    erho, esig, _ = trial.problem(_mapped_pair)
+    f_margin = fidelity(erho, esig) - fidelity(trial.rho, trial.sigma)
+    d_margin = trial.dh - trial.solved(_mapped_pair).value
     margin = min(f_margin + ALG_TOL, d_margin + DH_TOL)
     return {"fidelity_margin": f_margin, "divergence_margin": d_margin,
             "margin": margin, "holds": margin >= 0}
@@ -187,30 +240,18 @@ def check_sequential_union(trial: Trial) -> dict:
 
 
 def check_uniform_floor(trial: Trial) -> dict:
-    # Classical joint with uniform first register and heavy diagonal: the
-    # divergence from (uniform x sigma) at the off-diagonal mass must reach
-    # log2(n) for every sigma.  Both operands are direct sums over the first
-    # register, as in converse_floor: block m of the joint is diag(rows[m])/n,
-    # that of the alternative sigma/n.
-    rng = np.random.default_rng(trial.seed)
-    n = 2 if trial.dim <= 4 else 4
-    rows = np.eye(n) * (2.0 + rng.random()) + rng.random((n, n))
-    rows /= rows.sum(axis=1, keepdims=True)
-    eps = 1.0 - float(np.mean(np.diag(rows)))
-    joint = np.zeros((n, n, n))
-    joint[:, range(n), range(n)] = rows / n
-    sigma = trial.draw("density", 1, dim=n).matrix
-    alt = np.broadcast_to(sigma / n, (n, n, n))
-    dh = dh_eps(joint, alt, eps).value
+    # The divergence of _uniform_floor's joint must reach log2(n) for every
+    # sigma.
+    joint, _, eps = trial.problem(_uniform_floor)
+    n = len(joint)
+    dh = trial.solved(_uniform_floor).value
     return {"dh": dh, "floor": math.log2(n), "eps": eps,
             "margin": dh - math.log2(n), "holds": dh - math.log2(n) >= -DH_TOL}
 
 
 def check_pure_rank_one(trial: Trial) -> dict:
-    rho = trial.draw("pure", 0).density()
-    sig = trial.sigma
-    eps = [0.1, 0.3][trial.seed % 2]
-    general = dh_eps(rho, sig, eps).value
+    rho, sig, eps = trial.problem(_pure_pair)
+    general = trial.solved(_pure_pair).value
     rank1 = dh_rank1_oracle(rho, sig, eps)
     # For pure rho a rank-1 test is optimal and the oracle solves for it
     # exactly, so the two solvers agree to roundoff (tight tolerance) on
@@ -245,6 +286,14 @@ CHECKS: dict[str, Callable[[Trial], dict]] = {
     "neumark": check_neumark,
 }
 
+# The D_H problems each check reads, which run_suite solves side by side.
+DH_READS: dict[str, tuple[Callable[[Trial], tuple], ...]] = {
+    "monotonicity": (_pair, _mapped_pair),
+    "dh_vs_relent": (_pair,),
+    "uniform_floor": (_uniform_floor,),
+    "pure_rank_one": (_pure_pair,),
+}
+
 
 def run_check(name: str, trials: int, dims=(2, 4, 8), seed: int = 0) -> dict:
     """Run one named check over seeded trials cycling through ``dims``."""
@@ -256,8 +305,10 @@ def run_suite(names=None, trials: int = 100, dims=(2, 4, 8), seed: int = 0) -> d
 
     Trial t is one :class:`Trial` at seed ``seed * 1_000_003 + 17 t`` and
     dimension ``dims[t % len(dims)]``, which every check of the run reads.
-    Each check's entry, in the order of ``names`` and with duplicates kept,
-    is what it would be run alone.
+    The D_H problems the checks read (``DH_READS``) are solved first, for
+    all trials in one :func:`dh_eps_many` call.  Each check's entry, in the
+    order of ``names`` and with duplicates kept, is what it would be run
+    alone.
     """
     names = list(CHECKS) if names in (None, "all") else list(names)
     for name in names:
@@ -268,9 +319,11 @@ def run_suite(names=None, trials: int = 100, dims=(2, 4, 8), seed: int = 0) -> d
         raise ValueError(f"trials must be at least 1, got {trials}")
     results = [{"check": name, "trials": trials, "passes": trials,
                 "worst_margin": math.inf, "failures": []} for name in names]
-    for t in range(trials):
-        dim = dims[t % len(dims)]
-        trial = Trial(seed * 1_000_003 + t * 17, dim)
+    runs = [Trial(seed * 1_000_003 + t * 17, dims[t % len(dims)]) for t in range(trials)]
+    Trial.solve_together(runs, dict.fromkeys(
+        make for name in names for make in DH_READS.get(name, ())))
+    for t, trial in enumerate(runs):
+        dim = trial.dim
         for res in results:
             rep = CHECKS[res["check"]](trial)
             res["worst_margin"] = min(res["worst_margin"], float(rep["margin"]))

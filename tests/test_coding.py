@@ -1799,13 +1799,15 @@ def test_converse_floor_eigendecomposes_blocks_only(monkeypatch):
 def test_converse_floor_decomposes_repeated_blocks_once(eig_inputs):
     # The A-first floor of the XOR MAC with classically correlated senders:
     # every message decodes to one outcome row, so all 8 blocks of phi, and
-    # all 8 of I/n (x) sigma, are equal.
+    # all 8 of I/n (x) sigma, are equal.  The two sigmas are solved side by
+    # side, so a stack holds one 15-dim block per solve, never two equal.
     row = np.random.default_rng(5).dirichlet(np.ones(15))
     out = converse_floor(np.tile(row, (8, 1)), 2.0,
                          correct_cols=[0, 1, 3, 4, 6, 7, 9, 10], sigmas=2)
     assert len(out["values"]) == 2
-    stacks = [a.shape for a in eig_inputs if a.ndim == 3]
-    assert stacks and set(stacks) == {(1, 15, 15)}
+    stacks = [a for a in eig_inputs if a.ndim == 3]
+    assert stacks and {a.shape for a in stacks} <= {(1, 15, 15), (2, 15, 15)}
+    assert not any(np.array_equal(*a) for a in stacks if len(a) == 2)
     assert max(a.shape[-1] for a in eig_inputs) <= 15
     # p2p R = 3: 8 distinct rows over 9 outcomes share one sigma/n block,
     # whose support is decomposed once per solve.
@@ -1814,9 +1816,8 @@ def test_converse_floor_decomposes_repeated_blocks_once(eig_inputs):
                    sigmas=3)
     for i in range(3):
         block = sample("density", 9, seed=i).matrix / 8
-        holding = [a.shape for a in eig_inputs
-                   if a.ndim == 3 and any(np.array_equal(b, block) for b in a)]
-        assert holding == [(1, 9, 9)]
+        assert sum(np.array_equal(b, block)
+                   for a in eig_inputs if a.ndim == 3 for b in a) == 1
 
 
 def test_report_floors_p2p_and_mac(id2, bell):

@@ -340,12 +340,10 @@ def xor_depolarized_channel(p):
     return KrausChannel(kraus, xor.in_layout, xor.out_layout)
 
 
-def test_dh_search_matches_the_bisection_where_eigenvalues_ride_the_tolerance():
-    # The converse floor of a sequential (2, 1) MAC code: at its fifth sigma
-    # (13.462 bits, eps 0.8823) eight eigenvalues of rho - t*sigma track the
-    # boundary tolerance, so the predicate is noisy well beyond rounding.
-    # A search that implies an end of its final bracket lands on a test of
-    # type-I mass 0.159 and a value of 13.031 bits.
+def riding_instance():
+    """The converse floor of a sequential (2, 1) MAC code at its fifth sigma
+    (13.462 bits, eps 0.8823), where eight eigenvalues of rho - t*sigma
+    track the boundary tolerance."""
     rep = simulate_mac_ea(xor_depolarized_channel(0.08),
                           classically_correlated("A", "RA"),
                           classically_correlated("B", "RB"), rates=(2, 1),
@@ -358,9 +356,117 @@ def test_dh_search_matches_the_bisection_where_eigenvalues_ride_the_tolerance():
     phi = np.zeros((n, n_out, n_out))
     phi[:, range(n_out), range(n_out)] = dist[:, perm] / n
     sig = np.broadcast_to(sample("density", n_out, seed=7).matrix / n, phi.shape)
+    return phi, sig, eps
+
+
+def test_dh_search_matches_the_bisection_where_eigenvalues_ride_the_tolerance():
+    # At riding_instance the predicate is noisy well beyond rounding.  A
+    # search that implies an end of its final bracket lands on a test of
+    # type-I mass 0.159 and a value of 13.031 bits.
+    phi, sig, eps = riding_instance()
     res = assert_matches_bisection(phi, sig, eps)
     assert res.value == pytest.approx(13.46208846, abs=1e-8)
     assert res.witness.type1 <= 1 - eps + TYPE1_SLACK
+
+
+def mixed_batch():
+    """(rho, sigma, eps) problems of every kind the search meets: random
+    pairs at d = 2..8, direct sums (with repeated blocks, and a converse
+    floor's shape), pure rho, eps = 0 (the eps <= 1e-12 branch), orthogonal
+    supports (unbounded) and riding_instance."""
+    rng = np.random.default_rng(909)
+    batch = [(*guard_instance(kind, d, 300 + d), eps)
+             for d in range(2, 9)
+             for kind, eps in (("random", 0.2), ("rank_deficient", 0.05),
+                               ("commuting", 0.5), ("equal", 0.0))]
+    batch += [(*direct_sum_instance(rng, int(rng.integers(2, 5)), d), 0.3)
+              for d in (2, 3, 5)]
+    batch += [(*rs, eps) for rs, eps in zip(repeated_block_instances(),
+                                            [0.0, 0.05, 0.3, 0.8] * 3)]
+    batch += [(*floor_instance(rng, 8, 9), 0.4)]
+    batch += [(*pure_instance(rng, d), eps) for d, eps in ((2, 0.1), (5, 0.0), (8, 0.3))]
+    batch += [(diag_state([1.0, 0.0]), diag_state([0.0, 1.0]), eps) for eps in (0.1, 0.0)]
+    batch += [riding_instance()]
+    return batch
+
+
+def test_dh_eps_many_gives_each_problem_its_solo_result_to_the_bit():
+    batch = mixed_batch()
+    results = divergences.dh_eps_many(batch)
+    assert len(results) == len(batch) == 47
+    assert results[-3].unbounded and results[-2].unbounded  # orthogonal supports
+    for (rho, sig, eps), res in zip(batch, results):
+        ref = dh_eps(rho, sig, eps)
+        assert (repr(res.value), repr(res.dual_bound), res.unbounded) == \
+            (repr(ref.value), repr(ref.dual_bound), ref.unbounded)
+        assert (res.witness.type1, res.witness.type2) == \
+            (ref.witness.type1, ref.witness.type2)
+        assert res.witness.operator.shape == ref.witness.operator.shape
+        assert res.witness.operator.tobytes() == ref.witness.operator.tobytes()
+
+
+@pytest.mark.parametrize("d,eps", [(2, 0.2), (4, 0.1), (8, 0.3)])
+def test_dh_eps_many_decomposes_a_step_of_every_search_in_one_call(monkeypatch, d, eps):
+    # A per-problem loop would make about 8 * 20 calls of eigh here.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    rng = np.random.default_rng(d)
+    batch = [(random_density(rng, d), random_density(rng, d), eps) for _ in range(8)]
+    solo = []
+    for problem in batch:
+        calls.clear()
+        dh_eps(*problem)
+        solo.append(len(calls))
+    calls.clear()
+    divergences.dh_eps_many(batch)
+    # Each round is one stacked call, so the batch takes as many as its
+    # longest search.
+    assert len(calls) <= max(solo)
+    assert calls[0] == (8, d, d)
+
+
+def test_dh_eps_many_of_no_problem_is_empty():
+    assert divergences.dh_eps_many([]) == []
+
+
+def test_dh_eps_many_checks_every_problem_before_any_decomposition(eig_inputs):
+    rho, sig = guard_instance("random", 4, 104)
+    good = (rho, sig, 0.2)
+    cases = [([good, (rho, sig, 1.0)], ValueError, "eps must lie in"),
+             ([good, (rho, sig, -0.1), (rho, sig[:2, :2], 0.2)], ValueError,
+              "eps must lie in"),
+             ([good, (rho, sig[:2, :2], 0.2), (rho, sig, 1.5)], LayoutError,
+              "dimension mismatch"),
+             ([(np.eye(4).reshape(2, 8) / 4,) * 2 + (0.1,), good], LayoutError,
+              "expected a square matrix")]
+    for batch, error, message in cases:
+        with pytest.raises(error, match=message):
+            divergences.dh_eps_many(batch)
+    assert not eig_inputs
+
+
+def test_dh_eps_many_raises_what_the_first_failing_problem_raises_alone(monkeypatch):
+    # With the replay capped at 8 steps the search fails on capped; an
+    # unconverged eigendecomposition fails broken, in its D_max stack, which
+    # it shares with the problems beside it.  The eps = 0 problem succeeds.
+    monkeypatch.setattr(divergences, "BISECT_ITERS", 8)
+    rho, sig = guard_instance("random", 4, 104)
+    capped, exact = (rho, sig, 0.2), (rho, sig, 0.0)
+    broken = (np.where(np.eye(4) > 0, rho, np.nan), sig, 0.2)
+    errors = {}
+    for name, problem in (("capped", capped), ("broken", broken)):
+        with pytest.raises(Exception) as alone:
+            dh_eps(*problem)
+        errors[name] = (type(alone.value), str(alone.value))
+    assert errors["capped"][0] is NumericalError
+    assert errors["broken"][0] is np.linalg.LinAlgError
+    for batch, first in (([exact, capped, broken], "capped"),
+                         ([exact, broken, capped], "broken"),
+                         ([broken, exact, capped], "broken")):
+        with pytest.raises(Exception) as err:
+            divergences.dh_eps_many(batch)
+        assert (type(err.value), str(err.value)) == errors[first]
 
 
 def test_dh_search_that_reaches_the_cap_raises_numerical_error(monkeypatch):

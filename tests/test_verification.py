@@ -3,7 +3,8 @@ import collections
 import pytest
 
 from oneshot_qcap import verification
-from oneshot_qcap.verification import CHECKS, run_check, run_suite
+from oneshot_qcap.linalg import as_matrix
+from oneshot_qcap.verification import CHECKS, Trial, run_check, run_suite
 
 EXPECTED_CHECKS = {
     "triangle",
@@ -83,7 +84,8 @@ def test_run_suite_keeps_the_order_and_duplicates_of_its_names():
 def test_a_suite_draws_and_solves_each_object_of_a_trial_once(monkeypatch):
     # Checked alone, the 11 facts of these 10 trials make 255 draws of 101
     # distinct objects, 50 D_H solves of 40 distinct problems and 40
-    # purified distances of 30 distinct pairs.
+    # purified distances of 30 distinct pairs.  The suite makes one solver
+    # call, to dh_eps_many, which is handed the 40 problems, each once.
     calls = collections.Counter()
 
     def count(name):
@@ -94,7 +96,26 @@ def test_a_suite_draws_and_solves_each_object_of_a_trial_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(verification, name, counted)
 
-    for name in ("sample", "dh_eps", "purified_distance"):
+    for name in ("sample", "dh_eps", "dh_eps_many", "purified_distance"):
         count(name)
+    handed = []
+    many = verification.dh_eps_many
+    monkeypatch.setattr(verification, "dh_eps_many",
+                        lambda problems: many(handed.extend(problems) or problems))
     run_suite("all", trials=10, seed=3)
-    assert calls == {"sample": 101, "dh_eps": 40, "purified_distance": 30}
+    assert calls == {"sample": 101, "dh_eps_many": 1, "purified_distance": 30}
+    assert len(handed) == 40
+    assert len({(as_matrix(rho).tobytes(), as_matrix(sigma).tobytes(), eps)
+                for rho, sigma, eps in handed}) == 40
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_a_check_alone_solves_its_own_problems_to_the_same_bits(t):
+    # A check run on a fresh trial solves its D_H problems itself, one
+    # dh_eps call each; its report equals, to the bit, the one it gives on
+    # a trial whose problems were solved side by side with other trials'.
+    together = [Trial(17 * u, (2, 4, 8)[u % 3]) for u in range(6)]
+    Trial.solve_together(together, dict.fromkeys(
+        make for makes in verification.DH_READS.values() for make in makes))
+    for name, check in CHECKS.items():
+        assert check(Trial(17 * t, (2, 4, 8)[t % 3])) == check(together[t]), name

@@ -29,8 +29,9 @@ the thread count the benchmark pins.
 
 For every (op, variant) it prints whether the exit codes are equal, whether
 the outputs are byte-identical and, for outputs that differ, the largest
-|difference| of the numeric leaves under each key (list indices dropped) and
-the keys whose other leaves or structure differ. The last line sums it up.
+|difference| of the numeric leaves under each key that both outputs hold
+(list indices dropped), the keys whose other leaves or number of leaves
+differ, and the keys only one output holds. The last line sums it up.
 The exit code is 0 when every exit code is equal and 1 otherwise.
 """
 
@@ -323,20 +324,30 @@ def _delta(a, b) -> float | None:
     return abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
 
 
-def compare(old: str, new: str) -> tuple[dict, list]:
-    """Largest |difference| per key, and the keys whose non-numeric leaves
-    or structure differ."""
-    a, b = list(_leaves(_parse(old))), list(_leaves(_parse(new)))
-    if [k for k, _ in a] != [k for k, _ in b]:
-        return {}, ["structure"]
-    deltas, other = {}, []
-    for (key, x), (_, y) in zip(a, b):
-        d = _delta(x, y)
-        if d is None:
-            if x != y and key not in other:
-                other.append(key)
-        else:
-            deltas[key] = max(deltas.get(key, 0.0), d)
+def compare(old: str, new: str) -> tuple[dict, dict]:
+    """Largest |difference| of the numeric leaves under each key both
+    outputs hold, and what else differs, per key: ``added`` or ``removed``
+    for a key only one output holds, ``differs`` where a non-numeric leaf
+    or the number of leaves under the key differs."""
+    a, b = {}, {}
+    for doc, leaves in ((old, a), (new, b)):
+        for key, value in _leaves(_parse(doc)):
+            leaves.setdefault(key, []).append(value)
+    deltas, other = {}, {}
+    for key in [*a, *(k for k in b if k not in a)]:
+        if key not in b or key not in a:
+            other[key] = "removed" if key in a else "added"
+            continue
+        if len(a[key]) != len(b[key]):
+            other[key] = "differs"
+            continue
+        for x, y in zip(a[key], b[key]):
+            d = _delta(x, y)
+            if d is None:
+                if x != y:
+                    other[key] = "differs"
+            else:
+                deltas[key] = max(deltas.get(key, 0.0), d)
     return deltas, other
 
 
@@ -375,8 +386,8 @@ def main(argv=None) -> int:
         print(line + "bytes differ")
         for key, d in sorted(moved.items(), key=lambda kv: -kv[1]):
             print(f"    {key}: max |delta| {d:.3g}")
-        for key in other:
-            print(f"    {key}: differs")
+        for key, what in other.items():
+            print(f"    {key}: {what}")
     print(f"{len(ops)} runs: {codes_equal} equal exit codes, {identical} "
           f"byte-identical, largest numeric |delta| {worst:.3g}")
     return 0 if codes_equal == len(ops) else 1
