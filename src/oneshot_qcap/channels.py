@@ -46,8 +46,8 @@ class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
     The constructor is the one CPTP check: at least one operator, each of
-    shape (out dim, in dim), and sum K^dag K = I.  Any Kraus family is
-    completely positive."""
+    shape (out dim, in dim) with finite entries, and sum K^dag K = I.  Any
+    Kraus family is completely positive."""
 
     kraus: tuple[np.ndarray, ...]
     in_layout: SystemLayout
@@ -63,6 +63,8 @@ class KrausChannel:
         for k in ops:
             if k.shape != shape:
                 raise LayoutError(f"Kraus shape {k.shape} != {shape}")
+            if not np.all(np.isfinite(k)):
+                raise ValueError("Kraus operator has a non-finite entry")
         total = sum(k.conj().T @ k for k in ops)
         dev = float(np.max(np.abs(total - np.eye(in_layout.dim))))
         if dev > COMPLETENESS_TOL:

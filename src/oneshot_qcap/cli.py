@@ -4,7 +4,8 @@ randomized inequality-verification suite.
 
 Exit codes: 0 = all asserted inequalities hold, 1 = input or validation
 error (usage errors included), 2 = an inequality was violated beyond
-tolerance, 3 = a numerical failure of a solver (``NumericalError``).
+tolerance, 3 = a numerical failure of a solver (``NumericalError`` or a
+LAPACK ``LinAlgError``).
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ def _field(path: str):
     ValueError (LayoutError included), TypeError or IndexError becomes a
     SpecError at ``path``, and a nested SpecError gets ``path`` as a prefix.
     A builtin channel's missing, stray or out-of-range parameter is an error
-    in that parameter's field.  The dimension cap and numerical failures pass
-    through as themselves."""
+    in that parameter's field.  The dimension cap, a LAPACK failure (a
+    ValueError too) and numerical failures pass through as themselves."""
     try:
         yield
     except SpecError as exc:
         sep = "" if exc.path.startswith("[") else "."
         raise SpecError(f"{path}{sep}{exc.path}", exc.message) from exc.__cause__
-    except DimensionCapError:
+    except (DimensionCapError, np.linalg.LinAlgError):
         raise
     except channels_mod.ParameterError as exc:  # names its own field
         raise SpecError(exc.parameter, str(exc)) from exc
@@ -568,12 +569,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
+    # LinAlgError is a ValueError, but no input is bad that LAPACK fails on:
+    # a non-finite entry is rejected where the spec is read.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, FileNotFoundError) as exc:  # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
 
 
 def main() -> None:

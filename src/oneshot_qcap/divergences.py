@@ -202,14 +202,22 @@ def _projectors(v: np.ndarray, masks: np.ndarray) -> list[np.ndarray]:
 class _Split(NamedTuple):
     """rho - t*sigma at one t: its eigenvalues ``w`` (per block), the
     boundary tolerance, the diagonal <v|rho|v> of rho in its eigenvectors,
-    and the type-I mass Tr(P_> rho) and the count of eigenvalues above the
-    tolerance that make up P_>."""
+    the type-I mass Tr(P_> rho) and the count of eigenvalues above the
+    tolerance that make up P_>, and the eigenvectors ``v`` (per distinct
+    block)."""
 
     w: np.ndarray
     tol: float
     rho_diag: np.ndarray
     mass: float
     count: int
+    v: np.ndarray
+
+
+def _hold(points: dict[float, _Split], lo_t: float, hi_t: float) -> None:
+    """Let go of the points of a search outside its bracket [lo_t, hi_t]."""
+    for t in [t for t in points if not lo_t <= t <= hi_t]:
+        del points[t]
 
 
 def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
@@ -269,11 +277,14 @@ def dh_eps(rho, sigma, eps: float) -> DivergenceResult:
       the window; where it is not, an adjacent bracket of two evaluated
       points all the same.
 
-    Every point evaluated keeps its eigenvalues and the diagonal of rho, but
-    after each step that evaluates a point only the points inside the
-    bracket keep their eigenvectors (at most five: its ends, the secant's
-    ends while the replay brackets them, and the point just decomposed); the
-    witness and its repair are built from those at the final ends.
+    Every point evaluated leaves whether it lies above the target; its
+    decomposition (eigenvalues, eigenvectors and the diagonal of rho) is
+    kept only while the bracket holds it: after each step that evaluates a
+    point, the points outside the bracket are let go (at most five stay:
+    its ends, the secant's ends while the replay brackets them, and the
+    point just decomposed).  The witness and its repair are built from the
+    final ends; an end that was let go, which the replay reaches only by
+    hitting it exactly as a midpoint, is decomposed again, to the same bits.
 
     This function is :func:`dh_eps_many` of one problem.  The search is a
     generator that asks for each eigendecomposition it needs (sigma's
@@ -392,21 +403,15 @@ def _answers(asked: dict[int, list[_Eig]]) -> tuple[dict[int, list], set[int]]:
     """Per search, the answers to the requests it ``asked``, in order, and
     the searches with an error among them.  The requests of all searches
     are grouped by kind and block shape, and each group is served by one
-    stacked call.  A search alone has each of its requests served alone, as
-    the solo search always had."""
-    if len(asked) == 1:
-        ((i, requests),) = asked.items()
-        groups = [[(i, j, q)] for j, q in enumerate(requests)]
-    else:
-        by_kind: dict[tuple, list] = {}
-        for i, requests in asked.items():
-            for j, q in enumerate(requests):
-                key = (q.vectors, q.rho is None, q.mats.shape[1:])
-                by_kind.setdefault(key, []).append((i, j, q))
-        groups = by_kind.values()
+    stacked call; a search alone is the batch of one."""
+    by_kind: dict[tuple, list] = {}
+    for i, requests in asked.items():
+        for j, q in enumerate(requests):
+            key = (q.vectors, q.rho is None, q.mats.shape[1:])
+            by_kind.setdefault(key, []).append((i, j, q))
     answers = {i: [None] * len(requests) for i, requests in asked.items()}
     failed = set()
-    for group in groups:
+    for group in by_kind.values():
         for (i, j, _), answer in zip(group, _serve([q for _, _, q in group])):
             answers[i][j] = answer
             if isinstance(answer, Exception):
@@ -467,34 +472,30 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
     def op_scale(t: float) -> float:
         return max(r_scale, t * s_scale)
 
-    splits: dict[float, _Split] = {}
-    vectors: dict[float, np.ndarray] = {}  # per distinct block
+    points: dict[float, _Split] = {}  # the decompositions the bracket holds
+    verdict: dict[float, bool] = {}  # Tr(P_> rho) > 1 - eps, per point evaluated
 
     def split(t: float):
-        """rho - t*sigma at t, decomposed once per t."""
-        if t not in splits:
+        """rho - t*sigma at t, decomposed again if its point was let go."""
+        if t not in points:
             ((w, v, rho_diag),) = yield [_Eig(r_kinds - t * s_kinds, r_kinds)]
             tol = _boundary_tol(op_scale(t))
             w, rho_diag = spread(w), spread(rho_diag)
             above = w > tol
-            splits[t] = _Split(w, tol, rho_diag, float(rho_diag[above].sum()),
-                               int(np.count_nonzero(above)))
-            vectors[t] = v
-        return splits[t]
+            points[t] = _Split(w, tol, rho_diag, float(rho_diag[above].sum()),
+                               int(np.count_nonzero(above)), v)
+        return points[t]
 
-    def above_target(t: float):  # Tr(P_> rho) > 1 - eps
-        return (yield from split(t)).mass > target
-
-    def keep_vectors(lo_t: float, hi_t: float) -> None:
-        """Let go of the eigenvectors outside the bracket."""
-        for t in [t for t in vectors if not lo_t <= t <= hi_t]:
-            del vectors[t]
+    def above_target(t: float):
+        if t not in verdict:
+            verdict[t] = (yield from split(t)).mass > target
+        return verdict[t]
 
     def newton_step(t0: float) -> float:
         """Where the type-I mass falls to the target if every eigenvalue of
         rho - t*sigma follows its tangent at t0, <v|rho|v> - t <v|sigma|v>;
         exact when rho and sigma commute."""
-        sp = splits[t0]
+        sp = points[t0]
         sigma_diag = np.maximum((sp.rho_diag - sp.w) / t0, 1e-300)
         crossing = (sp.rho_diag - sp.tol) / sigma_diag
         mass = 0.0
@@ -511,10 +512,10 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
         counts above the tolerance differ, the eigenvalues that cross it (at
         a the smallest above it, at b the largest not above it) less the
         tolerance; else the type-I mass less the target."""
-        sb = splits[b]
-        if a not in splits:  # t = 0: all of rho lies above the tolerance
+        sb = points[b]
+        if a not in verdict:  # t = 0: all of rho lies above the tolerance
             return 1.0 - target, sb.mass - target
-        sa = splits[a]
+        sa = points[a]
         if sa.count > sb.count:
             return (float(np.min(sa.w[sa.w > sa.tol])) - sa.tol,
                     float(np.max(sb.w[sb.w <= sb.tol])) - sb.tol)
@@ -527,7 +528,7 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
         if not (yield from above_target(hi_t)):
             break
         lo_t, hi_t = hi_t, 2.0 * hi_t
-        keep_vectors(lo_t, hi_t)
+        _hold(points, lo_t, hi_t)
     top = hi_t
     # Secant steps, while hi_t is known to fall below the target.  An end
     # kept twice in a row has its Illinois weight halved.
@@ -535,13 +536,13 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
     kept, stalls, last = None, 0, hi_t
     for _ in range(BISECT_ITERS):
         width = hi_t - lo_t
-        if hi_t not in splits or width <= SEARCH_WINDOW * hi_t:
+        if hi_t not in verdict or width <= SEARCH_WINDOW * hi_t:
             break
         if stalls >= _STALLS:
             t = 0.5 * (lo_t + hi_t)
         else:
             t = lo_t
-            if lo_t not in splits or splits[lo_t].count != splits[hi_t].count:
+            if lo_t not in verdict or points[lo_t].count != points[hi_t].count:
                 t = newton_step(last)
             if not lo_t < t < hi_t:
                 f_lo, f_hi = secant_values(lo_t, hi_t)
@@ -558,7 +559,7 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
             if kept == "lo":
                 weight_lo *= 0.5
             hi_t, weight_hi, kept = t, 1.0, "lo"
-        keep_vectors(lo_t, hi_t)
+        _hold(points, lo_t, hi_t)
         stalls = stalls + 1 if hi_t - lo_t > 0.5 * width else 0
 
     def replay(win_lo: float, win_hi: float):
@@ -568,39 +569,29 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
             mid = 0.5 * (lo_t + hi_t)
             if mid == lo_t or mid == hi_t:
                 return lo_t, hi_t
-            evaluated = mid in splits or win_lo <= mid <= win_hi
+            evaluated = mid in verdict or win_lo <= mid <= win_hi
             above = (yield from above_target(mid)) if evaluated else mid < win_lo
             if above:
                 lo_t = mid
             else:
                 hi_t = mid
             if evaluated:
-                keep_vectors(lo_t, hi_t)
+                _hold(points, lo_t, hi_t)
         raise NumericalError(f"D_H threshold search found no adjacent bracket "
                              f"in {BISECT_ITERS} steps")
 
     win_lo, win_hi = lo_t - SEARCH_WINDOW * hi_t, hi_t + SEARCH_WINDOW * hi_t
     lo_t, hi_t = yield from replay(win_lo, win_hi)
-    while (lo_t > 0.0 and lo_t not in splits) or (hi_t != top and hi_t not in splits):
+    while (lo_t > 0.0 and lo_t not in verdict) or (hi_t != top and hi_t not in verdict):
         win_lo, win_hi = min(win_lo, lo_t), max(win_hi, hi_t)
         lo_t, hi_t = yield from replay(win_lo, win_hi)
     t_star = hi_t
-
-    def eigenvectors(t: float):
-        """The eigenvectors at a final end.  They are decomposed again only
-        if that end is a point the secant steps let go, which the replay
-        reaches only by hitting it exactly as a midpoint."""
-        if t in vectors:
-            return vectors[t]
-        ((_, v, _),) = yield [_Eig(r_kinds - t * s_kinds)]
-        return v
 
     # Strictly positive and boundary parts of rho - t*sigma.  The tolerance
     # is taken from the operands rho and t*sigma rather than from the
     # difference itself, so that near a degenerate crossing (rho close to
     # t*sigma) the whole collapsing subspace is still recognized as boundary.
-    w_delta, tol, rho_diag, mass_pos = (yield from split(t_star))[:4]
-    v = yield from eigenvectors(t_star)
+    w_delta, tol, rho_diag, mass_pos, _, v = yield from split(t_star)
     p_pos = projectors(v, w_delta > tol)
     p_bnd = projectors(v, np.abs(w_delta) <= tol)
     mass_bnd = float(np.sum(rho_diag[np.abs(w_delta) <= tol]))
@@ -616,8 +607,8 @@ def _search(eps: float, r: np.ndarray, s: np.ndarray, stacked: bool):
         # are ill-conditioned and the test at t* can fall short of 1 - eps.
         # Randomize it with the test at lo_t, whose type-I mass exceeds the
         # target, as in the classical Neyman-Pearson lemma.
-        w_lo, tol_lo, _, m_lo = (yield from split(lo_t))[:4]
-        p_lo = projectors((yield from eigenvectors(lo_t)), w_lo > tol_lo)
+        w_lo, tol_lo, _, m_lo, _, v_lo = yield from split(lo_t)
+        p_lo = projectors(v_lo, w_lo > tol_lo)
         if m_lo > t1:
             mix = min((target - t1) / (m_lo - t1), 1.0)
             lam = [(1.0 - mix) * lb + mix * pl for lb, pl in zip(lam, p_lo)]

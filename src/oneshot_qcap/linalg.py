@@ -190,6 +190,8 @@ class Ket:
     def __init__(self, amplitudes, layout):
         layout = as_layout(layout)
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("ket has a non-finite amplitude")
         if amp.shape[0] != layout.dim:
             raise LayoutError(
                 f"vector length {amp.shape[0]} != layout dimension {layout.dim}"
@@ -209,10 +211,12 @@ class Ket:
 
 def _hermitian(matrix, layout: SystemLayout, what: str) -> np.ndarray:
     """``matrix`` as a square complex array of ``layout``'s dimension, checked
-    Hermitian to 1e-8 of its scale and symmetrized."""
+    finite and Hermitian to 1e-8 of its scale, and symmetrized."""
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (layout.dim, layout.dim):
         raise LayoutError(f"matrix shape {mat.shape} != ({layout.dim}, {layout.dim})")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} has a non-finite entry")
     dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
     if dev > 1e-8 * scale:

@@ -53,6 +53,12 @@ def test_kraus_channel_rejects_empty_list():
         KrausChannel([], [("A", 2)], [("B", 2)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kraus_channel_rejects_a_non_finite_entry(bad):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        KrausChannel([np.diag([bad, 1.0])], [("A", 2)], [("B", 2)])
+
+
 def test_depolarizing_fixed_point():
     ch = depolarizing(0.7, 2, "A", "B")
     rho = maximally_mixed(SystemLayout([("A", 2)]))

@@ -681,6 +681,69 @@ def test_dh_search_that_reaches_the_cap_exits_three(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("module,name,command", [
+    (divergences, "_decompose", "converse"),
+    (bounds, "_certificate", "optimize"),
+    (coding, "_inverse_roots", "simulate"),
+    (verification, "psd_sqrt", "verify"),
+], ids=["dh_solver", "sdp_certificate", "inverse_roots", "psd_sqrt"])
+def test_a_lapack_failure_in_a_solver_exits_three(tmp_path, capsys, monkeypatch,
+                                                  module, name, command):
+    # LinAlgError is a ValueError; on valid input it is no bad input.
+    argv = {"converse": optimize_args(tmp_path)[:-1],
+            "optimize": optimize_args(tmp_path),
+            "simulate": ["simulate", "p2p_ea"] + scenario_specs(tmp_path)["p2p_ea"],
+            "verify": ["verify", "--facts", "gentle_povm", "--trials", "1"]}[command]
+    monkeypatch.setattr(module, name, _lapack_fails)
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: numerical: Eigenvalues did not converge\n"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("matrix", {"dims": [["A", 2]], "matrix": [[NAN, 0], [0, 0.5]]}),
+    ("matrix", {"dims": [["A", 4]], "matrix": np.diag([NAN, 0.5, 0.25, 0.25]).tolist()}),
+    ("matrix", {"dims": [["A", 2]], "matrix": [[0.5, [0, float("inf")]], [0, 0.5]]}),
+    ("ket", {"dims": [["A", 2]], "ket": [NAN, 0]}),
+    ("kraus", {"type": "channel", "kraus": [[[NAN, 0], [0, 1]]],
+               "in_dims": [["A", 2]], "out_dims": [["B", 2]]}),
+], ids=["matrix_2x2", "matrix_4x4", "matrix_inf", "ket", "kraus"])
+def test_a_spec_with_a_non_finite_entry_exits_one_naming_its_field(tmp_path, capsys,
+                                                                   field, doc):
+    # Python's json reads NaN and Infinity.
+    bad = write_spec(tmp_path, "bad.json", {"schema": "1", "type": "state", **doc})
+    if field == "kraus":
+        argv = ["bound", "converse", "--scenario", "p2p_ea", "--channel", bad,
+                "--state", write_spec(tmp_path, "bell.json", BELL_STATE), "--eps", "0.1"]
+    else:
+        dims = doc["dims"]
+        sigma = {"schema": "1", "type": "state", "name": "maximally_mixed", "dims": dims}
+        argv = ["divergence", "dh", "--rho", bad, "--sigma",
+                write_spec(tmp_path, "sigma.json", sigma), "--eps", "0.1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "non-finite" in err, err
+
+
+def test_a_floor_below_the_rate_fails_and_simulate_exits_two(tmp_path, capsys,
+                                                             monkeypatch):
+    # D_H 1e-6 bits below R = 1 at every sigma: the floor does not hold.
+    real = coding.dh_eps_many
+    monkeypatch.setattr(coding, "dh_eps_many", lambda problems: [
+        dataclasses.replace(res, value=1.0 - 1e-6) for res in real(problems)])
+    assert run(["simulate", "p2p_ea"] + scenario_specs(tmp_path)["p2p_ea"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["holds"] is False and doc["report"]["bound_satisfied"] is True
+    assert [f["holds"] for f in doc["report"]["floors"]] == [False]
+    assert doc["report"]["floors"][0]["floor"] == 1.0 - 1e-6
+
+
 def test_bound_sdp_past_the_dimension_cap_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ONESHOT_QCAP_DIM_CAP", "15")
     assert run(optimize_args(tmp_path)) == 1

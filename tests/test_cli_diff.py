@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,3 +38,32 @@ def test_compare_names_the_keys_whose_other_leaves_differ(cli_diff):
     deltas, other = cli_diff.compare(json.dumps(old), json.dumps(new))
     assert deltas == {"rows[][]": 0.25}
     assert other == {"strategy": "differs", "values[]": "differs"}
+
+
+def test_counting_eig_counts_both_solvers_and_puts_them_back(cli_diff):
+    eigh = np.linalg.eigh
+    with cli_diff.counting_eig() as calls:
+        np.linalg.eigh(np.eye(2))
+        np.linalg.eigvalsh(np.stack([np.eye(3)] * 4))
+        np.linalg.eigvals(np.eye(2))
+    assert calls == [2]
+    assert np.linalg.eigh is eigh
+
+
+def test_summary_prints_eig_calls_per_op_per_workload_and_in_all(cli_diff, capsys):
+    ops = [SimpleNamespace(workload=w, name=n, variant=0)
+           for w, n in (("dense_sim", "p2p"), ("dense_sim", "mac"), ("cli", "verify"))]
+    old = [[0, "{}", 12], [0, "{}", 30], [2, '{"v": 1}', 7]]
+    new = [[0, "{}", 12], [0, "{}", 25], [2, '{"v": 1.5}', 9]]
+    assert cli_diff.summarize(ops, old, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "dense_sim/p2p v0: exit 0/0 equal, eig calls 12 -> 12, byte-identical",
+        "dense_sim/mac v0: exit 0/0 equal, eig calls 30 -> 25, byte-identical",
+        "cli/verify v0: exit 2/2 equal, eig calls 7 -> 9, bytes differ",
+        "    v: max |delta| 0.5",
+        "dense_sim: eig calls 42 -> 37",
+        "cli: eig calls 7 -> 9",
+        "3 runs: 3 equal exit codes, 2 byte-identical, largest numeric |delta| 0.5, "
+        "eig calls 49 -> 46"]
+    assert cli_diff.summarize(ops, old, [[1, "{}", 12]] + new[1:]) == 1

@@ -1100,6 +1100,19 @@ def test_the_analytic_bound_counts_only_at_a_feasible_rate(monkeypatch, name,
     assert rep.bound_satisfied is not feasible
 
 
+@pytest.mark.parametrize("error,satisfied", [(0.2, False), (0.05, True)])
+def test_the_premise_free_bound_counts_at_a_feasible_rate(error, satisfied):
+    # An error above hn_bound (0.1) fails the verdict even where the rate is
+    # feasible and the analytic bound (0.3) holds it.
+    dh = divergences.DivergenceResult(3.0, divergences.HypothesisTest(
+        np.eye(2), 0.9, 0.125), 3.0)
+    rep = coding._report(coding.SCENARIOS["p2p_ea"], [1], [1 - error] * 2, [error],
+                         [dh], [0.0], [(error, 0.1, 0.3)], details={})
+    assert rep.rate_feasible
+    assert (rep.hn_bound, rep.analytic_bound) == (0.1, 0.3)
+    assert rep.bound_satisfied is satisfied
+
+
 # ---------------------------------------------------------------------------
 # unassisted simulation
 

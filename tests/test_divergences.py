@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -516,6 +517,46 @@ def test_dh_eps_decomposes_no_operand_twice(eig_inputs, monkeypatch, rho, sig,
     if repairs:
         assert vecs[-1] is not vecs[-2]
         assert any(v is vecs[-1] for v in searched)
+
+
+@pytest.mark.parametrize("rho,sig,eps,repairs", [
+    (*guard_instance("random", 4, 104), 0.2, False),
+    (*repeated_blocks(*direct_sum_instance(np.random.default_rng(7), 4, 3),
+                      *REPEATS["rank_deficient_sigma"]), 0.3, False),
+    (*near_equal_pair(4), 0.2, True),
+], ids=["random", "repeated_blocks", "repair"])
+def test_dh_eps_decomposes_a_final_end_that_was_let_go_again_to_the_same_bits(
+        eig_inputs, monkeypatch, rho, sig, eps, repairs):
+    # No search is known to let go of a point that ends up a final end, so
+    # the last pruning is made to let go of every point: the final split at
+    # t* and the repair's at lo_t must decompose their ends again.
+    hold, pruned = divergences._hold, []
+    monkeypatch.setattr(divergences, "_hold",
+                        lambda *args: pruned.append(args) or hold(*args))
+    ref = dh_eps(rho, sig, eps)
+    before = Counter(a.tobytes() for a in eig_inputs)
+    last = len(pruned)
+    assert last
+
+    def let_go_at_the_end(points, lo_t, hi_t):
+        pruned.append(None)
+        hold(points, lo_t, hi_t)
+        if len(pruned) == last:
+            points.clear()
+
+    pruned.clear()
+    eig_inputs.clear()
+    monkeypatch.setattr(divergences, "_hold", let_go_at_the_end)
+    res = dh_eps(rho, sig, eps)
+    assert len(pruned) == last
+    after = Counter(a.tobytes() for a in eig_inputs)
+    assert not before - after
+    # Each final end once more: t*, and lo_t where the repair reads it.
+    assert list((after - before).values()) == [1] * (2 if repairs else 1)
+    assert (repr(res.value), repr(res.dual_bound), res.unbounded) == \
+        (repr(ref.value), repr(ref.dual_bound), ref.unbounded)
+    assert (res.witness.type1, res.witness.type2) == (ref.witness.type1, ref.witness.type2)
+    assert res.witness.operator.tobytes() == ref.witness.operator.tobytes()
 
 
 def test_dh_matches_classical_oracle_small():

@@ -110,6 +110,17 @@ def test_density_rejects_negative_eigenvalue():
         DensityOp(np.diag([1.5, -0.5]), lay)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_a_non_finite_entry_is_rejected_before_any_decomposition(eig_inputs, bad):
+    lay = SystemLayout([("A", 2)])
+    for make in (DensityOp, HermOp):
+        with pytest.raises(ValueError, match="has a non-finite entry"):
+            make([[bad, 0], [0, 0.5]], lay)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        Ket([bad, 0], lay)
+    assert not eig_inputs
+
+
 def test_tensor_and_partial_trace_roundtrip():
     a = sample("density", 2, 3, labels=["A"])
     b = sample("density", 3, 4, labels=["B"])

@@ -28,10 +28,12 @@ are written once, to one directory that both trees read. OpenBLAS runs on
 the thread count the benchmark pins.
 
 For every (op, variant) it prints whether the exit codes are equal, whether
-the outputs are byte-identical and, for outputs that differ, the largest
-|difference| of the numeric leaves under each key that both outputs hold
-(list indices dropped), the keys whose other leaves or number of leaves
-differ, and the keys only one output holds. The last line sums it up.
+the outputs are byte-identical, the number of ``numpy.linalg.eigh`` and
+``eigvalsh`` calls the op made in each tree and, for outputs that differ, the
+largest |difference| of the numeric leaves under each key that both outputs
+hold (list indices dropped), the keys whose other leaves or number of leaves
+differ, and the keys only one output holds. Then one line per workload sums
+its eigendecomposition calls in each tree, and the last line sums it all up.
 The exit code is 0 when every exit code is equal and 1 otherwise.
 """
 
@@ -252,8 +254,31 @@ def _ops(variants: list[int]):
         op for v in variants for op in _cli_ops(v)]
 
 
+@contextlib.contextmanager
+def counting_eig():
+    """Count the calls of ``numpy.linalg.eigh`` and ``eigvalsh`` made
+    inside: yields a one-element list that holds the count."""
+    calls = [0]
+    real = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in real.items():
+        setattr(np.linalg, name, counted(fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in real.items():
+            setattr(np.linalg, name, fn)
+
+
 def _child(job: dict) -> None:
-    """Run the job's ops with its tree's package; print [[code, output], ...]."""
+    """Run the job's ops with its tree's package; print [[code, output,
+    eigendecomposition calls], ...]."""
     import run  # noqa: F401  (pins the BLAS thread count before numpy loads)
     sys.path.insert(0, os.path.join(job["tree"], "src"))
     from oneshot_qcap import cli
@@ -261,14 +286,15 @@ def _child(job: dict) -> None:
     results = []
     for op in _ops(job["variants"]):
         out = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out):
-                code = cli.run(op.command(job["spec_dir"]))
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 1
-        except Exception as exc:  # a crash is a result to compare, too
-            code = f"raised {type(exc).__name__}: {exc}"
-        results.append([code, out.getvalue()])
+        with counting_eig() as calls:
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = cli.run(op.command(job["spec_dir"]))
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 1
+            except Exception as exc:  # a crash is a result to compare, too
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, out.getvalue(), calls[0]])
     json.dump(results, sys.stdout)
 
 
@@ -368,14 +394,24 @@ def main(argv=None) -> int:
             op.write_specs(spec_dir)
         old, new = (_run_tree(tree, spec_dir, args.variants)
                     for tree in (args.old, args.new))
+    return summarize(ops, old, new)
 
+
+def summarize(ops, old: list, new: list) -> int:
+    """Print the comparison of each op's [code, output, eigendecomposition
+    calls] in the ``old`` and ``new`` tree, the calls summed per workload
+    and the summary line; 0 when every exit code is equal, else 1."""
     codes_equal = identical = 0
     worst = 0.0
-    for op, (code_a, out_a), (code_b, out_b) in zip(ops, old, new):
+    eig_calls: dict[str, list[int]] = {}
+    for op, (code_a, out_a, eig_a), (code_b, out_b, eig_b) in zip(ops, old, new):
         same_code = code_a == code_b
         codes_equal += same_code
+        sums = eig_calls.setdefault(op.workload, [0, 0])
+        sums[0] += eig_a
+        sums[1] += eig_b
         line = f"{op.workload}/{op.name} v{op.variant}: exit {code_a}/{code_b} " \
-               f"{'equal' if same_code else 'DIFFER'}, "
+               f"{'equal' if same_code else 'DIFFER'}, eig calls {eig_a} -> {eig_b}, "
         if out_a == out_b:
             identical += 1
             print(line + "byte-identical")
@@ -388,8 +424,12 @@ def main(argv=None) -> int:
             print(f"    {key}: max |delta| {d:.3g}")
         for key, what in other.items():
             print(f"    {key}: {what}")
+    for workload, (eig_a, eig_b) in eig_calls.items():
+        print(f"{workload}: eig calls {eig_a} -> {eig_b}")
+    total_a, total_b = (sum(s[i] for s in eig_calls.values()) for i in (0, 1))
     print(f"{len(ops)} runs: {codes_equal} equal exit codes, {identical} "
-          f"byte-identical, largest numeric |delta| {worst:.3g}")
+          f"byte-identical, largest numeric |delta| {worst:.3g}, "
+          f"eig calls {total_a} -> {total_b}")
     return 0 if codes_equal == len(ops) else 1
 
 
