@@ -117,20 +117,27 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis.reshape(n * n, n * n)
 
 
+def _h(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _nt_scaling(s: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling of a primal-dual pair of positive definite
-    blocks: G, G^-1 and the spectrum w with G^-1 S G^-H = G^H Z G = diag(w),
-    from Cholesky factors and one SVD (Todd, Toh and Tutuncu 1998)."""
+    blocks, or of each pair of blocks in two stacks: G, G^-1 and the
+    spectrum w with G^-1 S G^-H = G^H Z G = diag(w), from Cholesky factors
+    and one SVD (Todd, Toh and Tutuncu 1998)."""
     ls, lz = np.linalg.cholesky(s), np.linalg.cholesky(z)
-    u, w, vh = np.linalg.svd(lz.conj().T @ ls)
+    u, w, vh = np.linalg.svd(_h(lz) @ ls)
     root = np.sqrt(w)
-    return (ls @ vh.conj().T) / root, (u.conj().T @ lz.conj().T) / root[:, None], w
+    return (ls @ _h(vh)) / root[..., None, :], (_h(u) @ _h(lz)) / root[..., :, None], w
 
 
 def _max_step(w: np.ndarray, step: np.ndarray) -> float:
-    """The largest a <= 1 with diag(w) + a * step positive semidefinite."""
+    """The largest a <= 1 with diag(w) + a * step positive semidefinite, for
+    one block or for every block of a stack."""
     r = 1.0 / np.sqrt(w)
-    low = np.linalg.eigvalsh(r[:, None] * step * r[None, :])[0]
+    low = np.linalg.eigvalsh(r[..., :, None] * step * r[..., None, :])[..., 0].min()
     return 1.0 if low >= -1.0 else -1.0 / low
 
 
@@ -143,7 +150,9 @@ class _SigmaSDP:
     x = (T in the basis of ``_hermitian_basis``, lam) and the slack S has
     four blocks: T, I - T, lam I - Phi(T) and Tr(T rho) - (1 - eps).  The
     dual variable Z of the third block is an optimal sigma.  ``step`` is one
-    Mehrotra predictor-corrector step in Nesterov-Todd directions.
+    Mehrotra predictor-corrector step in Nesterov-Todd directions; the
+    factorizations of the T and I - T blocks, both n x n, run as stacked
+    calls.
     """
 
     def __init__(self, rho: np.ndarray, res: np.ndarray, d_out: int, eps: float):
@@ -151,62 +160,72 @@ class _SigmaSDP:
         self.basis = _hermitian_basis(n)
         phi = _phi(self.basis.T.reshape(n * n, n, n), res, d_out).reshape(n * n, -1).T
         none = np.zeros((n * n, 1))
-        self.blocks = [  # (A_b, F0_b), with A_b acting on x into vec S_b
+        blocks = [  # (A_b, F0_b), with A_b acting on x into vec S_b
             (np.hstack([self.basis, none]), np.zeros((n, n))),
             (np.hstack([-self.basis, none]), np.eye(n)),
             (np.hstack([-phi, np.eye(d_out).reshape(-1, 1)]), np.zeros((d_out, d_out))),
             (np.hstack([rho.conj().reshape(1, -1) @ self.basis, [[0.0]]]),
              np.array([[eps - 1.0]])),
         ]
+        self.blocks = [(a, _h(a), f0) for a, f0 in blocks]
         self.c = np.zeros(n * n + 1)
         self.c[-1] = 1.0
 
     def along(self, dx: np.ndarray) -> list:
-        return [(a @ dx).reshape(f0.shape) for a, f0 in self.blocks]
+        return [(a @ dx).reshape(f0.shape) for a, _, f0 in self.blocks]
 
     def slack(self, x: np.ndarray) -> list:
-        return [f0 + d for (_, f0), d in zip(self.blocks, self.along(x))]
+        return [f0 + d for (_, _, f0), d in zip(self.blocks, self.along(x))]
 
     def adjoint(self, mats) -> np.ndarray:
-        return sum(np.real(a.conj().T @ m.ravel())
-                   for (a, _), m in zip(self.blocks, mats))
+        return sum(np.real(ah @ m.ravel()) for (_, ah, _), m in zip(self.blocks, mats))
 
     def step(self, x: np.ndarray, slack: list, dual: list, mu: float):
-        scaled = [_nt_scaling(s, z) for s, z in zip(slack, dual)]
-        w_inv = [gi.conj().T @ gi for _, gi, _ in scaled]
-        schur = sum(np.real(a.conj().T @ np.kron(wi, wi.T) @ a)
-                    for (a, _), wi in zip(self.blocks, w_inv))
+        pair = _nt_scaling(np.stack(slack[:2]), np.stack(dual[:2]))
+        scaled = [*zip(*pair), *map(_nt_scaling, slack[2:], dual[2:])]
+        w_inv = [_h(gi) @ gi for _, gi, _ in scaled]
+        # A_b^H (W_b kron W_b^T) A_b, the Kronecker product as an outer one.
+        schur = sum(np.real(ah @ (wi[:, None, :, None] * wi.T[None, :, None, :])
+                            .reshape(len(a), len(a)) @ a)
+                    for (a, ah, _), wi in zip(self.blocks, w_inv))
         schur = 0.5 * (schur + schur.T)
+
+        def longest(steps):
+            """The largest a <= 1 with diag(w) + a * step positive
+            semidefinite in every block."""
+            return min(_max_step(pair[2], np.stack(steps[:2])),
+                       *(_max_step(w, d) for d, (_, _, w) in zip(steps[2:], scaled[2:])))
 
         def direction(rhs):
             """The step whose scaled complementarity residual is rhs (per
             block, already divided by the Lyapunov operator of diag(w))."""
-            h = [gi.conj().T @ q @ gi for q, (_, gi, _) in zip(rhs, scaled)]
+            h = [_h(gi) @ q @ gi for q, (_, gi, _) in zip(rhs, scaled)]
             try:
                 dx = np.linalg.solve(schur, self.adjoint(h) - self.c)
             except np.linalg.LinAlgError:  # exactly singular: T not unique
                 dx = np.linalg.lstsq(schur, self.adjoint(h) - self.c, rcond=None)[0]
             ds = self.along(dx)
             dz = [hb - z - wi @ d @ wi for hb, z, d, wi in zip(h, dual, ds, w_inv)]
-            dz = [0.5 * (d + d.conj().T) for d in dz]
-            s_scaled = [gi @ d @ gi.conj().T for d, (_, gi, _) in zip(ds, scaled)]
-            z_scaled = [g.conj().T @ d @ g for d, (g, _, _) in zip(dz, scaled)]
-            a_p = min(_max_step(w, d) for d, (_, _, w) in zip(s_scaled, scaled))
-            a_d = min(_max_step(w, d) for d, (_, _, w) in zip(z_scaled, scaled))
-            return dx, dz, s_scaled, z_scaled, a_p, a_d
+            dz = [0.5 * (d + _h(d)) for d in dz]
+            s_scaled = [gi @ d @ _h(gi) for d, (_, gi, _) in zip(ds, scaled)]
+            z_scaled = [_h(g) @ d @ g for d, (g, _, _) in zip(dz, scaled)]
+            return dx, dz, s_scaled, z_scaled, longest(s_scaled), longest(z_scaled)
 
         _, _, s_aff, z_aff, a_p, a_d = direction([np.zeros_like(s) for s in slack])
         mu_aff = sum(trace_with(np.diag(w) + a_p * ds, np.diag(w) + a_d * dz)
                      for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled))
         mu_aff /= sum(len(w) for _, _, w in scaled)
-        # Mehrotra's centering (mu_aff / mu)^3, floored at 0.2: without the
-        # floor, iterates on degenerate problems (rank-deficient rho and
-        # sigma*) leave the central path and stall.
-        target = max(0.2, min(1.0, mu_aff / mu) ** 3) * mu
+        # Mehrotra's centering (mu_aff / mu)^e with SDPT3's adaptive exponent
+        # e = max(1, 3 min(a_p, a_d)^2) (Toh, Todd and Tutuncu 1999): e = 3,
+        # superlinear near the optimum, after a long affine step; down to
+        # e = 1, more centering, after a short one, which keeps iterates on
+        # degenerate problems (rank-deficient rho and sigma*) near the
+        # central path.
+        target = min(1.0, mu_aff / mu) ** max(1.0, 3.0 * min(a_p, a_d) ** 2) * mu
         rhs = []
         for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled):
             second = ds @ dz
-            rhs.append((target * np.eye(len(w)) - 0.5 * (second + second.conj().T))
+            rhs.append((target * np.eye(len(w)) - 0.5 * (second + _h(second)))
                        * (2.0 / (w[:, None] + w[None, :])))
         dx, dz, _, _, a_p, a_d = direction(rhs)
         keep = 0.9 + 0.09 * min(a_p, a_d)
@@ -225,9 +244,11 @@ def _sdp_sigma(rho: np.ndarray, res: np.ndarray, d_out: int, eps: float):
     kernel, so the optimum is lambda_max(Phi(Pi)), attained by its top
     eigenvector, with no iteration.  Otherwise the primal-dual
     interior-point method starts at T = (1 - eps/2) I, lam = 1 and Z = S^-1
-    (on the central path).  Raises ``NumericalError`` when it stalls, a
-    factorization fails inside the domain, or no feasible test can be
-    recovered.
+    (on the central path).  It stops at the tolerance, at a failed
+    factorization or after ``_SDP_ITERS`` steps, and answers where it
+    stopped; whether that is a stall is for ``_min_over_sigma``'s bracket
+    to decide, and that raises.  Raises ``NumericalError`` only when no
+    feasible test can be recovered.
     """
     n = rho.shape[0]
     check_dimension(f"the SDP over sigma at n = {n}, with n^2 unknowns,", n * n)

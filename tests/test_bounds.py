@@ -29,6 +29,7 @@ from oneshot_qcap.linalg import (
     maximally_mixed,
     partial_trace,
     tensor,
+    trace_with,
 )
 
 from helpers import (
@@ -179,12 +180,10 @@ def test_sdp_checks_the_dimension_cap_before_allocating(monkeypatch, id2, bell):
         converse_value("p2p_ea", id2, bell, 0.1, optimize=True)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), d_out=st.sampled_from([2, 3]),
-       kraus=st.integers(1, 3), eps=st.floats(0.01, 0.9))
-def test_sdp_sigma_is_a_state_and_certificate_below_value(seed, d_out, kraus, eps):
-    # A random channel output: a random isometry from a qubit A into
-    # [out, environment], applied to a random pure input on [A, R].
+def isometry_output(seed: int, d_out: int, kraus: int):
+    """A random channel output and its resource marginal: a random isometry
+    from a qubit A into [out, environment], applied to a random pure input
+    on [A, R], traced over the environment."""
     rng = np.random.default_rng(seed)
     shape = (d_out * kraus, 2)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -194,6 +193,14 @@ def test_sdp_sigma_is_a_state_and_certificate_below_value(seed, d_out, kraus, ep
     out = np.einsum("oka,ar->okr", iso, psi).transpose(1, 0, 2).reshape(kraus, 2 * d_out)
     rho = out.T @ out.conj()
     res = np.einsum("arbr->ab", rho.reshape(d_out, 2, d_out, 2).transpose(1, 0, 3, 2))
+    return rho, res
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d_out=st.sampled_from([2, 3]),
+       kraus=st.integers(1, 3), eps=st.floats(0.01, 0.9))
+def test_sdp_sigma_is_a_state_and_certificate_below_value(seed, d_out, kraus, eps):
+    rho, res = isometry_output(seed, d_out, kraus)
     sigma, certificate = bounds._sdp_sigma(rho, res, d_out, eps)
     assert np.allclose(sigma, sigma.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
@@ -207,6 +214,14 @@ def test_sdp_sigma_is_a_state_and_certificate_below_value(seed, d_out, kraus, ep
         assert certificate <= dh_rank1_oracle(rho, alt, eps)
 
 
+def product_input(rng, d: int, rank: int) -> DensityOp:
+    """A random rho_A of rank min(rank, d) beside the maximally mixed R."""
+    shape = (d, min(rank, d))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = DensityOp(g @ g.conj().T / np.linalg.norm(g) ** 2, SystemLayout([("A", d)]))
+    return tensor(rho, maximally_mixed(SystemLayout([("R", d)])))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3]),
        rank=st.integers(1, 3), eps=st.floats(0.01, 0.9))
@@ -217,16 +232,150 @@ def test_a_product_joint_attains_its_closed_form_minimum(seed, d, rank, eps):
     # spectrum leaves the SDP's dual residual well above its duality gap.
     # dh_eps's test is optimal only to about 1e-9 bits, so the value may
     # sit that far below the certificate.
-    rng = np.random.default_rng(seed)
-    shape = (d, min(rank, d))
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rho = DensityOp(g @ g.conj().T / np.linalg.norm(g) ** 2, SystemLayout([("A", d)]))
-    psi = tensor(rho, maximally_mixed(SystemLayout([("R", d)])))
+    psi = product_input(np.random.default_rng(seed), d, rank)
     bound = converse_value("p2p_ea", identity_channel(d, "A", "B"), psi, eps,
                            optimize=True)
     (certificate,) = bound.certificate
     assert bound.value == pytest.approx(-math.log2(1 - eps), abs=1e-9)
     assert certificate - 1e-9 <= bound.value <= certificate + bounds._SDP_BRACKET
+
+
+def per_block_step(sdp, x, slack, dual, mu):
+    """``bounds._SigmaSDP.step`` with one factorization and one step-length
+    eigvalsh per block, the Schur term from np.kron and A_b^H formed at each
+    use: the reference the stacked step must equal to the bit."""
+
+    def nt_scaling(s, z):
+        ls, lz = np.linalg.cholesky(s), np.linalg.cholesky(z)
+        u, w, vh = np.linalg.svd(lz.conj().T @ ls)
+        root = np.sqrt(w)
+        return (ls @ vh.conj().T) / root, (u.conj().T @ lz.conj().T) / root[:, None], w
+
+    def max_step(w, step):
+        r = 1.0 / np.sqrt(w)
+        low = np.linalg.eigvalsh(r[:, None] * step * r[None, :])[0]
+        return 1.0 if low >= -1.0 else -1.0 / low
+
+    def adjoint(mats):
+        return sum(np.real(a.conj().T @ m.ravel())
+                   for (a, _, _), m in zip(sdp.blocks, mats))
+
+    scaled = [nt_scaling(s, z) for s, z in zip(slack, dual)]
+    w_inv = [gi.conj().T @ gi for _, gi, _ in scaled]
+    schur = sum(np.real(a.conj().T @ np.kron(wi, wi.T) @ a)
+                for (a, _, _), wi in zip(sdp.blocks, w_inv))
+    schur = 0.5 * (schur + schur.T)
+
+    def direction(rhs):
+        h = [gi.conj().T @ q @ gi for q, (_, gi, _) in zip(rhs, scaled)]
+        try:
+            dx = np.linalg.solve(schur, adjoint(h) - sdp.c)
+        except np.linalg.LinAlgError:
+            dx = np.linalg.lstsq(schur, adjoint(h) - sdp.c, rcond=None)[0]
+        ds = sdp.along(dx)
+        dz = [hb - z - wi @ d @ wi for hb, z, d, wi in zip(h, dual, ds, w_inv)]
+        dz = [0.5 * (d + d.conj().T) for d in dz]
+        s_scaled = [gi @ d @ gi.conj().T for d, (_, gi, _) in zip(ds, scaled)]
+        z_scaled = [g.conj().T @ d @ g for d, (g, _, _) in zip(dz, scaled)]
+        a_p = min(max_step(w, d) for d, (_, _, w) in zip(s_scaled, scaled))
+        a_d = min(max_step(w, d) for d, (_, _, w) in zip(z_scaled, scaled))
+        return dx, dz, s_scaled, z_scaled, a_p, a_d
+
+    _, _, s_aff, z_aff, a_p, a_d = direction([np.zeros_like(s) for s in slack])
+    mu_aff = sum(trace_with(np.diag(w) + a_p * ds, np.diag(w) + a_d * dz)
+                 for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled))
+    mu_aff /= sum(len(w) for _, _, w in scaled)
+    target = min(1.0, mu_aff / mu) ** max(1.0, 3.0 * min(a_p, a_d) ** 2) * mu
+    rhs = []
+    for ds, dz, (_, _, w) in zip(s_aff, z_aff, scaled):
+        second = ds @ dz
+        rhs.append((target * np.eye(len(w)) - 0.5 * (second + second.conj().T))
+                   * (2.0 / (w[:, None] + w[None, :])))
+    dx, dz, _, _, a_p, a_d = direction(rhs)
+    keep = 0.9 + 0.09 * min(a_p, a_d)
+    a_p, a_d = min(1.0, keep * a_p), min(1.0, keep * a_d)
+    return x + a_p * dx, [z + a_d * d for z, d in zip(dual, dz)]
+
+
+def sdp_instances():
+    """(rho, res, d_out, eps) of the isometry outputs of the property test
+    and of product joints rho_B x I/d, seeded."""
+    rng = np.random.default_rng(7)
+    for seed in range(8):
+        d_out, kraus = 2 + seed % 2, 1 + seed % 3
+        yield pytest.param(*isometry_output(seed, d_out, kraus), d_out,
+                           0.05 + 0.1 * seed, id=f"isometry-{seed}")
+    for seed in range(8):
+        d = 2 + seed % 2
+        psi = product_input(rng, d, 1 + seed % 3)
+        yield pytest.param(psi.matrix, np.eye(d) / d, d, 0.05 + 0.1 * seed,
+                           id=f"product-{seed}")
+
+
+@pytest.mark.parametrize("rho, res, d_out, eps", sdp_instances())
+def test_the_stacked_sdp_step_is_the_per_block_step_to_the_bit(monkeypatch, rho, res,
+                                                               d_out, eps):
+    stacked = bounds._SigmaSDP.step
+    steps = []
+
+    def checked(sdp, x, slack, dual, mu):
+        try:
+            want = per_block_step(sdp, x, slack, dual, mu)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                stacked(sdp, x, slack, dual, mu)
+            raise
+        got = stacked(sdp, x, slack, dual, mu)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [z.tobytes() for z in got[1]] == [z.tobytes() for z in want[1]]
+        steps.append(mu)
+        return got
+
+    monkeypatch.setattr(bounds._SigmaSDP, "step", checked)
+    bounds._sdp_sigma(rho, res, d_out, eps)
+    assert steps
+
+
+def count_sdp_steps(monkeypatch) -> list:
+    """Count the calls of ``_SigmaSDP.step``: returns a one-element list
+    that holds the count."""
+    real = bounds._SigmaSDP.step
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bounds._SigmaSDP, "step", counted)
+    return calls
+
+
+def test_the_benchmark_converse_takes_few_sdp_steps(monkeypatch, bell):
+    # The depolarized Bell pairs of the benchmark's converse op, at each of
+    # its p; with Mehrotra's centering floored at 0.2 each took 19 steps.
+    calls = count_sdp_steps(monkeypatch)
+    steps = []
+    for p in np.round(0.05 + 0.01 * np.arange(8), 4):
+        calls[0] = 0
+        converse_value("p2p_ea", depolarizing(p, 2, "A", "B"), bell, 0.1, optimize=True)
+        steps.append(calls[0])
+    assert max(steps) <= 12, steps
+
+
+def test_few_product_joints_run_the_sdp_to_its_step_cap(monkeypatch):
+    # rho_B x I/d, whose dual residual stays well above its duality gap.
+    # With Mehrotra's centering floored at 0.2, 17 of these 40 ran all
+    # _SDP_ITERS steps, and one (d = 2, pure rho_B, eps = 0.43) stalled.
+    calls = count_sdp_steps(monkeypatch)
+    rng = np.random.default_rng(2026)
+    capped = 0
+    for _ in range(40):
+        d, rank, eps = int(rng.integers(2, 4)), int(rng.integers(1, 4)), rng.uniform(0.01, 0.9)
+        calls[0] = 0
+        converse_value("p2p_ea", identity_channel(d, "A", "B"), product_input(rng, d, rank),
+                       eps, optimize=True)
+        capped += calls[0] >= bounds._SDP_ITERS
+    assert capped <= 40 // 4
 
 
 def test_mac_ea_converse_structure():

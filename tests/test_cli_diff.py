@@ -62,8 +62,8 @@ def test_summary_prints_eig_calls_per_op_per_workload_and_in_all(cli_diff, capsy
         "dense_sim/mac v0: exit 0/0 equal, eig calls 30 -> 25, byte-identical",
         "cli/verify v0: exit 2/2 equal, eig calls 7 -> 9, bytes differ",
         "    v: max |delta| 0.5",
-        "dense_sim: eig calls 42 -> 37",
-        "cli: eig calls 7 -> 9",
+        "dense_sim: 2 of 2 byte-identical, eig calls 42 -> 37",
+        "cli: 0 of 1 byte-identical, eig calls 7 -> 9",
         "3 runs: 3 equal exit codes, 2 byte-identical, largest numeric |delta| 0.5, "
         "eig calls 49 -> 46"]
     assert cli_diff.summarize(ops, old, [[1, "{}", 12]] + new[1:]) == 1

@@ -32,8 +32,9 @@ the outputs are byte-identical, the number of ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls the op made in each tree and, for outputs that differ, the
 largest |difference| of the numeric leaves under each key that both outputs
 hold (list indices dropped), the keys whose other leaves or number of leaves
-differ, and the keys only one output holds. Then one line per workload sums
-its eigendecomposition calls in each tree, and the last line sums it all up.
+differ, and the keys only one output holds. Then one line per workload
+counts its byte-identical runs and sums its eigendecomposition calls in each
+tree, and the last line sums it all up.
 The exit code is 0 when every exit code is equal and 1 otherwise.
 """
 
@@ -399,21 +400,25 @@ def main(argv=None) -> int:
 
 def summarize(ops, old: list, new: list) -> int:
     """Print the comparison of each op's [code, output, eigendecomposition
-    calls] in the ``old`` and ``new`` tree, the calls summed per workload
-    and the summary line; 0 when every exit code is equal, else 1."""
+    calls] in the ``old`` and ``new`` tree, per workload its byte-identical
+    runs and summed calls, and the summary line; 0 when every exit code is
+    equal, else 1."""
     codes_equal = identical = 0
     worst = 0.0
-    eig_calls: dict[str, list[int]] = {}
+    # Per workload: eig calls in old and new, byte-identical runs, runs.
+    sums: dict[str, list[int]] = {}
     for op, (code_a, out_a, eig_a), (code_b, out_b, eig_b) in zip(ops, old, new):
         same_code = code_a == code_b
         codes_equal += same_code
-        sums = eig_calls.setdefault(op.workload, [0, 0])
-        sums[0] += eig_a
-        sums[1] += eig_b
+        tally = sums.setdefault(op.workload, [0, 0, 0, 0])
+        tally[0] += eig_a
+        tally[1] += eig_b
+        tally[3] += 1
         line = f"{op.workload}/{op.name} v{op.variant}: exit {code_a}/{code_b} " \
                f"{'equal' if same_code else 'DIFFER'}, eig calls {eig_a} -> {eig_b}, "
         if out_a == out_b:
             identical += 1
+            tally[2] += 1
             print(line + "byte-identical")
             continue
         deltas, other = compare(out_a, out_b)
@@ -424,9 +429,10 @@ def summarize(ops, old: list, new: list) -> int:
             print(f"    {key}: max |delta| {d:.3g}")
         for key, what in other.items():
             print(f"    {key}: {what}")
-    for workload, (eig_a, eig_b) in eig_calls.items():
-        print(f"{workload}: eig calls {eig_a} -> {eig_b}")
-    total_a, total_b = (sum(s[i] for s in eig_calls.values()) for i in (0, 1))
+    for workload, (eig_a, eig_b, same, runs) in sums.items():
+        print(f"{workload}: {same} of {runs} byte-identical, "
+              f"eig calls {eig_a} -> {eig_b}")
+    total_a, total_b = (sum(s[i] for s in sums.values()) for i in (0, 1))
     print(f"{len(ops)} runs: {codes_equal} equal exit codes, {identical} "
           f"byte-identical, largest numeric |delta| {worst:.3g}, "
           f"eig calls {total_a} -> {total_b}")
